@@ -1,14 +1,14 @@
 //! Fig 15 shape probe on all three kernels.
 use qods_arch::machine::Arch;
 use qods_arch::simulator::SimContext;
-use qods_arch::sweep::{area_sweep_in, host_threads, log_areas, speedup_summary_from_curves};
+use qods_arch::sweep::{area_sweep_in, log_areas, speedup_summary_from_curves};
 use qods_kernels::{qcla_lowered, qft_lowered, qrca_lowered, SynthAdapter};
 use std::time::Instant;
 
 fn main() {
     let synth = SynthAdapter::with_budget(12, 1e-2);
     let circuits = vec![qrca_lowered(32), qcla_lowered(32), qft_lowered(32, &synth)];
-    let threads = host_threads();
+    let threads = qods_pool::host_threads();
     for c in &circuits {
         let areas = log_areas(200.0, 3e6, 13);
         let t0 = Instant::now();

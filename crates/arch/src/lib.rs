@@ -49,8 +49,6 @@ pub mod tiling;
 
 pub use machine::Arch;
 pub use simulator::{simulate, SimContext, SimOutcome};
-pub use sweep::{
-    area_sweep, host_threads, speedup_summary, speedup_summary_from_curves, ArchCurve, SweepPoint,
-};
+pub use sweep::{area_sweep, speedup_summary, speedup_summary_from_curves, ArchCurve, SweepPoint};
 pub use table9::{table9_row, Table9Row};
 pub use tiling::{best_tile, tile_sweep, TilePoint};

@@ -12,9 +12,6 @@
 use crate::machine::Arch;
 use crate::simulator::SimContext;
 use qods_circuit::circuit::Circuit;
-/// Re-exported so existing `qods_arch::sweep::host_threads` callers
-/// keep working now that the policy lives in the shared pool crate.
-pub use qods_pool::host_threads;
 
 /// One point of an architecture's area/latency curve.
 #[derive(Debug, Clone, Copy, PartialEq)]

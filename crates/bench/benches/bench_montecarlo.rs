@@ -1,7 +1,6 @@
 //! Monte-Carlo engine benchmarks: packed-frame ops, the geometric
 //! skip-sampler against exact per-op sampling, and the full Fig 4
-//! `evaluate_prep` panel (the workload behind the committed
-//! `BENCH_montecarlo.json`).
+//! `evaluate_prep` panel.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use qods_phys::error_model::{ErrorModel, FaultSampler, FaultSampling};

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use qods_core::arch::machine::Arch;
 use qods_core::arch::simulator::SimContext;
-use qods_core::arch::sweep::{area_sweep_in, host_threads, log_areas, speedup_summary_from_curves};
+use qods_core::arch::sweep::{area_sweep_in, log_areas, speedup_summary_from_curves};
 use qods_core::kernels::qrca_lowered;
 use std::hint::black_box;
 
@@ -33,7 +33,7 @@ fn bench(c: &mut Criterion) {
             speedup_summary_from_curves(black_box(&curves)).max_speedup
         })
     });
-    let threads = host_threads();
+    let threads = qods_pool::host_threads();
     c.bench_function("sweep_full_pooled_qrca32", |b| {
         b.iter(|| {
             let curves = area_sweep_in(&ctx, &archs(n), &areas, threads);

@@ -12,17 +12,13 @@
 //!   measure how long each regeneration takes and print the headline
 //!   reproduced numbers once per run.
 //!
-//! The `repro --bench-json` / `--bench-check*` perf smokes (module
-//! [`perf`]) time the Fig 4 Monte-Carlo panel, the Fig 15
-//! architecture sweep, and the cold-vs-warm-disk kernel compile, and
-//! maintain the committed `BENCH_montecarlo.json` / `BENCH_sweep.json`
-//! / `BENCH_compile.json` baselines that CI gates on.
+//! Performance claims come from the `perfbench` package at the
+//! repository root, the one benchmark harness: it reports end-to-end
+//! and per-layer numbers (see `perfbench/README.md`).
 //!
 //! Experiment ids match the table in [`qods_core`]'s crate docs:
 //! `table1`..`table9`, `sec33`, `fig4`, `fig6`, `fig7`, `fig8`,
 //! `fig11`, `fig15`, `widthsweep`, plus aliases like `headline`.
-
-pub mod perf;
 
 use qods_core::experiment::ExperimentRecord;
 use qods_core::output::Series;

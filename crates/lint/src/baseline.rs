@@ -153,8 +153,8 @@ mod tests {
     #[test]
     fn baseline_roundtrips_and_budgets_apply() {
         let findings = vec![
-            f("R1", "a.rs", "x.unwrap()"),
-            f("R1", "a.rs", "x.unwrap()"),
+            f("P1", "a.rs", "x.unwrap()"),
+            f("P1", "a.rs", "x.unwrap()"),
             f("D2", "b.rs", "for k in map {"),
         ];
         let b = Baseline::covering(&findings);
@@ -169,7 +169,7 @@ mod tests {
 
         // One extra of a covered shape overflows the budget.
         let mut more = findings.clone();
-        more.push(f("R1", "a.rs", "x.unwrap()"));
+        more.push(f("P1", "a.rs", "x.unwrap()"));
         let split = apply(&b2, more);
         assert_eq!(split.fresh.len(), 1);
 
@@ -177,7 +177,7 @@ mod tests {
         let split = apply(&b2, vec![f("D2", "b.rs", "for k in map {")]);
         assert!(split.fresh.is_empty());
         assert_eq!(split.stale.len(), 1);
-        assert_eq!(split.stale[0].rule, "R1");
+        assert_eq!(split.stale[0].rule, "P1");
         assert_eq!(split.stale[0].count, 2);
     }
 

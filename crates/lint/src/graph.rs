@@ -662,8 +662,8 @@ fn annotate_body(file: &ScannedFile, depths: &[i64], node: &mut FnNode, body_sta
                     continue;
                 }
                 // The proven-invariant idiom
-                // `unwrap_or_else(|e| unreachable!(...))` is R1's
-                // documented escape hatch; P1 honors it too.
+                // `unwrap_or_else(|e| unreachable!(...))` is the
+                // documented escape hatch for a proven invariant.
                 if code[..pos].contains("unwrap_or_else") || code[..pos].contains("ok_or_else") {
                     continue;
                 }

@@ -3,10 +3,10 @@
 //!
 //! * **P1** — panic reachability: a path from a serving-path entry
 //!   point to a `panic!`/`unwrap`/`expect`/`unreachable!` in *any*
-//!   crate. R1 only sees direct sites in the four serving crates'
-//!   `src/`; P1 follows calls. A function containing `catch_unwind`
-//!   is an isolation barrier: its own panic sites and everything
-//!   behind it are out of scope by design.
+//!   crate. Clippy's `unwrap_used`/`expect_used` only see direct
+//!   sites in the serving crates; P1 follows calls. A function
+//!   containing `catch_unwind` is an isolation barrier: its own panic
+//!   sites and everything behind it are out of scope by design.
 //! * **L1** — lock order: a directed graph over canonical lock names
 //!   with an edge A→B wherever B is acquired (directly, or anywhere
 //!   in a callee) while A is held. Cycles are potential inversions;

@@ -6,7 +6,7 @@
 //! DESIGN.md; this crate makes them machine-checkable. A hand-rolled
 //! lexer ([`scan`]) splits each source file into masked-code /
 //! string-literal views, a line-level rule engine ([`rules`]) raises
-//! findings for rules **D1/D2/R1/S1**, and a second, workspace-wide
+//! findings for rules **D1/D2/S1/O1**, and a second, workspace-wide
 //! pass builds a symbol index and conservative call graph ([`graph`])
 //! to run the flow rules **P1** (panic reachability from serving
 //! entries), **L1** (lock-order cycles and locks held across
@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 /// One lint finding, as emitted on the NDJSON stream.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
-    /// Rule identifier (`D1`, `D2`, `R1`, `S1`, `P1`, `L1`, `A1`,
+    /// Rule identifier (`D1`, `D2`, `S1`, `O1`, `P1`, `L1`, `A1`,
     /// `H1`, or `L0` for a malformed annotation).
     pub rule: String,
     /// Workspace-relative path with forward slashes.

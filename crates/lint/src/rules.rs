@@ -7,9 +7,6 @@
 //! * **D2** — no `HashMap`/`HashSet` iteration feeding serialization
 //!   or hashing (iteration order is nondeterministic; use `BTreeMap`
 //!   or sort first).
-//! * **R1** — no `unwrap`/`expect` on the serving path (service,
-//!   net, compile, pool); a panic there kills a connection or poisons
-//!   a lock instead of returning a typed error.
 //! * **S1** — every fault-site string and wire error-`kind` literal
 //!   must exist in the canonical tables exported by `qods-fault` and
 //!   `qods-net`, so string drift is a lint failure, not a silent
@@ -28,8 +25,10 @@ use crate::{Finding, Tables};
 
 /// The rule identifiers an `allow(...)` annotation may name. The
 /// first four are line rules (this module); the last four are graph
-/// rules ([`crate::graph_rules`]).
-pub const RULE_IDS: &[&str] = &["D1", "D2", "R1", "S1", "O1", "P1", "L1", "A1", "H1"];
+/// rules ([`crate::graph_rules`]). Direct `unwrap`/`expect` sites on
+/// the serving path are clippy's `unwrap_used`/`expect_used`, denied
+/// in CI, not a rule here.
+pub const RULE_IDS: &[&str] = &["D1", "D2", "S1", "O1", "P1", "L1", "A1", "H1"];
 
 /// Crates whose results feed hashed/serialized output; D1 applies.
 /// `qods-bench` is the designated home for timing, and `qods-obs` is
@@ -39,16 +38,12 @@ fn d1_applies(crate_name: &str) -> bool {
     !matches!(crate_name, "qods-bench" | "qods-lint" | "qods-obs")
 }
 
-/// The serving-path crates rule R1 (and the chaos clippy gate) cover.
-pub const R1_CRATES: &[&str] = &["qods-service", "qods-net", "qods-compile", "qods-pool"];
-
 /// Runs every rule over one file, returning raw findings
 /// (suppression is applied by the engine, not here).
 pub fn run_rules(file: &ScannedFile, tables: &Tables) -> Vec<Finding> {
     let mut out = Vec::new();
     rule_d1(file, &mut out);
     rule_d2(file, &mut out);
-    rule_r1(file, &mut out);
     rule_s1(file, tables, &mut out);
     rule_o1(file, tables, &mut out);
     out
@@ -353,44 +348,6 @@ fn receiver_ident(file: &ScannedFile, line_idx: usize, dot_pos: usize) -> Option
         return (start < end).then(|| String::from_utf8_lossy(&pb[start..end]).into_owned());
     }
     None
-}
-
-/// R1: `.unwrap(` / `.expect(` in shipping code of serving-path
-/// crates. Near a `.lock()` the note points at the poison-tolerant
-/// idiom the workspace uses instead.
-fn rule_r1(file: &ScannedFile, out: &mut Vec<Finding>) {
-    if file.tree != Tree::Src || !R1_CRATES.contains(&file.crate_name.as_str()) {
-        return;
-    }
-    for (idx, code) in file.code.iter().enumerate() {
-        if file.in_test[idx] {
-            continue;
-        }
-        for m in ["unwrap", "expect"] {
-            let needle = format!(".{m}");
-            for pos in token_positions(code, &needle) {
-                if code.as_bytes().get(pos + needle.len()) != Some(&b'(') {
-                    continue;
-                }
-                let lo = idx.saturating_sub(2);
-                let near_lock = file.code[lo..=idx].iter().any(|l| l.contains(".lock()"));
-                let note = if near_lock {
-                    format!(
-                        "`.{m}(` on a lock in the serving path; use \
-                         `.unwrap_or_else(std::sync::PoisonError::into_inner)` — a panicked \
-                         writer must not take the server down with it"
-                    )
-                } else {
-                    format!(
-                        "`.{m}(` in the serving path; return a typed error (or prove the \
-                         invariant with `unwrap_or_else(|e| unreachable!(...))`) instead of \
-                         panicking on a connection thread"
-                    )
-                };
-                out.push(finding(file, "R1", idx, note));
-            }
-        }
-    }
 }
 
 /// S1: fault-site strings at injection/plan call sites must be in

@@ -432,7 +432,7 @@ fn mark_test_regions(code: &[String]) -> Vec<bool> {
     in_test
 }
 
-/// Parses `// qods-lint: allow(R1, D2) -- reason` annotations out of
+/// Parses `// qods-lint: allow(P1, D2) -- reason` annotations out of
 /// the line comments. Anything mentioning `qods-lint:` that does not
 /// match the grammar becomes a [`BadAllow`].
 fn parse_allows(
@@ -587,15 +587,15 @@ mod tests {
     #[test]
     fn allow_annotations_parse_with_targets_and_bad_ones_are_reported() {
         let text = concat!(
-            "let a = 1; // qods-lint: allow(R1) -- trailing case\n",
+            "let a = 1; // qods-lint: allow(P1) -- trailing case\n",
             "// qods-lint: allow(D1, D2) -- next-line case\n",
             "let b = 2;\n",
-            "// qods-lint: allow(R1)\n",
+            "// qods-lint: allow(P1)\n",
         );
         let f = scan_src(text);
         assert_eq!(f.allows.len(), 2);
         assert_eq!(f.allows[0].target, 1);
-        assert_eq!(f.allows[0].rules, vec!["R1".to_owned()]);
+        assert_eq!(f.allows[0].rules, vec!["P1".to_owned()]);
         assert_eq!(f.allows[1].target, 3);
         assert_eq!(f.allows[1].rules, vec!["D1".to_owned(), "D2".to_owned()]);
         assert_eq!(f.bad_allows.len(), 1, "missing reason must be loud");

@@ -54,26 +54,6 @@ fn d2_fires_on_unordered_iteration_into_sinks_and_respects_sort_and_allow() {
 }
 
 #[test]
-fn r1_fires_on_serving_path_unwraps_with_the_poison_hint_and_respects_allow() {
-    let text = include_str!("fixtures/r1_violation.rs");
-    let out = lint_source("fix/r1.rs", "qods-net", Tree::Src, text, &tables());
-    assert_eq!(rule_lines(&out.findings), pairs(&[("R1", 5), ("R1", 6)]));
-    assert!(
-        out.findings[0].note.contains("PoisonError::into_inner"),
-        "lock sites point at the poison-tolerant idiom: {}",
-        out.findings[0].note
-    );
-    assert_eq!(rule_lines(&out.suppressed), pairs(&[("R1", 8)]));
-}
-
-#[test]
-fn r1_does_not_apply_off_the_serving_path() {
-    let text = include_str!("fixtures/r1_violation.rs");
-    let out = lint_source("fix/r1.rs", "qods-phys", Tree::Src, text, &tables());
-    assert!(rule_lines(&out.findings).iter().all(|(r, _)| r != "R1"));
-}
-
-#[test]
 fn s1_fails_typoed_fault_sites_and_drifted_error_kinds() {
     let text = include_str!("fixtures/s1_violation.rs");
     let out = lint_source("fix/s1.rs", "qods-service", Tree::Src, text, &tables());
@@ -229,9 +209,9 @@ fn the_dot_export_renders_both_graphs() {
 #[test]
 fn malformed_and_unknown_rule_annotations_are_l0_findings() {
     let text = concat!(
-        "// qods-lint: allow(R1)\n",                    // missing reason
+        "// qods-lint: allow(P1)\n",                    // missing reason
         "// qods-lint: allow(Q9) -- no such rule\n",    // unknown rule
-        "// qods-lint: allow(R1) -- fine but unused\n", // matches nothing
+        "// qods-lint: allow(P1) -- fine but unused\n", // matches nothing
         "fn quiet() {}\n",
     );
     let out = lint_source("fix/l0.rs", "qods-core", Tree::Src, text, &tables());

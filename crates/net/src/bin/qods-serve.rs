@@ -41,6 +41,10 @@
 //! events dropped past capacity and counted) and never changes served
 //! bytes: result lines are byte-identical with tracing on or off.
 
+// Same serving-path discipline as the library (`lib.rs`): no new
+// `unwrap()`/`expect()`; the CI clippy gate denies them.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use qods_net::server::{serve_stdio, NetServer, ServeCore, ServeOptions};
 use qods_service::prelude::*;
 use std::process::ExitCode;
@@ -230,7 +234,7 @@ fn main() -> ExitCode {
     // Pin every pool in the process (sweeps and Monte-Carlo included),
     // then build the scheduler on the same count.
     if let Some(n) = threads {
-        qods_service::pool::set_thread_override(Some(n));
+        qods_pool::set_thread_override(Some(n));
     }
     // Attach the disk artifact tier before any compilation: warm-disk
     // daemon starts skip kernel lowering entirely. An explicit empty
@@ -242,7 +246,7 @@ fn main() -> ExitCode {
     } else {
         qods_core::compile::ArtifactStore::init_process(std::path::Path::new(&artifacts))
     };
-    let scheduler = Scheduler::with_options(base, qods_service::pool::host_threads(), caching);
+    let scheduler = Scheduler::with_options(base, qods_pool::host_threads(), caching);
     eprintln!(
         "qods-serve: ready ({} worker threads, cache {}, artifacts {})",
         scheduler.threads(),

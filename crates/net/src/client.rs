@@ -1,6 +1,6 @@
 //! A minimal blocking NDJSON client for the TCP transport — what the
-//! integration tests and the `repro --load --connections N` load
-//! generator drive the server with.
+//! integration tests and the `perfbench` serving workloads drive the
+//! server with.
 //!
 //! [`Client::roundtrip_retrying`] adds the robustness half: transient
 //! failures — an `overloaded` shed, a timeout, a reset or torn
@@ -114,7 +114,7 @@ impl Client {
     }
 
     /// How many times this client has retried a request (the
-    /// robustness counter `repro --load` aggregates).
+    /// robustness counter `perfbench` reports as `net.retries`).
     pub fn retries(&self) -> u64 {
         self.retries
     }

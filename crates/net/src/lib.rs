@@ -20,7 +20,7 @@
 //!   typed `overloaded` error line instead of queueing without bound,
 //!   and per-connection request budgets cap any single client;
 //! * **a `stats` verb** — p50/p99/max request latency from an
-//!   allocation-free histogram ([`qods_service::LatencyHistogram`]),
+//!   allocation-free histogram ([`qods_obs::LatencyHistogram`]),
 //!   cache hit rates, coalesce counts, queue depth, connection
 //!   gauges; verbs bypass admission so `stats` answers even while
 //!   jobs are being shed;

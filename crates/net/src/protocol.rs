@@ -15,7 +15,7 @@
 //! daemon; changing their field set or order changes served bytes and
 //! fails those tests.
 
-use qods_obs::{MetricsSnapshot, RobustnessSnapshot};
+use qods_obs::{LatencySummary, MetricsSnapshot, RobustnessSnapshot};
 use qods_service::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
@@ -292,9 +292,8 @@ pub struct StatsLine {
     /// Output-cache misses (experiment computed).
     pub output_misses: u64,
     /// Robustness counters (caught panics, deadline cancellations,
-    /// rejected lines, reaped connections) — the same nested object
-    /// the bench report embeds, so the `stats` verb and
-    /// `BENCH_serve.json` can never drift apart.
+    /// rejected lines, reaped connections), read from the metrics
+    /// registry.
     pub robustness: RobustnessSnapshot,
     /// Request latency summary (admission wait included).
     pub latency: LatencySummary,

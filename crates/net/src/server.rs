@@ -19,7 +19,9 @@ use crate::protocol::{
     parse_line, progress_line, render, result_line, ErrorKind, ErrorLine, MetricsLine, Request,
     StatsLine, Verb,
 };
-use qods_obs::{sites, Counter, Gauge, MetricsSnapshot, Registry, RobustnessSnapshot};
+use qods_obs::{
+    sites, Counter, Gauge, LatencyHistogram, MetricsSnapshot, Registry, RobustnessSnapshot,
+};
 use qods_pool::plock;
 use qods_service::prelude::*;
 use std::io::{BufRead, BufReader, Write};

@@ -1,7 +1,7 @@
 //! Exporters for drained trace buffers: newline-delimited JSON (one
 //! event per line, the grep-friendly form) and the Chrome trace-event
 //! format (`chrome://tracing` / Perfetto-loadable), plus the per-stage
-//! aggregation `repro --load` prints as a time breakdown.
+//! aggregation `repro --trace-out` prints as a time breakdown.
 //!
 //! Chrome mapping: every event shares `pid` 1; `tid` is the span's
 //! lane (0 = main thread, `1..=N` = pool workers, ≥ 1000 = other
@@ -245,7 +245,7 @@ pub struct StageAgg {
 }
 
 /// Per-site time totals for span events (instants are counted with
-/// zero duration) — the table behind `repro --load`'s per-stage
+/// zero duration) — the table behind `repro --trace-out`'s per-stage
 /// breakdown. Sorted by site name for deterministic rendering.
 pub fn stage_breakdown(events: &[SpanEvent]) -> Vec<(&'static str, StageAgg)> {
     let mut by_site: BTreeMap<&'static str, StageAgg> = BTreeMap::new();

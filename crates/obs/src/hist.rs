@@ -11,12 +11,8 @@
 //! *upper* bound, so they never understate a latency.
 //!
 //! [`LatencyHistogram::record`] takes `&self`: one histogram is shared
-//! by every connection thread of a server (and merged across client
-//! threads of the load generator) without a lock. It lived in
-//! `qods_service::stats` before the observability layer existed; it
-//! moved here so the metrics registry, the `stats` verb, and the load
-//! generator all draw from one crate (qods-service re-exports it for
-//! compatibility).
+//! by every connection thread of a server without a lock, so the
+//! metrics registry and the `stats` verb draw from one type.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,7 +179,7 @@ impl LatencyHistogram {
 }
 
 /// A snapshot of a [`LatencyHistogram`] — the wire shape of latency in
-/// the `stats` verb and the `--load` report.
+/// the `stats` verb.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LatencySummary {
     /// Samples recorded.

@@ -14,11 +14,10 @@
 //! * [`metrics`] — typed [`Counter`]/[`Gauge`]/histogram handles
 //!   registered by static site name in a [`Registry`], replacing the
 //!   ad-hoc atomics that used to live on each serving struct; one
-//!   serde [`MetricsSnapshot`] feeds the `stats` and `metrics` verbs
-//!   and the bench reports.
+//!   serde [`MetricsSnapshot`] feeds the `stats` and `metrics` verbs.
 //! * [`export`] — [`export::to_chrome`] (Perfetto-loadable, worker
 //!   lanes named), [`export::to_ndjson`], and
-//!   [`export::stage_breakdown`] for `repro --load`'s stage table.
+//!   [`export::stage_breakdown`] for `repro --trace-out`'s stage table.
 //!
 //! Site names are the contract: every span and metric site is a
 //! constant in [`sites`], and lint rule O1 checks instrumentation
@@ -39,6 +38,12 @@ pub mod trace;
 pub use hist::{LatencyHistogram, LatencySummary, SUBBUCKETS};
 pub use metrics::{Counter, Gauge, MetricsSnapshot, Registry, RobustnessSnapshot};
 pub use trace::{SpanGuard, TraceStats, Tracer};
+
+/// Poison-tolerant lock: the crate's one copy of `qods_pool::plock`
+/// (this crate sits below the pool and cannot depend on it).
+fn plock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 /// Opens a span at a site from [`sites`], optionally with structured
 /// args, returning a [`SpanGuard`] that records on drop:

@@ -2,7 +2,7 @@
 //! histogram handles registered by static site name, one registry per
 //! serving stack (plus a process-global default), and one serde
 //! [`MetricsSnapshot`] every reader — the `stats` verb, the new
-//! `metrics` verb, `BENCH_serve.json` — renders from.
+//! `metrics` verb, `perfbench` — renders from.
 //!
 //! Each instrumented structure keeps its own semantics (the context
 //! pool still counts hits, the gate still gauges permits); what
@@ -17,16 +17,13 @@
 //! never feed a result line (the A1 lint boundary).
 
 use crate::hist::{LatencyHistogram, LatencySummary};
+use crate::plock;
 use crate::sites;
 use crate::trace::TraceStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
-
-fn plock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// A monotonically increasing count (requests answered, faults
 /// fired). Lock-free; updates are relaxed.
@@ -160,10 +157,8 @@ pub struct MetricsSnapshot {
     pub trace: TraceStats,
 }
 
-/// The serving path's robustness counters — **one** shared shape for
-/// the `stats` verb and `BENCH_serve.json`'s robustness block, sourced
-/// from the registry (the satellite contract: a counter visible in one
-/// must be visible in both).
+/// The serving path's robustness counters as the `stats` verb reports
+/// them, read from the same registry the `metrics` verb renders.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RobustnessSnapshot {
     /// Job panics caught and answered as typed `internal_error` lines.

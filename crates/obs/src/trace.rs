@@ -28,19 +28,14 @@
 //! the scheduling span explicitly via [`SpanGuard::child_of`] /
 //! [`current_span`].
 
+use crate::plock;
 use crate::sites;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
-
-/// Poison-tolerant lock (local twin of `qods_pool::plock`; this crate
-/// sits below the pool and cannot depend on it).
-fn plock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Default event capacity of the process tracer (per process, across
 /// all shards).
@@ -48,8 +43,9 @@ pub const DEFAULT_CAPACITY: usize = 1 << 16;
 /// Buffer shards; writers `try_lock` the shard their span id maps to.
 const SHARDS: usize = 64;
 
-/// The lane non-worker threads start from (pool workers take
-/// 1..=threads via [`set_lane`]; the stdio/accept thread is lane 0).
+/// The lane non-worker threads start from (pool workers claim lanes
+/// below it via [`claim_worker_lane`]; the stdio/accept thread is
+/// lane 0).
 pub const FIRST_DYNAMIC_LANE: u32 = 1_000;
 
 /// How one event renders (`ph` in the Chrome trace format).
@@ -133,6 +129,9 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 static TRACER: OnceLock<Tracer> = OnceLock::new();
 /// Lane ids handed to threads that never called [`set_lane`].
 static NEXT_DYNAMIC_LANE: AtomicU32 = AtomicU32::new(FIRST_DYNAMIC_LANE);
+/// Pool-worker lanes held by live workers (`WORKER_LANES[i]` is lane
+/// `i + 1`).
+static WORKER_LANES: Mutex<Vec<bool>> = Mutex::new(Vec::new());
 
 thread_local! {
     /// This thread's lane (u32::MAX = unassigned).
@@ -253,8 +252,8 @@ pub fn arm_from_env() -> Option<String> {
     (value != "1").then_some(value)
 }
 
-/// Assigns this thread's lane (Chrome `tid`). Pool workers call this
-/// with `worker index + 1`; lane 0 is the main/stdio thread.
+/// Assigns this thread's lane (Chrome `tid`); lane 0 is the
+/// main/stdio thread. Pool workers go through [`claim_worker_lane`].
 pub fn set_lane(lane: u32) {
     LANE.with(|l| l.set(lane));
 }
@@ -271,6 +270,42 @@ pub fn lane() -> u32 {
         l.set(fresh);
         fresh
     })
+}
+
+/// A pool-worker lane held by the current thread; dropping it frees
+/// the lane for the next worker.
+#[must_use = "the lane is released when the guard drops"]
+pub struct WorkerLane(Option<u32>);
+
+/// Gives this pool-worker thread the lowest lane no live worker
+/// holds. Workers of nested pools (a registry worker running a
+/// Monte-Carlo pool) are live at the same time as their callers, so
+/// a lane per worker index would put two threads on one lane. Past
+/// [`FIRST_DYNAMIC_LANE`] live workers the thread takes a dynamic
+/// lane instead.
+pub fn claim_worker_lane() -> WorkerLane {
+    let mut held = plock(&WORKER_LANES);
+    let free = held.iter().position(|h| !h).unwrap_or(held.len());
+    let claimed = free as u32 + 1;
+    if claimed >= FIRST_DYNAMIC_LANE {
+        // Left unset, the thread's first span takes a dynamic lane.
+        return WorkerLane(None);
+    }
+    if free == held.len() {
+        held.push(true);
+    } else {
+        held[free] = true;
+    }
+    set_lane(claimed);
+    WorkerLane(Some(claimed))
+}
+
+impl Drop for WorkerLane {
+    fn drop(&mut self) {
+        if let Some(lane) = self.0 {
+            plock(&WORKER_LANES)[lane as usize - 1] = false;
+        }
+    }
 }
 
 /// The innermost open span on this thread (0 when none) — pass to
@@ -560,6 +595,18 @@ pub(crate) mod tests {
         assert_eq!(f.phase, Phase::Instant);
         assert_eq!(f.args.detail.as_deref(), Some("pool.worker"));
         assert_eq!(f.lane, 7);
+    }
+
+    #[test]
+    fn live_worker_lanes_are_distinct_and_freed_on_drop() {
+        let _g = plock(&TEST_GUARD);
+        let a = claim_worker_lane();
+        let b = claim_worker_lane();
+        assert!(a.0.is_some() && b.0.is_some());
+        assert_ne!(a.0, b.0, "two live workers never share a lane");
+        let freed = a.0;
+        drop(a);
+        assert_eq!(claim_worker_lane().0, freed, "a freed lane is reused");
     }
 
     #[test]

@@ -337,9 +337,9 @@ where
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 scope.spawn(move || {
-                    // Fresh OS thread, fresh TLS: worker w renders on
-                    // trace lane w + 1 (lane 0 is the caller).
-                    qods_obs::trace::set_lane(w as u32 + 1);
+                    // Fresh OS thread, fresh TLS: the worker renders
+                    // on a lane no other live worker holds.
+                    let _lane = qods_obs::trace::claim_worker_lane();
                     guarded(w)
                 })
             })

@@ -13,19 +13,16 @@
 //!   without re-lowering, re-characterizing, or re-simulating
 //!   anything;
 //! * fans cache misses out over the workspace's one shared worker
-//!   pool ([`pool`] — re-exported `qods_pool`), streaming per-job
-//!   [`scheduler::JobEvent`]s as experiments finish.
+//!   pool (`qods_pool`), streaming per-job [`scheduler::JobEvent`]s
+//!   as experiments finish.
 //!
 //! Concurrent submissions of the same job coalesce onto one
 //! execution ([`coalesce::InflightTable`], wired up as
-//! [`scheduler::Scheduler::run_coalesced`]), and
-//! [`stats::LatencyHistogram`] is the allocation-free latency
-//! accounting servers and load generators share. The `qods-net`
-//! crate wraps this scheduler in the NDJSON wire protocol (stdio and
-//! multi-client TCP via its `qods-serve` binary), and `repro --load`
-//! is a load generator that drives batches of randomized requests
-//! through it to measure throughput and cache-hit rate. See
-//! `DESIGN.md` §6–7 for the architecture.
+//! [`scheduler::Scheduler::run_coalesced`]). The `qods-net` crate
+//! wraps this scheduler in the NDJSON wire protocol (stdio and
+//! multi-client TCP via its `qods-serve` binary), and the `perfbench`
+//! package drives both to measure throughput, latency and cache-hit
+//! rate. See `DESIGN.md` §6–7 for the architecture.
 //!
 //! ## Quickstart
 //!
@@ -54,24 +51,16 @@ pub mod cache;
 pub mod coalesce;
 pub mod request;
 pub mod scheduler;
-pub mod stats;
-
-/// The workspace's shared worker pool, re-exported so service callers
-/// address one crate: `qods_service::pool` *is* `qods_pool` (the
-/// sweep, Monte-Carlo, and registry pools all run on it).
-pub use qods_pool as pool;
 
 pub use cache::{CacheStats, ContextPool, PoolEntry};
 pub use coalesce::InflightTable;
 pub use request::{canonical_config_json, config_hash, hash_hex, Overrides, RunRequest};
 pub use scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};
-pub use stats::{LatencyHistogram, LatencySummary};
 
 /// One-stop imports for service callers.
 pub mod prelude {
     pub use crate::cache::{CacheStats, ContextPool, PoolEntry};
     pub use crate::request::{config_hash, hash_hex, Overrides, RunRequest};
     pub use crate::scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};
-    pub use crate::stats::{LatencyHistogram, LatencySummary};
     pub use qods_core::study::{ArchChoice, StudyConfig};
 }

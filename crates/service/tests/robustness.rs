@@ -8,7 +8,9 @@ use qods_service::prelude::*;
 use std::sync::Mutex;
 use std::sync::PoisonError;
 
-/// Serializes the fault-armed tests: one plan at a time.
+/// Serializes every test that runs pool work: an armed plan counts
+/// `pool.worker` operations process-wide, so a concurrent test's pool
+/// work would consume the plan's faults or trip over them.
 static ARM_LOCK: Mutex<()> = Mutex::new(());
 
 fn exclusive() -> std::sync::MutexGuard<'static, ()> {
@@ -101,6 +103,7 @@ fn coalesced_followers_receive_the_leaders_typed_error() {
 
 #[test]
 fn expired_deadlines_cancel_with_a_typed_error_and_no_partial_state() {
+    let _x = exclusive();
     let req = smoke_request(&["table2", "table3"]);
     let baseline = Scheduler::with_options(StudyConfig::smoke(), 2, true)
         .run(&req)
@@ -131,6 +134,7 @@ fn expired_deadlines_cancel_with_a_typed_error_and_no_partial_state() {
 
 #[test]
 fn generous_deadlines_change_nothing() {
+    let _x = exclusive();
     let req = smoke_request(&["table9"]);
     let plain = Scheduler::with_options(StudyConfig::smoke(), 2, true)
         .run(&req)
@@ -157,6 +161,7 @@ fn deadlines_are_policy_not_identity() {
 
 #[test]
 fn the_server_wide_default_deadline_applies_only_when_unset() {
+    let _x = exclusive();
     let sched = Scheduler::with_options(StudyConfig::smoke(), 2, true);
     assert_eq!(sched.default_deadline_ms(), None);
     sched.set_default_deadline_ms(1);
