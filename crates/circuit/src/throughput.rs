@@ -28,9 +28,19 @@ pub fn execution_time_us(
     model: &CharacterizationModel,
     zeros_per_ms: f64,
 ) -> f64 {
+    execution_time_on(circuit, &Dag::build(circuit), model, zeros_per_ms)
+}
+
+/// [`execution_time_us`] on a prebuilt dependency DAG of `circuit`, so
+/// a sweep builds the DAG once rather than once per point.
+fn execution_time_on(
+    circuit: &Circuit,
+    dag: &Dag,
+    model: &CharacterizationModel,
+    zeros_per_ms: f64,
+) -> f64 {
     assert!(zeros_per_ms > 0.0, "throughput must be positive");
     let rate_per_us = zeros_per_ms / 1000.0;
-    let dag = Dag::build(circuit);
     let gates = circuit.gates();
 
     let mut end = vec![0.0f64; gates.len()];
@@ -84,12 +94,13 @@ pub fn throughput_sweep(
 ) -> Vec<ThroughputPoint> {
     assert!(lo > 0.0 && hi > lo && points >= 2, "bad sweep range");
     let step = (hi / lo).powf(1.0 / (points - 1) as f64);
+    let dag = Dag::build(circuit);
     (0..points)
         .map(|i| {
             let r = lo * step.powi(i as i32);
             ThroughputPoint {
                 zeros_per_ms: r,
-                execution_us: execution_time_us(circuit, model, r),
+                execution_us: execution_time_on(circuit, &dag, model, r),
             }
         })
         .collect()

@@ -52,12 +52,15 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod hash;
+pub mod lru;
 pub mod pipeline;
 pub mod store;
 
+pub use lru::Lru;
 pub use pipeline::{Characterization, CompiledKernel, Compiler, ScheduledCircuit, SynthBudget};
 pub use store::{
-    ArtifactKey, ArtifactStore, StoreStats, ARTIFACT_DIR_ENV, ARTIFACT_SCHEMA, DEFAULT_ARTIFACT_DIR,
+    ArtifactKey, ArtifactStore, StoreStats, ARTIFACT_DIR_ENV, ARTIFACT_SCHEMA,
+    DEFAULT_ARTIFACT_DIR, MEM_TIER_ENTRIES,
 };
 
 use qods_kernels::{KernelFamily, KernelSpec};

@@ -2,7 +2,8 @@
 //!
 //! Tier 1 is an in-process map of `Arc`-shared artifacts (warm-process
 //! hits: any number of study contexts in one process share each
-//! compiled artifact). Tier 2 is an optional on-disk store of
+//! compiled artifact), bounded to [`MEM_TIER_ENTRIES`] with
+//! least-recently-used eviction. Tier 2 is an optional on-disk store of
 //! versioned JSON files (cold-process hits: a fresh process reuses
 //! what an earlier one compiled).
 //!
@@ -44,10 +45,10 @@
 //! [`ArtifactStore::init_process`].
 
 use crate::hash::hash_hex;
+use crate::lru::Lru;
 use qods_obs::{sites, Counter, Registry};
 use serde::{Deserialize, Serialize, Value};
 use std::any::Any;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -65,6 +66,13 @@ pub const ARTIFACT_DIR_ENV: &str = "QODS_ARTIFACT_DIR";
 /// and `qods-serve` can never drift onto different directories (which
 /// would silently break their shared cold-process cache).
 pub const DEFAULT_ARTIFACT_DIR: &str = "results/.artifacts";
+
+/// Bound on the artifacts the memory tier retains. One paper job looks
+/// up 81 artifacts, so a `repro` run never evicts; a service streaming
+/// new synthesis budgets adds a few per budget, and past the bound the
+/// least-recently-used ones go (a later request recompiles them, or
+/// reads them back from the disk tier).
+pub const MEM_TIER_ENTRIES: usize = 1024;
 
 /// The address of one artifact: a pipeline stage name plus the
 /// content hash of everything the artifact depends on.
@@ -116,8 +124,8 @@ impl StoreStats {
 }
 
 /// The memory tier: one type-erased shared artifact per
-/// `(stage, hash)` key.
-type MemTier = Mutex<HashMap<(&'static str, u64), Arc<dyn Any + Send + Sync>>>;
+/// `(stage, hash)` key, at most [`MEM_TIER_ENTRIES`] of them.
+type MemTier = Mutex<Lru<(&'static str, u64), Arc<dyn Any + Send + Sync>>>;
 
 /// The two-tier content-addressed artifact store. Cheap to share
 /// (`Arc`); all methods take `&self`.
@@ -187,7 +195,7 @@ impl ArtifactStore {
         let write_errors = metrics.counter(sites::STORE_WRITE_ERRORS);
         ArtifactStore {
             dir,
-            mem: Mutex::new(HashMap::new()),
+            mem: Mutex::new(Lru::new(MEM_TIER_ENTRIES)),
             metrics,
             computed,
             mem_hits,
@@ -319,9 +327,9 @@ impl ArtifactStore {
         // (deterministically, so the results are identical); keep the
         // first insertion as the one canonical Arc.
         let mut mem = qods_pool::plock(&self.mem);
-        let entry = mem
-            .entry(map_key)
-            .or_insert_with(|| Arc::clone(&artifact) as Arc<dyn Any + Send + Sync>);
+        let entry = mem.get_or_insert_with(map_key, || {
+            Arc::clone(&artifact) as Arc<dyn Any + Send + Sync>
+        });
         Arc::clone(entry)
             .downcast::<T>()
             .unwrap_or_else(|_| unreachable!("one artifact type per stage key"))

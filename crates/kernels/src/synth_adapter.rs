@@ -38,13 +38,6 @@ impl SynthAdapter {
         }
     }
 
-    /// The approximation distance achieved for a given rotation (runs
-    /// or reuses the search).
-    pub fn distance(&self, k: u8, dagger: bool) -> f64 {
-        // Not cached (cache stores gates only); cheap relative to use.
-        self.synth.rz_pi_over_2k(k, dagger).distance
-    }
-
     fn sequence(&self, k: u8, dagger: bool) -> Vec<HtGate> {
         let mut cache = qods_pool::plock(&self.cache);
         cache

@@ -251,6 +251,24 @@ impl FaultSampler {
         }
     }
 
+    /// Consumes up to `max` whole fault-free runs of `ops` ops each
+    /// that the in-flight gap already covers, and returns how many.
+    ///
+    /// Exact: a run the gap covers draws no random numbers and meets
+    /// no fault candidate, so counting it here leaves the sampler, and
+    /// the RNG, in the state that running its ops would. Returns 0
+    /// unless the sampler is in skip mode, its gap is drawn, and
+    /// `model` is its own model (a trial under another model would
+    /// replace the sampler and start a fresh gap).
+    pub fn skip_clean_runs(&mut self, model: ErrorModel, ops: u64, max: u64) -> u64 {
+        if self.mode != Mode::Skip || self.gap == GAP_UNDRAWN || self.model != model || ops == 0 {
+            return 0;
+        }
+        let runs = (self.gap / ops).min(max);
+        self.gap -= runs * ops;
+        runs
+    }
+
     /// Decides whether the op of kind `kind` that is being executed
     /// right now suffers a fault.
     #[inline]
@@ -512,6 +530,33 @@ mod tests {
                 "{sampling:?}: RNG streams diverged"
             );
         }
+    }
+
+    #[test]
+    fn skip_clean_runs_counts_only_runs_the_drawn_gap_covers() {
+        let model = ErrorModel::paper();
+        let mut s = FaultSampler::new(model);
+        // Undrawn gap (a fresh or reset sampler): nothing to count.
+        assert_eq!(s.skip_clean_runs(model, 10, u64::MAX), 0);
+        let _ = s.fault_at(PhysOpKind::OneQubitGate, &mut StdRng::seed_from_u64(7));
+        s.gap = 1005;
+        // Whole covered runs, capped by `max`, come off the gap.
+        assert_eq!(s.skip_clean_runs(model, 10, 3), 3);
+        assert_eq!(s.gap, 975);
+        assert_eq!(s.skip_clean_runs(model, 10, u64::MAX), 97);
+        assert_eq!(s.gap, 5);
+        assert_eq!(s.skip_clean_runs(model, 10, u64::MAX), 0);
+        // Another model (rates or sampling choice): nothing to count.
+        s.gap = 1000;
+        assert_eq!(s.skip_clean_runs(model.scaled(2.0), 10, u64::MAX), 0);
+        let forced = model.with_sampling(FaultSampling::Skip);
+        assert_eq!(s.skip_clean_runs(forced, 10, u64::MAX), 0);
+        assert_eq!(s.gap, 1000);
+        // Exact mode draws per op: nothing to count.
+        let exact = model.with_sampling(FaultSampling::Exact);
+        let mut e = FaultSampler::new(exact);
+        e.gap = 1000;
+        assert_eq!(e.skip_clean_runs(exact, 10, u64::MAX), 0);
     }
 
     #[test]

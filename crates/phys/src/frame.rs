@@ -152,6 +152,13 @@ impl PauliFrame {
         self.sampler.reset();
     }
 
+    /// Counts up to `max` whole fault-free trials of `ops` sampler ops
+    /// under `model` off the sampler's in-flight gap (see
+    /// [`FaultSampler::skip_clean_runs`]).
+    pub fn skip_clean_trials(&mut self, model: ErrorModel, ops: u64, max: u64) -> u64 {
+        self.sampler.skip_clean_runs(model, ops, max)
+    }
+
     /// Number of qubits tracked.
     pub fn len(&self) -> usize {
         self.n

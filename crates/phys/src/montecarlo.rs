@@ -31,6 +31,19 @@
 //! count, including the sequential runner. (This is stronger than the
 //! old engine's per-`(seed, threads)` contract; the stream itself
 //! differs from the old engine by design — see DESIGN.md.)
+//!
+//! ## Clean-trial skip-ahead
+//!
+//! At the paper's rates almost every trial is fault-free, and a
+//! fault-free trial of a fixed circuit consumes a fixed number of
+//! sampler ops, draws no random numbers and yields a fixed outcome. A
+//! stream may declare that trial ([`CleanTrial`]); before each trial
+//! the runner then counts the whole clean trials the sampler's
+//! in-flight geometric gap already covers in O(1) and simulates only
+//! the trial the next fault candidate lands in. The statistics are
+//! identical to simulating every trial, because the skipped trials
+//! would have left the sampler and the RNG in exactly the state the
+//! skip leaves them in.
 
 use crate::error_model::ErrorModel;
 use crate::frame::PauliFrame;
@@ -110,6 +123,15 @@ impl TrialArena {
         (&mut self.frame, &mut self.flips)
     }
 
+    /// Counts up to `max` whole fault-free trials of `clean` off the
+    /// frame's in-flight fault gap, and returns how many. Returns 0
+    /// unless the frame samples in skip mode under `clean.model` with a
+    /// drawn gap — so a fresh arena, a chunk start, exact sampling and
+    /// a frame last reset under another model all run trials as usual.
+    pub fn skip_clean_trials(&mut self, clean: &CleanTrial, max: u64) -> u64 {
+        self.frame.skip_clean_trials(clean.model, clean.ops, max)
+    }
+
     /// Reusable limb scratch, cleared and zero-filled to `limbs` words.
     pub fn scratch(&mut self, limbs: usize) -> &mut Vec<u64> {
         self.scratch.clear();
@@ -144,6 +166,23 @@ pub enum TrialOutcome {
     },
     /// Verification rejected the product; nothing was delivered.
     Discarded,
+}
+
+/// A stream's fault-free trial, declared so the runners can count
+/// whole clean trials instead of simulating them (see the module docs).
+///
+/// The declaration must be honest: every trial of the stream resets the
+/// arena frame under `model`, and a trial that meets no fault consumes
+/// exactly `ops` sampler ops, draws nothing else from its RNG and
+/// returns `outcome`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CleanTrial {
+    /// The error model every trial runs its frame under.
+    pub model: ErrorModel,
+    /// Sampler ops (fault decisions) one fault-free trial consumes.
+    pub ops: u64,
+    /// The outcome of a fault-free trial.
+    pub outcome: TrialOutcome,
 }
 
 /// Aggregated statistics over many trials.
@@ -239,29 +278,23 @@ impl MonteCarloStats {
         1.96 * (p * (1.0 - p) / self.trials as f64).sqrt()
     }
 
-    fn record(&mut self, outcome: TrialOutcome) {
-        self.trials += 1;
-        match outcome {
-            TrialOutcome::Discarded => self.discarded += 1,
-            TrialOutcome::Accepted { logical_error } => {
-                self.accepted += 1;
-                if logical_error {
-                    self.logical_errors += 1;
-                }
+    /// Records `count` trials that all had `outcome`.
+    fn record(&mut self, outcome: TrialOutcome, count: u64) {
+        self.trials += count;
+        let (logical_error, dirty) = match outcome {
+            TrialOutcome::Discarded => {
+                self.discarded += count;
+                return;
             }
+            TrialOutcome::Accepted { logical_error } => (logical_error, false),
             TrialOutcome::AcceptedDetailed {
                 logical_error,
                 dirty,
-            } => {
-                self.accepted += 1;
-                if logical_error {
-                    self.logical_errors += 1;
-                }
-                if dirty {
-                    self.dirty_errors += 1;
-                }
-            }
-        }
+            } => (logical_error, dirty),
+        };
+        self.accepted += count;
+        self.logical_errors += u64::from(logical_error) * count;
+        self.dirty_errors += u64::from(dirty) * count;
     }
 }
 
@@ -273,8 +306,16 @@ fn chunk_seed(seed: u64, c: u64) -> u64 {
 }
 
 /// Runs the trials of chunk `c` (global trial indices
-/// `[c * TRIAL_CHUNK, min(n, (c + 1) * TRIAL_CHUNK))`) into `stats`.
-fn run_chunk<F>(n: u64, seed: u64, c: u64, trial: &mut F, arena: &mut TrialArena) -> MonteCarloStats
+/// `[c * TRIAL_CHUNK, min(n, (c + 1) * TRIAL_CHUNK))`) into `stats`,
+/// counting the whole clean trials `clean` lets it skip.
+fn run_chunk<F>(
+    n: u64,
+    seed: u64,
+    c: u64,
+    clean: Option<&CleanTrial>,
+    trial: &mut F,
+    arena: &mut TrialArena,
+) -> MonteCarloStats
 where
     F: FnMut(&mut StdRng, &mut TrialArena) -> TrialOutcome,
 {
@@ -296,8 +337,18 @@ where
     let mut rng = StdRng::seed_from_u64(chunk_seed(seed, c));
     arena.reset_sampling();
     let mut stats = MonteCarloStats::default();
-    for _ in lo..hi {
-        stats.record(trial(&mut rng, arena));
+    let mut t = lo;
+    while t < hi {
+        if let Some(clean) = clean {
+            let skipped = arena.skip_clean_trials(clean, hi - t);
+            stats.record(clean.outcome, skipped);
+            t += skipped;
+            if t == hi {
+                break;
+            }
+        }
+        stats.record(trial(&mut rng, arena), 1);
+        t += 1;
     }
     stats
 }
@@ -312,7 +363,7 @@ where
     let mut arena = TrialArena::new();
     let mut total = MonteCarloStats::default();
     for c in 0..n.div_ceil(TRIAL_CHUNK) {
-        total.merge(&run_chunk(n, seed, c, &mut trial, &mut arena));
+        total.merge(&run_chunk(n, seed, c, None, &mut trial, &mut arena));
     }
     total
 }
@@ -327,25 +378,35 @@ pub fn run_trials_parallel<F>(n: u64, seed: u64, threads: usize, trial: F) -> Mo
 where
     F: Fn(&mut StdRng, &mut TrialArena) -> TrialOutcome + Sync,
 {
-    run_trials_multi(&[(n, seed)], threads, |_, rng, arena| trial(rng, arena))
-        .pop()
-        .expect("one stream in, one stats out")
+    run_trials_multi(&[(n, seed, None)], threads, |_, rng, arena| {
+        trial(rng, arena)
+    })
+    .pop()
+    .expect("one stream in, one stats out")
 }
 
-/// Runs several independent trial streams — `jobs[i] = (n_i, seed_i)`,
-/// trial closures told their stream index — through **one** shared
-/// work-stealing pool. All streams' chunks feed a single atomic
+/// Runs several independent trial streams — `jobs[i] = (n_i, seed_i,
+/// clean_i)`, trial closures told their stream index — through **one**
+/// shared work-stealing pool. All streams' chunks feed a single atomic
 /// cursor, so a long stream overlaps a short one instead of the pool
-/// being statically split between them. Stream `i`'s statistics are
-/// bit-identical to `run_trials(n_i, seed_i, ...)` at any thread
-/// count.
-pub fn run_trials_multi<F>(jobs: &[(u64, u64)], threads: usize, trial: F) -> Vec<MonteCarloStats>
+/// being statically split between them. A stream that declares its
+/// [`CleanTrial`] has its covered clean trials counted, not simulated.
+/// Stream `i`'s statistics are bit-identical to `run_trials(n_i,
+/// seed_i, ...)` at any thread count, declared or not.
+pub fn run_trials_multi<F>(
+    jobs: &[(u64, u64, Option<CleanTrial>)],
+    threads: usize,
+    trial: F,
+) -> Vec<MonteCarloStats>
 where
     F: Fn(usize, &mut StdRng, &mut TrialArena) -> TrialOutcome + Sync,
 {
     // Global chunk index space: stream 0's chunks first, then stream
     // 1's, ... mapped back through the prefix sums.
-    let chunk_counts: Vec<u64> = jobs.iter().map(|&(n, _)| n.div_ceil(TRIAL_CHUNK)).collect();
+    let chunk_counts: Vec<u64> = jobs
+        .iter()
+        .map(|&(n, ..)| n.div_ceil(TRIAL_CHUNK))
+        .collect();
     let total_chunks: u64 = chunk_counts.iter().sum();
     let locate = |g: u64| -> (usize, u64) {
         let mut base = 0u64;
@@ -364,9 +425,9 @@ where
         let mut totals = vec![MonteCarloStats::default(); jobs.len()];
         for g in 0..total_chunks {
             let (i, c) = locate(g);
-            let (n, seed) = jobs[i];
+            let (n, seed, clean) = &jobs[i];
             let mut f = |rng: &mut StdRng, arena: &mut TrialArena| trial(i, rng, arena);
-            totals[i].merge(&run_chunk(n, seed, c, &mut f, &mut arena));
+            totals[i].merge(&run_chunk(*n, *seed, c, clean.as_ref(), &mut f, &mut arena));
         }
         return totals;
     }
@@ -376,9 +437,9 @@ where
         let mut stats = vec![MonteCarloStats::default(); jobs.len()];
         while let Some(g) = queue.claim() {
             let (i, c) = locate(g);
-            let (n, seed) = jobs[i];
+            let (n, seed, clean) = &jobs[i];
             let mut f = |rng: &mut StdRng, arena: &mut TrialArena| trial(i, rng, arena);
-            stats[i].merge(&run_chunk(n, seed, c, &mut f, &mut arena));
+            stats[i].merge(&run_chunk(*n, *seed, c, clean.as_ref(), &mut f, &mut arena));
         }
         stats
     });
@@ -482,14 +543,18 @@ mod tests {
     fn multi_stream_pool_matches_single_stream_runs() {
         // Each stream through the shared pool must equal its own
         // standalone run, at any thread count, even with uneven sizes.
-        let jobs = [(3 * TRIAL_CHUNK + 7, 5u64), (100, 9), (TRIAL_CHUNK, 5)];
+        let jobs = [
+            (3 * TRIAL_CHUNK + 7, 5u64, None),
+            (100, 9, None),
+            (TRIAL_CHUNK, 5, None),
+        ];
         let trial = |i: usize, rng: &mut StdRng, _: &mut TrialArena| TrialOutcome::Accepted {
             logical_error: rng.gen_bool(0.1 * (i + 1) as f64),
         };
         let expected: Vec<MonteCarloStats> = jobs
             .iter()
             .enumerate()
-            .map(|(i, &(n, seed))| run_trials(n, seed, |rng, a| trial(i, rng, a)))
+            .map(|(i, &(n, seed, _))| run_trials(n, seed, |rng, a| trial(i, rng, a)))
             .collect();
         for threads in [1, 2, 5] {
             let got = run_trials_multi(&jobs, threads, trial);

@@ -12,19 +12,21 @@
 //! `lowering_runs` counter).
 
 use crate::request::Overrides;
-use qods_core::compile::ArtifactStore;
+use qods_core::compile::{ArtifactStore, Lru};
 use qods_core::experiment::{ExperimentOutput, StudyContext};
 use qods_core::study::StudyConfig;
 use qods_obs::{sites, Counter, Registry};
 use qods_pool::plock;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Default bound on retained configurations (see
 /// [`ContextPool::with_capacity`]). Generous for real traffic — a
 /// retained entry is one lowered benchmark set plus its outputs — but
 /// finite, so a long-running daemon cannot be grown without bound by
-/// a client streaming never-repeating overrides.
+/// a client streaming never-repeating overrides. (The artifact store
+/// underneath is bounded the same way, by
+/// [`qods_core::compile::MEM_TIER_ENTRIES`].)
 pub const DEFAULT_CACHE_ENTRIES: usize = 256;
 
 /// One cached configuration: the shared context plus every finished
@@ -102,39 +104,20 @@ impl CacheStats {
     }
 }
 
-/// The retained entries plus their recency order (one lock covers
-/// both so eviction and lookup can never disagree).
-#[derive(Debug, Default)]
-struct Retained {
-    map: HashMap<u64, Arc<PoolEntry>>,
-    /// Least-recently-used first — the eviction order. A checkout hit
-    /// moves its hash to the back, so a hot configuration survives
-    /// any amount of one-off traffic.
-    order: VecDeque<u64>,
-}
-
-impl Retained {
-    /// Marks `hash` as most recently used.
-    fn touch(&mut self, hash: u64) {
-        if let Some(pos) = self.order.iter().position(|&h| h == hash) {
-            self.order.remove(pos);
-            self.order.push_back(hash);
-        }
-    }
-}
-
 /// The content-addressed pool of study contexts.
 #[derive(Debug)]
 pub struct ContextPool {
     base: StudyConfig,
     caching: bool,
-    capacity: usize,
     /// The artifact store every retained context compiles into —
     /// kernel artifacts outlive context eviction, so re-admitting an
     /// evicted configuration re-runs experiments but never re-lowers
     /// circuits another configuration already compiled.
     store: Arc<ArtifactStore>,
-    entries: Mutex<Retained>,
+    /// The retained entries by config hash. A checkout hit counts as a
+    /// use, so a hot configuration survives any amount of one-off
+    /// traffic.
+    entries: Mutex<Lru<u64, Arc<PoolEntry>>>,
     /// The serving stack's metrics registry. The pool creates it (it
     /// is the bottom of the serving-side object graph) and the
     /// scheduler and server above register their own counters into
@@ -196,9 +179,8 @@ impl ContextPool {
         ContextPool {
             base,
             caching,
-            capacity: capacity.max(1),
             store,
-            entries: Mutex::new(Retained::default()),
+            entries: Mutex::new(Lru::new(capacity)),
             metrics,
             context_hits,
             context_misses,
@@ -244,34 +226,22 @@ impl ContextPool {
             let store = Arc::new(ArtifactStore::in_memory());
             return (Arc::new(PoolEntry::new(hash, config, store)), false);
         }
-        // Poison-tolerant like the entry locks above: the retained
-        // map's invariant (order tracks map keys) is restored below
-        // even if a previous holder unwound mid-checkout.
+        // Poison-tolerant like the entry locks above: `Lru` recovers
+        // its own invariant even if a previous holder unwound
+        // mid-checkout.
         let mut retained = plock(&self.entries);
-        if let Some(entry) = retained.map.get(&hash) {
+        if let Some(entry) = retained.get(&hash) {
             let entry = Arc::clone(entry);
-            retained.touch(hash);
             self.context_hits.inc();
             span.note_cache("hit");
             return (entry, true);
         }
         self.context_misses.inc();
         span.note_cache("miss");
-        while retained.map.len() >= self.capacity {
-            match retained.order.pop_front() {
-                Some(lru) => {
-                    retained.map.remove(&lru);
-                }
-                // Unreachable unless a poisoned predecessor desynced
-                // the recency order; drop the whole map rather than
-                // loop forever.
-                None => retained.map.clear(),
-            }
-        }
-        let entry = Arc::new(PoolEntry::new(hash, config, Arc::clone(&self.store)));
-        retained.map.insert(hash, Arc::clone(&entry));
-        retained.order.push_back(hash);
-        (entry, false)
+        let entry = retained.get_or_insert_with(hash, || {
+            Arc::new(PoolEntry::new(hash, config, Arc::clone(&self.store)))
+        });
+        (Arc::clone(entry), false)
     }
 
     /// Records the outcome of output lookups (called by the
@@ -293,12 +263,13 @@ impl ContextPool {
 
     /// How many distinct configurations the pool holds.
     pub fn len(&self) -> usize {
-        plock(&self.entries).map.len()
+        plock(&self.entries).len()
     }
 
-    /// The retention bound (entries past it evict oldest-first).
+    /// The retention bound (entries past it evict least recently used
+    /// first).
     pub fn capacity(&self) -> usize {
-        self.capacity
+        plock(&self.entries).capacity()
     }
 
     /// Whether the pool holds no contexts yet.
@@ -312,7 +283,6 @@ impl ContextPool {
     /// (asserted by the service tests via `lowering_runs`).
     pub fn total_lowering_runs(&self) -> usize {
         plock(&self.entries)
-            .map
             .values()
             .map(|e| e.context().lowering_runs())
             .sum()
@@ -407,6 +377,47 @@ mod tests {
         assert!(!hit_a && !hit_b);
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(pool.is_empty(), "cold pool retains nothing");
+    }
+
+    #[test]
+    fn artifact_memory_tier_stays_bounded_and_recompiles_evicted_configs() {
+        use qods_core::compile::MEM_TIER_ENTRIES;
+        use qods_core::registry::Registry;
+        // A narrow kernel and a loose synthesis budget keep each QFT
+        // compile cheap; every distinct target is a new QFT artifact.
+        let base = StudyConfig {
+            n_bits: 4,
+            synth_max_t: 4,
+            synth_target: 0.3,
+            ..StudyConfig::smoke()
+        };
+        let store = Arc::new(ArtifactStore::in_memory());
+        let pool = ContextPool::with_store(base, true, DEFAULT_CACHE_ENTRIES, Arc::clone(&store));
+        let table2 = |i: u64| {
+            let overrides = Overrides {
+                synth_target: Some(0.3 * (1.0 + i as f64 * 1e-7)),
+                ..Overrides::default()
+            };
+            let (entry, _) = pool.checkout(&overrides);
+            Registry::paper()
+                .run_one("table2", entry.context())
+                .expect("table2 runs")
+                .output
+        };
+        let first = table2(0);
+        for i in 1..=MEM_TIER_ENTRIES as u64 {
+            table2(i);
+            assert!(store.len() <= MEM_TIER_ENTRIES, "config {i}");
+        }
+        assert_eq!(store.len(), MEM_TIER_ENTRIES);
+        // Config 0's context and QFT artifacts are long evicted: asking
+        // again recompiles them, into identical records.
+        let computed = store.stats().computed;
+        assert_eq!(table2(0), first);
+        assert!(
+            store.stats().computed > computed,
+            "config 0 was not evicted"
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::code::SteaneCode;
 use crate::executor::OpCounts;
 use crate::prep::{run_prep, run_prep_in, PrepOutcome, PrepStrategy};
 use qods_phys::error_model::ErrorModel;
-use qods_phys::montecarlo::{run_trials_multi, run_trials_parallel, MonteCarloStats, TrialOutcome};
+use qods_phys::montecarlo::{run_trials_multi, CleanTrial, MonteCarloStats, TrialOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -55,13 +55,40 @@ impl PrepEvaluation {
     }
 }
 
+/// The Monte-Carlo record of one preparation outcome.
+fn trial_outcome(outcome: PrepOutcome, code: &SteaneCode) -> TrialOutcome {
+    match outcome {
+        PrepOutcome::Discarded => TrialOutcome::Discarded,
+        delivered => TrialOutcome::AcceptedDetailed {
+            logical_error: delivered.is_uncorrectable(code),
+            dirty: delivered.is_dirty(code),
+        },
+    }
+}
+
+/// The noiseless dry run of `strategy`: its op census, and the clean
+/// trial it declares to the runner — a fault-free attempt under `model`
+/// takes the same path, so it consumes one sampler op per counted op
+/// and yields the dry run's outcome.
+fn dry_run(strategy: PrepStrategy, model: ErrorModel, seed: u64) -> (OpCounts, CleanTrial) {
+    let mut dry = StdRng::seed_from_u64(seed);
+    let (outcome, ops) = run_prep(strategy, ErrorModel::noiseless(), &mut dry);
+    let clean = CleanTrial {
+        model,
+        ops: ops.total(),
+        outcome: trial_outcome(outcome, &SteaneCode::new()),
+    };
+    (ops, clean)
+}
+
 /// Runs the Monte-Carlo evaluation of one strategy.
 ///
 /// Statistics are bit-identical for a fixed `(trials, seed)` at *any*
 /// `threads` value (the runner walks per-chunk RNG streams; see
 /// `qods_phys::montecarlo`), and the trial hot path is allocation-free:
 /// each worker's [`qods_phys::montecarlo::TrialArena`] frame is reused
-/// across its trials.
+/// across its trials. Fault-free trials are counted, not simulated
+/// (the strategy declares its [`CleanTrial`]).
 pub fn evaluate_prep(
     strategy: PrepStrategy,
     model: ErrorModel,
@@ -69,44 +96,7 @@ pub fn evaluate_prep(
     seed: u64,
     threads: usize,
 ) -> PrepEvaluation {
-    // Monomorphize the trial loop per strategy: with `S` a compile-time
-    // constant the strategy match inside `run_prep_in` const-folds away,
-    // which is worth ~15-20 ns/trial on the Fig 4 panel.
-    let stats = match strategy {
-        PrepStrategy::Basic => prep_stats::<0>(model, trials, seed, threads),
-        PrepStrategy::VerifyOnly => prep_stats::<1>(model, trials, seed, threads),
-        PrepStrategy::CorrectOnly => prep_stats::<2>(model, trials, seed, threads),
-        PrepStrategy::VerifyAndCorrect => prep_stats::<3>(model, trials, seed, threads),
-    };
-    let mut dry = StdRng::seed_from_u64(seed);
-    let (_, ops) = run_prep(strategy, ErrorModel::noiseless(), &mut dry);
-    PrepEvaluation {
-        strategy,
-        stats,
-        ops,
-    }
-}
-
-/// The Monte-Carlo loop of [`evaluate_prep`] for strategy
-/// `PrepStrategy::ALL[S]`.
-fn prep_stats<const S: usize>(
-    model: ErrorModel,
-    trials: u64,
-    seed: u64,
-    threads: usize,
-) -> MonteCarloStats {
-    let strategy = PrepStrategy::ALL[S];
-    let code = SteaneCode::new();
-    run_trials_parallel(trials, seed, threads, |rng, arena| {
-        let (outcome, _) = run_prep_in(strategy, model, rng, arena);
-        match outcome {
-            PrepOutcome::Discarded => TrialOutcome::Discarded,
-            delivered => TrialOutcome::AcceptedDetailed {
-                logical_error: delivered.is_uncorrectable(&code),
-                dirty: delivered.is_dirty(&code),
-            },
-        }
-    })
+    evaluate(&[strategy], model, trials, seed, threads)[0]
 }
 
 /// Evaluates all four strategies (the full Fig 4 panel).
@@ -124,30 +114,37 @@ pub fn evaluate_all(
     seed: u64,
     threads: usize,
 ) -> Vec<PrepEvaluation> {
-    let strategies = PrepStrategy::ALL;
+    evaluate(&PrepStrategy::ALL, model, trials, seed, threads)
+}
+
+/// Evaluates `strategies` as streams of one shared runner pool.
+fn evaluate(
+    strategies: &[PrepStrategy],
+    model: ErrorModel,
+    trials: u64,
+    seed: u64,
+    threads: usize,
+) -> Vec<PrepEvaluation> {
     let code = SteaneCode::new();
-    let jobs: Vec<(u64, u64)> = strategies.iter().map(|_| (trials, seed)).collect();
+    let dry: Vec<(OpCounts, CleanTrial)> = strategies
+        .iter()
+        .map(|&s| dry_run(s, model, seed))
+        .collect();
+    let jobs: Vec<_> = dry
+        .iter()
+        .map(|&(_, clean)| (trials, seed, Some(clean)))
+        .collect();
     let stats = run_trials_multi(&jobs, threads, |i, rng, arena| {
-        let (outcome, _) = run_prep_in(strategies[i], model, rng, arena);
-        match outcome {
-            PrepOutcome::Discarded => TrialOutcome::Discarded,
-            delivered => TrialOutcome::AcceptedDetailed {
-                logical_error: delivered.is_uncorrectable(&code),
-                dirty: delivered.is_dirty(&code),
-            },
-        }
+        trial_outcome(run_prep_in(strategies[i], model, rng, arena).0, &code)
     });
     strategies
         .iter()
+        .zip(dry)
         .zip(stats)
-        .map(|(&strategy, stats)| {
-            let mut dry = StdRng::seed_from_u64(seed);
-            let (_, ops) = run_prep(strategy, ErrorModel::noiseless(), &mut dry);
-            PrepEvaluation {
-                strategy,
-                stats,
-                ops,
-            }
+        .map(|((&strategy, (ops, _)), stats)| PrepEvaluation {
+            strategy,
+            stats,
+            ops,
         })
         .collect()
 }
@@ -159,6 +156,47 @@ mod tests {
     /// Inflated error rate so the hierarchy resolves with few trials.
     fn fast_model() -> ErrorModel {
         ErrorModel::paper().scaled(10.0)
+    }
+
+    /// An RNG whose uniform draws are all the largest below 1, so a
+    /// sampler's first gap is as long as it gets (~3.7e5 ops at
+    /// p = 1e-4): a preset gap no single trial exhausts.
+    struct LongestGap;
+
+    impl rand::Rng for LongestGap {
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+    }
+
+    #[test]
+    fn declared_clean_trials_match_measured_sampler_consumption() {
+        use qods_phys::montecarlo::TrialArena;
+        use qods_phys::ops::PhysOp;
+        let model = ErrorModel::paper();
+        let single_ops = CleanTrial {
+            model,
+            ops: 1,
+            outcome: TrialOutcome::Discarded,
+        };
+        // Measure the preset gap: one op draws it, and counting
+        // single-op runs reads off the rest.
+        let mut arena = TrialArena::new();
+        arena
+            .frame(1, model)
+            .apply(&PhysOp::Prep(0), &mut LongestGap);
+        let gap = 1 + arena.skip_clean_trials(&single_ops, u64::MAX);
+        let mut declared = Vec::new();
+        for s in PrepStrategy::ALL {
+            let (_, clean) = dry_run(s, model, 1);
+            let mut arena = TrialArena::new();
+            let (outcome, _) = run_prep_in(s, model, &mut LongestGap, &mut arena);
+            let consumed = gap - arena.skip_clean_trials(&single_ops, u64::MAX);
+            assert_eq!(consumed, clean.ops, "{s:?}: declared vs consumed ops");
+            assert_eq!(trial_outcome(outcome, &SteaneCode::new()), clean.outcome);
+            declared.push(clean.ops);
+        }
+        assert_eq!(declared, [28, 78, 124, 274]);
     }
 
     #[test]
