@@ -165,7 +165,7 @@ impl<'c> SimContext<'c> {
         for g in gates {
             let qs = g.qubits();
             let mut ops = [0u32; 3];
-            for (slot, &q) in ops.iter_mut().zip(&qs) {
+            for (slot, &q) in ops.iter_mut().zip(qs.iter()) {
                 *slot = q as u32;
             }
             operands.push((ops, qs.len() as u8));

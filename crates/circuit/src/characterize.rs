@@ -122,8 +122,8 @@ pub fn characterize_with(circuit: &Circuit, model: &CharacterizationModel) -> Ci
         ancilla_prep_us: prep,
     };
 
-    // Bandwidths at the speed of data.
-    let sched = Schedule::speed_of_data(circuit, model);
+    // Bandwidths at the speed of data, on the same DAG.
+    let sched = Schedule::speed_of_data_on(&dag, circuit, model);
     let runtime_ms = sched.makespan_us / 1000.0;
     let mut total_zeros = 0u64;
     let mut total_pi8 = 0u64;

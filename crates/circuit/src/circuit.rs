@@ -95,7 +95,7 @@ impl Circuit {
     ///
     /// Panics if the gate references a qubit outside the circuit.
     pub fn push(&mut self, g: Gate) {
-        for q in g.qubits() {
+        for &q in g.qubits().iter() {
             assert!(
                 q < self.n_qubits,
                 "gate {g:?} references qubit {q} >= {}",
@@ -230,7 +230,7 @@ impl Deserialize for Circuit {
         if !program.is_empty() {
             for token in program.split(';') {
                 let g = Gate::decode_compact(token)?;
-                for q in g.qubits() {
+                for &q in g.qubits().iter() {
                     if q >= n_qubits {
                         return Err(Error::custom(format!(
                             "gate {g:?} references qubit {q} >= {n_qubits}"

@@ -8,44 +8,51 @@ use crate::circuit::Circuit;
 /// Gate `j` depends on gate `i` when they share a qubit and `i` is the
 /// most recent earlier gate on that qubit (last-writer chains — quantum
 /// gates both read and write every qubit they touch).
+///
+/// Stored flat (compressed sparse rows): gate `i`'s predecessors are
+/// `preds[offsets[i]..offsets[i + 1]]`, in the order of the gate's
+/// qubits, each listed once.
 #[derive(Debug, Clone)]
 pub struct Dag {
-    preds: Vec<Vec<usize>>,
+    offsets: Vec<usize>,
+    preds: Vec<usize>,
 }
 
 impl Dag {
     /// Builds the DAG for a circuit.
     pub fn build(circuit: &Circuit) -> Self {
         let mut last_on_qubit: Vec<Option<usize>> = vec![None; circuit.n_qubits()];
-        let mut preds = Vec::with_capacity(circuit.len());
+        let mut offsets = Vec::with_capacity(circuit.len() + 1);
+        let mut preds = Vec::with_capacity(2 * circuit.len());
+        offsets.push(0);
         for (i, g) in circuit.gates().iter().enumerate() {
-            let mut p = Vec::new();
-            for q in g.qubits() {
+            let first = preds.len();
+            for &q in g.qubits().iter() {
                 if let Some(prev) = last_on_qubit[q] {
-                    if !p.contains(&prev) {
-                        p.push(prev);
+                    if !preds[first..].contains(&prev) {
+                        preds.push(prev);
                     }
                 }
                 last_on_qubit[q] = Some(i);
             }
-            preds.push(p);
+            offsets.push(preds.len());
         }
-        Dag { preds }
+        Dag { offsets, preds }
     }
 
     /// Predecessors of gate `i`.
     pub fn preds(&self, i: usize) -> &[usize] {
-        &self.preds[i]
+        &self.preds[self.offsets[i]..self.offsets[i + 1]]
     }
 
     /// Number of gates.
     pub fn len(&self) -> usize {
-        self.preds.len()
+        self.offsets.len() - 1
     }
 
     /// True when the DAG has no gates.
     pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        self.len() == 0
     }
 
     /// ASAP start times given a per-gate duration function; returns
@@ -56,7 +63,7 @@ impl Dag {
         let mut makespan = 0.0f64;
         for i in 0..self.len() {
             let mut s = 0.0f64;
-            for &p in &self.preds[i] {
+            for &p in self.preds(i) {
                 let end = start[p] + duration(p);
                 if end > s {
                     s = end;
@@ -83,7 +90,7 @@ impl Dag {
         for i in 0..self.len() {
             let mut best = 0.0f64;
             let mut who = None;
-            for &p in &self.preds[i] {
+            for &p in self.preds(i) {
                 let d = dist[p];
                 if d > best {
                     best = d;

@@ -66,10 +66,25 @@ pub enum Gate {
     },
 }
 
+/// The qubits one gate touches (at most three), held inline so
+/// asking for them never allocates; derefs to `&[usize]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Qubits {
+    qs: [usize; 3],
+    len: usize,
+}
+
+impl std::ops::Deref for Qubits {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        &self.qs[..self.len]
+    }
+}
+
 impl Gate {
     /// The encoded qubits this gate touches.
-    pub fn qubits(&self) -> Vec<usize> {
-        match *self {
+    pub fn qubits(&self) -> Qubits {
+        let (qs, len) = match *self {
             Gate::X(q)
             | Gate::Y(q)
             | Gate::Z(q)
@@ -78,10 +93,11 @@ impl Gate {
             | Gate::Sdg(q)
             | Gate::T(q)
             | Gate::Tdg(q)
-            | Gate::PhaseRot { q, .. } => vec![q],
-            Gate::Cx(c, t) | Gate::CPhaseRot { c, t, .. } => vec![c, t],
-            Gate::Toffoli(a, b, t) => vec![a, b, t],
-        }
+            | Gate::PhaseRot { q, .. } => ([q, 0, 0], 1),
+            Gate::Cx(c, t) | Gate::CPhaseRot { c, t, .. } => ([c, t, 0], 2),
+            Gate::Toffoli(a, b, t) => ([a, b, t], 3),
+        };
+        Qubits { qs, len }
     }
 
     /// True when the gate is directly executable on the encoded data:
@@ -279,8 +295,9 @@ mod tests {
 
     #[test]
     fn qubit_lists() {
-        assert_eq!(Gate::Cx(3, 5).qubits(), vec![3, 5]);
-        assert_eq!(Gate::Toffoli(1, 2, 3).qubits(), vec![1, 2, 3]);
+        assert_eq!(Gate::H(7).qubits()[..], [7]);
+        assert_eq!(Gate::Cx(3, 5).qubits()[..], [3, 5]);
+        assert_eq!(Gate::Toffoli(1, 2, 3).qubits()[..], [1, 2, 3]);
         assert_eq!(
             Gate::CPhaseRot {
                 c: 0,
@@ -288,8 +305,8 @@ mod tests {
                 k: 4,
                 dagger: false
             }
-            .qubits(),
-            vec![0, 9]
+            .qubits()[..],
+            [0, 9]
         );
     }
 }

@@ -28,7 +28,7 @@
 use crate::hash::{hash_hex, hash_value};
 use crate::store::{ArtifactKey, ArtifactStore, ARTIFACT_SCHEMA};
 use qods_circuit::characterize::{characterize_with, CircuitReport};
-use qods_circuit::circuit::{Circuit, NoSynth};
+use qods_circuit::circuit::Circuit;
 use qods_circuit::dag::Dag;
 use qods_circuit::latency_model::CharacterizationModel;
 use qods_circuit::schedule::Schedule;
@@ -206,11 +206,7 @@ impl Compiler {
             let ir = self
                 .ir(spec)
                 .unwrap_or_else(|e| unreachable!("spec validated above: {e}"));
-            let lowered = if spec.family.uses_synthesis() {
-                ir.lower(self.adapter.as_ref())
-            } else {
-                ir.lower(&NoSynth)
-            };
+            let lowered = spec.lower(&ir, &self.adapter);
             let model = CharacterizationModel::ion_trap();
             let dag = Dag::build(&lowered);
             let schedule = Schedule::speed_of_data_on(&dag, &lowered, &model);

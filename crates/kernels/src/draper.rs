@@ -52,7 +52,7 @@ pub fn draper_adder(n: usize) -> Circuit {
 
 /// The Draper adder lowered to the physical gate set.
 pub fn draper_adder_lowered(n: usize, synth: &SynthAdapter) -> Circuit {
-    draper_adder(n).lower(synth)
+    synth.lower(&draper_adder(n))
 }
 
 #[cfg(test)]

@@ -192,9 +192,16 @@ impl KernelSpec {
     ///
     /// Panics when the spec is invalid (see [`KernelSpec::build_ir`]).
     pub fn build_lowered(&self, synth: &SynthAdapter) -> Circuit {
-        let ir = self.build_ir();
+        self.lower(&self.build_ir(), synth)
+    }
+
+    /// Lowers this spec's IR (as built by [`KernelSpec::build_ir`]):
+    /// rotation families through [`SynthAdapter::lower`], one batched
+    /// search for the rotations not cached yet; the others never
+    /// synthesize.
+    pub fn lower(&self, ir: &Circuit, synth: &SynthAdapter) -> Circuit {
         if self.family.uses_synthesis() {
-            ir.lower(synth)
+            synth.lower(ir)
         } else {
             ir.lower(&NoSynth)
         }

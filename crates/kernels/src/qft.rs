@@ -40,7 +40,7 @@ pub fn qft(n: usize) -> Circuit {
 /// The QFT lowered to the physical gate set using the given synthesis
 /// budget.
 pub fn qft_lowered(n: usize, synth: &SynthAdapter) -> Circuit {
-    qft(n).lower(synth)
+    synth.lower(&qft(n))
 }
 
 #[cfg(test)]

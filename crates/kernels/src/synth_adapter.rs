@@ -1,19 +1,25 @@
 //! Bridges `qods-synth` sequences into the circuit IR's
 //! [`RotationSynthesizer`] hook, with a per-(k, dagger) cache.
 
-use qods_circuit::circuit::RotationSynthesizer;
+use qods_circuit::circuit::{Circuit, RotationSynthesizer};
 use qods_circuit::gate::Gate;
 use qods_synth::search::{HtGate, Synthesizer};
 use qods_synth::simplify::simplify;
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Mutex;
 
 /// A caching adapter from the Fowler-style search to circuit lowering.
 ///
-/// The same pi/2^k sequence is reused for every qubit it is applied
-/// to, so a QFT lowers with at most `n - 3` searches. Dagger targets
-/// reuse the mirror search (the search space is closed under
-/// conjugation, so distances match; see `qods-synth` tests).
+/// [`SynthAdapter::lower`] solves every rotation a lowering needs in
+/// one shared search ([`Synthesizer::rz_pi_over_2k_batch`]): a first
+/// pass through the lowering rules records the `(k, dagger)` pairs
+/// they request, the uncached ones are solved as one batch, and the
+/// second pass lowers from the cache. Each pair is solved at most once
+/// per adapter and reused for every qubit and every later lowering,
+/// and no pair is solved that no lowering asked for. Lowering through
+/// the [`RotationSynthesizer`] impl directly solves each cache miss as
+/// a batch of one, with identical results.
 #[derive(Debug)]
 pub struct SynthAdapter {
     synth: Synthesizer,
@@ -21,14 +27,6 @@ pub struct SynthAdapter {
 }
 
 impl SynthAdapter {
-    /// Adapter with the default search budget.
-    pub fn new() -> Self {
-        SynthAdapter {
-            synth: Synthesizer::new(),
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-
     /// Adapter with a custom search budget (T-count cap, stop-early
     /// distance).
     pub fn with_budget(max_t: u32, target_distance: f64) -> Self {
@@ -36,6 +34,28 @@ impl SynthAdapter {
             synth: Synthesizer::with_budget(max_t, target_distance),
             cache: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// Lowers `circuit` (see [`Circuit::lower`]) with one batched
+    /// search for the rotations it needs that are not cached yet.
+    pub fn lower(&self, circuit: &Circuit) -> Circuit {
+        let wanted = Recorder::default();
+        circuit.lower(&wanted);
+        let mut cache = qods_pool::plock(&self.cache);
+        let missing: Vec<(u8, bool)> = wanted
+            .0
+            .into_inner()
+            .into_iter()
+            .filter(|key| !cache.contains_key(key))
+            .collect();
+        if !missing.is_empty() {
+            let solved = self.synth.rz_pi_over_2k_batch(&missing);
+            for (key, seq) in missing.into_iter().zip(solved) {
+                cache.insert(key, simplify(&seq.gates));
+            }
+        }
+        drop(cache);
+        circuit.lower(self)
     }
 
     fn sequence(&self, k: u8, dagger: bool) -> Vec<HtGate> {
@@ -47,9 +67,14 @@ impl SynthAdapter {
     }
 }
 
-impl Default for SynthAdapter {
-    fn default() -> Self {
-        SynthAdapter::new()
+/// Records the rotations a lowering requests and emits nothing.
+#[derive(Default)]
+struct Recorder(RefCell<BTreeSet<(u8, bool)>>);
+
+impl RotationSynthesizer for Recorder {
+    fn synthesize(&self, _q: usize, k: u8, dagger: bool) -> Vec<Gate> {
+        self.0.borrow_mut().insert((k, dagger));
+        Vec::new()
     }
 }
 
@@ -69,6 +94,11 @@ impl RotationSynthesizer for SynthAdapter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qft::qft;
+
+    fn solved(a: &SynthAdapter) -> BTreeSet<(u8, bool)> {
+        qods_pool::plock(&a.cache).keys().copied().collect()
+    }
 
     #[test]
     fn emits_physical_gates_on_requested_qubit() {
@@ -76,7 +106,7 @@ mod tests {
         let gates = a.synthesize(5, 4, false);
         for g in &gates {
             assert!(g.is_physical());
-            assert_eq!(g.qubits(), vec![5]);
+            assert_eq!(g.qubits()[..], [5]);
         }
     }
 
@@ -86,5 +116,29 @@ mod tests {
         let g1 = a.synthesize(0, 5, false);
         let g2 = a.synthesize(0, 5, false);
         assert_eq!(g1, g2);
+    }
+
+    #[test]
+    fn lowering_solves_exactly_the_rotations_it_emits() {
+        // QFT-n's controlled pi/2^m rotations (m = 1..n-1) lower to
+        // pi/2^(m+1) rotations of both signs; k <= 2 is native.
+        for n in [1usize, 3, 4, 9] {
+            let a = SynthAdapter::with_budget(4, 1e-2);
+            let batched = a.lower(&qft(n));
+            let want: BTreeSet<(u8, bool)> = (3..=n as u8)
+                .flat_map(|k| [(k, false), (k, true)])
+                .collect();
+            assert_eq!(solved(&a), want, "QFT-{n}");
+            // Same circuit as lowering one rotation at a time.
+            let lone = SynthAdapter::with_budget(4, 1e-2);
+            assert_eq!(batched, qft(n).lower(&lone), "QFT-{n}");
+            assert_eq!(solved(&lone), want, "QFT-{n}");
+        }
+        // A narrower QFT after a wider one solves nothing new.
+        let a = SynthAdapter::with_budget(4, 1e-2);
+        a.lower(&qft(9));
+        let before = solved(&a);
+        a.lower(&qft(5));
+        assert_eq!(solved(&a), before);
     }
 }

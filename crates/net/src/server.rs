@@ -427,9 +427,11 @@ impl ServeCore {
         );
     }
 
+    /// Counts the error, then writes its line: a client that has read
+    /// the line sees it in the `stats` verb from any connection.
     fn emit_error(&self, sink: &dyn LineSink, kind: ErrorKind, id: Option<String>, diag: String) {
-        sink.emit(&render(&ErrorLine::new(kind, id, diag)));
         self.errors.inc();
+        sink.emit(&render(&ErrorLine::new(kind, id, diag)));
     }
 
     /// Stops admitting jobs (they answer `shutting_down` errors);

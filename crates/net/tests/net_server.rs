@@ -5,16 +5,18 @@
 //! survival, and graceful drain on shutdown.
 //!
 //! Timing discipline: anything that must observe an *in-flight* job
-//! first parks a deliberately slow `fig4` Monte-Carlo job (seconds of
-//! work) and then polls the `stats` verb — which bypasses admission —
-//! until `in_flight` reports it, so the assertions race a window of
-//! seconds, not microseconds.
+//! first parks a `fig4` Monte-Carlo job — [`park_next_job`] arms a
+//! fault plan that stalls its first trial chunk for [`HOLD_MS`] — and
+//! then polls the `stats` verb — which bypasses admission — until
+//! `in_flight` reports it, so the assertions race a window of
+//! seconds, not microseconds, however fast the engine gets.
 
+use qods_fault::{site, FaultAction, FaultPlan};
 use qods_net::protocol::{kind, kind_fragment};
 use qods_net::{Client, NetServer, ServeCore, ServeOptions, StatsLine};
 use qods_service::prelude::*;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -22,10 +24,37 @@ use std::time::{Duration, Instant};
 const QUICK_JOB: &str =
     "{\"id\":\"quick\",\"experiments\":[\"table9\"],\"overrides\":{\"n_bits\":8}}";
 
-/// A deliberately slow job: `fig4` at a trial count that takes
-/// seconds even in debug builds, so tests can observe it in flight.
+/// A Monte-Carlo job: `fig4`, which [`park_next_job`] holds in
+/// flight.
 const SLOW_JOB: &str =
     "{\"id\":\"slow\",\"experiments\":[\"fig4\"],\"overrides\":{\"mc_trials\":400000}}";
+
+/// How long the parked job's first Monte-Carlo chunk stalls.
+const HOLD_MS: u64 = 2_000;
+
+/// Serializes the tests that park a job: the fault plan is
+/// process-wide, so one test's plan must not stall another's chunks.
+static ARM_LOCK: Mutex<()> = Mutex::new(());
+
+/// Holds [`ARM_LOCK`] with the parking plan armed; disarms on drop.
+struct Parked {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for Parked {
+    fn drop(&mut self) {
+        qods_fault::disarm();
+    }
+}
+
+/// Arms a plan under which the next Monte-Carlo chunk anywhere in the
+/// process — the parked job's first — sleeps [`HOLD_MS`], so that job
+/// holds its execution slot for at least that long by construction.
+fn park_next_job() -> Parked {
+    let lock = ARM_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    qods_fault::arm(FaultPlan::new().once(site::MC_CHUNK, 1, FaultAction::Delay(HOLD_MS)));
+    Parked { _lock: lock }
+}
 
 fn start_server(caching: bool, options: ServeOptions) -> (SocketAddr, JoinHandle<()>) {
     let scheduler = Scheduler::with_options(StudyConfig::smoke(), 2, caching);
@@ -94,11 +123,12 @@ fn overload_burst_answers_typed_errors_and_the_server_survives() {
         },
     );
 
+    let _parked = park_next_job();
     let mut slow = Client::connect(addr).expect("connect slow");
     slow.send_line(SLOW_JOB).expect("send slow job");
     await_stats(addr, 60, |s| s.in_flight == 1);
 
-    // The slot is held for seconds; these refusals race nothing.
+    // The slot is held for `HOLD_MS`; these refusals race nothing.
     let mut burst = Client::connect(addr).expect("connect burst");
     for i in 0..3 {
         let line = burst
@@ -133,6 +163,7 @@ fn concurrent_duplicates_coalesce_onto_one_execution() {
     // cache.
     let (addr, server) = start_server(false, ServeOptions::default());
 
+    let _parked = park_next_job();
     let mut leader = Client::connect(addr).expect("connect leader");
     leader.send_line(SLOW_JOB).expect("send leader job");
     await_stats(addr, 60, |s| s.in_flight == 1);
@@ -191,6 +222,7 @@ fn mid_request_disconnects_do_not_kill_the_server_or_the_job() {
     let (addr, server) = start_server(false, ServeOptions::default());
 
     // Park a job, then slam the connection shut while it runs.
+    let _parked = park_next_job();
     {
         let mut doomed = Client::connect(addr).expect("connect");
         doomed.send_line(SLOW_JOB).expect("send");
@@ -218,6 +250,7 @@ fn mid_request_disconnects_do_not_kill_the_server_or_the_job() {
 fn shutdown_drains_the_in_flight_job_before_exiting() {
     let (addr, server) = start_server(true, ServeOptions::default());
 
+    let _parked = park_next_job();
     let mut worker = Client::connect(addr).expect("connect worker");
     worker.send_line(SLOW_JOB).expect("send");
     await_stats(addr, 60, |s| s.in_flight == 1);

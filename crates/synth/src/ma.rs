@@ -46,16 +46,17 @@ impl Core {
     }
 }
 
-/// Depth-first enumeration of all cores with `t_count <= max_t`,
-/// invoking `visit` on each (including the identity core). The `prune`
-/// callback is consulted before descending: returning `false` for a
-/// prospective child T-count skips that subtree (used to stop once a
-/// satisfactory shorter sequence is known).
-pub fn enumerate_cores(
-    max_t: u32,
-    mut visit: impl FnMut(&Core),
-    mut prune: impl FnMut(u32) -> bool,
-) {
+/// Depth-first enumeration of all cores with `t_count <= max_t`
+/// (including the identity core), shared by a set of searches.
+///
+/// The searches are the set bits of a `u64` mask: `visit` is called
+/// on each core with the searches that reach it, and returns the ones
+/// that descend into its children (T-count `core.t_count + 1`); a
+/// subtree no search descends into is skipped. Because the return
+/// value is taken right after the visit — exactly when a lone search
+/// would decide whether to prune — each search sees the same cores in
+/// the same order as if it ran alone.
+pub fn enumerate_cores(max_t: u32, searches: u64, mut visit: impl FnMut(&Core, u64) -> u64) {
     // Identity core (pure Clifford).
     let id = Core {
         matrix: U2::identity(),
@@ -63,8 +64,8 @@ pub fn enumerate_cores(
         syllables: Vec::new(),
         t_count: 0,
     };
-    visit(&id);
-    if max_t == 0 {
+    let roots = visit(&id, searches);
+    if max_t == 0 || roots == 0 {
         return;
     }
 
@@ -73,40 +74,38 @@ pub fn enumerate_cores(
     let sht = U2::s().mul(&ht);
 
     // Two DFS roots: leading T, and a first syllable (HT or SHT).
-    let mut stack: Vec<Core> = Vec::new();
-    if prune(1) {
-        stack.push(Core {
-            matrix: t,
-            leading_t: true,
-            syllables: Vec::new(),
+    let mut stack: Vec<(Core, u64)> = [
+        (t, true, vec![]),
+        (ht, false, vec![false]),
+        (sht, false, vec![true]),
+    ]
+    .into_iter()
+    .map(|(matrix, leading_t, syllables)| {
+        let core = Core {
+            matrix,
+            leading_t,
+            syllables,
             t_count: 1,
-        });
-        stack.push(Core {
-            matrix: ht,
-            leading_t: false,
-            syllables: vec![false],
-            t_count: 1,
-        });
-        stack.push(Core {
-            matrix: sht,
-            leading_t: false,
-            syllables: vec![true],
-            t_count: 1,
-        });
-    }
-    while let Some(core) = stack.pop() {
-        visit(&core);
+        };
+        (core, roots)
+    })
+    .collect();
+    while let Some((core, reach)) = stack.pop() {
+        let descend = visit(&core, reach);
         let next_t = core.t_count + 1;
-        if next_t <= max_t && prune(next_t) {
+        if next_t <= max_t && descend != 0 {
             for (m, s) in [(&ht, false), (&sht, true)] {
                 let mut syl = core.syllables.clone();
                 syl.push(s);
-                stack.push(Core {
-                    matrix: core.matrix.mul(m),
-                    leading_t: core.leading_t,
-                    syllables: syl,
-                    t_count: next_t,
-                });
+                stack.push((
+                    Core {
+                        matrix: core.matrix.mul(m),
+                        leading_t: core.leading_t,
+                        syllables: syl,
+                        t_count: next_t,
+                    },
+                    descend,
+                ));
             }
         }
     }
@@ -123,7 +122,10 @@ mod tests {
         // Cores with t_count = t: 3 * 2^(t-1) for t >= 1, plus the
         // identity at t = 0.
         let mut by_t = std::collections::HashMap::new();
-        enumerate_cores(6, |c| *by_t.entry(c.t_count).or_insert(0u64) += 1, |_| true);
+        enumerate_cores(6, 1, |c, all| {
+            *by_t.entry(c.t_count).or_insert(0u64) += 1;
+            all
+        });
         assert_eq!(by_t[&0], 1);
         for t in 1..=6u32 {
             assert_eq!(by_t[&t], 3 * (1 << (t - 1)), "t = {t}");
@@ -136,46 +138,81 @@ mod tests {
         // the trailing Clifford) must be pairwise distinct up to phase.
         let mut keys = HashSet::new();
         let mut dup = 0;
-        enumerate_cores(
-            7,
-            |c| {
-                if !keys.insert(c.matrix.phase_key()) {
-                    dup += 1;
-                }
-            },
-            |_| true,
-        );
+        enumerate_cores(7, 1, |c, all| {
+            if !keys.insert(c.matrix.phase_key()) {
+                dup += 1;
+            }
+            all
+        });
         assert_eq!(dup, 0, "duplicate cores found");
     }
 
     #[test]
     fn circuit_gates_realize_core_matrices() {
-        enumerate_cores(
-            5,
-            |c| {
-                let mut m = U2::identity();
-                for g in c.circuit_gates() {
-                    let u = match g {
-                        HtGate::H => U2::h(),
-                        HtGate::S => U2::s(),
-                        HtGate::T => U2::t(),
-                    };
-                    m = u.mul(&m);
+        enumerate_cores(5, 1, |c, all| {
+            let mut m = U2::identity();
+            for g in c.circuit_gates() {
+                let u = match g {
+                    HtGate::H => U2::h(),
+                    HtGate::S => U2::s(),
+                    HtGate::T => U2::t(),
+                };
+                m = u.mul(&m);
+            }
+            assert!(
+                m.distance(&c.matrix) < 1e-9,
+                "core gates do not rebuild matrix (t={})",
+                c.t_count
+            );
+            all
+        });
+    }
+
+    #[test]
+    fn each_search_sees_its_own_pruned_tree() {
+        // Search 0 stops below T-count 2, search 1 below 4, search 2
+        // never: each must see exactly the cores, in the order, that
+        // it sees when enumerated alone.
+        let stop = [2u32, 4, u32::MAX];
+        let path = |c: &Core| (c.t_count, c.leading_t, c.syllables.clone());
+        let mut shared = vec![Vec::new(); 3];
+        enumerate_cores(6, 0b111, |c, reach| {
+            let mut descend = 0;
+            for (j, seen) in shared.iter_mut().enumerate() {
+                if reach & 1 << j != 0 {
+                    seen.push(path(c));
+                    if c.t_count + 1 < stop[j] {
+                        descend |= 1 << j;
+                    }
                 }
-                assert!(
-                    m.distance(&c.matrix) < 1e-9,
-                    "core gates do not rebuild matrix (t={})",
-                    c.t_count
-                );
-            },
-            |_| true,
-        );
+            }
+            descend
+        });
+        for (j, seen) in shared.iter().enumerate() {
+            let mut alone = Vec::new();
+            enumerate_cores(6, 1, |c, all| {
+                alone.push(path(c));
+                if c.t_count + 1 < stop[j] {
+                    all
+                } else {
+                    0
+                }
+            });
+            assert_eq!(seen, &alone, "search {j}");
+        }
     }
 
     #[test]
     fn pruning_cuts_subtrees() {
         let mut visited = 0u64;
-        enumerate_cores(8, |_| visited += 1, |t| t <= 3);
+        enumerate_cores(8, 1, |c, all| {
+            visited += 1;
+            if c.t_count < 3 {
+                all
+            } else {
+                0
+            }
+        });
         // 1 + 3 + 6 + 12 = 22 cores with t <= 3.
         assert_eq!(visited, 22);
     }

@@ -79,16 +79,8 @@ pub struct Synthesizer {
 }
 
 impl Synthesizer {
-    /// Default budget: T-count <= 14, stop early below distance 1e-4.
-    ///
-    /// At this budget typical pi/2^k targets reach distances of a few
-    /// times 1e-2 to 1e-3 (the paper's [14] reports comparable
-    /// accuracy at comparable sequence lengths).
-    pub fn new() -> Self {
-        Self::with_budget(14, 1e-4)
-    }
-
-    /// Budget with a custom maximum T-count.
+    /// Budget with a custom maximum T-count, stopping early below
+    /// distance 1e-4.
     pub fn with_max_t_count(max_t: u32) -> Self {
         Self::with_budget(max_t, 1e-4)
     }
@@ -114,70 +106,180 @@ impl Synthesizer {
     /// T-count; otherwise the smallest distance found overall (ties to
     /// lower T-count).
     pub fn approximate(&self, target: &U2) -> Sequence {
-        struct Best {
-            dist: f64,
-            t: u32,
-            core: Core,
-            cliff: usize,
-        }
-        let mut best: Option<Best> = None;
-        // Smallest T-count achieving the target distance, shared
-        // between the visitor (writes) and the pruner (reads).
-        let sat_t = std::cell::Cell::new(u32::MAX);
-        let eps = self.target_distance;
+        self.approximate_batch(std::slice::from_ref(target))
+            .pop()
+            .unwrap_or_else(|| unreachable!("one target, one sequence"))
+    }
 
-        let cliffs = self.cliffords.elements();
-        enumerate_cores(
-            self.max_t,
-            |core| {
-                for (ci, c) in cliffs.iter().enumerate() {
-                    let u = core.matrix.mul(&c.matrix);
-                    let d = u.distance(target);
-                    let better = match &best {
-                        None => true,
-                        Some(b) => d + 1e-15 < b.dist || (d < b.dist + 1e-15 && core.t_count < b.t),
-                    };
-                    if better {
-                        best = Some(Best {
-                            dist: d,
-                            t: core.t_count,
-                            core: core.clone(),
-                            cliff: ci,
-                        });
-                        if d <= eps {
-                            sat_t.set(sat_t.get().min(core.t_count));
-                        }
-                    }
-                }
-            },
-            |t| t < sat_t.get(),
-        );
-
-        let b = best.expect("search space is never empty");
-        // Circuit order: core gates first, then the Clifford word.
-        // (Matrix = core * C means C is applied first; but the trailing
-        // Clifford in MA form is on the right, i.e. applied first in
-        // circuit order.)
-        let mut gates = cliffs[b.cliff].word.clone();
-        gates.extend(b.core.circuit_gates());
-        Sequence {
-            gates,
-            t_count: b.t,
-            distance: b.dist,
-        }
+    /// [`Synthesizer::approximate`] for many targets, in one shared
+    /// enumeration per 64 targets.
+    ///
+    /// Every result equals the lone search's bit for bit: each core
+    /// carries the set of targets whose own pruned search would visit
+    /// it ([`enumerate_cores`]), `core * C` is formed once per
+    /// (core, Clifford) pair, and each target only evaluates
+    /// `tr(u^dag V)` in [`U2::distance`]'s association. A candidate
+    /// is skipped from `|tr|^2` alone only when it provably cannot
+    /// beat the target's current best.
+    pub fn approximate_batch(&self, targets: &[U2]) -> Vec<Sequence> {
+        targets
+            .chunks(64)
+            .flat_map(|chunk| self.search(chunk))
+            .collect()
     }
 
     /// Approximates `diag(1, e^{±i pi/2^k})` (the paper's pi/2^k
     /// rotation; `k = 2` is T itself and returns a length-1 sequence).
     pub fn rz_pi_over_2k(&self, k: u8, dagger: bool) -> Sequence {
-        let theta = PI / 2f64.powi(i32::from(k)) * if dagger { -1.0 } else { 1.0 };
-        self.approximate(&U2::phase(theta))
+        self.approximate(&rz_target(k, dagger))
+    }
+
+    /// [`Synthesizer::rz_pi_over_2k`] for many `(k, dagger)` rotations
+    /// in one [`Synthesizer::approximate_batch`].
+    pub fn rz_pi_over_2k_batch(&self, rotations: &[(u8, bool)]) -> Vec<Sequence> {
+        let targets: Vec<U2> = rotations.iter().map(|&(k, d)| rz_target(k, d)).collect();
+        self.approximate_batch(&targets)
+    }
+
+    /// One shared enumeration for at most 64 targets (one mask bit
+    /// each).
+    fn search(&self, targets: &[U2]) -> Vec<Sequence> {
+        debug_assert!(targets.len() <= 64);
+        let cliffs = self.cliffords.elements();
+        let eps = self.target_distance;
+        let mut slots: Vec<Slot> = targets.iter().map(|&t| Slot::new(t)).collect();
+        let all = u64::MAX >> (64 - targets.len());
+        // `core * C` for each Clifford `C`, formed once per core.
+        let mut candidates: Vec<U2> = Vec::with_capacity(cliffs.len());
+        enumerate_cores(self.max_t, all, |core, reach| {
+            candidates.clear();
+            candidates.extend(cliffs.iter().map(|c| core.matrix.mul(&c.matrix)));
+            for j in bits(reach) {
+                for (ci, u) in candidates.iter().enumerate() {
+                    slots[j].offer(u, core, ci, eps);
+                }
+            }
+            // A lone search descends while the child T-count is below
+            // the smallest T-count that already met `eps`.
+            let next_t = core.t_count + 1;
+            bits(reach)
+                .filter(|&j| next_t < slots[j].sat_t)
+                .fold(0, |m, j| m | 1 << j)
+        });
+        slots
+            .into_iter()
+            .map(|slot| {
+                let b = slot.best.unwrap_or_else(|| {
+                    // qods-lint: allow(P1) -- proven invariant: enumerate_cores visits the identity core with every target's bit set, and a target's first offer always becomes its best
+                    unreachable!("the identity core is offered to every target")
+                });
+                // Circuit order: core gates first, then the Clifford
+                // word. (Matrix = core * C means C is applied first;
+                // but the trailing Clifford in MA form is on the
+                // right, i.e. applied first in circuit order.)
+                let mut gates = cliffs[b.cliff].word.clone();
+                gates.extend(b.core.circuit_gates());
+                Sequence {
+                    gates,
+                    t_count: b.t,
+                    distance: b.dist,
+                }
+            })
+            .collect()
     }
 }
 
-impl Default for Synthesizer {
-    fn default() -> Self {
-        Synthesizer::new()
+/// The target unitary of the pi/2^k rotation.
+fn rz_target(k: u8, dagger: bool) -> U2 {
+    let theta = PI / 2f64.powi(i32::from(k)) * if dagger { -1.0 } else { 1.0 };
+    U2::phase(theta)
+}
+
+/// Indices of the set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            j
+        })
+    })
+}
+
+/// Margin, in units of `|tr|`, by which [`skip_below`] stays on the
+/// safe side of the rounding in [`U2::distance_from_trace_abs2`].
+const SKIP_MARGIN: f64 = 1e-9;
+
+/// The `|tr(u^dag V)|^2` below which a candidate cannot beat a best
+/// distance of `best`.
+///
+/// Beating `best` needs `d < best + 1e-15 =: D`, and
+/// `d = sqrt(1 - |tr| / 2)` is below `D` only if
+/// `|tr| > 2 (1 - D^2)`. The threshold sits [`SKIP_MARGIN`] under
+/// that bound, far more than the few ulps of rounding between
+/// `|tr|^2` and the computed `d`, so every skipped candidate has
+/// `d >= D` in floating point too.
+fn skip_below(best: f64) -> f64 {
+    let bound = best + 1e-15;
+    let tr = 2.0 * (1.0 - bound * bound) - SKIP_MARGIN;
+    if tr > 0.0 {
+        tr * tr
+    } else {
+        0.0
+    }
+}
+
+/// The best candidate a target has seen.
+struct Best {
+    dist: f64,
+    t: u32,
+    core: Core,
+    cliff: usize,
+}
+
+/// One target's search state inside a shared enumeration.
+struct Slot {
+    target: U2,
+    best: Option<Best>,
+    /// Smallest T-count achieving the target distance.
+    sat_t: u32,
+    /// [`skip_below`] of the current best.
+    skip: f64,
+}
+
+impl Slot {
+    fn new(target: U2) -> Self {
+        Slot {
+            target,
+            best: None,
+            sat_t: u32::MAX,
+            skip: 0.0,
+        }
+    }
+
+    /// Considers the candidate `u = core * C_cliff`.
+    fn offer(&mut self, u: &U2, core: &Core, cliff: usize, eps: f64) {
+        let tr_abs2 = u.trace_dagger_mul(&self.target).abs2();
+        if tr_abs2 < self.skip {
+            return;
+        }
+        let d = U2::distance_from_trace_abs2(tr_abs2);
+        let better = match &self.best {
+            None => true,
+            Some(b) => d + 1e-15 < b.dist || (d < b.dist + 1e-15 && core.t_count < b.t),
+        };
+        if better {
+            self.best = Some(Best {
+                dist: d,
+                t: core.t_count,
+                core: core.clone(),
+                cliff,
+            });
+            self.skip = skip_below(d);
+            if d <= eps {
+                self.sat_t = self.sat_t.min(core.t_count);
+            }
+        }
     }
 }
 
@@ -241,6 +343,27 @@ mod tests {
         let seq = synth.rz_pi_over_2k(14, false);
         assert_eq!(seq.t_count, 0);
         assert!(seq.distance < 1e-3);
+    }
+
+    #[test]
+    fn skipped_candidates_never_beat_the_best() {
+        // The largest |tr|^2 the filter skips must already give a
+        // distance no candidate rule would call better.
+        let mut bests: Vec<f64> = (0..20_000).map(|i| f64::from(i) / 20_000.0).collect();
+        bests.extend((1..300).map(|e| 0.9f64.powi(e)));
+        bests.extend((1..2_000).map(|i| 1.0 - f64::from(i) * 1e-16));
+        for best in bests {
+            let skip = skip_below(best);
+            if skip <= 0.0 {
+                continue;
+            }
+            let edge = f64::from_bits(skip.to_bits() - 1);
+            let d = U2::distance_from_trace_abs2(edge);
+            assert!(
+                d >= best + 1e-15,
+                "best {best:e}: skipped |tr|^2 {edge:e} has d {d:e}"
+            );
+        }
     }
 
     #[test]

@@ -115,9 +115,21 @@ impl U2 {
     /// This is the metric of Fowler's search (zero iff U = V up to
     /// global phase; sub-additive under composition).
     pub fn distance(&self, other: &U2) -> f64 {
-        let p = self.dagger().mul(other);
-        let tr = p.a + p.d;
-        (1.0 - (tr.abs() / 2.0).min(1.0)).max(0.0).sqrt()
+        U2::distance_from_trace_abs2(self.trace_dagger_mul(other).abs2())
+    }
+
+    /// `tr(U^dag V)`: the diagonal of `self.dagger().mul(other)`,
+    /// summed in that product's association (so bit-identical to it).
+    pub fn trace_dagger_mul(&self, other: &U2) -> C64 {
+        (self.a.conj() * other.a + self.c.conj() * other.c)
+            + (self.b.conj() * other.b + self.d.conj() * other.d)
+    }
+
+    /// [`U2::distance`] given `|tr(U^dag V)|^2`. Non-increasing in its
+    /// argument, which is what lets the synthesis search skip a
+    /// candidate from `|tr|^2` alone.
+    pub fn distance_from_trace_abs2(tr_abs2: f64) -> f64 {
+        (1.0 - (tr_abs2.sqrt() / 2.0).min(1.0)).max(0.0).sqrt()
     }
 
     /// A canonical quantized key identifying the matrix up to global
