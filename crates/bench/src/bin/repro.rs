@@ -25,7 +25,7 @@
 use qods_bench::{write_json, write_record_csvs};
 use qods_core::compile::ArtifactStore;
 use qods_core::registry::Registry;
-use qods_core::report::Render;
+use qods_core::report::{paper_report, Render};
 use qods_core::study::{PaperReproduction, StudyConfig};
 use qods_service::{RunRequest, Scheduler};
 use std::path::Path;
@@ -198,7 +198,7 @@ fn run_study(quick: bool, json: bool, ids: &[String], store: &ArtifactStore) -> 
 
     if ids.is_empty() {
         let result = scheduler.run(&request).expect("the full registry resolves");
-        // The compat struct records the *requested* configuration, not
+        // repro.json records the *requested* configuration, not
         // the resolved one: the scheduler rewrites `threads` to the
         // host's worker count, and embedding that would make
         // results/repro.json vary across machines even though every
@@ -207,7 +207,7 @@ fn run_study(quick: bool, json: bool, ids: &[String], store: &ArtifactStore) -> 
         if json {
             println!("{}", serde_json::to_string_pretty(&out).expect("serialize"));
         } else {
-            println!("{}", out.render());
+            println!("{}", paper_report(&result.records));
         }
         let results = Path::new("results");
         write_json(&results.join("repro.json"), &out).expect("write results/repro.json");

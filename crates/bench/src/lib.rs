@@ -1,18 +1,13 @@
-//! # qods-bench — benchmark harness for the speed-of-data reproduction
+//! # qods-bench — the `repro` binary and its result writers
 //!
-//! Two entry points:
+//! The **`repro` binary** (`cargo run -p qods-bench --bin repro --release`)
+//! drives the experiment registry: `--list` enumerates experiments,
+//! bare ids run them individually, and a full run regenerates every
+//! table and figure in parallel, prints them in the paper's layout,
+//! and writes machine-readable results (JSON and per-figure CSV)
+//! under `results/`. This library holds the writers for those files.
 //!
-//! * the **`repro` binary** (`cargo run -p qods-bench --bin repro --release`)
-//!   drives the experiment registry: `--list` enumerates experiments,
-//!   bare ids run them individually, and a full run regenerates every
-//!   table and figure in parallel, prints them in the paper's layout,
-//!   and writes machine-readable results (JSON and per-figure CSV)
-//!   under `results/`;
-//! * the **Criterion benches** (`cargo bench`), one per table/figure,
-//!   measure how long each regeneration takes and print the headline
-//!   reproduced numbers once per run.
-//!
-//! Performance claims come from the `perfbench` package at the
+//! Performance is measured by the `perfbench` package at the
 //! repository root, the one benchmark harness: it reports end-to-end
 //! and per-layer numbers (see `perfbench/README.md`).
 //!
@@ -47,9 +42,10 @@ pub fn write_series_csv(dir: &Path, figure: &str, series: &[Series]) -> std::io:
     Ok(())
 }
 
-/// Writes any serializable result (the full
-/// [`qods_core::study::PaperReproduction`], a single
-/// [`ExperimentRecord`], or a whole record list) as pretty JSON.
+/// Writes any serializable result as pretty JSON: `repro` writes the
+/// [`qods_core::study::PaperReproduction`] of a full run as
+/// `results/repro.json` and its record list as
+/// `results/experiments.json`.
 ///
 /// # Errors
 ///
@@ -81,11 +77,13 @@ mod tests {
     use super::*;
     use qods_core::experiment::StudyContext;
     use qods_core::registry::Registry;
-    use qods_core::study::{Study, StudyConfig};
+    use qods_core::study::{PaperReproduction, StudyConfig};
 
     #[test]
     fn csv_and_json_roundtrip() {
-        let out = Study::new(StudyConfig::smoke()).run_all();
+        let config = StudyConfig::smoke();
+        let records = Registry::paper().run_all(&StudyContext::new(config.clone()));
+        let out = PaperReproduction::from_records(config, &records);
         let dir = std::env::temp_dir().join("qods_bench_test");
         write_series_csv(&dir, "fig7", &out.fig7).expect("csv");
         write_json(&dir.join("repro.json"), &out).expect("json");

@@ -6,9 +6,10 @@
 //! provides the **experiment registry**: every table and figure of the
 //! paper is an independent [`experiment::Experiment`], addressable by
 //! id, runnable alone or all together — in parallel — over a shared,
-//! memoized [`experiment::StudyContext`]. [`study::Study`] survives as
-//! a compatibility wrapper that reassembles the classic
-//! [`study::PaperReproduction`] struct from a full registry run.
+//! memoized [`experiment::StudyContext`]. [`report::paper_report`]
+//! prints a full run in the paper's layout, and
+//! [`study::PaperReproduction::from_records`] assembles it into the
+//! `results/repro.json` schema.
 //!
 //! | artifact | experiment id | source |
 //! |---|---|---|
@@ -61,14 +62,14 @@ pub use qods_synth as synth;
 pub use experiment::{Experiment, ExperimentOutput, ExperimentRecord, StudyContext};
 pub use registry::{ExperimentInfo, Registry, RegistryError};
 pub use report::Render;
-pub use study::{ArchChoice, PaperReproduction, Study, StudyConfig};
+pub use study::{ArchChoice, PaperReproduction, StudyConfig};
 
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use crate::experiment::{Experiment, ExperimentOutput, ExperimentRecord, StudyContext};
     pub use crate::registry::{ExperimentInfo, Registry, RegistryError};
     pub use crate::report::Render;
-    pub use crate::study::{ArchChoice, PaperReproduction, Study, StudyConfig, SweepRange};
+    pub use crate::study::{ArchChoice, PaperReproduction, StudyConfig, SweepRange};
     pub use qods_arch::machine::Arch;
     pub use qods_arch::simulator::{simulate, SimContext};
     pub use qods_arch::sweep::{

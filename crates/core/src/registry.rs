@@ -238,16 +238,6 @@ impl Registry {
             record(self.entries[i].as_ref(), ctx)
         })
     }
-
-    /// Runs every registered experiment on the calling thread, in
-    /// registration order (the baseline [`Registry::run_all`] is
-    /// measured against).
-    pub fn run_all_sequential(&self, ctx: &StudyContext) -> Vec<ExperimentRecord> {
-        self.entries
-            .iter()
-            .map(|e| record(e.as_ref(), ctx))
-            .collect()
-    }
 }
 
 fn record(exp: &dyn Experiment, ctx: &StudyContext) -> ExperimentRecord {
@@ -294,7 +284,8 @@ mod tests {
         let ctx = StudyContext::new(StudyConfig::smoke());
         let par = r.run_all(&ctx);
         assert_eq!(ctx.lowering_runs(), 1, "parallel run must lower once");
-        let seq = r.run_all_sequential(&ctx);
+        let ids: Vec<&str> = r.iter().map(|e| e.id()).collect();
+        let seq = r.run_selected(&ids, &ctx).expect("every registered id");
         assert_eq!(par.len(), seq.len());
         for (p, s) in par.iter().zip(&seq) {
             assert_eq!(p.id, s.id);

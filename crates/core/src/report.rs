@@ -1,18 +1,11 @@
-//! Paper-style text rendering, one [`Render`] impl per experiment
-//! output (the old monolithic `render()` survives as a composition of
-//! these over [`PaperReproduction`]).
-//!
-//! The row-level formatters are free functions over slices so that
-//! [`PaperReproduction`] — which stores the rows directly — renders
-//! without cloning anything into the per-experiment wrapper types.
+//! Paper-style text rendering: one [`Render`] impl per experiment
+//! output, and [`paper_report`], the full report `repro` prints.
 
-use crate::experiment::ExperimentOutput;
+use crate::experiment::{ExperimentOutput, ExperimentRecord};
 use crate::output::{
-    CascadeOut, CascadeRow, Fig15Out, Fig15Panel, Fig4Out, Fig4Row, LatencyOut, NonTransversalOut,
-    NonTransversalRow, PipelinedFactoryOut, Series, SeriesOut, SimpleFactoryOut, Table2Out,
-    Table2Row, Table3Out, Table3Row, Table9Entry, Table9Out, WidthSweepOut,
+    CascadeOut, Fig15Out, Fig4Out, LatencyOut, NonTransversalOut, PipelinedFactoryOut, Series,
+    SeriesOut, SimpleFactoryOut, Table2Out, Table3Out, Table9Entry, Table9Out, WidthSweepOut,
 };
-use crate::study::PaperReproduction;
 use std::fmt::Write as _;
 
 /// Types that can print themselves in the paper's layout.
@@ -42,78 +35,62 @@ impl Render for LatencyOut {
     }
 }
 
-fn render_fig4_rows(rows: &[Fig4Row], w: &mut String) {
-    let _ = writeln!(w, "== Fig 4: encoded-zero preparation (Monte Carlo) ==");
-    let _ = writeln!(
-        w,
-        "  {:<20} {:>14} {:>12} {:>10} {:>12}",
-        "circuit", "uncorrectable", "any-residual", "discard", "paper"
-    );
-    for r in rows {
-        let _ = writeln!(
-            w,
-            "  {:<20} {:>14.3e} {:>12.3e} {:>10.4} {:>12.1e}",
-            r.strategy, r.uncorrectable_rate, r.dirty_rate, r.discard_rate, r.paper_rate
-        );
-    }
-}
-
 impl Render for Fig4Out {
     fn render_into(&self, w: &mut String) {
-        render_fig4_rows(&self.rows, w);
-    }
-}
-
-fn render_table2_rows(rows: &[Table2Row], w: &mut String) {
-    let _ = writeln!(w, "== Table 2: latency breakdown (us, % of total) ==");
-    for r in rows {
+        let _ = writeln!(w, "== Fig 4: encoded-zero preparation (Monte Carlo) ==");
         let _ = writeln!(
             w,
-            "  {:<10} data {:>10.0} ({:>4.1}%)  QEC interact {:>10.0} ({:>4.1}%)  prep {:>10.0} ({:>4.1}%)",
-            r.name,
-            r.data_op_us,
-            100.0 * r.shares.data_op,
-            r.qec_interact_us,
-            100.0 * r.shares.qec_interact,
-            r.ancilla_prep_us,
-            100.0 * r.shares.ancilla_prep
+            "  {:<20} {:>14} {:>12} {:>10} {:>12}",
+            "circuit", "uncorrectable", "any-residual", "discard", "paper"
         );
+        for r in &self.rows {
+            let _ = writeln!(
+                w,
+                "  {:<20} {:>14.3e} {:>12.3e} {:>10.4} {:>12.1e}",
+                r.strategy, r.uncorrectable_rate, r.dirty_rate, r.discard_rate, r.paper_rate
+            );
+        }
     }
 }
 
 impl Render for Table2Out {
     fn render_into(&self, w: &mut String) {
-        render_table2_rows(&self.rows, w);
-    }
-}
-
-fn render_table3_rows(rows: &[Table3Row], w: &mut String) {
-    let _ = writeln!(w, "== Table 3: required ancilla bandwidths (per ms) ==");
-    for r in rows {
-        let _ = writeln!(
-            w,
-            "  {:<10} zero {:>8.1}   pi/8 {:>8.1}",
-            r.name, r.zero_per_ms, r.pi8_per_ms
-        );
+        let _ = writeln!(w, "== Table 2: latency breakdown (us, % of total) ==");
+        for r in &self.rows {
+            let _ = writeln!(
+                w,
+                "  {:<10} data {:>10.0} ({:>4.1}%)  QEC interact {:>10.0} ({:>4.1}%)  prep {:>10.0} ({:>4.1}%)",
+                r.name,
+                r.data_op_us,
+                100.0 * r.shares.data_op,
+                r.qec_interact_us,
+                100.0 * r.shares.qec_interact,
+                r.ancilla_prep_us,
+                100.0 * r.shares.ancilla_prep
+            );
+        }
     }
 }
 
 impl Render for Table3Out {
     fn render_into(&self, w: &mut String) {
-        render_table3_rows(&self.rows, w);
-    }
-}
-
-fn render_non_transversal_rows(rows: &[NonTransversalRow], w: &mut String) {
-    let _ = writeln!(w, "== Section 3.3: non-transversal gate fractions ==");
-    for r in rows {
-        let _ = writeln!(w, "  {:<10} {:.1}%", r.name, 100.0 * r.fraction);
+        let _ = writeln!(w, "== Table 3: required ancilla bandwidths (per ms) ==");
+        for r in &self.rows {
+            let _ = writeln!(
+                w,
+                "  {:<10} zero {:>8.1}   pi/8 {:>8.1}",
+                r.name, r.zero_per_ms, r.pi8_per_ms
+            );
+        }
     }
 }
 
 impl Render for NonTransversalOut {
     fn render_into(&self, w: &mut String) {
-        render_non_transversal_rows(&self.rows, w);
+        let _ = writeln!(w, "== Section 3.3: non-transversal gate fractions ==");
+        for r in &self.rows {
+            let _ = writeln!(w, "  {:<10} {:.1}%", r.name, 100.0 * r.fraction);
+        }
     }
 }
 
@@ -145,31 +122,27 @@ impl PipelinedFactoryOut {
     }
 }
 
-fn render_table9_rows(rows: &[Table9Entry], w: &mut String) {
-    let _ = writeln!(w, "== Table 9: area breakdown at the speed of data ==");
-    for r in rows {
-        let _ = writeln!(
-            w,
-            "  {:<10} bw {:>7.1}  data {:>8.0} ({:>4.1}%)  QEC factories {:>9.1} ({:>4.1}%)  pi/8 {:>9.1} ({:>4.1}%)",
-            r.name,
-            r.zero_bandwidth,
-            r.data.area,
-            100.0 * r.data.share,
-            r.qec.area,
-            100.0 * r.qec.share,
-            r.pi8.area,
-            100.0 * r.pi8.share
-        );
-    }
-    if let Some(row) = rows.first() {
-        let _ = writeln!(w, "\n== Fig 14c: microarchitecture to scale ==");
-        let _ = writeln!(w, "{}", render_floorplan(row));
-    }
-}
-
 impl Render for Table9Out {
     fn render_into(&self, w: &mut String) {
-        render_table9_rows(&self.rows, w);
+        let _ = writeln!(w, "== Table 9: area breakdown at the speed of data ==");
+        for r in &self.rows {
+            let _ = writeln!(
+                w,
+                "  {:<10} bw {:>7.1}  data {:>8.0} ({:>4.1}%)  QEC factories {:>9.1} ({:>4.1}%)  pi/8 {:>9.1} ({:>4.1}%)",
+                r.name,
+                r.zero_bandwidth,
+                r.data.area,
+                100.0 * r.data.share,
+                r.qec.area,
+                100.0 * r.qec.share,
+                r.pi8.area,
+                100.0 * r.pi8.share
+            );
+        }
+        if let Some(row) = self.rows.first() {
+            let _ = writeln!(w, "\n== Fig 14c: microarchitecture to scale ==");
+            let _ = writeln!(w, "{}", render_floorplan(row));
+        }
     }
 }
 
@@ -193,47 +166,40 @@ fn render_series_spans(series: &[Series], w: &mut String) {
     }
 }
 
-fn render_fig15_panels(panels: &[Fig15Panel], w: &mut String) {
-    let _ = writeln!(w, "== Fig 15: execution time vs factory area ==");
-    for p in panels {
-        let _ = writeln!(
-            w,
-            "  {}: max equal-area speedup {:.1}x; QLA needs {:.0}x the area; CQLA plateau {:.1}x FM",
-            p.name, p.max_speedup, p.qla_area_penalty, p.cqla_plateau_ratio
-        );
-        for c in &p.curves {
-            let first = c.points.first().map(|p| p.y).unwrap_or(0.0);
-            let last = c.points.last().map(|p| p.y).unwrap_or(0.0);
+impl Render for Fig15Out {
+    fn render_into(&self, w: &mut String) {
+        let _ = writeln!(w, "== Fig 15: execution time vs factory area ==");
+        for p in &self.panels {
             let _ = writeln!(
                 w,
-                "    {:<18} {:>10.3e} us (starved) -> {:>10.3e} us (plateau)",
-                c.label, first, last
+                "  {}: max equal-area speedup {:.1}x; QLA needs {:.0}x the area; CQLA plateau {:.1}x FM",
+                p.name, p.max_speedup, p.qla_area_penalty, p.cqla_plateau_ratio
             );
+            for c in &p.curves {
+                let first = c.points.first().map(|p| p.y).unwrap_or(0.0);
+                let last = c.points.last().map(|p| p.y).unwrap_or(0.0);
+                let _ = writeln!(
+                    w,
+                    "    {:<18} {:>10.3e} us (starved) -> {:>10.3e} us (plateau)",
+                    c.label, first, last
+                );
+            }
         }
     }
 }
 
-impl Render for Fig15Out {
-    fn render_into(&self, w: &mut String) {
-        render_fig15_panels(&self.panels, w);
-    }
-}
-
-fn render_cascade_rows(rows: &[CascadeRow], w: &mut String) {
-    let _ = writeln!(
-        w,
-        "== Fig 6 / Section 4.4.2: cascade expected CX on critical path =="
-    );
-    let row: Vec<String> = rows
-        .iter()
-        .map(|r| format!("k={}: {:.3}", r.k, r.expected_cx))
-        .collect();
-    let _ = writeln!(w, "  {}", row.join("  "));
-}
-
 impl Render for CascadeOut {
     fn render_into(&self, w: &mut String) {
-        render_cascade_rows(&self.rows, w);
+        let _ = writeln!(
+            w,
+            "== Fig 6 / Section 4.4.2: cascade expected CX on critical path =="
+        );
+        let row: Vec<String> = self
+            .rows
+            .iter()
+            .map(|r| format!("k={}: {:.3}", r.k, r.expected_cx))
+            .collect();
+        let _ = writeln!(w, "  {}", row.join("  "));
     }
 }
 
@@ -291,49 +257,24 @@ impl Render for ExperimentOutput {
     }
 }
 
-impl Render for PaperReproduction {
-    fn render_into(&self, w: &mut String) {
-        let t = qods_phys::latency::LatencyTable::ion_trap();
-        LatencyOut {
-            t_1q: t.t_1q,
-            t_2q: t.t_2q,
-            t_meas: t.t_meas,
-            t_prep: t.t_prep,
-            t_move: t.t_move,
-            t_turn: t.t_turn,
-        }
-        .render_into(w);
-        let _ = writeln!(w);
-        render_fig4_rows(&self.fig4, w);
-        let _ = writeln!(w);
-        render_table2_rows(&self.table2, w);
-        let _ = writeln!(w);
-        render_table3_rows(&self.table3, w);
-        let _ = writeln!(w);
-        render_non_transversal_rows(&self.non_transversal, w);
-        let _ = writeln!(w);
-        self.factories.simple.render_into(w);
-        let _ = writeln!(w);
-        self.factories
-            .zero
-            .render_with_heading(w, "Tables 5-6: pipelined encoded-zero factory");
-        let _ = writeln!(w);
-        self.factories
-            .pi8
-            .render_with_heading(w, "Tables 7-8: pi/8 ancilla factory");
-        let _ = writeln!(w);
-        render_table9_rows(&self.table9, w);
-        let _ = writeln!(w);
-        render_fig15_panels(&self.fig15, w);
-        let _ = writeln!(w);
-        render_cascade_rows(&self.cascade, w);
-    }
-}
-
-/// Renders every table and headline as formatted text mirroring the
-/// paper's layout (compatibility entry point; prefer [`Render`]).
-pub fn render(out: &PaperReproduction) -> String {
-    out.render()
+/// The full paper-layout report over a run's records: each record's
+/// [`Render`] in the order given (registry order for a full run), one
+/// blank line between sections. Fig 7, Fig 8 and the width sweep are
+/// series-only outputs: they go to CSVs, not into the report.
+pub fn paper_report(records: &[ExperimentRecord]) -> String {
+    let sections: Vec<String> = records
+        .iter()
+        .filter(|r| {
+            !matches!(
+                r.output,
+                ExperimentOutput::Fig7(_)
+                    | ExperimentOutput::Fig8(_)
+                    | ExperimentOutput::WidthSweep(_)
+            )
+        })
+        .map(|r| r.output.render())
+        .collect();
+    sections.join("\n")
 }
 
 /// Renders the Fig 14c "microarchitecture to scale" picture for one
@@ -371,12 +312,22 @@ pub fn render_floorplan(row: &Table9Entry) -> String {
 #[cfg(test)]
 mod tests {
     use super::Render;
-    use crate::study::{Study, StudyConfig};
+    use crate::experiment::{ExperimentOutput, StudyContext};
+    use crate::registry::Registry;
+    use crate::study::StudyConfig;
+
+    fn headings(text: &str) -> Vec<&str> {
+        text.lines().filter(|l| l.starts_with("== ")).collect()
+    }
 
     #[test]
     fn floorplan_is_generation_dominated() {
-        let out = Study::new(StudyConfig::smoke()).run_all();
-        let plan = super::render_floorplan(&out.table9[0]);
+        let ctx = StudyContext::new(StudyConfig::smoke());
+        let record = Registry::paper().run_one("table9", &ctx).expect("table9");
+        let ExperimentOutput::Table9(out) = record.output else {
+            panic!("table9 must produce Table 9 rows");
+        };
+        let plan = super::render_floorplan(&out.rows[0]);
         let d = plan.matches('D').count();
         let q = plan.matches('Q').count();
         let p = plan.matches('P').count();
@@ -386,8 +337,9 @@ mod tests {
 
     #[test]
     fn render_mentions_every_artifact() {
-        let out = Study::new(StudyConfig::smoke()).run_all();
-        let text = super::render(&out);
+        let registry = Registry::paper();
+        let records = registry.run_all(&StudyContext::new(StudyConfig::smoke()));
+        let text = super::paper_report(&records);
         for needle in [
             "Table 2",
             "Table 3",
@@ -403,12 +355,23 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle}");
         }
+        // Sections follow registry order; the series-only outputs
+        // (Fig 7, Fig 8, width sweep) are left to the CSVs.
+        let ids: Vec<&str> = registry.iter().map(|e| e.id()).collect();
+        let expected: Vec<String> = ids
+            .iter()
+            .filter(|id| !["fig7", "fig8", "widthsweep"].contains(id))
+            .map(|id| {
+                let r = records.iter().find(|r| r.id == *id).expect("record");
+                r.output.render()
+            })
+            .collect();
+        let expected: Vec<&str> = expected.iter().flat_map(|s| headings(s)).collect();
+        assert_eq!(headings(&text), expected);
     }
 
     #[test]
     fn every_experiment_output_renders_non_trivially() {
-        use crate::experiment::StudyContext;
-        use crate::registry::Registry;
         let ctx = StudyContext::new(StudyConfig::smoke());
         for record in Registry::paper().run_all(&ctx) {
             let text = record.output.render();
@@ -419,19 +382,5 @@ mod tests {
             );
             assert!(text.lines().count() >= 2, "{}: too short", record.id);
         }
-    }
-
-    #[test]
-    fn full_render_matches_stitched_experiment_renders() {
-        // The compatibility render and the per-experiment renders share
-        // the same slice-level formatters; the Table 2 section must be
-        // byte-identical through either path.
-        let out = Study::new(StudyConfig::smoke()).run_all();
-        let full = super::render(&out);
-        let section = crate::output::Table2Out {
-            rows: out.table2.clone(),
-        }
-        .render();
-        assert!(full.contains(section.trim_end()));
     }
 }

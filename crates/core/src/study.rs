@@ -1,22 +1,17 @@
-//! The full-paper study: configuration plus a compatibility wrapper
-//! that regenerates every table and figure in one call.
+//! The study configuration, and [`PaperReproduction`]: the schema of
+//! the `results/repro.json` file a full `repro` run writes.
 //!
-//! [`Study`] is now a thin veneer over the experiment registry: it
-//! builds a [`StudyContext`](crate::experiment::StudyContext), runs
-//! [`Registry::run_all`](crate::registry::Registry::run_all) (parallel,
-//! benchmarks lowered once), and reassembles the records into the
-//! [`PaperReproduction`] struct existing consumers expect. New code
-//! should address experiments individually through the registry.
+//! Experiments themselves run through the
+//! [`Registry`](crate::registry::Registry);
+//! [`PaperReproduction::from_records`] assembles a full run's records
+//! into that one-struct-per-paper file shape.
 
-use crate::experiment::{ExperimentOutput, ExperimentRecord, StudyContext};
+use crate::experiment::{ExperimentOutput, ExperimentRecord};
 use crate::output::{
     CascadeRow, FactorySummary, Fig15Panel, Fig4Row, NonTransversalRow, Series, Table2Row,
     Table3Row, Table9Entry,
 };
-use crate::registry::Registry;
 use qods_arch::machine::Arch;
-use qods_circuit::circuit::Circuit;
-use qods_phys::latency::LatencyTable;
 use serde::{Deserialize, Serialize};
 
 /// The Fig 15 factory-area sweep range (macroblocks).
@@ -139,8 +134,9 @@ impl StudyConfig {
     }
 }
 
-/// Everything the paper reports, in one struct (the compatibility
-/// shape assembled from the individual experiment outputs).
+/// Everything the paper reports, in one struct: the schema of
+/// `results/repro.json` (and of `repro --json` on a full run),
+/// assembled from the individual experiment outputs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PaperReproduction {
     /// The configuration that produced this run.
@@ -168,12 +164,13 @@ pub struct PaperReproduction {
 }
 
 impl PaperReproduction {
-    /// Assembles the compatibility struct from registry records.
+    /// Assembles the `results/repro.json` struct from registry records.
     ///
     /// # Panics
     ///
     /// Panics when a paper artifact is missing from `records` — the
-    /// full [`Registry::paper`] run always produces all of them.
+    /// full [`Registry::paper`](crate::registry::Registry::paper) run
+    /// always produces all of them.
     pub fn from_records(config: StudyConfig, records: &[ExperimentRecord]) -> Self {
         let mut fig4 = None;
         let mut table2 = None;
@@ -189,7 +186,7 @@ impl PaperReproduction {
         let mut cascade = None;
         for r in records {
             match &r.output {
-                // Not part of the paper-shaped compat struct: Tables
+                // Not part of the paper-shaped file: Tables
                 // 1/4 render from constants, the width sweep is an
                 // extension artifact.
                 ExperimentOutput::Latency(_) | ExperimentOutput::WidthSweep(_) => {}
@@ -227,51 +224,17 @@ impl PaperReproduction {
     }
 }
 
-/// The study driver (compatibility wrapper over the registry).
-#[derive(Debug, Clone, Default)]
-pub struct Study {
-    /// Configuration.
-    pub config: StudyConfig,
-}
-
-impl Study {
-    /// A study with the given configuration.
-    pub fn new(config: StudyConfig) -> Self {
-        Study { config }
-    }
-
-    /// A fresh shared context for this study's configuration.
-    pub fn context(&self) -> StudyContext {
-        StudyContext::new(self.config.clone())
-    }
-
-    /// Builds the three lowered benchmark circuits.
-    pub fn benchmarks(&self) -> Vec<Circuit> {
-        self.context().benchmarks().to_vec()
-    }
-
-    /// Runs every experiment (in parallel, benchmarks lowered once) and
-    /// reassembles the paper-shaped result.
-    pub fn run_all(&self) -> PaperReproduction {
-        let ctx = self.context();
-        let records = Registry::paper().run_all(&ctx);
-        PaperReproduction::from_records(self.config.clone(), &records)
-    }
-
-    /// The ion-trap latency model in use (Tables 1 and 4).
-    pub fn latency_table(&self) -> LatencyTable {
-        LatencyTable::ion_trap()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::StudyContext;
+    use crate::registry::Registry;
 
     #[test]
     fn smoke_study_runs_end_to_end() {
-        let study = Study::new(StudyConfig::smoke());
-        let out = study.run_all();
+        let config = StudyConfig::smoke();
+        let records = Registry::paper().run_all(&StudyContext::new(config.clone()));
+        let out = PaperReproduction::from_records(config, &records);
         assert_eq!(out.fig4.len(), 4);
         assert_eq!(out.table2.len(), 3);
         assert_eq!(out.table3.len(), 3);
@@ -286,21 +249,13 @@ mod tests {
 
     #[test]
     fn benchmarks_have_expected_qubit_counts() {
-        let study = Study::new(StudyConfig {
+        let ctx = StudyContext::new(StudyConfig {
             n_bits: 32,
             ..StudyConfig::smoke()
         });
-        let b = study.benchmarks();
+        let b = ctx.benchmarks();
         assert_eq!(b[0].n_qubits(), 97);
         assert_eq!(b[1].n_qubits(), 123);
         assert_eq!(b[2].n_qubits(), 32);
-    }
-
-    #[test]
-    fn reproduction_round_trips_through_serde() {
-        let out = Study::new(StudyConfig::smoke()).run_all();
-        let json = serde_json::to_string(&out).expect("serialize");
-        let back: PaperReproduction = serde_json::from_str(&json).expect("deserialize");
-        assert_eq!(back, out);
     }
 }

@@ -34,7 +34,6 @@ const ENTRIES: &[(&str, Option<&str>, &str)] = &[
     ("qods-net", None, "serve_"),
     ("qods-service", Some("Scheduler"), "run_"),
     ("qods-pool", None, "run_"),
-    ("qods-pool", None, "try_run_"),
 ];
 
 fn is_entry(node: &FnNode, files: &[ScannedFile]) -> bool {

@@ -26,14 +26,14 @@
 //!
 //! ## Failure model
 //!
-//! A panicking worker no longer takes the process down blind:
-//! [`try_run_workers`] / [`try_run_indexed`] catch worker unwinds and
-//! return a typed [`PoolError`] (the serving path's degrade-gracefully
-//! contract). The untyped [`run_workers`] / [`run_indexed`] remain
-//! for callers inside an already-guarded scope — they re-raise the
-//! classified failure (real panics with their message, deadline hits
-//! as the [`DeadlineHit`] sentinel) so nested pools propagate cleanly
-//! to the outermost guard.
+//! Every worker runs under `catch_unwind`, so a panicking worker never
+//! takes its siblings down blind. Once all workers have finished,
+//! [`run_workers`] / [`run_indexed`] re-raise the failure on the
+//! caller's thread: a real panic as `pool worker panicked: {message}`
+//! (it outranks sibling deadline unwinds), a deadline hit as the
+//! [`DeadlineHit`] sentinel. Nested pools therefore propagate one
+//! consistent unwind to the outermost guard — the service
+//! scheduler's, which answers it with one typed error line.
 //!
 //! ## Deadlines
 //!
@@ -42,9 +42,9 @@
 //! Engines call [`check_deadline`] at *chunk boundaries only* (an MC
 //! trial chunk, a sweep point): a hit unwinds with the private
 //! [`DeadlineHit`] sentinel, so no partial result is ever observed —
-//! a run either completes bit-identically or returns
-//! [`PoolError::DeadlineExceeded`] with nothing cached. That is what
-//! keeps the determinism contract compatible with cancellation.
+//! a run either completes bit-identically or unwinds with the
+//! sentinel, with nothing cached. That is what keeps the determinism
+//! contract compatible with cancellation.
 
 // The pool hosts every serving-path worker: no panicking unwraps
 // outside tests (lint rule R1 and the chaos-job clippy gate agree).
@@ -57,36 +57,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, Once, PoisonError};
 use std::time::Instant;
 
-/// Why a pool run failed (nothing partial is returned).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PoolError {
-    /// A worker panicked; `message` is the panic payload when it was
-    /// a string (the common `panic!` case).
-    WorkerPanicked {
-        /// The panic payload's text, or a placeholder.
-        message: String,
-    },
-    /// The thread-local deadline ([`with_deadline`]) expired and a
-    /// worker observed it at a chunk boundary ([`check_deadline`]).
-    DeadlineExceeded,
-}
-
-impl std::fmt::Display for PoolError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PoolError::WorkerPanicked { message } => write!(f, "worker panicked: {message}"),
-            PoolError::DeadlineExceeded => write!(f, "deadline exceeded"),
-        }
-    }
-}
-
-impl std::error::Error for PoolError {}
-
 /// The sentinel payload [`check_deadline`] panics with. Private to
-/// the cancellation protocol: [`try_run_workers`] (and the scheduler's
-/// guard) classify it back into [`PoolError::DeadlineExceeded`], and
-/// the panic hook stays silent for it — a deadline is an outcome, not
-/// a crash.
+/// the cancellation protocol: the pool re-raises it across worker
+/// threads, the scheduler's guard classifies it as a deadline outcome,
+/// and the panic hook stays silent for it — a deadline is an outcome,
+/// not a crash.
 pub struct DeadlineHit;
 
 thread_local! {
@@ -175,36 +150,43 @@ pub fn plock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Classifies a caught worker unwind: the deadline sentinel maps to
-/// [`PoolError::DeadlineExceeded`], everything else to
-/// [`PoolError::WorkerPanicked`] carrying the payload's text.
-fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> PoolError {
+/// Why a worker returned no result.
+#[derive(Debug, PartialEq)]
+enum Failure {
+    /// A real panic, carrying the payload's text.
+    Panicked(String),
+    /// The [`DeadlineHit`] sentinel.
+    Deadline,
+}
+
+/// Classifies a caught worker unwind: the deadline sentinel, or a real
+/// panic carrying the payload's text.
+fn classify_panic(payload: Box<dyn std::any::Any + Send>) -> Failure {
     if payload.downcast_ref::<DeadlineHit>().is_some() {
-        return PoolError::DeadlineExceeded;
+        return Failure::Deadline;
     }
-    let message = if let Some(s) = payload.downcast_ref::<&str>() {
+    Failure::Panicked(if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "non-string panic payload".to_string()
-    };
-    PoolError::WorkerPanicked { message }
+    })
 }
 
 /// Folds per-worker outcomes into one pool outcome. A real panic
 /// outranks a deadline hit: when both happened in one fan-out the
 /// panic is the defect to surface (the deadline unwinds are its
 /// siblings cancelling).
-fn fold_outcomes<R>(outcomes: Vec<Result<R, PoolError>>) -> Result<Vec<R>, PoolError> {
+fn fold_outcomes<R>(outcomes: Vec<Result<R, Failure>>) -> Result<Vec<R>, Failure> {
     let mut deadline = false;
     let mut results = Vec::with_capacity(outcomes.len());
     let mut panic = None;
     for outcome in outcomes {
         match outcome {
             Ok(r) => results.push(r),
-            Err(PoolError::DeadlineExceeded) => deadline = true,
-            Err(e @ PoolError::WorkerPanicked { .. }) => {
+            Err(Failure::Deadline) => deadline = true,
+            Err(e @ Failure::Panicked(_)) => {
                 if panic.is_none() {
                     panic = Some(e);
                 }
@@ -213,7 +195,7 @@ fn fold_outcomes<R>(outcomes: Vec<Result<R, PoolError>>) -> Result<Vec<R>, PoolE
     }
     match (panic, deadline) {
         (Some(e), _) => Err(e),
-        (None, true) => Err(PoolError::DeadlineExceeded),
+        (None, true) => Err(Failure::Deadline),
         (None, false) => Ok(results),
     }
 }
@@ -240,9 +222,9 @@ pub fn thread_override() -> Option<usize> {
 
 /// Worker threads this host supports: the pinned override when one is
 /// set, otherwise one per available core (1 when the runtime cannot
-/// tell). The single source of the core-count policy — sweeps,
-/// benches, the registry, and the service scheduler all consult this
-/// instead of re-deriving it.
+/// tell). The single source of the core-count policy — sweeps, the
+/// Monte-Carlo runner, the registry, and the service scheduler all
+/// consult this instead of re-deriving it.
 pub fn host_threads() -> usize {
     thread_override().unwrap_or_else(|| {
         std::thread::available_parallelism()
@@ -288,22 +270,37 @@ impl WorkQueue {
 }
 
 /// Runs `worker(worker_index)` on `threads` scoped OS threads,
-/// returning results in worker-index order, with unwinds caught and
-/// classified. With `threads <= 1` the worker runs inline on the
-/// caller's thread (no spawn) under the same guard. The caller's
-/// thread-local deadline ([`with_deadline`]) is installed in every
-/// spawned worker, so nested pools inherit the budget.
+/// returning results in worker-index order. With `threads <= 1` the
+/// worker runs inline on the caller's thread (no spawn) under the
+/// same guard. The caller's thread-local deadline ([`with_deadline`])
+/// is installed in every spawned worker, so nested pools inherit the
+/// budget.
 ///
 /// The `pool.worker` fault-injection site fires once per worker start
 /// (`panic` and `delay` actions apply; others are ignored).
 ///
-/// # Errors
+/// # Panics
 ///
-/// [`PoolError::WorkerPanicked`] when any worker panicked (a real
-/// panic outranks concurrent deadline unwinds),
-/// [`PoolError::DeadlineExceeded`] when a worker hit the deadline.
-/// Either way no partial results are returned.
-pub fn try_run_workers<R, F>(threads: usize, worker: F) -> Result<Vec<R>, PoolError>
+/// Re-raises any worker failure once every worker has finished (see
+/// the crate's failure model): a real panic as `pool worker panicked:
+/// {message}`, outranking concurrent deadline unwinds; a deadline hit
+/// as the [`DeadlineHit`] sentinel. No partial results are returned.
+pub fn run_workers<R, F>(threads: usize, worker: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    match run_guarded(threads, worker) {
+        Ok(results) => results,
+        Err(Failure::Deadline) => std::panic::panic_any(DeadlineHit),
+        // qods-lint: allow(P1) -- deliberate re-raise: a worker panic must not be swallowed; callers sit inside the serve-loop catch_unwind
+        Err(Failure::Panicked(message)) => panic!("pool worker panicked: {message}"),
+    }
+}
+
+/// [`run_workers`]' fan-out with every worker's unwind caught and
+/// classified, before the re-raise.
+fn run_guarded<R, F>(threads: usize, worker: F) -> Result<Vec<R>, Failure>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -312,7 +309,7 @@ where
     // Captured on the caller's thread: worker spans on spawned threads
     // link back to the span that scheduled them (cross-thread parent).
     let parent_span = qods_obs::trace::current_span();
-    let guarded = |w: usize| -> Result<R, PoolError> {
+    let guarded = |w: usize| -> Result<R, Failure> {
         let _span = qods_obs::span!(sites::POOL_WORKER).child_of(parent_span);
         std::panic::catch_unwind(AssertUnwindSafe(|| {
             with_deadline(deadline, || {
@@ -333,7 +330,7 @@ where
         .counter(sites::POOL_WORKERS_SPAWNED)
         .add(threads as u64);
     let guarded = &guarded;
-    let outcomes: Vec<Result<R, PoolError>> = std::thread::scope(|scope| {
+    let outcomes: Vec<Result<R, Failure>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 scope.spawn(move || {
@@ -350,9 +347,9 @@ where
                 h.join().unwrap_or_else(|_| {
                     // Unreachable in practice: the closure catches its
                     // own unwinds. Classify rather than re-panic.
-                    Err(PoolError::WorkerPanicked {
-                        message: "worker thread died before reporting".to_string(),
-                    })
+                    Err(Failure::Panicked(
+                        "worker thread died before reporting".to_string(),
+                    ))
                 })
             })
             .collect()
@@ -360,38 +357,16 @@ where
     fold_outcomes(outcomes)
 }
 
-/// [`try_run_workers`] for callers inside an already-guarded scope:
-/// re-raises the classified failure instead of returning it — a real
-/// worker panic as `panic!` with its message, a deadline hit as the
-/// [`DeadlineHit`] sentinel (so an enclosing guard sees one
-/// consistent cancellation unwind however deep the pool nesting).
+/// Runs `n` independent tasks — `task(i)` for `i in 0..n` — over a
+/// shared [`WorkQueue`] on `threads` workers, returning the results
+/// in index order. The assembly never depends on which worker
+/// computed a task, so results are identical at any thread count.
 ///
 /// # Panics
 ///
-/// On any worker failure, as described above.
-pub fn run_workers<R, F>(threads: usize, worker: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    match try_run_workers(threads, worker) {
-        Ok(results) => results,
-        Err(PoolError::DeadlineExceeded) => std::panic::panic_any(DeadlineHit),
-        // qods-lint: allow(P1) -- deliberate re-raise: a worker panic must not be swallowed; callers sit inside the serve-loop catch_unwind
-        Err(PoolError::WorkerPanicked { message }) => panic!("pool worker panicked: {message}"),
-    }
-}
-
-/// Runs `n` independent tasks — `task(i)` for `i in 0..n` — over a
-/// shared [`WorkQueue`] on `threads` workers, returning the results
-/// in index order, with unwinds caught and classified
-/// ([`try_run_workers`]). The assembly never depends on which worker
-/// computed a task, so results are identical at any thread count.
-///
-/// # Errors
-///
-/// As for [`try_run_workers`]; no partial results are returned.
-pub fn try_run_indexed<T, F>(n: usize, threads: usize, task: F) -> Result<Vec<T>, PoolError>
+/// On any task failure, exactly as [`run_workers`] re-raises it; no
+/// partial results are returned.
+pub fn run_indexed<T, F>(n: usize, threads: usize, task: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -399,42 +374,24 @@ where
     let threads = threads.clamp(1, n.max(1));
     if threads <= 1 {
         let task = &task;
-        return try_run_workers(1, move |_| (0..n).map(task).collect::<Vec<T>>())
-            .map(|mut v| v.pop().unwrap_or_default());
+        return run_workers(1, move |_| (0..n).map(task).collect::<Vec<T>>())
+            .pop()
+            .unwrap_or_default();
     }
     let queue = WorkQueue::new(n as u64);
-    let mut computed: Vec<(usize, T)> = try_run_workers(threads, |_| {
+    let mut computed: Vec<(usize, T)> = run_workers(threads, |_| {
         let mut mine = Vec::new();
         while let Some(i) = queue.claim() {
             let i = i as usize;
             mine.push((i, task(i)));
         }
         mine
-    })?
+    })
     .into_iter()
     .flatten()
     .collect();
     computed.sort_unstable_by_key(|&(i, _)| i);
-    Ok(computed.into_iter().map(|(_, t)| t).collect())
-}
-
-/// [`try_run_indexed`] re-raising failures like [`run_workers`] does —
-/// the form for callers inside an already-guarded scope.
-///
-/// # Panics
-///
-/// On any worker failure ([`run_workers`] semantics).
-pub fn run_indexed<T, F>(n: usize, threads: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    match try_run_indexed(n, threads, task) {
-        Ok(results) => results,
-        Err(PoolError::DeadlineExceeded) => std::panic::panic_any(DeadlineHit),
-        // qods-lint: allow(P1) -- deliberate re-raise: a worker panic must not be swallowed; callers sit inside the serve-loop catch_unwind
-        Err(PoolError::WorkerPanicked { message }) => panic!("pool worker panicked: {message}"),
-    }
+    computed.into_iter().map(|(_, t)| t).collect()
 }
 
 #[cfg(test)]
@@ -482,63 +439,83 @@ mod tests {
         assert_eq!(run_workers(0, |w| w), vec![0]);
     }
 
+    /// What a `run_*` call re-raised, classified like a worker unwind.
+    fn caught<R>(f: impl FnOnce() -> R) -> Result<R, Failure> {
+        std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(classify_panic)
+    }
+
     #[test]
-    fn worker_panics_are_typed_errors_not_process_aborts() {
+    fn worker_panics_reraise_with_their_message() {
         for threads in [1, 4] {
-            let err = try_run_workers(threads, |w| {
-                if w == 0 {
-                    panic!("worker zero exploded");
-                }
-                w
+            let err = caught(|| {
+                run_workers(threads, |w| {
+                    if w == 0 {
+                        panic!("worker zero exploded");
+                    }
+                    w
+                })
             })
-            .expect_err("panic must surface as PoolError");
+            .expect_err("a worker panic must re-raise");
             assert_eq!(
                 err,
-                PoolError::WorkerPanicked {
-                    message: "worker zero exploded".to_string()
-                },
+                Failure::Panicked("pool worker panicked: worker zero exploded".to_string()),
                 "threads = {threads}"
             );
         }
-        // The untyped form re-raises with the message preserved.
-        let caught = std::panic::catch_unwind(|| {
-            run_workers(2, |w| {
-                if w == 1 {
-                    panic!("boom");
-                }
-                w
-            })
-        })
-        .expect_err("must re-panic");
-        let text = caught.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(text.contains("boom"), "{text}");
     }
 
     #[test]
     fn indexed_panics_return_no_partial_results() {
         for threads in [1, 3] {
-            let err = try_run_indexed(10, threads, |i| {
-                if i == 7 {
-                    panic!("task seven");
-                }
-                i
+            let err = caught(|| {
+                run_indexed(10, threads, |i| {
+                    if i == 7 {
+                        panic!("task seven");
+                    }
+                    i
+                })
             })
             .expect_err("panic must surface");
-            assert!(matches!(err, PoolError::WorkerPanicked { .. }));
+            assert!(
+                matches!(&err, Failure::Panicked(m) if m.contains("task seven")),
+                "{err:?}"
+            );
         }
+    }
+
+    #[test]
+    fn a_real_panic_outranks_sibling_deadline_hits() {
+        let past = Instant::now() - std::time::Duration::from_millis(1);
+        let err = caught(|| {
+            with_deadline(Some(past), || {
+                run_workers(3, |w| {
+                    if w == 1 {
+                        panic!("the real defect");
+                    }
+                    check_deadline();
+                })
+            })
+        })
+        .expect_err("must re-raise");
+        assert_eq!(
+            err,
+            Failure::Panicked("pool worker panicked: the real defect".to_string())
+        );
     }
 
     #[test]
     fn expired_deadline_cancels_at_the_check() {
         let already_past = Instant::now() - std::time::Duration::from_millis(1);
-        let err = with_deadline(Some(already_past), || {
-            try_run_indexed(100, 2, |i| {
-                check_deadline();
-                i
+        let err = caught(|| {
+            with_deadline(Some(already_past), || {
+                run_indexed(100, 2, |i| {
+                    check_deadline();
+                    i
+                })
             })
         })
         .expect_err("expired deadline must cancel");
-        assert_eq!(err, PoolError::DeadlineExceeded);
+        assert_eq!(err, Failure::Deadline);
         // Outside the scope the deadline is gone.
         assert_eq!(current_deadline(), None);
         assert!(!deadline_exceeded());
@@ -548,12 +525,11 @@ mod tests {
     fn unexpired_deadline_changes_nothing() {
         let far = Instant::now() + std::time::Duration::from_secs(3600);
         let results = with_deadline(Some(far), || {
-            try_run_indexed(50, 2, |i| {
+            run_indexed(50, 2, |i| {
                 check_deadline();
                 i * 2
             })
-        })
-        .expect("far deadline must not cancel");
+        });
         assert_eq!(results, (0..50).map(|i| i * 2).collect::<Vec<_>>());
     }
 
@@ -574,14 +550,16 @@ mod tests {
     #[test]
     fn workers_inherit_the_spawning_threads_deadline() {
         let past = Instant::now() - std::time::Duration::from_millis(1);
-        let err = with_deadline(Some(past), || {
-            try_run_workers(3, |_| {
-                check_deadline(); // runs on a spawned thread
-                0u32
+        let err = caught(|| {
+            with_deadline(Some(past), || {
+                run_workers(3, |_| {
+                    check_deadline(); // runs on a spawned thread
+                    0u32
+                })
             })
         })
         .expect_err("spawned workers must see the deadline");
-        assert_eq!(err, PoolError::DeadlineExceeded);
+        assert_eq!(err, Failure::Deadline);
     }
 
     #[test]
@@ -592,17 +570,15 @@ mod tests {
             1,
             qods_fault::FaultAction::Panic,
         ));
-        let err = try_run_workers(1, |_| 7).expect_err("injected panic");
-        match err {
-            PoolError::WorkerPanicked { message } => {
-                assert!(message.contains("injected fault"), "{message}");
-            }
-            other => panic!("expected WorkerPanicked, got {other:?}"),
-        }
+        let err = caught(|| run_workers(1, |_| 7)).expect_err("injected panic");
+        assert!(
+            matches!(&err, Failure::Panicked(m) if m.contains("injected fault")),
+            "{err:?}"
+        );
         assert_eq!(qods_fault::fired_at("pool.worker"), 1);
         qods_fault::disarm();
         // Disarmed again: the same call succeeds.
-        assert_eq!(try_run_workers(1, |_| 7), Ok(vec![7]));
+        assert_eq!(run_workers(1, |_| 7), vec![7]);
     }
 
     /// The override tests live in one function: the pin is

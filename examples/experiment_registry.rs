@@ -34,7 +34,8 @@ fn main() {
 
     // 3. Or everything at once: `run_all` drains the registry with a
     //    pool of worker threads sized to the machine, and the records
-    //    reassemble into the classic full-paper struct.
+    //    assemble into the full-paper struct `repro` writes as
+    //    results/repro.json.
     let all = registry.run_all(&ctx);
     let slowest = all
         .iter()

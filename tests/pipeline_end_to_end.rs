@@ -93,10 +93,13 @@ fn fig8_sweep_plateaus_at_speed_of_data() {
     assert!((pts.last().unwrap().execution_us - unconstrained).abs() < 1e-6);
 }
 
+fn smoke_records() -> Vec<ExperimentRecord> {
+    Registry::paper().run_all(&StudyContext::new(StudyConfig::smoke()))
+}
+
 #[test]
 fn full_smoke_study_serializes() {
-    let study = Study::new(StudyConfig::smoke());
-    let out = study.run_all();
+    let out = PaperReproduction::from_records(StudyConfig::smoke(), &smoke_records());
     let json = serde_json::to_string(&out).expect("serialize");
     assert!(json.len() > 1000);
     for key in ["fig4", "table2", "table9", "fig15", "cascade"] {
@@ -106,7 +109,6 @@ fn full_smoke_study_serializes() {
 
 #[test]
 fn report_renders_non_trivially() {
-    let out = Study::new(StudyConfig::smoke()).run_all();
-    let text = speed_of_data::report::render(&out);
+    let text = speed_of_data::report::paper_report(&smoke_records());
     assert!(text.lines().count() > 30);
 }

@@ -3,7 +3,6 @@
 //! between individually-addressed runs and the full `run_all()`.
 
 use speed_of_data::prelude::*;
-use speed_of_data::study::PaperReproduction;
 
 /// Extracts every backticked experiment id from the artifact table in
 /// `qods-core`'s crate docs, so the docs and the registry can never
@@ -109,7 +108,8 @@ fn every_experiment_output_round_trips_through_serde() {
 #[test]
 fn single_experiment_runs_agree_with_run_all() {
     let config = StudyConfig::smoke();
-    let out = Study::new(config.clone()).run_all();
+    let all = Registry::paper().run_all(&StudyContext::new(config.clone()));
+    let out = PaperReproduction::from_records(config.clone(), &all);
 
     // Re-run a representative subset individually, each over its own
     // fresh context, and compare against the corresponding run_all
@@ -155,7 +155,9 @@ fn run_all_lowers_benchmarks_exactly_once_across_parallel_experiments() {
 
 #[test]
 fn paper_reproduction_round_trips_and_has_no_tuple_fields() {
-    let out = Study::new(StudyConfig::smoke()).run_all();
+    let config = StudyConfig::smoke();
+    let records = Registry::paper().run_all(&StudyContext::new(config.clone()));
+    let out = PaperReproduction::from_records(config, &records);
     let json = serde_json::to_string_pretty(&out).expect("serialize");
     let back: PaperReproduction = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(back, out);
