@@ -40,9 +40,6 @@ fn usage() -> &'static str {
      With ids: runs exactly those experiments and prints each one\n\
      (duplicate ids are rejected).\n\
      `repro --list` shows every addressable id.\n\
-     `repro --lint` runs the qods-lint workspace invariant checker\n\
-     against the committed lint-baseline.json and exits nonzero on\n\
-     any new finding (same engine as `cargo run -p qods-lint`).\n\
      `repro --list-kernels` shows every kernel family and width bound.\n\
      `repro --kernel qcla:48` compiles one kernel through the staged\n\
      pipeline (repeatable; unknown families and invalid widths are\n\
@@ -75,7 +72,6 @@ fn main() -> ExitCode {
     let mut threads: Option<usize> = None;
     let mut trace_out: Option<String> = None;
     let mut trace_verify: Option<String> = None;
-    let mut lint = false;
     let mut ids: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -112,7 +108,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--lint" => lint = true,
             "--help" | "-h" => {
                 println!("{}", usage());
                 return ExitCode::SUCCESS;
@@ -123,10 +118,6 @@ fn main() -> ExitCode {
             }
             other => ids.push(other.to_string()),
         }
-    }
-
-    if lint {
-        return run_lint();
     }
 
     // Trace verification inspects a file someone else wrote; it must
@@ -248,45 +239,6 @@ fn run_study(quick: bool, json: bool, ids: &[String], store: &ArtifactStore) -> 
         }
         Err(e) => {
             eprintln!("{e}\n{}", usage());
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `repro --lint`: the qods-lint workspace invariant checker against
-/// the committed baseline — the same run the CI lint job performs.
-fn run_lint() -> ExitCode {
-    let cwd = Path::new(".");
-    let root = if cwd.join("crates").is_dir() {
-        cwd.to_path_buf()
-    } else {
-        // Not launched from the workspace root (e.g. a bare binary):
-        // fall back to the source tree this build came from.
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-    };
-    let baseline_path = root.join("lint-baseline.json");
-    let base = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match qods_lint::baseline::Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("repro --lint: {}: {e}", baseline_path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        Err(_) => qods_lint::baseline::Baseline::empty(),
-    };
-    let tables = qods_lint::Tables::workspace();
-    match qods_lint::run(&root, &tables, &base) {
-        Ok(outcome) => {
-            print!("{}", qods_lint::render_human(&outcome));
-            if outcome.clean() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("repro --lint: {e}");
             ExitCode::FAILURE
         }
     }

@@ -1,45 +1,30 @@
 //! The `qods-lint` CLI.
 //!
 //! ```text
-//! qods-lint [--root DIR] [--baseline PATH] [--ndjson]
-//!           [--ndjson-out PATH] [--write-baseline PATH]
-//!           [--graph-out PATH.dot] [--rule RULE]
+//! qods-lint [--root DIR] [--ndjson-out PATH] [--graph-out PATH.dot]
 //! ```
 //!
 //! Lints the workspace at `--root` (default: the current directory),
-//! applies the committed baseline (default: `<root>/lint-baseline.json`
-//! when present), prints the human report, and exits nonzero when any
-//! finding is not covered by the baseline. `--ndjson` swaps the human
-//! report for the machine stream; `--ndjson-out` also writes the
-//! stream to a file (always written, even when empty, so CI can
-//! upload it unconditionally). `--write-baseline` snapshots the
-//! current findings as a new baseline document. `--graph-out` dumps
-//! the entry-reachable call graph and the lock graph as Graphviz DOT;
-//! `--rule R` restricts the run to one rule id.
+//! prints the human report, and exits nonzero on any finding not
+//! suppressed by an allow annotation. `--ndjson-out` also writes the
+//! findings as NDJSON (always written, even when empty, so CI can
+//! upload it unconditionally). `--graph-out` dumps the entry-reachable
+//! call graph and the lock graph as Graphviz DOT.
 
-use qods_lint::baseline::Baseline;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
-    ndjson: bool,
     ndjson_out: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     graph_out: Option<PathBuf>,
-    rule: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: PathBuf::from("."),
-        baseline: None,
-        ndjson: false,
         ndjson_out: None,
-        write_baseline: None,
         graph_out: None,
-        rule: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -50,27 +35,10 @@ fn parse_args() -> Result<Args, String> {
         };
         match arg.as_str() {
             "--root" => args.root = value("--root")?,
-            "--baseline" => args.baseline = Some(value("--baseline")?),
-            "--ndjson" => args.ndjson = true,
             "--ndjson-out" => args.ndjson_out = Some(value("--ndjson-out")?),
-            "--write-baseline" => args.write_baseline = Some(value("--write-baseline")?),
             "--graph-out" => args.graph_out = Some(value("--graph-out")?),
-            "--rule" => {
-                let r = value("--rule")?.to_string_lossy().into_owned();
-                if !qods_lint::rules::RULE_IDS.contains(&r.as_str()) {
-                    return Err(format!(
-                        "unknown rule `{r}`; known rules: {}",
-                        qods_lint::rules::RULE_IDS.join(", ")
-                    ));
-                }
-                args.rule = Some(r);
-            }
             "--help" | "-h" => {
-                println!(
-                    "qods-lint [--root DIR] [--baseline PATH] [--ndjson] \
-                     [--ndjson-out PATH] [--write-baseline PATH] \
-                     [--graph-out PATH.dot] [--rule RULE]"
-                );
+                println!("qods-lint [--root DIR] [--ndjson-out PATH] [--graph-out PATH.dot]");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag `{other}`")),
@@ -88,31 +56,9 @@ fn main() -> ExitCode {
         }
     };
 
-    let baseline_path = args
-        .baseline
-        .clone()
-        .unwrap_or_else(|| args.root.join("lint-baseline.json"));
-    let base = match std::fs::read_to_string(&baseline_path) {
-        Ok(text) => match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("qods-lint: {}: {e}", baseline_path.display());
-                return ExitCode::from(2);
-            }
-        },
-        // No baseline file means an empty baseline — every finding
-        // is fresh. Only an explicit --baseline that is missing is an
-        // error.
-        Err(_) if args.baseline.is_none() => Baseline::empty(),
-        Err(e) => {
-            eprintln!("qods-lint: cannot read {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-    };
-
     let tables = qods_lint::Tables::workspace();
-    let outcome = match qods_lint::run_filtered(&args.root, &tables, &base, args.rule.as_deref()) {
-        Ok(o) => o,
+    let report = match qods_lint::lint_workspace(&args.root, &tables) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("qods-lint: {e}");
             return ExitCode::from(2);
@@ -138,33 +84,15 @@ fn main() -> ExitCode {
         eprintln!("qods-lint: wrote graphs to {}", path.display());
     }
 
-    if let Some(path) = &args.write_baseline {
-        let doc = Baseline::covering(&outcome.report.findings).render();
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("qods-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "qods-lint: wrote baseline covering {} finding(s) to {}",
-            outcome.report.findings.len(),
-            path.display()
-        );
-    }
-
-    let ndjson = qods_lint::to_ndjson(&outcome.fresh);
     if let Some(path) = &args.ndjson_out {
-        if let Err(e) = std::fs::write(path, &ndjson) {
+        if let Err(e) = std::fs::write(path, qods_lint::to_ndjson(&report.findings)) {
             eprintln!("qods-lint: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
     }
-    if args.ndjson {
-        print!("{ndjson}");
-    } else {
-        print!("{}", qods_lint::render_human(&outcome));
-    }
+    print!("{}", qods_lint::render_human(&report));
 
-    if outcome.clean() {
+    if report.clean() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

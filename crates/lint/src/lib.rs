@@ -6,7 +6,7 @@
 //! DESIGN.md; this crate makes them machine-checkable. A hand-rolled
 //! lexer ([`scan`]) splits each source file into masked-code /
 //! string-literal views, a line-level rule engine ([`rules`]) raises
-//! findings for rules **D1/D2/S1/O1**, and a second, workspace-wide
+//! findings for rules **D1/D2/S1**, and a second, workspace-wide
 //! pass builds a symbol index and conservative call graph ([`graph`])
 //! to run the flow rules **P1** (panic reachability from serving
 //! entries), **L1** (lock-order cycles and locks held across
@@ -14,18 +14,16 @@
 //! into result sinks, via [`flow`]), and **H1** (config-hash field
 //! coverage) in [`graph_rules`]. Explicit
 //! `// qods-lint: allow(RULE) -- reason` annotations suppress
-//! individual lines (counted, never silent), and a committed
-//! `lint-baseline.json` ([`baseline`]) lets pre-existing debt burn
-//! down without blocking CI.
+//! individual lines (counted, never silent); any other finding fails
+//! the run.
 //!
 //! Zero external dependencies beyond the workspace's own shims — the
 //! tables rules S1 and H1 validate against are imported straight from
-//! `qods-fault`, `qods-net`, and `qods-service`, so the checker can
-//! never drift from the code it polices.
+//! `qods-fault`, `qods-obs`, `qods-net`, and `qods-service`, so the
+//! checker can never drift from the code it polices.
 //!
-//! Entry points: `cargo run -p qods-lint` or `repro --lint`.
+//! Entry point: `cargo run -p qods-lint`.
 
-pub mod baseline;
 pub mod flow;
 pub mod graph;
 pub mod graph_rules;
@@ -39,8 +37,8 @@ use std::path::{Path, PathBuf};
 /// One lint finding, as emitted on the NDJSON stream.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
-    /// Rule identifier (`D1`, `D2`, `S1`, `O1`, `P1`, `L1`, `A1`,
-    /// `H1`, or `L0` for a malformed annotation).
+    /// Rule identifier (`D1`, `D2`, `S1`, `P1`, `L1`, `A1`, `H1`, or
+    /// `L0` for a malformed annotation).
     pub rule: String,
     /// Workspace-relative path with forward slashes.
     pub file: String,
@@ -52,7 +50,7 @@ pub struct Finding {
     pub note: String,
 }
 
-/// The canonical string tables rules S1, O1, and H1 validate against.
+/// The canonical string tables rules S1 and H1 validate against.
 pub struct Tables {
     /// Fault-site names (from `qods_fault::SITES`).
     pub sites: Vec<String>,
@@ -231,8 +229,7 @@ fn apply_allows(file: &ScannedFile, raw: Vec<Finding>) -> FileOutcome {
     }
 }
 
-/// The aggregate outcome of a workspace run (before baseline
-/// application).
+/// The aggregate outcome of a workspace run.
 pub struct WorkspaceReport {
     /// How many files were scanned.
     pub files: usize,
@@ -244,19 +241,31 @@ pub struct WorkspaceReport {
     pub unused_allows: Vec<UnusedAllow>,
 }
 
-/// Walks the workspace at `root` (root `src/`+`tests/`, then every
-/// `crates/*` except `crates/lint`) and scans each `.rs` file into
-/// the lexer's views. Paths are visited in sorted order so output is
-/// deterministic. This is pass 1's input; the CLI also uses it
-/// directly for `--graph-out`.
+impl WorkspaceReport {
+    /// True when the run passes: no unsuppressed finding.
+    pub fn clean(&self) -> bool {
+        self.findings.is_empty()
+    }
+}
+
+/// Walks the workspace at `root` (root `src/`, `tests/` and
+/// `examples/`, then `src/` and `tests/` of every `crates/*` except
+/// `crates/lint`) and scans each `.rs` file into the lexer's views.
+/// Paths are visited in sorted order so output is deterministic. This
+/// is pass 1's input; the CLI also uses it directly for `--graph-out`.
 ///
 /// # Errors
 ///
 /// An I/O error message naming the path that failed.
 pub fn scan_workspace(root: &Path) -> Result<Vec<ScannedFile>, String> {
-    let mut units: Vec<(PathBuf, String, Tree)> = Vec::new();
-    units.push((root.join("src"), "speed-of-data".to_owned(), Tree::Src));
-    units.push((root.join("tests"), "speed-of-data".to_owned(), Tree::Tests));
+    let mut units: Vec<(PathBuf, String, Tree)> = [
+        ("src", Tree::Src),
+        ("tests", Tree::Tests),
+        ("examples", Tree::Examples),
+    ]
+    .into_iter()
+    .map(|(sub, tree)| (root.join(sub), "speed-of-data".to_owned(), tree))
+    .collect();
 
     let crates_dir = root.join("crates");
     let mut crate_dirs: Vec<PathBuf> = match std::fs::read_dir(&crates_dir) {
@@ -276,14 +285,8 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<ScannedFile>, String> {
             continue; // the linter's own fixtures would trip every rule
         }
         let crate_name = format!("qods-{name}");
-        for (sub, tree) in [
-            ("src", Tree::Src),
-            ("tests", Tree::Tests),
-            ("examples", Tree::Examples),
-            ("benches", Tree::Benches),
-        ] {
-            units.push((dir.join(sub), crate_name.clone(), tree));
-        }
+        units.push((dir.join("src"), crate_name.clone(), Tree::Src));
+        units.push((dir.join("tests"), crate_name, Tree::Tests));
     }
 
     let mut scanned = Vec::new();
@@ -375,86 +378,24 @@ pub fn from_ndjson(text: &str) -> Result<Vec<Finding>, String> {
         .collect()
 }
 
-/// Everything a caller (CLI, `repro --lint`, CI) needs from one run.
-pub struct RunOutcome {
-    /// The workspace report (all findings, pre-baseline).
-    pub report: WorkspaceReport,
-    /// Findings not absorbed by the baseline — nonempty fails the run.
-    pub fresh: Vec<Finding>,
-    /// Findings absorbed by the baseline.
-    pub baselined: Vec<Finding>,
-    /// Baseline budget that matched nothing (should be committed
-    /// away).
-    pub stale: Vec<baseline::BaselineEntry>,
-}
-
-impl RunOutcome {
-    /// True when the run should pass: no fresh findings.
-    pub fn clean(&self) -> bool {
-        self.fresh.is_empty()
-    }
-}
-
-/// Lints the workspace and applies `base` (use
-/// [`baseline::Baseline::empty`] when there is no baseline file).
-///
-/// # Errors
-///
-/// Walker/read errors, as a message.
-pub fn run(root: &Path, tables: &Tables, base: &baseline::Baseline) -> Result<RunOutcome, String> {
-    run_filtered(root, tables, base, None)
-}
-
-/// As [`run`], optionally restricted to one rule id (the CLI's
-/// `--rule` flag). Filtering happens before baseline application so
-/// a rule-scoped run is judged only against that rule's budget.
-///
-/// # Errors
-///
-/// Walker/read errors, as a message.
-pub fn run_filtered(
-    root: &Path,
-    tables: &Tables,
-    base: &baseline::Baseline,
-    rule: Option<&str>,
-) -> Result<RunOutcome, String> {
-    let mut report = lint_workspace(root, tables)?;
-    if let Some(r) = rule {
-        report.findings.retain(|f| f.rule == r);
-        report.suppressed.retain(|f| f.rule == r);
-        report
-            .unused_allows
-            .retain(|u| u.rules.iter().any(|x| x == r));
-    }
-    let split = baseline::apply(base, report.findings.clone());
-    Ok(RunOutcome {
-        report,
-        fresh: split.fresh,
-        baselined: split.baselined,
-        stale: split.stale,
-    })
-}
-
 /// Renders the human-readable report.
-pub fn render_human(outcome: &RunOutcome) -> String {
+pub fn render_human(report: &WorkspaceReport) -> String {
     let mut s = String::new();
-    for f in &outcome.fresh {
+    for f in &report.findings {
         s.push_str(&format!(
             "{}: {}:{}: {}\n    {}\n",
             f.rule, f.file, f.line, f.note, f.snippet
         ));
     }
     s.push_str(&format!(
-        "qods-lint: {} files scanned; {} finding(s) ({} new, {} baselined), {} suppressed by allow annotations\n",
-        outcome.report.files,
-        outcome.report.findings.len(),
-        outcome.fresh.len(),
-        outcome.baselined.len(),
-        outcome.report.suppressed.len(),
+        "qods-lint: {} files scanned; {} finding(s), {} suppressed by allow annotations\n",
+        report.files,
+        report.findings.len(),
+        report.suppressed.len(),
     ));
-    if !outcome.report.suppressed.is_empty() {
+    if !report.suppressed.is_empty() {
         let mut by_rule: Vec<(String, usize)> = Vec::new();
-        for f in &outcome.report.suppressed {
+        for f in &report.suppressed {
             if let Some(e) = by_rule.iter_mut().find(|(r, _)| r == &f.rule) {
                 e.1 += 1;
             } else {
@@ -468,7 +409,7 @@ pub fn render_human(outcome: &RunOutcome) -> String {
             .collect();
         s.push_str(&format!("  suppressions by rule: {}\n", parts.join(", ")));
     }
-    for u in &outcome.report.unused_allows {
+    for u in &report.unused_allows {
         s.push_str(&format!(
             "warning: unused allow({}) at {}:{} — the finding it covered is gone; remove it\n",
             u.rules.join(", "),
@@ -476,19 +417,10 @@ pub fn render_human(outcome: &RunOutcome) -> String {
             u.line
         ));
     }
-    for e in &outcome.stale {
-        s.push_str(&format!(
-            "warning: stale baseline budget ({} x{} in {}) — shrink lint-baseline.json\n",
-            e.rule, e.count, e.file
-        ));
-    }
-    if outcome.clean() {
-        s.push_str("OK: no new findings\n");
+    if report.clean() {
+        s.push_str("OK: no findings\n");
     } else {
-        s.push_str(&format!(
-            "FAIL: {} new finding(s) not covered by the baseline\n",
-            outcome.fresh.len()
-        ));
+        s.push_str(&format!("FAIL: {} finding(s)\n", report.findings.len()));
     }
     s
 }

@@ -7,28 +7,25 @@
 //! * **D2** — no `HashMap`/`HashSet` iteration feeding serialization
 //!   or hashing (iteration order is nondeterministic; use `BTreeMap`
 //!   or sort first).
-//! * **S1** — every fault-site string and wire error-`kind` literal
-//!   must exist in the canonical tables exported by `qods-fault` and
-//!   `qods-net`, so string drift is a lint failure, not a silent
-//!   no-op.
-//! * **O1** — every site-name string literal at an instrumentation
-//!   call site (`.counter(` / `.gauge(` / `.histogram(` / `span!(` /
-//!   `instant(`) must exist in `qods_obs::sites::ALL`; a typo'd site
-//!   would otherwise mint a metric nothing reads.
+//! * **S1** — every fault-site, instrumentation-site and wire
+//!   error-`kind` string literal must exist in the canonical table
+//!   exported by the crate that owns it (`qods-fault`, `qods-obs`,
+//!   `qods-net`), so string drift is a lint failure, not a fault that
+//!   never fires or a metric nothing reads.
 //!
 //! All checks run on the masked `code` view (comments and string
-//! interiors blanked), except the S1/O1 literal validation which uses
-//! the decoded `strings` table.
+//! interiors blanked), except S1's literal validation, which uses the
+//! decoded `strings` table.
 
 use crate::scan::{token_positions, ScannedFile, StrLit, Tree};
 use crate::{Finding, Tables};
 
 /// The rule identifiers an `allow(...)` annotation may name. The
-/// first four are line rules (this module); the last four are graph
+/// first three are line rules (this module); the last four are graph
 /// rules ([`crate::graph_rules`]). Direct `unwrap`/`expect` sites on
 /// the serving path are clippy's `unwrap_used`/`expect_used`, denied
 /// in CI, not a rule here.
-pub const RULE_IDS: &[&str] = &["D1", "D2", "S1", "O1", "P1", "L1", "A1", "H1"];
+pub const RULE_IDS: &[&str] = &["D1", "D2", "S1", "P1", "L1", "A1", "H1"];
 
 /// Crates whose results feed hashed/serialized output; D1 applies.
 /// `qods-bench` is the designated home for timing, and `qods-obs` is
@@ -45,7 +42,6 @@ pub fn run_rules(file: &ScannedFile, tables: &Tables) -> Vec<Finding> {
     rule_d1(file, &mut out);
     rule_d2(file, &mut out);
     rule_s1(file, tables, &mut out);
-    rule_o1(file, tables, &mut out);
     out
 }
 
@@ -350,61 +346,113 @@ fn receiver_ident(file: &ScannedFile, line_idx: usize, dot_pos: usize) -> Option
     None
 }
 
-/// S1: fault-site strings at injection/plan call sites must be in
-/// [`qods_fault::SITES`]; `"kind":"..."` fragments must be in the
-/// wire-protocol table.
+/// How an S1 call token is invoked.
+#[derive(Clone, Copy)]
+enum Call {
+    /// `recv.token(`.
+    Method,
+    /// `qualifier::token(`, where the qualifier must end with the given
+    /// text, so unrelated free functions of the same name stay out.
+    Path(&'static str),
+}
+
+/// One S1 row: a string literal passed as the first argument of any
+/// of `tokens` must name an entry of `table`.
+struct SiteCall {
+    tokens: &'static [&'static str],
+    call: Call,
+    /// The canonical names, and what they name (for the note).
+    table: fn(&Tables) -> &[String],
+    what: &'static str,
+    /// The table's owner, whose own tests mint scratch names on purpose.
+    exempt: &'static str,
+    /// Only in files that mention the fault layer: plan-builder method
+    /// names are common words.
+    fault_aware_only: bool,
+}
+
+const SITE_CALLS: &[SiteCall] = &[
+    SiteCall {
+        tokens: &["check", "check_sleeping", "fired_at", "ops_at"],
+        call: Call::Path("fault::"),
+        table: |t| &t.sites,
+        what: "fault site",
+        exempt: "qods-fault",
+        fault_aware_only: false,
+    },
+    SiteCall {
+        tokens: &["once", "repeating", "scatter"],
+        call: Call::Method,
+        table: |t| &t.sites,
+        what: "fault site",
+        exempt: "qods-fault",
+        fault_aware_only: true,
+    },
+    SiteCall {
+        tokens: &["counter", "gauge", "histogram", "counter_value"],
+        call: Call::Method,
+        table: |t| &t.obs_sites,
+        what: "instrumentation site",
+        exempt: "qods-obs",
+        fault_aware_only: false,
+    },
+    SiteCall {
+        tokens: &["span!", "instant", "fault_fired"],
+        call: Call::Path("::"),
+        table: |t| &t.obs_sites,
+        what: "instrumentation site",
+        exempt: "qods-obs",
+        fault_aware_only: false,
+    },
+];
+
+/// S1: every name-bearing string literal must be in the canonical
+/// table of the crate that owns it — call-site arguments per
+/// [`SITE_CALLS`], sites inside fault-plan grammar literals, and
+/// `"kind":"..."` wire fragments.
 fn rule_s1(file: &ScannedFile, tables: &Tables, out: &mut Vec<Finding>) {
-    if matches!(file.crate_name.as_str(), "qods-lint" | "qods-fault") {
+    if file.crate_name == "qods-lint" {
         return;
     }
     let mentions_fault = file.raw.iter().any(|l| {
         l.contains("qods_fault") || l.contains("FaultPlan") || l.contains("QODS_FAULT_PLAN")
     });
-
-    let check_site_literal = |line_idx: usize, open_paren: usize, out: &mut Vec<Finding>| {
-        if let Some(lit) = first_arg_literal(file, line_idx, open_paren) {
-            if !tables.sites.iter().any(|s| s == &lit.value) {
-                out.push(finding(
-                    file,
-                    "S1",
-                    lit.line - 1,
-                    format!(
-                        "unknown fault site `{}`; canonical sites: {}",
-                        lit.value,
-                        tables.sites.join(", ")
-                    ),
-                ));
-            }
-        }
-    };
+    let rows: Vec<&SiteCall> = SITE_CALLS
+        .iter()
+        .filter(|r| file.crate_name != r.exempt && (mentions_fault || !r.fault_aware_only))
+        .collect();
 
     for (idx, code) in file.code.iter().enumerate() {
-        // fault::check("...")-style injection points.
-        for m in ["check", "check_sleeping", "fired_at", "ops_at"] {
-            for pos in token_positions(code, m) {
-                let after = pos + m.len();
-                if code.as_bytes().get(after) != Some(&b'(') {
-                    continue;
-                }
-                // Require a `fault::`/`qods_fault::` path prefix so
-                // unrelated `check(` calls are not dragged in.
-                let head = &code[..pos];
-                if !(head.ends_with("fault::") || head.ends_with("qods_fault::")) {
-                    continue;
-                }
-                check_site_literal(idx, after, out);
-            }
-        }
-        // Plan-builder calls (`.once("...")` etc.) in fault-aware files.
-        if mentions_fault {
-            for m in ["once", "repeating", "scatter"] {
-                let needle = format!(".{m}");
-                for pos in token_positions(code, &needle) {
-                    let after = pos + needle.len();
-                    if code.as_bytes().get(after) != Some(&b'(') {
+        let cb = code.as_bytes();
+        for row in &rows {
+            for tok in row.tokens {
+                for pos in token_positions(code, tok) {
+                    let after = pos + tok.len();
+                    let shaped = match row.call {
+                        Call::Method => pos > 0 && cb[pos - 1] == b'.',
+                        Call::Path(qualifier) => code[..pos].ends_with(qualifier),
+                    };
+                    if cb.get(after) != Some(&b'(') || !shaped {
                         continue;
                     }
-                    check_site_literal(idx, after, out);
+                    let Some(lit) = first_arg_literal(file, idx, after) else {
+                        continue;
+                    };
+                    let names = (row.table)(tables);
+                    if !names.iter().any(|s| s == &lit.value) {
+                        out.push(finding(
+                            file,
+                            "S1",
+                            lit.line - 1,
+                            format!(
+                                "unknown {} `{}`; canonical names, owned by {}: {}",
+                                row.what,
+                                lit.value,
+                                row.exempt,
+                                names.join(", ")
+                            ),
+                        ));
+                    }
                 }
             }
         }
@@ -412,7 +460,7 @@ fn rule_s1(file: &ScannedFile, tables: &Tables, out: &mut Vec<Finding>) {
 
     for lit in &file.strings {
         // Plan grammar literals: `site:nth[+every]=action[:ms]`.
-        if mentions_fault {
+        if mentions_fault && file.crate_name != "qods-fault" {
             for entry in lit.value.split(';') {
                 if let Some(site) = plan_entry_site(entry) {
                     if !tables.sites.iter().any(|s| s == site) {
@@ -450,63 +498,6 @@ fn rule_s1(file: &ScannedFile, tables: &Tables, out: &mut Vec<Finding>) {
                 ));
             }
             rest = &tail[q..];
-        }
-    }
-}
-
-/// O1: site-name string literals at instrumentation call sites must
-/// exist in [`qods_obs::sites::ALL`]. Call sites normally pass the
-/// `sites::` constants, but nothing stops a raw literal — and a
-/// typo'd one would silently mint a metric no dashboard, test, or
-/// snapshot consumer ever reads. `qods-obs` itself is exempt (it owns
-/// the table, and its tests mint scratch names on purpose).
-fn rule_o1(file: &ScannedFile, tables: &Tables, out: &mut Vec<Finding>) {
-    if matches!(file.crate_name.as_str(), "qods-lint" | "qods-obs") {
-        return;
-    }
-    // Registry handle lookups are method calls; the span macro and
-    // the instant/fault-fired entry points are path calls. Either
-    // way the site is the first argument.
-    const METHOD_SITES: &[&str] = &["counter", "gauge", "histogram", "counter_value"];
-    const FREE_SITES: &[&str] = &["span!", "instant", "fault_fired"];
-    for (idx, code) in file.code.iter().enumerate() {
-        let cb = code.as_bytes();
-        let mut call_sites: Vec<usize> = Vec::new();
-        for m in METHOD_SITES {
-            for pos in token_positions(code, m) {
-                let after = pos + m.len();
-                if cb.get(after) == Some(&b'(') && pos > 0 && cb[pos - 1] == b'.' {
-                    call_sites.push(after);
-                }
-            }
-        }
-        for m in FREE_SITES {
-            for pos in token_positions(code, m) {
-                let after = pos + m.len();
-                // Require a path prefix (`qods_obs::span!(`,
-                // `trace::instant(`) so unrelated helpers named
-                // `instant` elsewhere are not dragged in.
-                if cb.get(after) == Some(&b'(') && code[..pos].ends_with("::") {
-                    call_sites.push(after);
-                }
-            }
-        }
-        for open_paren in call_sites {
-            if let Some(lit) = first_arg_literal(file, idx, open_paren) {
-                if !tables.obs_sites.iter().any(|s| s == &lit.value) {
-                    out.push(finding(
-                        file,
-                        "O1",
-                        lit.line - 1,
-                        format!(
-                            "unknown instrumentation site `{}`; canonical sites live in \
-                             qods_obs::sites::ALL — use the named constant (a typo here mints \
-                             a metric nothing reads)",
-                            lit.value
-                        ),
-                    ));
-                }
-            }
         }
     }
 }

@@ -22,10 +22,8 @@ pub enum Tree {
     Src,
     /// `tests/` — integration tests.
     Tests,
-    /// `examples/`.
+    /// `examples/` — the workspace root's runnable examples.
     Examples,
-    /// `benches/`.
-    Benches,
 }
 
 /// One string literal: where its opening quote sits and its decoded

@@ -1,4 +1,4 @@
-//! O1 fixture: instrumentation-site string drift.
+//! S1 fixture: instrumentation-site string drift.
 
 pub fn typoed_handles(metrics: &qods_obs::Registry) {
     let _ = metrics.counter("net.requsts"); // finding: typo-ed site
@@ -18,6 +18,6 @@ pub fn typoed_spans() {
 fn instant(_what: &str) {}
 
 pub fn retired(metrics: &qods_obs::Registry) {
-    // qods-lint: allow(O1) -- fixture: documenting a retired metric name
+    // qods-lint: allow(S1) -- fixture: documenting a retired metric name
     let _ = metrics.counter("old.metric");
 }

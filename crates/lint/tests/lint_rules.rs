@@ -3,7 +3,6 @@
 //! NDJSON round-trip and the self-hosting run over the real
 //! workspace.
 
-use qods_lint::baseline::Baseline;
 use qods_lint::scan::Tree;
 use qods_lint::{from_ndjson, lint_source, to_ndjson, Finding, Tables};
 use std::path::Path;
@@ -66,6 +65,19 @@ fn s1_fails_typoed_fault_sites_and_drifted_error_kinds() {
     assert!(out.findings[1].note.contains("store.wrte"));
     assert!(out.findings[2].note.contains("overlaoded"));
     assert_eq!(rule_lines(&out.suppressed), pairs(&[("S1", 22)]));
+
+    // Wire kinds are checked inside qods-net, which owns the table.
+    let out = lint_source("fix/s1.rs", "qods-net", Tree::Src, text, &tables());
+    assert_eq!(
+        rule_lines(&out.findings),
+        pairs(&[("S1", 4), ("S1", 10), ("S1", 14)])
+    );
+    assert!(out.findings[2].note.contains("overlaoded"));
+
+    // qods-fault owns the site table: only the kind drift fires there.
+    let out = lint_source("fix/s1.rs", "qods-fault", Tree::Src, text, &tables());
+    assert_eq!(rule_lines(&out.findings), pairs(&[("S1", 14)]));
+    assert!(out.findings[0].note.contains("overlaoded"));
 }
 
 #[test]
@@ -76,25 +88,23 @@ fn s1_checks_apply_in_test_trees_too() {
 }
 
 #[test]
-fn o1_fails_typoed_instrumentation_sites_and_respects_allow() {
-    let text = include_str!("fixtures/o1_violation.rs");
-    let out = lint_source("fix/o1.rs", "qods-net", Tree::Src, text, &tables());
+fn s1_fails_typoed_instrumentation_sites_and_respects_allow() {
+    let text = include_str!("fixtures/s1_obs_violation.rs");
+    let out = lint_source("fix/s1_obs.rs", "qods-net", Tree::Src, text, &tables());
     assert_eq!(
         rule_lines(&out.findings),
-        pairs(&[("O1", 4), ("O1", 7), ("O1", 12)]),
+        pairs(&[("S1", 4), ("S1", 7), ("S1", 12)]),
         "counter typo, histogram typo, span! typo; constants, canonical \
          literals, and bare `instant(` calls stay clean"
     );
     assert!(out.findings[0].note.contains("net.requsts"));
     assert!(out.findings[2].note.contains("svc.schedle"));
-    assert_eq!(rule_lines(&out.suppressed), pairs(&[("O1", 22)]));
-}
+    assert_eq!(rule_lines(&out.suppressed), pairs(&[("S1", 22)]));
 
-#[test]
-fn o1_does_not_apply_inside_the_obs_crate() {
-    let text = "fn t(r: &qods_obs::Registry) { r.counter(\"scratch.name\"); }\n";
-    let out = lint_source("fix/o1.rs", "qods-obs", Tree::Src, text, &tables());
-    assert!(rule_lines(&out.findings).iter().all(|(r, _)| r != "O1"));
+    // qods-obs owns the site table; its tests mint scratch names.
+    let out = lint_source("fix/s1_obs.rs", "qods-obs", Tree::Src, text, &tables());
+    assert!(out.findings.is_empty());
+    assert_eq!(out.unused_allows.len(), 1, "the allow now covers nothing");
 }
 
 #[test]
@@ -173,16 +183,16 @@ fn h1_checks_every_field_against_the_tables_and_the_encoder() {
 #[test]
 fn the_h1_drift_workspace_fails_the_run() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/h1_drift_ws");
-    let outcome = qods_lint::run(&root, &tables(), &Baseline::empty()).expect("fixture ws lints");
-    assert!(!outcome.clean(), "the drifted Overrides field must fail");
+    let report = qods_lint::lint_workspace(&root, &tables()).expect("fixture ws lints");
+    assert!(!report.clean(), "the drifted Overrides field must fail");
     assert!(
-        outcome.fresh.iter().all(|f| f.rule == "H1")
-            && outcome
-                .fresh
+        report.findings.iter().all(|f| f.rule == "H1")
+            && report
+                .findings
                 .iter()
                 .any(|f| f.note.contains("unlisted_knob")),
         "exactly the H1 drift: {}",
-        to_ndjson(&outcome.fresh)
+        to_ndjson(&report.findings)
     );
 }
 
@@ -239,36 +249,45 @@ fn graph_rule_findings_round_trip_through_ndjson_too() {
 }
 
 #[test]
-fn the_workspace_is_clean_against_the_committed_baseline() {
+fn the_workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let tables = tables();
-    let baseline_path = root.join("lint-baseline.json");
-    let text = std::fs::read_to_string(&baseline_path).expect("lint-baseline.json is committed");
-    let base = Baseline::parse(&text).expect("committed baseline parses");
-    let outcome = qods_lint::run(&root, &tables, &base).expect("workspace lints");
+    let report = qods_lint::lint_workspace(&root, &tables()).expect("workspace lints");
     assert!(
-        outcome.clean(),
-        "new findings not covered by lint-baseline.json:\n{}",
-        to_ndjson(&outcome.fresh)
-    );
-    assert!(
-        outcome.stale.is_empty(),
-        "baseline has stale budget; shrink lint-baseline.json"
+        report.clean(),
+        "unsuppressed findings:\n{}",
+        to_ndjson(&report.findings)
     );
     // Suppression bookkeeping is part of the report contract: the
     // workspace's allow annotations are all live.
-    assert!(outcome.report.unused_allows.is_empty());
+    assert!(report.unused_allows.is_empty());
+}
+
+#[test]
+fn the_workspace_walk_includes_the_root_examples() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = qods_lint::scan_workspace(&root).expect("workspace scans");
+    let quickstart = files
+        .iter()
+        .find(|f| f.path == "examples/quickstart.rs")
+        .expect("examples/quickstart.rs is linted");
+    assert_eq!(quickstart.tree, Tree::Examples);
+    assert_eq!(quickstart.crate_name, "speed-of-data");
 }
 
 #[test]
 fn the_s1_tables_match_the_crates_that_own_them() {
     let t = tables();
     let sites: Vec<String> = qods_fault::SITES.iter().map(|s| (*s).to_owned()).collect();
+    let obs_sites: Vec<String> = qods_obs::sites::ALL
+        .iter()
+        .map(|s| (*s).to_owned())
+        .collect();
     let kinds: Vec<String> = qods_net::protocol::kind::ALL
         .iter()
         .map(|s| (*s).to_owned())
         .collect();
     assert_eq!(t.sites, sites);
+    assert_eq!(t.obs_sites, obs_sites);
     assert_eq!(t.kinds, kinds);
     assert!(t.sites.contains(&"store.read".to_owned()));
     assert!(t.kinds.contains(&"overloaded".to_owned()));

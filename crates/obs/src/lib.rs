@@ -20,7 +20,7 @@
 //!   [`export::stage_breakdown`] for `repro --trace-out`'s stage table.
 //!
 //! Site names are the contract: every span and metric site is a
-//! constant in [`sites`], and lint rule O1 checks instrumentation
+//! constant in [`sites`], and lint rule S1 checks instrumentation
 //! literals against [`sites::ALL`] so the table can't drift.
 //!
 //! This crate is dependency-free by design (serde shims only) and

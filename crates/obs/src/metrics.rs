@@ -96,7 +96,7 @@ impl Registry {
     }
 
     /// The counter registered at `site` (created on first request).
-    /// `site` must be in [`crate::sites::ALL`] — lint rule O1 checks
+    /// `site` must be in [`crate::sites::ALL`] — lint rule S1 checks
     /// literals at call sites, and debug builds assert it.
     pub fn counter(&self, site: &'static str) -> Arc<Counter> {
         debug_assert!(sites::is_site(site), "unknown metric site `{site}`");

@@ -1,6 +1,6 @@
 //! The canonical site-name table: every span a guard can open and
 //! every metric a registry handle can register lives here, as a
-//! `&'static str` constant plus the [`ALL`] slice lint rule **O1**
+//! `&'static str` constant plus the [`ALL`] slice lint rule **S1**
 //! validates instrumentation literals against — the same can't-drift
 //! contract `qods_fault::SITES` gives fault-injection points.
 //!
@@ -113,7 +113,7 @@ pub const POOL_WORKERS_SPAWNED: &str = "pool.workers_spawned";
 /// Faults fired by the armed plan.
 pub const FAULT_FIRED_TOTAL: &str = "fault.fired_total";
 
-/// Every valid site name, sorted — what lint rule O1 and
+/// Every valid site name, sorted — what lint rule S1 and
 /// [`crate::metrics::Registry`] debug assertions validate against.
 pub const ALL: &[&str] = &[
     CACHE_CONTEXT_HITS,

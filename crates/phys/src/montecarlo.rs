@@ -479,7 +479,7 @@ mod tests {
         let trial = |rng: &mut StdRng, _: &mut TrialArena| TrialOutcome::Accepted {
             logical_error: rng.gen_bool(0.01),
         };
-        // Baseline with no deadline at all.
+        // Reference run with no deadline at all.
         let baseline = run_trials(10_000, 7, trial);
         // A far deadline changes nothing, bit for bit, at any thread
         // count: the cancellation point is pure control flow.
