@@ -36,10 +36,13 @@ use std::collections::BinaryHeap;
 ///
 /// Times must be non-negative and finite (non-negative IEEE doubles
 /// order identically to their bit patterns, which is what makes the
-/// integer heap key exact — no epsilon comparisons anywhere).
+/// integer heap key exact — no epsilon comparisons anywhere). The key
+/// packs both into one `u128`, time bits high and id low, so one
+/// integer compare orders events exactly as the `(time, id)` pair
+/// does.
 #[derive(Debug, Clone, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<(u64, usize)>>,
+    heap: BinaryHeap<Reverse<u128>>,
 }
 
 impl EventQueue {
@@ -55,7 +58,8 @@ impl EventQueue {
     /// Panics (debug) if `t` is negative or NaN.
     pub fn push(&mut self, t: f64, id: usize) {
         debug_assert!(t >= 0.0 && !t.is_nan(), "event time must be non-negative");
-        self.heap.push(Reverse((t.to_bits(), id)));
+        self.heap
+            .push(Reverse(u128::from(t.to_bits()) << 64 | id as u128));
     }
 
     /// Removes and returns the earliest event; equal-time events come
@@ -63,7 +67,7 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<(f64, usize)> {
         self.heap
             .pop()
-            .map(|Reverse((bits, id))| (f64::from_bits(bits), id))
+            .map(|Reverse(key)| (f64::from_bits((key >> 64) as u64), key as u64 as usize))
     }
 
     /// Number of pending events.

@@ -50,8 +50,9 @@
 //!
 //! ## Architecture-specific behavior
 //!
-//! Each microarchitecture is a [movement policy](MovePolicy) plus a
-//! pool layout over the shared event engine:
+//! Each microarchitecture is a [movement policy](MovePolicy), a pool
+//! layout and a frontier (the order gates run in) over one generic
+//! event loop, chosen once per `simulate` call:
 //!
 //! * **QLA**: per-qubit pools (simple factories), tiny buffers; every
 //!   two-qubit gate teleports the operands together and back home.
@@ -74,12 +75,20 @@
 //!
 //! ## Determinism
 //!
-//! Ready events pop in ascending `(time, gate index)` order (see
-//! [`crate::engine::EventQueue`]), every resource is a deterministic
-//! function of its call sequence, and nothing depends on thread
-//! timing, so [`SimOutcome`] is a pure function of
-//! `(circuit, arch, factory_area)` — bit-identical across repeated
-//! runs and across parallel sweeps at any thread count.
+//! FM, CQLA and Qalypso share pools, the port or the cache across
+//! qubits, so their gates pop from the event heap in ascending
+//! `(ready time, gate index)` order (see [`crate::engine::EventQueue`]).
+//! QLA shares nothing across qubits and walks gates in program order
+//! instead. That is exact: the DAG chains each qubit's gates, so each
+//! per-qubit pool sees the same draws at the same ready times in
+//! either order, and `makespan_us` (a max) and the integer counters
+//! come out bit-identical. Only QLA's `f64` diagnostic sums
+//! (`movement_us`, `supply_stall_us`) depend on the order, in the last
+//! bits. Every resource is a deterministic function of its call
+//! sequence, and nothing depends on thread timing, so [`SimOutcome`]
+//! is a pure function of `(circuit, arch, factory_area)` —
+//! bit-identical across repeated runs and across parallel sweeps at
+//! any thread count.
 
 use crate::engine::{EventQueue, Pool, SerialResource};
 use crate::interconnect::Interconnect;
@@ -247,19 +256,128 @@ impl<'c> SimContext<'c> {
         assert!(factory_area > 0.0, "factory area must be positive");
         let n = self.circuit.n_qubits();
         let ratio = self.demand_ratio();
-
-        let (mut supply, mut policy) = build_arch(self, arch, factory_area, n, ratio);
-
-        let n_gates = self.operands.len();
-        let mut indegree = self.indegree0.clone();
-        let mut ready_time = vec![0.0f64; n_gates];
-        let mut queue = EventQueue::new();
-        for (i, &deg) in indegree.iter().enumerate() {
-            if deg == 0 {
-                queue.push(0.0, i);
+        let teleport_us = self.link.teleport_us();
+        let shared_pool = |farm: FactoryFarm| {
+            Pool::new(
+                farm.zero_bandwidth,
+                farm.pi8_bandwidth,
+                SHARED_ZERO_BUFFER,
+                SHARED_PI8_BUFFER,
+            )
+        };
+        match arch {
+            Arch::Qla => self.qla(factory_area, ProgramOrder::new(self)),
+            Arch::Cqla { cache_slots } => {
+                // Compute cells carry one simple factory's worth of local
+                // generation each (Fig 14a cells); everything else lives
+                // memory-side and its products must cross the hierarchy
+                // port to reach the data.
+                let local_area = ((cache_slots as f64) * 90.0).min(factory_area);
+                let local =
+                    FactoryFarm::bandwidth_for_area(local_area, ratio, ZeroFactoryKind::Simple);
+                let remote_area = (factory_area - local_area).max(0.0);
+                let remote = FactoryFarm::bandwidth_for_area(
+                    remote_area.max(1e-9),
+                    ratio,
+                    ZeroFactoryKind::Pipelined,
+                );
+                let pool = Pool::new(
+                    local.zero_bandwidth + remote.zero_bandwidth,
+                    local.pi8_bandwidth + remote.pi8_bandwidth,
+                    SHARED_ZERO_BUFFER,
+                    SHARED_PI8_BUFFER,
+                );
+                // Fraction of consumed ancillae that local (cache-side)
+                // generation cannot cover at the speed-of-data demand
+                // rate; the rest cross the hierarchy port by teleportation
+                // ("cache misses are still incurred to bring ancillae to
+                // data", §5.2).
+                let demand_per_ms = if self.sod_makespan_us > 0.0 {
+                    self.zeros_total / (self.sod_makespan_us / 1000.0)
+                } else {
+                    0.0
+                };
+                let remote_fraction = if demand_per_ms > 0.0 {
+                    (1.0 - local.zero_bandwidth / demand_per_ms).clamp(0.0, 1.0)
+                } else {
+                    0.0
+                };
+                let policy = CqlaMove {
+                    cache: LruCache::new(cache_slots, 0..n),
+                    port: SerialResource::new(),
+                    teleport_us,
+                    remote_fraction,
+                };
+                self.run(policy, vec![pool], |_| 0, EventOrder::new(self))
+            }
+            Arch::FullyMultiplexed => {
+                let farm = FactoryFarm::bandwidth_for_area(
+                    factory_area,
+                    ratio,
+                    ZeroFactoryKind::Pipelined,
+                );
+                let policy = BallisticMove {
+                    hop_us: self.link.avg_ballistic_us(n),
+                };
+                self.run(
+                    policy,
+                    vec![shared_pool(farm)],
+                    |_| 0,
+                    EventOrder::new(self),
+                )
+            }
+            Arch::Qalypso { tile_qubits } => {
+                let tiles = n.div_ceil(tile_qubits).max(1);
+                let farm = FactoryFarm::bandwidth_for_area(
+                    factory_area / tiles as f64,
+                    ratio,
+                    ZeroFactoryKind::Pipelined,
+                );
+                let policy = QalypsoMove {
+                    tile_qubits,
+                    intra_tile_us: self.link.avg_ballistic_us(tile_qubits.min(n)),
+                    teleport_us,
+                };
+                self.run(
+                    policy,
+                    vec![shared_pool(farm); tiles],
+                    |q| q / tile_qubits,
+                    EventOrder::new(self),
+                )
             }
         }
+    }
 
+    /// QLA through `frontier` (program order in [`Self::simulate`]; the
+    /// tests also run it in event order).
+    fn qla(&self, factory_area: f64, frontier: impl Frontier) -> SimOutcome {
+        let n = self.circuit.n_qubits();
+        let per_site = factory_area / n as f64;
+        let farm =
+            FactoryFarm::bandwidth_for_area(per_site, self.demand_ratio(), ZeroFactoryKind::Simple);
+        let pool = Pool::new(
+            farm.zero_bandwidth,
+            farm.pi8_bandwidth,
+            SITE_ZERO_BUFFER,
+            SITE_PI8_BUFFER,
+        );
+        let policy = QlaMove {
+            teleport_us: self.link.teleport_us(),
+        };
+        self.run(policy, vec![pool; n], |q| q, frontier)
+    }
+
+    /// The event loop, monomorphized per architecture: `policy` moves
+    /// each gate's operands, `pool_of` maps a qubit to its pool in
+    /// `pools`, and `frontier` hands out gates with their dataflow
+    /// ready times.
+    fn run<M: MovePolicy>(
+        &self,
+        mut policy: M,
+        mut pools: Vec<Pool>,
+        pool_of: impl Fn(usize) -> usize,
+        mut frontier: impl Frontier,
+    ) -> SimOutcome {
         let mut makespan = 0.0f64;
         let mut teleports = 0u64;
         let mut cache_misses = 0u64;
@@ -267,7 +385,7 @@ impl<'c> SimContext<'c> {
         let mut supply_stall_us = 0.0f64;
         let zeros_per_qec = self.model.zeros_per_qec() as f64;
 
-        while let Some((ready, i)) = queue.pop() {
+        while let Some((ready, i)) = frontier.pop() {
             let (ops, n_ops) = self.operands[i];
             let ops = &ops[..n_ops as usize];
 
@@ -288,7 +406,7 @@ impl<'c> SimContext<'c> {
             let mut avail = ready;
             for (j, &q) in ops.iter().enumerate() {
                 let pi8_here = if j == 0 { pi8 } else { 0.0 };
-                let a = supply.consume(q as usize, zeros_per_qubit, pi8_here, ready);
+                let a = pools[pool_of(q as usize)].consume(zeros_per_qubit, pi8_here, ready);
                 avail = avail.max(a);
             }
 
@@ -300,15 +418,10 @@ impl<'c> SimContext<'c> {
             let start = transport_done.max(avail).max(ready);
             let e = start + self.exec_us[i];
             makespan = makespan.max(e);
-            let succs = &self.succ_dat[self.succ_off[i] as usize..self.succ_off[i + 1] as usize];
-            for &s in succs {
-                let s = s as usize;
-                ready_time[s] = ready_time[s].max(e);
-                indegree[s] -= 1;
-                if indegree[s] == 0 {
-                    queue.push(ready_time[s], s);
-                }
-            }
+            frontier.finish(
+                &self.succ_dat[self.succ_off[i] as usize..self.succ_off[i + 1] as usize],
+                e,
+            );
         }
 
         SimOutcome {
@@ -317,6 +430,92 @@ impl<'c> SimContext<'c> {
             cache_misses,
             movement_us,
             supply_stall_us,
+        }
+    }
+}
+
+/// The order [`SimContext::run`] executes gates in.
+trait Frontier {
+    /// The next gate to execute, with its dataflow ready time.
+    fn pop(&mut self) -> Option<(f64, usize)>;
+    /// The popped gate finished at `end`; `succs` are its DAG
+    /// successors.
+    fn finish(&mut self, succs: &[u32], end: f64);
+}
+
+/// Ready gates in ascending `(ready time, gate index)` order, through
+/// the event heap: the order any architecture whose qubits share state
+/// (a pool or the hierarchy port) needs.
+struct EventOrder {
+    indegree: Vec<u32>,
+    ready_time: Vec<f64>,
+    queue: EventQueue,
+}
+
+impl EventOrder {
+    fn new(ctx: &SimContext<'_>) -> Self {
+        let mut queue = EventQueue::new();
+        for (i, &deg) in ctx.indegree0.iter().enumerate() {
+            if deg == 0 {
+                queue.push(0.0, i);
+            }
+        }
+        EventOrder {
+            indegree: ctx.indegree0.clone(),
+            ready_time: vec![0.0; ctx.indegree0.len()],
+            queue,
+        }
+    }
+}
+
+impl Frontier for EventOrder {
+    fn pop(&mut self) -> Option<(f64, usize)> {
+        self.queue.pop()
+    }
+
+    fn finish(&mut self, succs: &[u32], end: f64) {
+        for &s in succs {
+            let s = s as usize;
+            self.ready_time[s] = self.ready_time[s].max(end);
+            self.indegree[s] -= 1;
+            if self.indegree[s] == 0 {
+                self.queue.push(self.ready_time[s], s);
+            }
+        }
+    }
+}
+
+/// Gates in program order. Exact for QLA only: its pools are per qubit
+/// and its movement is stateless, and the DAG chains each qubit's
+/// gates, so every pool sees the same draws at the same ready times as
+/// in event order (see the module docs).
+struct ProgramOrder {
+    ready_time: Vec<f64>,
+    next: usize,
+}
+
+impl ProgramOrder {
+    fn new(ctx: &SimContext<'_>) -> Self {
+        ProgramOrder {
+            ready_time: vec![0.0; ctx.indegree0.len()],
+            next: 0,
+        }
+    }
+}
+
+impl Frontier for ProgramOrder {
+    fn pop(&mut self) -> Option<(f64, usize)> {
+        // Predecessors precede their successors in program order, so
+        // gate `next`'s ready time is final here.
+        let ready = *self.ready_time.get(self.next)?;
+        self.next += 1;
+        Some((ready, self.next - 1))
+    }
+
+    fn finish(&mut self, succs: &[u32], end: f64) {
+        for &s in succs {
+            let s = s as usize;
+            self.ready_time[s] = self.ready_time[s].max(end);
         }
     }
 }
@@ -352,7 +551,7 @@ impl Movement {
 
 /// An architecture's movement discipline over the event engine. One
 /// instance lives per `simulate` call and is invoked once per gate, in
-/// event order.
+/// the frontier's order.
 trait MovePolicy {
     fn movement(&mut self, ready: f64, ops: &[u32]) -> Movement;
 }
@@ -433,9 +632,7 @@ impl MovePolicy for CqlaMove {
         let mut operands_at = ready;
         for &q in ops {
             let q = q as usize;
-            if self.cache.contains(q) {
-                self.cache.touch(q);
-            } else {
+            if !self.cache.touch(q) {
                 cache_misses += 1;
                 teleports += 1;
                 let mut transfer = self.teleport_us;
@@ -479,157 +676,6 @@ impl MovePolicy for CqlaMove {
     }
 }
 
-/// The supply side: per-architecture pool layout with a static
-/// qubit->pool map.
-struct Supply {
-    pools: Vec<Pool>,
-    map: PoolMap,
-}
-
-enum PoolMap {
-    /// QLA: one pool per qubit.
-    PerQubit,
-    /// FM / CQLA: one shared pool.
-    Single,
-    /// Qalypso: one pool per `tile_qubits`-qubit tile.
-    Tile(usize),
-}
-
-impl Supply {
-    fn consume(&mut self, qubit: usize, zeros: f64, pi8: f64, t: f64) -> f64 {
-        let idx = match self.map {
-            PoolMap::PerQubit => qubit,
-            PoolMap::Single => 0,
-            PoolMap::Tile(tile) => qubit / tile,
-        };
-        self.pools[idx].consume(zeros, pi8, t)
-    }
-}
-
-/// Builds the pool layout and movement policy for one architecture at
-/// one factory area.
-fn build_arch(
-    ctx: &SimContext<'_>,
-    arch: Arch,
-    factory_area: f64,
-    n: usize,
-    ratio: f64,
-) -> (Supply, Box<dyn MovePolicy>) {
-    let link = &ctx.link;
-    match arch {
-        Arch::Qla => {
-            let per_site = factory_area / n as f64;
-            let farm = FactoryFarm::bandwidth_for_area(per_site, ratio, ZeroFactoryKind::Simple);
-            let pool = Pool::new(
-                farm.zero_bandwidth,
-                farm.pi8_bandwidth,
-                SITE_ZERO_BUFFER,
-                SITE_PI8_BUFFER,
-            );
-            (
-                Supply {
-                    pools: vec![pool; n],
-                    map: PoolMap::PerQubit,
-                },
-                Box::new(QlaMove {
-                    teleport_us: link.teleport_us(),
-                }),
-            )
-        }
-        Arch::Cqla { cache_slots } => {
-            // Compute cells carry one simple factory's worth of local
-            // generation each (Fig 14a cells); everything else lives
-            // memory-side and its products must cross the hierarchy
-            // port to reach the data.
-            let local_area = ((cache_slots as f64) * 90.0).min(factory_area);
-            let local = FactoryFarm::bandwidth_for_area(local_area, ratio, ZeroFactoryKind::Simple);
-            let remote_area = (factory_area - local_area).max(0.0);
-            let remote = FactoryFarm::bandwidth_for_area(
-                remote_area.max(1e-9),
-                ratio,
-                ZeroFactoryKind::Pipelined,
-            );
-            let pool = Pool::new(
-                local.zero_bandwidth + remote.zero_bandwidth,
-                local.pi8_bandwidth + remote.pi8_bandwidth,
-                SHARED_ZERO_BUFFER,
-                SHARED_PI8_BUFFER,
-            );
-            // Fraction of consumed ancillae that local (cache-side)
-            // generation cannot cover at the speed-of-data demand
-            // rate; the rest cross the hierarchy port by teleportation
-            // ("cache misses are still incurred to bring ancillae to
-            // data", §5.2).
-            let demand_per_ms = if ctx.sod_makespan_us > 0.0 {
-                ctx.zeros_total / (ctx.sod_makespan_us / 1000.0)
-            } else {
-                0.0
-            };
-            let remote_fraction = if demand_per_ms > 0.0 {
-                (1.0 - local.zero_bandwidth / demand_per_ms).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            (
-                Supply {
-                    pools: vec![pool],
-                    map: PoolMap::Single,
-                },
-                Box::new(CqlaMove {
-                    cache: LruCache::new(cache_slots, 0..n),
-                    port: SerialResource::new(),
-                    teleport_us: link.teleport_us(),
-                    remote_fraction,
-                }),
-            )
-        }
-        Arch::FullyMultiplexed => {
-            let farm =
-                FactoryFarm::bandwidth_for_area(factory_area, ratio, ZeroFactoryKind::Pipelined);
-            let pool = Pool::new(
-                farm.zero_bandwidth,
-                farm.pi8_bandwidth,
-                SHARED_ZERO_BUFFER,
-                SHARED_PI8_BUFFER,
-            );
-            (
-                Supply {
-                    pools: vec![pool],
-                    map: PoolMap::Single,
-                },
-                Box::new(BallisticMove {
-                    hop_us: link.avg_ballistic_us(n),
-                }),
-            )
-        }
-        Arch::Qalypso { tile_qubits } => {
-            let tiles = n.div_ceil(tile_qubits).max(1);
-            let farm = FactoryFarm::bandwidth_for_area(
-                factory_area / tiles as f64,
-                ratio,
-                ZeroFactoryKind::Pipelined,
-            );
-            let pool = Pool::new(
-                farm.zero_bandwidth,
-                farm.pi8_bandwidth,
-                SHARED_ZERO_BUFFER,
-                SHARED_PI8_BUFFER,
-            );
-            (
-                Supply {
-                    pools: vec![pool; tiles],
-                    map: PoolMap::Tile(tile_qubits),
-                },
-                Box::new(QalypsoMove {
-                    tile_qubits,
-                    intra_tile_us: link.avg_ballistic_us(tile_qubits.min(n)),
-                    teleport_us: link.teleport_us(),
-                }),
-            )
-        }
-    }
-}
-
 /// A simple LRU set for the CQLA compute cache.
 #[derive(Debug, Clone)]
 struct LruCache {
@@ -645,19 +691,20 @@ impl LruCache {
         LruCache { slots, order }
     }
 
-    fn contains(&self, q: usize) -> bool {
-        self.order.contains(&q)
-    }
-
-    fn touch(&mut self, q: usize) {
-        self.order.retain(|&x| x != q);
-        self.order.push(q);
+    /// Marks `q` most recently used; returns false (changing nothing)
+    /// when `q` is not cached.
+    fn touch(&mut self, q: usize) -> bool {
+        let Some(at) = self.order.iter().position(|&x| x == q) else {
+            return false;
+        };
+        self.order[at..].rotate_left(1);
+        true
     }
 
     /// Inserts `q`; returns true when an eviction (writeback) was
     /// needed. Qubits in `pinned` are not evicted.
     fn insert(&mut self, q: usize, pinned: &[u32]) -> bool {
-        debug_assert!(!self.contains(q));
+        debug_assert!(!self.order.contains(&q));
         let mut evicted = false;
         if self.order.len() >= self.slots {
             let victim = self
@@ -841,6 +888,47 @@ mod tests {
             for _ in 0..3 {
                 assert_eq!(ctx.simulate(arch, 3e4), first);
             }
+        }
+    }
+
+    /// Lowers a random circuit of 1-, 2- and 3-qubit gates (Toffolis
+    /// become their 7T + 6CX + 2H network).
+    fn random_lowered(n: usize, picks: &[(u8, u8, u8, u8)]) -> Circuit {
+        let mut c = Circuit::new(n);
+        for &(kind, a, b, t) in picks {
+            let (a, b, t) = (a as usize % n, b as usize % n, t as usize % n);
+            match kind % 6 {
+                0 => c.h(a),
+                1 => c.t(a),
+                2 => c.s(a),
+                3 | 4 if a != b => c.cx(a, b),
+                5 if a != b && b != t && a != t => c.toffoli(a, b, t),
+                _ => c.x(a),
+            }
+        }
+        c.lower(&qods_circuit::circuit::NoSynth)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// QLA's program-order frontier is exact: `makespan_us` is a
+        /// max and the counters are integer sums, so they match the
+        /// event-order run of the same loop bit for bit.
+        #[test]
+        fn qla_program_order_matches_event_order(
+            n in 3usize..10,
+            picks in proptest::collection::vec((0u8..6, 0u8..255, 0u8..255, 0u8..255), 1..80),
+            area_exp_x8 in 8u32..56,
+        ) {
+            let c = random_lowered(n, &picks);
+            let ctx = SimContext::new(&c);
+            let area = 10f64.powf(f64::from(area_exp_x8) / 8.0);
+            let fast = ctx.simulate(Arch::Qla, area);
+            let events = ctx.qla(area, EventOrder::new(&ctx));
+            proptest::prop_assert_eq!(fast.makespan_us.to_bits(), events.makespan_us.to_bits());
+            proptest::prop_assert_eq!(fast.teleports, events.teleports);
+            proptest::prop_assert_eq!(fast.cache_misses, events.cache_misses);
         }
     }
 

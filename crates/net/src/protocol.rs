@@ -155,7 +155,9 @@ impl ErrorKind {
         match e {
             ServiceError::Internal { .. } => ErrorKind::Internal,
             ServiceError::DeadlineExceeded => ErrorKind::DeadlineExceeded,
-            ServiceError::Registry(_) | ServiceError::Kernel(_) => ErrorKind::Rejected,
+            ServiceError::Registry(_) | ServiceError::Kernel(_) | ServiceError::Config { .. } => {
+                ErrorKind::Rejected
+            }
         }
     }
 }

@@ -27,6 +27,16 @@ pub enum ServiceError {
     /// before a context is built so a bad request can never panic
     /// the daemon.
     Kernel(KernelError),
+    /// The resolved configuration holds an override no experiment can
+    /// run: a Fig 15 area grid with fewer than two points or an empty
+    /// range, or a synthesis budget above [`MAX_SYNTH_T`]. Rejected
+    /// before a context is built, like [`ServiceError::Kernel`].
+    Config {
+        /// The offending override field.
+        field: &'static str,
+        /// Why it was refused.
+        reason: String,
+    },
     /// The job panicked mid-execution. The scheduler catches the
     /// unwind at the job boundary, so one poisoned experiment costs
     /// its own job a typed error — never the daemon, never an
@@ -45,6 +55,7 @@ impl std::fmt::Display for ServiceError {
         match self {
             ServiceError::Registry(e) => e.fmt(f),
             ServiceError::Kernel(e) => e.fmt(f),
+            ServiceError::Config { field, reason } => write!(f, "invalid {field}: {reason}"),
             ServiceError::Internal { message } => write!(f, "internal error: {message}"),
             ServiceError::DeadlineExceeded => write!(f, "deadline exceeded"),
         }
@@ -63,6 +74,52 @@ impl From<KernelError> for ServiceError {
     fn from(e: KernelError) -> Self {
         ServiceError::Kernel(e)
     }
+}
+
+/// The largest `synth_max_t` a job may ask for.
+///
+/// The rotation search walks up to `3 * 2^(t-1)` Matsumoto-Amano cores
+/// per T-count `t` and has no cancellation point inside a walk, so
+/// this bound caps how long one job holds a worker past its deadline.
+/// At 16 a worst-case walk (`synth_target: 0`, nothing pruned) visits
+/// about 2e5 cores: ~1 s per 64 phase rotations and ~2.5 s per 64
+/// general targets on a 2-vCPU x86-64 host, against 0.05 s and 0.17 s
+/// at the paper's 12. Each step past 16 doubles it.
+pub const MAX_SYNTH_T: u32 = 16;
+
+/// Rejects the resolved overrides no experiment can run, before any
+/// context is built (see [`ServiceError::Config`]).
+fn validate_config(cfg: &StudyConfig) -> Result<(), ServiceError> {
+    let reject = |field: &'static str, reason: String| Err(ServiceError::Config { field, reason });
+    let range = &cfg.sweep_area_range;
+    if cfg.sweep_points < 2 {
+        return reject(
+            "sweep_points",
+            format!("{} (the area grid needs at least 2)", cfg.sweep_points),
+        );
+    }
+    if !(range.min_area.is_finite() && range.min_area > 0.0) {
+        return reject(
+            "sweep_min_area",
+            format!("{} (must be finite and positive)", range.min_area),
+        );
+    }
+    if !(range.max_area.is_finite() && range.max_area > range.min_area) {
+        return reject(
+            "sweep_max_area",
+            format!(
+                "{} (must be finite and above sweep_min_area {})",
+                range.max_area, range.min_area
+            ),
+        );
+    }
+    if cfg.synth_max_t > MAX_SYNTH_T {
+        return reject(
+            "synth_max_t",
+            format!("{} (accepted: 0..={MAX_SYNTH_T})", cfg.synth_max_t),
+        );
+    }
+    Ok(())
 }
 
 /// A streamed progress event for one job. Delivery order within one
@@ -405,13 +462,14 @@ impl Scheduler {
         };
         let selected = self.registry.resolve(&ids)?;
 
-        // Validate the benchmark width before building anything: an
-        // out-of-bounds `n_bits` must be a typed rejection, not a
-        // panic inside benchmark compilation.
+        // Validate the benchmark width and the sweep and synthesis
+        // overrides before building anything: a bad value must be a
+        // typed rejection, not a panic inside compilation or a sweep.
         let resolved = request.overrides.resolve(self.pool.base());
         for spec in qods_core::compile::paper_specs(resolved.n_bits) {
             spec.validate()?;
         }
+        validate_config(&resolved)?;
 
         // qods-lint: allow(D1) -- job wall-time telemetry; reported in
         // events/stats, excluded from hashed result lines
@@ -624,6 +682,52 @@ mod tests {
             assert!(err.to_string().contains("invalid width"), "{err}");
         }
         assert!(sched.pool().is_empty(), "rejected jobs build no context");
+    }
+
+    #[test]
+    fn unrunnable_overrides_are_typed_errors_not_panics() {
+        let sched = Scheduler::with_options(StudyConfig::smoke(), 2, true);
+        type Edit = fn(&mut Overrides);
+        let cases: [(&str, Edit); 8] = [
+            ("sweep_points", |o| o.sweep_points = Some(1)),
+            ("sweep_points", |o| o.sweep_points = Some(0)),
+            ("sweep_min_area", |o| o.sweep_min_area = Some(0.0)),
+            ("sweep_min_area", |o| o.sweep_min_area = Some(-5.0)),
+            ("sweep_min_area", |o| o.sweep_min_area = Some(f64::INFINITY)),
+            ("sweep_max_area", |o| {
+                o.sweep_min_area = Some(5e5);
+                o.sweep_max_area = Some(1e3);
+            }),
+            ("sweep_max_area", |o| {
+                o.sweep_min_area = Some(1e3);
+                o.sweep_max_area = Some(1e3);
+            }),
+            ("synth_max_t", |o| o.synth_max_t = Some(MAX_SYNTH_T + 1)),
+        ];
+        for (field, set) in cases {
+            let mut overrides = Overrides {
+                n_bits: Some(8),
+                ..Overrides::default()
+            };
+            set(&mut overrides);
+            let req = RunRequest::of(["fig15"]).with_overrides(overrides);
+            let err = sched.run(&req).expect_err("must be rejected");
+            assert!(
+                matches!(&err, ServiceError::Config { field: f, .. } if *f == field),
+                "{field}: {err}"
+            );
+            assert!(err.to_string().contains(field), "{err}");
+        }
+        assert!(sched.pool().is_empty(), "rejected jobs build no context");
+        assert_eq!(sched.stats().panics_caught, 0);
+    }
+
+    #[test]
+    fn the_synthesis_budget_bound_is_inclusive() {
+        let mut cfg = StudyConfig::smoke();
+        cfg.synth_max_t = MAX_SYNTH_T;
+        assert_eq!(validate_config(&cfg), Ok(()));
+        assert_eq!(validate_config(&StudyConfig::default()), Ok(()));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Fowler-style exhaustive search for minimum-length H/S/T sequences
 //! approximating small-angle phase rotations (§2.5).
 
+use crate::c64::C64;
 use crate::clifford::CliffordGroup;
 use crate::ma::{enumerate_cores, Core};
 use crate::su2::U2;
@@ -121,6 +122,13 @@ impl Synthesizer {
     /// `tr(u^dag V)` in [`U2::distance`]'s association. A candidate
     /// is skipped from `|tr|^2` alone only when it provably cannot
     /// beat the target's current best.
+    ///
+    /// A chunk whose targets are all phase rotations `diag(1, e^{i t})`
+    /// (every [`Synthesizer::rz_pi_over_2k`] target) forms only the
+    /// two diagonal entries of `core * C` and scores
+    /// `conj(u_00) + conj(u_11) * V_11`: the trace terms it drops are
+    /// products with an exact 0 or 1, which can only flip the sign of
+    /// a zero, and `|tr|^2` squares that away.
     pub fn approximate_batch(&self, targets: &[U2]) -> Vec<Sequence> {
         targets
             .chunks(64)
@@ -142,21 +150,51 @@ impl Synthesizer {
     }
 
     /// One shared enumeration for at most 64 targets (one mask bit
-    /// each).
+    /// each), on the phase kernel when every target is a phase
+    /// rotation.
     fn search(&self, targets: &[U2]) -> Vec<Sequence> {
+        if targets.iter().all(is_phase) {
+            self.search_with(
+                targets,
+                |m, c| Diagonal {
+                    a: m.a * c.a + m.b * c.c,
+                    d: m.c * c.b + m.d * c.d,
+                },
+                |u, v| (u.a.conj() + u.d.conj() * v.d).abs2(),
+            )
+        } else {
+            self.search_with(
+                targets,
+                |m, c| m.mul(c),
+                |u, v| u.trace_dagger_mul(v).abs2(),
+            )
+        }
+    }
+
+    /// The shared enumeration: `form(core, C)` builds the candidate
+    /// for one (core, Clifford) pair and `score(u, V)` is its
+    /// `|tr(u^dag V)|^2` against one target.
+    fn search_with<K>(
+        &self,
+        targets: &[U2],
+        form: impl Fn(&U2, &U2) -> K,
+        score: impl Fn(&K, &U2) -> f64,
+    ) -> Vec<Sequence> {
         debug_assert!(targets.len() <= 64);
         let cliffs = self.cliffords.elements();
         let eps = self.target_distance;
         let mut slots: Vec<Slot> = targets.iter().map(|&t| Slot::new(t)).collect();
         let all = u64::MAX >> (64 - targets.len());
         // `core * C` for each Clifford `C`, formed once per core.
-        let mut candidates: Vec<U2> = Vec::with_capacity(cliffs.len());
+        let mut candidates: Vec<K> = Vec::with_capacity(cliffs.len());
         enumerate_cores(self.max_t, all, |core, reach| {
             candidates.clear();
-            candidates.extend(cliffs.iter().map(|c| core.matrix.mul(&c.matrix)));
+            candidates.extend(cliffs.iter().map(|c| form(&core.matrix, &c.matrix)));
             for j in bits(reach) {
+                let slot = &mut slots[j];
                 for (ci, u) in candidates.iter().enumerate() {
-                    slots[j].offer(u, core, ci, eps);
+                    let tr_abs2 = score(u, &slot.target);
+                    slot.offer(tr_abs2, core, ci, eps);
                 }
             }
             // A lone search descends while the child T-count is below
@@ -187,6 +225,19 @@ impl Synthesizer {
             })
             .collect()
     }
+}
+
+/// True when `u` is exactly `diag(1, e^{i t})`: the phase kernel's
+/// precondition.
+fn is_phase(u: &U2) -> bool {
+    u.a == C64::ONE && u.b == C64::ZERO && u.c == C64::ZERO
+}
+
+/// The diagonal of a candidate `core * C`: all a phase target's trace
+/// reads.
+struct Diagonal {
+    a: C64,
+    d: C64,
 }
 
 /// The target unitary of the pi/2^k rotation.
@@ -257,9 +308,9 @@ impl Slot {
         }
     }
 
-    /// Considers the candidate `u = core * C_cliff`.
-    fn offer(&mut self, u: &U2, core: &Core, cliff: usize, eps: f64) {
-        let tr_abs2 = u.trace_dagger_mul(&self.target).abs2();
+    /// Considers the candidate `core * C_cliff`, whose
+    /// `|tr(u^dag V)|^2` against this target is `tr_abs2`.
+    fn offer(&mut self, tr_abs2: f64, core: &Core, cliff: usize, eps: f64) {
         if tr_abs2 < self.skip {
             return;
         }

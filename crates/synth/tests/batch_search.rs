@@ -4,6 +4,7 @@
 //! own DFS, pruning and best-candidate rule), so a batch result that
 //! differs from it in any bit fails here.
 
+use qods_synth::c64::C64;
 use qods_synth::clifford::CliffordGroup;
 use qods_synth::search::{HtGate, Sequence, Synthesizer};
 use qods_synth::su2::U2;
@@ -202,19 +203,24 @@ fn paper_budget_sequences_are_pinned() {
     }
 }
 
+/// A seeded phase angle in `[-pi, pi)`.
+fn seeded_phase(state: &mut u64) -> U2 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    U2::phase((*state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 * PI - PI)
+}
+
 /// 67 targets (past the 64-target chunk boundary): pi/2^k rotations
 /// for k = 3..=20 both ways, seeded arbitrary phases, the
 /// non-diagonal H, and duplicates — with the deep-searching ones
-/// first so a prefix is a cheap but still demanding batch.
+/// first so a prefix is a cheap but still demanding batch. The H in
+/// the first chunk keeps it on the general evaluation.
 fn targets() -> Vec<U2> {
     let mut out = vec![rz(3, false), U2::h(), rz(4, true), rz(3, false)];
     let mut state = 0x9e37_79b9_7f4a_7c15u64;
     for _ in 0..4 {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let theta = (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 * PI - PI;
-        out.push(U2::phase(theta));
+        out.push(seeded_phase(&mut state));
     }
     for k in 3..=20u8 {
         for dagger in [false, true] {
@@ -228,15 +234,42 @@ fn targets() -> Vec<U2> {
     out
 }
 
-#[test]
-fn batch_matches_the_lone_search_at_every_budget() {
-    let all = targets();
-    assert!(all.len() > 64);
+/// 65 phase rotations `diag(1, e^{i t})` (past the chunk boundary, so
+/// both chunks take the phase kernel): pi/2^k both ways, `t = 0` and
+/// `+-pi`, seeded arbitrary phases and a duplicate, deep-searching
+/// ones first.
+fn phase_targets() -> Vec<U2> {
+    let mut out = vec![
+        rz(3, false),
+        U2::phase(0.0),
+        rz(4, true),
+        U2::phase(PI),
+        U2::phase(-PI),
+        rz(3, false),
+    ];
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    for _ in 0..4 {
+        out.push(seeded_phase(&mut state));
+    }
+    for k in 3..=20u8 {
+        for dagger in [false, true] {
+            out.push(rz(k, dagger));
+        }
+    }
+    while out.len() < 65 {
+        out.push(seeded_phase(&mut state));
+    }
+    out
+}
+
+/// Runs `all` through the batch search over the budget grid and
+/// checks every result against the lone-search oracle bit for bit.
+fn assert_batch_matches_oracle(all: &[U2]) {
     for max_t in [0u32, 1, 4, 8, 12] {
         for eps in [0.0, 1e-4, 1e-2, 5e-2] {
             // At the full depth with a tight eps every target runs the
-            // whole tree; keep that case to an 8-target prefix (still
-            // with H and a duplicate) so the suite stays quick.
+            // whole tree; keep that case to an 8-target prefix so the
+            // suite stays quick.
             let n = if max_t == 12 && eps < 1e-3 {
                 8
             } else {
@@ -261,4 +294,36 @@ fn batch_matches_the_lone_search_at_every_budget() {
             }
         }
     }
+}
+
+#[test]
+fn batch_matches_the_lone_search_at_every_budget() {
+    let all = targets();
+    assert!(all.len() > 64);
+    assert_batch_matches_oracle(&all);
+}
+
+#[test]
+fn phase_batches_match_the_lone_search_at_every_budget() {
+    let all = phase_targets();
+    assert!(all.len() > 64);
+    assert_batch_matches_oracle(&all);
+}
+
+#[test]
+fn general_targets_keep_an_otherwise_phase_chunk_exact() {
+    // Phase rotations plus two targets the phase kernel must not take:
+    // the non-diagonal H, and `diag(e^{-i t}, e^{i t})`, diagonal but
+    // with a top-left entry that is not exactly 1.
+    let rz_symmetric = U2 {
+        a: C64::cis(-PI / 16.0),
+        b: C64::ZERO,
+        c: C64::ZERO,
+        d: C64::cis(PI / 16.0),
+    };
+    let mut all = phase_targets();
+    all.insert(1, U2::h());
+    all.insert(4, rz_symmetric);
+    all.truncate(64);
+    assert_batch_matches_oracle(&all);
 }
