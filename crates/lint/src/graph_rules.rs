@@ -1,4 +1,4 @@
-//! Pass 2 of the workspace analyzer: the four graph rules that run
+//! Pass 2 of the workspace analyzer: the three graph rules that run
 //! over the [`crate::graph::Index`] built in pass 1.
 //!
 //! * **P1** — panic reachability: a path from a serving-path entry
@@ -15,15 +15,10 @@
 //! * **A1** — atomic-ordering taint: a `.load(Ordering::Relaxed)`
 //!   whose value flows (intra-procedurally, via [`crate::flow`])
 //!   into a serialization/hash/result sink.
-//! * **H1** — config-hash coverage: every `Overrides`/`StudyConfig`/
-//!   `RunRequest` field must be encoded by `canonical_config_json`
-//!   or named in the policy-exclusion table imported from
-//!   `qods-service` — "deadline is policy, not identity" as a gate,
-//!   not a comment.
 
 use crate::graph::{FnNode, Index};
-use crate::scan::{token_positions, ScannedFile};
-use crate::{flow, Finding, Tables};
+use crate::scan::ScannedFile;
+use crate::{flow, Finding};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Serving-path entry points: (crate, impl type or free fn, name
@@ -61,15 +56,14 @@ fn finding(files: &[ScannedFile], file: usize, line: usize, rule: &str, note: St
     }
 }
 
-/// Runs all four graph rules and returns the raw findings
+/// Runs all three graph rules and returns the raw findings
 /// (suppression is the engine's job, as for the line rules).
-pub fn run_graph_rules(index: &Index, files: &[ScannedFile], tables: &Tables) -> Vec<Finding> {
+pub fn run_graph_rules(index: &Index, files: &[ScannedFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     rule_p1(index, files, &mut out);
     let lock_graph = build_lock_graph(index, files);
     rule_l1(index, files, &lock_graph, &mut out);
     rule_a1(index, files, &mut out);
-    rule_h1(index, files, tables, &mut out);
     out
 }
 
@@ -442,200 +436,6 @@ fn rule_a1(index: &Index, files: &[ScannedFile], out: &mut Vec<Finding>) {
                          (or annotate a telemetry-only flow)"
                     ),
                 ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------- H1
-
-/// Fields of a struct named `name` declared in `file`: (1-based
-/// line, field name), parsed from the brace-matched body.
-fn struct_fields(file: &ScannedFile, name: &str) -> Option<Vec<(usize, String)>> {
-    let needle = format!("struct {name}");
-    let decl = file
-        .code
-        .iter()
-        .position(|l| !token_positions(l, &needle).is_empty())?;
-    let mut fields = Vec::new();
-    let mut depth = 0i64;
-    let mut opened = false;
-    for (k, line) in file.code.iter().enumerate().skip(decl) {
-        let trimmed = line.trim();
-        if opened
-            && depth == 1
-            && !trimmed.starts_with('#')
-            && !trimmed.starts_with('}')
-            && !trimmed.is_empty()
-        {
-            let head = trimmed
-                .strip_prefix("pub(crate) ")
-                .or_else(|| trimmed.strip_prefix("pub "))
-                .unwrap_or(trimmed);
-            let ident: String = head
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if !ident.is_empty() && head[ident.len()..].trim_start().starts_with(':') {
-                fields.push((k + 1, ident));
-            }
-        }
-        for b in line.bytes() {
-            match b {
-                b'{' => {
-                    depth += 1;
-                    opened = true;
-                }
-                b'}' => depth -= 1,
-                _ => {}
-            }
-        }
-        if !opened && trimmed.ends_with(';') {
-            return None; // tuple/unit struct
-        }
-        if opened && depth == 0 {
-            break;
-        }
-        if k > decl + 120 {
-            break;
-        }
-    }
-    Some(fields)
-}
-
-/// The `canonical_config_json` node to check a file's structs
-/// against: same file preferred, else the workspace's only one.
-fn canonical_fn(index: &Index, file_idx: usize) -> Option<&FnNode> {
-    let all = index.by_name.get("canonical_config_json")?;
-    all.iter()
-        .map(|&i| &index.fns[i])
-        .find(|f| f.file == file_idx)
-        .or_else(|| (all.len() == 1).then(|| &index.fns[all[0]]))
-}
-
-/// Identifier-shaped string literal values inside a node's body.
-fn body_literals(file: &ScannedFile, node: &FnNode) -> BTreeSet<String> {
-    file.strings
-        .iter()
-        .filter(|s| s.line >= node.decl_line && s.line <= node.end_line)
-        .filter(|s| {
-            !s.value.is_empty()
-                && s.value
-                    .bytes()
-                    .all(|b| b.is_ascii_lowercase() || b == b'_' || b.is_ascii_digit())
-        })
-        .map(|s| s.value.clone())
-        .collect()
-}
-
-/// First parameter name of a node (for `cfg.field` reference checks).
-fn first_param_name(file: &ScannedFile, node: &FnNode) -> Option<String> {
-    let code = &file.code[node.decl_line - 1];
-    let open = code.find('(')?;
-    let rest = code[open + 1..].trim_start();
-    let ident: String = rest
-        .chars()
-        .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-        .collect();
-    (!ident.is_empty()).then_some(ident)
-}
-
-/// RunRequest's structural fields: not knobs, not policy — the
-/// request envelope itself.
-const REQUEST_STRUCTURAL: &[&str] = &["id", "experiments", "overrides"];
-
-fn rule_h1(index: &Index, files: &[ScannedFile], tables: &Tables, out: &mut Vec<Finding>) {
-    let in_policy = |f: &str| tables.policy_fields.iter().any(|p| p == f);
-    let in_table = |f: &str| tables.override_fields.iter().any(|p| p == f);
-
-    for (fi, file) in files.iter().enumerate() {
-        if file.tree != crate::scan::Tree::Src {
-            continue;
-        }
-
-        if let Some(fields) = struct_fields(file, "Overrides") {
-            let canonical = canonical_fn(index, fi);
-            for (line, name) in &fields {
-                if !in_table(name) && !in_policy(name) {
-                    out.push(finding(
-                        files,
-                        fi,
-                        *line,
-                        "H1",
-                        format!(
-                            "Overrides field `{name}` is not in OVERRIDE_FIELDS or \
-                             POLICY_FIELDS; a knob outside the table silently falls out \
-                             of the config hash — add it to the table and the canonical \
-                             encoder, or declare it policy"
-                        ),
-                    ));
-                }
-            }
-            if let Some(canon) = canonical {
-                let encoded = body_literals(&files[canon.file], canon);
-                for (_, name) in &fields {
-                    if in_table(name) && !encoded.contains(name) {
-                        out.push(finding(
-                            files,
-                            canon.file,
-                            canon.decl_line,
-                            "H1",
-                            format!(
-                                "override field `{name}` is never encoded by \
-                                 canonical_config_json; changing it would not change the \
-                                 config hash — encode it (or move it to POLICY_FIELDS)"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-
-        if let Some(fields) = struct_fields(file, "StudyConfig") {
-            if let Some(canon) = canonical_fn(index, fi) {
-                let canon_file = &files[canon.file];
-                let param = first_param_name(canon_file, canon).unwrap_or_else(|| "cfg".into());
-                for (line, name) in &fields {
-                    if in_policy(name) {
-                        continue;
-                    }
-                    let needle = format!("{param}.{name}");
-                    let referenced = (canon.decl_line - 1..canon.end_line)
-                        .any(|l| canon_file.code[l].contains(&needle));
-                    if !referenced {
-                        out.push(finding(
-                            files,
-                            fi,
-                            *line,
-                            "H1",
-                            format!(
-                                "StudyConfig field `{name}` never reaches \
-                                 canonical_config_json; two configs differing only here \
-                                 would collide in the cache — encode it or add it to \
-                                 POLICY_FIELDS"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-
-        if let Some(fields) = struct_fields(file, "RunRequest") {
-            for (line, name) in &fields {
-                if !REQUEST_STRUCTURAL.contains(&name.as_str()) && !in_policy(name) {
-                    out.push(finding(
-                        files,
-                        fi,
-                        *line,
-                        "H1",
-                        format!(
-                            "RunRequest field `{name}` is neither structural \
-                             (id/experiments/overrides) nor in POLICY_FIELDS — decide: \
-                             work identity (encode it in the canonical form) or policy \
-                             (add it to the table)"
-                        ),
-                    ));
-                }
             }
         }
     }

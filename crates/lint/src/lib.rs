@@ -10,17 +10,19 @@
 //! pass builds a symbol index and conservative call graph ([`graph`])
 //! to run the flow rules **P1** (panic reachability from serving
 //! entries), **L1** (lock-order cycles and locks held across
-//! checkpoints/blocking I/O), **A1** (Relaxed atomic loads flowing
-//! into result sinks, via [`flow`]), and **H1** (config-hash field
-//! coverage) in [`graph_rules`]. Explicit
+//! checkpoints/blocking I/O), and **A1** (Relaxed atomic loads
+//! flowing into result sinks, via [`flow`]) in [`graph_rules`].
+//! Config-hash coverage needs no rule: the canonical encoder and the
+//! job key destructure their structs exhaustively, so a new field is
+//! a compile error until it is encoded or declared policy. Explicit
 //! `// qods-lint: allow(RULE) -- reason` annotations suppress
 //! individual lines (counted, never silent); any other finding fails
 //! the run.
 //!
 //! Zero external dependencies beyond the workspace's own shims — the
-//! tables rules S1 and H1 validate against are imported straight from
-//! `qods-fault`, `qods-obs`, `qods-net`, and `qods-service`, so the
-//! checker can never drift from the code it polices.
+//! tables rule S1 validates against are imported straight from
+//! `qods-fault`, `qods-obs`, and `qods-net`, so the checker can never
+//! drift from the code it polices.
 //!
 //! Entry point: `cargo run -p qods-lint`.
 
@@ -37,8 +39,8 @@ use std::path::{Path, PathBuf};
 /// One lint finding, as emitted on the NDJSON stream.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
-    /// Rule identifier (`D1`, `D2`, `S1`, `P1`, `L1`, `A1`, `H1`, or
-    /// `L0` for a malformed annotation).
+    /// Rule identifier (`D1`, `D2`, `S1`, `P1`, `L1`, `A1`, or `L0`
+    /// for a malformed annotation).
     pub rule: String,
     /// Workspace-relative path with forward slashes.
     pub file: String,
@@ -50,7 +52,7 @@ pub struct Finding {
     pub note: String,
 }
 
-/// The canonical string tables rules S1 and H1 validate against.
+/// The canonical string tables rule S1 validates against.
 pub struct Tables {
     /// Fault-site names (from `qods_fault::SITES`).
     pub sites: Vec<String>,
@@ -58,12 +60,6 @@ pub struct Tables {
     pub obs_sites: Vec<String>,
     /// Wire error-kind tags (from `qods_net::protocol::kind::ALL`).
     pub kinds: Vec<String>,
-    /// Override field names the canonical config form must encode
-    /// (from `qods_service::request::OVERRIDE_FIELDS`).
-    pub override_fields: Vec<String>,
-    /// Knobs declared policy-not-identity, exempt from H1 encoding
-    /// (from `qods_service::request::POLICY_FIELDS`).
-    pub policy_fields: Vec<String>,
 }
 
 impl Tables {
@@ -75,8 +71,6 @@ impl Tables {
             sites: own(qods_fault::SITES),
             obs_sites: own(qods_obs::sites::ALL),
             kinds: own(qods_net::protocol::kind::ALL),
-            override_fields: own(&qods_service::request::OVERRIDE_FIELDS),
-            policy_fields: own(qods_service::request::POLICY_FIELDS),
         }
     }
 }
@@ -120,7 +114,7 @@ pub fn lint_source(
 }
 
 /// The two-pass engine over an already-scanned file set: per-file
-/// line rules, then the workspace graph rules (P1/L1/A1/H1) over the
+/// line rules, then the workspace graph rules (P1/L1/A1) over the
 /// call graph built from *all* the files, with graph findings routed
 /// back to the file they anchor on so allow annotations apply
 /// uniformly. One outcome per input file, findings sorted by
@@ -128,7 +122,7 @@ pub fn lint_source(
 pub fn lint_scanned(files: &[ScannedFile], tables: &Tables) -> Vec<FileOutcome> {
     let index = graph::Index::build(files);
     let mut graph_findings: Vec<Vec<Finding>> = vec![Vec::new(); files.len()];
-    for f in graph_rules::run_graph_rules(&index, files, tables) {
+    for f in graph_rules::run_graph_rules(&index, files) {
         if let Some(i) = files.iter().position(|sf| sf.path == f.file) {
             graph_findings[i].push(f);
         }

@@ -25,7 +25,7 @@ use crate::{Finding, Tables};
 /// rules ([`crate::graph_rules`]). Direct `unwrap`/`expect` sites on
 /// the serving path are clippy's `unwrap_used`/`expect_used`, denied
 /// in CI, not a rule here.
-pub const RULE_IDS: &[&str] = &["D1", "D2", "S1", "P1", "L1", "A1", "H1"];
+pub const RULE_IDS: &[&str] = &["D1", "D2", "S1", "P1", "L1", "A1"];
 
 /// Crates whose results feed hashed/serialized output; D1 applies.
 /// `qods-bench` is the designated home for timing, and `qods-obs` is

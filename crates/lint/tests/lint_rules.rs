@@ -165,33 +165,17 @@ fn a1_reports_relaxed_loads_that_flow_into_sinks_and_respects_allow() {
 }
 
 #[test]
-fn h1_checks_every_field_against_the_tables_and_the_encoder() {
-    let text = include_str!("fixtures/h1_violation.rs");
-    let out = lint_source("fix/h1.rs", "qods-service", Tree::Src, text, &tables());
-    assert_eq!(
-        rule_lines(&out.findings),
-        pairs(&[("H1", 9), ("H1", 15), ("H1", 23), ("H1", 26)]),
-        "unlisted override knob, un-encoded config field, unclassified \
-         request field, and the encoder missing an in-table knob"
-    );
-    assert!(out.findings[0].note.contains("retry_budget"));
-    assert!(out.findings[1].note.contains("logical_gap"));
-    assert!(out.findings[2].note.contains("trace"));
-    assert!(out.findings[3].note.contains("seed"));
-}
-
-#[test]
-fn the_h1_drift_workspace_fails_the_run() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/h1_drift_ws");
+fn the_drift_workspace_fails_the_run() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/drift_ws");
     let report = qods_lint::lint_workspace(&root, &tables()).expect("fixture ws lints");
-    assert!(!report.clean(), "the drifted Overrides field must fail");
+    assert!(!report.clean(), "the drifted fault-site literal must fail");
     assert!(
-        report.findings.iter().all(|f| f.rule == "H1")
+        report.findings.iter().all(|f| f.rule == "S1")
             && report
                 .findings
                 .iter()
-                .any(|f| f.note.contains("unlisted_knob")),
-        "exactly the H1 drift: {}",
+                .any(|f| f.note.contains("store.raed")),
+        "exactly the S1 drift: {}",
         to_ndjson(&report.findings)
     );
 }
@@ -242,8 +226,9 @@ fn ndjson_round_trips_exactly() {
 
 #[test]
 fn graph_rule_findings_round_trip_through_ndjson_too() {
-    let text = include_str!("fixtures/h1_violation.rs");
-    let out = lint_source("fix/h1.rs", "qods-service", Tree::Src, text, &tables());
+    let text = include_str!("fixtures/p1_violation.rs");
+    let out = lint_source("fix/p1.rs", "qods-net", Tree::Src, text, &tables());
+    assert!(!out.findings.is_empty(), "the fixture raises a P1 finding");
     let back = from_ndjson(&to_ndjson(&out.findings)).expect("parses");
     assert_eq!(back, out.findings);
 }
@@ -291,21 +276,4 @@ fn the_s1_tables_match_the_crates_that_own_them() {
     assert_eq!(t.kinds, kinds);
     assert!(t.sites.contains(&"store.read".to_owned()));
     assert!(t.kinds.contains(&"overloaded".to_owned()));
-}
-
-#[test]
-fn the_h1_tables_match_the_service_crate_that_owns_them() {
-    let t = tables();
-    let fields: Vec<String> = qods_service::request::OVERRIDE_FIELDS
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-    let policy: Vec<String> = qods_service::request::POLICY_FIELDS
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-    assert_eq!(t.override_fields, fields);
-    assert_eq!(t.policy_fields, policy);
-    assert!(t.override_fields.contains(&"n_bits".to_owned()));
-    assert!(t.policy_fields.contains(&"deadline_ms".to_owned()));
 }

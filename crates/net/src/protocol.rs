@@ -15,6 +15,7 @@
 //! daemon; changing their field set or order changes served bytes and
 //! fails those tests.
 
+use qods_core::compile::hash::hash_hex;
 use qods_obs::{LatencySummary, MetricsSnapshot, RobustnessSnapshot};
 use qods_service::prelude::*;
 use serde::{Deserialize, Serialize, Value};

@@ -60,8 +60,9 @@ pub struct ServeOptions {
     /// Concurrent TCP connections; further accepts are refused with
     /// one `overloaded` error line.
     pub max_connections: usize,
-    /// Longest accepted input line in bytes; a longer line answers
-    /// one `bad_request` error and is discarded without buffering.
+    /// Longest accepted input line in bytes, its `\n` or `\r\n`
+    /// terminator not counted; a longer line answers one
+    /// `bad_request` error and is discarded without buffering.
     pub max_line_len: usize,
     /// Seconds a TCP connection may go without completing a line
     /// before it is reaped with an `idle_timeout` error (0 disables
@@ -176,7 +177,7 @@ impl<R: BufRead> CappedLineReader<R> {
             }
             self.buf.extend_from_slice(&chunk[..upto]);
             self.inner.consume(upto);
-            if self.buf.len() > self.max_len {
+            if content_len(&self.buf) > self.max_len {
                 // Too long: drop what we buffered and drain the rest
                 // of the line (possibly across many reads).
                 self.discarded = self.buf.len();
@@ -202,6 +203,15 @@ impl<R: BufRead> CappedLineReader<R> {
         }
         String::from_utf8_lossy(&bytes).into_owned()
     }
+}
+
+/// The length of the line in `buf` without its terminator: a final
+/// `\n` and one `\r` before it, or — while the line is still open —
+/// a final `\r` the next read may complete into `\r\n`. The cap
+/// counts these content bytes only.
+fn content_len(buf: &[u8]) -> usize {
+    let body = buf.strip_suffix(b"\n").unwrap_or(buf);
+    body.strip_suffix(b"\r").unwrap_or(body).len()
 }
 
 /// Per-connection (or per-stdio-session) state `handle_line` threads
@@ -853,6 +863,32 @@ mod tests {
         let out = read_all(input.as_bytes(), 1024);
         assert!(matches!(out[0], ReadLine::TooLong { discarded } if discarded >= 500_000));
         assert!(matches!(&out[1], ReadLine::Line(l) if l == "ok"));
+    }
+
+    #[test]
+    fn capped_reader_caps_content_bytes_not_the_terminator() {
+        // At cap N, N content bytes pass under every terminator and
+        // N + 1 fail, including when `\r` and `\n` arrive in
+        // different reads (a one-byte buffer splits every line).
+        for capacity in [64, 1] {
+            let read = |input: &[u8]| {
+                let inner = std::io::BufReader::with_capacity(capacity, input);
+                let mut reader = CappedLineReader::new(inner, 4);
+                reader.next_line()
+            };
+            for ok in [&b"abcd\n"[..], b"abcd\r\n", b"abcd"] {
+                assert!(
+                    matches!(read(ok), ReadLine::Line(l) if l == "abcd"),
+                    "{ok:?} at capacity {capacity}"
+                );
+            }
+            for long in [&b"abcde\n"[..], b"abcde\r\n", b"abcde"] {
+                assert!(
+                    matches!(read(long), ReadLine::TooLong { discarded } if discarded == long.len()),
+                    "{long:?} at capacity {capacity}"
+                );
+            }
+        }
     }
 
     #[test]

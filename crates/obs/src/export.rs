@@ -1,6 +1,5 @@
-//! Exporters for drained trace buffers: newline-delimited JSON (one
-//! event per line, the grep-friendly form) and the Chrome trace-event
-//! format (`chrome://tracing` / Perfetto-loadable), plus the per-stage
+//! Exporters for drained trace buffers: the Chrome trace-event format
+//! (`chrome://tracing` / Perfetto-loadable), plus the per-stage
 //! aggregation `repro --trace-out` prints as a time breakdown.
 //!
 //! Chrome mapping: every event shares `pid` 1; `tid` is the span's
@@ -53,53 +52,6 @@ pub fn lane_name(lane: u32) -> String {
         n if n < FIRST_DYNAMIC_LANE => format!("worker-{n}"),
         n => format!("thread-{n}"),
     }
-}
-
-/// Renders events as newline-delimited JSON, one object per event:
-/// `{"site":…,"span":…,"parent":…,"lane":…,"start_ns":…,"dur_ns":…,
-/// "phase":"span"|"instant", …args}`.
-pub fn to_ndjson(events: &[SpanEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        let mut fields = vec![
-            ("site", Value::Str(ev.site.to_owned())),
-            ("span", Value::UInt(ev.span_id)),
-            ("parent", Value::UInt(ev.parent_id)),
-            ("lane", Value::UInt(u64::from(ev.lane))),
-            ("start_ns", Value::UInt(ev.start_ns)),
-            ("dur_ns", Value::UInt(ev.dur_ns)),
-            (
-                "phase",
-                Value::Str(
-                    match ev.phase {
-                        Phase::Span => "span",
-                        Phase::Instant => "instant",
-                    }
-                    .to_owned(),
-                ),
-            ),
-        ];
-        if let Some(cache) = ev.args.cache {
-            fields.push(("cache", Value::Str(cache.to_owned())));
-        }
-        if let Some(role) = ev.args.role {
-            fields.push(("role", Value::Str(role.to_owned())));
-        }
-        if let Some(hash) = ev.args.config_hash {
-            fields.push(("config_hash", Value::Str(format!("{hash:016x}"))));
-        }
-        if let Some(detail) = &ev.args.detail {
-            fields.push(("detail", Value::Str(detail.clone())));
-        }
-        match serde_json::to_string(&obj(fields)) {
-            Ok(line) => {
-                out.push_str(&line);
-                out.push('\n');
-            }
-            Err(_) => unreachable!("Value serialization is infallible"),
-        }
-    }
-    out
 }
 
 /// Renders events as a Chrome trace-event document:
@@ -318,21 +270,6 @@ mod tests {
                 },
             },
         ]
-    }
-
-    #[test]
-    fn ndjson_is_one_valid_object_per_event() {
-        let text = to_ndjson(&sample_events());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
-        for line in &lines {
-            let v: Value = serde_json::from_str(line).expect("valid JSON line");
-            assert!(v.get("site").is_some());
-        }
-        assert!(lines[1].contains("\"role\":\"leader\""));
-        assert!(lines[1].contains("00000000deadbeef"));
-        assert!(!lines[0].contains("role"), "absent args omitted");
-        assert!(lines[3].contains("\"phase\":\"instant\""));
     }
 
     #[test]

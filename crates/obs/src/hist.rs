@@ -99,21 +99,6 @@ impl LatencyHistogram {
         self.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Folds another histogram's samples into this one (the load
-    /// generator gives each client thread its own histogram and merges
-    /// at the end).
-    pub fn merge(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.counts.iter().zip(other.counts.iter()) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum_ns
-            .fetch_add(other.sum_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max_ns
-            .fetch_max(other.max_ns.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Samples recorded so far.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -234,28 +219,6 @@ mod tests {
         assert_eq!(h.max_ns(), 10_000_000);
         // The top quantile reports the exact maximum, not a bucket lid.
         assert_eq!(h.quantile_ns(1.0), 10_000_000);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        let both = LatencyHistogram::new();
-        for ns in [10u64, 999, 4_321, 1_000_000] {
-            a.record_ns(ns);
-            both.record_ns(ns);
-        }
-        for ns in [77u64, 123_456, 7] {
-            b.record_ns(ns);
-            both.record_ns(ns);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.max_ns(), both.max_ns());
-        for q in [0.1, 0.5, 0.9, 0.99] {
-            assert_eq!(a.quantile_ns(q), both.quantile_ns(q));
-        }
-        assert_eq!(a.summary(), both.summary());
     }
 
     #[test]

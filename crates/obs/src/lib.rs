@@ -1,6 +1,6 @@
 //! Observability for the qods serving stack: end-to-end structured
-//! request tracing, the unified metrics registry, and exporters for
-//! the Chrome trace-event format and NDJSON (DESIGN.md §13).
+//! request tracing, the unified metrics registry, and an exporter for
+//! the Chrome trace-event format (DESIGN.md §13).
 //!
 //! Three pieces, one crate:
 //!
@@ -16,8 +16,8 @@
 //!   ad-hoc atomics that used to live on each serving struct; one
 //!   serde [`MetricsSnapshot`] feeds the `stats` and `metrics` verbs.
 //! * [`export`] — [`export::to_chrome`] (Perfetto-loadable, worker
-//!   lanes named), [`export::to_ndjson`], and
-//!   [`export::stage_breakdown`] for `repro --trace-out`'s stage table.
+//!   lanes named) and [`export::stage_breakdown`] for
+//!   `repro --trace-out`'s stage table.
 //!
 //! Site names are the contract: every span and metric site is a
 //! constant in [`sites`], and lint rule S1 checks instrumentation

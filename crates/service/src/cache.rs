@@ -92,18 +92,6 @@ pub struct CacheStats {
     pub output_misses: u64,
 }
 
-impl CacheStats {
-    /// Hit fraction over all output lookups (0 when none happened).
-    pub fn output_hit_rate(&self) -> f64 {
-        let total = self.output_hits + self.output_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.output_hits as f64 / total as f64
-        }
-    }
-}
-
 /// The content-addressed pool of study contexts.
 #[derive(Debug)]
 pub struct ContextPool {

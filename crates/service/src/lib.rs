@@ -54,13 +54,13 @@ pub mod scheduler;
 
 pub use cache::{CacheStats, ContextPool, PoolEntry};
 pub use coalesce::InflightTable;
-pub use request::{canonical_config_json, config_hash, hash_hex, Overrides, RunRequest};
+pub use request::{canonical_config_json, config_hash, Overrides, RunRequest};
 pub use scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};
 
 /// One-stop imports for service callers.
 pub mod prelude {
     pub use crate::cache::{CacheStats, ContextPool, PoolEntry};
-    pub use crate::request::{config_hash, hash_hex, Overrides, RunRequest};
+    pub use crate::request::{config_hash, Overrides, RunRequest};
     pub use crate::scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};
     pub use qods_core::study::{ArchChoice, StudyConfig};
 }

@@ -26,7 +26,8 @@
 //! therefore the hash (property-tested in
 //! `tests/overrides_canonical.rs`).
 
-use qods_core::study::{ArchChoice, StudyConfig};
+use qods_core::compile::hash::canonical_json;
+use qods_core::study::{ArchChoice, StudyConfig, SweepRange};
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// Sparse, serializable overrides over the study knobs that are
@@ -66,9 +67,9 @@ pub struct Overrides {
 }
 
 /// The override field names, in canonical (declaration) order. One
-/// table drives serialization, deserialization, the request
-/// validator, and the lint rule H1 (config-hash coverage), so they
-/// can never drift apart.
+/// table fixes the wire field order of serialization and names the
+/// valid knobs in the unknown-override error, so the two can never
+/// drift apart.
 pub const OVERRIDE_FIELDS: [&str; 12] = [
     "n_bits",
     "mc_trials",
@@ -84,13 +85,6 @@ pub const OVERRIDE_FIELDS: [&str; 12] = [
     "width_sweep",
 ];
 
-/// Knobs that are deliberately *policy, not work identity*: they may
-/// change how a request is executed but never what it computes, so
-/// they are excluded from the canonical encoding and the config hash.
-/// Lint rule H1 accepts a config/request field only if it is either
-/// encoded by [`canonical_config_json`] or named here.
-pub const POLICY_FIELDS: &[&str] = &["threads", "deadline_ms"];
-
 impl Overrides {
     /// True when every field is `None` (the request changes nothing).
     pub fn is_empty(&self) -> bool {
@@ -101,41 +95,57 @@ impl Overrides {
     /// never overridden here — pool size is service policy (see the
     /// module docs).
     pub fn resolve(&self, base: &StudyConfig) -> StudyConfig {
+        // No `..`: a new override field fails the build here until it
+        // is resolved onto the configuration.
+        let Overrides {
+            n_bits,
+            mc_trials,
+            noise_scale,
+            seed,
+            synth_max_t,
+            synth_target,
+            sweep_points,
+            sweep_min_area,
+            sweep_max_area,
+            profile_samples,
+            arch_panel,
+            width_sweep,
+        } = self;
         let mut cfg = base.clone();
-        if let Some(v) = self.n_bits {
+        if let Some(v) = *n_bits {
             cfg.n_bits = v;
         }
-        if let Some(v) = self.mc_trials {
+        if let Some(v) = *mc_trials {
             cfg.mc_trials = v;
         }
-        if let Some(v) = self.noise_scale {
+        if let Some(v) = *noise_scale {
             cfg.noise_scale = v;
         }
-        if let Some(v) = self.seed {
+        if let Some(v) = *seed {
             cfg.seed = v;
         }
-        if let Some(v) = self.synth_max_t {
+        if let Some(v) = *synth_max_t {
             cfg.synth_max_t = v;
         }
-        if let Some(v) = self.synth_target {
+        if let Some(v) = *synth_target {
             cfg.synth_target = v;
         }
-        if let Some(v) = self.sweep_points {
+        if let Some(v) = *sweep_points {
             cfg.sweep_points = v;
         }
-        if let Some(v) = self.sweep_min_area {
+        if let Some(v) = *sweep_min_area {
             cfg.sweep_area_range.min_area = v;
         }
-        if let Some(v) = self.sweep_max_area {
+        if let Some(v) = *sweep_max_area {
             cfg.sweep_area_range.max_area = v;
         }
-        if let Some(v) = self.profile_samples {
+        if let Some(v) = *profile_samples {
             cfg.profile_samples = v;
         }
-        if let Some(v) = &self.arch_panel {
+        if let Some(v) = arch_panel {
             cfg.arch_panel = v.clone();
         }
-        if let Some(v) = &self.width_sweep {
+        if let Some(v) = width_sweep {
             cfg.width_sweep = v.clone();
         }
         cfg
@@ -317,31 +327,36 @@ impl Deserialize for RunRequest {
 /// every semantic knob present, `threads` excluded (see module docs).
 /// This string is what [`config_hash`] hashes.
 pub fn canonical_config_json(cfg: &StudyConfig) -> String {
-    let v = Value::Object(vec![
-        ("n_bits".to_string(), cfg.n_bits.to_value()),
-        ("mc_trials".to_string(), cfg.mc_trials.to_value()),
-        ("noise_scale".to_string(), cfg.noise_scale.to_value()),
-        ("seed".to_string(), cfg.seed.to_value()),
-        ("synth_max_t".to_string(), cfg.synth_max_t.to_value()),
-        ("synth_target".to_string(), cfg.synth_target.to_value()),
-        ("sweep_points".to_string(), cfg.sweep_points.to_value()),
-        (
-            "sweep_min_area".to_string(),
-            cfg.sweep_area_range.min_area.to_value(),
-        ),
-        (
-            "sweep_max_area".to_string(),
-            cfg.sweep_area_range.max_area.to_value(),
-        ),
-        (
-            "profile_samples".to_string(),
-            cfg.profile_samples.to_value(),
-        ),
-        ("arch_panel".to_string(), cfg.arch_panel.to_value()),
-        ("width_sweep".to_string(), cfg.width_sweep.to_value()),
-    ]);
-    serde_json::to_string(&v)
-        .unwrap_or_else(|e| unreachable!("canonical config encoding is always finite: {e}"))
+    // No `..`: a new `StudyConfig` or `SweepRange` field fails the
+    // build here until it is encoded or bound to `_` as policy.
+    let StudyConfig {
+        n_bits,
+        mc_trials,
+        noise_scale,
+        seed,
+        synth_max_t,
+        synth_target,
+        sweep_points,
+        sweep_area_range: SweepRange { min_area, max_area },
+        profile_samples,
+        arch_panel,
+        width_sweep,
+        threads: _,
+    } = cfg;
+    canonical_json(&Value::Object(vec![
+        ("n_bits".to_string(), n_bits.to_value()),
+        ("mc_trials".to_string(), mc_trials.to_value()),
+        ("noise_scale".to_string(), noise_scale.to_value()),
+        ("seed".to_string(), seed.to_value()),
+        ("synth_max_t".to_string(), synth_max_t.to_value()),
+        ("synth_target".to_string(), synth_target.to_value()),
+        ("sweep_points".to_string(), sweep_points.to_value()),
+        ("sweep_min_area".to_string(), min_area.to_value()),
+        ("sweep_max_area".to_string(), max_area.to_value()),
+        ("profile_samples".to_string(), profile_samples.to_value()),
+        ("arch_panel".to_string(), arch_panel.to_value()),
+        ("width_sweep".to_string(), width_sweep.to_value()),
+    ]))
 }
 
 /// The stable content hash cache entries are addressed by: FNV-1a
@@ -351,11 +366,6 @@ pub fn canonical_config_json(cfg: &StudyConfig) -> String {
 /// safe to persist and to compare across processes.
 pub fn config_hash(cfg: &StudyConfig) -> u64 {
     qods_core::compile::hash::fnv1a(canonical_config_json(cfg).as_bytes())
-}
-
-/// Formats a content hash the way responses and logs print it.
-pub fn hash_hex(hash: u64) -> String {
-    qods_core::compile::hash::hash_hex(hash)
 }
 
 #[cfg(test)]
@@ -434,12 +444,5 @@ mod tests {
             RunRequest::of(["table9"]).overrides.content_hash(&base)
         );
         assert!(!canonical_config_json(&base).contains("deadline"));
-    }
-
-    #[test]
-    fn hash_hex_is_sixteen_lowercase_digits() {
-        let h = hash_hex(config_hash(&StudyConfig::default()));
-        assert_eq!(h.len(), 16);
-        assert!(h.chars().all(|c| c.is_ascii_hexdigit()));
     }
 }

@@ -303,21 +303,34 @@ impl Scheduler {
     ///
     /// [`ServiceError::Registry`] when the selection does not resolve.
     pub fn job_key(&self, request: &RunRequest) -> Result<u64, ServiceError> {
-        let all_ids: Vec<&str>;
-        let ids: Vec<&str> = if request.experiments.is_empty() {
-            all_ids = self.registry.iter().map(|e| e.id()).collect();
-            all_ids.clone()
-        } else {
-            request.experiments.iter().map(String::as_str).collect()
-        };
-        let selected = self.registry.resolve(&ids)?;
-        let resolved = request.overrides.resolve(self.pool.base());
+        // No `..`: a new request field fails the build here until it
+        // is keyed or bound to `_` as policy. The correlation id and
+        // the deadline budget are policy, not work identity.
+        let RunRequest {
+            id: _,
+            experiments,
+            overrides,
+            deadline_ms: _,
+        } = request;
+        let selected = self.select(experiments)?;
+        let resolved = overrides.resolve(self.pool.base());
         let mut identity = crate::request::canonical_config_json(&resolved);
         for exp in &selected {
             identity.push('|');
             identity.push_str(exp.id());
         }
         Ok(qods_core::compile::hash::fnv1a(identity.as_bytes()))
+    }
+
+    /// The experiments a selection names, in request order; an empty
+    /// selection means the whole registry.
+    fn select(&self, experiments: &[String]) -> Result<Vec<&dyn Experiment>, ServiceError> {
+        let ids: Vec<&str> = if experiments.is_empty() {
+            self.registry.iter().map(|e| e.id()).collect()
+        } else {
+            experiments.iter().map(String::as_str).collect()
+        };
+        Ok(self.registry.resolve(&ids)?)
     }
 
     /// Runs one job with in-flight coalescing: concurrent submissions
@@ -408,7 +421,7 @@ impl Scheduler {
     /// panicking experiment or an expired deadline is a typed
     /// [`ServiceError`] — the scheduler, its caches, and every other
     /// job keep working. Every public entry point
-    /// (`run`, `run_batch`, `run_coalesced*`) funnels through here.
+    /// (`run`, `run_coalesced*`) funnels through here.
     ///
     /// # Errors
     ///
@@ -453,14 +466,7 @@ impl Scheduler {
         request: &RunRequest,
         emit: &mut (dyn FnMut(JobEvent) + Send),
     ) -> Result<JobResult, ServiceError> {
-        let all_ids: Vec<&str>;
-        let ids: Vec<&str> = if request.experiments.is_empty() {
-            all_ids = self.registry.iter().map(|e| e.id()).collect();
-            all_ids.clone()
-        } else {
-            request.experiments.iter().map(String::as_str).collect()
-        };
-        let selected = self.registry.resolve(&ids)?;
+        let selected = self.select(&request.experiments)?;
 
         // Validate the benchmark width and the sweep and synthesis
         // overrides before building anything: a bad value must be a
@@ -577,11 +583,6 @@ impl Scheduler {
                 },
             )
         })
-    }
-
-    /// Runs a batch of jobs in order, returning each job's outcome.
-    pub fn run_batch(&self, requests: &[RunRequest]) -> Vec<Result<JobResult, ServiceError>> {
-        requests.iter().map(|r| self.run(r)).collect()
     }
 }
 

@@ -4,8 +4,9 @@
 //! every knob that does.
 
 use proptest::prelude::*;
+use qods_core::compile::hash::hash_hex;
 use qods_core::study::{ArchChoice, StudyConfig};
-use qods_service::{config_hash, Overrides};
+use qods_service::{canonical_config_json, config_hash, Overrides};
 use serde::{Serialize, Value};
 
 /// Builds an `Overrides` whose populated fields are selected by
@@ -156,15 +157,45 @@ proptest! {
 
 #[test]
 fn hash_is_stable_across_processes_and_time() {
-    // A pinned value: the content hash addresses a persistent cache,
+    // Pinned values: the content hash addresses a persistent cache,
     // so it must never drift silently. If this fails, the canonical
     // encoding changed — bump deliberately and note it in CHANGES.md.
-    let base = StudyConfig::default();
-    assert_eq!(Overrides::default().content_hash(&base), config_hash(&base));
+    let pins = [
+        (
+            StudyConfig::default(),
+            concat!(
+                r#"{"n_bits":32,"mc_trials":200000,"noise_scale":1.0,"seed":20080621,"#,
+                r#""synth_max_t":12,"synth_target":0.01,"sweep_points":13,"#,
+                r#""sweep_min_area":200.0,"sweep_max_area":3000000.0,"profile_samples":256,"#,
+                r#""arch_panel":["FullyMultiplexed","Qla","Cqla","Qalypso"],"#,
+                r#""width_sweep":[4,8,16,32,48]}"#
+            ),
+            "743ecdd9453bd9f5",
+        ),
+        (
+            StudyConfig::smoke(),
+            concat!(
+                r#"{"n_bits":8,"mc_trials":4000,"noise_scale":10.0,"seed":20080621,"#,
+                r#""synth_max_t":8,"synth_target":0.01,"sweep_points":7,"#,
+                r#""sweep_min_area":200.0,"sweep_max_area":3000000.0,"profile_samples":64,"#,
+                r#""arch_panel":["FullyMultiplexed","Qla","Cqla","Qalypso"],"#,
+                r#""width_sweep":[4,8,12]}"#
+            ),
+            "21e09ac561ad55d0",
+        ),
+    ];
+    for (cfg, json, hex) in pins {
+        assert_eq!(canonical_config_json(&cfg), json);
+        assert_eq!(hash_hex(config_hash(&cfg)), hex);
+        assert_eq!(Overrides::default().content_hash(&cfg), config_hash(&cfg));
+    }
     let ov = Overrides {
         n_bits: Some(8),
         noise_scale: Some(10.0),
         ..Overrides::default()
     };
-    assert_eq!(qods_service::hash_hex(ov.content_hash(&base)).len(), 16);
+    assert_eq!(
+        hash_hex(ov.content_hash(&StudyConfig::default())),
+        "80ba9f8099cf8f66"
+    );
 }

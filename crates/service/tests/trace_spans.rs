@@ -36,8 +36,10 @@ fn traced_run(threads: usize, reqs: &[RunRequest]) -> Vec<SpanEvent> {
     tracer.drain(); // residue from whoever traced before us
     qods_obs::trace::enable();
     let sched = Scheduler::with_options(StudyConfig::smoke(), threads, true);
-    for (i, outcome) in sched.run_batch(reqs).into_iter().enumerate() {
-        outcome.unwrap_or_else(|e| panic!("request {i} failed under tracing: {e}"));
+    for (i, req) in reqs.iter().enumerate() {
+        sched
+            .run(req)
+            .unwrap_or_else(|e| panic!("request {i} failed under tracing: {e}"));
     }
     qods_obs::trace::disable();
     tracer.drain()
