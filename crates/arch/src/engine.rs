@@ -194,16 +194,6 @@ impl Pool {
     pub fn consume(&mut self, zeros: f64, pi8: f64, t: f64) -> f64 {
         self.zero.draw(zeros, t).max(self.pi8.draw(pi8, t))
     }
-
-    /// The zero stream (tests observe levels through this).
-    pub fn zero_stream(&self) -> &TokenStream {
-        &self.zero
-    }
-
-    /// The pi/8 stream.
-    pub fn pi8_stream(&self) -> &TokenStream {
-        &self.pi8
-    }
 }
 
 #[cfg(test)]

@@ -155,8 +155,44 @@ pub trait Experiment: Send + Sync {
         &[]
     }
 
+    /// The shared substrate [`Experiment::run`] reads from the
+    /// context, which a job materializes before anything waits on it
+    /// (see [`crate::registry::run_planned`]).
+    fn substrate(&self) -> Substrate {
+        Substrate::None
+    }
+
     /// Runs the experiment over the shared context.
     fn run(&self, ctx: &StudyContext) -> ExperimentOutput;
+}
+
+/// The shared, memoized part of a [`StudyContext`] an experiment
+/// reads. Ordered by inclusion: the characterizations are built from
+/// the benchmarks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Substrate {
+    /// Nothing shared.
+    None,
+    /// The lowered benchmark circuits ([`StudyContext::benchmarks`]).
+    Benchmarks,
+    /// Their characterization reports
+    /// ([`StudyContext::characterizations`]).
+    Characterizations,
+}
+
+impl Substrate {
+    /// Materializes this substrate in `ctx` (a no-op once it is).
+    pub(crate) fn materialize(self, ctx: &StudyContext) {
+        match self {
+            Substrate::None => {}
+            Substrate::Benchmarks => {
+                ctx.benchmarks();
+            }
+            Substrate::Characterizations => {
+                ctx.characterizations();
+            }
+        }
+    }
 }
 
 /// The typed result of one experiment run.

@@ -4,7 +4,7 @@
 //! lowering, characterization) lives in the [`StudyContext`], so these
 //! run independently, in any subset, and in parallel.
 
-use crate::experiment::{Experiment, ExperimentOutput, StudyContext};
+use crate::experiment::{Experiment, ExperimentOutput, StudyContext, Substrate};
 use crate::output::{
     AreaShare, CascadeOut, CascadeRow, Fig15Out, Fig15Panel, Fig4Out, Fig4Row, LatencyOut,
     LatencyShares, NonTransversalOut, NonTransversalRow, PipelinedFactoryOut, Series, SeriesOut,
@@ -90,6 +90,9 @@ impl Experiment for Table2Experiment {
     fn title(&self) -> &'static str {
         "Table 2: latency breakdown (us, share of total)"
     }
+    fn substrate(&self) -> Substrate {
+        Substrate::Characterizations
+    }
     fn run(&self, ctx: &StudyContext) -> ExperimentOutput {
         let rows = ctx
             .characterizations()
@@ -120,6 +123,9 @@ impl Experiment for Table3Experiment {
     fn title(&self) -> &'static str {
         "Table 3: required ancilla bandwidths (per ms)"
     }
+    fn substrate(&self) -> Substrate {
+        Substrate::Characterizations
+    }
     fn run(&self, ctx: &StudyContext) -> ExperimentOutput {
         let rows = ctx
             .characterizations()
@@ -143,6 +149,9 @@ impl Experiment for NonTransversalExperiment {
     }
     fn title(&self) -> &'static str {
         "Section 3.3: non-transversal gate fractions"
+    }
+    fn substrate(&self) -> Substrate {
+        Substrate::Characterizations
     }
     fn aliases(&self) -> &'static [&'static str] {
         &["nontransversal"]
@@ -243,6 +252,9 @@ impl Experiment for Table9Experiment {
     fn title(&self) -> &'static str {
         "Table 9: area breakdown at the speed of data"
     }
+    fn substrate(&self) -> Substrate {
+        Substrate::Characterizations
+    }
     fn run(&self, ctx: &StudyContext) -> ExperimentOutput {
         let rows = ctx
             .characterizations()
@@ -281,6 +293,9 @@ impl Experiment for Fig7Experiment {
     fn title(&self) -> &'static str {
         "Fig 7: ancilla demand profiles"
     }
+    fn substrate(&self) -> Substrate {
+        Substrate::Benchmarks
+    }
     fn run(&self, ctx: &StudyContext) -> ExperimentOutput {
         let model = CharacterizationModel::ion_trap();
         let series = ctx
@@ -308,6 +323,9 @@ impl Experiment for Fig8Experiment {
     }
     fn title(&self) -> &'static str {
         "Fig 8: execution time vs ancilla throughput"
+    }
+    fn substrate(&self) -> Substrate {
+        Substrate::Characterizations
     }
     fn run(&self, ctx: &StudyContext) -> ExperimentOutput {
         let model = CharacterizationModel::ion_trap();
@@ -338,6 +356,9 @@ impl Experiment for Fig15Experiment {
     }
     fn title(&self) -> &'static str {
         "Fig 15: execution time vs factory area across architectures"
+    }
+    fn substrate(&self) -> Substrate {
+        Substrate::Benchmarks
     }
     fn aliases(&self) -> &'static [&'static str] {
         &["headline"]

@@ -59,14 +59,16 @@ pub use qods_phys as phys;
 pub use qods_steane as steane;
 pub use qods_synth as synth;
 
-pub use experiment::{Experiment, ExperimentOutput, ExperimentRecord, StudyContext};
+pub use experiment::{Experiment, ExperimentOutput, ExperimentRecord, StudyContext, Substrate};
 pub use registry::{ExperimentInfo, Registry, RegistryError};
 pub use report::Render;
 pub use study::{ArchChoice, PaperReproduction, StudyConfig};
 
 /// One-stop imports for typical use.
 pub mod prelude {
-    pub use crate::experiment::{Experiment, ExperimentOutput, ExperimentRecord, StudyContext};
+    pub use crate::experiment::{
+        Experiment, ExperimentOutput, ExperimentRecord, StudyContext, Substrate,
+    };
     pub use crate::registry::{ExperimentInfo, Registry, RegistryError};
     pub use crate::report::Render;
     pub use crate::study::{ArchChoice, PaperReproduction, StudyConfig, SweepRange};

@@ -1,7 +1,8 @@
 //! The experiment registry: list, resolve, and run paper artifacts —
-//! sequentially or in parallel over one shared [`StudyContext`].
+//! sequentially or in parallel over one shared [`StudyContext`] — and
+//! [`run_planned`], the one job plan parallel runs go through.
 
-use crate::experiment::{Experiment, ExperimentRecord, StudyContext};
+use crate::experiment::{Experiment, ExperimentRecord, StudyContext, Substrate};
 use crate::experiments::{
     CascadeExperiment, Fig15Experiment, Fig4Experiment, Fig7Experiment, Fig8Experiment,
     LatencyExperiment, NonTransversalExperiment, Pi8FactoryExperiment, SimpleFactoryExperiment,
@@ -222,22 +223,69 @@ impl Registry {
     /// Runs every registered experiment in parallel over `ctx` and
     /// returns the records in registration order.
     ///
-    /// Experiments are drained from the workspace's shared worker pool
-    /// (`qods_pool`) by `min(experiments, host threads)` scoped
-    /// workers, so a many-core host runs the heavy experiments (Fig
-    /// 4's Monte Carlo, Fig 15's sweeps) concurrently while a
+    /// The run is one [`run_planned`] job on the process-wide pool
+    /// (`qods_pool`), capped at `min(experiments, host threads)`
+    /// participants: the shared substrate is materialized first while
+    /// the substrate-free experiments (Fig 4's Monte Carlo, the
+    /// factories, the width sweep) fill the other workers, and a
     /// single-core host degrades to the sequential path with no
-    /// oversubscription — and a process-wide `--threads` pin applies
-    /// here like everywhere else. The shared context memoizes
-    /// benchmark lowering behind a `OnceLock`, so the substrate is
-    /// built exactly once no matter which experiment's thread gets
-    /// there first.
+    /// oversubscription. A process-wide `--threads` pin applies here
+    /// like everywhere else. The context memoizes the substrate behind
+    /// a `OnceLock`, so it is built exactly once.
     pub fn run_all(&self, ctx: &StudyContext) -> Vec<ExperimentRecord> {
-        let n = self.entries.len();
-        qods_pool::run_indexed(n, qods_pool::pool_threads(n), |i| {
-            record(self.entries[i].as_ref(), ctx)
+        let all: Vec<&dyn Experiment> = self.iter().collect();
+        run_planned(&all, ctx, qods_pool::pool_threads(all.len()), |_, exp| {
+            record(exp, ctx)
         })
     }
+}
+
+/// Runs `selection` over `ctx` on at most `threads` pool participants
+/// and returns `run(k, selection[k])` for every `k`, in selection
+/// order.
+///
+/// The job is planned so that no experiment waits idle on the shared
+/// substrate. The first task materializes the largest
+/// [`Substrate`] any selected experiment declares, the substrate-free
+/// experiments come next, and the experiments that read the substrate
+/// come last, each group in selection order. Participants claim tasks
+/// in that order, so the substrate starts at once while the
+/// substrate-free work fills the other workers. Results are assembled
+/// by index, so they are identical at any `threads`.
+pub fn run_planned<T, F>(
+    selection: &[&dyn Experiment],
+    ctx: &StudyContext,
+    threads: usize,
+    run: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize, &dyn Experiment) -> T + Sync,
+{
+    let substrate = selection
+        .iter()
+        .map(|e| e.substrate())
+        .max()
+        .unwrap_or(Substrate::None);
+    let lead = usize::from(substrate != Substrate::None);
+    let (free, dependent): (Vec<usize>, Vec<usize>) =
+        (0..selection.len()).partition(|&k| selection[k].substrate() == Substrate::None);
+    let order: Vec<usize> = free.into_iter().chain(dependent).collect();
+    let mut done: Vec<(usize, T)> = qods_pool::run_indexed(lead + order.len(), threads, |j| {
+        if j < lead {
+            // The substrate task is an experiment boundary too.
+            qods_pool::check_deadline();
+            substrate.materialize(ctx);
+            return None;
+        }
+        let k = order[j - lead];
+        Some((k, run(k, selection[k])))
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    done.sort_unstable_by_key(|&(k, _)| k);
+    done.into_iter().map(|(_, t)| t).collect()
 }
 
 fn record(exp: &dyn Experiment, ctx: &StudyContext) -> ExperimentRecord {
@@ -276,6 +324,33 @@ mod tests {
     fn duplicate_registration_panics() {
         let mut r = Registry::paper();
         r.register(Box::new(crate::experiments::Table9Experiment));
+    }
+
+    #[test]
+    fn a_plan_materializes_the_substrate_first_then_free_then_dependent() {
+        let r = Registry::paper();
+        let selection = r
+            .resolve(&["fig15", "table1", "table2", "fig6"])
+            .expect("known ids");
+        let ctx = StudyContext::new(StudyConfig::smoke());
+        let calls = std::sync::Mutex::new(Vec::new());
+        // One participant: the claim order is the run order.
+        let ids = run_planned(&selection, &ctx, 1, |k, exp| {
+            let lowered = ctx.lowering_runs();
+            calls.lock().unwrap().push((exp.id(), lowered));
+            (k, exp.id())
+        });
+        assert_eq!(
+            ids,
+            vec![(0, "fig15"), (1, "table1"), (2, "table2"), (3, "fig6")],
+            "results come back in selection order"
+        );
+        assert_eq!(
+            calls.into_inner().unwrap(),
+            vec![("table1", 1), ("fig6", 1), ("fig15", 1), ("table2", 1)],
+            "substrate first, then free, then dependent, each in selection order"
+        );
+        assert_eq!(ctx.lowering_runs(), 1);
     }
 
     #[test]

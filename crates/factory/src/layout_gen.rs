@@ -7,7 +7,7 @@
 //! rows between and around them: a 9 x 10 grid, 90 macroblocks.
 
 use qods_layout::grid::Grid;
-use qods_layout::macroblock::{Dir, Macroblock, MacroblockKind};
+use qods_layout::macroblock::{Macroblock, MacroblockKind};
 
 /// Builds the Fig 11 simple-factory layout (9 rows x 10 columns).
 ///
@@ -73,21 +73,6 @@ pub fn external_ports(g: &Grid) -> usize {
                 if g.neighbor(r, c, d).is_none() {
                     n += 1;
                 }
-            }
-        }
-    }
-    n
-}
-
-/// Ports on one chosen side only (the "output port" count facing the
-/// data region in a Qalypso tile).
-pub fn ports_on_side(g: &Grid, side: Dir) -> usize {
-    let mut n = 0;
-    for r in 0..g.rows() {
-        for c in 0..g.cols() {
-            let Some(b) = g.at(r, c) else { continue };
-            if b.has_port(side) && g.neighbor(r, c, side).is_none() {
-                n += 1;
             }
         }
     }

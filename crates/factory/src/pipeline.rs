@@ -119,13 +119,6 @@ pub fn units_to_cover(demand: f64, unit: &FunctionalUnit, t: &LatencyTable) -> u
     (demand / per).ceil().max(1.0) as u32
 }
 
-/// Units needed so that aggregate *output* covers `demand` qubits/ms.
-pub fn units_to_supply(demand: f64, unit: &FunctionalUnit, t: &LatencyTable) -> u32 {
-    let per = unit.bw_out_per_ms(t);
-    assert!(per > 0.0, "unit {} has zero bandwidth", unit.name);
-    (demand / per).ceil().max(1.0) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -41,11 +41,6 @@ impl ZeroFactory {
         ZeroFactory { latency }
     }
 
-    /// The latency table in use.
-    pub fn latency_table(&self) -> &LatencyTable {
-        &self.latency
-    }
-
     /// Table 5 row: the physical zero-prepare unit.
     pub fn zero_prep_unit() -> FunctionalUnit {
         FunctionalUnit {

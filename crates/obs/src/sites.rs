@@ -107,7 +107,8 @@ pub const STORE_CORRUPT_READS: &str = "store.corrupt_reads";
 /// Disk write failures (artifact served from memory anyway).
 pub const STORE_WRITE_ERRORS: &str = "store.write_errors";
 
-/// Worker threads spawned by the shared pool.
+/// OS threads the process-wide pool has started (its background
+/// helpers; a warm process starts none per job).
 pub const POOL_WORKERS_SPAWNED: &str = "pool.workers_spawned";
 
 /// Faults fired by the armed plan.

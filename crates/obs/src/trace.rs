@@ -277,12 +277,10 @@ pub fn lane() -> u32 {
 #[must_use = "the lane is released when the guard drops"]
 pub struct WorkerLane(Option<u32>);
 
-/// Gives this pool-worker thread the lowest lane no live worker
-/// holds. Workers of nested pools (a registry worker running a
-/// Monte-Carlo pool) are live at the same time as their callers, so
-/// a lane per worker index would put two threads on one lane. Past
-/// [`FIRST_DYNAMIC_LANE`] live workers the thread takes a dynamic
-/// lane instead.
+/// Gives this pool thread the lowest lane no live pool thread holds
+/// (the pool's background threads hold theirs for the life of the
+/// process). Past [`FIRST_DYNAMIC_LANE`] live holders the thread
+/// takes a dynamic lane instead.
 pub fn claim_worker_lane() -> WorkerLane {
     let mut held = plock(&WORKER_LANES);
     let free = held.iter().position(|h| !h).unwrap_or(held.len());

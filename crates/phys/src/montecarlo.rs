@@ -58,7 +58,7 @@ use rand::SeedableRng;
 pub const TRIAL_CHUNK: u64 = 1024;
 
 /// Reusable per-trial buffers: a Pauli frame, a measurement-flip
-/// vector, and generic limb scratch. One arena lives per worker thread
+/// vector, and generic limb scratch. One arena lives per pool participant
 /// and is lent to every trial it runs, so steady-state trials allocate
 /// nothing.
 ///
@@ -368,7 +368,7 @@ where
     total
 }
 
-/// Runs `n` seeded trials across `threads` OS threads with chunked
+/// Runs `n` seeded trials across `threads` pool participants with chunked
 /// work-stealing: workers drain `TRIAL_CHUNK`-sized chunks from an
 /// atomic cursor, so a worker that lands on expensive (e.g.
 /// discard-and-retry-heavy) trials simply claims fewer chunks instead

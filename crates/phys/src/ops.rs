@@ -159,12 +159,6 @@ impl PhysOp {
             PhysOp::Gate2(_, a, b) => vec![a, b],
         }
     }
-
-    /// True for operations that can suffer faults (all of them, in the
-    /// paper's model — including moves, measurements, and preps).
-    pub fn is_faulty_location(&self) -> bool {
-        true
-    }
 }
 
 /// A straight-line physical circuit: operations in program order.

@@ -74,12 +74,6 @@ impl Pauli {
     pub fn has_x(self) -> bool {
         self.bits().0
     }
-
-    /// True for any operator with a Z component (flips phases).
-    #[inline]
-    pub fn has_z(self) -> bool {
-        self.bits().1
-    }
 }
 
 impl std::ops::Mul for Pauli {

@@ -10,10 +10,26 @@
 //!   process-wide override so a `--threads N` flag pins every pool in
 //!   the process at once;
 //! * [`WorkQueue`] is the atomic claim cursor;
-//! * [`run_workers`] fans a closure out over scoped worker threads;
+//! * [`run_workers`] fans a closure out to `threads` participants on
+//!   the process-wide pool;
 //! * [`run_indexed`] runs `n` independent tasks and returns their
 //!   results in index order — the common "embarrassingly parallel,
 //!   deterministic assembly" shape.
+//!
+//! ## One persistent pool, join by helping
+//!
+//! The pool starts `host_threads() − 1` background threads on its
+//! first parallel fan-out (more if the pin rises later) and never
+//! stops them, so a job starts no thread; the `pool.workers_spawned`
+//! counter is the number it has started. A caller publishes its
+//! fan-out, claims its own participants until none is left, and then
+//! waits by *helping*: it runs participants of fan-outs nested
+//! strictly deeper than its own, of any job. Shallower work is off
+//! limits because the caller may be waiting inside a lazy initializer
+//! (`OnceLock::get_or_init`) that a shallower task would re-enter on
+//! the same thread. Idle background threads take the deepest open
+//! fan-out first. `threads` still caps the participants of one
+//! fan-out.
 //!
 //! ## Determinism contract
 //!
@@ -26,21 +42,25 @@
 //!
 //! ## Failure model
 //!
-//! Every worker runs under `catch_unwind`, so a panicking worker never
-//! takes its siblings down blind. Once all workers have finished,
-//! [`run_workers`] / [`run_indexed`] re-raise the failure on the
-//! caller's thread: a real panic as `pool worker panicked: {message}`
-//! (it outranks sibling deadline unwinds), a deadline hit as the
-//! [`DeadlineHit`] sentinel. Nested pools therefore propagate one
-//! consistent unwind to the outermost guard — the service
-//! scheduler's, which answers it with one typed error line.
+//! Every participant runs under `catch_unwind`, so a panicking worker
+//! never takes its siblings, or the thread that ran it, down blind.
+//! Once all participants have finished, [`run_workers`] /
+//! [`run_indexed`] re-raise the failure on the caller's thread: a real
+//! panic as `pool worker panicked: {message}` (it outranks sibling
+//! deadline unwinds), a deadline hit as the [`DeadlineHit`] sentinel.
+//! Nested pools therefore propagate one consistent unwind to the
+//! outermost guard — the service scheduler's, which answers it with
+//! one typed error line. A failure stays with its own fan-out, even
+//! when a helping thread of another job ran the participant.
 //!
 //! ## Deadlines
 //!
-//! [`with_deadline`] installs a cooperative, thread-local deadline
-//! that [`run_workers`] propagates into every worker it spawns.
-//! Engines call [`check_deadline`] at *chunk boundaries only* (an MC
-//! trial chunk, a sweep point): a hit unwinds with the private
+//! [`with_deadline`] installs a cooperative, thread-local deadline.
+//! A fan-out captures its caller's deadline, and each participant
+//! runs under exactly that deadline, whichever thread runs it: a
+//! helper's own budget neither cancels nor extends another job's
+//! task. Engines call [`check_deadline`] at *chunk boundaries only*
+//! (an MC trial chunk, a sweep point): a hit unwinds with the private
 //! [`DeadlineHit`] sentinel, so no partial result is ever observed —
 //! a run either completes bit-identically or unwinds with the
 //! sentinel, with nothing cached. That is what keeps the determinism
@@ -52,9 +72,10 @@
 
 use qods_obs::sites;
 use std::cell::Cell;
+use std::cmp::Reverse;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, Once, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, PoisonError};
 use std::time::Instant;
 
 /// The sentinel payload [`check_deadline`] panics with. Private to
@@ -102,15 +123,24 @@ impl Drop for DeadlineGuard {
 /// never extend one). The previous deadline is restored on exit,
 /// unwind included.
 pub fn with_deadline<R>(deadline: Option<Instant>, f: impl FnOnce() -> R) -> R {
-    let previous = DEADLINE.with(Cell::get);
-    let effective = match (previous, deadline) {
+    let effective = match (current_deadline(), deadline) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => b.or(a),
     };
-    if effective.is_some() {
+    under_deadline(effective, f)
+}
+
+/// Runs `f` under exactly `deadline`, replacing (not tightening)
+/// whatever this thread had, and restores the previous deadline on
+/// exit, unwind included. Pool participants run under their fan-out's
+/// captured deadline this way: a thread helping another job's fan-out
+/// must neither impose its own budget on that job's task nor lift
+/// the task's budget.
+fn under_deadline<R>(deadline: Option<Instant>, f: impl FnOnce() -> R) -> R {
+    if deadline.is_some() {
         install_quiet_deadline_hook();
     }
-    DEADLINE.with(|d| d.set(effective));
+    let previous = DEADLINE.with(|d| d.replace(deadline));
     let _guard = DeadlineGuard { previous };
     f()
 }
@@ -269,15 +299,212 @@ impl WorkQueue {
     }
 }
 
-/// Runs `worker(worker_index)` on `threads` scoped OS threads,
-/// returning results in worker-index order. With `threads <= 1` the
-/// worker runs inline on the caller's thread (no spawn) under the
-/// same guard. The caller's thread-local deadline ([`with_deadline`])
-/// is installed in every spawned worker, so nested pools inherit the
-/// budget.
+/// A published fan-out's participant body: `body(w)` runs participant
+/// `w` and stores its outcome itself.
+type Body<'a> = dyn Fn(usize) + Sync + 'a;
+
+/// One fan-out published to the pool. Participants are claimed and
+/// retired only under the pool lock; the atomics just make the shared
+/// record `Sync`.
+struct FanOut {
+    /// One more than the depth of the thread that submitted it.
+    depth: usize,
+    participants: usize,
+    body: &'static Body<'static>,
+    claimed: AtomicUsize,
+    finished: AtomicUsize,
+}
+
+/// The process-wide pool's shared state, guarded by [`STATE`].
+struct PoolState {
+    /// Fan-outs with participants left to claim, oldest first.
+    open: Vec<Arc<FanOut>>,
+    /// Background threads started so far.
+    started: usize,
+}
+
+static STATE: Mutex<PoolState> = Mutex::new(PoolState {
+    open: Vec::new(),
+    started: 0,
+});
+
+/// Signalled (under [`STATE`]) whenever a fan-out is published or a
+/// participant finishes.
+static CHANGED: Condvar = Condvar::new();
+
+thread_local! {
+    /// The depth of the fan-out whose participant this thread is
+    /// running; 0 outside the pool.
+    static DEPTH: Cell<usize> = const { Cell::new(0) };
+}
+
+impl PoolState {
+    /// Claims the next participant of `fan` while it has one left.
+    fn claim_own(&mut self, fan: &Arc<FanOut>) -> Option<usize> {
+        let pos = self.open.iter().position(|f| Arc::ptr_eq(f, fan))?;
+        Some(self.claim_at(pos).1)
+    }
+
+    /// Claims a participant of the deepest open fan-out nested
+    /// strictly deeper than `depth` (the oldest among equals).
+    fn claim_deeper(&mut self, depth: usize) -> Option<(Arc<FanOut>, usize)> {
+        let pos = (0..self.open.len())
+            .filter(|&i| self.open[i].depth > depth)
+            .max_by_key(|&i| (self.open[i].depth, Reverse(i)))?;
+        Some(self.claim_at(pos))
+    }
+
+    fn claim_at(&mut self, pos: usize) -> (Arc<FanOut>, usize) {
+        let fan = Arc::clone(&self.open[pos]);
+        let w = fan.claimed.fetch_add(1, Ordering::Relaxed);
+        if w + 1 == fan.participants {
+            self.open.remove(pos);
+        }
+        (fan, w)
+    }
+
+    /// Starts background threads until there are `host_threads() - 1`
+    /// (each caller is the last participant of its own fan-outs). The
+    /// pool never stops one, so a job starts none once the process is
+    /// warm. Their handles are dropped on purpose: the threads live as
+    /// long as the process and never unwind, since every participant
+    /// catches its own panics.
+    fn start_workers(&mut self) {
+        while self.started + 1 < host_threads() {
+            let spawned = std::thread::Builder::new()
+                .name(format!("qods-pool-{}", self.started + 1))
+                .spawn(help_forever);
+            if spawned.is_err() {
+                // Callers drain their own fan-outs: fewer helpers
+                // only cost speed.
+                break;
+            }
+            self.started += 1;
+            qods_obs::Registry::global()
+                .counter(sites::POOL_WORKERS_SPAWNED)
+                .inc();
+        }
+    }
+}
+
+/// Sets this thread's depth until the guard drops (unwind included).
+struct DepthGuard(usize);
+
+impl Drop for DepthGuard {
+    fn drop(&mut self) {
+        DEPTH.with(|d| d.set(self.0));
+    }
+}
+
+fn enter_depth(depth: usize) -> DepthGuard {
+    DepthGuard(DEPTH.with(|d| d.replace(depth)))
+}
+
+/// Runs participant `w` of `fan` at the fan-out's depth, then retires
+/// it. The body never unwinds: [`run_guarded`]'s participants catch
+/// their own panics.
+fn participate(fan: &FanOut, w: usize) {
+    {
+        let _depth = enter_depth(fan.depth);
+        (fan.body)(w);
+    }
+    let _state = plock(&STATE);
+    fan.finished.fetch_add(1, Ordering::Relaxed);
+    CHANGED.notify_all();
+}
+
+/// A background pool thread: holds one trace lane for the life of the
+/// process and runs participants of any open fan-out, deepest first.
+fn help_forever() {
+    let _lane = qods_obs::trace::claim_worker_lane();
+    let mut state = plock(&STATE);
+    loop {
+        match state.claim_deeper(0) {
+            Some((fan, w)) => {
+                drop(state);
+                participate(&fan, w);
+                state = plock(&STATE);
+            }
+            None => state = CHANGED.wait(state).unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+}
+
+/// Blocks, on drop, until every claimed participant of its fan-out has
+/// finished; unwinding included, so no participant outlives the borrow
+/// its body was erased from. While it waits, the thread helps only
+/// fan-outs nested strictly deeper than its own: it may be waiting
+/// inside a lazy initializer (`OnceLock::get_or_init`), and a
+/// shallower task, such as a sibling of the one that started the
+/// initializer, may read the same lazy and would re-enter it on this
+/// thread.
+struct Join<'a>(&'a Arc<FanOut>);
+
+impl Drop for Join<'_> {
+    fn drop(&mut self) {
+        let fan = self.0;
+        let mut state = plock(&STATE);
+        // Withdrawn: no participant is claimed after this point.
+        state.open.retain(|f| !Arc::ptr_eq(f, fan));
+        while fan.finished.load(Ordering::Relaxed) < fan.claimed.load(Ordering::Relaxed) {
+            match state.claim_deeper(fan.depth) {
+                Some((other, w)) => {
+                    drop(state);
+                    participate(&other, w);
+                    state = plock(&STATE);
+                }
+                None => state = CHANGED.wait(state).unwrap_or_else(PoisonError::into_inner),
+            }
+        }
+    }
+}
+
+/// Runs `body(w)` for every `w in 0..participants` on the process-wide
+/// pool and returns once all have finished. The caller claims
+/// participants of its own fan-out until none is left; idle pool
+/// threads, and callers waiting on shallower fan-outs, claim the rest.
+fn fan_out<'a>(participants: usize, body: &'a Body<'a>) {
+    // SAFETY: the pool keeps `body` as `&'static` although it borrows
+    // from this call's frame. It is dereferenced only by
+    // `participate` on a claimed participant, and `join` below is
+    // dropped before this frame is left, by return or unwind: its
+    // drop withdraws the fan-out, so nothing more is claimed, then
+    // blocks until every claimed participant has finished. A helper
+    // may still hold the `Arc<FanOut>` for a moment after that, but
+    // never reads `body` again.
+    let body = unsafe { std::mem::transmute::<&'a Body<'a>, &'static Body<'static>>(body) };
+    let fan = Arc::new(FanOut {
+        depth: DEPTH.with(Cell::get) + 1,
+        participants,
+        body,
+        claimed: AtomicUsize::new(0),
+        finished: AtomicUsize::new(0),
+    });
+    let join = Join(&fan);
+    {
+        let mut state = plock(&STATE);
+        state.start_workers();
+        state.open.push(Arc::clone(&fan));
+        CHANGED.notify_all();
+    }
+    loop {
+        let next = plock(&STATE).claim_own(&fan);
+        let Some(w) = next else { break };
+        participate(&fan, w);
+    }
+    drop(join);
+}
+
+/// Runs `worker(worker_index)` for `threads` participants on the
+/// process-wide pool, returning results in worker-index order. The
+/// calling thread is one participant and helps with the others; with
+/// `threads <= 1` the worker runs inline on the caller's thread under
+/// the same guard. Every participant runs under the caller's
+/// thread-local deadline ([`with_deadline`]) as it was at the call,
+/// whichever thread runs it, so nested pools inherit the budget.
 ///
-/// The `pool.worker` fault-injection site fires once per worker start
-/// (`panic` and `delay` actions apply; others are ignored).
+/// The `pool.worker` fault-injection site fires once per participant
+/// start (`panic` and `delay` actions apply; others are ignored).
 ///
 /// # Panics
 ///
@@ -306,13 +533,13 @@ where
     F: Fn(usize) -> R + Sync,
 {
     let deadline = current_deadline();
-    // Captured on the caller's thread: worker spans on spawned threads
+    // Captured on the caller's thread: worker spans on other threads
     // link back to the span that scheduled them (cross-thread parent).
     let parent_span = qods_obs::trace::current_span();
     let guarded = |w: usize| -> Result<R, Failure> {
         let _span = qods_obs::span!(sites::POOL_WORKER).child_of(parent_span);
         std::panic::catch_unwind(AssertUnwindSafe(|| {
-            with_deadline(deadline, || {
+            under_deadline(deadline, || {
                 if let Some(action) = qods_fault::check_sleeping(qods_fault::site::POOL_WORKER) {
                     if action == qods_fault::FaultAction::Panic {
                         panic!("injected fault: pool worker {w} panicked");
@@ -324,37 +551,22 @@ where
         .map_err(classify_panic)
     };
     if threads <= 1 {
+        let _depth = enter_depth(DEPTH.with(Cell::get) + 1);
         return fold_outcomes(vec![guarded(0)]);
     }
-    qods_obs::Registry::global()
-        .counter(sites::POOL_WORKERS_SPAWNED)
-        .add(threads as u64);
-    let guarded = &guarded;
-    let outcomes: Vec<Result<R, Failure>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                scope.spawn(move || {
-                    // Fresh OS thread, fresh TLS: the worker renders
-                    // on a lane no other live worker holds.
-                    let _lane = qods_obs::trace::claim_worker_lane();
-                    guarded(w)
-                })
-            })
-            .collect();
-        handles
+    let slots: Vec<Mutex<Option<Result<R, Failure>>>> =
+        (0..threads).map(|_| Mutex::new(None)).collect();
+    fan_out(threads, &|w| *plock(&slots[w]) = Some(guarded(w)));
+    fold_outcomes(
+        slots
             .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    // Unreachable in practice: the closure catches its
-                    // own unwinds. Classify rather than re-panic.
-                    Err(Failure::Panicked(
-                        "worker thread died before reporting".to_string(),
-                    ))
-                })
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .unwrap_or_else(|| unreachable!("every participant ran"))
             })
-            .collect()
-    });
-    fold_outcomes(outcomes)
+            .collect(),
+    )
 }
 
 /// Runs `n` independent tasks — `task(i)` for `i in 0..n` — over a
@@ -553,32 +765,13 @@ mod tests {
         let err = caught(|| {
             with_deadline(Some(past), || {
                 run_workers(3, |_| {
-                    check_deadline(); // runs on a spawned thread
+                    check_deadline(); // may run on a pool thread
                     0u32
                 })
             })
         })
-        .expect_err("spawned workers must see the deadline");
+        .expect_err("every participant must see the deadline");
         assert_eq!(err, Failure::Deadline);
-    }
-
-    #[test]
-    fn injected_worker_panic_fires_through_the_fault_site() {
-        // Process-global injector: keep arm/disarm in one test.
-        qods_fault::arm(qods_fault::FaultPlan::new().once(
-            "pool.worker",
-            1,
-            qods_fault::FaultAction::Panic,
-        ));
-        let err = caught(|| run_workers(1, |_| 7)).expect_err("injected panic");
-        assert!(
-            matches!(&err, Failure::Panicked(m) if m.contains("injected fault")),
-            "{err:?}"
-        );
-        assert_eq!(qods_fault::fired_at("pool.worker"), 1);
-        qods_fault::disarm();
-        // Disarmed again: the same call succeeds.
-        assert_eq!(run_workers(1, |_| 7), vec![7]);
     }
 
     /// The override tests live in one function: the pin is

@@ -252,6 +252,13 @@ mod tests {
             }
             match table.begin(5) {
                 Begin::Leader(leader) => {
+                    // A leader's job consults the result cache first,
+                    // as `Scheduler::run_with_events` does: an earlier
+                    // retrier may have filled it since the check above.
+                    if let Some(v) = *cache.lock().expect("test cache") {
+                        leader.complete(v);
+                        return v;
+                    }
                     let n = executions.fetch_add(1, Ordering::SeqCst);
                     let v = 40 + n as u32;
                     *cache.lock().expect("test cache") = Some(v);

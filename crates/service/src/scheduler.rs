@@ -7,7 +7,7 @@ use crate::coalesce::{Begin, InflightTable};
 use crate::request::RunRequest;
 use qods_core::experiment::{Experiment, ExperimentRecord};
 use qods_core::kernels::KernelError;
-use qods_core::registry::{Registry, RegistryError};
+use qods_core::registry::{run_planned, Registry, RegistryError};
 use qods_core::study::StudyConfig;
 use qods_obs::{sites, Counter};
 use qods_pool::plock;
@@ -543,9 +543,9 @@ impl Scheduler {
         })
     }
 
-    /// Runs the cache-missed experiments of one job through the
-    /// shared worker pool, streaming an event per finished
-    /// experiment.
+    /// Runs the cache-missed experiments of one job as one
+    /// [`run_planned`] job on the shared pool, streaming an event per
+    /// finished experiment.
     fn compute_misses(
         &self,
         request: &RunRequest,
@@ -555,11 +555,12 @@ impl Scheduler {
     ) -> Vec<(usize, ExperimentRecord)> {
         let request_id = request.id.clone();
         let emit = Mutex::new(emit);
-        qods_pool::run_indexed(misses.len(), self.threads.min(misses.len().max(1)), |k| {
+        let selection: Vec<&dyn Experiment> = misses.iter().map(|&(_, exp)| exp).collect();
+        let threads = self.threads.min(misses.len().max(1));
+        run_planned(&selection, entry.context(), threads, |k, exp| {
             // Experiment boundaries are cancellation points even for
             // engines with no inner chunk loop.
             qods_pool::check_deadline();
-            let (i, exp) = misses[k];
             // Parents to the pool.worker span the pool opened on this
             // thread (or the caller's span on the inline path).
             let _span = qods_obs::span!(sites::JOB_EXPERIMENT, { detail: exp.id() });
@@ -574,7 +575,7 @@ impl Scheduler {
                 seconds,
             });
             (
-                i,
+                misses[k].0,
                 ExperimentRecord {
                     id: exp.id().to_string(),
                     title: exp.title().to_string(),

@@ -185,3 +185,85 @@ fn the_server_wide_default_deadline_applies_only_when_unset() {
     sched.set_default_deadline_ms(0);
     assert_eq!(sched.default_deadline_ms(), None);
 }
+
+/// A job's outputs as JSON, without the per-record timings.
+fn output_bytes(result: &JobResult) -> String {
+    let outputs: Vec<_> = result.records.iter().map(|r| &r.output).collect();
+    serde_json::to_string(&outputs).expect("outputs serialize")
+}
+
+/// Job A fails on every run: on even runs its deadline has already
+/// passed, on odd runs an injected panic hits its Monte-Carlo chunks.
+/// Job B has no deadline and reads no Monte Carlo, so neither fault
+/// can reach it directly. Both run at once on the one process-wide
+/// pool, with two background helpers and a 5 ms stall at every
+/// participant start, so A's caller often waits on a participant a
+/// helper holds while B's nested fan-outs are open, and helps them.
+/// Whatever the schedule, B returns its oracle's bytes and A fails
+/// typed. (`qods-pool`'s `helping` tests force that schedule.)
+#[test]
+fn helping_threads_carry_no_deadline_or_panic_across_jobs() {
+    let _x = exclusive();
+    qods_pool::set_thread_override(Some(3));
+    let b_req = RunRequest::of(["fig15", "table2"]).with_overrides(Overrides {
+        n_bits: Some(8),
+        synth_max_t: Some(8),
+        sweep_points: Some(24),
+        ..Overrides::default()
+    });
+    let oracle = output_bytes(
+        &Scheduler::with_options(StudyConfig::smoke(), 2, false)
+            .run(&b_req)
+            .expect("oracle run"),
+    );
+    let a_req = smoke_request(&["fig4", "table1", "fig6", "table9"]);
+    let a_sched = Scheduler::with_options(StudyConfig::smoke(), 2, false);
+    let b_sched = Scheduler::with_options(StudyConfig::smoke(), 2, false);
+
+    qods_fault::arm(
+        qods_fault::FaultPlan::new()
+            .repeating("pool.worker", 1, 1, qods_fault::FaultAction::Delay(5))
+            .repeating("mc.chunk", 1, 1, qods_fault::FaultAction::Panic),
+    );
+    let b_done = std::sync::atomic::AtomicBool::new(false);
+    let (a_runs, b_runs) = std::thread::scope(|s| {
+        let a = s.spawn(|| {
+            let mut runs = Vec::new();
+            while !b_done.load(std::sync::atomic::Ordering::Acquire) {
+                let req = if runs.len() % 2 == 0 {
+                    a_req.clone().with_deadline_ms(0)
+                } else {
+                    a_req.clone()
+                };
+                runs.push(a_sched.run(&req));
+            }
+            runs
+        });
+        let b = s.spawn(|| {
+            let runs: Vec<_> = (0..4).map(|_| b_sched.run(&b_req)).collect();
+            b_done.store(true, std::sync::atomic::Ordering::Release);
+            runs
+        });
+        (
+            a.join().expect("job A's thread must not die"),
+            b.join().expect("job B's thread must not die"),
+        )
+    });
+    qods_fault::disarm();
+    qods_pool::set_thread_override(None);
+
+    for run in b_runs {
+        let run = run.expect("job B never sees A's deadline or panic");
+        assert_eq!(output_bytes(&run), oracle, "job B's bytes drifted");
+    }
+    assert!(!a_runs.is_empty());
+    for run in a_runs {
+        assert!(
+            matches!(
+                run,
+                Err(ServiceError::DeadlineExceeded | ServiceError::Internal { .. })
+            ),
+            "job A must fail typed: {run:?}"
+        );
+    }
+}

@@ -96,11 +96,6 @@ impl Synthesizer {
         }
     }
 
-    /// The configured T-count budget.
-    pub fn max_t_count(&self) -> u32 {
-        self.max_t
-    }
-
     /// Finds the best approximation of `target` within the budget.
     ///
     /// Preference order: satisfying `target_distance` at the smallest
