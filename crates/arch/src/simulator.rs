@@ -210,10 +210,7 @@ impl<'c> SimContext<'c> {
             }
         }
 
-        // The speed-of-data makespan reuses the DAG just built instead
-        // of lowering a second one.
-        let sod_makespan_us =
-            qods_circuit::schedule::Schedule::speed_of_data_on(&dag, circuit, &model).makespan_us;
+        let sod_makespan_us = qods_circuit::schedule::SpeedOfData::of(circuit, &model).makespan_us;
 
         SimContext {
             circuit,

@@ -345,9 +345,10 @@ fn flush_trace(path: &str) -> Result<(), ExitCode> {
     );
     for (site, agg) in export::stage_breakdown(&events) {
         eprintln!(
-            "  {site:<24} {:>6} x  total {:>10.3} ms  max {:>9.3} ms",
+            "  {site:<24} {:>6} x  total {:>10.3} ms  self {:>10.3} ms  max {:>9.3} ms",
             agg.count,
             agg.total_ns as f64 / 1e6,
+            agg.self_ns as f64 / 1e6,
             agg.max_ns as f64 / 1e6,
         );
     }

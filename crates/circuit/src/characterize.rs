@@ -13,9 +13,8 @@
 //!   circuit to never wait on an ancilla.
 
 use crate::circuit::Circuit;
-use crate::dag::Dag;
 use crate::latency_model::CharacterizationModel;
-use crate::schedule::Schedule;
+use crate::schedule::{frontier_pass, Schedule};
 use serde::{Deserialize, Serialize};
 
 /// Table 2 row: the latency split of a no-overlap execution.
@@ -95,45 +94,22 @@ pub fn characterize(circuit: &Circuit) -> CircuitReport {
     characterize_with(circuit, &CharacterizationModel::ion_trap())
 }
 
-/// Characterizes a lowered circuit under a custom latency model.
+/// Characterizes a lowered circuit under a custom latency model, in
+/// one frontier pass: the critical-path split, the speed-of-data
+/// runtime and the ancilla totals all come out of the same walk.
 pub fn characterize_with(circuit: &Circuit, model: &CharacterizationModel) -> CircuitReport {
-    let dag = Dag::build(circuit);
-    let gates = circuit.gates();
-
-    // Critical path weighted by occupied time (data + QEC interact).
-    let weight = |i: usize| model.data_latency(&gates[i]) + model.qec_interact();
-    let path = dag.critical_path(weight);
-
-    let mut data_op = 0.0;
-    let mut interact = 0.0;
-    let mut prep = 0.0;
-    for &i in &path {
-        let g = &gates[i];
-        data_op += model.data_latency(g);
-        interact += model.qec_interact();
-        prep += model.zero_prep(); // two zeros prepared in parallel rows
-        if g.needs_pi8_ancilla() {
-            prep += model.pi8_prep();
-        }
-    }
-    let breakdown = LatencyBreakdown {
-        data_op_us: data_op,
-        qec_interact_us: interact,
-        ancilla_prep_us: prep,
-    };
-
-    // Bandwidths at the speed of data, on the same DAG.
-    let sched = Schedule::speed_of_data_on(&dag, circuit, model);
-    let runtime_ms = sched.makespan_us / 1000.0;
     let mut total_zeros = 0u64;
     let mut total_pi8 = 0u64;
-    for g in gates {
+    let mut non_transversal = 0usize;
+    let summary = frontier_pass(circuit, model, |g, _, _| {
         total_zeros += model.zeros_per_qec() * g.qubits().len() as u64;
         if g.needs_pi8_ancilla() {
             total_pi8 += 1;
             total_zeros += model.zeros_per_pi8();
         }
-    }
+        non_transversal += usize::from(!g.is_transversal());
+    });
+    let runtime_ms = summary.makespan_us / 1000.0;
     let bandwidth = BandwidthReport {
         zero_per_ms: if runtime_ms > 0.0 {
             total_zeros as f64 / runtime_ms
@@ -154,8 +130,13 @@ pub fn characterize_with(circuit: &Circuit, model: &CharacterizationModel) -> Ci
         name: circuit.name.clone(),
         n_qubits: circuit.n_qubits(),
         gate_count: circuit.len(),
-        non_transversal_fraction: circuit.non_transversal_fraction(),
-        breakdown,
+        // As `Circuit::non_transversal_fraction`, from the same count.
+        non_transversal_fraction: if circuit.is_empty() {
+            0.0
+        } else {
+            non_transversal as f64 / circuit.len() as f64
+        },
+        breakdown: summary.breakdown,
         bandwidth,
     }
 }
@@ -217,50 +198,6 @@ pub fn demand_profile(
         points.push(DemandPoint {
             t_us: t,
             zeros_in_flight: in_window as f64,
-        });
-    }
-    points
-}
-
-/// One point of a parallelism profile.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ParallelismPoint {
-    /// Time into the execution (us).
-    pub t_us: f64,
-    /// Gates executing concurrently at `t`.
-    pub gates_in_flight: f64,
-}
-
-/// The number of gates in flight over the speed-of-data schedule — the
-/// parallelism the architecture must serve, and the driver behind the
-/// Fig 7 demand peaks and the Table 3 bandwidth gap between the QRCA
-/// and the QCLA.
-pub fn parallelism_profile(
-    circuit: &Circuit,
-    model: &CharacterizationModel,
-    samples: usize,
-) -> Vec<ParallelismPoint> {
-    let sched = Schedule::speed_of_data(circuit, model);
-    let horizon = sched.makespan_us.max(1.0);
-    // Sweep events: +1 at start, -1 at end.
-    let mut events: Vec<(f64, i64)> = Vec::with_capacity(2 * sched.start.len());
-    for (s, d) in sched.start.iter().zip(&sched.duration) {
-        events.push((*s, 1));
-        events.push((s + d, -1));
-    }
-    events.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-    let mut points = Vec::with_capacity(samples);
-    let mut idx = 0usize;
-    let mut in_flight = 0i64;
-    for s in 0..samples {
-        let t = horizon * (s as f64 + 0.5) / samples as f64;
-        while idx < events.len() && events[idx].0 <= t {
-            in_flight += events[idx].1;
-            idx += 1;
-        }
-        points.push(ParallelismPoint {
-            t_us: t,
-            gates_in_flight: in_flight as f64,
         });
     }
     points
@@ -342,29 +279,5 @@ mod tests {
         let r = characterize(&c);
         assert_eq!(r.gate_count, 0);
         assert_eq!(r.bandwidth.total_zeros, 0);
-    }
-
-    #[test]
-    fn parallelism_profile_of_serial_chain_is_one() {
-        let mut c = Circuit::new(1);
-        for _ in 0..5 {
-            c.h(0);
-        }
-        let model = CharacterizationModel::ion_trap();
-        let prof = parallelism_profile(&c, &model, 100);
-        for p in &prof {
-            assert!((p.gates_in_flight - 1.0).abs() < 1e-9, "at {}", p.t_us);
-        }
-    }
-
-    #[test]
-    fn parallelism_profile_sees_width() {
-        let mut c = Circuit::new(4);
-        for q in 0..4 {
-            c.h(q);
-        }
-        let model = CharacterizationModel::ion_trap();
-        let prof = parallelism_profile(&c, &model, 50);
-        assert!(prof.iter().all(|p| (p.gates_in_flight - 4.0).abs() < 1e-9));
     }
 }

@@ -33,9 +33,10 @@ pub struct Circuit {
 /// The real implementation lives in `qods-synth` (Fowler-style search
 /// over H/T sequences); the trait keeps this crate independent of it.
 pub trait RotationSynthesizer {
-    /// A physical gate sequence approximating `diag(1, e^{±i pi/2^k})`
-    /// on qubit `q`. Implementations must only emit physical gates.
-    fn synthesize(&self, q: usize, k: u8, dagger: bool) -> Vec<Gate>;
+    /// Appends to `out` a physical gate sequence approximating
+    /// `diag(1, e^{±i pi/2^k})` on qubit `q`. Implementations must only
+    /// emit physical gates.
+    fn synthesize(&self, q: usize, k: u8, dagger: bool, out: &mut Circuit);
 }
 
 /// A synthesizer for circuits that contain no deep rotations; it
@@ -44,7 +45,7 @@ pub trait RotationSynthesizer {
 pub struct NoSynth;
 
 impl RotationSynthesizer for NoSynth {
-    fn synthesize(&self, _q: usize, k: u8, _dagger: bool) -> Vec<Gate> {
+    fn synthesize(&self, _q: usize, k: u8, _dagger: bool, _out: &mut Circuit) {
         // qods-lint: allow(P1) -- the panic IS this type's documented contract: NoSynth asserts a rotation-free circuit
         panic!("circuit contains a pi/2^{k} rotation but no synthesizer was provided")
     }
@@ -312,9 +313,12 @@ fn lower_gate(g: Gate, synth: &impl RotationSynthesizer, out: &mut Circuit) {
             out.push(if dagger { Gate::Tdg(q) } else { Gate::T(q) })
         }
         Gate::PhaseRot { q, k, dagger } => {
-            for s in synth.synthesize(q, k, dagger) {
+            // The synthesizer appends through `push`, which checks
+            // qubit bounds; the gate set is checked here.
+            let from = out.len();
+            synth.synthesize(q, k, dagger, out);
+            for s in &out.gates[from..] {
                 assert!(s.is_physical(), "synthesizer emitted non-physical {s:?}");
-                out.push(s);
             }
         }
         other => out.push(other),
@@ -355,6 +359,31 @@ mod tests {
         let mut c = Circuit::new(1);
         c.phase_rot(0, 5, false);
         let _ = c.lower(&NoSynth);
+    }
+
+    /// Emits `gate` for every rotation, whatever it was asked for.
+    struct Emits(Gate);
+
+    impl RotationSynthesizer for Emits {
+        fn synthesize(&self, _q: usize, _k: u8, _dagger: bool, out: &mut Circuit) {
+            out.push(self.0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "synthesizer emitted non-physical")]
+    fn non_physical_synthesis_panics() {
+        let mut c = Circuit::new(3);
+        c.phase_rot(0, 5, false);
+        let _ = c.lower(&Emits(Gate::Toffoli(0, 1, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "references qubit")]
+    fn out_of_range_synthesis_panics() {
+        let mut c = Circuit::new(1);
+        c.phase_rot(0, 5, false);
+        let _ = c.lower(&Emits(Gate::H(1)));
     }
 
     #[test]

@@ -5,9 +5,16 @@
 //! latency plus the QEC interaction that must follow it, and nothing
 //! else. The schedule this module produces is the paper's "execution
 //! limited only by data dependencies".
+//!
+//! Each gate waits only on the last gate on each of its qubits, so
+//! every speed-of-data quantity comes out of one forward pass over
+//! per-qubit frontier state (`frontier_pass`): no dependency graph
+//! is built. The pass is bit-identical to the [`crate::dag::Dag`]
+//! walks it replaced, which stay as its test oracle.
 
+use crate::characterize::LatencyBreakdown;
 use crate::circuit::Circuit;
-use crate::dag::Dag;
+use crate::gate::Gate;
 use crate::latency_model::CharacterizationModel;
 
 /// A speed-of-data schedule: per-gate start times and the makespan.
@@ -28,29 +35,16 @@ impl Schedule {
     ///
     /// Panics if the circuit contains non-physical gates.
     pub fn speed_of_data(circuit: &Circuit, model: &CharacterizationModel) -> Self {
-        Self::speed_of_data_on(&Dag::build(circuit), circuit, model)
-    }
-
-    /// Like [`Schedule::speed_of_data`], but reuses an already-built
-    /// [`Dag`] — callers that hold one (e.g. an architectural
-    /// simulation context) avoid rebuilding the dependency structure.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dag` was not built from `circuit` (length mismatch)
-    /// or the circuit contains non-physical gates.
-    pub fn speed_of_data_on(dag: &Dag, circuit: &Circuit, model: &CharacterizationModel) -> Self {
-        assert_eq!(dag.len(), circuit.len(), "DAG does not match circuit");
-        let durations: Vec<f64> = circuit
-            .gates()
-            .iter()
-            .map(|g| model.data_latency(g) + model.qec_interact())
-            .collect();
-        let (start, makespan) = dag.asap(|i| durations[i]);
+        let mut start = Vec::with_capacity(circuit.len());
+        let mut duration = Vec::with_capacity(circuit.len());
+        let summary = frontier_pass(circuit, model, |_, s, d| {
+            start.push(s);
+            duration.push(d);
+        });
         Schedule {
             start,
-            makespan_us: makespan,
-            duration: durations,
+            makespan_us: summary.makespan_us,
+            duration,
         }
     }
 
@@ -61,6 +55,112 @@ impl Schedule {
             .zip(&self.duration)
             .map(|(s, d)| s + d)
             .collect()
+    }
+}
+
+/// The circuit-wide speed-of-data quantities one frontier pass
+/// computes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpeedOfData {
+    /// Makespan (us): the latest gate end, trailing QEC included.
+    pub makespan_us: f64,
+    /// Dependency depth in gate levels (unit durations).
+    pub depth: usize,
+    /// The Table 2 latency split along one weighted critical path
+    /// (ties broken towards earlier gates).
+    pub breakdown: LatencyBreakdown,
+}
+
+impl SpeedOfData {
+    /// The summary of a lowered circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit contains non-physical gates.
+    pub fn of(circuit: &Circuit, model: &CharacterizationModel) -> Self {
+        frontier_pass(circuit, model, |_, _, _| {})
+    }
+}
+
+/// The last gate on one qubit: its end time (the weighted longest path
+/// ending at it), its unit-weight level, and the Table 2 sums along the
+/// weighted path that ends at it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Front {
+    dist: f64,
+    level: usize,
+    data_op: f64,
+    interact: f64,
+    prep: f64,
+}
+
+/// One forward pass in program order. Each gate starts when the last
+/// gate on every one of its qubits has ended, and `visit` sees it with
+/// that start time and its occupied duration.
+///
+/// The weighted critical path is tracked without back pointers: a gate
+/// extends the path of its predecessor with the latest end (the first
+/// in qubit order on a tie, by strict `>`), carrying that path's sums
+/// forward. A qubit no gate has touched yet holds the zero front,
+/// which a strict `>` over ends `>= 0` never picks, so a path starts
+/// from zero sums exactly where a predecessor-less gate would.
+///
+/// # Panics
+///
+/// Panics if the circuit contains non-physical gates.
+pub(crate) fn frontier_pass(
+    circuit: &Circuit,
+    model: &CharacterizationModel,
+    mut visit: impl FnMut(&Gate, f64, f64),
+) -> SpeedOfData {
+    let interact = model.qec_interact();
+    let zero_prep = model.zero_prep();
+    let pi8_prep = model.pi8_prep();
+    let mut fronts = vec![Front::default(); circuit.n_qubits()];
+    // The end of the critical path: the first gate with the latest end.
+    let mut last = Front::default();
+    let mut depth = 0;
+    for g in circuit.gates() {
+        let qubits = g.qubits();
+        let mut pred = Front::default();
+        let mut level = 0;
+        for &q in qubits.iter() {
+            let f = fronts[q];
+            if f.dist > pred.dist {
+                pred = f;
+            }
+            level = level.max(f.level);
+        }
+        let data = model.data_latency(g);
+        let duration = data + interact;
+        visit(g, pred.dist, duration);
+        let mut prep = pred.prep + zero_prep; // two zeros prepared in parallel rows
+        if g.needs_pi8_ancilla() {
+            prep += pi8_prep;
+        }
+        let front = Front {
+            dist: pred.dist + duration,
+            level: level + 1,
+            data_op: pred.data_op + data,
+            interact: pred.interact + interact,
+            prep,
+        };
+        for &q in qubits.iter() {
+            fronts[q] = front;
+        }
+        if front.dist > last.dist {
+            last = front;
+        }
+        depth = depth.max(front.level);
+    }
+    SpeedOfData {
+        makespan_us: last.dist,
+        depth,
+        breakdown: LatencyBreakdown {
+            data_op_us: last.data_op,
+            qec_interact_us: last.interact,
+            ancilla_prep_us: last.prep,
+        },
     }
 }
 

@@ -8,7 +8,6 @@
 //! the shape of all three panels of Fig 8.
 
 use crate::circuit::Circuit;
-use crate::dag::Dag;
 use crate::latency_model::CharacterizationModel;
 
 /// Executes the circuit with encoded zeros arriving at `zeros_per_ms`,
@@ -28,48 +27,58 @@ pub fn execution_time_us(
     model: &CharacterizationModel,
     zeros_per_ms: f64,
 ) -> f64 {
-    execution_time_on(circuit, &Dag::build(circuit), model, zeros_per_ms)
+    makespans_us(circuit, model, &[zeros_per_ms])[0]
 }
 
-/// [`execution_time_us`] on a prebuilt dependency DAG of `circuit`, so
-/// a sweep builds the DAG once rather than once per point.
-fn execution_time_on(
+/// [`execution_time_us`] at every rate in `zeros_per_ms`, in one
+/// forward pass. A gate's data dependencies are the last gates on its
+/// qubits, so the pass keeps each qubit's last end time per rate
+/// (qubit-major: a gate's rows are contiguous) and decodes each gate
+/// once for all rates. Each rate's arithmetic is exactly the one-rate
+/// pass's.
+fn makespans_us(
     circuit: &Circuit,
-    dag: &Dag,
     model: &CharacterizationModel,
-    zeros_per_ms: f64,
-) -> f64 {
-    assert!(zeros_per_ms > 0.0, "throughput must be positive");
-    let rate_per_us = zeros_per_ms / 1000.0;
-    let gates = circuit.gates();
+    zeros_per_ms: &[f64],
+) -> Vec<f64> {
+    assert!(
+        zeros_per_ms.iter().all(|&r| r > 0.0),
+        "throughput must be positive"
+    );
+    let rates_per_us: Vec<f64> = zeros_per_ms.iter().map(|r| r / 1000.0).collect();
+    let n = rates_per_us.len();
 
-    let mut end = vec![0.0f64; gates.len()];
+    let mut last_end = vec![0.0f64; circuit.n_qubits() * n];
+    let mut makespan = vec![0.0f64; n];
     let mut consumed: u64 = 0;
-    let mut makespan = 0.0f64;
-    for i in 0..gates.len() {
-        let g = &gates[i];
-        let mut ready = 0.0f64;
-        for &p in dag.preds(i) {
-            ready = ready.max(end[p]);
-        }
-        let mut zeros = model.zeros_per_qec() * g.qubits().len() as u64;
+    for g in circuit.gates() {
+        let qubits = g.qubits();
+        let mut zeros = model.zeros_per_qec() * qubits.len() as u64;
         if g.needs_pi8_ancilla() {
             zeros += model.zeros_per_pi8();
         }
         consumed += zeros;
-        // Earliest time the cumulative production covers `consumed`.
-        let supply_time = if rate_per_us.is_infinite() {
-            0.0
-        } else {
-            consumed as f64 / rate_per_us
-        };
-        // The zeros are needed at QEC time (the end of the gate), so
-        // the gate may start on data readiness and stall only if the
-        // supply has not yet covered its consumption by then.
         let dur = model.data_latency(g) + model.qec_interact();
-        let e = (ready + dur).max(supply_time);
-        end[i] = e;
-        makespan = makespan.max(e);
+        for (j, (&rate_per_us, span)) in rates_per_us.iter().zip(&mut makespan).enumerate() {
+            let mut ready = 0.0f64;
+            for &q in qubits.iter() {
+                ready = ready.max(last_end[q * n + j]);
+            }
+            // Earliest time the cumulative production covers `consumed`.
+            let supply_time = if rate_per_us.is_infinite() {
+                0.0
+            } else {
+                consumed as f64 / rate_per_us
+            };
+            // The zeros are needed at QEC time (the end of the gate), so
+            // the gate may start on data readiness and stall only if the
+            // supply has not yet covered its consumption by then.
+            let e = (ready + dur).max(supply_time);
+            for &q in qubits.iter() {
+                last_end[q * n + j] = e;
+            }
+            *span = span.max(e);
+        }
     }
     makespan
 }
@@ -94,14 +103,14 @@ pub fn throughput_sweep(
 ) -> Vec<ThroughputPoint> {
     assert!(lo > 0.0 && hi > lo && points >= 2, "bad sweep range");
     let step = (hi / lo).powf(1.0 / (points - 1) as f64);
-    let dag = Dag::build(circuit);
-    (0..points)
-        .map(|i| {
-            let r = lo * step.powi(i as i32);
-            ThroughputPoint {
-                zeros_per_ms: r,
-                execution_us: execution_time_on(circuit, &dag, model, r),
-            }
+    let rates: Vec<f64> = (0..points).map(|i| lo * step.powi(i as i32)).collect();
+    let makespans = makespans_us(circuit, model, &rates);
+    rates
+        .into_iter()
+        .zip(makespans)
+        .map(|(zeros_per_ms, execution_us)| ThroughputPoint {
+            zeros_per_ms,
+            execution_us,
         })
         .collect()
 }

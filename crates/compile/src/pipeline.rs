@@ -29,9 +29,8 @@ use crate::hash::{hash_hex, hash_value};
 use crate::store::{ArtifactKey, ArtifactStore, ARTIFACT_SCHEMA};
 use qods_circuit::characterize::{characterize_with, CircuitReport};
 use qods_circuit::circuit::Circuit;
-use qods_circuit::dag::Dag;
 use qods_circuit::latency_model::CharacterizationModel;
-use qods_circuit::schedule::Schedule;
+use qods_circuit::schedule::SpeedOfData;
 use qods_kernels::{KernelError, KernelSpec, SynthAdapter};
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
@@ -207,12 +206,10 @@ impl Compiler {
                 .ir(spec)
                 .unwrap_or_else(|e| unreachable!("spec validated above: {e}"));
             let lowered = spec.lower(&ir, &self.adapter);
-            let model = CharacterizationModel::ion_trap();
-            let dag = Dag::build(&lowered);
-            let schedule = Schedule::speed_of_data_on(&dag, &lowered, &model);
+            let summary = SpeedOfData::of(&lowered, &CharacterizationModel::ion_trap());
             ScheduledCircuit {
-                makespan_us: schedule.makespan_us,
-                depth: dag.depth(),
+                makespan_us: summary.makespan_us,
+                depth: summary.depth,
                 circuit: lowered,
             }
         }))

@@ -14,8 +14,10 @@ use std::sync::Mutex;
 /// [`SynthAdapter::lower`] solves every rotation a lowering needs in
 /// one shared search ([`Synthesizer::rz_pi_over_2k_batch`]): a first
 /// pass through the lowering rules records the `(k, dagger)` pairs
-/// they request, the uncached ones are solved as one batch, and the
-/// second pass lowers from the cache. Each pair is solved at most once
+/// they request, and the uncached ones are solved as one batch. The
+/// requested sequences are then copied out of the cache into a local
+/// table, and the second pass lowers from that table without the lock,
+/// appending each sequence in place. Each pair is solved at most once
 /// per adapter and reused for every qubit and every later lowering,
 /// and no pair is solved that no lowering asked for. Lowering through
 /// the [`RotationSynthesizer`] impl directly solves each cache miss as
@@ -41,29 +43,34 @@ impl SynthAdapter {
     pub fn lower(&self, circuit: &Circuit) -> Circuit {
         let wanted = Recorder::default();
         circuit.lower(&wanted);
-        let mut cache = qods_pool::plock(&self.cache);
-        let missing: Vec<(u8, bool)> = wanted
-            .0
-            .into_inner()
-            .into_iter()
-            .filter(|key| !cache.contains_key(key))
-            .collect();
-        if !missing.is_empty() {
-            let solved = self.synth.rz_pi_over_2k_batch(&missing);
-            for (key, seq) in missing.into_iter().zip(solved) {
-                cache.insert(key, simplify(&seq.gates));
+        let wanted = wanted.0.into_inner();
+        let table = {
+            let mut cache = qods_pool::plock(&self.cache);
+            let missing: Vec<(u8, bool)> = wanted
+                .iter()
+                .copied()
+                .filter(|key| !cache.contains_key(key))
+                .collect();
+            if !missing.is_empty() {
+                let solved = self.synth.rz_pi_over_2k_batch(&missing);
+                for (key, seq) in missing.into_iter().zip(solved) {
+                    cache.insert(key, simplify(&seq.gates));
+                }
             }
-        }
-        drop(cache);
-        circuit.lower(self)
+            Table::copy(&cache, &wanted)
+        };
+        circuit.lower(&table)
     }
+}
 
-    fn sequence(&self, k: u8, dagger: bool) -> Vec<HtGate> {
-        let mut cache = qods_pool::plock(&self.cache);
-        cache
-            .entry((k, dagger))
-            .or_insert_with(|| simplify(&self.synth.rz_pi_over_2k(k, dagger).gates))
-            .clone()
+/// Appends `seq` on qubit `q`.
+fn emit(seq: &[HtGate], q: usize, out: &mut Circuit) {
+    for g in seq {
+        out.push(match g {
+            HtGate::H => Gate::H(q),
+            HtGate::S => Gate::S(q),
+            HtGate::T => Gate::T(q),
+        });
     }
 }
 
@@ -72,22 +79,43 @@ impl SynthAdapter {
 struct Recorder(RefCell<BTreeSet<(u8, bool)>>);
 
 impl RotationSynthesizer for Recorder {
-    fn synthesize(&self, _q: usize, k: u8, dagger: bool) -> Vec<Gate> {
+    fn synthesize(&self, _q: usize, k: u8, dagger: bool, _out: &mut Circuit) {
         self.0.borrow_mut().insert((k, dagger));
-        Vec::new()
+    }
+}
+
+/// The sequences one lowering requests, copied out of the shared
+/// cache: `(k, dagger)`'s sequence sits at index `2k + dagger`.
+struct Table(Vec<Vec<HtGate>>);
+
+impl Table {
+    fn index(k: u8, dagger: bool) -> usize {
+        2 * usize::from(k) + usize::from(dagger)
+    }
+
+    fn copy(cache: &HashMap<(u8, bool), Vec<HtGate>>, wanted: &BTreeSet<(u8, bool)>) -> Self {
+        let len = wanted.last().map_or(0, |&(k, d)| Self::index(k, d) + 1);
+        let mut seqs = vec![Vec::new(); len];
+        for &(k, dagger) in wanted {
+            seqs[Self::index(k, dagger)].clone_from(&cache[&(k, dagger)]);
+        }
+        Table(seqs)
+    }
+}
+
+impl RotationSynthesizer for Table {
+    fn synthesize(&self, q: usize, k: u8, dagger: bool, out: &mut Circuit) {
+        emit(&self.0[Self::index(k, dagger)], q, out);
     }
 }
 
 impl RotationSynthesizer for SynthAdapter {
-    fn synthesize(&self, q: usize, k: u8, dagger: bool) -> Vec<Gate> {
-        self.sequence(k, dagger)
-            .into_iter()
-            .map(|g| match g {
-                HtGate::H => Gate::H(q),
-                HtGate::S => Gate::S(q),
-                HtGate::T => Gate::T(q),
-            })
-            .collect()
+    fn synthesize(&self, q: usize, k: u8, dagger: bool, out: &mut Circuit) {
+        let mut cache = qods_pool::plock(&self.cache);
+        let seq = cache
+            .entry((k, dagger))
+            .or_insert_with(|| simplify(&self.synth.rz_pi_over_2k(k, dagger).gates));
+        emit(seq, q, out);
     }
 }
 
@@ -100,10 +128,17 @@ mod tests {
         qods_pool::plock(&a.cache).keys().copied().collect()
     }
 
+    /// The gates `a` appends for one rotation.
+    fn synthesized(a: &SynthAdapter, n_qubits: usize, q: usize, k: u8, dagger: bool) -> Vec<Gate> {
+        let mut out = Circuit::new(n_qubits);
+        a.synthesize(q, k, dagger, &mut out);
+        out.gates().to_vec()
+    }
+
     #[test]
     fn emits_physical_gates_on_requested_qubit() {
         let a = SynthAdapter::with_budget(6, 1e-2);
-        let gates = a.synthesize(5, 4, false);
+        let gates = synthesized(&a, 6, 5, 4, false);
         for g in &gates {
             assert!(g.is_physical());
             assert_eq!(g.qubits()[..], [5]);
@@ -113,8 +148,8 @@ mod tests {
     #[test]
     fn cache_returns_stable_sequences() {
         let a = SynthAdapter::with_budget(6, 1e-2);
-        let g1 = a.synthesize(0, 5, false);
-        let g2 = a.synthesize(0, 5, false);
+        let g1 = synthesized(&a, 1, 0, 5, false);
+        let g2 = synthesized(&a, 1, 0, 5, false);
         assert_eq!(g1, g2);
     }
 

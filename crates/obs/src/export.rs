@@ -192,6 +192,11 @@ pub struct StageAgg {
     pub count: u64,
     /// Summed span duration, nanoseconds.
     pub total_ns: u64,
+    /// Summed self time, nanoseconds: each span's duration minus the
+    /// durations of its children on the same lane. A child on another
+    /// lane runs concurrently with its parent, so it is not
+    /// subtracted.
+    pub self_ns: u64,
     /// Longest single span, nanoseconds.
     pub max_ns: u64,
 }
@@ -200,11 +205,20 @@ pub struct StageAgg {
 /// zero duration) — the table behind `repro --trace-out`'s per-stage
 /// breakdown. Sorted by site name for deterministic rendering.
 pub fn stage_breakdown(events: &[SpanEvent]) -> Vec<(&'static str, StageAgg)> {
+    let lane_of: BTreeMap<u64, u32> = events.iter().map(|ev| (ev.span_id, ev.lane)).collect();
+    let mut nested_ns: BTreeMap<u64, u64> = BTreeMap::new();
+    for ev in events {
+        if lane_of.get(&ev.parent_id) == Some(&ev.lane) {
+            *nested_ns.entry(ev.parent_id).or_default() += ev.dur_ns;
+        }
+    }
     let mut by_site: BTreeMap<&'static str, StageAgg> = BTreeMap::new();
     for ev in events {
         let agg = by_site.entry(ev.site).or_default();
         agg.count += 1;
         agg.total_ns += ev.dur_ns;
+        let nested = nested_ns.get(&ev.span_id).copied().unwrap_or(0);
+        agg.self_ns += ev.dur_ns.saturating_sub(nested);
         agg.max_ns = agg.max_ns.max(ev.dur_ns);
     }
     by_site.into_iter().collect()
@@ -320,5 +334,18 @@ mod tests {
         assert_eq!(pool.count, 1);
         assert_eq!(pool.total_ns, 4_000);
         assert_eq!(pool.max_ns, 4_000);
+    }
+
+    #[test]
+    fn self_time_subtracts_only_same_lane_children() {
+        let agg = stage_breakdown(&sample_events());
+        let self_ns = |site: &str| agg.iter().find(|(s, _)| *s == site).unwrap().1.self_ns;
+        // net.request (9 us) nests svc.coalesce (0.5 us) on lane 0.
+        assert_eq!(self_ns("net.request"), 8_500);
+        // svc.coalesce's child pool.worker runs on lane 2, concurrently.
+        assert_eq!(self_ns("svc.coalesce"), 500);
+        // pool.worker's only child is a zero-length instant.
+        assert_eq!(self_ns("pool.worker"), 4_000);
+        assert_eq!(self_ns("fault.fired"), 0);
     }
 }

@@ -10,19 +10,26 @@
 use crate::su2::U2;
 
 /// A visited core: its matrix and the path that built it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Core {
     /// Product of the T/HT/SHT factors (no trailing Clifford).
     pub matrix: U2,
     /// True when the form starts with a lone `T` factor.
     pub leading_t: bool,
-    /// Syllable choices left-to-right: `false` = HT, `true` = SHT.
-    pub syllables: Vec<bool>,
+    /// Syllable choices left-to-right as a bit mask: bit `i` is
+    /// syllable `i`, clear = HT, set = SHT. There are
+    /// [`Core::syllable_count`] of them.
+    pub syllables: u64,
     /// Number of T gates in the core.
     pub t_count: u32,
 }
 
 impl Core {
+    /// Number of HT/SHT syllables: every T but the leading one.
+    pub fn syllable_count(&self) -> u32 {
+        self.t_count - u32::from(self.leading_t)
+    }
+
     /// The circuit-order gate names realizing this core, *excluding*
     /// the trailing Clifford. Matrix factors apply right-to-left, so
     /// the circuit order is the reverse of the factor order.
@@ -32,10 +39,10 @@ impl Core {
         // syllable is H*T or S*H*T. Circuit order: syl_m first
         // (its T first), then ..., then the leading T last.
         let mut gates = Vec::new();
-        for &s in self.syllables.iter().rev() {
+        for i in (0..self.syllable_count()).rev() {
             gates.push(HtGate::T);
             gates.push(HtGate::H);
-            if s {
+            if self.syllables >> i & 1 == 1 {
                 gates.push(HtGate::S);
             }
         }
@@ -56,12 +63,20 @@ impl Core {
 /// value is taken right after the visit — exactly when a lone search
 /// would decide whether to prune — each search sees the same cores in
 /// the same order as if it ran alone.
+///
+/// # Panics
+///
+/// Panics if `max_t > 64`: a core's syllables live in one `u64`.
 pub fn enumerate_cores(max_t: u32, searches: u64, mut visit: impl FnMut(&Core, u64) -> u64) {
+    assert!(
+        max_t <= 64,
+        "max_t {max_t} exceeds the 64-syllable core mask"
+    );
     // Identity core (pure Clifford).
     let id = Core {
         matrix: U2::identity(),
         leading_t: false,
-        syllables: Vec::new(),
+        syllables: 0,
         t_count: 0,
     };
     let roots = visit(&id, searches);
@@ -74,34 +89,29 @@ pub fn enumerate_cores(max_t: u32, searches: u64, mut visit: impl FnMut(&Core, u
     let sht = U2::s().mul(&ht);
 
     // Two DFS roots: leading T, and a first syllable (HT or SHT).
-    let mut stack: Vec<(Core, u64)> = [
-        (t, true, vec![]),
-        (ht, false, vec![false]),
-        (sht, false, vec![true]),
-    ]
-    .into_iter()
-    .map(|(matrix, leading_t, syllables)| {
-        let core = Core {
-            matrix,
-            leading_t,
-            syllables,
-            t_count: 1,
-        };
-        (core, roots)
-    })
-    .collect();
+    let mut stack: Vec<(Core, u64)> = [(t, true, 0), (ht, false, 0), (sht, false, 1)]
+        .into_iter()
+        .map(|(matrix, leading_t, syllables)| {
+            let core = Core {
+                matrix,
+                leading_t,
+                syllables,
+                t_count: 1,
+            };
+            (core, roots)
+        })
+        .collect();
     while let Some((core, reach)) = stack.pop() {
         let descend = visit(&core, reach);
         let next_t = core.t_count + 1;
         if next_t <= max_t && descend != 0 {
-            for (m, s) in [(&ht, false), (&sht, true)] {
-                let mut syl = core.syllables.clone();
-                syl.push(s);
+            let bit = 1u64 << core.syllable_count();
+            for (m, s) in [(&ht, 0), (&sht, bit)] {
                 stack.push((
                     Core {
                         matrix: core.matrix.mul(m),
                         leading_t: core.leading_t,
-                        syllables: syl,
+                        syllables: core.syllables | s,
                         t_count: next_t,
                     },
                     descend,
@@ -149,7 +159,8 @@ mod tests {
 
     #[test]
     fn circuit_gates_realize_core_matrices() {
-        enumerate_cores(5, 1, |c, all| {
+        // Up to the widest budget the service accepts (`MAX_SYNTH_T`).
+        enumerate_cores(16, 1, |c, all| {
             let mut m = U2::identity();
             for g in c.circuit_gates() {
                 let u = match g {
@@ -174,7 +185,7 @@ mod tests {
         // never: each must see exactly the cores, in the order, that
         // it sees when enumerated alone.
         let stop = [2u32, 4, u32::MAX];
-        let path = |c: &Core| (c.t_count, c.leading_t, c.syllables.clone());
+        let path = |c: &Core| (c.t_count, c.leading_t, c.syllables);
         let mut shared = vec![Vec::new(); 3];
         enumerate_cores(6, 0b111, |c, reach| {
             let mut descend = 0;
@@ -200,6 +211,12 @@ mod tests {
             });
             assert_eq!(seen, &alone, "search {j}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 64-syllable core mask")]
+    fn syllable_mask_bounds_max_t() {
+        enumerate_cores(65, 1, |_, _| 0);
     }
 
     #[test]

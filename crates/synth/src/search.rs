@@ -318,7 +318,7 @@ impl Slot {
             self.best = Some(Best {
                 dist: d,
                 t: core.t_count,
-                core: core.clone(),
+                core: *core,
                 cliff,
             });
             self.skip = skip_below(d);
