@@ -345,7 +345,8 @@ fn flush_trace(path: &str) -> Result<(), ExitCode> {
     );
     for (site, agg) in export::stage_breakdown(&events) {
         eprintln!(
-            "  {site:<24} {:>6} x  total {:>10.3} ms  self {:>10.3} ms  max {:>9.3} ms",
+            "  {:<24} {:>6} x  total {:>10.3} ms  self {:>10.3} ms  max {:>9.3} ms",
+            site.name(),
             agg.count,
             agg.total_ns as f64 / 1e6,
             agg.self_ns as f64 / 1e6,

@@ -46,7 +46,7 @@
 
 use crate::hash::hash_hex;
 use crate::lru::Lru;
-use qods_obs::{sites, Counter, Registry};
+use qods_obs::{sites, Counter, Registry, Site};
 use serde::{Deserialize, Serialize, Value};
 use std::any::Any;
 use std::path::{Path, PathBuf};
@@ -436,7 +436,7 @@ enum DiskRead<T> {
 }
 
 /// The span site for a pipeline stage's store lookup.
-fn stage_site(stage: &str) -> &'static str {
+fn stage_site(stage: &str) -> Site {
     match stage {
         "ir" => sites::COMPILE_IR,
         "sched" => sites::COMPILE_SCHED,

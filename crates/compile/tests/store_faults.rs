@@ -5,7 +5,7 @@
 //! is process-global.
 
 use qods_compile::store::{ArtifactKey, ArtifactStore};
-use qods_fault::{FaultAction, FaultPlan};
+use qods_fault::{site, FaultAction, FaultPlan};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -34,7 +34,7 @@ const KEY: ArtifactKey = ArtifactKey {
 fn failed_writes_leave_the_store_memory_only_for_that_artifact() {
     let _x = exclusive();
     let dir = temp_dir("enospc");
-    qods_fault::arm(FaultPlan::new().once("store.write", 1, FaultAction::IoError));
+    qods_fault::arm(FaultPlan::new().once(site::STORE_WRITE, 1, FaultAction::IoError));
     let store = ArtifactStore::persistent(&dir);
     let a: Arc<u64> = store.get_or_compute(KEY, || 42);
     assert_eq!(*a, 42, "the artifact itself is unaffected");
@@ -60,7 +60,7 @@ fn failed_writes_leave_the_store_memory_only_for_that_artifact() {
 fn torn_writes_are_healed_by_the_corruption_tolerant_read() {
     let _x = exclusive();
     let dir = temp_dir("torn");
-    qods_fault::arm(FaultPlan::new().once("store.write", 1, FaultAction::TornWrite));
+    qods_fault::arm(FaultPlan::new().once(site::STORE_WRITE, 1, FaultAction::TornWrite));
     let store = ArtifactStore::persistent(&dir);
     let a: Arc<u64> = store.get_or_compute(KEY, || 7);
     assert_eq!(*a, 7);
@@ -101,8 +101,8 @@ fn injected_read_faults_cost_a_recompute_never_a_wrong_answer() {
     // read 3 is clean.
     qods_fault::arm(
         FaultPlan::new()
-            .once("store.read", 1, FaultAction::IoError)
-            .once("store.read", 2, FaultAction::CorruptRead),
+            .once(site::STORE_READ, 1, FaultAction::IoError)
+            .once(site::STORE_READ, 2, FaultAction::CorruptRead),
     );
     for expected_corrupt in [1, 1, 0] {
         let store = ArtifactStore::persistent(&dir);
@@ -110,7 +110,7 @@ fn injected_read_faults_cost_a_recompute_never_a_wrong_answer() {
         assert_eq!(*v, 99, "faulted reads never surface a wrong artifact");
         assert_eq!(store.stats().corrupt_reads, expected_corrupt);
     }
-    assert_eq!(qods_fault::fired_at("store.read"), 2);
+    assert_eq!(qods_fault::fired_at(site::STORE_READ), 2);
     qods_fault::disarm();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -123,8 +123,8 @@ fn scattered_store_faults_heal_to_a_correct_store() {
     // deterministically from a seed.
     qods_fault::arm(
         FaultPlan::new()
-            .scatter("store.write", FaultAction::IoError, 11, 4, 20)
-            .scatter("store.read", FaultAction::CorruptRead, 13, 4, 20),
+            .scatter(site::STORE_WRITE, FaultAction::IoError, 11, 4, 20)
+            .scatter(site::STORE_READ, FaultAction::CorruptRead, 13, 4, 20),
     );
     // 20 distinct artifacts through a cold store, then a warm pass.
     let store = ArtifactStore::persistent(&dir);

@@ -41,40 +41,69 @@ use std::sync::Mutex;
 /// [`arm_from_env`]). Unset or empty means "no faults".
 pub const FAULT_PLAN_ENV: &str = "QODS_FAULT_PLAN";
 
-/// The canonical instrumented-site names. Production code passes
-/// these constants to [`check`]/[`check_sleeping`] (never free-form
-/// strings), [`FaultPlan::parse`] rejects any site not listed here,
-/// and the `qods-lint` S1 rule cross-checks every site string literal
-/// in the workspace against [`SITES`] — so a typo-ed site becomes a
-/// parse error or a lint failure instead of a fault that silently
-/// never fires. Adding an instrumented site means adding it here.
-pub mod site {
-    /// Disk-tier artifact read in `qods-compile`'s `ArtifactStore`.
-    pub const STORE_READ: &str = "store.read";
-    /// Disk-tier artifact write in `qods-compile`'s `ArtifactStore`.
-    pub const STORE_WRITE: &str = "store.write";
-    /// One unit of work on a `qods-pool` worker thread.
-    pub const POOL_WORKER: &str = "pool.worker";
-    /// One request line handled on a `qods-net` connection.
-    pub const NET_CONN: &str = "net.conn";
-    /// One Monte-Carlo trial chunk in `qods-phys`.
-    pub const MC_CHUNK: &str = "mc.chunk";
+/// One instrumented fault site. The field is private, so the
+/// constants in [`site`] are its only values: production code and
+/// tests name sites through them, [`FaultPlan::parse`] maps the
+/// untrusted spec string through [`Site::from_name`], and a typo'd
+/// site is a compile error or a parse error instead of a fault that
+/// silently never fires.
+///
+/// ```
+/// use qods_fault::{check, site};
+/// assert_eq!(check(site::STORE_READ), None);
+/// ```
+///
+/// A misspelt name does not build:
+///
+/// ```compile_fail,E0308
+/// qods_fault::check("store.raed");
+/// ```
+///
+/// nor does an instrumentation site, though `pool.worker` names both:
+///
+/// ```compile_fail,E0308
+/// qods_fault::check(qods_obs::sites::NET_READ);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Site(&'static str);
+
+impl Site {
+    /// The site's name, e.g. `"store.read"`.
+    pub const fn name(self) -> &'static str {
+        self.0
+    }
+
+    /// The canonical site called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<Site> {
+        SITES.into_iter().find(|s| s.0 == name)
+    }
 }
 
-/// Every canonical site, as data — the registry `qods-lint` and
-/// [`FaultPlan::parse`] validate against.
-pub const SITES: &[&str] = &[
+/// The canonical instrumented sites. Adding an instrumented site
+/// means adding it here and to [`SITES`].
+pub mod site {
+    use super::Site;
+
+    /// Disk-tier artifact read in `qods-compile`'s `ArtifactStore`.
+    pub const STORE_READ: Site = Site("store.read");
+    /// Disk-tier artifact write in `qods-compile`'s `ArtifactStore`.
+    pub const STORE_WRITE: Site = Site("store.write");
+    /// One unit of work on a `qods-pool` worker thread.
+    pub const POOL_WORKER: Site = Site("pool.worker");
+    /// One request line handled on a `qods-net` connection.
+    pub const NET_CONN: Site = Site("net.conn");
+    /// One Monte-Carlo trial chunk in `qods-phys`.
+    pub const MC_CHUNK: Site = Site("mc.chunk");
+}
+
+/// Every canonical site, as data — what [`Site::from_name`] searches.
+pub const SITES: [Site; 5] = [
     site::STORE_READ,
     site::STORE_WRITE,
     site::POOL_WORKER,
     site::NET_CONN,
     site::MC_CHUNK,
 ];
-
-/// Whether `name` is a canonical instrumented site.
-pub fn is_site(name: &str) -> bool {
-    SITES.contains(&name)
-}
 
 /// Why a fault-plan spec string failed to parse — typed so callers
 /// can distinguish a typo-ed site (spec names a site that does not
@@ -96,12 +125,12 @@ pub enum PlanError {
         /// The malformed entry.
         entry: String,
     },
-    /// An entry's operation index is not a number.
+    /// An entry's operation index is not a positive number.
     BadIndex {
         /// The malformed entry.
         entry: String,
     },
-    /// An entry's repeat period is not a number.
+    /// An entry's repeat period is not a positive number.
     BadPeriod {
         /// The malformed entry.
         entry: String,
@@ -144,7 +173,7 @@ impl std::fmt::Display for PlanError {
             PlanError::UnknownSite { site, entry } => write!(
                 f,
                 "unknown fault site `{site}` in `{entry}` (canonical sites: {})",
-                SITES.join(", ")
+                SITES.map(Site::name).join(", ")
             ),
         }
     }
@@ -211,8 +240,8 @@ impl FaultAction {
 /// operation after that.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// The instrumented site name (e.g. `store.write`).
-    pub site: String,
+    /// The instrumented site.
+    pub site: Site,
     /// 1-based operation index of the first firing.
     pub nth: u64,
     /// Repeat period after the first firing (`None` = fire once).
@@ -234,9 +263,10 @@ impl FaultSpec {
     }
 
     fn render(&self) -> String {
+        let (site, nth, action) = (self.site.name(), self.nth, self.action.render());
         match self.every {
-            None => format!("{}:{}={}", self.site, self.nth, self.action.render()),
-            Some(k) => format!("{}:{}+{}={}", self.site, self.nth, k, self.action.render()),
+            None => format!("{site}:{nth}={action}"),
+            Some(k) => format!("{site}:{nth}+{k}={action}"),
         }
     }
 }
@@ -256,9 +286,9 @@ impl FaultPlan {
 
     /// Adds "on the `nth` operation at `site`, do `action`" (fires
     /// once).
-    pub fn once(mut self, site: &str, nth: u64, action: FaultAction) -> Self {
+    pub fn once(mut self, site: Site, nth: u64, action: FaultAction) -> Self {
         self.specs.push(FaultSpec {
-            site: site.to_string(),
+            site,
             nth: nth.max(1),
             every: None,
             action,
@@ -268,9 +298,9 @@ impl FaultPlan {
 
     /// Adds a repeating fault: first on operation `nth`, then every
     /// `every`-th operation after it.
-    pub fn repeating(mut self, site: &str, nth: u64, every: u64, action: FaultAction) -> Self {
+    pub fn repeating(mut self, site: Site, nth: u64, every: u64, action: FaultAction) -> Self {
         self.specs.push(FaultSpec {
-            site: site.to_string(),
+            site,
             nth: nth.max(1),
             every: Some(every.max(1)),
             action,
@@ -284,7 +314,7 @@ impl FaultPlan {
     /// a workload without hand-placing each one.
     pub fn scatter(
         mut self,
-        site: &str,
+        site: Site,
         action: FaultAction,
         seed: u64,
         count: u64,
@@ -304,7 +334,7 @@ impl FaultPlan {
         picked.sort_unstable();
         for nth in picked {
             self.specs.push(FaultSpec {
-                site: site.to_string(),
+                site,
                 nth,
                 every: None,
                 action,
@@ -341,12 +371,12 @@ impl FaultPlan {
     /// Parses a plan from its compact spec string:
     /// `site:nth[+every]=action[:ms]` entries joined by `;`.
     ///
-    /// Sites are validated against the canonical [`SITES`] registry:
-    /// this is the untrusted boundary (the [`FAULT_PLAN_ENV`] env
-    /// var), and a typo-ed site must be a loud startup failure, not a
-    /// fault that silently never fires. (The in-process builder API —
-    /// [`FaultPlan::once`] and friends — stays free-form so the
-    /// injector's own tests can use synthetic sites.)
+    /// This is the untrusted boundary (the [`FAULT_PLAN_ENV`] env
+    /// var), so it is the one place a site name is checked at run
+    /// time: a typo'd site, or a zero index or period, must be a loud
+    /// startup failure, not a fault that never fires or fires on every
+    /// operation. (The in-process builders take a [`Site`], and clamp
+    /// a zero `nth` or `every` to 1.)
     ///
     /// # Errors
     ///
@@ -371,27 +401,26 @@ impl FaultPlan {
                     entry: entry.to_string(),
                 });
             }
-            if !is_site(site) {
-                return Err(PlanError::UnknownSite {
-                    site: site.to_string(),
-                    entry: entry.to_string(),
-                });
-            }
+            let site = Site::from_name(site).ok_or_else(|| PlanError::UnknownSite {
+                site: site.to_string(),
+                entry: entry.to_string(),
+            })?;
+            let positive = |text: &str| text.parse::<u64>().ok().filter(|&n| n > 0);
             let (nth_text, every) = match position.split_once('+') {
                 Some((n, k)) => {
-                    let every = k.parse::<u64>().map_err(|_| PlanError::BadPeriod {
+                    let every = positive(k).ok_or_else(|| PlanError::BadPeriod {
                         entry: entry.to_string(),
                     })?;
-                    (n, Some(every.max(1)))
+                    (n, Some(every))
                 }
                 None => (position, None),
             };
-            let nth = nth_text.parse::<u64>().map_err(|_| PlanError::BadIndex {
+            let nth = positive(nth_text).ok_or_else(|| PlanError::BadIndex {
                 entry: entry.to_string(),
             })?;
             plan.specs.push(FaultSpec {
-                site: site.to_string(),
-                nth: nth.max(1),
+                site,
+                nth,
                 every,
                 action: FaultAction::parse(action)
                     .map_err(|message| PlanError::BadAction { message })?,
@@ -405,8 +434,8 @@ impl FaultPlan {
 #[derive(Debug, Default)]
 struct Armed {
     specs: Vec<FaultSpec>,
-    ops: HashMap<String, u64>,
-    fired: HashMap<String, u64>,
+    ops: HashMap<Site, u64>,
+    fired: HashMap<Site, u64>,
     fired_total: u64,
 }
 
@@ -442,11 +471,6 @@ pub fn disarm() {
     IS_ARMED.store(false, Ordering::SeqCst);
 }
 
-/// Whether a plan is currently armed.
-pub fn is_armed() -> bool {
-    IS_ARMED.load(Ordering::SeqCst)
-}
-
 /// Arms the plan in [`FAULT_PLAN_ENV`], if the variable is set and
 /// non-empty. `Ok(true)` when a plan was armed.
 ///
@@ -469,13 +493,13 @@ pub fn arm_from_env() -> Result<bool, PlanError> {
 /// The instrumented-site hook: counts one operation at `site` and
 /// returns the action to inject, if the armed plan says this
 /// operation faults. `None` (after one atomic load) when disarmed.
-pub fn check(site: &str) -> Option<FaultAction> {
+pub fn check(site: Site) -> Option<FaultAction> {
     if !IS_ARMED.load(Ordering::Relaxed) {
         return None;
     }
     let mut guard = state();
     let armed = guard.as_mut()?;
-    let op = armed.ops.entry(site.to_string()).or_insert(0);
+    let op = armed.ops.entry(site).or_insert(0);
     *op += 1;
     let op = *op;
     let action = armed
@@ -483,12 +507,12 @@ pub fn check(site: &str) -> Option<FaultAction> {
         .iter()
         .find(|s| s.site == site && s.fires(op))
         .map(|s| s.action)?;
-    *armed.fired.entry(site.to_string()).or_insert(0) += 1;
+    *armed.fired.entry(site).or_insert(0) += 1;
     armed.fired_total += 1;
     // Every firing is observable: an instant event in the trace (with
     // the fault site as detail) and a process-wide counter. Both are
     // telemetry — the injected action itself is unchanged.
-    qods_obs::trace::fault_fired(site);
+    qods_obs::trace::instant(qods_obs::sites::FAULT_FIRED, site.name());
     qods_obs::Registry::global()
         .counter(qods_obs::sites::FAULT_FIRED_TOTAL)
         .inc();
@@ -498,7 +522,7 @@ pub fn check(site: &str) -> Option<FaultAction> {
 /// [`check`] with the [`FaultAction::Delay`] action applied in place
 /// (sleeps, returns `None`): the convenience form for sites where a
 /// delay needs no site-specific handling.
-pub fn check_sleeping(site: &str) -> Option<FaultAction> {
+pub fn check_sleeping(site: Site) -> Option<FaultAction> {
     match check(site) {
         Some(FaultAction::Delay(ms)) => {
             std::thread::sleep(std::time::Duration::from_millis(ms));
@@ -514,18 +538,18 @@ pub fn fired_total() -> u64 {
 }
 
 /// Faults fired at one site since arming.
-pub fn fired_at(site: &str) -> u64 {
+pub fn fired_at(site: Site) -> u64 {
     state()
         .as_ref()
-        .and_then(|a| a.fired.get(site).copied())
+        .and_then(|a| a.fired.get(&site).copied())
         .unwrap_or(0)
 }
 
 /// Operations counted at one site since arming.
-pub fn ops_at(site: &str) -> u64 {
+pub fn ops_at(site: Site) -> u64 {
     state()
         .as_ref()
-        .and_then(|a| a.ops.get(site).copied())
+        .and_then(|a| a.ops.get(&site).copied())
         .unwrap_or(0)
 }
 
@@ -557,23 +581,23 @@ mod tests {
     fn disarmed_checks_are_free_and_empty() {
         let _x = exclusive();
         disarm();
-        assert!(!is_armed());
+        assert_eq!(fired_total(), 0);
         for _ in 0..100 {
-            assert_eq!(check("store.write"), None);
+            assert_eq!(check(site::STORE_WRITE), None);
         }
     }
 
     #[test]
     fn nth_operation_fires_exactly_once() {
         let _x = exclusive();
-        arm(FaultPlan::new().once("store.write", 3, FaultAction::IoError));
-        assert_eq!(check("store.write"), None);
-        assert_eq!(check("store.read"), None, "sites count independently");
-        assert_eq!(check("store.write"), None);
-        assert_eq!(check("store.write"), Some(FaultAction::IoError));
-        assert_eq!(check("store.write"), None);
-        assert_eq!(fired_at("store.write"), 1);
-        assert_eq!(ops_at("store.write"), 4);
+        arm(FaultPlan::new().once(site::STORE_WRITE, 3, FaultAction::IoError));
+        assert_eq!(check(site::STORE_WRITE), None);
+        assert_eq!(check(site::STORE_READ), None, "sites count independently");
+        assert_eq!(check(site::STORE_WRITE), None);
+        assert_eq!(check(site::STORE_WRITE), Some(FaultAction::IoError));
+        assert_eq!(check(site::STORE_WRITE), None);
+        assert_eq!(fired_at(site::STORE_WRITE), 1);
+        assert_eq!(ops_at(site::STORE_WRITE), 4);
         assert_eq!(fired_total(), 1);
         disarm();
     }
@@ -581,8 +605,8 @@ mod tests {
     #[test]
     fn repeating_faults_fire_on_the_period() {
         let _x = exclusive();
-        arm(FaultPlan::new().repeating("pool.worker", 2, 3, FaultAction::Panic));
-        let fired: Vec<bool> = (0..9).map(|_| check("pool.worker").is_some()).collect();
+        arm(FaultPlan::new().repeating(site::POOL_WORKER, 2, 3, FaultAction::Panic));
+        let fired: Vec<bool> = (0..9).map(|_| check(site::POOL_WORKER).is_some()).collect();
         assert_eq!(
             fired,
             vec![false, true, false, false, true, false, false, true, false]
@@ -592,8 +616,8 @@ mod tests {
 
     #[test]
     fn scatter_is_deterministic_and_distinct() {
-        let a = FaultPlan::new().scatter("net.conn", FaultAction::Disconnect, 42, 10, 100);
-        let b = FaultPlan::new().scatter("net.conn", FaultAction::Disconnect, 42, 10, 100);
+        let a = FaultPlan::new().scatter(site::NET_CONN, FaultAction::Disconnect, 42, 10, 100);
+        let b = FaultPlan::new().scatter(site::NET_CONN, FaultAction::Disconnect, 42, 10, 100);
         assert_eq!(a, b, "same seed, same plan");
         assert_eq!(a.len(), 10);
         let nths: Vec<u64> = a.specs().iter().map(|s| s.nth).collect();
@@ -601,19 +625,19 @@ mod tests {
         dedup.dedup();
         assert_eq!(nths, dedup, "scattered indices are distinct");
         assert!(nths.iter().all(|&n| (1..=100).contains(&n)));
-        let c = FaultPlan::new().scatter("net.conn", FaultAction::Disconnect, 43, 10, 100);
+        let c = FaultPlan::new().scatter(site::NET_CONN, FaultAction::Disconnect, 43, 10, 100);
         assert_ne!(a, c, "different seed, different plan");
     }
 
     #[test]
     fn plan_round_trips_through_the_spec_string() {
         let plan = FaultPlan::new()
-            .once("store.write", 3, FaultAction::IoError)
-            .repeating("pool.worker", 2, 5, FaultAction::Panic)
-            .once("mc.chunk", 1, FaultAction::Delay(20))
-            .once("store.read", 7, FaultAction::CorruptRead)
-            .once("net.conn", 4, FaultAction::Disconnect)
-            .once("store.write", 9, FaultAction::TornWrite);
+            .once(site::STORE_WRITE, 3, FaultAction::IoError)
+            .repeating(site::POOL_WORKER, 2, 5, FaultAction::Panic)
+            .once(site::MC_CHUNK, 1, FaultAction::Delay(20))
+            .once(site::STORE_READ, 7, FaultAction::CorruptRead)
+            .once(site::NET_CONN, 4, FaultAction::Disconnect)
+            .once(site::STORE_WRITE, 9, FaultAction::TornWrite);
         let text = plan.render();
         assert_eq!(
             text,
@@ -656,25 +680,58 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("canonical sites"));
-        // Every canonical site parses.
+        // Every canonical site parses, to itself.
         for site in SITES {
-            assert!(is_site(site));
-            let plan = FaultPlan::parse(&format!("{site}:1=io")).expect("canonical site parses");
-            assert_eq!(plan.len(), 1);
+            assert_eq!(Site::from_name(site.name()), Some(site));
+            let plan =
+                FaultPlan::parse(&format!("{}:1=io", site.name())).expect("canonical site parses");
+            assert_eq!(plan.specs()[0].site, site);
         }
-        assert!(!is_site("store.wrte"));
+        assert_eq!(Site::from_name("store.wrte"), None);
+    }
+
+    #[test]
+    fn zero_index_or_period_is_a_parse_error() {
+        // Clamping either to 1 would turn a typo into a different plan:
+        // `+0` would fault every operation.
+        let entry = |text: &str| text.to_string();
+        assert_eq!(
+            FaultPlan::parse("store.write:0=io"),
+            Err(PlanError::BadIndex {
+                entry: entry("store.write:0=io")
+            })
+        );
+        assert_eq!(
+            FaultPlan::parse("store.write:1+0=io"),
+            Err(PlanError::BadPeriod {
+                entry: entry("store.write:1+0=io")
+            })
+        );
+        assert_eq!(
+            FaultPlan::parse("store.write:0+2=io"),
+            Err(PlanError::BadIndex {
+                entry: entry("store.write:0+2=io")
+            })
+        );
+        // The in-process builders still clamp.
+        let plan = FaultPlan::new().repeating(site::STORE_WRITE, 0, 0, FaultAction::IoError);
+        assert_eq!(plan.render(), "store.write:1+1=io");
     }
 
     #[test]
     fn check_sleeping_absorbs_delays_and_passes_the_rest() {
         let _x = exclusive();
         arm(FaultPlan::new()
-            .once("mc.chunk", 1, FaultAction::Delay(1))
-            .once("mc.chunk", 2, FaultAction::Panic));
+            .once(site::MC_CHUNK, 1, FaultAction::Delay(1))
+            .once(site::MC_CHUNK, 2, FaultAction::Panic));
         let t0 = std::time::Instant::now();
-        assert_eq!(check_sleeping("mc.chunk"), None, "delay is applied inline");
+        assert_eq!(
+            check_sleeping(site::MC_CHUNK),
+            None,
+            "delay is applied inline"
+        );
         assert!(t0.elapsed().as_millis() >= 1);
-        assert_eq!(check_sleeping("mc.chunk"), Some(FaultAction::Panic));
+        assert_eq!(check_sleeping(site::MC_CHUNK), Some(FaultAction::Panic));
         disarm();
     }
 
@@ -682,9 +739,9 @@ mod tests {
     fn first_matching_spec_wins() {
         let _x = exclusive();
         arm(FaultPlan::new()
-            .once("s", 1, FaultAction::IoError)
-            .once("s", 1, FaultAction::Panic));
-        assert_eq!(check("s"), Some(FaultAction::IoError));
+            .once(site::NET_CONN, 1, FaultAction::IoError)
+            .once(site::NET_CONN, 1, FaultAction::Panic));
+        assert_eq!(check(site::NET_CONN), Some(FaultAction::IoError));
         disarm();
     }
 }

@@ -56,8 +56,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let tables = qods_lint::Tables::workspace();
-    let report = match qods_lint::lint_workspace(&args.root, &tables) {
+    let report = match qods_lint::lint_workspace(&args.root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("qods-lint: {e}");

@@ -4,9 +4,9 @@
 //! thread count, cache state, and fault plan) and its robustness
 //! contract (no panics on the serving path) are written down in
 //! DESIGN.md; this crate makes them machine-checkable. A hand-rolled
-//! lexer ([`scan`]) splits each source file into masked-code /
-//! string-literal views, a line-level rule engine ([`rules`]) raises
-//! findings for rules **D1/D2/S1**, and a second, workspace-wide
+//! lexer ([`scan`]) masks comments and string interiors out of each
+//! source file, a line-level rule engine ([`rules`]) raises
+//! findings for rules **D1/D2**, and a second, workspace-wide
 //! pass builds a symbol index and conservative call graph ([`graph`])
 //! to run the flow rules **P1** (panic reachability from serving
 //! entries), **L1** (lock-order cycles and locks held across
@@ -14,15 +14,14 @@
 //! flowing into result sinks, via [`flow`]) in [`graph_rules`].
 //! Config-hash coverage needs no rule: the canonical encoder and the
 //! job key destructure their structs exhaustively, so a new field is
-//! a compile error until it is encoded or declared policy. Explicit
+//! a compile error until it is encoded or declared policy; nor do
+//! site names, which are the `qods_obs::Site` and `qods_fault::Site`
+//! types, whose only values are their crates' tables. Explicit
 //! `// qods-lint: allow(RULE) -- reason` annotations suppress
 //! individual lines (counted, never silent); any other finding fails
 //! the run.
 //!
-//! Zero external dependencies beyond the workspace's own shims — the
-//! tables rule S1 validates against are imported straight from
-//! `qods-fault`, `qods-obs`, and `qods-net`, so the checker can never
-//! drift from the code it polices.
+//! It depends on no other workspace crate, only the serde shims.
 //!
 //! Entry point: `cargo run -p qods-lint`.
 
@@ -39,7 +38,7 @@ use std::path::{Path, PathBuf};
 /// One lint finding, as emitted on the NDJSON stream.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
-    /// Rule identifier (`D1`, `D2`, `S1`, `P1`, `L1`, `A1`, or `L0`
+    /// Rule identifier (`D1`, `D2`, `P1`, `L1`, `A1`, or `L0`
     /// for a malformed annotation).
     pub rule: String,
     /// Workspace-relative path with forward slashes.
@@ -50,29 +49,6 @@ pub struct Finding {
     pub snippet: String,
     /// Why this is a finding and what to do instead.
     pub note: String,
-}
-
-/// The canonical string tables rule S1 validates against.
-pub struct Tables {
-    /// Fault-site names (from `qods_fault::SITES`).
-    pub sites: Vec<String>,
-    /// Instrumentation-site names (from `qods_obs::sites::ALL`).
-    pub obs_sites: Vec<String>,
-    /// Wire error-kind tags (from `qods_net::protocol::kind::ALL`).
-    pub kinds: Vec<String>,
-}
-
-impl Tables {
-    /// The live tables of this workspace, imported from the crates
-    /// that own them.
-    pub fn workspace() -> Self {
-        let own = |xs: &[&str]| xs.iter().map(|s| (*s).to_owned()).collect();
-        Tables {
-            sites: own(qods_fault::SITES),
-            obs_sites: own(qods_obs::sites::ALL),
-            kinds: own(qods_net::protocol::kind::ALL),
-        }
-    }
 }
 
 /// An allow annotation that suppressed nothing — usually a sign the
@@ -100,15 +76,9 @@ pub struct FileOutcome {
 /// Lints one source text. `path` is only used for reporting;
 /// `crate_name`/`tree` select which rules apply. Graph rules see a
 /// one-file workspace, so fixtures can exercise them too.
-pub fn lint_source(
-    path: &str,
-    crate_name: &str,
-    tree: Tree,
-    text: &str,
-    tables: &Tables,
-) -> FileOutcome {
+pub fn lint_source(path: &str, crate_name: &str, tree: Tree, text: &str) -> FileOutcome {
     let files = [scan::scan(path, crate_name, tree, text)];
-    lint_scanned(&files, tables)
+    lint_scanned(&files)
         .pop()
         .unwrap_or_else(|| unreachable!("one file in, one outcome out"))
 }
@@ -119,7 +89,7 @@ pub fn lint_source(
 /// back to the file they anchor on so allow annotations apply
 /// uniformly. One outcome per input file, findings sorted by
 /// (line, rule).
-pub fn lint_scanned(files: &[ScannedFile], tables: &Tables) -> Vec<FileOutcome> {
+pub fn lint_scanned(files: &[ScannedFile]) -> Vec<FileOutcome> {
     let index = graph::Index::build(files);
     let mut graph_findings: Vec<Vec<Finding>> = vec![Vec::new(); files.len()];
     for f in graph_rules::run_graph_rules(&index, files) {
@@ -131,7 +101,7 @@ pub fn lint_scanned(files: &[ScannedFile], tables: &Tables) -> Vec<FileOutcome> 
         .iter()
         .zip(graph_findings)
         .map(|(sf, mut from_graph)| {
-            let mut raw = rules::run_rules(sf, tables);
+            let mut raw = rules::run_rules(sf);
             raw.append(&mut from_graph);
             let mut out = apply_allows(sf, raw);
             let key = |f: &Finding| (f.line, f.rule.clone());
@@ -310,9 +280,9 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<ScannedFile>, String> {
 /// # Errors
 ///
 /// An I/O error message naming the path that failed.
-pub fn lint_workspace(root: &Path, tables: &Tables) -> Result<WorkspaceReport, String> {
+pub fn lint_workspace(root: &Path) -> Result<WorkspaceReport, String> {
     let scanned = scan_workspace(root)?;
-    let outcomes = lint_scanned(&scanned, tables);
+    let outcomes = lint_scanned(&scanned);
 
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();

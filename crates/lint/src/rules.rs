@@ -7,25 +7,19 @@
 //! * **D2** — no `HashMap`/`HashSet` iteration feeding serialization
 //!   or hashing (iteration order is nondeterministic; use `BTreeMap`
 //!   or sort first).
-//! * **S1** — every fault-site, instrumentation-site and wire
-//!   error-`kind` string literal must exist in the canonical table
-//!   exported by the crate that owns it (`qods-fault`, `qods-obs`,
-//!   `qods-net`), so string drift is a lint failure, not a fault that
-//!   never fires or a metric nothing reads.
 //!
-//! All checks run on the masked `code` view (comments and string
-//! interiors blanked), except S1's literal validation, which uses the
-//! decoded `strings` table.
+//! Both checks run on the masked `code` view (comments and string
+//! interiors blanked).
 
-use crate::scan::{token_positions, ScannedFile, StrLit, Tree};
-use crate::{Finding, Tables};
+use crate::scan::{token_positions, ScannedFile, Tree};
+use crate::Finding;
 
 /// The rule identifiers an `allow(...)` annotation may name. The
-/// first three are line rules (this module); the last four are graph
+/// first two are line rules (this module); the last three are graph
 /// rules ([`crate::graph_rules`]). Direct `unwrap`/`expect` sites on
 /// the serving path are clippy's `unwrap_used`/`expect_used`, denied
 /// in CI, not a rule here.
-pub const RULE_IDS: &[&str] = &["D1", "D2", "S1", "P1", "L1", "A1"];
+pub const RULE_IDS: &[&str] = &["D1", "D2", "P1", "L1", "A1"];
 
 /// Crates whose results feed hashed/serialized output; D1 applies.
 /// `qods-bench` is the designated home for timing, and `qods-obs` is
@@ -37,35 +31,11 @@ fn d1_applies(crate_name: &str) -> bool {
 
 /// Runs every rule over one file, returning raw findings
 /// (suppression is applied by the engine, not here).
-pub fn run_rules(file: &ScannedFile, tables: &Tables) -> Vec<Finding> {
+pub fn run_rules(file: &ScannedFile) -> Vec<Finding> {
     let mut out = Vec::new();
     rule_d1(file, &mut out);
     rule_d2(file, &mut out);
-    rule_s1(file, tables, &mut out);
     out
-}
-
-/// The first string-literal argument of a call whose `(` sits at
-/// `open_paren`: a quote right after the paren (spaces allowed), or
-/// at the start of the next line for calls the formatter wrapped.
-/// `None` when the argument is anything else (a `sites::` constant,
-/// an expression).
-fn first_arg_literal(file: &ScannedFile, line_idx: usize, open_paren: usize) -> Option<&StrLit> {
-    let code = &file.code[line_idx];
-    let cb = code.as_bytes();
-    let mut c = open_paren + 1;
-    while c < cb.len() && cb[c] == b' ' {
-        c += 1;
-    }
-    if c < cb.len() && cb[c] == b'"' {
-        file.string_at(line_idx + 1, c)
-    } else if code[open_paren + 1..].trim().is_empty() && line_idx + 1 < file.code.len() {
-        let next = &file.code[line_idx + 1];
-        let c2 = next.len() - next.trim_start().len();
-        file.string_at(line_idx + 2, c2)
-    } else {
-        None
-    }
 }
 
 fn finding(file: &ScannedFile, rule: &str, line_idx: usize, note: String) -> Finding {
@@ -344,203 +314,4 @@ fn receiver_ident(file: &ScannedFile, line_idx: usize, dot_pos: usize) -> Option
         return (start < end).then(|| String::from_utf8_lossy(&pb[start..end]).into_owned());
     }
     None
-}
-
-/// How an S1 call token is invoked.
-#[derive(Clone, Copy)]
-enum Call {
-    /// `recv.token(`.
-    Method,
-    /// `qualifier::token(`, where the qualifier must end with the given
-    /// text, so unrelated free functions of the same name stay out.
-    Path(&'static str),
-}
-
-/// One S1 row: a string literal passed as the first argument of any
-/// of `tokens` must name an entry of `table`.
-struct SiteCall {
-    tokens: &'static [&'static str],
-    call: Call,
-    /// The canonical names, and what they name (for the note).
-    table: fn(&Tables) -> &[String],
-    what: &'static str,
-    /// The table's owner, whose own tests mint scratch names on purpose.
-    exempt: &'static str,
-    /// Only in files that mention the fault layer: plan-builder method
-    /// names are common words.
-    fault_aware_only: bool,
-}
-
-const SITE_CALLS: &[SiteCall] = &[
-    SiteCall {
-        tokens: &["check", "check_sleeping", "fired_at", "ops_at"],
-        call: Call::Path("fault::"),
-        table: |t| &t.sites,
-        what: "fault site",
-        exempt: "qods-fault",
-        fault_aware_only: false,
-    },
-    SiteCall {
-        tokens: &["once", "repeating", "scatter"],
-        call: Call::Method,
-        table: |t| &t.sites,
-        what: "fault site",
-        exempt: "qods-fault",
-        fault_aware_only: true,
-    },
-    SiteCall {
-        tokens: &["counter", "gauge", "histogram", "counter_value"],
-        call: Call::Method,
-        table: |t| &t.obs_sites,
-        what: "instrumentation site",
-        exempt: "qods-obs",
-        fault_aware_only: false,
-    },
-    SiteCall {
-        tokens: &["span!", "instant", "fault_fired"],
-        call: Call::Path("::"),
-        table: |t| &t.obs_sites,
-        what: "instrumentation site",
-        exempt: "qods-obs",
-        fault_aware_only: false,
-    },
-];
-
-/// S1: every name-bearing string literal must be in the canonical
-/// table of the crate that owns it — call-site arguments per
-/// [`SITE_CALLS`], sites inside fault-plan grammar literals, and
-/// `"kind":"..."` wire fragments.
-fn rule_s1(file: &ScannedFile, tables: &Tables, out: &mut Vec<Finding>) {
-    if file.crate_name == "qods-lint" {
-        return;
-    }
-    let mentions_fault = file.raw.iter().any(|l| {
-        l.contains("qods_fault") || l.contains("FaultPlan") || l.contains("QODS_FAULT_PLAN")
-    });
-    let rows: Vec<&SiteCall> = SITE_CALLS
-        .iter()
-        .filter(|r| file.crate_name != r.exempt && (mentions_fault || !r.fault_aware_only))
-        .collect();
-
-    for (idx, code) in file.code.iter().enumerate() {
-        let cb = code.as_bytes();
-        for row in &rows {
-            for tok in row.tokens {
-                for pos in token_positions(code, tok) {
-                    let after = pos + tok.len();
-                    let shaped = match row.call {
-                        Call::Method => pos > 0 && cb[pos - 1] == b'.',
-                        Call::Path(qualifier) => code[..pos].ends_with(qualifier),
-                    };
-                    if cb.get(after) != Some(&b'(') || !shaped {
-                        continue;
-                    }
-                    let Some(lit) = first_arg_literal(file, idx, after) else {
-                        continue;
-                    };
-                    let names = (row.table)(tables);
-                    if !names.iter().any(|s| s == &lit.value) {
-                        out.push(finding(
-                            file,
-                            "S1",
-                            lit.line - 1,
-                            format!(
-                                "unknown {} `{}`; canonical names, owned by {}: {}",
-                                row.what,
-                                lit.value,
-                                row.exempt,
-                                names.join(", ")
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    for lit in &file.strings {
-        // Plan grammar literals: `site:nth[+every]=action[:ms]`.
-        if mentions_fault && file.crate_name != "qods-fault" {
-            for entry in lit.value.split(';') {
-                if let Some(site) = plan_entry_site(entry) {
-                    if !tables.sites.iter().any(|s| s == site) {
-                        out.push(finding(
-                            file,
-                            "S1",
-                            lit.line - 1,
-                            format!(
-                                "fault plan names unknown site `{site}`; canonical sites: {}",
-                                tables.sites.join(", ")
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-        // Wire error kinds: any `"kind":"x"` fragment in any literal.
-        let mut rest = lit.value.as_str();
-        while let Some(p) = rest.find("\"kind\":\"") {
-            let tail = &rest[p + "\"kind\":\"".len()..];
-            let Some(q) = tail.find('"') else { break };
-            let kind = &tail[..q];
-            let identish =
-                !kind.is_empty() && kind.bytes().all(|b| b.is_ascii_lowercase() || b == b'_');
-            if identish && !tables.kinds.iter().any(|k| k == kind) {
-                out.push(finding(
-                    file,
-                    "S1",
-                    lit.line - 1,
-                    format!(
-                        "wire error kind `{kind}` is not in the protocol table; canonical \
-                         kinds: {}",
-                        tables.kinds.join(", ")
-                    ),
-                ));
-            }
-            rest = &tail[q..];
-        }
-    }
-}
-
-/// Parses one fault-plan entry (`site:nth[+every]=action[:ms]`) just
-/// far enough to extract the site name; `None` when the string is not
-/// plan-shaped.
-fn plan_entry_site(entry: &str) -> Option<&str> {
-    let entry = entry.trim();
-    let (site, rest) = entry.split_once(':')?;
-    let (nth, action) = rest.split_once('=')?;
-    let nth = nth.split_once('+').map_or(nth, |(a, _)| a);
-    if site.is_empty()
-        || !nth.bytes().all(|b| b.is_ascii_digit())
-        || nth.is_empty()
-        || action.is_empty()
-    {
-        return None;
-    }
-    if !site
-        .bytes()
-        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'.' || b == b'_')
-    {
-        return None;
-    }
-    Some(site)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plan_entry_site_accepts_the_grammar_and_rejects_prose() {
-        assert_eq!(plan_entry_site("store.read:3=io"), Some("store.read"));
-        assert_eq!(
-            plan_entry_site("pool.worker:1+4=sleep:20"),
-            Some("pool.worker")
-        );
-        assert_eq!(plan_entry_site("127.0.0.1:8080"), None);
-        assert_eq!(plan_entry_site("site:nth=action, like so"), None);
-        assert_eq!(plan_entry_site("store.wrte:1=io"), Some("store.wrte"));
-        assert_eq!(plan_entry_site("just words"), None);
-        assert_eq!(plan_entry_site(""), None);
-    }
 }

@@ -1,15 +1,12 @@
 //! A hand-rolled single-pass Rust lexer: enough of the token grammar
 //! (line/nested-block comments, cooked/raw/byte strings with escapes,
-//! char literals vs. lifetimes) to split a source file into three
+//! char literals vs. lifetimes) to split a source file into two
 //! synchronized views the rules match against:
 //!
 //! * `raw` — the file's lines verbatim;
 //! * `code` — the same lines with comments and string *interiors*
 //!   blanked to spaces (byte lengths preserved, so columns line up
-//!   with `raw`), which is what token searches run on;
-//! * `strings` — every string literal with its decoded value and the
-//!   (line, column) of its opening quote, which is what rule S1
-//!   cross-checks against the canonical tables.
+//!   with `raw`), which is what token searches run on.
 //!
 //! A post-pass brace-matches `#[cfg(test)]` items so rules can skip
 //! test code, and line comments are parsed for
@@ -24,18 +21,6 @@ pub enum Tree {
     Tests,
     /// `examples/` — the workspace root's runnable examples.
     Examples,
-}
-
-/// One string literal: where its opening quote sits and its decoded
-/// (escape-processed) value.
-#[derive(Clone, Debug)]
-pub struct StrLit {
-    /// 1-based line of the opening quote.
-    pub line: usize,
-    /// 0-based byte column of the opening quote on that line.
-    pub col: usize,
-    /// The literal's value with escapes decoded.
-    pub value: String,
 }
 
 /// A parsed `// qods-lint: allow(...) -- reason` annotation.
@@ -64,7 +49,7 @@ pub struct BadAllow {
 }
 
 /// One scanned source file: synchronized raw/masked views plus the
-/// extracted literals and annotations.
+/// extracted annotations.
 pub struct ScannedFile {
     /// Workspace-relative path with forward slashes.
     pub path: String,
@@ -78,20 +63,10 @@ pub struct ScannedFile {
     pub code: Vec<String>,
     /// Per-line flag: inside a `#[cfg(test)]` item.
     pub in_test: Vec<bool>,
-    /// Every string literal in the file.
-    pub strings: Vec<StrLit>,
     /// Valid allow annotations.
     pub allows: Vec<AllowAnn>,
     /// Malformed `qods-lint:` comments.
     pub bad_allows: Vec<BadAllow>,
-}
-
-impl ScannedFile {
-    /// The decoded string literal whose opening quote is at
-    /// (1-based `line`, byte `col`), if any.
-    pub fn string_at(&self, line: usize, col: usize) -> Option<&StrLit> {
-        self.strings.iter().find(|s| s.line == line && s.col == col)
-    }
 }
 
 fn is_ident_byte(b: u8) -> bool {
@@ -102,7 +77,6 @@ fn is_ident_byte(b: u8) -> bool {
 pub fn scan(path: &str, crate_name: &str, tree: Tree, text: &str) -> ScannedFile {
     let raw: Vec<String> = text.lines().map(str::to_owned).collect();
     let mut code: Vec<Vec<u8>> = raw.iter().map(|l| l.as_bytes().to_vec()).collect();
-    let mut strings = Vec::new();
     let mut comments: Vec<(usize, usize)> = Vec::new(); // (0-based line, byte col of "//")
 
     let bytes = text.as_bytes();
@@ -135,95 +109,26 @@ pub fn scan(path: &str, crate_name: &str, tree: Tree, text: &str) -> ScannedFile
         }};
     }
 
-    // Consumes a cooked string body starting at the opening quote,
-    // decoding escapes. The quotes stay visible in `code`; the
-    // interior is masked.
+    // Consumes a cooked string body starting at the opening quote.
+    // The quotes stay visible in `code`; the interior is masked. An
+    // escape masks its backslash and the byte after it, so `\"` does
+    // not close the string.
     macro_rules! cooked_string {
         () => {{
-            let (start_line, start_col) = (line, col);
             step!(); // opening quote
-            let mut value: Vec<u8> = Vec::new();
-            let mut closed = false;
             while i < n {
                 match bytes[i] {
                     b'"' => {
                         step!();
-                        closed = true;
                         break;
                     }
                     b'\\' if i + 1 < n => {
                         step!(mask); // the backslash
-                        match bytes[i] {
-                            b'n' => value.push(b'\n'),
-                            b't' => value.push(b'\t'),
-                            b'r' => value.push(b'\r'),
-                            b'0' => value.push(0),
-                            b'\\' => value.push(b'\\'),
-                            b'"' => value.push(b'"'),
-                            b'\'' => value.push(b'\''),
-                            b'x' => {
-                                // \xNN — consume the escape char and
-                                // up to two hex digits.
-                                step!(mask);
-                                let mut v = 0u8;
-                                let mut k = 0;
-                                while k < 2 && i < n && bytes[i].is_ascii_hexdigit() {
-                                    v = v * 16 + (bytes[i] as char).to_digit(16).unwrap_or(0) as u8;
-                                    step!(mask);
-                                    k += 1;
-                                }
-                                value.push(v);
-                                continue;
-                            }
-                            b'u' => {
-                                // \u{...}
-                                step!(mask);
-                                let mut v: u32 = 0;
-                                while i < n && bytes[i] != b'}' {
-                                    if bytes[i].is_ascii_hexdigit() {
-                                        v = v.wrapping_mul(16)
-                                            + (bytes[i] as char).to_digit(16).unwrap_or(0);
-                                    }
-                                    step!(mask);
-                                }
-                                if i < n {
-                                    step!(mask); // '}'
-                                }
-                                if let Some(ch) = char::from_u32(v) {
-                                    let mut buf = [0u8; 4];
-                                    value.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
-                                }
-                                continue;
-                            }
-                            b'\n' => {
-                                // Line continuation: skip the newline
-                                // and the next line's leading spaces.
-                                step!();
-                                while i < n && (bytes[i] == b' ' || bytes[i] == b'\t') {
-                                    step!(mask);
-                                }
-                                continue;
-                            }
-                            _ => value.push(bytes[i]),
-                        }
-                        step!(mask);
+                        step!(mask); // the escaped byte
                     }
-                    b'\n' => {
-                        value.push(b'\n');
-                        step!();
-                    }
-                    other => {
-                        value.push(other);
-                        step!(mask);
-                    }
+                    _ => step!(mask),
                 }
             }
-            let _ = closed;
-            strings.push(StrLit {
-                line: start_line + 1,
-                col: start_col,
-                value: String::from_utf8_lossy(&value).into_owned(),
-            });
         }};
     }
 
@@ -285,9 +190,7 @@ pub fn scan(path: &str, crate_name: &str, tree: Tree, text: &str) -> ScannedFile
                 }
                 if is_raw {
                     // Raw string: no escapes; ends at `"` + hashes `#`s.
-                    let (start_line, start_col) = (line, col);
                     step!(); // opening quote
-                    let mut value: Vec<u8> = Vec::new();
                     while i < n {
                         if bytes[i] == b'"' {
                             let mut k = 0;
@@ -302,18 +205,8 @@ pub fn scan(path: &str, crate_name: &str, tree: Tree, text: &str) -> ScannedFile
                                 break;
                             }
                         }
-                        value.push(bytes[i]);
-                        if bytes[i] == b'\n' {
-                            step!();
-                        } else {
-                            step!(mask);
-                        }
+                        step!(mask);
                     }
-                    strings.push(StrLit {
-                        line: start_line + 1,
-                        col: start_col,
-                        value: String::from_utf8_lossy(&value).into_owned(),
-                    });
                 } else {
                     cooked_string!();
                 }
@@ -377,7 +270,6 @@ pub fn scan(path: &str, crate_name: &str, tree: Tree, text: &str) -> ScannedFile
         raw,
         code,
         in_test,
-        strings,
         allows,
         bad_allows,
     }
@@ -554,25 +446,28 @@ mod tests {
         assert_eq!(f.code[0].len(), f.raw[0].len());
         assert!(!f.code[0].contains("SystemTime"));
         assert!(!f.code[0].contains("Instant"));
-        assert!(f.code[0].contains("let a = \""));
-        assert_eq!(f.strings.len(), 1);
-        assert_eq!(f.strings[0].value, "SystemTime::now");
-        assert_eq!(f.strings[0].line, 1);
+        assert_eq!(f.code[0].trim_end(), "let a = \"               \";");
+        assert_eq!(f.code[1], "let b = 1;");
     }
 
     #[test]
-    fn escapes_decode_and_raw_strings_keep_their_hashes_out_of_the_value() {
-        let f = scan_src(r##"let a = "a\n\"b\""; let b = r#"raw "x" val"#;"##);
-        assert_eq!(f.strings[0].value, "a\n\"b\"");
-        assert_eq!(f.strings[1].value, "raw \"x\" val");
+    fn escapes_and_raw_strings_stay_inside_the_mask() {
+        // An escaped quote does not close a cooked string, and a raw
+        // string ends only at its quote-and-hashes.
+        let f = scan_src(r##"let a = "a\n\"b\""; let b = r#"raw "x" val"#; c()"##);
+        assert_eq!(
+            f.code[0],
+            r##"let a = "        "; let b = r#"           "#; c()"##
+        );
     }
 
     #[test]
     fn char_literals_and_lifetimes_do_not_derail_the_lexer() {
         let f = scan_src("fn f<'a>(x: &'a str) -> char { let q = '\"'; let n = '\\n'; q }\n");
-        // The quote char literal must not open a string.
-        assert!(f.strings.is_empty());
+        // The quote char literal must not open a string: the code
+        // after it stays visible.
         assert!(f.code[0].contains("fn f<'a>"));
+        assert!(f.code[0].ends_with("let n = '  '; q }"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! A minimal workspace with one drifted string: a fault-site literal
-//! that is not in `qods_fault::SITES`. CI runs qods-lint against this
-//! root and requires the run to FAIL — proving that a finding breaks
-//! the build, not just the report.
+//! A minimal workspace with one drift: a clock read in shipping code
+//! of `speed-of-data`, a result-producing crate, so rule D1 applies.
+//! CI runs qods-lint against this root and requires the run to FAIL —
+//! proving that a finding breaks the build, not just the report.
 
-pub fn arm() {
-    qods_fault::check("store.raed");
+pub fn stamp() -> std::time::Instant {
+    std::time::Instant::now()
 }

@@ -4,12 +4,8 @@
 //! workspace.
 
 use qods_lint::scan::Tree;
-use qods_lint::{from_ndjson, lint_source, to_ndjson, Finding, Tables};
+use qods_lint::{from_ndjson, lint_source, to_ndjson, Finding};
 use std::path::Path;
-
-fn tables() -> Tables {
-    Tables::workspace()
-}
 
 fn rule_lines(findings: &[Finding]) -> Vec<(String, u32)> {
     findings.iter().map(|f| (f.rule.clone(), f.line)).collect()
@@ -22,7 +18,7 @@ fn pairs(list: &[(&str, u32)]) -> Vec<(String, u32)> {
 #[test]
 fn d1_fires_on_clock_and_entropy_sources_and_respects_allow() {
     let text = include_str!("fixtures/d1_violation.rs");
-    let out = lint_source("fix/d1.rs", "qods-service", Tree::Src, text, &tables());
+    let out = lint_source("fix/d1.rs", "qods-service", Tree::Src, text);
     assert_eq!(
         rule_lines(&out.findings),
         pairs(&[("D1", 5), ("D1", 6), ("D1", 9)]),
@@ -35,14 +31,14 @@ fn d1_fires_on_clock_and_entropy_sources_and_respects_allow() {
 #[test]
 fn d1_does_not_apply_to_the_bench_crate() {
     let text = include_str!("fixtures/d1_violation.rs");
-    let out = lint_source("fix/d1.rs", "qods-bench", Tree::Src, text, &tables());
+    let out = lint_source("fix/d1.rs", "qods-bench", Tree::Src, text);
     assert!(out.findings.is_empty(), "qods-bench owns timing");
 }
 
 #[test]
 fn d2_fires_on_unordered_iteration_into_sinks_and_respects_sort_and_allow() {
     let text = include_str!("fixtures/d2_violation.rs");
-    let out = lint_source("fix/d2.rs", "qods-service", Tree::Src, text, &tables());
+    let out = lint_source("fix/d2.rs", "qods-service", Tree::Src, text);
     assert_eq!(
         rule_lines(&out.findings),
         pairs(&[("D2", 6), ("D2", 25)]),
@@ -53,64 +49,9 @@ fn d2_fires_on_unordered_iteration_into_sinks_and_respects_sort_and_allow() {
 }
 
 #[test]
-fn s1_fails_typoed_fault_sites_and_drifted_error_kinds() {
-    let text = include_str!("fixtures/s1_violation.rs");
-    let out = lint_source("fix/s1.rs", "qods-service", Tree::Src, text, &tables());
-    assert_eq!(
-        rule_lines(&out.findings),
-        pairs(&[("S1", 4), ("S1", 10), ("S1", 14)]),
-        "call-site typo, plan-string typo, kind drift"
-    );
-    assert!(out.findings[0].note.contains("store.raed"));
-    assert!(out.findings[1].note.contains("store.wrte"));
-    assert!(out.findings[2].note.contains("overlaoded"));
-    assert_eq!(rule_lines(&out.suppressed), pairs(&[("S1", 22)]));
-
-    // Wire kinds are checked inside qods-net, which owns the table.
-    let out = lint_source("fix/s1.rs", "qods-net", Tree::Src, text, &tables());
-    assert_eq!(
-        rule_lines(&out.findings),
-        pairs(&[("S1", 4), ("S1", 10), ("S1", 14)])
-    );
-    assert!(out.findings[2].note.contains("overlaoded"));
-
-    // qods-fault owns the site table: only the kind drift fires there.
-    let out = lint_source("fix/s1.rs", "qods-fault", Tree::Src, text, &tables());
-    assert_eq!(rule_lines(&out.findings), pairs(&[("S1", 14)]));
-    assert!(out.findings[0].note.contains("overlaoded"));
-}
-
-#[test]
-fn s1_checks_apply_in_test_trees_too() {
-    let text = "fn t() { qods_fault::check(\"store.raed\"); }\n";
-    let out = lint_source("fix/t.rs", "qods-net", Tree::Tests, text, &tables());
-    assert_eq!(rule_lines(&out.findings), pairs(&[("S1", 1)]));
-}
-
-#[test]
-fn s1_fails_typoed_instrumentation_sites_and_respects_allow() {
-    let text = include_str!("fixtures/s1_obs_violation.rs");
-    let out = lint_source("fix/s1_obs.rs", "qods-net", Tree::Src, text, &tables());
-    assert_eq!(
-        rule_lines(&out.findings),
-        pairs(&[("S1", 4), ("S1", 7), ("S1", 12)]),
-        "counter typo, histogram typo, span! typo; constants, canonical \
-         literals, and bare `instant(` calls stay clean"
-    );
-    assert!(out.findings[0].note.contains("net.requsts"));
-    assert!(out.findings[2].note.contains("svc.schedle"));
-    assert_eq!(rule_lines(&out.suppressed), pairs(&[("S1", 22)]));
-
-    // qods-obs owns the site table; its tests mint scratch names.
-    let out = lint_source("fix/s1_obs.rs", "qods-obs", Tree::Src, text, &tables());
-    assert!(out.findings.is_empty());
-    assert_eq!(out.unused_allows.len(), 1, "the allow now covers nothing");
-}
-
-#[test]
 fn p1_reports_transitive_panics_stops_at_barriers_and_respects_allow() {
     let text = include_str!("fixtures/p1_violation.rs");
-    let out = lint_source("fix/p1.rs", "qods-net", Tree::Src, text, &tables());
+    let out = lint_source("fix/p1.rs", "qods-net", Tree::Src, text);
     assert_eq!(
         rule_lines(&out.findings),
         pairs(&[("P1", 15)]),
@@ -130,14 +71,14 @@ fn p1_reports_transitive_panics_stops_at_barriers_and_respects_allow() {
 fn p1_does_not_fire_without_a_serving_entry() {
     let text = include_str!("fixtures/p1_violation.rs");
     // Same code in a leaf crate with no entry signatures: unreachable.
-    let out = lint_source("fix/p1.rs", "qods-phys", Tree::Src, text, &tables());
+    let out = lint_source("fix/p1.rs", "qods-phys", Tree::Src, text);
     assert!(rule_lines(&out.findings).iter().all(|(r, _)| r != "P1"));
 }
 
 #[test]
 fn l1_reports_inversion_cycles_and_locks_held_across_checkpoints() {
     let text = include_str!("fixtures/l1_violation.rs");
-    let out = lint_source("fix/l1.rs", "qods-service", Tree::Src, text, &tables());
+    let out = lint_source("fix/l1.rs", "qods-service", Tree::Src, text);
     assert_eq!(
         rule_lines(&out.findings),
         pairs(&[("L1", 13), ("L1", 24)]),
@@ -155,7 +96,7 @@ fn l1_reports_inversion_cycles_and_locks_held_across_checkpoints() {
 #[test]
 fn a1_reports_relaxed_loads_that_flow_into_sinks_and_respects_allow() {
     let text = include_str!("fixtures/a1_violation.rs");
-    let out = lint_source("fix/a1.rs", "qods-service", Tree::Src, text, &tables());
+    let out = lint_source("fix/a1.rs", "qods-service", Tree::Src, text);
     assert_eq!(
         rule_lines(&out.findings),
         pairs(&[("A1", 12)]),
@@ -167,15 +108,18 @@ fn a1_reports_relaxed_loads_that_flow_into_sinks_and_respects_allow() {
 #[test]
 fn the_drift_workspace_fails_the_run() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/drift_ws");
-    let report = qods_lint::lint_workspace(&root, &tables()).expect("fixture ws lints");
-    assert!(!report.clean(), "the drifted fault-site literal must fail");
+    let report = qods_lint::lint_workspace(&root).expect("fixture ws lints");
     assert!(
-        report.findings.iter().all(|f| f.rule == "S1")
+        !report.clean(),
+        "the clock read in a result crate must fail"
+    );
+    assert!(
+        report.findings.iter().all(|f| f.rule == "D1")
             && report
                 .findings
                 .iter()
-                .any(|f| f.note.contains("store.raed")),
-        "exactly the S1 drift: {}",
+                .any(|f| f.note.contains("Instant::now")),
+        "exactly the D1 drift: {}",
         to_ndjson(&report.findings)
     );
 }
@@ -208,7 +152,7 @@ fn malformed_and_unknown_rule_annotations_are_l0_findings() {
         "// qods-lint: allow(P1) -- fine but unused\n", // matches nothing
         "fn quiet() {}\n",
     );
-    let out = lint_source("fix/l0.rs", "qods-core", Tree::Src, text, &tables());
+    let out = lint_source("fix/l0.rs", "qods-core", Tree::Src, text);
     assert_eq!(rule_lines(&out.findings), pairs(&[("L0", 1), ("L0", 2)]));
     assert_eq!(out.unused_allows.len(), 1);
     assert_eq!(out.unused_allows[0].line, 3);
@@ -216,8 +160,8 @@ fn malformed_and_unknown_rule_annotations_are_l0_findings() {
 
 #[test]
 fn ndjson_round_trips_exactly() {
-    let text = include_str!("fixtures/s1_violation.rs");
-    let out = lint_source("fix/s1.rs", "qods-service", Tree::Src, text, &tables());
+    let text = include_str!("fixtures/d1_violation.rs");
+    let out = lint_source("fix/d1.rs", "qods-service", Tree::Src, text);
     let stream = to_ndjson(&out.findings);
     assert_eq!(stream.lines().count(), out.findings.len());
     let back = from_ndjson(&stream).expect("the stream we just wrote parses");
@@ -227,7 +171,7 @@ fn ndjson_round_trips_exactly() {
 #[test]
 fn graph_rule_findings_round_trip_through_ndjson_too() {
     let text = include_str!("fixtures/p1_violation.rs");
-    let out = lint_source("fix/p1.rs", "qods-net", Tree::Src, text, &tables());
+    let out = lint_source("fix/p1.rs", "qods-net", Tree::Src, text);
     assert!(!out.findings.is_empty(), "the fixture raises a P1 finding");
     let back = from_ndjson(&to_ndjson(&out.findings)).expect("parses");
     assert_eq!(back, out.findings);
@@ -236,7 +180,7 @@ fn graph_rule_findings_round_trip_through_ndjson_too() {
 #[test]
 fn the_workspace_is_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let report = qods_lint::lint_workspace(&root, &tables()).expect("workspace lints");
+    let report = qods_lint::lint_workspace(&root).expect("workspace lints");
     assert!(
         report.clean(),
         "unsuppressed findings:\n{}",
@@ -257,23 +201,4 @@ fn the_workspace_walk_includes_the_root_examples() {
         .expect("examples/quickstart.rs is linted");
     assert_eq!(quickstart.tree, Tree::Examples);
     assert_eq!(quickstart.crate_name, "speed-of-data");
-}
-
-#[test]
-fn the_s1_tables_match_the_crates_that_own_them() {
-    let t = tables();
-    let sites: Vec<String> = qods_fault::SITES.iter().map(|s| (*s).to_owned()).collect();
-    let obs_sites: Vec<String> = qods_obs::sites::ALL
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-    let kinds: Vec<String> = qods_net::protocol::kind::ALL
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-    assert_eq!(t.sites, sites);
-    assert_eq!(t.obs_sites, obs_sites);
-    assert_eq!(t.kinds, kinds);
-    assert!(t.sites.contains(&"store.read".to_owned()));
-    assert!(t.kinds.contains(&"overloaded".to_owned()));
 }

@@ -197,9 +197,9 @@ impl Client {
         loop {
             let outcome = self.roundtrip(line);
             let transient = match &outcome {
-                Ok(Some(response)) => response.contains(&crate::protocol::kind_fragment(
-                    crate::protocol::kind::OVERLOADED,
-                )),
+                Ok(Some(response)) => {
+                    response.contains(&crate::protocol::ErrorKind::Overloaded.fragment())
+                }
                 // Server closed mid-request: worth one more dial.
                 Ok(None) => true,
                 Err(e) => retryable(e.kind()),

@@ -52,52 +52,6 @@ pub struct ResultLine {
     pub records: Vec<RecordLine>,
 }
 
-/// The canonical wire error-`kind` tags, as data. [`ErrorKind::tag`]
-/// returns these constants, every in-repo assertion on a served
-/// `kind` goes through [`kind_fragment`], and the `qods-lint` S1 rule
-/// cross-checks any `"kind":"..."` string literal in the workspace
-/// against [`kind::ALL`] — so a drifted or typo-ed kind literal is a
-/// lint failure, not a test that silently matches nothing.
-pub mod kind {
-    /// The line was not a parseable request.
-    pub const BAD_REQUEST: &str = "bad_request";
-    /// The scheduler rejected the job.
-    pub const REJECTED: &str = "rejected";
-    /// Admission control refused the job.
-    pub const OVERLOADED: &str = "overloaded";
-    /// The server is draining.
-    pub const SHUTTING_DOWN: &str = "shutting_down";
-    /// Per-connection request limit exceeded.
-    pub const CONNECTION_LIMIT: &str = "connection_limit";
-    /// The job panicked; the daemon caught it and kept serving.
-    pub const INTERNAL: &str = "internal_error";
-    /// The job overran its deadline budget.
-    pub const DEADLINE_EXCEEDED: &str = "deadline_exceeded";
-    /// The connection was reaped by the idle timeout.
-    pub const IDLE_TIMEOUT: &str = "idle_timeout";
-
-    /// Every wire kind, in [`super::ErrorKind`] declaration order —
-    /// the table the S1 lint rule and the exhaustiveness test check
-    /// against.
-    pub const ALL: &[&str] = &[
-        BAD_REQUEST,
-        REJECTED,
-        OVERLOADED,
-        SHUTTING_DOWN,
-        CONNECTION_LIMIT,
-        INTERNAL,
-        DEADLINE_EXCEEDED,
-        IDLE_TIMEOUT,
-    ];
-}
-
-/// The `"kind":"..."` JSON fragment an error line of kind `tag`
-/// carries — the one way in-repo code and tests match a served kind,
-/// so the literal cannot drift from the protocol table.
-pub fn kind_fragment(tag: &str) -> String {
-    format!("\"kind\":\"{tag}\"")
-}
-
 /// Why a request was refused — the typed half of an [`ErrorLine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorKind {
@@ -123,9 +77,7 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
-    /// Every variant, in declaration order — paired with [`kind::ALL`]
-    /// by the exhaustiveness test so the enum and the string table
-    /// cannot drift apart.
+    /// Every variant, in declaration order.
     pub const VARIANTS: [ErrorKind; 8] = [
         ErrorKind::BadRequest,
         ErrorKind::Rejected,
@@ -140,15 +92,22 @@ impl ErrorKind {
     /// The wire tag (`"kind"` field of an error line).
     pub fn tag(self) -> &'static str {
         match self {
-            ErrorKind::BadRequest => kind::BAD_REQUEST,
-            ErrorKind::Rejected => kind::REJECTED,
-            ErrorKind::Overloaded => kind::OVERLOADED,
-            ErrorKind::ShuttingDown => kind::SHUTTING_DOWN,
-            ErrorKind::ConnectionLimit => kind::CONNECTION_LIMIT,
-            ErrorKind::Internal => kind::INTERNAL,
-            ErrorKind::DeadlineExceeded => kind::DEADLINE_EXCEEDED,
-            ErrorKind::IdleTimeout => kind::IDLE_TIMEOUT,
+            ErrorKind::BadRequest => "bad_request",
+            ErrorKind::Rejected => "rejected",
+            ErrorKind::Overloaded => "overloaded",
+            ErrorKind::ShuttingDown => "shutting_down",
+            ErrorKind::ConnectionLimit => "connection_limit",
+            ErrorKind::Internal => "internal_error",
+            ErrorKind::DeadlineExceeded => "deadline_exceeded",
+            ErrorKind::IdleTimeout => "idle_timeout",
         }
+    }
+
+    /// The `"kind":"..."` JSON fragment an error line of this kind
+    /// carries: how code and tests match a served kind without
+    /// spelling its tag.
+    pub fn fragment(self) -> String {
+        format!("\"kind\":\"{}\"", self.tag())
     }
 
     /// The error kind a failed [`ServiceError`] maps to on the wire.
@@ -420,17 +379,17 @@ mod tests {
     }
 
     #[test]
-    fn kind_table_matches_the_enum_exactly() {
-        // One tag per variant, in declaration order, no extras and no
-        // duplicates: the const table IS the enum, as data.
-        let tags: Vec<&str> = ErrorKind::VARIANTS.iter().map(|k| k.tag()).collect();
-        assert_eq!(tags, kind::ALL);
-        let mut dedup = kind::ALL.to_vec();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), kind::ALL.len(), "kind tags are distinct");
+    fn kind_tags_are_distinct() {
+        let mut tags: Vec<&str> = ErrorKind::VARIANTS.iter().map(|k| k.tag()).collect();
+        tags.sort_unstable();
+        tags.dedup();
         assert_eq!(
-            kind_fragment(kind::OVERLOADED),
+            tags.len(),
+            ErrorKind::VARIANTS.len(),
+            "kind tags are distinct"
+        );
+        assert_eq!(
+            ErrorKind::Overloaded.fragment(),
             "\"kind\":\"overloaded\"".to_string()
         );
     }

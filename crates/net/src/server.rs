@@ -811,7 +811,6 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool, loca
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::protocol::{kind, kind_fragment};
 
     /// Runs `input` through a [`CappedLineReader`] with `cap` and
     /// collects every outcome until EOF.
@@ -966,7 +965,7 @@ mod tests {
         let lines = sink.lines();
         assert_eq!(lines.len(), 1);
         assert!(
-            lines[0].contains(&kind_fragment(kind::SHUTTING_DOWN)),
+            lines[0].contains(&ErrorKind::ShuttingDown.fragment()),
             "{}",
             lines[0]
         );
@@ -990,7 +989,7 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"event\":\"result\""));
         assert!(
-            lines[1].contains(&kind_fragment(kind::CONNECTION_LIMIT)),
+            lines[1].contains(&ErrorKind::ConnectionLimit.fragment()),
             "{}",
             lines[1]
         );

@@ -8,8 +8,8 @@
 //! the Monte-Carlo chunk site plus a worker panic); the other tests
 //! add disconnects, deadline expiries, and oversize-line floods.
 
-use qods_fault::{FaultAction, FaultPlan};
-use qods_net::protocol::{kind, kind_fragment};
+use qods_fault::{site, FaultAction, FaultPlan};
+use qods_net::protocol::ErrorKind;
 use qods_net::Client;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
@@ -93,8 +93,8 @@ fn a_fault_storm_answers_every_request_typed_and_exits_zero() {
     // perform ~640, so every one fires), plus a worker panic that
     // kills the first job outright.
     let plan = FaultPlan::new()
-        .once("pool.worker", 1, FaultAction::Panic)
-        .scatter("mc.chunk", FaultAction::Delay(1), 42, 120, 500);
+        .once(site::POOL_WORKER, 1, FaultAction::Panic)
+        .scatter(site::MC_CHUNK, FaultAction::Delay(1), 42, 120, 500);
     assert!(plan.len() >= 100, "the storm must schedule >=100 faults");
 
     let mut input = String::new();
@@ -114,7 +114,7 @@ fn a_fault_storm_answers_every_request_typed_and_exits_zero() {
     // line is a clean result (delays perturb timing, never output).
     assert!(
         lines[0].contains("\"event\":\"error\"")
-            && lines[0].contains(&kind_fragment(kind::INTERNAL))
+            && lines[0].contains(&ErrorKind::Internal.fragment())
             && lines[0].contains("\"id\":\"doomed\""),
         "{}",
         lines[0]
@@ -152,7 +152,7 @@ fn expired_deadlines_answer_typed_errors_without_killing_the_daemon() {
     assert!(ok, "deadline expiry must not kill the daemon");
     assert_eq!(lines.len(), 3, "{lines:#?}");
     assert!(
-        lines[0].contains(&kind_fragment(kind::DEADLINE_EXCEEDED)) && lines[0].contains("deadline"),
+        lines[0].contains(&ErrorKind::DeadlineExceeded.fragment()) && lines[0].contains("deadline"),
         "{}",
         lines[0]
     );
@@ -173,7 +173,7 @@ fn oversize_lines_answer_bad_request_and_the_stream_recovers() {
     assert!(ok, "an oversize line must not kill the daemon");
     assert_eq!(lines.len(), 3, "{lines:#?}");
     assert!(
-        lines[0].contains(&kind_fragment(kind::BAD_REQUEST)) && lines[0].contains("byte cap"),
+        lines[0].contains(&ErrorKind::BadRequest.fragment()) && lines[0].contains("byte cap"),
         "{}",
         lines[0]
     );
@@ -187,7 +187,7 @@ fn coalesced_survivors_execute_exactly_once_under_injected_delays() {
     // flight long enough that every concurrent duplicate coalesces
     // onto it instead of executing.
     const CLIENTS: usize = 4;
-    let plan = FaultPlan::new().once("mc.chunk", 1, FaultAction::Delay(300));
+    let plan = FaultPlan::new().once(site::MC_CHUNK, 1, FaultAction::Delay(300));
     let (mut child, addr) = spawn_tcp_chaos(&plan, &[]);
 
     let job = mc_job_line("dup", 7);
@@ -233,7 +233,7 @@ fn coalesced_survivors_execute_exactly_once_under_injected_delays() {
 fn injected_disconnects_are_survived_and_transparently_retried() {
     // The second served line drops the connection mid-request; the
     // retrying client reconnects and the third attempt answers.
-    let plan = FaultPlan::new().once("net.conn", 2, FaultAction::Disconnect);
+    let plan = FaultPlan::new().once(site::NET_CONN, 2, FaultAction::Disconnect);
     let (mut child, addr) = spawn_tcp_chaos(&plan, &[]);
 
     let mut client = Client::connect(addr).expect("connect");

@@ -12,7 +12,7 @@
 //! seconds, not microseconds, however fast the engine gets.
 
 use qods_fault::{site, FaultAction, FaultPlan};
-use qods_net::protocol::{kind, kind_fragment};
+use qods_net::protocol::ErrorKind;
 use qods_net::{Client, NetServer, ServeCore, ServeOptions, StatsLine};
 use qods_service::prelude::*;
 use std::net::SocketAddr;
@@ -136,7 +136,7 @@ fn overload_burst_answers_typed_errors_and_the_server_survives() {
             .expect("roundtrip")
             .expect("typed refusal");
         assert!(
-            line.contains(&kind_fragment(kind::OVERLOADED)),
+            line.contains(&ErrorKind::Overloaded.fragment()),
             "burst {i} got {line}"
         );
         assert!(line.contains("\"id\":\"shed\""), "{line}");

@@ -62,7 +62,7 @@ fn chrome_export_round_trips_a_real_serve_run_on_named_lanes() {
         assert!(
             events
                 .iter()
-                .any(|e| e.phase == Phase::Span && e.site.starts_with(stage)),
+                .any(|e| e.phase == Phase::Span && e.site.name().starts_with(stage)),
             "no `{stage}*` span in a traced serve run"
         );
     }
@@ -123,27 +123,27 @@ fn metrics_verb_agrees_with_stats_and_spans_stay_off_when_disabled() {
     let stats = client.stats().expect("stats verb");
     let metrics = client.metrics().expect("metrics verb").metrics;
     assert_eq!(
-        metrics.counters.get(qods_obs::sites::NET_REQUESTS),
+        metrics.counters.get(qods_obs::sites::NET_REQUESTS.name()),
         Some(&stats.requests)
     );
     assert_eq!(
-        metrics.counters.get(qods_obs::sites::NET_RESULTS),
+        metrics.counters.get(qods_obs::sites::NET_RESULTS.name()),
         Some(&stats.results)
     );
     assert_eq!(
-        metrics.counters.get(qods_obs::sites::SVC_EXECUTED),
+        metrics.counters.get(qods_obs::sites::SVC_EXECUTED.name()),
         Some(&stats.executed)
     );
     assert!(
         metrics
             .counters
-            .contains_key(qods_obs::sites::CACHE_CONTEXT_MISSES),
+            .contains_key(qods_obs::sites::CACHE_CONTEXT_MISSES.name()),
         "cache counters merged into the snapshot"
     );
     assert!(
         metrics
             .counters
-            .contains_key(qods_obs::sites::STORE_COMPUTED),
+            .contains_key(qods_obs::sites::STORE_COMPUTED.name()),
         "artifact-store counters merged into the snapshot"
     );
     client.shutdown().expect("ack");

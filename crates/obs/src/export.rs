@@ -14,6 +14,7 @@
 //! derived structs so absent args are *omitted*, not `null` — trace
 //! viewers are picky about nulls.
 
+use crate::sites::Site;
 use crate::trace::{Phase, SpanEvent, FIRST_DYNAMIC_LANE};
 use serde_json::Value;
 use std::collections::BTreeMap;
@@ -79,8 +80,8 @@ pub fn to_chrome(events: &[SpanEvent]) -> String {
         // Chrome wants microseconds; keep fractional ns as decimals.
         let ts_us = ev.start_ns as f64 / 1e3;
         let mut fields = vec![
-            ("name", Value::Str(ev.site.to_owned())),
-            ("cat", Value::Str(category(ev.site).to_owned())),
+            ("name", Value::Str(ev.site.name().to_owned())),
+            ("cat", Value::Str(category(ev.site.name()).to_owned())),
             (
                 "ph",
                 Value::Str(
@@ -204,7 +205,7 @@ pub struct StageAgg {
 /// Per-site time totals for span events (instants are counted with
 /// zero duration) — the table behind `repro --trace-out`'s per-stage
 /// breakdown. Sorted by site name for deterministic rendering.
-pub fn stage_breakdown(events: &[SpanEvent]) -> Vec<(&'static str, StageAgg)> {
+pub fn stage_breakdown(events: &[SpanEvent]) -> Vec<(Site, StageAgg)> {
     let lane_of: BTreeMap<u64, u32> = events.iter().map(|ev| (ev.span_id, ev.lane)).collect();
     let mut nested_ns: BTreeMap<u64, u64> = BTreeMap::new();
     for ev in events {
@@ -212,7 +213,7 @@ pub fn stage_breakdown(events: &[SpanEvent]) -> Vec<(&'static str, StageAgg)> {
             *nested_ns.entry(ev.parent_id).or_default() += ev.dur_ns;
         }
     }
-    let mut by_site: BTreeMap<&'static str, StageAgg> = BTreeMap::new();
+    let mut by_site: BTreeMap<Site, StageAgg> = BTreeMap::new();
     for ev in events {
         let agg = by_site.entry(ev.site).or_default();
         agg.count += 1;
@@ -325,12 +326,16 @@ mod tests {
     #[test]
     fn breakdown_sums_per_site() {
         let agg = stage_breakdown(&sample_events());
-        let sites: Vec<&str> = agg.iter().map(|(s, _)| *s).collect();
+        let names: Vec<&str> = agg.iter().map(|(s, _)| s.name()).collect();
         assert_eq!(
-            sites,
+            names,
             vec!["fault.fired", "net.request", "pool.worker", "svc.coalesce"]
         );
-        let pool = agg.iter().find(|(s, _)| *s == "pool.worker").unwrap().1;
+        let pool = agg
+            .iter()
+            .find(|(s, _)| *s == sites::POOL_WORKER)
+            .unwrap()
+            .1;
         assert_eq!(pool.count, 1);
         assert_eq!(pool.total_ns, 4_000);
         assert_eq!(pool.max_ns, 4_000);
@@ -339,13 +344,13 @@ mod tests {
     #[test]
     fn self_time_subtracts_only_same_lane_children() {
         let agg = stage_breakdown(&sample_events());
-        let self_ns = |site: &str| agg.iter().find(|(s, _)| *s == site).unwrap().1.self_ns;
+        let self_ns = |site: Site| agg.iter().find(|(s, _)| *s == site).unwrap().1.self_ns;
         // net.request (9 us) nests svc.coalesce (0.5 us) on lane 0.
-        assert_eq!(self_ns("net.request"), 8_500);
+        assert_eq!(self_ns(sites::NET_REQUEST), 8_500);
         // svc.coalesce's child pool.worker runs on lane 2, concurrently.
-        assert_eq!(self_ns("svc.coalesce"), 500);
+        assert_eq!(self_ns(sites::SVC_COALESCE), 500);
         // pool.worker's only child is a zero-length instant.
-        assert_eq!(self_ns("pool.worker"), 4_000);
-        assert_eq!(self_ns("fault.fired"), 0);
+        assert_eq!(self_ns(sites::POOL_WORKER), 4_000);
+        assert_eq!(self_ns(sites::FAULT_FIRED), 0);
     }
 }

@@ -12,7 +12,7 @@
 //!   contended shard drops (and counts) rather than blocking the
 //!   serving path.
 //! * [`metrics`] — typed [`Counter`]/[`Gauge`]/histogram handles
-//!   registered by static site name in a [`Registry`], replacing the
+//!   registered by [`Site`] in a [`Registry`], replacing the
 //!   ad-hoc atomics that used to live on each serving struct; one
 //!   serde [`MetricsSnapshot`] feeds the `stats` and `metrics` verbs.
 //! * [`export`] — [`export::to_chrome`] (Perfetto-loadable, worker
@@ -20,8 +20,8 @@
 //!   `repro --trace-out`'s stage table.
 //!
 //! Site names are the contract: every span and metric site is a
-//! constant in [`sites`], and lint rule S1 checks instrumentation
-//! literals against [`sites::ALL`] so the table can't drift.
+//! [`Site`] constant in [`sites`], and `Site` has no other values, so
+//! a call naming a site that is not in the table does not compile.
 //!
 //! This crate is dependency-free by design (serde shims only) and
 //! sits below every serving crate; like `qods-fault`, it must never
@@ -37,6 +37,7 @@ pub mod trace;
 
 pub use hist::{LatencyHistogram, LatencySummary, SUBBUCKETS};
 pub use metrics::{Counter, Gauge, MetricsSnapshot, Registry, RobustnessSnapshot};
+pub use sites::Site;
 pub use trace::{SpanGuard, TraceStats, Tracer};
 
 /// Poison-tolerant lock: the crate's one copy of `qods_pool::plock`

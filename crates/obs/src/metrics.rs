@@ -1,5 +1,5 @@
 //! The unified metrics registry: typed [`Counter`] / [`Gauge`] /
-//! histogram handles registered by static site name, one registry per
+//! histogram handles registered by [`Site`], one registry per
 //! serving stack (plus a process-global default), and one serde
 //! [`MetricsSnapshot`] every reader — the `stats` verb, the new
 //! `metrics` verb, `perfbench` — renders from.
@@ -18,7 +18,7 @@
 
 use crate::hist::{LatencyHistogram, LatencySummary};
 use crate::plock;
-use crate::sites;
+use crate::sites::{self, Site};
 use crate::trace::TraceStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -77,9 +77,9 @@ impl Gauge {
 /// A set of named metrics with one snapshot shape (see module docs).
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<&'static str, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<&'static str, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<&'static str, Arc<LatencyHistogram>>>,
+    counters: Mutex<BTreeMap<Site, Arc<Counter>>>,
+    gauges: Mutex<BTreeMap<Site, Arc<Gauge>>>,
+    histograms: Mutex<BTreeMap<Site, Arc<LatencyHistogram>>>,
 }
 
 impl Registry {
@@ -96,22 +96,17 @@ impl Registry {
     }
 
     /// The counter registered at `site` (created on first request).
-    /// `site` must be in [`crate::sites::ALL`] — lint rule S1 checks
-    /// literals at call sites, and debug builds assert it.
-    pub fn counter(&self, site: &'static str) -> Arc<Counter> {
-        debug_assert!(sites::is_site(site), "unknown metric site `{site}`");
+    pub fn counter(&self, site: Site) -> Arc<Counter> {
         Arc::clone(plock(&self.counters).entry(site).or_default())
     }
 
     /// The gauge registered at `site` (created on first request).
-    pub fn gauge(&self, site: &'static str) -> Arc<Gauge> {
-        debug_assert!(sites::is_site(site), "unknown metric site `{site}`");
+    pub fn gauge(&self, site: Site) -> Arc<Gauge> {
         Arc::clone(plock(&self.gauges).entry(site).or_default())
     }
 
     /// The histogram registered at `site` (created on first request).
-    pub fn histogram(&self, site: &'static str) -> Arc<LatencyHistogram> {
-        debug_assert!(sites::is_site(site), "unknown metric site `{site}`");
+    pub fn histogram(&self, site: Site) -> Arc<LatencyHistogram> {
         Arc::clone(plock(&self.histograms).entry(site).or_default())
     }
 
@@ -122,15 +117,15 @@ impl Registry {
         MetricsSnapshot {
             counters: plock(&self.counters)
                 .iter()
-                .map(|(k, c)| ((*k).to_owned(), c.get()))
+                .map(|(k, c)| (k.name().to_owned(), c.get()))
                 .collect(),
             gauges: plock(&self.gauges)
                 .iter()
-                .map(|(k, g)| ((*k).to_owned(), g.get()))
+                .map(|(k, g)| (k.name().to_owned(), g.get()))
                 .collect(),
             latency: plock(&self.histograms)
                 .iter()
-                .map(|(k, h)| ((*k).to_owned(), h.summary()))
+                .map(|(k, h)| (k.name().to_owned(), h.summary()))
                 .collect(),
             trace: crate::trace::tracer().stats(),
         }
@@ -138,8 +133,8 @@ impl Registry {
 
     /// Reads one counter's current value (0 when never registered) —
     /// for snapshot-shaping code that must not create the site.
-    pub fn counter_value(&self, site: &str) -> u64 {
-        plock(&self.counters).get(site).map_or(0, |c| c.get())
+    pub fn counter_value(&self, site: Site) -> u64 {
+        plock(&self.counters).get(&site).map_or(0, |c| c.get())
     }
 }
 

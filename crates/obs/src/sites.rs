@@ -1,8 +1,9 @@
-//! The canonical site-name table: every span a guard can open and
-//! every metric a registry handle can register lives here, as a
-//! `&'static str` constant plus the [`ALL`] slice lint rule **S1**
-//! validates instrumentation literals against — the same can't-drift
-//! contract `qods_fault::SITES` gives fault-injection points.
+//! The canonical site table: every span a guard can open and every
+//! metric a registry handle can register is a [`Site`] constant here.
+//! `Site`'s field is private, so these constants are its only values:
+//! a misspelt or invented name is a compile error at the call site,
+//! and `qods_fault::Site` is a distinct type, so a fault site cannot
+//! stand in for an instrumentation site either.
 //!
 //! Naming is `<layer>.<thing>`: `net.*` for the wire/connection
 //! layer, `gate.*` for admission, `svc.*` for the scheduler,
@@ -11,112 +12,148 @@
 //! `job.*` for per-request execution, and `fault.*`/`trace.*` for the
 //! observability plumbing itself.
 
+/// One instrumentation site: a span or metric name from this table.
+/// [`Site::name`] is the string the trace, the stage table and the
+/// metrics snapshot render; ordering is the name's.
+///
+/// Every call that names a site takes this type:
+///
+/// ```
+/// use qods_obs::{sites, span, Registry};
+/// Registry::new().counter(sites::NET_REQUESTS).inc();
+/// let _span = span!(sites::SVC_SCHEDULE);
+/// ```
+///
+/// so a typo'd name does not build:
+///
+/// ```compile_fail,E0308
+/// qods_obs::Registry::new().counter("net.requsts");
+/// ```
+///
+/// ```compile_fail,E0308
+/// let _span = qods_obs::span!("svc.schedle");
+/// ```
+///
+/// and no site can be minted outside this table:
+///
+/// ```compile_fail,E0423
+/// let _ = qods_obs::Site("x");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Site(&'static str);
+
+impl Site {
+    /// The site's name, e.g. `"net.request"`.
+    pub const fn name(self) -> &'static str {
+        self.0
+    }
+}
+
 // ------------------------------------------------------------ spans
 
 /// One accepted TCP connection, open for its whole lifetime.
-pub const NET_ACCEPT: &str = "net.accept";
+pub const NET_ACCEPT: Site = Site("net.accept");
 /// Reading one NDJSON line off a transport.
-pub const NET_READ: &str = "net.read";
+pub const NET_READ: Site = Site("net.read");
 /// Waiting on (or being refused by) the admission gate.
-pub const NET_ADMISSION: &str = "net.admission";
+pub const NET_ADMISSION: Site = Site("net.admission");
 /// Writing one answer line back to the transport.
-pub const NET_WRITE: &str = "net.write";
+pub const NET_WRITE: Site = Site("net.write");
 /// One request end to end: parse -> admit -> run -> answer.
-pub const NET_REQUEST: &str = "net.request";
+pub const NET_REQUEST: Site = Site("net.request");
 
 /// The coalescing decision for one admitted job (role: leader or
 /// follower).
-pub const SVC_COALESCE: &str = "svc.coalesce";
+pub const SVC_COALESCE: Site = Site("svc.coalesce");
 /// One scheduled job execution (the leader's run).
-pub const SVC_SCHEDULE: &str = "svc.schedule";
+pub const SVC_SCHEDULE: Site = Site("svc.schedule");
 /// Context checkout from the content-addressed pool.
-pub const SVC_CONTEXT: &str = "svc.context";
+pub const SVC_CONTEXT: Site = Site("svc.context");
 
 /// Compile stage 1: spec -> IR.
-pub const COMPILE_IR: &str = "compile.ir";
+pub const COMPILE_IR: Site = Site("compile.ir");
 /// Compile stage 2: IR -> scheduled circuit.
-pub const COMPILE_SCHED: &str = "compile.sched";
+pub const COMPILE_SCHED: Site = Site("compile.sched");
 /// Compile stage 3: scheduled circuit -> characterization.
-pub const COMPILE_CHAR: &str = "compile.char";
+pub const COMPILE_CHAR: Site = Site("compile.char");
 /// Compile stage 4: the persistence tier (disk read/heal/write).
-pub const COMPILE_STORE: &str = "compile.store";
+pub const COMPILE_STORE: Site = Site("compile.store");
 
 /// One worker's whole chunk-execution loop inside the shared pool.
-pub const POOL_WORKER: &str = "pool.worker";
+pub const POOL_WORKER: Site = Site("pool.worker");
 
 /// One experiment run (the phys/arch engines) inside a job.
-pub const JOB_EXPERIMENT: &str = "job.experiment";
+pub const JOB_EXPERIMENT: Site = Site("job.experiment");
 
 /// A fault-injection site fired (instant event; detail = fault site).
-pub const FAULT_FIRED: &str = "fault.fired";
+pub const FAULT_FIRED: Site = Site("fault.fired");
 
 // ---------------------------------------------------------- metrics
 
 /// Job lines received (the `stats` verb's `requests`).
-pub const NET_REQUESTS: &str = "net.requests";
+pub const NET_REQUESTS: Site = Site("net.requests");
 /// Result lines answered.
-pub const NET_RESULTS: &str = "net.results";
+pub const NET_RESULTS: Site = Site("net.results");
 /// Typed error lines answered.
-pub const NET_ERRORS: &str = "net.errors";
+pub const NET_ERRORS: Site = Site("net.errors");
 /// Jobs refused by admission (queue full).
-pub const NET_OVERLOADED: &str = "net.overloaded";
+pub const NET_OVERLOADED: Site = Site("net.overloaded");
 /// Connections open right now (gauge).
-pub const NET_CONNECTIONS: &str = "net.connections";
+pub const NET_CONNECTIONS: Site = Site("net.connections");
 /// Connections accepted over the server's lifetime.
-pub const NET_CONNECTIONS_TOTAL: &str = "net.connections_total";
+pub const NET_CONNECTIONS_TOTAL: Site = Site("net.connections_total");
 /// NDJSON lines rejected for exceeding the line cap.
-pub const NET_LINES_REJECTED: &str = "net.lines_rejected";
+pub const NET_LINES_REJECTED: Site = Site("net.lines_rejected");
 /// Idle connections reaped by the read timeout.
-pub const NET_IDLE_REAPED: &str = "net.idle_reaped";
+pub const NET_IDLE_REAPED: Site = Site("net.idle_reaped");
 /// Client-observed queue-to-answer latency (histogram).
-pub const NET_LATENCY: &str = "net.latency";
+pub const NET_LATENCY: Site = Site("net.latency");
 
 /// Admission permits out right now (gauge).
-pub const GATE_ACTIVE: &str = "gate.active";
+pub const GATE_ACTIVE: Site = Site("gate.active");
 /// Callers blocked in the admission wait queue right now (gauge).
-pub const GATE_WAITING: &str = "gate.waiting";
+pub const GATE_WAITING: Site = Site("gate.waiting");
 
 /// Jobs this scheduler executed (coalescing leaders included).
-pub const SVC_EXECUTED: &str = "svc.executed";
+pub const SVC_EXECUTED: Site = Site("svc.executed");
 /// Requests answered by joining an in-flight execution.
-pub const SVC_COALESCED: &str = "svc.coalesced";
+pub const SVC_COALESCED: Site = Site("svc.coalesced");
 /// Jobs coalescing-in-flight right now (gauge).
-pub const SVC_IN_FLIGHT: &str = "svc.in_flight";
+pub const SVC_IN_FLIGHT: Site = Site("svc.in_flight");
 /// Job panics caught and answered as typed errors.
-pub const SVC_PANICS_CAUGHT: &str = "svc.panics_caught";
+pub const SVC_PANICS_CAUGHT: Site = Site("svc.panics_caught");
 /// Jobs cancelled at a deadline boundary.
-pub const SVC_DEADLINE_EXCEEDED: &str = "svc.deadline_exceeded";
+pub const SVC_DEADLINE_EXCEEDED: Site = Site("svc.deadline_exceeded");
 
 /// Context-pool hits (same config hash, context reused).
-pub const CACHE_CONTEXT_HITS: &str = "cache.context_hits";
+pub const CACHE_CONTEXT_HITS: Site = Site("cache.context_hits");
 /// Context-pool misses (context built fresh).
-pub const CACHE_CONTEXT_MISSES: &str = "cache.context_misses";
+pub const CACHE_CONTEXT_MISSES: Site = Site("cache.context_misses");
 /// Finished-output hits (experiment served without recompute).
-pub const CACHE_OUTPUT_HITS: &str = "cache.output_hits";
+pub const CACHE_OUTPUT_HITS: Site = Site("cache.output_hits");
 /// Finished-output misses (experiment executed).
-pub const CACHE_OUTPUT_MISSES: &str = "cache.output_misses";
+pub const CACHE_OUTPUT_MISSES: Site = Site("cache.output_misses");
 
 /// Artifact-store stage computations (both tiers missed).
-pub const STORE_COMPUTED: &str = "store.computed";
+pub const STORE_COMPUTED: Site = Site("store.computed");
 /// Artifact-store in-memory hits.
-pub const STORE_MEM_HITS: &str = "store.mem_hits";
+pub const STORE_MEM_HITS: Site = Site("store.mem_hits");
 /// Artifact-store disk deserialization hits.
-pub const STORE_DISK_HITS: &str = "store.disk_hits";
+pub const STORE_DISK_HITS: Site = Site("store.disk_hits");
 /// Corrupt/mismatched disk envelopes healed by recomputing.
-pub const STORE_CORRUPT_READS: &str = "store.corrupt_reads";
+pub const STORE_CORRUPT_READS: Site = Site("store.corrupt_reads");
 /// Disk write failures (artifact served from memory anyway).
-pub const STORE_WRITE_ERRORS: &str = "store.write_errors";
+pub const STORE_WRITE_ERRORS: Site = Site("store.write_errors");
 
 /// OS threads the process-wide pool has started (its background
 /// helpers; a warm process starts none per job).
-pub const POOL_WORKERS_SPAWNED: &str = "pool.workers_spawned";
+pub const POOL_WORKERS_SPAWNED: Site = Site("pool.workers_spawned");
 
 /// Faults fired by the armed plan.
-pub const FAULT_FIRED_TOTAL: &str = "fault.fired_total";
+pub const FAULT_FIRED_TOTAL: Site = Site("fault.fired_total");
 
-/// Every valid site name, sorted — what lint rule S1 and
-/// [`crate::metrics::Registry`] debug assertions validate against.
-pub const ALL: &[&str] = &[
+/// Every site, sorted by name.
+pub const ALL: [Site; 42] = [
     CACHE_CONTEXT_HITS,
     CACHE_CONTEXT_MISSES,
     CACHE_OUTPUT_HITS,
@@ -161,11 +198,6 @@ pub const ALL: &[&str] = &[
     SVC_SCHEDULE,
 ];
 
-/// Whether `name` is a canonical site.
-pub fn is_site(name: &str) -> bool {
-    ALL.binary_search(&name).is_ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,7 +205,7 @@ mod tests {
     #[test]
     fn table_is_sorted_unique_and_well_formed() {
         assert!(ALL.windows(2).all(|w| w[0] < w[1]), "sorted + unique");
-        for s in ALL {
+        for s in ALL.map(Site::name) {
             assert!(
                 s.bytes().all(|b| b.is_ascii_lowercase()
                     || b.is_ascii_digit()
@@ -182,9 +214,6 @@ mod tests {
                 "site `{s}` must be lowercase dotted"
             );
             assert!(s.contains('.'), "site `{s}` must be layer-qualified");
-            assert!(is_site(s));
         }
-        assert!(!is_site("net.acept"));
-        assert!(!is_site(""));
     }
 }

@@ -29,7 +29,7 @@
 //! [`current_span`].
 
 use crate::plock;
-use crate::sites;
+use crate::sites::Site;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
@@ -88,8 +88,8 @@ pub struct SpanEvent {
     pub span_id: u64,
     /// The enclosing span's id; 0 for a root.
     pub parent_id: u64,
-    /// Site name (must be in [`crate::sites::ALL`]).
-    pub site: &'static str,
+    /// Where the event was recorded.
+    pub site: Site,
     /// Thread lane (pool worker index + 1; 0 = main; ≥ 1000 other).
     pub lane: u32,
     /// Start offset from the tracer epoch, nanoseconds (telemetry
@@ -317,7 +317,7 @@ pub fn current_span() -> u64 {
 
 /// Opens a span at `site`. Prefer the [`crate::span!`] macro, which
 /// also sets args.
-pub fn span(site: &'static str) -> SpanGuard {
+pub fn span(site: Site) -> SpanGuard {
     if !enabled() {
         return SpanGuard {
             live: None,
@@ -346,7 +346,7 @@ pub fn span(site: &'static str) -> SpanGuard {
 
 /// Records a point-in-time event (a fault firing, a shed request).
 /// No-op (and no allocation) while disabled.
-pub fn instant(site: &'static str, detail: &str) {
+pub fn instant(site: Site, detail: &str) {
     if !enabled() {
         return;
     }
@@ -371,7 +371,7 @@ pub fn instant(site: &'static str, detail: &str) {
 struct LiveSpan {
     span_id: u64,
     parent_id: u64,
-    site: &'static str,
+    site: Site,
     start_ns: u64,
     args: SpanArgs,
 }
@@ -504,16 +504,11 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Convenience: records a fault firing as an instant event (what
-/// `qods_fault::check` calls on every fire).
-pub fn fault_fired(fault_site: &str) {
-    instant(sites::FAULT_FIRED, fault_site);
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 pub(crate) mod tests {
     use super::*;
+    use crate::sites;
 
     /// Global-tracer tests serialize on this lock: enable/disable and
     /// drain are process-wide.
@@ -574,7 +569,7 @@ pub(crate) mod tests {
         let worker = std::thread::spawn(move || {
             set_lane(7);
             let _w = span(sites::POOL_WORKER).child_of(root_id);
-            fault_fired("pool.worker");
+            instant(sites::FAULT_FIRED, "pool.worker");
         });
         worker.join().unwrap();
         drop(root);

@@ -7,7 +7,7 @@ use std::panic::AssertUnwindSafe;
 #[test]
 fn injected_worker_panic_fires_through_the_fault_site() {
     qods_fault::arm(qods_fault::FaultPlan::new().once(
-        "pool.worker",
+        qods_fault::site::POOL_WORKER,
         1,
         qods_fault::FaultAction::Panic,
     ));
@@ -20,7 +20,7 @@ fn injected_worker_panic_fires_through_the_fault_site() {
         message.starts_with("pool worker panicked: injected fault"),
         "{message}"
     );
-    assert_eq!(qods_fault::fired_at("pool.worker"), 1);
+    assert_eq!(qods_fault::fired_at(qods_fault::site::POOL_WORKER), 1);
     qods_fault::disarm();
     // Disarmed again: the same call succeeds.
     assert_eq!(qods_pool::run_workers(1, |_| 7), vec![7]);

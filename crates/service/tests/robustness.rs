@@ -4,6 +4,7 @@
 //! wrong answer afterwards. Lives in its own integration binary
 //! because the fault injector is process-global.
 
+use qods_fault::{site, FaultAction, FaultPlan};
 use qods_service::prelude::*;
 use std::sync::Mutex;
 use std::sync::PoisonError;
@@ -35,11 +36,7 @@ fn a_panicking_job_is_a_typed_error_and_the_scheduler_keeps_serving() {
     let sched = Scheduler::with_options(StudyConfig::smoke(), 2, true);
     let req = smoke_request(&["table2"]);
 
-    qods_fault::arm(qods_fault::FaultPlan::new().once(
-        "pool.worker",
-        1,
-        qods_fault::FaultAction::Panic,
-    ));
+    qods_fault::arm(FaultPlan::new().once(site::POOL_WORKER, 1, FaultAction::Panic));
     let err = sched.run(&req).expect_err("injected panic must surface");
     qods_fault::disarm();
     match &err {
@@ -67,9 +64,9 @@ fn coalesced_followers_receive_the_leaders_typed_error() {
     // to join, then its second op (an inner Monte-Carlo worker)
     // panics.
     qods_fault::arm(
-        qods_fault::FaultPlan::new()
-            .once("pool.worker", 1, qods_fault::FaultAction::Delay(500))
-            .once("pool.worker", 2, qods_fault::FaultAction::Panic),
+        FaultPlan::new()
+            .once(site::POOL_WORKER, 1, FaultAction::Delay(500))
+            .once(site::POOL_WORKER, 2, FaultAction::Panic),
     );
     let (leader_out, follower_out) = std::thread::scope(|s| {
         let leader = s.spawn(|| sched.run_coalesced(&req));
@@ -221,9 +218,9 @@ fn helping_threads_carry_no_deadline_or_panic_across_jobs() {
     let b_sched = Scheduler::with_options(StudyConfig::smoke(), 2, false);
 
     qods_fault::arm(
-        qods_fault::FaultPlan::new()
-            .repeating("pool.worker", 1, 1, qods_fault::FaultAction::Delay(5))
-            .repeating("mc.chunk", 1, 1, qods_fault::FaultAction::Panic),
+        FaultPlan::new()
+            .repeating(site::POOL_WORKER, 1, 1, FaultAction::Delay(5))
+            .repeating(site::MC_CHUNK, 1, 1, FaultAction::Panic),
     );
     let b_done = std::sync::atomic::AtomicBool::new(false);
     let (a_runs, b_runs) = std::thread::scope(|s| {
