@@ -1,27 +1,31 @@
-//! In-flight request coalescing: N concurrent submissions of the same
-//! job key block on **one** execution and all receive the same
-//! outcome.
+//! In-flight deduplication: N concurrent callers asking for the same
+//! key block on **one** computation and all receive the same outcome.
 //!
-//! The cache (`ContextPool`) already dedupes *sequential* repeats —
-//! a finished output is served without recomputation. What it cannot
-//! dedupe is the thundering herd: eight connections submitting the
-//! same cold configuration within the same millisecond would each
-//! start the full computation, because none of them has finished
-//! populating the cache yet. [`InflightTable`] closes that window:
-//! the first arrival for a key becomes the **leader** and runs the
-//! job; every arrival while the leader is in flight becomes a
+//! A cache dedupes *sequential* repeats — a finished value is served
+//! without recomputation. What it cannot dedupe is the thundering
+//! herd: callers that miss the same key within the same millisecond
+//! would each start the full computation, because none of them has
+//! finished populating the cache yet. [`InflightTable`] closes that
+//! window: the first arrival for a key becomes the **leader** and
+//! computes; every arrival while the leader is in flight becomes a
 //! **follower** and blocks on the leader's outcome.
+//!
+//! Two layers use it: the artifact store single-flights each
+//! `(stage, hash)` key ([`crate::ArtifactStore::get_or_compute`]),
+//! and the `qods-service` scheduler coalesces concurrent submissions
+//! of one job (`Scheduler::run_coalesced`).
 //!
 //! ## Leader-failure semantics
 //!
-//! A leader that panics (its [`LeaderGuard`] drops without
-//! [`LeaderGuard::complete`]) marks the slot *abandoned*: followers
-//! wake, observe no outcome, and retry from the top — one of them
-//! becomes the new leader. Work is therefore never lost to a crashed
-//! peer, and a poisoned outcome is never served.
+//! A leader that panics or hits its deadline (its [`LeaderGuard`]
+//! drops without [`LeaderGuard::complete`]) marks the slot
+//! *abandoned*: followers wake, observe no outcome, and retry from the
+//! top — one of them becomes the new leader. Work is therefore never
+//! lost to a crashed peer, and a poisoned outcome is never served.
 
 use qods_pool::plock;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// What followers observe when a leader finishes (or vanishes).
@@ -34,46 +38,46 @@ enum SlotState<T> {
     Abandoned,
 }
 
-/// One in-flight job: the leader's eventual outcome plus the wakeup
-/// channel followers block on.
+/// One in-flight computation: the leader's eventual outcome plus the
+/// wakeup channel followers block on.
 struct Slot<T> {
     state: Mutex<SlotState<T>>,
     cv: Condvar,
 }
 
-/// The in-flight jobs, keyed by job hash.
-pub struct InflightTable<T> {
-    slots: Mutex<HashMap<u64, Arc<Slot<T>>>>,
+/// The in-flight computations, keyed by `K`.
+pub struct InflightTable<K, T> {
+    slots: Mutex<HashMap<K, Arc<Slot<T>>>>,
 }
 
-impl<T> std::fmt::Debug for InflightTable<T> {
+impl<K, T> std::fmt::Debug for InflightTable<K, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InflightTable")
-            .field("in_flight", &self.len())
+            .field("in_flight", &plock(&self.slots).len())
             .finish()
     }
 }
 
-impl<T> Default for InflightTable<T> {
+impl<K: Copy + Eq + Hash, T> Default for InflightTable<K, T> {
     fn default() -> Self {
         InflightTable::new()
     }
 }
 
 /// The role [`InflightTable::begin`] assigns an arrival.
-pub enum Begin<'a, T> {
-    /// First arrival: run the job, then [`LeaderGuard::complete`] it.
-    Leader(LeaderGuard<'a, T>),
-    /// A leader is already running this key: [`Follower::wait`].
+pub enum Begin<'a, K: Copy + Eq + Hash, T> {
+    /// First arrival: compute, then [`LeaderGuard::complete`] it.
+    Leader(LeaderGuard<'a, K, T>),
+    /// A leader is already computing this key: [`Follower::wait`].
     Follower(Follower<T>),
 }
 
 /// The leader's obligation: completing publishes the outcome to every
 /// follower; dropping without completing marks the slot abandoned so
 /// followers retry instead of hanging or seeing a poisoned value.
-pub struct LeaderGuard<'a, T> {
-    table: &'a InflightTable<T>,
-    key: u64,
+pub struct LeaderGuard<'a, K: Copy + Eq + Hash, T> {
+    table: &'a InflightTable<K, T>,
+    key: K,
     slot: Arc<Slot<T>>,
     completed: bool,
 }
@@ -83,7 +87,7 @@ pub struct Follower<T> {
     slot: Arc<Slot<T>>,
 }
 
-impl<T> InflightTable<T> {
+impl<K: Copy + Eq + Hash, T> InflightTable<K, T> {
     /// An empty table.
     pub fn new() -> Self {
         InflightTable {
@@ -91,7 +95,7 @@ impl<T> InflightTable<T> {
         }
     }
 
-    /// How many jobs are in flight right now (the `stats` gauge).
+    /// How many keys are in flight right now (the `stats` gauge).
     ///
     /// Every lock in this table is poison-tolerant
     /// ([`qods_pool::plock`]): slot state is a single enum
@@ -103,15 +107,15 @@ impl<T> InflightTable<T> {
         plock(&self.slots).len()
     }
 
-    /// Whether no job is in flight.
+    /// Whether no key is in flight.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Joins the in-flight job for `key`, or starts one: the first
-    /// caller per key gets [`Begin::Leader`], concurrent callers get
-    /// [`Begin::Follower`].
-    pub fn begin(&self, key: u64) -> Begin<'_, T> {
+    /// Joins the in-flight computation for `key`, or starts one: the
+    /// first caller per key gets [`Begin::Leader`], concurrent callers
+    /// get [`Begin::Follower`].
+    pub fn begin(&self, key: K) -> Begin<'_, K, T> {
         let mut slots = plock(&self.slots);
         if let Some(slot) = slots.get(&key) {
             return Begin::Follower(Follower {
@@ -132,17 +136,18 @@ impl<T> InflightTable<T> {
     }
 }
 
-impl<T: Clone> LeaderGuard<'_, T> {
+impl<K: Copy + Eq + Hash, T: Clone> LeaderGuard<'_, K, T> {
     /// Publishes the outcome: the key leaves the in-flight table (new
-    /// arrivals start fresh — the cache takes over from here) and
-    /// every blocked follower wakes with a clone of `outcome`.
+    /// arrivals start fresh — the caller's cache takes over from
+    /// here) and every blocked follower wakes with a clone of
+    /// `outcome`.
     pub fn complete(mut self, outcome: T) {
         self.finish(SlotState::Done(outcome));
         self.completed = true;
     }
 }
 
-impl<T> Drop for LeaderGuard<'_, T> {
+impl<K: Copy + Eq + Hash, T> Drop for LeaderGuard<'_, K, T> {
     fn drop(&mut self) {
         if !self.completed {
             // Leader unwound without an outcome: wake followers to
@@ -153,8 +158,8 @@ impl<T> Drop for LeaderGuard<'_, T> {
 }
 
 // `finish` is the body shared between `complete` and `Drop`; it
-// lives on the unbounded impl so Drop can call it by reference.
-impl<T> LeaderGuard<'_, T> {
+// lives on the impl without `T: Clone` so Drop can call it.
+impl<K: Copy + Eq + Hash, T> LeaderGuard<'_, K, T> {
     fn finish(&self, state: SlotState<T>) {
         plock(&self.table.slots).remove(&self.key);
         *plock(&self.slot.state) = state;
@@ -193,7 +198,7 @@ mod tests {
 
     #[test]
     fn second_arrival_is_a_follower_and_gets_the_leaders_outcome() {
-        let table: InflightTable<u32> = InflightTable::new();
+        let table: InflightTable<u64, u32> = InflightTable::new();
         let Begin::Leader(leader) = table.begin(7) else {
             panic!("first arrival must lead");
         };
@@ -211,7 +216,7 @@ mod tests {
 
     #[test]
     fn distinct_keys_do_not_coalesce() {
-        let table: InflightTable<u32> = InflightTable::new();
+        let table: InflightTable<u64, u32> = InflightTable::new();
         let _a = match table.begin(1) {
             Begin::Leader(l) => l,
             Begin::Follower(_) => panic!("fresh key must lead"),
@@ -221,7 +226,7 @@ mod tests {
 
     #[test]
     fn abandoned_leader_wakes_followers_to_retry() {
-        let table: InflightTable<u32> = InflightTable::new();
+        let table: InflightTable<u64, u32> = InflightTable::new();
         let leader = match table.begin(9) {
             Begin::Leader(l) => l,
             Begin::Follower(_) => panic!("must lead"),
@@ -238,11 +243,11 @@ mod tests {
     #[test]
     fn followers_of_a_panicked_leader_retry_and_execute_exactly_once() {
         // The full recovery path: a leader thread panics while holding
-        // its guard, both followers wake, and — exactly as the
-        // scheduler composes this table with its result cache — the
+        // its guard, both followers wake, and — exactly as the store
+        // and the scheduler compose this table with a cache — the
         // retry executes the job once, with the second retrier served
         // by the cache or by following the new leader.
-        let table: InflightTable<u32> = InflightTable::new();
+        let table: InflightTable<u64, u32> = InflightTable::new();
         let executions = AtomicUsize::new(0);
         let cache: Mutex<Option<u32>> = Mutex::new(None);
 
@@ -252,9 +257,9 @@ mod tests {
             }
             match table.begin(5) {
                 Begin::Leader(leader) => {
-                    // A leader's job consults the result cache first,
-                    // as `Scheduler::run_with_events` does: an earlier
-                    // retrier may have filled it since the check above.
+                    // A leader consults the cache first, as the store's
+                    // leaders do: an earlier retrier may have filled it
+                    // since the check above.
                     if let Some(v) = *cache.lock().expect("test cache") {
                         leader.complete(v);
                         return v;
@@ -310,29 +315,29 @@ mod tests {
     #[test]
     fn herd_of_threads_runs_the_job_exactly_once() {
         const THREADS: usize = 8;
-        let table: InflightTable<usize> = InflightTable::new();
+        let table: InflightTable<u64, usize> = InflightTable::new();
         let executions = AtomicUsize::new(0);
-        let barrier = Barrier::new(THREADS);
+        let start = Barrier::new(THREADS);
+        // Every thread passes this barrier only after `begin` gave it
+        // its role, and the leader completes only after passing it:
+        // the other seven are followers by then, so exactly one
+        // execution is guaranteed rather than likely.
+        let roles_assigned = Barrier::new(THREADS);
         let outcomes: Vec<usize> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|_| {
                     s.spawn(|| {
-                        barrier.wait();
-                        loop {
-                            match table.begin(1234) {
-                                Begin::Leader(leader) => {
-                                    let n = executions.fetch_add(1, Ordering::SeqCst);
-                                    // Let followers pile up before
-                                    // publishing.
-                                    std::thread::sleep(std::time::Duration::from_millis(30));
-                                    leader.complete(n * 10 + 5);
-                                    return n * 10 + 5;
-                                }
-                                Begin::Follower(f) => {
-                                    if let Some(v) = f.wait() {
-                                        return v;
-                                    }
-                                }
+                        start.wait();
+                        match table.begin(1234) {
+                            Begin::Leader(leader) => {
+                                roles_assigned.wait();
+                                let n = executions.fetch_add(1, Ordering::SeqCst);
+                                leader.complete(n * 10 + 5);
+                                n * 10 + 5
+                            }
+                            Begin::Follower(f) => {
+                                roles_assigned.wait();
+                                f.wait().expect("the leader completes")
                             }
                         }
                     })
@@ -343,12 +348,8 @@ mod tests {
                 .map(|h| h.join().expect("herd thread"))
                 .collect()
         });
-        // Everyone observed the same value. (The execution count is
-        // timing-dependent in principle, but every thread entered
-        // `begin` before the first leader completed or was created
-        // after a completed one — either way outcomes agree.)
-        assert!(outcomes.windows(2).all(|w| w[0] == w[1]), "{outcomes:?}");
-        assert!(executions.load(Ordering::SeqCst) >= 1);
+        assert_eq!(outcomes, vec![5; THREADS]);
+        assert_eq!(executions.load(Ordering::SeqCst), 1);
         assert!(table.is_empty());
     }
 }

@@ -16,7 +16,9 @@
 //! an optional on-disk store of versioned, atomically written,
 //! corruption-tolerant JSON artifacts (cold-process hits across
 //! `repro`/`qods-serve` invocations; default `results/.artifacts/`,
-//! overridden by `QODS_ARTIFACT_DIR`).
+//! overridden by `QODS_ARTIFACT_DIR`). The store single-flights each
+//! key through an [`inflight::InflightTable`], so a key is computed
+//! once however many threads miss it at the same moment.
 //!
 //! Everything is keyed by content ([`hash`]: FNV-1a over canonical
 //! JSON, the same primitive the `qods-service` request cache uses),
@@ -52,10 +54,12 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod hash;
+pub mod inflight;
 pub mod lru;
 pub mod pipeline;
 pub mod store;
 
+pub use inflight::{Begin, InflightTable};
 pub use lru::Lru;
 pub use pipeline::{Characterization, CompiledKernel, Compiler, ScheduledCircuit, SynthBudget};
 pub use store::{

@@ -84,9 +84,4 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
         }
         self.map.entry(key).or_insert_with(make)
     }
-
-    /// Every retained value, in no particular order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.map.values()
-    }
 }

@@ -25,6 +25,27 @@
 //! file rewritten. A bad cache can cost a recompute, never a crash
 //! and never a wrong answer.
 //!
+//! ## Single flight
+//!
+//! The store is the one compute-once memo for compiled artifacts:
+//! lookups of a missing key join the computation already in flight
+//! for it ([`InflightTable`]) instead of starting a second one. The
+//! first caller leads — it re-checks the memory tier, then reads disk
+//! or computes, inserts into the memory tier and only then completes
+//! — and every concurrent caller follows, blocking until the leader
+//! publishes and counting as a memory hit. A leader that panics or
+//! hits its deadline abandons the key, and its followers retry (one
+//! of them leads next). So `computed` counts distinct keys, at any
+//! thread count.
+//!
+//! One rule keeps a blocking follower deadlock-free: **a compute
+//! closure must never fan out on the `qods-pool` workers.** A leader
+//! that waited on a fan-out would help run other tasks on its own
+//! thread, and a task that looked up the key it leads would follow
+//! itself forever. Compute closures may look up other keys (the
+//! `sched` stage pulls `ir`, `char` pulls `sched`); stage keys chain
+//! one way, so those nested waits always end.
+//!
 //! ## Invalidation
 //!
 //! There is none, by construction: keys are content hashes of
@@ -45,6 +66,7 @@
 //! [`ArtifactStore::init_process`].
 
 use crate::hash::hash_hex;
+use crate::inflight::{Begin, InflightTable};
 use crate::lru::Lru;
 use qods_obs::{sites, Counter, Registry, Site};
 use serde::{Deserialize, Serialize, Value};
@@ -68,10 +90,10 @@ pub const ARTIFACT_DIR_ENV: &str = "QODS_ARTIFACT_DIR";
 pub const DEFAULT_ARTIFACT_DIR: &str = "results/.artifacts";
 
 /// Bound on the artifacts the memory tier retains. One paper job looks
-/// up 81 artifacts, so a `repro` run never evicts; a service streaming
-/// new synthesis budgets adds a few per budget, and past the bound the
-/// least-recently-used ones go (a later request recompiles them, or
-/// reads them back from the disk tier).
+/// up 102 artifacts (75 distinct), so a `repro` run never evicts; a
+/// service streaming new synthesis budgets adds a few per budget, and
+/// past the bound the least-recently-used ones go (a later request
+/// recompiles them, or reads them back from the disk tier).
 pub const MEM_TIER_ENTRIES: usize = 1024;
 
 /// The address of one artifact: a pipeline stage name plus the
@@ -104,7 +126,8 @@ impl std::fmt::Display for ArtifactKey {
 pub struct StoreStats {
     /// Artifacts computed from scratch (both tiers missed).
     pub computed: u64,
-    /// Lookups served by the in-process tier.
+    /// Lookups served by the in-process tier, including lookups that
+    /// joined another caller's in-flight computation of their key.
     pub mem_hits: u64,
     /// Lookups served by the disk tier (deserialized, then retained
     /// in the memory tier).
@@ -116,23 +139,21 @@ pub struct StoreStats {
     pub write_errors: u64,
 }
 
-impl StoreStats {
-    /// Total lookups that found a usable cached artifact.
-    pub fn hits(&self) -> u64 {
-        self.mem_hits + self.disk_hits
-    }
-}
+/// A type-erased shared artifact.
+type Shared = Arc<dyn Any + Send + Sync>;
 
-/// The memory tier: one type-erased shared artifact per
-/// `(stage, hash)` key, at most [`MEM_TIER_ENTRIES`] of them.
-type MemTier = Mutex<Lru<(&'static str, u64), Arc<dyn Any + Send + Sync>>>;
+/// An artifact's address inside the store: `(stage, hash)`.
+type MapKey = (&'static str, u64);
 
 /// The two-tier content-addressed artifact store. Cheap to share
 /// (`Arc`); all methods take `&self`.
 #[derive(Debug)]
 pub struct ArtifactStore {
     dir: Option<PathBuf>,
-    mem: MemTier,
+    /// The memory tier: at most [`MEM_TIER_ENTRIES`] artifacts.
+    mem: Mutex<Lru<MapKey, Shared>>,
+    /// The keys some caller is computing (or reading from disk) now.
+    inflight: InflightTable<MapKey, Shared>,
     /// Per-store metrics registry (`store.*` sites); counters below
     /// are handles into it, so [`ArtifactStore::stats`] and a registry
     /// snapshot always agree.
@@ -196,6 +217,7 @@ impl ArtifactStore {
         ArtifactStore {
             dir,
             mem: Mutex::new(Lru::new(MEM_TIER_ENTRIES)),
+            inflight: InflightTable::new(),
             metrics,
             computed,
             mem_hits,
@@ -278,61 +300,84 @@ impl ArtifactStore {
     /// the returned value is bit-identical at any cache state because
     /// `compute` must be a pure function of the key's inputs.
     ///
+    /// Concurrent misses of one key single-flight (see the module
+    /// docs): `compute` runs on one caller, the rest wait for it. So
+    /// `compute` must never fan out on the `qods-pool` workers.
+    ///
     /// # Panics
     ///
     /// Panics if the same key was previously stored with a different
-    /// artifact type (a programming error in key derivation).
+    /// artifact type (a programming error in key derivation), and
+    /// re-raises a panic of `compute` (its followers then retry).
     pub fn get_or_compute<T, F>(&self, key: ArtifactKey, compute: F) -> Arc<T>
     where
         T: Serialize + Deserialize + Send + Sync + 'static,
         F: FnOnce() -> T,
     {
         // One span per stage lookup, named for the stage itself; the
-        // cache arg records how the lookup resolved (`mem`, `disk`,
+        // cache arg records how the lookup resolved (`mem`, `joined`
+        // when it waited on another caller's computation, `disk`,
         // `computed`, or `healed` when a corrupt file was recomputed
         // over).
         let mut span = qods_obs::span!(stage_site(key.stage), { config_hash: key.hash });
         let map_key = (key.stage, key.hash);
-        if let Some(hit) = qods_pool::plock(&self.mem).get(&map_key) {
-            self.mem_hits.inc();
-            span.note_cache("mem");
-            return Arc::clone(hit)
-                .downcast::<T>()
-                .unwrap_or_else(|_| unreachable!("one artifact type per stage key"));
-        }
-
-        let (artifact, from_disk) = match self.read_disk::<T>(key) {
-            DiskRead::Hit(artifact) => {
-                self.disk_hits.inc();
-                span.note_cache("disk");
-                (artifact, true)
+        loop {
+            if let Some(hit) = self.mem_get(&map_key) {
+                self.mem_hits.inc();
+                span.note_cache("mem");
+                return downcast(hit);
             }
-            outcome => {
-                span.note_cache(if matches!(outcome, DiskRead::Corrupt) {
-                    "healed"
-                } else {
-                    "computed"
-                });
-                let artifact = compute();
-                self.computed.inc();
-                (artifact, false)
+            let leader = match self.inflight.begin(map_key) {
+                Begin::Leader(leader) => leader,
+                Begin::Follower(follower) => match follower.wait() {
+                    Some(artifact) => {
+                        self.mem_hits.inc();
+                        span.note_cache("joined");
+                        return downcast(artifact);
+                    }
+                    // The leader unwound: retry (this caller may lead).
+                    None => continue,
+                },
+            };
+            // A leader that finished between the check above and
+            // `begin` has already inserted the artifact.
+            if let Some(hit) = self.mem_get(&map_key) {
+                leader.complete(Arc::clone(&hit));
+                self.mem_hits.inc();
+                span.note_cache("mem");
+                return downcast(hit);
             }
-        };
-        let artifact = Arc::new(artifact);
-        if !from_disk {
-            self.write_disk(key, artifact.as_ref());
+            let (artifact, from_disk) = match self.read_disk::<T>(key) {
+                DiskRead::Hit(artifact) => {
+                    self.disk_hits.inc();
+                    span.note_cache("disk");
+                    (artifact, true)
+                }
+                outcome => {
+                    span.note_cache(if matches!(outcome, DiskRead::Corrupt) {
+                        "healed"
+                    } else {
+                        "computed"
+                    });
+                    let artifact = compute();
+                    self.computed.inc();
+                    (artifact, false)
+                }
+            };
+            let artifact = Arc::new(artifact);
+            let shared: Shared = artifact.clone();
+            qods_pool::plock(&self.mem).get_or_insert_with(map_key, || Arc::clone(&shared));
+            leader.complete(shared);
+            if !from_disk {
+                self.write_disk(key, artifact.as_ref());
+            }
+            return artifact;
         }
+    }
 
-        // Two threads may have computed the same key concurrently
-        // (deterministically, so the results are identical); keep the
-        // first insertion as the one canonical Arc.
-        let mut mem = qods_pool::plock(&self.mem);
-        let entry = mem.get_or_insert_with(map_key, || {
-            Arc::clone(&artifact) as Arc<dyn Any + Send + Sync>
-        });
-        Arc::clone(entry)
-            .downcast::<T>()
-            .unwrap_or_else(|_| unreachable!("one artifact type per stage key"))
+    /// The memory-tier entry at `key`, marked most recently used.
+    fn mem_get(&self, key: &MapKey) -> Option<Shared> {
+        qods_pool::plock(&self.mem).get(key).cloned()
     }
 
     /// Reads and validates the disk file for `key`; any defect is a
@@ -435,6 +480,13 @@ enum DiskRead<T> {
     Corrupt,
 }
 
+/// The typed artifact behind a type-erased memory-tier entry.
+fn downcast<T: Send + Sync + 'static>(artifact: Shared) -> Arc<T> {
+    artifact
+        .downcast::<T>()
+        .unwrap_or_else(|_| unreachable!("one artifact type per stage key"))
+}
+
 /// The span site for a pipeline stage's store lookup.
 fn stage_site(stage: &str) -> Site {
     match stage {
@@ -487,6 +539,85 @@ mod tests {
         let s = store.stats();
         assert_eq!((s.computed, s.mem_hits, s.disk_hits), (1, 1, 0));
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn concurrent_misses_of_one_key_compute_it_once() {
+        const THREADS: usize = 8;
+        let store = ArtifactStore::in_memory();
+        let computes = AtomicU64::new(0);
+        let start = std::sync::Barrier::new(THREADS);
+        let got: Vec<Arc<String>> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        store.get_or_compute(KEY, || {
+                            computes.fetch_add(1, Ordering::SeqCst);
+                            std::thread::sleep(std::time::Duration::from_millis(20));
+                            "shared".to_string()
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 1);
+        let s = store.stats();
+        assert_eq!((s.computed, s.mem_hits), (1, THREADS as u64 - 1));
+        assert!(got.iter().all(|a| Arc::ptr_eq(a, &got[0])));
+        assert!(store.inflight.is_empty());
+    }
+
+    #[test]
+    fn followers_of_a_panicked_compute_retry_and_compute_once() {
+        const FOLLOWERS: usize = 4;
+        let store = ArtifactStore::in_memory();
+        let computes = AtomicU64::new(0);
+        let leading = std::sync::Barrier::new(FOLLOWERS + 1);
+        std::thread::scope(|s| {
+            let doomed = s.spawn(|| {
+                store.get_or_compute::<u64, _>(KEY, || {
+                    leading.wait();
+                    // Followers pile up on the key while it is in flight.
+                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    panic!("compute dies before publishing");
+                })
+            });
+            let followers: Vec<_> = (0..FOLLOWERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        leading.wait();
+                        store.get_or_compute(KEY, || {
+                            computes.fetch_add(1, Ordering::SeqCst);
+                            7u64
+                        })
+                    })
+                })
+                .collect();
+            assert!(doomed.join().is_err(), "the leader's compute panicked");
+            for f in followers {
+                assert_eq!(*f.join().unwrap(), 7);
+            }
+        });
+        assert_eq!(computes.load(Ordering::SeqCst), 1, "the retry ran once");
+        let s = store.stats();
+        assert_eq!((s.computed, s.mem_hits), (1, FOLLOWERS as u64 - 1));
+        // The store keeps serving: the key is cached, nothing in flight.
+        assert!(store.inflight.is_empty());
+        let again: Arc<u64> = store.get_or_compute(KEY, || panic!("must be cached"));
+        assert_eq!(*again, 7);
+    }
+
+    #[test]
+    fn a_lookup_after_completion_is_a_plain_memory_hit() {
+        let store = ArtifactStore::in_memory();
+        let a: Arc<u64> = store.get_or_compute(KEY, || 3);
+        assert!(store.inflight.is_empty(), "completion leaves the table");
+        let b: Arc<u64> = store.get_or_compute(KEY, || panic!("must be cached"));
+        assert!(Arc::ptr_eq(&a, &b));
+        let s = store.stats();
+        assert_eq!((s.computed, s.mem_hits, s.disk_hits), (1, 1, 0));
     }
 
     #[test]

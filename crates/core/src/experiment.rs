@@ -2,16 +2,15 @@
 //! an independent, individually-addressable [`Experiment`] running over
 //! a shared [`StudyContext`].
 //!
-//! The context owns the expensive shared substrate — the three lowered
-//! benchmark circuits and their characterizations — behind
-//! [`std::sync::OnceLock`], so any number of experiments (including all
-//! of them at once, on parallel threads) materialize the benchmarks
-//! exactly once per context. The materialization itself goes through
-//! the `qods-compile` staged pipeline: artifacts are content-addressed
-//! in a shared two-tier [`qods_compile::ArtifactStore`] (in-process +
-//! optional disk), so a second context for the same configuration — or
-//! a second *process* over a warm disk store — reuses the compiled
-//! circuits instead of lowering again. Concrete experiments live in
+//! The context gives experiments the expensive shared substrate — the
+//! three lowered benchmark circuits and their characterizations —
+//! straight from the `qods-compile` staged pipeline. Its artifacts are
+//! content-addressed in a shared two-tier [`qods_compile::ArtifactStore`]
+//! (in-process + optional disk) that computes each key exactly once,
+//! even when any number of experiments ask for it at once on parallel
+//! threads; a second context for the same configuration — or a second
+//! *process* over a warm disk store — reuses the compiled circuits
+//! instead of lowering again. Concrete experiments live in
 //! [`crate::experiments`]; the [`crate::registry::Registry`] lists,
 //! resolves, and runs them.
 
@@ -20,27 +19,23 @@ use crate::output::{
     SeriesOut, SimpleFactoryOut, Table2Out, Table3Out, Table9Out, WidthSweepOut,
 };
 use crate::study::StudyConfig;
-use qods_circuit::characterize::CircuitReport;
-use qods_circuit::circuit::Circuit;
-use qods_compile::{paper_specs, ArtifactStore, Compiler, SynthBudget};
+use qods_compile::{
+    paper_specs, ArtifactStore, Characterization, Compiler, ScheduledCircuit, SynthBudget,
+};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Shared, memoized substrate for a study run.
+/// The shared substrate for a study run.
 ///
-/// Cheap to create; the benchmark circuits are compiled lazily on
-/// first use and at most once per context, no matter how many
-/// experiments run over it or from how many threads — and at most
-/// once per *store* across contexts, since compilation is memoized in
-/// the content-addressed artifact store underneath.
+/// Cheap to create and holds no artifact itself: the benchmark
+/// circuits are compiled on first use and at most once per *store*,
+/// across any number of contexts and threads, because the
+/// content-addressed artifact store underneath is the one
+/// compute-once memo.
 #[derive(Debug)]
 pub struct StudyContext {
     config: StudyConfig,
     compiler: Compiler,
-    benchmarks: OnceLock<Vec<Circuit>>,
-    reports: OnceLock<Vec<CircuitReport>>,
-    lowering_runs: AtomicUsize,
 }
 
 impl StudyContext {
@@ -62,9 +57,6 @@ impl StudyContext {
         StudyContext {
             compiler: Compiler::new(store, synth),
             config,
-            benchmarks: OnceLock::new(),
-            reports: OnceLock::new(),
-            lowering_runs: AtomicUsize::new(0),
         }
     }
 
@@ -79,9 +71,11 @@ impl StudyContext {
         &self.compiler
     }
 
-    /// The three lowered benchmark circuits (QRCA, QCLA, QFT),
-    /// compiled through the pipeline on first call and memoized for
-    /// every caller after that.
+    /// The three lowered benchmark circuits (QRCA, QCLA, QFT), looked
+    /// up one after another in the artifact store (compiled on the
+    /// first lookup of each, shared by every lookup after that).
+    /// A planned job ([`crate::registry::run_planned`]) compiles them
+    /// in parallel up front.
     ///
     /// # Panics
     ///
@@ -89,50 +83,26 @@ impl StudyContext {
     /// (`1..=`[`qods_kernels::MAX_WIDTH`]); the service layer rejects
     /// such configurations with a typed error before a context is
     /// built.
-    pub fn benchmarks(&self) -> &[Circuit] {
-        self.benchmarks.get_or_init(|| {
-            self.lowering_runs.fetch_add(1, Ordering::Relaxed);
-            let specs = paper_specs(self.config.n_bits);
-            let scheduled =
-                qods_pool::run_indexed(specs.len(), qods_pool::pool_threads(specs.len()), |i| {
-                    // qods-lint: allow(P1) -- documented caller contract: the service layer rejects bad n_bits before a context exists
-                    self.compiler.scheduled(specs[i]).expect("valid n_bits")
-                });
-            scheduled.iter().map(|s| s.circuit.clone()).collect()
-        })
+    pub fn benchmarks(&self) -> Vec<Arc<ScheduledCircuit>> {
+        paper_specs(self.config.n_bits)
+            .into_iter()
+            // qods-lint: allow(P1) -- documented caller contract: the service layer rejects bad n_bits before a context exists
+            .map(|spec| self.compiler.scheduled(spec).expect("valid n_bits"))
+            .collect()
     }
 
-    /// Characterization reports for [`Self::benchmarks`], memoized the
-    /// same way (Tables 2, 3, 9 and §3.3 all consume these).
+    /// Characterizations of [`Self::benchmarks`], looked up the same
+    /// way (Tables 2, 3, 9 and §3.3 all consume these).
     ///
     /// # Panics
     ///
     /// Panics on an out-of-bounds `n_bits` (see [`Self::benchmarks`]).
-    pub fn characterizations(&self) -> &[CircuitReport] {
-        self.reports.get_or_init(|| {
-            // Materialize the benchmarks first: characterization
-            // consumes the scheduled artifacts anyway (the store
-            // shares them), and `lowering_runs` keeps its historical
-            // meaning — any path that needed the benchmark substrate
-            // counts as one materialization.
-            let _ = self.benchmarks();
-            let specs = paper_specs(self.config.n_bits);
-            let chars = self
-                .compiler
-                .characterize_many(&specs, qods_pool::pool_threads(specs.len()))
-                // qods-lint: allow(P1) -- documented caller contract: the service layer rejects bad n_bits before a context exists
-                .expect("valid n_bits");
-            chars.iter().map(|c| c.report.clone()).collect()
-        })
-    }
-
-    /// How many times this context materialized its benchmark set
-    /// (0 or 1); lets tests assert the memoization contract. Whether
-    /// the materialization *recompiled* anything or was served from
-    /// the artifact store is visible separately through
-    /// `self.compiler().store().stats().computed`.
-    pub fn lowering_runs(&self) -> usize {
-        self.lowering_runs.load(Ordering::Relaxed)
+    pub fn characterizations(&self) -> Vec<Arc<Characterization>> {
+        paper_specs(self.config.n_bits)
+            .into_iter()
+            // qods-lint: allow(P1) -- documented caller contract: the service layer rejects bad n_bits before a context exists
+            .map(|spec| self.compiler.characterization(spec).expect("valid n_bits"))
+            .collect()
     }
 }
 
@@ -166,9 +136,9 @@ pub trait Experiment: Send + Sync {
     fn run(&self, ctx: &StudyContext) -> ExperimentOutput;
 }
 
-/// The shared, memoized part of a [`StudyContext`] an experiment
-/// reads. Ordered by inclusion: the characterizations are built from
-/// the benchmarks.
+/// The shared, store-memoized part of a [`StudyContext`] an
+/// experiment reads. Ordered by inclusion: the characterizations are
+/// built from the benchmarks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Substrate {
     /// Nothing shared.
@@ -181,15 +151,23 @@ pub enum Substrate {
 }
 
 impl Substrate {
-    /// Materializes this substrate in `ctx` (a no-op once it is).
+    /// Materializes this substrate in `ctx`'s artifact store (a
+    /// no-op once it is), compiling the three kernels on parallel
+    /// pool workers — the one place the substrate fans out.
     pub(crate) fn materialize(self, ctx: &StudyContext) {
+        let specs = paper_specs(ctx.config.n_bits);
+        let threads = qods_pool::pool_threads(specs.len());
         match self {
             Substrate::None => {}
             Substrate::Benchmarks => {
-                ctx.benchmarks();
+                qods_pool::run_indexed(specs.len(), threads, |i| {
+                    ctx.compiler.scheduled(specs[i]).expect("valid n_bits")
+                });
             }
             Substrate::Characterizations => {
-                ctx.characterizations();
+                ctx.compiler
+                    .characterize_many(&specs, threads)
+                    .expect("valid n_bits");
             }
         }
     }
@@ -274,25 +252,33 @@ pub struct ExperimentRecord {
 mod tests {
     use super::*;
 
+    fn private_context() -> StudyContext {
+        StudyContext::with_store(StudyConfig::smoke(), Arc::new(ArtifactStore::in_memory()))
+    }
+
     #[test]
     fn context_lowers_benchmarks_exactly_once() {
-        let ctx = StudyContext::new(StudyConfig::smoke());
-        assert_eq!(ctx.lowering_runs(), 0);
-        let a = ctx.benchmarks().len();
-        let b = ctx.benchmarks().len();
+        let ctx = private_context();
+        let store = ctx.compiler().store();
+        assert_eq!(store.stats().computed, 0);
+        let a = ctx.benchmarks();
+        let b = ctx.benchmarks();
         let reports = ctx.characterizations().len();
-        assert_eq!((a, b, reports), (3, 3, 3));
-        assert_eq!(ctx.lowering_runs(), 1);
+        assert_eq!((a.len(), b.len(), reports), (3, 3, 3));
+        assert!(a.iter().zip(&b).all(|(x, y)| Arc::ptr_eq(x, y)));
+        // ir + sched + char for each of the three kernels.
+        assert_eq!(store.stats().computed, 9);
     }
 
     #[test]
     fn context_is_shareable_across_threads() {
-        let ctx = StudyContext::new(StudyConfig::smoke());
+        let ctx = private_context();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| ctx.benchmarks().len());
             }
         });
-        assert_eq!(ctx.lowering_runs(), 1);
+        // ir + sched for each kernel, however the threads interleaved.
+        assert_eq!(ctx.compiler().store().stats().computed, 6);
     }
 }

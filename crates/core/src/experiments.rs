@@ -97,6 +97,7 @@ impl Experiment for Table2Experiment {
         let rows = ctx
             .characterizations()
             .iter()
+            .map(|c| &c.report)
             .map(|r| Table2Row {
                 name: r.name.clone(),
                 data_op_us: r.breakdown.data_op_us,
@@ -130,6 +131,7 @@ impl Experiment for Table3Experiment {
         let rows = ctx
             .characterizations()
             .iter()
+            .map(|c| &c.report)
             .map(|r| Table3Row {
                 name: r.name.clone(),
                 zero_per_ms: r.bandwidth.zero_per_ms,
@@ -160,6 +162,7 @@ impl Experiment for NonTransversalExperiment {
         let rows = ctx
             .characterizations()
             .iter()
+            .map(|c| &c.report)
             .map(|r| NonTransversalRow {
                 name: r.name.clone(),
                 fraction: r.non_transversal_fraction,
@@ -259,8 +262,8 @@ impl Experiment for Table9Experiment {
         let rows = ctx
             .characterizations()
             .iter()
-            .map(|r| {
-                let row = table9_row(r);
+            .map(|c| {
+                let row = table9_row(&c.report);
                 Table9Entry {
                     name: row.name.clone(),
                     zero_bandwidth: row.zero_bandwidth,
@@ -301,6 +304,7 @@ impl Experiment for Fig7Experiment {
         let series = ctx
             .benchmarks()
             .iter()
+            .map(|s| &s.circuit)
             .map(|c| {
                 Series::from_pairs(
                     c.name.clone(),
@@ -333,8 +337,9 @@ impl Experiment for Fig8Experiment {
             .benchmarks()
             .iter()
             .zip(ctx.characterizations())
-            .map(|(c, r)| {
-                let avg = r.bandwidth.zero_per_ms.max(1.0);
+            .map(|(s, r)| {
+                let c = &s.circuit;
+                let avg = r.report.bandwidth.zero_per_ms.max(1.0);
                 Series::from_pairs(
                     c.name.clone(),
                     throughput_sweep(c, &model, avg / 30.0, avg * 30.0, 25)
@@ -369,6 +374,7 @@ impl Experiment for Fig15Experiment {
         let panels = ctx
             .benchmarks()
             .iter()
+            .map(|s| &s.circuit)
             .map(|c| {
                 let panel = &ctx.config().arch_panel;
                 let archs: Vec<Arch> = panel.iter().map(|a| a.to_arch(c.n_qubits())).collect();

@@ -230,8 +230,9 @@ impl Registry {
     /// factories, the width sweep) fill the other workers, and a
     /// single-core host degrades to the sequential path with no
     /// oversubscription. A process-wide `--threads` pin applies here
-    /// like everywhere else. The context memoizes the substrate behind
-    /// a `OnceLock`, so it is built exactly once.
+    /// like everywhere else. The artifact store underneath computes
+    /// each kernel artifact once, so the substrate is built exactly
+    /// once.
     pub fn run_all(&self, ctx: &StudyContext) -> Vec<ExperimentRecord> {
         let all: Vec<&dyn Experiment> = self.iter().collect();
         run_planned(&all, ctx, qods_pool::pool_threads(all.len()), |_, exp| {
@@ -305,6 +306,14 @@ fn record(exp: &dyn Experiment, ctx: &StudyContext) -> ExperimentRecord {
 mod tests {
     use super::*;
     use crate::study::StudyConfig;
+    use qods_compile::ArtifactStore;
+    use std::sync::Arc;
+
+    /// A smoke context over its own store, so its compile counts are
+    /// this test's alone.
+    fn private_context() -> StudyContext {
+        StudyContext::with_store(StudyConfig::smoke(), Arc::new(ArtifactStore::in_memory()))
+    }
 
     #[test]
     fn registry_lists_and_resolves_all_ids() {
@@ -332,12 +341,12 @@ mod tests {
         let selection = r
             .resolve(&["fig15", "table1", "table2", "fig6"])
             .expect("known ids");
-        let ctx = StudyContext::new(StudyConfig::smoke());
+        let ctx = private_context();
         let calls = std::sync::Mutex::new(Vec::new());
         // One participant: the claim order is the run order.
         let ids = run_planned(&selection, &ctx, 1, |k, exp| {
-            let lowered = ctx.lowering_runs();
-            calls.lock().unwrap().push((exp.id(), lowered));
+            let computed = ctx.compiler().store().stats().computed;
+            calls.lock().unwrap().push((exp.id(), computed));
             (k, exp.id())
         });
         assert_eq!(
@@ -345,27 +354,36 @@ mod tests {
             vec![(0, "fig15"), (1, "table1"), (2, "table2"), (3, "fig6")],
             "results come back in selection order"
         );
+        // The substrate (ir, sched and char of three kernels) is
+        // compiled before the first experiment runs, and only then.
         assert_eq!(
             calls.into_inner().unwrap(),
-            vec![("table1", 1), ("fig6", 1), ("fig15", 1), ("table2", 1)],
+            vec![("table1", 9), ("fig6", 9), ("fig15", 9), ("table2", 9)],
             "substrate first, then free, then dependent, each in selection order"
         );
-        assert_eq!(ctx.lowering_runs(), 1);
+        assert_eq!(ctx.compiler().store().stats().computed, 9);
     }
 
     #[test]
     fn parallel_and_sequential_agree_and_lower_once() {
         let r = Registry::paper();
-        let ctx = StudyContext::new(StudyConfig::smoke());
-        let par = r.run_all(&ctx);
-        assert_eq!(ctx.lowering_runs(), 1, "parallel run must lower once");
+        let par_ctx = private_context();
+        let par = r.run_all(&par_ctx);
+        let seq_ctx = private_context();
         let ids: Vec<&str> = r.iter().map(|e| e.id()).collect();
-        let seq = r.run_selected(&ids, &ctx).expect("every registered id");
+        let seq = r.run_selected(&ids, &seq_ctx).expect("every registered id");
         assert_eq!(par.len(), seq.len());
         for (p, s) in par.iter().zip(&seq) {
             assert_eq!(p.id, s.id);
             assert_eq!(p.output, s.output, "{} outputs differ", p.id);
         }
+        // Concurrent lookups of one kernel joined one computation: the
+        // parallel run compiled exactly the artifacts a sequential one
+        // does.
+        assert_eq!(
+            par_ctx.compiler().store().stats().computed,
+            seq_ctx.compiler().store().stats().computed,
+        );
     }
 
     #[test]
@@ -386,7 +404,7 @@ mod tests {
     #[test]
     fn duplicate_selection_is_rejected_without_running() {
         let r = Registry::paper();
-        let ctx = StudyContext::new(StudyConfig::smoke());
+        let ctx = private_context();
         let err = r
             .run_selected(&["fig6", "table9", "table9"], &ctx)
             .unwrap_err();
@@ -399,7 +417,7 @@ mod tests {
         );
         assert!(err.to_string().contains("duplicate experiment id"));
         // Nothing ran: the context was never asked to lower.
-        assert_eq!(ctx.lowering_runs(), 0);
+        assert_eq!(ctx.compiler().store().stats(), Default::default());
     }
 
     #[test]

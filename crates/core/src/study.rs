@@ -254,8 +254,8 @@ mod tests {
             ..StudyConfig::smoke()
         });
         let b = ctx.benchmarks();
-        assert_eq!(b[0].n_qubits(), 97);
-        assert_eq!(b[1].n_qubits(), 123);
-        assert_eq!(b[2].n_qubits(), 32);
+        assert_eq!(b[0].circuit.n_qubits(), 97);
+        assert_eq!(b[1].circuit.n_qubits(), 123);
+        assert_eq!(b[2].circuit.n_qubits(), 32);
     }
 }

@@ -60,8 +60,8 @@ pub enum Phase {
 /// Structured arguments attached to a span (the Chrome `args` block).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanArgs {
-    /// Cache outcome at this site (`"mem"`, `"disk"`, `"computed"`,
-    /// `"healed"`, `"hit"`, `"miss"`).
+    /// Cache outcome at this site (`"mem"`, `"joined"`, `"disk"`,
+    /// `"computed"`, `"healed"`, `"hit"`, `"miss"`).
     pub cache: Option<&'static str>,
     /// Coalescing role (`"leader"` / `"follower"`).
     pub role: Option<&'static str>,

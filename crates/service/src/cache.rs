@@ -4,12 +4,12 @@
 //! contexts are checked out by the content hash of the request's
 //! resolved configuration ([`crate::request::config_hash`]), so two
 //! requests that differ only in *which* experiments they ask for
-//! share one context — one benchmark lowering, one characterization
-//! pass, one set of memoized sweep substrates. Finished
-//! [`ExperimentOutput`]s are cached on the same entry keyed by
-//! experiment id, so a repeated `(config, experiment)` pair is served
-//! without recomputing anything (test-asserted through the context's
-//! `lowering_runs` counter).
+//! share one context. Finished [`ExperimentOutput`]s are cached on the
+//! same entry keyed by experiment id, so a repeated
+//! `(config, experiment)` pair is served without recomputing anything.
+//! The lowered kernels themselves live in the [`ArtifactStore`]
+//! underneath, which compiles each one once for every context that
+//! shares the store (test-asserted through its `computed` counter).
 
 use crate::request::Overrides;
 use qods_core::compile::{ArtifactStore, Lru};
@@ -22,7 +22,7 @@ use std::sync::{Arc, Mutex};
 
 /// Default bound on retained configurations (see
 /// [`ContextPool::with_capacity`]). Generous for real traffic — a
-/// retained entry is one lowered benchmark set plus its outputs — but
+/// retained entry is one configuration's finished outputs — but
 /// finite, so a long-running daemon cannot be grown without bound by
 /// a client streaming never-repeating overrides. (The artifact store
 /// underneath is bounded the same way, by
@@ -71,11 +71,6 @@ impl PoolEntry {
     /// configuration are deterministic, so overwrites are identical).
     pub fn store_output(&self, experiment_id: &str, output: ExperimentOutput) {
         plock(&self.outputs).insert(experiment_id.to_string(), output);
-    }
-
-    /// How many outputs this entry holds.
-    pub fn cached_outputs(&self) -> usize {
-        plock(&self.outputs).len()
     }
 }
 
@@ -264,17 +259,6 @@ impl ContextPool {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Total benchmark lowerings across every retained context — the
-    /// number the cache exists to minimize. A warm pool serving R
-    /// requests over U distinct configurations reports U, not R
-    /// (asserted by the service tests via `lowering_runs`).
-    pub fn total_lowering_runs(&self) -> usize {
-        plock(&self.entries)
-            .values()
-            .map(|e| e.context().lowering_runs())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -419,6 +403,6 @@ mod tests {
             .output;
         entry.store_output("table1", out.clone());
         assert_eq!(entry.cached_output("table1"), Some(out));
-        assert_eq!(entry.cached_outputs(), 1);
+        assert!(entry.cached_output("table2").is_none());
     }
 }

@@ -17,8 +17,9 @@
 //!   as experiments finish.
 //!
 //! Concurrent submissions of the same job coalesce onto one
-//! execution ([`coalesce::InflightTable`], wired up as
-//! [`scheduler::Scheduler::run_coalesced`]). The `qods-net` crate
+//! execution ([`scheduler::Scheduler::run_coalesced`], built on the
+//! same `qods_compile::InflightTable` with which the artifact store
+//! single-flights each kernel artifact). The `qods-net` crate
 //! wraps this scheduler in the NDJSON wire protocol (stdio and
 //! multi-client TCP via its `qods-serve` binary), and the `perfbench`
 //! package drives both to measure throughput, latency and cache-hit
@@ -48,12 +49,10 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod cache;
-pub mod coalesce;
 pub mod request;
 pub mod scheduler;
 
 pub use cache::{CacheStats, ContextPool, PoolEntry};
-pub use coalesce::InflightTable;
 pub use request::{canonical_config_json, config_hash, Overrides, RunRequest};
 pub use scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};
 

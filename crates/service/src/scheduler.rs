@@ -2,9 +2,9 @@
 //! pool, serving repeated work from the content-addressed cache and
 //! streaming per-job progress events.
 
-use crate::cache::{ContextPool, PoolEntry};
-use crate::coalesce::{Begin, InflightTable};
+use crate::cache::{ContextPool, PoolEntry, DEFAULT_CACHE_ENTRIES};
 use crate::request::RunRequest;
+use qods_core::compile::{ArtifactStore, Begin, InflightTable};
 use qods_core::experiment::{Experiment, ExperimentRecord};
 use qods_core::kernels::KernelError;
 use qods_core::registry::{run_planned, Registry, RegistryError};
@@ -189,7 +189,7 @@ pub struct Scheduler {
     threads: usize,
     /// In-flight jobs, keyed by [`Scheduler::job_key`]; concurrent
     /// submissions of the same key share one execution.
-    inflight: InflightTable<Result<Arc<JobResult>, ServiceError>>,
+    inflight: InflightTable<u64, Result<Arc<JobResult>, ServiceError>>,
     /// Traffic counters, registered in the [`ContextPool`]'s metrics
     /// registry so one snapshot covers the cache and the scheduler.
     jobs_led: Arc<Counter>,
@@ -231,10 +231,30 @@ impl Scheduler {
     /// The worker count is pinned end-to-end: it sizes this
     /// scheduler's experiment fan-out *and* the configuration's inner
     /// Monte-Carlo pools.
-    pub fn with_options(mut base: StudyConfig, threads: usize, caching: bool) -> Self {
+    pub fn with_options(base: StudyConfig, threads: usize, caching: bool) -> Self {
+        Scheduler::over(base, threads, |base| {
+            ContextPool::with_caching(base, caching)
+        })
+    }
+
+    /// A caching scheduler compiling into an explicit artifact store
+    /// (tests use this to count compiles with no other traffic).
+    pub fn with_store(base: StudyConfig, threads: usize, store: Arc<ArtifactStore>) -> Self {
+        Scheduler::over(base, threads, |base| {
+            ContextPool::with_store(base, true, DEFAULT_CACHE_ENTRIES, store)
+        })
+    }
+
+    /// A scheduler over the pool `make_pool` builds from `base` with
+    /// the worker count pinned in.
+    fn over(
+        mut base: StudyConfig,
+        threads: usize,
+        make_pool: impl FnOnce(StudyConfig) -> ContextPool,
+    ) -> Self {
         let threads = threads.max(1);
         base.threads = threads;
-        let pool = ContextPool::with_caching(base, caching);
+        let pool = make_pool(base);
         let metrics = Arc::clone(pool.metrics());
         Scheduler {
             registry: Registry::paper(),
@@ -605,20 +625,36 @@ mod tests {
         })
     }
 
+    /// A caching scheduler over its own store, so the store's compile
+    /// count is this test's alone.
+    fn private_scheduler() -> Scheduler {
+        Scheduler::with_store(
+            StudyConfig::smoke(),
+            2,
+            Arc::new(ArtifactStore::in_memory()),
+        )
+    }
+
+    /// Kernel artifacts `sched`'s store has compiled.
+    fn compiled(sched: &Scheduler) -> u64 {
+        sched.pool().store().stats().computed
+    }
+
     #[test]
     fn repeated_request_is_served_from_cache_with_zero_relowering() {
-        let sched = Scheduler::with_options(StudyConfig::smoke(), 2, true);
+        let sched = private_scheduler();
         let req = smoke_request(&["table2", "table3", "fig7"]);
         let first = sched.run(&req).expect("first run");
         assert!(!first.context_hit);
         assert_eq!((first.output_hits, first.computed), (0, 3));
-        assert_eq!(sched.pool().total_lowering_runs(), 1);
+        // ir, sched and char of the three benchmark kernels.
+        assert_eq!(compiled(&sched), 9);
 
         let second = sched.run(&req).expect("second run");
         assert!(second.context_hit);
         assert_eq!((second.output_hits, second.computed), (3, 0));
         // The whole point: the repeat re-lowered nothing.
-        assert_eq!(sched.pool().total_lowering_runs(), 1);
+        assert_eq!(compiled(&sched), 9);
         for (a, b) in first.records.iter().zip(&second.records) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.output, b.output);
@@ -627,7 +663,7 @@ mod tests {
 
     #[test]
     fn requests_differing_only_in_experiments_share_the_context() {
-        let sched = Scheduler::with_options(StudyConfig::smoke(), 2, true);
+        let sched = private_scheduler();
         sched
             .run(&smoke_request(&["table2", "sec33"]))
             .expect("first");
@@ -635,7 +671,7 @@ mod tests {
             .run(&smoke_request(&["table3", "table9"]))
             .expect("second");
         assert!(second.context_hit, "same overrides must share the context");
-        assert_eq!(sched.pool().total_lowering_runs(), 1);
+        assert_eq!(compiled(&sched), 9);
         assert_eq!(sched.pool().len(), 1);
     }
 
@@ -650,7 +686,7 @@ mod tests {
 
     #[test]
     fn invalid_selections_are_typed_errors_and_run_nothing() {
-        let sched = Scheduler::with_options(StudyConfig::smoke(), 2, true);
+        let sched = private_scheduler();
         let err = sched
             .run(&RunRequest::of(["table9", "nope"]))
             .expect_err("unknown id");
@@ -667,7 +703,7 @@ mod tests {
             err,
             ServiceError::Registry(RegistryError::Duplicate { .. })
         ));
-        assert_eq!(sched.pool().total_lowering_runs(), 0);
+        assert_eq!(compiled(&sched), 0);
         assert!(sched.pool().is_empty());
     }
 

@@ -1,9 +1,11 @@
 //! The coalescing exactly-once contract, driven through the real
 //! scheduler: N threads submitting the same request concurrently must
-//! trigger exactly **one** execution — proven by the pool's lowering
-//! and output-miss counters, which count actual compute, not wall
-//! clock — and every thread must receive identical outputs.
+//! trigger exactly **one** execution — proven by the artifact store's
+//! compile counter and the pool's output-miss counter, which count
+//! actual compute, not wall clock — and every thread must receive
+//! identical outputs.
 
+use qods_core::compile::ArtifactStore;
 use qods_service::prelude::*;
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -22,7 +24,12 @@ fn smoke_overrides() -> Overrides {
 #[test]
 fn concurrent_identical_requests_execute_exactly_once() {
     let n = 8;
-    let scheduler = Arc::new(Scheduler::with_options(StudyConfig::smoke(), 2, true));
+    let store = Arc::new(ArtifactStore::in_memory());
+    let scheduler = Arc::new(Scheduler::with_store(
+        StudyConfig::smoke(),
+        2,
+        Arc::clone(&store),
+    ));
     let barrier = Arc::new(Barrier::new(n));
     let request = RunRequest::of(["table2", "table3"]).with_overrides(smoke_overrides());
 
@@ -43,10 +50,11 @@ fn concurrent_identical_requests_execute_exactly_once() {
         .collect();
 
     // Exactly one compute, however the threads interleaved: one
-    // context build, and each of the two experiments computed once
-    // (a late thread that missed the in-flight window is served by
-    // the output cache instead — still zero recompute).
-    assert_eq!(scheduler.pool().total_lowering_runs(), 1);
+    // context build, the three kernels' ir, sched and char artifacts
+    // compiled once each, and each of the two experiments computed
+    // once (a late thread that missed the in-flight window is served
+    // by the output cache instead — still zero recompute).
+    assert_eq!(store.stats().computed, 9);
     let cache = scheduler.pool().stats();
     assert_eq!(cache.context_misses, 1);
     assert_eq!(cache.output_misses, 2);

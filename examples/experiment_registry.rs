@@ -22,7 +22,8 @@ fn main() {
 
     // 2. One shared context; any subset of experiments. The three
     //    benchmark circuits are lowered once, on first use, no matter
-    //    how many experiments run.
+    //    how many experiments run: the context's artifact store
+    //    compiles each kernel stage once.
     let ctx = StudyContext::new(StudyConfig::smoke());
     let records = registry
         .run_selected(&["table9", "headline"], &ctx)
@@ -30,7 +31,10 @@ fn main() {
     for r in &records {
         print!("{}", r.output.render());
     }
-    println!("(benchmarks lowered {} time(s))", ctx.lowering_runs());
+    println!(
+        "(compiled {} kernel artifacts)",
+        ctx.compiler().store().stats().computed
+    );
 
     // 3. Or everything at once: `run_all` drains the registry with a
     //    pool of worker threads sized to the machine, and the records

@@ -59,8 +59,9 @@ fn smoke_fig15_curves_are_pinned() {
     let range = &config.sweep_area_range;
     let areas = log_areas(range.min_area, range.max_area, config.sweep_points);
     assert_eq!(areas.len(), 7);
-    assert_eq!(ctx.benchmarks().len(), PINS.len());
-    for (circuit, (name, pins)) in ctx.benchmarks().iter().zip(PINS) {
+    let benchmarks = ctx.benchmarks();
+    assert_eq!(benchmarks.len(), PINS.len());
+    for (circuit, (name, pins)) in benchmarks.iter().map(|s| &s.circuit).zip(PINS) {
         assert_eq!(circuit.name, name);
         let archs: Vec<_> = config
             .arch_panel
