@@ -75,14 +75,22 @@ pub fn write_record_csvs(dir: &Path, records: &[ExperimentRecord]) -> std::io::R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qods_core::experiment::StudyContext;
-    use qods_core::registry::Registry;
+    use qods_core::experiment::ExperimentRecord;
     use qods_core::study::{PaperReproduction, StudyConfig};
+    use qods_service::{RunRequest, Scheduler};
+
+    /// The records of a cold smoke run of `ids` (all when empty).
+    fn smoke_records(ids: &[&str]) -> Vec<ExperimentRecord> {
+        Scheduler::with_options(StudyConfig::smoke(), 2, false)
+            .run(&RunRequest::of(ids.iter().copied()))
+            .expect("known ids")
+            .records
+    }
 
     #[test]
     fn csv_and_json_roundtrip() {
         let config = StudyConfig::smoke();
-        let records = Registry::paper().run_all(&StudyContext::new(config.clone()));
+        let records = smoke_records(&[]);
         let out = PaperReproduction::from_records(config, &records);
         let dir = std::env::temp_dir().join("qods_bench_test");
         write_series_csv(&dir, "fig7", &out.fig7).expect("csv");
@@ -93,11 +101,7 @@ mod tests {
 
     #[test]
     fn record_csvs_cover_all_figures() {
-        let ctx = StudyContext::new(StudyConfig::smoke());
-        let registry = Registry::paper();
-        let records = registry
-            .run_selected(&["fig7", "fig8", "fig15"], &ctx)
-            .expect("known ids");
+        let records = smoke_records(&["fig7", "fig8", "fig15"]);
         let dir = std::env::temp_dir().join("qods_bench_csv_test");
         let _ = std::fs::remove_dir_all(&dir);
         write_record_csvs(&dir, &records).expect("csvs");

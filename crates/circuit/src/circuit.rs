@@ -46,7 +46,7 @@ pub struct NoSynth;
 
 impl RotationSynthesizer for NoSynth {
     fn synthesize(&self, _q: usize, k: u8, _dagger: bool, _out: &mut Circuit) {
-        // qods-lint: allow(P1) -- the panic IS this type's documented contract: NoSynth asserts a rotation-free circuit
+        // The panic IS this type's documented contract: NoSynth asserts a rotation-free circuit.
         panic!("circuit contains a pi/2^{k} rotation but no synthesizer was provided")
     }
 }

@@ -40,7 +40,7 @@ pub mod permutation {
                         s ^= 1 << t;
                     }
                 }
-                // qods-lint: allow(P1) -- documented caller contract: the permutation sim is only fed classical (X/CX/Toffoli) circuits
+                // Documented caller contract: the permutation sim is only fed classical (X/CX/Toffoli) circuits.
                 ref other => panic!("non-classical gate in permutation sim: {other:?}"),
             }
         }

@@ -95,7 +95,8 @@ impl<K: Copy + Eq + Hash, T> InflightTable<K, T> {
         }
     }
 
-    /// How many keys are in flight right now (the `stats` gauge).
+    /// How many keys are in flight right now (the `svc.in_flight`
+    /// gauge).
     ///
     /// Every lock in this table is poison-tolerant
     /// ([`qods_pool::plock`]): slot state is a single enum

@@ -86,7 +86,7 @@ impl StudyContext {
     pub fn benchmarks(&self) -> Vec<Arc<ScheduledCircuit>> {
         paper_specs(self.config.n_bits)
             .into_iter()
-            // qods-lint: allow(P1) -- documented caller contract: the service layer rejects bad n_bits before a context exists
+            // Documented caller contract: the service layer rejects bad n_bits before a context exists.
             .map(|spec| self.compiler.scheduled(spec).expect("valid n_bits"))
             .collect()
     }
@@ -100,7 +100,7 @@ impl StudyContext {
     pub fn characterizations(&self) -> Vec<Arc<Characterization>> {
         paper_specs(self.config.n_bits)
             .into_iter()
-            // qods-lint: allow(P1) -- documented caller contract: the service layer rejects bad n_bits before a context exists
+            // Documented caller contract: the service layer rejects bad n_bits before a context exists.
             .map(|spec| self.compiler.characterization(spec).expect("valid n_bits"))
             .collect()
     }

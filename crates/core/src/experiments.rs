@@ -459,7 +459,7 @@ impl Experiment for WidthSweepExperiment {
         let compiled = ctx
             .compiler()
             .characterize_many(&specs, qods_pool::pool_threads(specs.len()))
-            // qods-lint: allow(P1) -- proven invariant: the widths list is validated a few lines up
+            // Proven invariant: the widths list is validated a few lines up.
             .expect("widths validated above");
         let curves = KernelFamily::ALL
             .iter()

@@ -4,12 +4,14 @@
 //! Quantum Circuit at the Speed of Data"* (Isailovic, Whitney, Patel,
 //! Kubiatowicz — ISCA 2008). It re-exports the substrate crates and
 //! provides the **experiment registry**: every table and figure of the
-//! paper is an independent [`experiment::Experiment`], addressable by
-//! id, runnable alone or all together — in parallel — over a shared,
-//! memoized [`experiment::StudyContext`]. [`report::paper_report`]
-//! prints a full run in the paper's layout, and
-//! [`study::PaperReproduction::from_records`] assembles it into the
-//! `results/repro.json` schema.
+//! paper is an independent [`experiment::Experiment`], listed and
+//! resolved by id, whose `run` reads a shared, memoized
+//! [`experiment::StudyContext`]. Jobs — one experiment or all of them,
+//! in parallel — run through the `qods-service` scheduler, which
+//! plans each one with [`registry::run_planned`].
+//! [`report::paper_report`] prints a full run in the paper's layout,
+//! and [`study::PaperReproduction::from_records`] assembles it into
+//! the `results/repro.json` schema.
 //!
 //! | artifact | experiment id | source |
 //! |---|---|---|

@@ -1,15 +1,14 @@
-//! The experiment registry: list, resolve, and run paper artifacts —
-//! sequentially or in parallel over one shared [`StudyContext`] — and
-//! [`run_planned`], the one job plan parallel runs go through.
+//! The experiment registry: list and resolve paper artifacts by id —
+//! and [`run_planned`], the one job plan every run goes through (the
+//! service scheduler's, and the unit tests' here).
 
-use crate::experiment::{Experiment, ExperimentRecord, StudyContext, Substrate};
+use crate::experiment::{Experiment, StudyContext, Substrate};
 use crate::experiments::{
     CascadeExperiment, Fig15Experiment, Fig4Experiment, Fig7Experiment, Fig8Experiment,
     LatencyExperiment, NonTransversalExperiment, Pi8FactoryExperiment, SimpleFactoryExperiment,
     Table2Experiment, Table3Experiment, Table9Experiment, WidthSweepExperiment,
     ZeroFactoryExperiment,
 };
-use std::time::Instant;
 
 /// A row of `Registry::list()`.
 #[derive(Debug, Clone, PartialEq)]
@@ -187,58 +186,6 @@ impl Registry {
         }
         Ok(selected)
     }
-
-    /// Runs one experiment by id over the shared context.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RegistryError::Unknown`] when the id does not resolve.
-    pub fn run_one(&self, id: &str, ctx: &StudyContext) -> Result<ExperimentRecord, RegistryError> {
-        let exp = self
-            .get(id)
-            .ok_or_else(|| RegistryError::Unknown { id: id.to_string() })?;
-        Ok(record(exp, ctx))
-    }
-
-    /// Runs a selection of experiments (ids or aliases) sequentially,
-    /// in the order given.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`RegistryError`] in the selection — an
-    /// unknown id or a duplicate (see [`Registry::resolve`]); nothing
-    /// runs in that case.
-    pub fn run_selected(
-        &self,
-        ids: &[&str],
-        ctx: &StudyContext,
-    ) -> Result<Vec<ExperimentRecord>, RegistryError> {
-        Ok(self
-            .resolve(ids)?
-            .into_iter()
-            .map(|e| record(e, ctx))
-            .collect())
-    }
-
-    /// Runs every registered experiment in parallel over `ctx` and
-    /// returns the records in registration order.
-    ///
-    /// The run is one [`run_planned`] job on the process-wide pool
-    /// (`qods_pool`), capped at `min(experiments, host threads)`
-    /// participants: the shared substrate is materialized first while
-    /// the substrate-free experiments (Fig 4's Monte Carlo, the
-    /// factories, the width sweep) fill the other workers, and a
-    /// single-core host degrades to the sequential path with no
-    /// oversubscription. A process-wide `--threads` pin applies here
-    /// like everywhere else. The artifact store underneath computes
-    /// each kernel artifact once, so the substrate is built exactly
-    /// once.
-    pub fn run_all(&self, ctx: &StudyContext) -> Vec<ExperimentRecord> {
-        let all: Vec<&dyn Experiment> = self.iter().collect();
-        run_planned(&all, ctx, qods_pool::pool_threads(all.len()), |_, exp| {
-            record(exp, ctx)
-        })
-    }
 }
 
 /// Runs `selection` over `ctx` on at most `threads` pool participants
@@ -289,22 +236,10 @@ where
     done.into_iter().map(|(_, t)| t).collect()
 }
 
-fn record(exp: &dyn Experiment, ctx: &StudyContext) -> ExperimentRecord {
-    // qods-lint: allow(D1) -- wall-time metadata only; never hashed or
-    // serialized into result lines
-    let t0 = Instant::now();
-    let output = exp.run(ctx);
-    ExperimentRecord {
-        id: exp.id().to_string(),
-        title: exp.title().to_string(),
-        seconds: t0.elapsed().as_secs_f64(),
-        output,
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::experiment::ExperimentRecord;
     use crate::study::StudyConfig;
     use qods_compile::ArtifactStore;
     use std::sync::Arc;
@@ -313,6 +248,19 @@ mod tests {
     /// this test's alone.
     fn private_context() -> StudyContext {
         StudyContext::with_store(StudyConfig::smoke(), Arc::new(ArtifactStore::in_memory()))
+    }
+
+    /// Every registered experiment's record over `ctx`, run as one
+    /// plan — what the crate's report and study tests assemble from.
+    pub(crate) fn paper_records(ctx: &StudyContext) -> Vec<ExperimentRecord> {
+        let r = Registry::paper();
+        let all: Vec<&dyn Experiment> = r.iter().collect();
+        run_planned(&all, ctx, 2, |_, exp| ExperimentRecord {
+            id: exp.id().to_string(),
+            title: exp.title().to_string(),
+            seconds: 0.0,
+            output: exp.run(ctx),
+        })
     }
 
     #[test]
@@ -365,32 +313,30 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_sequential_agree_and_lower_once() {
+    fn a_plan_agrees_at_one_and_many_threads_and_lowers_once() {
         let r = Registry::paper();
-        let par_ctx = private_context();
-        let par = r.run_all(&par_ctx);
-        let seq_ctx = private_context();
-        let ids: Vec<&str> = r.iter().map(|e| e.id()).collect();
-        let seq = r.run_selected(&ids, &seq_ctx).expect("every registered id");
-        assert_eq!(par.len(), seq.len());
-        for (p, s) in par.iter().zip(&seq) {
-            assert_eq!(p.id, s.id);
-            assert_eq!(p.output, s.output, "{} outputs differ", p.id);
+        let all: Vec<&dyn Experiment> = r.iter().collect();
+        let run = |threads| {
+            let ctx = private_context();
+            let outputs = run_planned(&all, &ctx, threads, |_, exp| exp.run(&ctx));
+            (outputs, ctx.compiler().store().stats().computed)
+        };
+        let (seq, seq_computed) = run(1);
+        let (par, par_computed) = run(qods_pool::pool_threads(all.len()));
+        assert_eq!(seq.len(), all.len());
+        for ((p, s), exp) in par.iter().zip(&seq).zip(&all) {
+            assert_eq!(p, s, "{} outputs differ", exp.id());
         }
         // Concurrent lookups of one kernel joined one computation: the
         // parallel run compiled exactly the artifacts a sequential one
         // does.
-        assert_eq!(
-            par_ctx.compiler().store().stats().computed,
-            seq_ctx.compiler().store().stats().computed,
-        );
+        assert_eq!(par_computed, seq_computed);
     }
 
     #[test]
     fn unknown_id_is_a_clean_error() {
         let r = Registry::paper();
-        let ctx = StudyContext::new(StudyConfig::smoke());
-        let err = r.run_selected(&["table9", "nope"], &ctx).unwrap_err();
+        let err = r.resolve(&["table9", "nope"]).err().expect("unknown id");
         assert_eq!(
             err,
             RegistryError::Unknown {
@@ -402,12 +348,12 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_selection_is_rejected_without_running() {
+    fn duplicate_selection_is_rejected() {
         let r = Registry::paper();
-        let ctx = private_context();
         let err = r
-            .run_selected(&["fig6", "table9", "table9"], &ctx)
-            .unwrap_err();
+            .resolve(&["fig6", "table9", "table9"])
+            .err()
+            .expect("duplicate id");
         assert_eq!(
             err,
             RegistryError::Duplicate {
@@ -416,17 +362,17 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("duplicate experiment id"));
-        // Nothing ran: the context was never asked to lower.
-        assert_eq!(ctx.compiler().store().stats(), Default::default());
     }
 
     #[test]
     fn alias_duplicating_its_primary_id_is_rejected() {
         let r = Registry::paper();
-        let ctx = StudyContext::new(StudyConfig::smoke());
         // `table6` is an alias of `table5`: selecting both names one
         // experiment twice.
-        let err = r.run_selected(&["table5", "table6"], &ctx).unwrap_err();
+        let err = r
+            .resolve(&["table5", "table6"])
+            .err()
+            .expect("alias duplicate");
         assert_eq!(
             err,
             RegistryError::Duplicate {

@@ -313,6 +313,7 @@ pub fn render_floorplan(row: &Table9Entry) -> String {
 mod tests {
     use super::Render;
     use crate::experiment::{ExperimentOutput, StudyContext};
+    use crate::registry::tests::paper_records;
     use crate::registry::Registry;
     use crate::study::StudyConfig;
 
@@ -323,8 +324,9 @@ mod tests {
     #[test]
     fn floorplan_is_generation_dominated() {
         let ctx = StudyContext::new(StudyConfig::smoke());
-        let record = Registry::paper().run_one("table9", &ctx).expect("table9");
-        let ExperimentOutput::Table9(out) = record.output else {
+        let registry = Registry::paper();
+        let table9 = registry.get("table9").expect("table9");
+        let ExperimentOutput::Table9(out) = table9.run(&ctx) else {
             panic!("table9 must produce Table 9 rows");
         };
         let plan = super::render_floorplan(&out.rows[0]);
@@ -338,7 +340,7 @@ mod tests {
     #[test]
     fn render_mentions_every_artifact() {
         let registry = Registry::paper();
-        let records = registry.run_all(&StudyContext::new(StudyConfig::smoke()));
+        let records = paper_records(&StudyContext::new(StudyConfig::smoke()));
         let text = super::paper_report(&records);
         for needle in [
             "Table 2",
@@ -373,7 +375,7 @@ mod tests {
     #[test]
     fn every_experiment_output_renders_non_trivially() {
         let ctx = StudyContext::new(StudyConfig::smoke());
-        for record in Registry::paper().run_all(&ctx) {
+        for record in paper_records(&ctx) {
             let text = record.output.render();
             assert!(
                 text.starts_with("== "),

@@ -228,12 +228,12 @@ impl PaperReproduction {
 mod tests {
     use super::*;
     use crate::experiment::StudyContext;
-    use crate::registry::Registry;
+    use crate::registry::tests::paper_records;
 
     #[test]
     fn smoke_study_runs_end_to_end() {
         let config = StudyConfig::smoke();
-        let records = Registry::paper().run_all(&StudyContext::new(config.clone()));
+        let records = paper_records(&StudyContext::new(config.clone()));
         let out = PaperReproduction::from_records(config, &records);
         assert_eq!(out.fig4.len(), 4);
         assert_eq!(out.table2.len(), 3);

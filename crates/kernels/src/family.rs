@@ -174,7 +174,7 @@ impl KernelSpec {
     /// Panics when the spec is invalid — callers construct specs
     /// through the validating [`KernelSpec::new`] / [`KernelSpec::parse`].
     pub fn build_ir(&self) -> Circuit {
-        // qods-lint: allow(P1) -- documented caller contract: specs come from the validating constructors
+        // Documented caller contract: specs come from the validating constructors.
         self.validate().expect("spec validated at construction");
         match self.family {
             KernelFamily::Qrca => qrca(self.width),

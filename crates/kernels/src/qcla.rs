@@ -110,11 +110,8 @@ pub fn qcla(n: usize) -> Circuit {
     // adder, which is worse than the panic.
     for t in 1..=log_n {
         for m in 1..(n >> t) {
-            // qods-lint: allow(P1) -- proven invariant: Layout::new materializes exactly these p-tree nodes
             let lo = lay.p(t - 1, 2 * m).expect("lo child");
-            // qods-lint: allow(P1) -- proven invariant: Layout::new materializes exactly these p-tree nodes
             let hi = lay.p(t - 1, 2 * m + 1).expect("hi child");
-            // qods-lint: allow(P1) -- proven invariant: Layout::new materializes exactly these p-tree nodes
             let dst = lay.p(t, m).expect("dst node");
             c.toffoli(lo, hi, dst);
         }
@@ -137,7 +134,6 @@ pub fn qcla(n: usize) -> Circuit {
         while span * m + half <= n {
             let src = lay.z(span * m);
             let dst = lay.z(span * m + half);
-            // qods-lint: allow(P1) -- proven invariant: Layout::new materializes exactly these p-tree nodes
             let p = lay.p(t - 1, 2 * m).expect("C-round propagate");
             c.toffoli(src, p, dst);
             m += 1;
@@ -146,11 +142,8 @@ pub fn qcla(n: usize) -> Circuit {
     // 6. Undo the P rounds (restore ancillae).
     for t in (1..=log_n).rev() {
         for m in (1..(n >> t)).rev() {
-            // qods-lint: allow(P1) -- proven invariant: Layout::new materializes exactly these p-tree nodes
             let lo = lay.p(t - 1, 2 * m).expect("lo child");
-            // qods-lint: allow(P1) -- proven invariant: Layout::new materializes exactly these p-tree nodes
             let hi = lay.p(t - 1, 2 * m + 1).expect("hi child");
-            // qods-lint: allow(P1) -- proven invariant: Layout::new materializes exactly these p-tree nodes
             let dst = lay.p(t, m).expect("dst node");
             c.toffoli(lo, hi, dst);
         }

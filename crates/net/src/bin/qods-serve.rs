@@ -8,16 +8,17 @@
 //! ```
 //!
 //! — answered by exactly one `result` (or `error`) line, or a control
-//! verb (`{"verb":"stats"}`, `ping`, `shutdown`). By default the
+//! verb (`{"verb":"metrics"}`, `ping`, `shutdown`). By default the
 //! daemon serves stdin/stdout; with `--listen ADDR` it serves many
 //! concurrent TCP clients (thread-per-connection) through the same
 //! core: in-flight duplicates coalesce onto one execution, admission
 //! control sheds load past the queue bound with typed `overloaded`
-//! errors, and `stats` reports latency percentiles, cache hit rates,
-//! and coalesce counts. Result lines carry no timing, so for a fixed
-//! request sequence the output stream is byte-reproducible on either
+//! errors, and `metrics` reports every counter, gauge and latency
+//! summary by site name — cache hit rates, coalesce counts, latency
+//! percentiles. Result lines carry no timing, so for a fixed request
+//! sequence the output stream is byte-reproducible on either
 //! transport (CI pipes a batch through and diffs against direct
-//! registry runs).
+//! experiment runs).
 //!
 //! ```text
 //! qods-serve [--listen ADDR] [--threads N] [--progress] [--no-cache]
@@ -60,7 +61,7 @@ fn usage() -> &'static str {
      Reads one JSON request per line:\n\
      {\"id\":\"j1\",\"experiments\":[\"table9\"],\"overrides\":{\"n_bits\":8}}\n\
      (empty `experiments` = the full registry; overrides are sparse)\n\
-     or a control verb ({\"verb\":\"stats\"|\"ping\"|\"shutdown\"}), and\n\
+     or a control verb ({\"verb\":\"metrics\"|\"ping\"|\"shutdown\"}), and\n\
      writes one `result`/`error` (or verb-answer) JSON line per request.\n\
      --listen ADDR serve TCP clients on ADDR (e.g. 127.0.0.1:7878; port 0\n\
      \t\t  picks one — see the `listening on` stderr line); default\n\

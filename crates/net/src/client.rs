@@ -11,7 +11,7 @@
 //! `internal_error`, …) are returned as-is: retrying those would just
 //! repeat the answer.
 
-use crate::protocol::{MetricsLine, StatsLine};
+use crate::protocol::MetricsLine;
 use serde::Serialize;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -216,20 +216,6 @@ impl Client {
                 continue;
             }
         }
-    }
-
-    /// Issues the `stats` verb and parses the answer.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors, or `InvalidData` when the answer does not
-    /// parse as a stats line (or the server closed first).
-    pub fn stats(&mut self) -> std::io::Result<StatsLine> {
-        let line = self
-            .roundtrip("{\"verb\":\"stats\"}")?
-            .ok_or_else(|| invalid("server closed before answering stats"))?;
-        serde_json::from_str(&line)
-            .map_err(|e| invalid(&format!("stats line did not parse: {e}: {line}")))
     }
 
     /// Issues the `metrics` verb and parses the full registry

@@ -19,19 +19,21 @@
 //!   slots plus a bounded wait queue; a burst past both answers a
 //!   typed `overloaded` error line instead of queueing without bound,
 //!   and per-connection request budgets cap any single client;
-//! * **a `stats` verb** — p50/p99/max request latency from an
-//!   allocation-free histogram ([`qods_obs::LatencyHistogram`]),
+//! * **a `metrics` verb** — every counter, gauge and latency summary
+//!   of the serving stack by site name: p50/p99/max request latency
+//!   from an allocation-free histogram ([`qods_obs::LatencyHistogram`]),
 //!   cache hit rates, coalesce counts, queue depth, connection
-//!   gauges; verbs bypass admission so `stats` answers even while
-//!   jobs are being shed;
+//!   gauges; verbs bypass admission so `metrics` answers even while
+//!   jobs are being shed ([`server::StatsLine`] is the same snapshot
+//!   as typed fields, for in-process readers);
 //! * **graceful shutdown** — the `shutdown` verb (or stdin EOF, or a
 //!   read error) stops intake, drains admitted jobs, and exits 0;
 //!   both transports share the one drain path.
 //!
 //! Responses stay byte-reproducible for a fixed request sequence —
 //! the transport byte-identity tests hold stdio bytes, TCP bytes, and
-//! direct `Registry` runs equal. See `DESIGN.md` §7 for the wire
-//! protocol and serving semantics.
+//! direct `Experiment::run` calls equal. See `DESIGN.md` §7 for the
+//! wire protocol and serving semantics.
 //!
 //! **Robustness (PR 7):** the serving path is hardened against
 //! misbehaving peers and its own bugs — capped NDJSON line reads
@@ -55,8 +57,8 @@ pub mod server;
 
 pub use admission::{Gate, Permit, Refusal};
 pub use client::{Client, RetryPolicy};
-pub use protocol::{ErrorKind, Request, StatsLine, Verb};
+pub use protocol::{ErrorKind, Request, Verb};
 pub use server::{
-    ConnState, LineOutcome, LineSink, NetServer, ServeCore, ServeOptions,
+    ConnState, LineOutcome, LineSink, NetServer, ServeCore, ServeOptions, StatsLine,
     DEFAULT_IDLE_TIMEOUT_SECS, DEFAULT_MAX_LINE_LEN,
 };

@@ -3,20 +3,21 @@
 //! One JSON object per input line. A line is either a **job** — a
 //! [`RunRequest`] (`{"id":..,"experiments":[..],"overrides":{..}}`)
 //! answered by exactly one `result` or `error` line — or a **verb**
-//! (`{"verb":"stats"}`): a control-plane request answered by one
-//! typed line. Verbs bypass admission control, so `stats` still
-//! answers while the job queue is refusing work.
+//! (`{"verb":"metrics"}`, `ping` or `shutdown`): a control-plane
+//! request answered by one typed line. Verbs bypass admission
+//! control, so `metrics` still answers while the job queue is
+//! refusing work.
 //!
 //! Result lines carry no timing and are rendered from deterministic
 //! fields only, so for a fixed request sequence the response stream
 //! is byte-reproducible — the transport byte-identity tests pipe the
 //! same batch through stdio and TCP and diff the bytes against direct
-//! `Registry` runs. These structs moved verbatim from the old stdio
-//! daemon; changing their field set or order changes served bytes and
-//! fails those tests.
+//! `Experiment::run` calls. These structs moved verbatim from the old
+//! stdio daemon; changing their field set or order changes served
+//! bytes and fails those tests.
 
 use qods_core::compile::hash::hash_hex;
-use qods_obs::{LatencySummary, MetricsSnapshot, RobustnessSnapshot};
+use qods_obs::MetricsSnapshot;
 use qods_service::prelude::*;
 use serde::{Deserialize, Serialize, Value};
 
@@ -169,8 +170,6 @@ pub struct ProgressLine {
 /// The control verbs a line can carry instead of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verb {
-    /// Answer one `stats` line (serving counters + latency summary).
-    Stats,
     /// Answer one `metrics` line (the full registry snapshot: every
     /// counter, gauge, and histogram by site name, plus trace-buffer
     /// accounting).
@@ -205,12 +204,11 @@ pub fn parse_line(line: &str) -> Result<Request, String> {
             _ => return Err("bad request: `verb` must be a string".to_string()),
         };
         return match name {
-            "stats" => Ok(Request::Verb(Verb::Stats)),
             "metrics" => Ok(Request::Verb(Verb::Metrics)),
             "ping" => Ok(Request::Verb(Verb::Ping)),
             "shutdown" => Ok(Request::Verb(Verb::Shutdown)),
             other => Err(format!(
-                "bad request: unknown verb `{other}` (verbs: stats, metrics, ping, shutdown)"
+                "bad request: unknown verb `{other}` (verbs: metrics, ping, shutdown)"
             )),
         };
     }
@@ -218,47 +216,6 @@ pub fn parse_line(line: &str) -> Result<Request, String> {
         Ok(request) => Ok(Request::Job(Box::new(request))),
         Err(e) => Err(format!("bad request: {e}")),
     }
-}
-
-/// The one `stats` line the `stats` verb answers with.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StatsLine {
-    /// Always `"stats"`.
-    pub event: String,
-    /// Connections open right now (0 in stdio mode).
-    pub connections: u64,
-    /// Connections accepted since start (0 in stdio mode).
-    pub connections_total: u64,
-    /// Request lines admitted for execution since start.
-    pub requests: u64,
-    /// `result` lines served.
-    pub results: u64,
-    /// `error` lines served (all kinds).
-    pub errors: u64,
-    /// Jobs refused by admission control.
-    pub overloaded: u64,
-    /// Jobs this server executed itself (coalescing leaders).
-    pub executed: u64,
-    /// Jobs answered by joining an in-flight execution.
-    pub coalesced: u64,
-    /// Jobs executing right now.
-    pub in_flight: u64,
-    /// Jobs waiting for an admission slot right now.
-    pub queue_depth: u64,
-    /// Context-cache hits (shared lowering).
-    pub context_hits: u64,
-    /// Context-cache misses (fresh lowering).
-    pub context_misses: u64,
-    /// Output-cache hits (experiment served without compute).
-    pub output_hits: u64,
-    /// Output-cache misses (experiment computed).
-    pub output_misses: u64,
-    /// Robustness counters (caught panics, deadline cancellations,
-    /// rejected lines, reaped connections), read from the metrics
-    /// registry.
-    pub robustness: RobustnessSnapshot,
-    /// Request latency summary (admission wait included).
-    pub latency: LatencySummary,
 }
 
 /// The one `metrics` line the `metrics` verb answers with: the full
@@ -343,10 +300,6 @@ mod tests {
     #[test]
     fn verbs_and_jobs_parse_apart() {
         assert!(matches!(
-            parse_line("{\"verb\":\"stats\"}"),
-            Ok(Request::Verb(Verb::Stats))
-        ));
-        assert!(matches!(
             parse_line("{\"verb\":\"shutdown\"}"),
             Ok(Request::Verb(Verb::Shutdown))
         ));
@@ -367,9 +320,10 @@ mod tests {
     #[test]
     fn bad_lines_are_diagnostic_errors() {
         assert!(parse_line("not json").unwrap_err().contains("bad request"));
-        assert!(parse_line("{\"verb\":\"reboot\"}")
-            .unwrap_err()
-            .contains("unknown verb `reboot`"));
+        for retired in ["reboot", "stats"] {
+            let err = parse_line(&format!("{{\"verb\":\"{retired}\"}}")).unwrap_err();
+            assert!(err.contains(&format!("unknown verb `{retired}`")), "{err}");
+        }
         assert!(parse_line("{\"verb\":1}")
             .unwrap_err()
             .contains("must be a string"));
@@ -404,55 +358,6 @@ mod tests {
         assert!(line.contains("\"event\":\"error\""));
         assert!(line.contains("\"kind\":\"overloaded\""));
         assert!(line.contains("\"id\":\"j9\""));
-    }
-
-    #[test]
-    fn stats_line_round_trips() {
-        let line = StatsLine {
-            event: "stats".to_string(),
-            connections: 3,
-            connections_total: 10,
-            requests: 100,
-            results: 95,
-            errors: 5,
-            overloaded: 2,
-            executed: 40,
-            coalesced: 55,
-            in_flight: 1,
-            queue_depth: 0,
-            context_hits: 90,
-            context_misses: 10,
-            output_hits: 300,
-            output_misses: 50,
-            robustness: RobustnessSnapshot {
-                panics_caught: 1,
-                deadline_exceeded: 2,
-                lines_rejected: 3,
-                idle_reaped: 4,
-            },
-            latency: LatencySummary {
-                count: 100,
-                mean_us: 1200.0,
-                p50_us: 900.0,
-                p99_us: 4000.0,
-                max_us: 5000.0,
-            },
-        };
-        let text = render(&line);
-        let back: StatsLine = serde_json::from_str(&text).expect("parse");
-        assert_eq!(back.coalesced, 55);
-        assert_eq!(back.latency.count, 100);
-        assert_eq!(
-            (
-                back.robustness.panics_caught,
-                back.robustness.deadline_exceeded,
-                back.robustness.lines_rejected,
-                back.robustness.idle_reaped
-            ),
-            (1, 2, 3, 4)
-        );
-        // The CI smoke grep keys on the *top-level* in-flight gauge.
-        assert!(text.contains("\"in_flight\":1"));
     }
 
     #[test]

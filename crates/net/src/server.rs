@@ -17,13 +17,14 @@
 use crate::admission::{Gate, Refusal};
 use crate::protocol::{
     parse_line, progress_line, render, result_line, ErrorKind, ErrorLine, MetricsLine, Request,
-    StatsLine, Verb,
+    Verb,
 };
 use qods_obs::{
-    sites, Counter, Gauge, LatencyHistogram, MetricsSnapshot, Registry, RobustnessSnapshot,
+    sites, Counter, Gauge, LatencyHistogram, LatencySummary, MetricsSnapshot, Registry, Site,
 };
 use qods_pool::plock;
 use qods_service::prelude::*;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -247,8 +248,9 @@ pub struct ServeCore {
     gate: Gate,
     options: ServeOptions,
     /// The serving stack's registry — the same instance the context
-    /// pool created and the scheduler registered into, so `stats`,
-    /// `metrics`, and the bench report all read one source of truth.
+    /// pool created and the scheduler registered into, so the
+    /// `metrics` verb, [`StatsLine`] and the bench report all read
+    /// one source of truth.
     metrics: Arc<Registry>,
     latency: Arc<LatencyHistogram>,
     draining: AtomicBool,
@@ -320,10 +322,6 @@ impl ServeCore {
                 sink.emit("{\"event\":\"pong\"}");
                 LineOutcome::Continue
             }
-            Request::Verb(Verb::Stats) => {
-                sink.emit(&render(&self.stats_line()));
-                LineOutcome::Continue
-            }
             Request::Verb(Verb::Metrics) => {
                 sink.emit(&render(&MetricsLine {
                     event: "metrics".to_string(),
@@ -362,8 +360,8 @@ impl ServeCore {
         }
         conn.jobs_submitted += 1;
 
-        // qods-lint: allow(D1) -- queue-latency telemetry for the stats
-        // verb; excluded from result lines
+        // qods-lint: allow(D1) -- queue-latency telemetry for the
+        // metrics verb; excluded from result lines
         let t0 = Instant::now();
         let admitted = {
             let _span = qods_obs::span!(sites::NET_ADMISSION);
@@ -438,7 +436,7 @@ impl ServeCore {
     }
 
     /// Counts the error, then writes its line: a client that has read
-    /// the line sees it in the `stats` verb from any connection.
+    /// the line sees it in the `metrics` verb from any connection.
     fn emit_error(&self, sink: &dyn LineSink, kind: ErrorKind, id: Option<String>, diag: String) {
         self.errors.inc();
         sink.emit(&render(&ErrorLine::new(kind, id, diag)));
@@ -477,32 +475,10 @@ impl ServeCore {
         self.connections.get().max(0) as u64
     }
 
-    /// The `stats` verb's answer, assembled from the scheduler, the
-    /// cache, the gate, and this core's counters. Allocation cost is
-    /// one `StatsLine`; recording latency on the hot path is
-    /// allocation-free ([`LatencyHistogram`]).
+    /// The serving counters as typed fields: a [`StatsLine`] view of
+    /// [`ServeCore::metrics_snapshot`].
     pub fn stats_line(&self) -> StatsLine {
-        let sched = self.scheduler.stats();
-        let cache = self.scheduler.pool().stats();
-        StatsLine {
-            event: "stats".to_string(),
-            connections: self.connection_count(),
-            connections_total: self.connections_total.get(),
-            requests: self.requests.get(),
-            results: self.results.get(),
-            errors: self.errors.get(),
-            overloaded: self.overloaded.get(),
-            executed: sched.jobs_led,
-            coalesced: sched.jobs_coalesced,
-            in_flight: self.gate.active() as u64,
-            queue_depth: self.gate.waiting() as u64,
-            context_hits: cache.context_hits,
-            context_misses: cache.context_misses,
-            output_hits: cache.output_hits,
-            output_misses: cache.output_misses,
-            robustness: RobustnessSnapshot::from_registry(&self.metrics),
-            latency: self.latency.summary(),
-        }
+        StatsLine::from_snapshot(&self.metrics_snapshot())
     }
 
     /// The `metrics` verb's answer: the serving stack's registry
@@ -532,6 +508,91 @@ impl ServeCore {
             snap.latency.extend(other.latency);
         }
         snap
+    }
+}
+
+/// The serving counters of one [`MetricsSnapshot`] as typed fields,
+/// for in-process readers (tests, the benchmark). Each field is the
+/// value at one named site; the `metrics` verb serves the same
+/// snapshot on the wire.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StatsLine {
+    /// Connections open right now (0 in stdio mode): `net.connections`.
+    pub connections: u64,
+    /// Connections accepted since start (0 in stdio mode):
+    /// `net.connections_total`.
+    pub connections_total: u64,
+    /// Request lines admitted for execution: `net.requests`.
+    pub requests: u64,
+    /// `result` lines served: `net.results`.
+    pub results: u64,
+    /// `error` lines served, all kinds: `net.errors`.
+    pub errors: u64,
+    /// Jobs refused by admission control: `net.overloaded`.
+    pub overloaded: u64,
+    /// Jobs this server executed itself (coalescing leaders):
+    /// `svc.executed`.
+    pub executed: u64,
+    /// Jobs answered by joining an in-flight execution:
+    /// `svc.coalesced`.
+    pub coalesced: u64,
+    /// Jobs holding an admission slot right now: `gate.active`.
+    pub in_flight: u64,
+    /// Jobs waiting for an admission slot right now: `gate.waiting`.
+    pub queue_depth: u64,
+    /// Context-cache hits (shared lowering): `cache.context_hits`.
+    pub context_hits: u64,
+    /// Context-cache misses (fresh lowering): `cache.context_misses`.
+    pub context_misses: u64,
+    /// Output-cache hits (experiment served without compute):
+    /// `cache.output_hits`.
+    pub output_hits: u64,
+    /// Output-cache misses (experiment computed): `cache.output_misses`.
+    pub output_misses: u64,
+    /// Job panics caught and answered as `internal_error` lines:
+    /// `svc.panics_caught`.
+    pub panics_caught: u64,
+    /// Jobs cancelled at a deadline boundary: `svc.deadline_exceeded`.
+    pub deadline_exceeded: u64,
+    /// Lines rejected for exceeding the line cap: `net.lines_rejected`.
+    pub lines_rejected: u64,
+    /// Idle connections reaped: `net.idle_reaped`.
+    pub idle_reaped: u64,
+    /// Request latency, admission wait included: `net.latency`.
+    pub latency: LatencySummary,
+}
+
+impl StatsLine {
+    /// Reads every field at its site in `snap`; a site the snapshot
+    /// lacks reads 0.
+    pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
+        let counter = |site: Site| snap.counters.get(site.name()).copied().unwrap_or(0);
+        let gauge = |site: Site| snap.gauges.get(site.name()).map_or(0, |&v| v.max(0) as u64);
+        StatsLine {
+            connections: gauge(sites::NET_CONNECTIONS),
+            connections_total: counter(sites::NET_CONNECTIONS_TOTAL),
+            requests: counter(sites::NET_REQUESTS),
+            results: counter(sites::NET_RESULTS),
+            errors: counter(sites::NET_ERRORS),
+            overloaded: counter(sites::NET_OVERLOADED),
+            executed: counter(sites::SVC_EXECUTED),
+            coalesced: counter(sites::SVC_COALESCED),
+            in_flight: gauge(sites::GATE_ACTIVE),
+            queue_depth: gauge(sites::GATE_WAITING),
+            context_hits: counter(sites::CACHE_CONTEXT_HITS),
+            context_misses: counter(sites::CACHE_CONTEXT_MISSES),
+            output_hits: counter(sites::CACHE_OUTPUT_HITS),
+            output_misses: counter(sites::CACHE_OUTPUT_MISSES),
+            panics_caught: counter(sites::SVC_PANICS_CAUGHT),
+            deadline_exceeded: counter(sites::SVC_DEADLINE_EXCEEDED),
+            lines_rejected: counter(sites::NET_LINES_REJECTED),
+            idle_reaped: counter(sites::NET_IDLE_REAPED),
+            latency: snap
+                .latency
+                .get(sites::NET_LATENCY.name())
+                .cloned()
+                .unwrap_or_default(),
+        }
     }
 }
 
@@ -638,69 +699,77 @@ impl NetServer {
 
     /// Accepts and serves connections until a `shutdown` verb arrives
     /// on any of them, then drains: stop accepting, half-close every
-    /// connection's read side (their threads finish the job they are
-    /// on, answer it, and exit on EOF), wait for all admitted jobs,
+    /// live connection's read side (their threads finish the job they
+    /// are on, answer it, and exit on EOF), wait for all admitted jobs,
     /// join every connection thread.
+    ///
+    /// A connection thread releases its socket when it ends, so a
+    /// finished connection is closed at once and a long-running server
+    /// holds descriptors only for the connections still open.
     ///
     /// # Errors
     ///
     /// Fatal listener errors only; per-connection failures (including
     /// mid-request disconnects) are contained to their thread.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a connection thread's panic once the drain has joined
+    /// every other thread (lint rule P1 keeps panics off that path).
     pub fn serve(self) -> std::io::Result<()> {
-        let stop = Arc::new(AtomicBool::new(false));
-        // Read-half clones of every live connection, for the drain's
-        // half-close.
-        let readers: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-        let mut threads = Vec::new();
+        let stop = AtomicBool::new(false);
+        // Read-half clones of the live connections, by accept number,
+        // for the drain's half-close. Each thread removes its own
+        // entry when it ends.
+        let live: Mutex<HashMap<u64, TcpStream>> = Mutex::new(HashMap::new());
+        let core = &*self.core;
 
-        for incoming in self.listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match incoming {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            // The shutdown self-connect lands here: drop it and stop.
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            if self.core.connection_count() >= self.core.options().max_connections as u64 {
-                let sink = StreamSink {
-                    writer: Mutex::new(stream),
+        std::thread::scope(|scope| {
+            for (n, incoming) in (0u64..).zip(self.listener.incoming()) {
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                let stream = match incoming {
+                    Ok(s) => s,
+                    Err(_) => continue,
                 };
-                sink.emit(&render(&ErrorLine::new(
-                    ErrorKind::Overloaded,
-                    None,
-                    format!(
-                        "server overloaded: connection limit {} reached",
-                        self.core.options().max_connections
-                    ),
-                )));
-                continue; // dropping the stream closes it
+                // The shutdown self-connect lands here: drop it and stop.
+                if stop.load(Ordering::SeqCst) {
+                    break;
+                }
+                if core.connection_count() >= core.options().max_connections as u64 {
+                    let sink = StreamSink {
+                        writer: Mutex::new(stream),
+                    };
+                    sink.emit(&render(&ErrorLine::new(
+                        ErrorKind::Overloaded,
+                        None,
+                        format!(
+                            "server overloaded: connection limit {} reached",
+                            core.options().max_connections
+                        ),
+                    )));
+                    continue; // dropping the stream closes it
+                }
+                if let Ok(read_half) = stream.try_clone() {
+                    plock(&live).insert(n, read_half);
+                }
+                let (stop, live, local) = (&stop, &live, self.local);
+                scope.spawn(move || {
+                    serve_connection(core, stream, stop, local);
+                    plock(live).remove(&n);
+                });
             }
-            if let Ok(read_half) = stream.try_clone() {
-                plock(&readers).push(read_half);
-            }
-            let core = self.core.clone();
-            let stop = stop.clone();
-            let local = self.local;
-            threads.push(std::thread::spawn(move || {
-                serve_connection(&core, stream, &stop, local);
-            }));
-        }
 
-        // Drain: no new jobs, half-close every reader so connection
-        // threads fall out of their read loop after the line they are
-        // serving, then wait for the work and the threads.
-        self.core.begin_drain();
-        for reader in plock(&readers).iter() {
-            let _ = reader.shutdown(Shutdown::Read);
-        }
-        for thread in threads {
-            let _ = thread.join();
-        }
-        self.core.wait_idle();
+            // Drain: no new jobs, half-close every live reader so
+            // connection threads fall out of their read loop after the
+            // line they are serving; the scope joins them.
+            core.begin_drain();
+            for reader in plock(&live).values() {
+                let _ = reader.shutdown(Shutdown::Read);
+            }
+        });
+        core.wait_idle();
         Ok(())
     }
 }
@@ -942,13 +1011,13 @@ mod tests {
             LineOutcome::Continue
         );
         assert_eq!(
-            core.handle_line("{\"verb\":\"stats\"}", &mut conn, &sink),
+            core.handle_line("{\"verb\":\"metrics\"}", &mut conn, &sink),
             LineOutcome::Continue
         );
         let lines = sink.lines();
         assert_eq!(lines[0], "{\"event\":\"pong\"}");
-        assert!(lines[1].contains("\"event\":\"stats\""));
-        assert!(lines[1].contains("\"queue_depth\":0"));
+        assert!(lines[1].contains("\"event\":\"metrics\""));
+        assert!(lines[1].contains("\"gate.waiting\":0"));
     }
 
     #[test]
@@ -1001,8 +1070,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_line_counts_jobs_and_latency() {
-        let core = quick_core(ServeOptions::default());
+    fn stats_line_is_a_projection_of_the_metrics_snapshot() {
+        let core = quick_core(ServeOptions {
+            max_inflight: 1,
+            max_queue: 2,
+            ..ServeOptions::default()
+        });
         let sink = VecSink::new();
         let mut conn = ConnState::default();
         let line = "{\"experiments\":[\"table9\"],\"overrides\":{\"n_bits\":8}}";
@@ -1021,5 +1094,100 @@ mod tests {
         assert!(stats.latency.p50_us > 0.0);
         // The repeat was served from cache.
         assert_eq!(stats.output_hits, 1);
+
+        // A bad line, an over-cap line, four connections with one
+        // closed, and — with the one slot held — two queued jobs and
+        // a shed one.
+        core.handle_line("not json", &mut conn, &sink);
+        core.reject_line(&sink, 9);
+        for _ in 0..4 {
+            core.connection_opened();
+        }
+        core.connection_closed();
+        let slot = core.gate.admit().expect("the one slot is free");
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| core.handle_line(line, &mut ConnState::default(), &sink));
+            }
+            while core.gate.waiting() < 2 {
+                std::thread::yield_now();
+            }
+            core.handle_line(line, &mut conn, &sink);
+            let shed = sink.lines().pop().expect("the shed job answered");
+            assert!(shed.contains(&ErrorKind::Overloaded.fragment()), "{shed}");
+
+            // Give every counter a distinct value, so a field read from
+            // the wrong site cannot match by accident.
+            let counters = [
+                sites::NET_CONNECTIONS_TOTAL,
+                sites::NET_REQUESTS,
+                sites::NET_RESULTS,
+                sites::NET_ERRORS,
+                sites::NET_OVERLOADED,
+                sites::SVC_EXECUTED,
+                sites::SVC_COALESCED,
+                sites::CACHE_CONTEXT_HITS,
+                sites::CACHE_CONTEXT_MISSES,
+                sites::CACHE_OUTPUT_HITS,
+                sites::CACHE_OUTPUT_MISSES,
+                sites::SVC_PANICS_CAUGHT,
+                sites::SVC_DEADLINE_EXCEEDED,
+                sites::NET_LINES_REJECTED,
+                sites::NET_IDLE_REAPED,
+            ];
+            for (i, site) in counters.into_iter().enumerate() {
+                core.metrics.counter(site).add(100 * (i as u64 + 1));
+            }
+
+            let stats = core.stats_line();
+            let snap = core.metrics_snapshot();
+            let at = |site: Site| {
+                let name = site.name();
+                let gauge = || snap.gauges.get(name).map(|&v| v as u64);
+                snap.counters.get(name).copied().or_else(gauge)
+            };
+            let fields = [
+                (stats.connections, sites::NET_CONNECTIONS),
+                (stats.connections_total, sites::NET_CONNECTIONS_TOTAL),
+                (stats.requests, sites::NET_REQUESTS),
+                (stats.results, sites::NET_RESULTS),
+                (stats.errors, sites::NET_ERRORS),
+                (stats.overloaded, sites::NET_OVERLOADED),
+                (stats.executed, sites::SVC_EXECUTED),
+                (stats.coalesced, sites::SVC_COALESCED),
+                (stats.in_flight, sites::GATE_ACTIVE),
+                (stats.queue_depth, sites::GATE_WAITING),
+                (stats.context_hits, sites::CACHE_CONTEXT_HITS),
+                (stats.context_misses, sites::CACHE_CONTEXT_MISSES),
+                (stats.output_hits, sites::CACHE_OUTPUT_HITS),
+                (stats.output_misses, sites::CACHE_OUTPUT_MISSES),
+                (stats.panics_caught, sites::SVC_PANICS_CAUGHT),
+                (stats.deadline_exceeded, sites::SVC_DEADLINE_EXCEEDED),
+                (stats.lines_rejected, sites::NET_LINES_REJECTED),
+                (stats.idle_reaped, sites::NET_IDLE_REAPED),
+            ];
+            for (field, site) in fields {
+                assert_eq!(
+                    Some(field),
+                    at(site),
+                    "the field read from `{}`",
+                    site.name()
+                );
+            }
+            assert_eq!(stats.latency, snap.latency[sites::NET_LATENCY.name()]);
+            let mut values: Vec<u64> = fields.iter().filter_map(|&(_, site)| at(site)).collect();
+            values.sort_unstable();
+            values.dedup();
+            assert_eq!(values.len(), fields.len(), "site values must be distinct");
+            assert!(values[0] > 0, "site values must be nonzero");
+
+            // The gauges the batch set: one slot held, two queued,
+            // three connections open.
+            assert_eq!(
+                (stats.in_flight, stats.queue_depth, stats.connections),
+                (1, 2, 3)
+            );
+            drop(slot);
+        });
     }
 }

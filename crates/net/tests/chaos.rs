@@ -11,6 +11,7 @@
 use qods_fault::{site, FaultAction, FaultPlan};
 use qods_net::protocol::ErrorKind;
 use qods_net::Client;
+use qods_obs::sites;
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
@@ -104,7 +105,7 @@ fn a_fault_storm_answers_every_request_typed_and_exits_zero() {
         input.push_str(&mc_job_line(&format!("h{j}"), 100 + j));
         input.push('\n');
     }
-    input.push_str("{\"verb\":\"stats\"}\n");
+    input.push_str("{\"verb\":\"metrics\"}\n");
 
     let (lines, ok) = run_stdio_chaos(&plan, &[], &input);
     assert!(ok, "the daemon must drain and exit 0 under the storm");
@@ -125,15 +126,15 @@ fn a_fault_storm_answers_every_request_typed_and_exits_zero() {
             "job h{j} must survive the delay storm: {line}"
         );
     }
-    let stats = &lines[9];
-    assert!(stats.contains("\"event\":\"stats\""), "{stats}");
+    let metrics = &lines[9];
+    assert!(metrics.contains("\"event\":\"metrics\""), "{metrics}");
     assert!(
-        stats.contains("\"panics_caught\":1"),
-        "the caught panic must be counted: {stats}"
+        metrics.contains("\"svc.panics_caught\":1"),
+        "the caught panic must be counted: {metrics}"
     );
     assert!(
-        stats.contains("\"results\":8") && stats.contains("\"errors\":1"),
-        "{stats}"
+        metrics.contains("\"net.results\":8") && metrics.contains("\"net.errors\":1"),
+        "{metrics}"
     );
 }
 
@@ -147,7 +148,7 @@ fn expired_deadlines_answer_typed_errors_without_killing_the_daemon() {
     let light = "{\"id\":\"light\",\"experiments\":[\"table9\"],\
                  \"overrides\":{\"n_bits\":8,\"sweep_points\":5},\
                  \"deadline_ms\":600000}";
-    let input = format!("{heavy}\n{light}\n{{\"verb\":\"stats\"}}\n");
+    let input = format!("{heavy}\n{light}\n{{\"verb\":\"metrics\"}}\n");
     let (lines, ok) = run_stdio_chaos(&FaultPlan::new(), &["--default-deadline", "1"], &input);
     assert!(ok, "deadline expiry must not kill the daemon");
     assert_eq!(lines.len(), 3, "{lines:#?}");
@@ -161,14 +162,19 @@ fn expired_deadlines_answer_typed_errors_without_killing_the_daemon() {
         "an explicit budget must beat the server default: {}",
         lines[1]
     );
-    assert!(lines[2].contains("\"deadline_exceeded\":1"), "{}", lines[2]);
-    assert!(lines[2].contains("\"panics_caught\":0"), "{}", lines[2]);
+    assert!(
+        lines[2].contains("\"svc.deadline_exceeded\":1"),
+        "{}",
+        lines[2]
+    );
+    assert!(lines[2].contains("\"svc.panics_caught\":0"), "{}", lines[2]);
 }
 
 #[test]
 fn oversize_lines_answer_bad_request_and_the_stream_recovers() {
     let flood = "x".repeat(4096);
-    let input = format!("{{\"big\":\"{flood}\"}}\n{{\"verb\":\"ping\"}}\n{{\"verb\":\"stats\"}}\n");
+    let input =
+        format!("{{\"big\":\"{flood}\"}}\n{{\"verb\":\"ping\"}}\n{{\"verb\":\"metrics\"}}\n");
     let (lines, ok) = run_stdio_chaos(&FaultPlan::new(), &["--max-line-len", "256"], &input);
     assert!(ok, "an oversize line must not kill the daemon");
     assert_eq!(lines.len(), 3, "{lines:#?}");
@@ -178,7 +184,11 @@ fn oversize_lines_answer_bad_request_and_the_stream_recovers() {
         lines[0]
     );
     assert!(lines[1].contains("\"event\":\"pong\""), "{}", lines[1]);
-    assert!(lines[2].contains("\"lines_rejected\":1"), "{}", lines[2]);
+    assert!(
+        lines[2].contains("\"net.lines_rejected\":1"),
+        "{}",
+        lines[2]
+    );
 }
 
 #[test]
@@ -217,12 +227,13 @@ fn coalesced_survivors_execute_exactly_once_under_injected_delays() {
     }
 
     let mut probe = Client::connect(addr).expect("connect probe");
-    let stats = probe.stats().expect("stats verb");
+    let counters = probe.metrics().expect("metrics verb").metrics.counters;
     assert_eq!(
-        stats.executed, 1,
+        counters[sites::SVC_EXECUTED.name()],
+        1,
         "exactly one execution for {CLIENTS} duplicates"
     );
-    assert_eq!(stats.coalesced, (CLIENTS - 1) as u64);
+    assert_eq!(counters[sites::SVC_COALESCED.name()], (CLIENTS - 1) as u64);
     let ack = probe.shutdown().expect("shutdown acknowledged");
     assert!(ack.contains("\"event\":\"shutting_down\""), "{ack}");
     let status = child.wait().expect("daemon exits");

@@ -7,15 +7,17 @@
 //! Timing discipline: anything that must observe an *in-flight* job
 //! first parks a `fig4` Monte-Carlo job — [`park_next_job`] arms a
 //! fault plan that stalls its first trial chunk for [`HOLD_MS`] — and
-//! then polls the `stats` verb — which bypasses admission — until
-//! `in_flight` reports it, so the assertions race a window of
+//! then polls the `metrics` verb — which bypasses admission — until
+//! `gate.active` reports it, so the assertions race a window of
 //! seconds, not microseconds, however fast the engine gets.
 
 use qods_fault::{site, FaultAction, FaultPlan};
 use qods_net::protocol::ErrorKind;
-use qods_net::{Client, NetServer, ServeCore, ServeOptions, StatsLine};
+use qods_net::{Client, NetServer, ServeCore, ServeOptions};
+use qods_obs::{sites, MetricsSnapshot, Site};
 use qods_service::prelude::*;
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -65,19 +67,38 @@ fn start_server(caching: bool, options: ServeOptions) -> (SocketAddr, JoinHandle
     (addr, handle)
 }
 
-/// Polls the `stats` verb on a dedicated connection until `pred`
+/// The counter at `site` in a `metrics` snapshot.
+fn counter(m: &MetricsSnapshot, site: Site) -> u64 {
+    m.counters[site.name()]
+}
+
+/// The gauge at `site` in a `metrics` snapshot.
+fn gauge(m: &MetricsSnapshot, site: Site) -> i64 {
+    m.gauges[site.name()]
+}
+
+/// Jobs holding an admission slot right now.
+fn active(m: &MetricsSnapshot) -> i64 {
+    gauge(m, sites::GATE_ACTIVE)
+}
+
+/// Polls the `metrics` verb on a dedicated connection until `pred`
 /// holds (or panics after `secs` seconds).
-fn await_stats(addr: SocketAddr, secs: u64, pred: impl Fn(&StatsLine) -> bool) -> StatsLine {
+fn await_metrics(
+    addr: SocketAddr,
+    secs: u64,
+    pred: impl Fn(&MetricsSnapshot) -> bool,
+) -> MetricsSnapshot {
     let mut probe = Client::connect(addr).expect("connect probe");
     let deadline = Instant::now() + Duration::from_secs(secs);
     loop {
-        let stats = probe.stats().expect("stats verb answers");
-        if pred(&stats) {
-            return stats;
+        let metrics = probe.metrics().expect("metrics verb answers").metrics;
+        if pred(&metrics) {
+            return metrics;
         }
         assert!(
             Instant::now() < deadline,
-            "stats condition not reached in {secs}s: {stats:?}"
+            "metrics condition not reached in {secs}s: {metrics:?}"
         );
         thread::sleep(Duration::from_millis(10));
     }
@@ -95,13 +116,14 @@ fn verbs_answer_and_shutdown_drains_cleanly() {
         .expect("one result line");
     assert!(result.contains("\"event\":\"result\""), "{result}");
 
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.results, 1);
-    assert_eq!(stats.executed, 1);
-    assert_eq!(stats.connections, 1);
-    assert_eq!(stats.connections_total, 1);
-    assert_eq!(stats.latency.count, 1);
-    assert!(stats.latency.p99_us >= stats.latency.p50_us);
+    let m = client.metrics().expect("metrics").metrics;
+    assert_eq!(counter(&m, sites::NET_RESULTS), 1);
+    assert_eq!(counter(&m, sites::SVC_EXECUTED), 1);
+    assert_eq!(gauge(&m, sites::NET_CONNECTIONS), 1);
+    assert_eq!(counter(&m, sites::NET_CONNECTIONS_TOTAL), 1);
+    let latency = &m.latency[sites::NET_LATENCY.name()];
+    assert_eq!(latency.count, 1);
+    assert!(latency.p99_us >= latency.p50_us);
 
     let ack = client.shutdown().expect("ack");
     assert!(ack.contains("\"event\":\"shutting_down\""), "{ack}");
@@ -126,7 +148,7 @@ fn overload_burst_answers_typed_errors_and_the_server_survives() {
     let _parked = park_next_job();
     let mut slow = Client::connect(addr).expect("connect slow");
     slow.send_line(SLOW_JOB).expect("send slow job");
-    await_stats(addr, 60, |s| s.in_flight == 1);
+    await_metrics(addr, 60, |m| active(m) == 1);
 
     // The slot is held for `HOLD_MS`; these refusals race nothing.
     let mut burst = Client::connect(addr).expect("connect burst");
@@ -141,8 +163,11 @@ fn overload_burst_answers_typed_errors_and_the_server_survives() {
         );
         assert!(line.contains("\"id\":\"shed\""), "{line}");
     }
-    let stats = await_stats(addr, 5, |s| s.overloaded >= 3);
-    assert_eq!(stats.errors, stats.overloaded);
+    let m = await_metrics(addr, 5, |m| counter(m, sites::NET_OVERLOADED) >= 3);
+    assert_eq!(
+        counter(&m, sites::NET_ERRORS),
+        counter(&m, sites::NET_OVERLOADED)
+    );
 
     // The parked job still completes: shedding never kills work.
     let result = slow.recv_line().expect("read").expect("slow job answers");
@@ -166,7 +191,7 @@ fn concurrent_duplicates_coalesce_onto_one_execution() {
     let _parked = park_next_job();
     let mut leader = Client::connect(addr).expect("connect leader");
     leader.send_line(SLOW_JOB).expect("send leader job");
-    await_stats(addr, 60, |s| s.in_flight == 1);
+    await_metrics(addr, 60, |m| active(m) == 1);
 
     // Joined while the leader is verifiably in flight: these must
     // coalesce, not execute.
@@ -181,7 +206,9 @@ fn concurrent_duplicates_coalesce_onto_one_execution() {
             })
         })
         .collect();
-    await_stats(addr, 60, |s| s.coalesced >= 3 || s.executed > 1);
+    await_metrics(addr, 60, |m| {
+        counter(m, sites::SVC_COALESCED) >= 3 || counter(m, sites::SVC_EXECUTED) > 1
+    });
 
     let leader_line = leader.recv_line().expect("read").expect("leader answers");
     let follower_lines: Vec<String> = followers
@@ -189,9 +216,13 @@ fn concurrent_duplicates_coalesce_onto_one_execution() {
         .map(|h| h.join().expect("follower thread"))
         .collect();
 
-    let stats = await_stats(addr, 5, |s| s.results >= 4);
-    assert_eq!(stats.executed, 1, "duplicates must execute exactly once");
-    assert_eq!(stats.coalesced, 3);
+    let m = await_metrics(addr, 5, |m| counter(m, sites::NET_RESULTS) >= 4);
+    assert_eq!(
+        counter(&m, sites::SVC_EXECUTED),
+        1,
+        "duplicates must execute exactly once"
+    );
+    assert_eq!(counter(&m, sites::SVC_COALESCED), 3);
 
     // Identical payloads, each echoing its own correlation id.
     let payload = |line: &str| {
@@ -226,14 +257,16 @@ fn mid_request_disconnects_do_not_kill_the_server_or_the_job() {
     {
         let mut doomed = Client::connect(addr).expect("connect");
         doomed.send_line(SLOW_JOB).expect("send");
-        await_stats(addr, 60, |s| s.in_flight == 1);
+        await_metrics(addr, 60, |m| active(m) == 1);
     } // drop = disconnect, result line has nowhere to go
 
     // The orphaned job still runs to completion (a coalesced follower
     // may depend on it), and the server keeps serving. The probe
     // itself is one connection; the dead one must be reaped.
-    let stats = await_stats(addr, 60, |s| s.in_flight == 0 && s.connections == 1);
-    assert_eq!(stats.executed, 1);
+    let m = await_metrics(addr, 60, |m| {
+        active(m) == 0 && gauge(m, sites::NET_CONNECTIONS) == 1
+    });
+    assert_eq!(counter(&m, sites::SVC_EXECUTED), 1);
 
     let mut client = Client::connect(addr).expect("connect survivor");
     let result = client
@@ -253,7 +286,7 @@ fn shutdown_drains_the_in_flight_job_before_exiting() {
     let _parked = park_next_job();
     let mut worker = Client::connect(addr).expect("connect worker");
     worker.send_line(SLOW_JOB).expect("send");
-    await_stats(addr, 60, |s| s.in_flight == 1);
+    await_metrics(addr, 60, |m| active(m) == 1);
 
     // Shut down from a second connection while the job is running.
     let mut admin = Client::connect(addr).expect("connect admin");
@@ -272,4 +305,29 @@ fn shutdown_drains_the_in_flight_job_before_exiting() {
     // Late jobs (raced against the drain) would have answered
     // `shutting_down`; late *connections* are simply refused.
     assert!(Client::connect(addr).is_err(), "listener is gone");
+}
+
+#[test]
+fn a_finished_connection_is_closed_by_the_server() {
+    let (addr, server) = start_server(true, ServeOptions::default());
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    conn.write_all(b"{\"verb\":\"ping\"}\n").expect("send ping");
+    conn.shutdown(Shutdown::Write).expect("half-close");
+    let mut reader = BufReader::new(conn);
+    let mut pong = String::new();
+    reader.read_line(&mut pong).expect("read pong");
+    assert_eq!(pong, "{\"event\":\"pong\"}\n");
+    // Then EOF: the server closed its side once the connection's
+    // thread saw the half-close. A socket the server kept open would
+    // leave this read waiting out the timeout.
+    let read = reader.read(&mut [0u8; 64]);
+    assert!(matches!(read, Ok(0)), "no EOF from the server: {read:?}");
+
+    Client::connect(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("ack");
+    server.join().expect("server thread exits");
 }

@@ -2,9 +2,10 @@
 //! pipes a 3-request batch (one repeat, to exercise the cache)
 //! through the real binary on **both transports** and asserts the
 //! served outputs are byte-identical to each other and to direct
-//! `Registry` runs of the same resolved configuration — the CI
-//! service-smoke contract.
+//! `Experiment::run` calls under the same resolved configuration —
+//! the CI service-smoke contract.
 
+use qods_core::compile::ArtifactStore;
 use qods_core::experiment::StudyContext;
 use qods_core::registry::Registry;
 use qods_core::study::StudyConfig;
@@ -14,6 +15,7 @@ use serde::{Serialize, Value};
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 
 /// The overrides all three requests share, as the daemon will parse
 /// them.
@@ -120,7 +122,7 @@ fn tcp_transport_serves_the_same_bytes_as_stdio() {
 }
 
 #[test]
-fn served_outputs_are_byte_identical_to_direct_registry_runs() {
+fn served_outputs_are_byte_identical_to_direct_experiment_runs() {
     let r1 = format!(
         "{{\"id\":\"r1\",\"experiments\":[\"table2\",\"table9\"],\"overrides\":{OVERRIDES_JSON}}}"
     );
@@ -162,29 +164,31 @@ fn served_outputs_are_byte_identical_to_direct_registry_runs() {
         Some(&parsed[1].get("config").expect("config").clone())
     );
 
-    // Direct registry runs of the same resolved configuration must
-    // produce the exact bytes the daemon served.
+    // Direct runs of each experiment under the same resolved
+    // configuration, over a fresh private-store context and no
+    // scheduler, must produce the exact bytes the daemon served.
     let config = batch_overrides().resolve(&StudyConfig::smoke());
-    let ctx = StudyContext::new(config);
+    let ctx = StudyContext::with_store(config, Arc::new(ArtifactStore::in_memory()));
     let registry = Registry::paper();
     for (line, ids) in [
         (&parsed[0], vec!["table2", "table9"]),
         (&parsed[1], vec!["fig7"]),
     ] {
-        let direct = registry.run_selected(&ids, &ctx).expect("known ids");
+        let direct = registry.resolve(&ids).expect("known ids");
         let served = line
             .get("records")
             .and_then(Value::as_array)
             .expect("records array");
         assert_eq!(served.len(), direct.len());
-        for (s, d) in served.iter().zip(&direct) {
+        for (s, exp) in served.iter().zip(&direct) {
             let served_output =
                 serde_json::to_string(s.get("output").expect("output field")).expect("render");
-            let direct_output = serde_json::to_string(&d.output.to_value()).expect("render");
+            let direct_output = serde_json::to_string(&exp.run(&ctx).to_value()).expect("render");
             assert_eq!(
-                served_output, direct_output,
-                "served `{}` differs from the direct registry run",
-                d.id
+                served_output,
+                direct_output,
+                "served `{}` differs from the direct run",
+                exp.id()
             );
         }
     }

@@ -12,7 +12,7 @@
 //!
 //! [`LatencyHistogram::record`] takes `&self`: one histogram is shared
 //! by every connection thread of a server without a lock, so the
-//! metrics registry and the `stats` verb draw from one type.
+//! metrics registry and the `metrics` verb draw from one type.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -150,8 +150,8 @@ impl LatencyHistogram {
         }
     }
 
-    /// A serializable point-in-time summary (what the `stats` verb and
-    /// the load report print).
+    /// A serializable point-in-time summary (what the `metrics` verb
+    /// and the load report print).
     pub fn summary(&self) -> LatencySummary {
         LatencySummary {
             count: self.count(),
@@ -164,8 +164,9 @@ impl LatencyHistogram {
 }
 
 /// A snapshot of a [`LatencyHistogram`] — the wire shape of latency in
-/// the `stats` verb.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// the `metrics` verb (all zeros by default, as for an empty
+/// histogram).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LatencySummary {
     /// Samples recorded.
     pub count: u64,

@@ -14,7 +14,7 @@
 //! * [`metrics`] — typed [`Counter`]/[`Gauge`]/histogram handles
 //!   registered by [`Site`] in a [`Registry`], replacing the
 //!   ad-hoc atomics that used to live on each serving struct; one
-//!   serde [`MetricsSnapshot`] feeds the `stats` and `metrics` verbs.
+//!   serde [`MetricsSnapshot`] feeds the `metrics` verb.
 //! * [`export`] — [`export::to_chrome`] (Perfetto-loadable, worker
 //!   lanes named) and [`export::stage_breakdown`] for
 //!   `repro --trace-out`'s stage table.
@@ -36,7 +36,7 @@ pub mod sites;
 pub mod trace;
 
 pub use hist::{LatencyHistogram, LatencySummary, SUBBUCKETS};
-pub use metrics::{Counter, Gauge, MetricsSnapshot, Registry, RobustnessSnapshot};
+pub use metrics::{Counter, Gauge, MetricsSnapshot, Registry};
 pub use sites::Site;
 pub use trace::{SpanGuard, TraceStats, Tracer};
 

@@ -1,8 +1,8 @@
 //! The unified metrics registry: typed [`Counter`] / [`Gauge`] /
 //! histogram handles registered by [`Site`], one registry per
 //! serving stack (plus a process-global default), and one serde
-//! [`MetricsSnapshot`] every reader — the `stats` verb, the new
-//! `metrics` verb, `perfbench` — renders from.
+//! [`MetricsSnapshot`] every reader — the `metrics` verb, the
+//! server's typed `StatsLine` view, `perfbench` — renders from.
 //!
 //! Each instrumented structure keeps its own semantics (the context
 //! pool still counts hits, the gate still gauges permits); what
@@ -18,7 +18,7 @@
 
 use crate::hist::{LatencyHistogram, LatencySummary};
 use crate::plock;
-use crate::sites::{self, Site};
+use crate::sites::Site;
 use crate::trace::TraceStats;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -112,7 +112,7 @@ impl Registry {
 
     /// One point-in-time view of every registered metric, plus the
     /// process tracer's buffer accounting — the single struct the
-    /// `stats`/`metrics` verbs and the bench reports serialize.
+    /// `metrics` verb and the bench reports serialize.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: plock(&self.counters)
@@ -152,36 +152,11 @@ pub struct MetricsSnapshot {
     pub trace: TraceStats,
 }
 
-/// The serving path's robustness counters as the `stats` verb reports
-/// them, read from the same registry the `metrics` verb renders.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct RobustnessSnapshot {
-    /// Job panics caught and answered as typed `internal_error` lines.
-    pub panics_caught: u64,
-    /// Requests cancelled at a deadline boundary.
-    pub deadline_exceeded: u64,
-    /// NDJSON lines rejected for exceeding the server's line cap.
-    pub lines_rejected: u64,
-    /// Idle connections reaped by the read timeout.
-    pub idle_reaped: u64,
-}
-
-impl RobustnessSnapshot {
-    /// Reads the robustness counters out of `registry`.
-    pub fn from_registry(registry: &Registry) -> Self {
-        RobustnessSnapshot {
-            panics_caught: registry.counter_value(sites::SVC_PANICS_CAUGHT),
-            deadline_exceeded: registry.counter_value(sites::SVC_DEADLINE_EXCEEDED),
-            lines_rejected: registry.counter_value(sites::NET_LINES_REJECTED),
-            idle_reaped: registry.counter_value(sites::NET_IDLE_REAPED),
-        }
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::sites;
 
     #[test]
     fn handles_share_state_by_site_and_registries_are_isolated() {
@@ -221,22 +196,6 @@ mod tests {
         let svc_at = json.find("svc.executed").expect("svc site");
         assert!(cache_at < svc_at, "sites serialize sorted: {json}");
         let back: MetricsSnapshot = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn robustness_snapshot_reads_without_creating_sites() {
-        let r = Registry::new();
-        let snap = RobustnessSnapshot::from_registry(&r);
-        assert_eq!(snap, RobustnessSnapshot::default());
-        assert!(r.snapshot().counters.is_empty(), "read did not register");
-        r.counter(sites::SVC_PANICS_CAUGHT).add(2);
-        r.counter(sites::NET_IDLE_REAPED).inc();
-        let snap = RobustnessSnapshot::from_registry(&r);
-        assert_eq!(snap.panics_caught, 2);
-        assert_eq!(snap.idle_reaped, 1);
-        let json = serde_json::to_string(&snap).expect("serialize");
-        let back: RobustnessSnapshot = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, snap);
     }
 }

@@ -90,7 +90,7 @@ pub const FAULT_FIRED: Site = Site("fault.fired");
 
 // ---------------------------------------------------------- metrics
 
-/// Job lines received (the `stats` verb's `requests`).
+/// Job lines admitted for execution.
 pub const NET_REQUESTS: Site = Site("net.requests");
 /// Result lines answered.
 pub const NET_RESULTS: Site = Site("net.results");

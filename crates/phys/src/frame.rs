@@ -605,7 +605,6 @@ impl PauliFrame {
                 let bx = bit(&self.x, q);
                 xor_bit(&mut self.z, q, bx);
             }
-            // qods-lint: allow(P1) -- proven invariant: the batch path filters non-Clifford gates before dispatch
             Gate1::T | Gate1::Tdg => unreachable!("twirled gates are never batched"),
         }
     }
@@ -625,7 +624,6 @@ impl PauliFrame {
                 xor_bit(&mut self.z, b, xa);
                 xor_bit(&mut self.z, a, xb);
             }
-            // qods-lint: allow(P1) -- proven invariant: the batch path filters non-Clifford gates before dispatch
             Gate2::Cs => unreachable!("twirled gates are never batched"),
         }
     }

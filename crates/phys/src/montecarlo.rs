@@ -327,7 +327,7 @@ where
     // expiry, and panics to exercise the pool's unwind guard).
     if let Some(action) = qods_fault::check_sleeping(qods_fault::site::MC_CHUNK) {
         if action == qods_fault::FaultAction::Panic {
-            // qods-lint: allow(P1) -- fault-injection site: this panic IS the injected fault the chaos tests exercise
+            // Fault-injection site: this panic IS the injected fault the chaos tests exercise.
             panic!("injected fault: mc chunk {c} panicked");
         }
     }
@@ -416,7 +416,7 @@ where
             }
             base += c;
         }
-        // qods-lint: allow(P1) -- proven invariant: callers draw g from 0..total_chunks, the sum of chunk_counts
+        // Proven invariant: callers draw g from 0..total_chunks, the sum of chunk_counts.
         unreachable!("global chunk index out of range")
     };
     let threads = (threads.max(1) as u64).min(total_chunks.max(1)) as usize;

@@ -2,9 +2,9 @@
 //!
 //! Before this crate, the atomic-cursor worker pool was copy-pasted
 //! three times (the Fig 15 sweep in `qods-arch`, the Monte-Carlo
-//! runner in `qods-phys`, and `Registry::run_all` in `qods-core`).
+//! runner in `qods-phys`, and the experiment fan-out in `qods-core`).
 //! This crate is the single implementation all of them — and the
-//! `qods-service` scheduler — share:
+//! `qods-service` scheduler's job plan — share:
 //!
 //! * [`host_threads`] is the one core-count policy, with a
 //!   process-wide override so a `--threads N` flag pins every pool in

@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// Default bound on retained configurations (see
-/// [`ContextPool::with_capacity`]). Generous for real traffic — a
+/// [`ContextPool::with_caching`]). Generous for real traffic — a
 /// retained entry is one configuration's finished outputs — but
 /// finite, so a long-running daemon cannot be grown without bound by
 /// a client streaming never-repeating overrides. (The artifact store
@@ -113,41 +113,33 @@ pub struct ContextPool {
 }
 
 impl ContextPool {
-    /// A caching pool over the given base configuration.
-    pub fn new(base: StudyConfig) -> Self {
-        ContextPool::with_caching(base, true)
-    }
-
-    /// A pool with caching switched on or off (capacity
-    /// [`DEFAULT_CACHE_ENTRIES`]). With caching off every checkout
-    /// builds a fresh context and nothing is retained — the "cold
-    /// service" baseline the load generator measures against.
-    pub fn with_caching(base: StudyConfig, caching: bool) -> Self {
-        ContextPool::with_capacity(base, caching, DEFAULT_CACHE_ENTRIES)
-    }
-
-    /// A pool retaining at most `capacity` distinct configurations;
-    /// inserting past the bound evicts the least-recently-used entry
-    /// (jobs still holding the evicted `Arc` finish normally — the
-    /// cache is semantically transparent, eviction only costs a
-    /// recompute on the next request for that configuration).
+    /// A pool with caching switched on or off, retaining at most
+    /// [`DEFAULT_CACHE_ENTRIES`] distinct configurations; inserting
+    /// past the bound evicts the least-recently-used entry (jobs still
+    /// holding the evicted `Arc` finish normally — the cache is
+    /// semantically transparent, eviction only costs a recompute on
+    /// the next request for that configuration). With caching off
+    /// every checkout builds a fresh context and nothing is retained —
+    /// the "cold service" baseline the load generator measures
+    /// against.
     ///
     /// A caching pool compiles into the process-wide shared
     /// [`ArtifactStore`] (warm-process and — when a disk tier is
     /// configured — cold-process kernel reuse); a non-caching pool
     /// hands every checkout a throwaway in-memory store so the "cold
     /// service" baseline really recompiles everything.
-    pub fn with_capacity(base: StudyConfig, caching: bool, capacity: usize) -> Self {
+    pub fn with_caching(base: StudyConfig, caching: bool) -> Self {
         let store = if caching {
             ArtifactStore::process()
         } else {
             Arc::new(ArtifactStore::in_memory())
         };
-        ContextPool::with_store(base, caching, capacity, store)
+        ContextPool::with_store(base, caching, DEFAULT_CACHE_ENTRIES, store)
     }
 
-    /// A pool compiling into an explicit artifact store (tests use
-    /// this to control cache scope).
+    /// A pool retaining at most `capacity` configurations and
+    /// compiling into an explicit artifact store (tests use this to
+    /// control cache scope and size).
     pub fn with_store(
         base: StudyConfig,
         caching: bool,
@@ -266,9 +258,15 @@ impl ContextPool {
 mod tests {
     use super::*;
 
+    /// A caching smoke pool of `capacity` entries over its own store.
+    fn private_pool(capacity: usize) -> ContextPool {
+        let store = Arc::new(ArtifactStore::in_memory());
+        ContextPool::with_store(StudyConfig::smoke(), true, capacity, store)
+    }
+
     #[test]
     fn checkout_is_content_addressed() {
-        let pool = ContextPool::new(StudyConfig::smoke());
+        let pool = private_pool(DEFAULT_CACHE_ENTRIES);
         let (a, hit_a) = pool.checkout(&Overrides::default());
         let (b, hit_b) = pool.checkout(&Overrides::default());
         assert!(!hit_a && hit_b);
@@ -294,7 +292,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
-        let pool = ContextPool::with_capacity(StudyConfig::smoke(), true, 2);
+        let pool = private_pool(2);
         let ov = |n: usize| Overrides {
             seed: Some(n as u64),
             ..Overrides::default()
@@ -326,7 +324,7 @@ mod tests {
     fn repeated_hits_pin_a_hot_entry_through_churn() {
         // The satellite contract: under a stream of one-off configs,
         // an entry that keeps getting hit is never evicted.
-        let pool = ContextPool::with_capacity(StudyConfig::smoke(), true, 3);
+        let pool = private_pool(3);
         let ov = |n: u64| Overrides {
             seed: Some(n),
             ..Overrides::default()
@@ -365,16 +363,14 @@ mod tests {
         };
         let store = Arc::new(ArtifactStore::in_memory());
         let pool = ContextPool::with_store(base, true, DEFAULT_CACHE_ENTRIES, Arc::clone(&store));
+        let registry = Registry::paper();
         let table2 = |i: u64| {
             let overrides = Overrides {
                 synth_target: Some(0.3 * (1.0 + i as f64 * 1e-7)),
                 ..Overrides::default()
             };
             let (entry, _) = pool.checkout(&overrides);
-            Registry::paper()
-                .run_one("table2", entry.context())
-                .expect("table2 runs")
-                .output
+            registry.get("table2").expect("table2").run(entry.context())
         };
         let first = table2(0);
         for i in 1..=MEM_TIER_ENTRIES as u64 {
@@ -394,13 +390,11 @@ mod tests {
 
     #[test]
     fn outputs_cache_per_experiment_id() {
-        let pool = ContextPool::new(StudyConfig::smoke());
+        let pool = private_pool(DEFAULT_CACHE_ENTRIES);
         let (entry, _) = pool.checkout(&Overrides::default());
         assert!(entry.cached_output("table1").is_none());
-        let out = qods_core::registry::Registry::paper()
-            .run_one("table1", entry.context())
-            .expect("table1 runs")
-            .output;
+        let registry = qods_core::registry::Registry::paper();
+        let out = registry.get("table1").expect("table1").run(entry.context());
         entry.store_output("table1", out.clone());
         assert_eq!(entry.cached_output("table1"), Some(out));
         assert!(entry.cached_output("table2").is_none());

@@ -4,7 +4,8 @@
 //! Instead of "construct a `StudyContext`, run everything once", a
 //! caller submits typed [`request::RunRequest`]s — which experiments,
 //! under which sparse [`request::Overrides`] — to a
-//! [`scheduler::Scheduler`] that:
+//! [`scheduler::Scheduler`], the one way jobs run (the registry in
+//! `qods-core` only lists and resolves), that:
 //!
 //! * resolves the overrides to a canonical configuration with a
 //!   stable content hash ([`request::config_hash`]);

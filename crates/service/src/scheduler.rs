@@ -221,12 +221,6 @@ pub struct SchedulerStats {
 }
 
 impl Scheduler {
-    /// A caching scheduler over `base` sized to the host (or the
-    /// process-wide `qods_pool` thread pin).
-    pub fn new(base: StudyConfig) -> Self {
-        Scheduler::with_options(base, qods_pool::host_threads(), true)
-    }
-
     /// A scheduler with an explicit worker count and cache switch.
     /// The worker count is pinned end-to-end: it sizes this
     /// scheduler's experiment fan-out *and* the configuration's inner
@@ -696,13 +690,13 @@ mod tests {
                 id: "nope".to_string()
             })
         );
-        let err = sched
-            .run(&RunRequest::of(["table5", "table6"]))
-            .expect_err("alias duplicate");
-        assert!(matches!(
-            err,
-            ServiceError::Registry(RegistryError::Duplicate { .. })
-        ));
+        for ids in [["table5", "table6"], ["table9", "table9"]] {
+            let err = sched.run(&RunRequest::of(ids)).expect_err("duplicate");
+            assert!(matches!(
+                err,
+                ServiceError::Registry(RegistryError::Duplicate { .. })
+            ));
+        }
         assert_eq!(compiled(&sched), 0);
         assert!(sched.pool().is_empty());
     }

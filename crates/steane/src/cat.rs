@@ -61,9 +61,7 @@ pub fn prepare_verified_cat<R: Rng>(
         prepare_cat(ex, qubits);
         ex.prep(aux);
         ex.cx_all(&[
-            // qods-lint: allow(P1) -- proven invariant: callers pass the code's fixed non-empty qubit set
             (*qubits.first().expect("cat is non-empty"), aux),
-            // qods-lint: allow(P1) -- proven invariant: callers pass the code's fixed non-empty qubit set
             (*qubits.last().expect("cat is non-empty"), aux),
         ]);
         if !ex.measure_z(aux) {

@@ -203,7 +203,7 @@ impl Synthesizer {
             .into_iter()
             .map(|slot| {
                 let b = slot.best.unwrap_or_else(|| {
-                    // qods-lint: allow(P1) -- proven invariant: enumerate_cores visits the identity core with every target's bit set, and a target's first offer always becomes its best
+                    // Proven invariant: enumerate_cores visits the identity core with every target's bit set, and a target's first offer always becomes its best.
                     unreachable!("the identity core is offered to every target")
                 });
                 // Circuit order: core gates first, then the Clifford

@@ -1,11 +1,15 @@
-//! The experiment registry: list, address, and run paper artifacts
-//! individually or all at once (in parallel) over one shared context.
+//! The experiment registry lists and addresses paper artifacts; the
+//! job scheduler runs any selection of them — or all at once, in
+//! parallel — over one shared context.
 //!
 //! ```text
 //! cargo run --example experiment_registry --release
 //! ```
 
+use speed_of_data::compile::ArtifactStore;
 use speed_of_data::prelude::*;
+use speed_of_data::service::{RunRequest, Scheduler};
+use std::sync::Arc;
 
 fn main() {
     let registry = Registry::paper();
@@ -20,27 +24,30 @@ fn main() {
     assert!(registry.get("table6").is_some());
     assert!(registry.get("fig99").is_none());
 
-    // 2. One shared context; any subset of experiments. The three
+    // 2. A job names any subset of experiments; the scheduler runs it
+    //    over one shared context per configuration. The three
     //    benchmark circuits are lowered once, on first use, no matter
-    //    how many experiments run: the context's artifact store
-    //    compiles each kernel stage once.
-    let ctx = StudyContext::new(StudyConfig::smoke());
-    let records = registry
-        .run_selected(&["table9", "headline"], &ctx)
+    //    how many experiments run: the artifact store compiles each
+    //    kernel stage once.
+    let store = Arc::new(ArtifactStore::in_memory());
+    let scheduler = Scheduler::with_store(StudyConfig::smoke(), 2, Arc::clone(&store));
+    let job = scheduler
+        .run(&RunRequest::of(["table9", "headline"]))
         .expect("known ids");
-    for r in &records {
+    for r in &job.records {
         print!("{}", r.output.render());
     }
-    println!(
-        "(compiled {} kernel artifacts)",
-        ctx.compiler().store().stats().computed
-    );
+    println!("(compiled {} kernel artifacts)", store.stats().computed);
 
-    // 3. Or everything at once: `run_all` drains the registry with a
-    //    pool of worker threads sized to the machine, and the records
-    //    assemble into the full-paper struct `repro` writes as
-    //    results/repro.json.
-    let all = registry.run_all(&ctx);
+    // 3. Or everything at once: an empty selection is the whole
+    //    registry, planned over the shared worker pool, and the
+    //    records assemble into the full-paper struct `repro` writes
+    //    as results/repro.json. The repeated `table9` is served from
+    //    the scheduler's output cache.
+    let all = scheduler
+        .run(&RunRequest::default())
+        .expect("the full registry runs")
+        .records;
     let slowest = all
         .iter()
         .max_by(|a, b| a.seconds.total_cmp(&b.seconds))

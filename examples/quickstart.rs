@@ -5,6 +5,7 @@
 //! ```
 
 use speed_of_data::prelude::*;
+use speed_of_data::service::{RunRequest, Scheduler};
 
 fn main() {
     // 1. The pipelined encoded-zero ancilla factory (§4.4.1): sized by
@@ -44,11 +45,10 @@ fn main() {
         qla.makespan_us / fm.makespan_us
     );
 
-    // 4. Any paper artifact, addressed by id through the experiment
-    //    registry (see examples/experiment_registry.rs for the tour).
-    let ctx = StudyContext::new(StudyConfig::smoke());
-    let record = Registry::paper()
-        .run_one("table9", &ctx)
+    // 4. Any paper artifact, addressed by id and run as a job (see
+    //    examples/experiment_registry.rs for the tour).
+    let job = Scheduler::with_options(StudyConfig::smoke(), 2, false)
+        .run(&RunRequest::of(["table9"]))
         .expect("registered id");
-    print!("{}", record.output.render());
+    print!("{}", job.records[0].output.render());
 }

@@ -24,7 +24,9 @@ pub use qods_core::*;
 
 /// The job-service layer: typed [`service::RunRequest`]s, the
 /// content-addressed [`service::ContextPool`], the
-/// [`service::Scheduler`], and (as `qods-serve`) the NDJSON daemon.
+/// [`service::Scheduler`] — the one way to run experiments; the
+/// registry only lists and resolves them — and (as `qods-serve`) the
+/// NDJSON daemon.
 ///
 /// ```
 /// use speed_of_data::service::{Overrides, RunRequest, Scheduler};

@@ -3,6 +3,7 @@
 
 use speed_of_data::kernels::verify_adder;
 use speed_of_data::prelude::*;
+use speed_of_data::service::{RunRequest, Scheduler};
 
 #[test]
 fn adders_add_across_widths() {
@@ -94,7 +95,10 @@ fn fig8_sweep_plateaus_at_speed_of_data() {
 }
 
 fn smoke_records() -> Vec<ExperimentRecord> {
-    Registry::paper().run_all(&StudyContext::new(StudyConfig::smoke()))
+    Scheduler::with_options(StudyConfig::smoke(), 2, false)
+        .run(&RunRequest::default())
+        .expect("the full registry runs")
+        .records
 }
 
 #[test]
