@@ -95,6 +95,7 @@ use crate::interconnect::Interconnect;
 use crate::machine::Arch;
 use qods_circuit::circuit::Circuit;
 use qods_circuit::dag::Dag;
+use qods_circuit::gate::Qubit;
 use qods_circuit::latency_model::CharacterizationModel;
 use qods_factory::supply::{FactoryFarm, ZeroFactoryKind};
 
@@ -133,8 +134,9 @@ pub struct SimContext<'c> {
     circuit: &'c Circuit,
     model: CharacterizationModel,
     link: Interconnect,
-    /// Per-gate operand lists, inline (gates touch at most 3 qubits).
-    operands: Vec<([u32; 3], u8)>,
+    /// Per-gate operand lists, inline (gates touch at most 3 qubits):
+    /// 8 bytes a gate, the same [`Qubit`] index the gate itself holds.
+    operands: Vec<([Qubit; 3], u8)>,
     /// Per-gate execution time: data latency + trailing QEC interact.
     exec_us: Vec<f64>,
     /// Per-gate pi/8-ancilla demand (0.0 or 1.0).
@@ -173,9 +175,10 @@ impl<'c> SimContext<'c> {
         let mut pi8_total = 0.0f64;
         for g in gates {
             let qs = g.qubits();
-            let mut ops = [0u32; 3];
+            let mut ops = [0; 3];
             for (slot, &q) in ops.iter_mut().zip(qs.iter()) {
-                *slot = q as u32;
+                // Lossless: a circuit's qubits are below `MAX_QUBITS`.
+                *slot = q as Qubit;
             }
             operands.push((ops, qs.len() as u8));
             exec_us.push(model.data_latency(g) + model.qec_interact());
@@ -403,7 +406,7 @@ impl<'c> SimContext<'c> {
             let mut avail = ready;
             for (j, &q) in ops.iter().enumerate() {
                 let pi8_here = if j == 0 { pi8 } else { 0.0 };
-                let a = pools[pool_of(q as usize)].consume(zeros_per_qubit, pi8_here, ready);
+                let a = pools[pool_of(usize::from(q))].consume(zeros_per_qubit, pi8_here, ready);
                 avail = avail.max(a);
             }
 
@@ -550,7 +553,7 @@ impl Movement {
 /// instance lives per `simulate` call and is invoked once per gate, in
 /// the frontier's order.
 trait MovePolicy {
-    fn movement(&mut self, ready: f64, ops: &[u32]) -> Movement;
+    fn movement(&mut self, ready: f64, ops: &[Qubit]) -> Movement;
 }
 
 /// QLA / GQLA: every two-qubit gate teleports the operands together
@@ -560,7 +563,7 @@ struct QlaMove {
 }
 
 impl MovePolicy for QlaMove {
-    fn movement(&mut self, ready: f64, ops: &[u32]) -> Movement {
+    fn movement(&mut self, ready: f64, ops: &[Qubit]) -> Movement {
         if ops.len() >= 2 {
             Movement::local(ready + 2.0 * self.teleport_us, 2)
         } else {
@@ -575,7 +578,7 @@ struct BallisticMove {
 }
 
 impl MovePolicy for BallisticMove {
-    fn movement(&mut self, ready: f64, ops: &[u32]) -> Movement {
+    fn movement(&mut self, ready: f64, ops: &[Qubit]) -> Movement {
         if ops.len() >= 2 {
             Movement::local(ready + self.hop_us, 0)
         } else {
@@ -592,12 +595,14 @@ struct QalypsoMove {
 }
 
 impl MovePolicy for QalypsoMove {
-    fn movement(&mut self, ready: f64, ops: &[u32]) -> Movement {
+    fn movement(&mut self, ready: f64, ops: &[Qubit]) -> Movement {
         if ops.len() < 2 {
             return Movement::local(ready, 0);
         }
-        let tile0 = ops[0] as usize / self.tile_qubits;
-        let same_tile = ops.iter().all(|&q| q as usize / self.tile_qubits == tile0);
+        let tile0 = usize::from(ops[0]) / self.tile_qubits;
+        let same_tile = ops
+            .iter()
+            .all(|&q| usize::from(q) / self.tile_qubits == tile0);
         if same_tile {
             Movement::local(ready + self.intra_tile_us, 0)
         } else {
@@ -618,7 +623,7 @@ struct CqlaMove {
 }
 
 impl MovePolicy for CqlaMove {
-    fn movement(&mut self, ready: f64, ops: &[u32]) -> Movement {
+    fn movement(&mut self, ready: f64, ops: &[Qubit]) -> Movement {
         let mut teleports = 0u64;
         let mut cache_misses = 0u64;
         // Operand misses: teleport in (plus writeback on eviction),
@@ -628,7 +633,7 @@ impl MovePolicy for CqlaMove {
         // exactly once.
         let mut operands_at = ready;
         for &q in ops {
-            let q = q as usize;
+            let q = usize::from(q);
             if !self.cache.touch(q) {
                 cache_misses += 1;
                 teleports += 1;
@@ -700,14 +705,14 @@ impl LruCache {
 
     /// Inserts `q`; returns true when an eviction (writeback) was
     /// needed. Qubits in `pinned` are not evicted.
-    fn insert(&mut self, q: usize, pinned: &[u32]) -> bool {
+    fn insert(&mut self, q: usize, pinned: &[Qubit]) -> bool {
         debug_assert!(!self.order.contains(&q));
         let mut evicted = false;
         if self.order.len() >= self.slots {
             let victim = self
                 .order
                 .iter()
-                .position(|&x| !pinned.contains(&(x as u32)))
+                .position(|&x| !pinned.iter().any(|&p| usize::from(p) == x))
                 .expect("cache larger than one gate's operand set");
             self.order.remove(victim);
             evicted = true;

@@ -2,7 +2,7 @@
 //! that turn kernel-level IR (Toffoli, controlled rotations) into the
 //! physical gate set {transversal Cliffords, T}.
 
-use crate::gate::Gate;
+use crate::gate::{Gate, Qubit, MAX_QUBITS};
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// A logical circuit over `n_qubits` encoded qubits.
@@ -36,7 +36,7 @@ pub trait RotationSynthesizer {
     /// Appends to `out` a physical gate sequence approximating
     /// `diag(1, e^{±i pi/2^k})` on qubit `q`. Implementations must only
     /// emit physical gates.
-    fn synthesize(&self, q: usize, k: u8, dagger: bool, out: &mut Circuit);
+    fn synthesize(&self, q: Qubit, k: u8, dagger: bool, out: &mut Circuit);
 }
 
 /// A synthesizer for circuits that contain no deep rotations; it
@@ -45,7 +45,7 @@ pub trait RotationSynthesizer {
 pub struct NoSynth;
 
 impl RotationSynthesizer for NoSynth {
-    fn synthesize(&self, _q: usize, k: u8, _dagger: bool, _out: &mut Circuit) {
+    fn synthesize(&self, _q: Qubit, k: u8, _dagger: bool, _out: &mut Circuit) {
         // The panic IS this type's documented contract: NoSynth asserts a rotation-free circuit.
         panic!("circuit contains a pi/2^{k} rotation but no synthesizer was provided")
     }
@@ -53,16 +53,25 @@ impl RotationSynthesizer for NoSynth {
 
 impl Circuit {
     /// An empty circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_qubits` exceeds [`MAX_QUBITS`], the most a gate's
+    /// 16-bit [`Qubit`] index can address.
     pub fn new(n_qubits: usize) -> Self {
-        Circuit {
-            n_qubits,
-            gates: Vec::new(),
-            name: String::new(),
-        }
+        Circuit::named(n_qubits, String::new())
     }
 
     /// An empty named circuit.
+    ///
+    /// # Panics
+    ///
+    /// As [`Circuit::new`].
     pub fn named(n_qubits: usize, name: impl Into<String>) -> Self {
+        assert!(
+            n_qubits <= MAX_QUBITS,
+            "{n_qubits} qubits exceed the {MAX_QUBITS} a gate can address"
+        );
         Circuit {
             n_qubits,
             gates: Vec::new(),
@@ -90,6 +99,12 @@ impl Circuit {
         &self.gates
     }
 
+    /// Heap bytes this circuit holds: its gate storage (8 bytes per
+    /// gate slot) plus its name.
+    pub fn heap_bytes(&self) -> usize {
+        self.gates.capacity() * std::mem::size_of::<Gate>() + self.name.capacity()
+    }
+
     /// Appends a gate.
     ///
     /// # Panics
@@ -108,47 +123,72 @@ impl Circuit {
 
     /// Appends X.
     pub fn x(&mut self, q: usize) {
-        self.push(Gate::X(q));
+        self.push(Gate::X(self.qubit(q)));
     }
 
     /// Appends H.
     pub fn h(&mut self, q: usize) {
-        self.push(Gate::H(q));
+        self.push(Gate::H(self.qubit(q)));
     }
 
     /// Appends S.
     pub fn s(&mut self, q: usize) {
-        self.push(Gate::S(q));
+        self.push(Gate::S(self.qubit(q)));
     }
 
     /// Appends T.
     pub fn t(&mut self, q: usize) {
-        self.push(Gate::T(q));
+        self.push(Gate::T(self.qubit(q)));
     }
 
     /// Appends T-dagger.
     pub fn tdg(&mut self, q: usize) {
-        self.push(Gate::Tdg(q));
+        self.push(Gate::Tdg(self.qubit(q)));
     }
 
     /// Appends CX.
     pub fn cx(&mut self, c: usize, t: usize) {
-        self.push(Gate::Cx(c, t));
+        self.push(Gate::Cx(self.qubit(c), self.qubit(t)));
     }
 
     /// Appends a Toffoli (to be lowered later).
     pub fn toffoli(&mut self, a: usize, b: usize, t: usize) {
-        self.push(Gate::Toffoli(a, b, t));
+        self.push(Gate::Toffoli(self.qubit(a), self.qubit(b), self.qubit(t)));
     }
 
     /// Appends a pi/2^k phase rotation.
     pub fn phase_rot(&mut self, q: usize, k: u8, dagger: bool) {
-        self.push(Gate::PhaseRot { q, k, dagger });
+        self.push(Gate::PhaseRot {
+            q: self.qubit(q),
+            k,
+            dagger,
+        });
     }
 
     /// Appends a controlled pi/2^k phase rotation.
     pub fn cphase_rot(&mut self, c: usize, t: usize, k: u8, dagger: bool) {
-        self.push(Gate::CPhaseRot { c, t, k, dagger });
+        self.push(Gate::CPhaseRot {
+            c: self.qubit(c),
+            t: self.qubit(t),
+            k,
+            dagger,
+        });
+    }
+
+    /// Narrows a builder's qubit argument to a gate's [`Qubit`] index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is outside the circuit (the same check as
+    /// [`Circuit::push`]; `n_qubits <= MAX_QUBITS` makes the narrowing
+    /// lossless).
+    fn qubit(&self, q: usize) -> Qubit {
+        assert!(
+            q < self.n_qubits,
+            "builder references qubit {q} >= {}",
+            self.n_qubits
+        );
+        q as Qubit
     }
 
     /// Appends a SWAP as three CX gates.
@@ -181,11 +221,15 @@ impl Circuit {
     ///
     /// Lowering is iterated until fixpoint, so a `CPhaseRot{1}` (whose
     /// expansion contains `PhaseRot{2}` = T) fully lowers in one call.
+    ///
+    /// The result is stored at its exact length (no growth slack), as
+    /// every cache that keeps a lowered circuit wants it.
     pub fn lower(&self, synth: &impl RotationSynthesizer) -> Circuit {
         let mut out = Circuit::named(self.n_qubits, self.name.clone());
         for g in &self.gates {
             lower_gate(*g, synth, &mut out);
         }
+        out.gates.shrink_to_fit();
         out
     }
 }
@@ -222,6 +266,11 @@ impl Deserialize for Circuit {
             .as_object()
             .ok_or_else(|| Error::custom("circuit must be an object"))?;
         let n_qubits = usize::from_value(serde::field(fields, "n_qubits")?)?;
+        if n_qubits > MAX_QUBITS {
+            return Err(Error::custom(format!(
+                "{n_qubits} qubits exceed the {MAX_QUBITS} a gate can address"
+            )));
+        }
         let name = String::from_value(serde::field(fields, "name")?)?;
         let program = match serde::field(fields, "gates")? {
             Value::Str(s) => s,
@@ -229,6 +278,7 @@ impl Deserialize for Circuit {
         };
         let mut gates = Vec::new();
         if !program.is_empty() {
+            gates.reserve_exact(program.bytes().filter(|&b| b == b';').count() + 1);
             for token in program.split(';') {
                 let g = Gate::decode_compact(token)?;
                 for &q in g.qubits().iter() {
@@ -365,7 +415,7 @@ mod tests {
     struct Emits(Gate);
 
     impl RotationSynthesizer for Emits {
-        fn synthesize(&self, _q: usize, _k: u8, _dagger: bool, out: &mut Circuit) {
+        fn synthesize(&self, _q: Qubit, _k: u8, _dagger: bool, out: &mut Circuit) {
             out.push(self.0);
         }
     }
@@ -408,6 +458,51 @@ mod tests {
         fields[0].1 = Value::Int(2);
         let err = Circuit::from_value(&Value::Object(fields)).unwrap_err();
         assert!(err.to_string().contains("references qubit"));
+    }
+
+    #[test]
+    fn the_widest_circuit_addresses_its_last_qubit() {
+        let mut c = Circuit::new(MAX_QUBITS);
+        c.cx(0, MAX_QUBITS - 1);
+        assert_eq!(c.gates(), [Gate::Cx(0, Qubit::MAX)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a gate can address")]
+    fn more_qubits_than_a_u16_index_addresses_are_refused() {
+        let _ = Circuit::new(MAX_QUBITS + 1);
+    }
+
+    #[test]
+    fn decoding_refuses_indices_and_widths_past_u16() {
+        let decode = |n_qubits: usize, program: &str| {
+            Circuit::from_value(&Value::Object(vec![
+                ("n_qubits".to_string(), n_qubits.to_value()),
+                ("name".to_string(), Value::Str("x".to_string())),
+                ("gates".to_string(), Value::Str(program.to_string())),
+            ]))
+        };
+        assert_eq!(decode(MAX_QUBITS, "h 65535").unwrap().len(), 1);
+        // Qubit 65,536 would truncate to qubit 0, which is in range.
+        let err = decode(MAX_QUBITS, "h 0;cx 65536 1").unwrap_err();
+        assert!(err.to_string().contains("16-bit qubit index"), "{err}");
+        let err = decode(MAX_QUBITS + 1, "h 0").unwrap_err();
+        assert!(err.to_string().contains("a gate can address"), "{err}");
+        let err = decode(usize::MAX, "").unwrap_err();
+        assert!(err.to_string().contains("a gate can address"), "{err}");
+    }
+
+    #[test]
+    fn lowered_and_decoded_circuits_hold_no_growth_slack() {
+        let mut c = Circuit::named(3, "toffolis");
+        for _ in 0..5 {
+            c.toffoli(0, 1, 2);
+        }
+        let lowered = c.lower(&NoSynth);
+        let exact = 75 * std::mem::size_of::<Gate>() + "toffolis".len();
+        assert_eq!(lowered.heap_bytes(), exact);
+        let decoded = Circuit::from_value(&lowered.to_value()).expect("round trip");
+        assert_eq!(decoded.heap_bytes(), exact);
     }
 
     #[test]

@@ -20,33 +20,42 @@
 
 use serde::Error;
 
+/// An encoded-qubit index as stored in a [`Gate`]. Sixteen bits keep
+/// every variant, `Toffoli`'s three operands included, inside an
+/// 8-byte gate; [`crate::circuit::Circuit::new`] refuses circuits
+/// wider than this index can address ([`MAX_QUBITS`]).
+pub type Qubit = u16;
+
+/// The most encoded qubits a circuit may have: one per [`Qubit`] value.
+pub const MAX_QUBITS: usize = 1 << Qubit::BITS;
+
 /// A logical gate instance (qubit indices refer to encoded qubits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Gate {
     /// Pauli X.
-    X(usize),
+    X(Qubit),
     /// Pauli Y.
-    Y(usize),
+    Y(Qubit),
     /// Pauli Z.
-    Z(usize),
+    Z(Qubit),
     /// Hadamard.
-    H(usize),
+    H(Qubit),
     /// Phase gate S = `PhaseRot{k:1}`.
-    S(usize),
+    S(Qubit),
     /// Inverse phase gate.
-    Sdg(usize),
+    Sdg(Qubit),
     /// pi/8 gate T = `PhaseRot{k:2}` (non-transversal).
-    T(usize),
+    T(Qubit),
     /// Inverse pi/8 gate.
-    Tdg(usize),
+    Tdg(Qubit),
     /// Controlled-X on (control, target).
-    Cx(usize, usize),
+    Cx(Qubit, Qubit),
     /// Toffoli (control, control, target); decomposed before analysis.
-    Toffoli(usize, usize, usize),
+    Toffoli(Qubit, Qubit, Qubit),
     /// `diag(1, exp(±i*pi/2^k))` on a qubit; `dagger` negates the angle.
     PhaseRot {
         /// Target qubit.
-        q: usize,
+        q: Qubit,
         /// Angle exponent: rotation by pi/2^k.
         k: u8,
         /// Use the negative angle.
@@ -56,15 +65,19 @@ pub enum Gate {
     /// two CX plus three `PhaseRot{k+1}` before analysis (§2.5).
     CPhaseRot {
         /// Control qubit.
-        c: usize,
+        c: Qubit,
         /// Target qubit.
-        t: usize,
+        t: Qubit,
         /// Angle exponent of the *controlled* rotation.
         k: u8,
         /// Use the negative angle.
         dagger: bool,
     },
 }
+
+// The compact layout is load-bearing: lowered circuits run to tens of
+// thousands of gates, and every cache tier holds them.
+const _: () = assert!(std::mem::size_of::<Gate>() == 8);
 
 /// The qubits one gate touches (at most three), held inline so
 /// asking for them never allocates; derefs to `&[usize]`.
@@ -97,7 +110,10 @@ impl Gate {
             Gate::Cx(c, t) | Gate::CPhaseRot { c, t, .. } => ([c, t, 0], 2),
             Gate::Toffoli(a, b, t) => ([a, b, t], 3),
         };
-        Qubits { qs, len }
+        Qubits {
+            qs: qs.map(usize::from),
+            len,
+        }
     }
 
     /// True when the gate is directly executable on the encoded data:
@@ -176,29 +192,41 @@ impl Gate {
         let op = parts
             .next()
             .ok_or_else(|| Error::custom("empty gate token"))?;
+        // Parses the next field as a `usize`, then narrows it to the
+        // field's type: an out-of-range index is an error, never a
+        // truncation.
         let mut num = |what: &str| -> Result<usize, Error> {
             parts
                 .next()
                 .and_then(|t| t.parse::<usize>().ok())
                 .ok_or_else(|| Error::custom(format!("gate `{op}`: bad or missing {what}")))
         };
+        let mut qubit = |what: &str| -> Result<Qubit, Error> {
+            let n = num(what)?;
+            Qubit::try_from(n).map_err(|_| {
+                Error::custom(format!(
+                    "gate `{op}`: {what} {n} exceeds the {}-bit qubit index",
+                    Qubit::BITS
+                ))
+            })
+        };
         let gate = match op {
-            "x" => Gate::X(num("qubit")?),
-            "y" => Gate::Y(num("qubit")?),
-            "z" => Gate::Z(num("qubit")?),
-            "h" => Gate::H(num("qubit")?),
-            "s" => Gate::S(num("qubit")?),
-            "sdg" => Gate::Sdg(num("qubit")?),
-            "t" => Gate::T(num("qubit")?),
-            "tdg" => Gate::Tdg(num("qubit")?),
-            "cx" => Gate::Cx(num("control")?, num("target")?),
-            "ccx" => Gate::Toffoli(num("control")?, num("control")?, num("target")?),
+            "x" => Gate::X(qubit("qubit")?),
+            "y" => Gate::Y(qubit("qubit")?),
+            "z" => Gate::Z(qubit("qubit")?),
+            "h" => Gate::H(qubit("qubit")?),
+            "s" => Gate::S(qubit("qubit")?),
+            "sdg" => Gate::Sdg(qubit("qubit")?),
+            "t" => Gate::T(qubit("qubit")?),
+            "tdg" => Gate::Tdg(qubit("qubit")?),
+            "cx" => Gate::Cx(qubit("control")?, qubit("target")?),
+            "ccx" => Gate::Toffoli(qubit("control")?, qubit("control")?, qubit("target")?),
             "pr" | "cpr" => {
                 let (c, t) = if op == "cpr" {
-                    let c = num("control")?;
-                    (Some(c), num("target")?)
+                    let c = qubit("control")?;
+                    (Some(c), qubit("target")?)
                 } else {
-                    (None, num("qubit")?)
+                    (None, qubit("qubit")?)
                 };
                 let k = u8::try_from(num("angle exponent")?)
                     .map_err(|_| Error::custom(format!("gate `{op}`: angle exponent > 255")))?;
@@ -290,6 +318,19 @@ mod tests {
     fn compact_decoding_rejects_malformed_tokens() {
         for bad in ["", "cx", "cx 0", "cx 0 x", "nope 0", "pr 1 5 ?", "h 1 2"] {
             assert!(Gate::decode_compact(bad).is_err(), "`{bad}` must fail");
+        }
+    }
+
+    #[test]
+    fn compact_decoding_rejects_indices_past_u16() {
+        // 65,536 would truncate to qubit 0; it must be refused instead.
+        assert_eq!(Gate::decode_compact("h 65535").unwrap(), Gate::H(65_535));
+        for bad in ["h 65536", "cx 0 65536", "ccx 70000 0 1", "cpr 65536 1 3 +"] {
+            let err = Gate::decode_compact(bad).expect_err(bad);
+            assert!(
+                err.to_string().contains("16-bit qubit index"),
+                "{bad}: {err}"
+            );
         }
     }
 

@@ -45,5 +45,5 @@ pub mod throughput;
 
 pub use characterize::{characterize, CircuitReport, LatencyBreakdown};
 pub use circuit::Circuit;
-pub use gate::Gate;
+pub use gate::{Gate, Qubit, MAX_QUBITS};
 pub use latency_model::CharacterizationModel;

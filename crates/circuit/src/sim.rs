@@ -77,7 +77,7 @@ pub mod statevector {
     //! Dense statevector simulation (small n only).
 
     use crate::circuit::Circuit;
-    use crate::gate::Gate;
+    use crate::gate::{Gate, Qubit};
     use std::f64::consts::PI;
 
     /// A complex amplitude.
@@ -217,7 +217,7 @@ pub mod statevector {
             }
         }
 
-        fn map1(&mut self, q: usize, f: impl Fn(Amp, Amp) -> (Amp, Amp)) {
+        fn map1(&mut self, q: Qubit, f: impl Fn(Amp, Amp) -> (Amp, Amp)) {
             for i in 0..self.amps.len() {
                 if i >> q & 1 == 0 {
                     let j = i | (1 << q);
@@ -228,7 +228,7 @@ pub mod statevector {
             }
         }
 
-        fn phase1(&mut self, q: usize, theta: f64) {
+        fn phase1(&mut self, q: Qubit, theta: f64) {
             let ph = Amp::phase(theta);
             for (i, amp) in self.amps.iter_mut().enumerate() {
                 if i >> q & 1 == 1 {

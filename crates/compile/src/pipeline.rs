@@ -375,6 +375,17 @@ mod tests {
     }
 
     #[test]
+    fn lowered_qft32_is_stored_at_eight_bytes_per_gate() {
+        // The paper configuration's QFT-32: 11,347 physical gates,
+        // stored at exact length (363 KB at the old 32-byte gate).
+        let c = Compiler::new(Arc::new(ArtifactStore::in_memory()), SynthBudget::default());
+        let spec = KernelSpec::new(KernelFamily::Qft, 32).expect("valid");
+        let lowered = &c.scheduled(spec).expect("compiles").circuit;
+        assert_eq!(lowered.len(), 11_347);
+        assert_eq!(lowered.heap_bytes(), 11_347 * 8 + lowered.name.len());
+    }
+
+    #[test]
     fn compile_many_is_thread_count_invariant() {
         let specs: Vec<KernelSpec> = [(KernelFamily::Qrca, 3), (KernelFamily::Qft, 4)]
             .into_iter()

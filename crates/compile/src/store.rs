@@ -679,6 +679,34 @@ mod tests {
     }
 
     #[test]
+    fn circuits_with_indices_past_u16_are_recomputed_not_truncated() {
+        use qods_circuit::circuit::Circuit;
+        let dir = temp_store_dir("wide");
+        let path = dir.join(KEY.file_name());
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let mut good = Circuit::named(2, "bell");
+        good.h(0);
+        good.cx(0, 1);
+        let encoded = ArtifactStore::encode_artifact(KEY, &good);
+        assert!(encoded.contains(r#""n_qubits":2"#) && encoded.contains("cx 0 1"));
+        for corrupt in [
+            // Qubit 65,536 truncates to qubit 0, which would fit.
+            encoded.replace("cx 0 1", "cx 65536 1"),
+            // A width no 16-bit gate index can address.
+            encoded.replace(r#""n_qubits":2"#, r#""n_qubits":65537"#),
+            encoded.replace(r#""n_qubits":2"#, r#""n_qubits":18446744073709551615"#),
+        ] {
+            std::fs::write(&path, &corrupt).expect("write");
+            let store = ArtifactStore::persistent(&dir);
+            let healed: Arc<Circuit> = store.get_or_compute(KEY, || good.clone());
+            assert_eq!(*healed, good, "{corrupt}");
+            assert_eq!(store.stats().corrupt_reads, 1, "{corrupt}");
+            assert_eq!(store.stats().computed, 1);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn encode_is_deterministic_bytes() {
         let x = ArtifactStore::encode_artifact(KEY, &"payload".to_string());
         let y = ArtifactStore::encode_artifact(KEY, &"payload".to_string());

@@ -2,7 +2,7 @@
 //! [`RotationSynthesizer`] hook, with a per-(k, dagger) cache.
 
 use qods_circuit::circuit::{Circuit, RotationSynthesizer};
-use qods_circuit::gate::Gate;
+use qods_circuit::gate::{Gate, Qubit};
 use qods_synth::search::{HtGate, Synthesizer};
 use qods_synth::simplify::simplify;
 use std::cell::RefCell;
@@ -64,7 +64,7 @@ impl SynthAdapter {
 }
 
 /// Appends `seq` on qubit `q`.
-fn emit(seq: &[HtGate], q: usize, out: &mut Circuit) {
+fn emit(seq: &[HtGate], q: Qubit, out: &mut Circuit) {
     for g in seq {
         out.push(match g {
             HtGate::H => Gate::H(q),
@@ -79,7 +79,7 @@ fn emit(seq: &[HtGate], q: usize, out: &mut Circuit) {
 struct Recorder(RefCell<BTreeSet<(u8, bool)>>);
 
 impl RotationSynthesizer for Recorder {
-    fn synthesize(&self, _q: usize, k: u8, dagger: bool, _out: &mut Circuit) {
+    fn synthesize(&self, _q: Qubit, k: u8, dagger: bool, _out: &mut Circuit) {
         self.0.borrow_mut().insert((k, dagger));
     }
 }
@@ -104,13 +104,13 @@ impl Table {
 }
 
 impl RotationSynthesizer for Table {
-    fn synthesize(&self, q: usize, k: u8, dagger: bool, out: &mut Circuit) {
+    fn synthesize(&self, q: Qubit, k: u8, dagger: bool, out: &mut Circuit) {
         emit(&self.0[Self::index(k, dagger)], q, out);
     }
 }
 
 impl RotationSynthesizer for SynthAdapter {
-    fn synthesize(&self, q: usize, k: u8, dagger: bool, out: &mut Circuit) {
+    fn synthesize(&self, q: Qubit, k: u8, dagger: bool, out: &mut Circuit) {
         let mut cache = qods_pool::plock(&self.cache);
         let seq = cache
             .entry((k, dagger))
@@ -129,7 +129,7 @@ mod tests {
     }
 
     /// The gates `a` appends for one rotation.
-    fn synthesized(a: &SynthAdapter, n_qubits: usize, q: usize, k: u8, dagger: bool) -> Vec<Gate> {
+    fn synthesized(a: &SynthAdapter, n_qubits: usize, q: Qubit, k: u8, dagger: bool) -> Vec<Gate> {
         let mut out = Circuit::new(n_qubits);
         a.synthesize(q, k, dagger, &mut out);
         out.gates().to_vec()

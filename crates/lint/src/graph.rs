@@ -12,16 +12,21 @@
 //! the call's argument count is parseable, with a skip list for
 //! method names that collide with `std` (resolving `.clone()` to
 //! every workspace `clone` would drown the graph in false edges).
+//! A method call lands only on functions that take `self`, and an
+//! unqualified call `name(..)` only on free functions in scope: the
+//! caller's crate, plus the crates its `use` items import that name
+//! (or everything, by glob) from, following re-exports.
 //!
 //! The resolution is deliberately conservative in the "more edges"
-//! direction everywhere except that skip list: a call that matches
+//! direction everywhere except that skip list (the scope rules drop
+//! only edges Rust's own name resolution rules out): a call that matches
 //! several candidates gets an edge to each, and a call whose arity
 //! cannot be parsed matches every candidate of that name. The
 //! known false-negative classes this leaves are documented in
 //! DESIGN.md §12.
 
 use crate::scan::{token_positions, ScannedFile, Tree};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One annotated site inside a function body.
 #[derive(Clone, Debug)]
@@ -119,6 +124,20 @@ pub struct Index {
     pub fns: Vec<FnNode>,
     /// Name → node ids, for call resolution.
     pub by_name: BTreeMap<String, Vec<usize>>,
+    /// Package name of each scanned file, by file index.
+    file_crates: Vec<String>,
+    /// Package name → what its `use` items import, for resolving
+    /// unqualified calls.
+    imports: BTreeMap<String, Imports>,
+}
+
+/// What one crate's `use` items bring into scope, as package names.
+#[derive(Default)]
+struct Imports {
+    /// Imported name (or its `as` alias) → the packages it names.
+    names: BTreeMap<String, BTreeSet<String>>,
+    /// Packages imported whole with `*`.
+    globs: BTreeSet<String>,
 }
 
 /// Method names that collide with `std`/shim methods: resolving them
@@ -281,17 +300,77 @@ impl Index {
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(f.name.clone()).or_default().push(i);
         }
-        Index { fns, by_name }
+        let mut imports: BTreeMap<String, Imports> = BTreeMap::new();
+        for file in files.iter().filter(|f| f.tree == Tree::Src) {
+            let scope = imports.entry(file.crate_name.clone()).or_default();
+            for (root, name) in use_items(file) {
+                let package = match root.as_str() {
+                    "crate" | "self" | "super" => file.crate_name.clone(),
+                    other => other.replace('_', "-"),
+                };
+                if name == "*" {
+                    scope.globs.insert(package);
+                } else {
+                    scope.names.entry(name).or_default().insert(package);
+                }
+            }
+        }
+        Index {
+            fns,
+            by_name,
+            file_crates: files.iter().map(|f| f.crate_name.clone()).collect(),
+            imports,
+        }
     }
 
-    /// Node ids a call site may land on. Empty when the name is
-    /// unknown to the workspace or skipped as a common method name.
-    pub fn resolve(&self, call: &CallSite) -> Vec<usize> {
+    /// The packages an unqualified call to `name` from `krate` may
+    /// land in: `krate` itself, and every package its `use` items
+    /// import `name` from, by name or by glob, followed through
+    /// re-exports.
+    fn packages_in_scope(&self, krate: &str, name: &str) -> BTreeSet<String> {
+        let mut seen = BTreeSet::from([krate.to_owned()]);
+        let mut todo = vec![krate.to_owned()];
+        while let Some(k) = todo.pop() {
+            let Some(scope) = self.imports.get(&k) else {
+                continue;
+            };
+            let named = scope.names.get(name).into_iter().flatten();
+            for next in named.chain(&scope.globs) {
+                if seen.insert(next.clone()) {
+                    todo.push(next.clone());
+                }
+            }
+        }
+        seen
+    }
+
+    /// Node ids a call site in function `caller` may land on. Empty
+    /// when the name is unknown to the workspace, not in scope, or
+    /// skipped as a common method name.
+    pub fn resolve(&self, caller: usize, call: &CallSite) -> Vec<usize> {
         if call.is_method && COMMON_METHODS.contains(&call.name.as_str()) {
             return Vec::new();
         }
         let Some(all) = self.by_name.get(&call.name) else {
             return Vec::new();
+        };
+        let all: Vec<usize> = if call.is_method {
+            all.iter()
+                .copied()
+                .filter(|&i| self.fns[i].has_self)
+                .collect()
+        } else if call.qualifier.is_none() {
+            let krate = &self.file_crates[self.fns[caller].file];
+            let scope = self.packages_in_scope(krate, &call.name);
+            all.iter()
+                .copied()
+                .filter(|&i| {
+                    let f = &self.fns[i];
+                    f.impl_type.is_none() && scope.contains(&self.file_crates[f.file])
+                })
+                .collect()
+        } else {
+            all.clone()
         };
         // Prefer candidates in the qualifier's impl block
         // (`Scheduler::run` must not edge into every `run`).
@@ -303,12 +382,12 @@ impl Index {
                     .filter(|&i| self.fns[i].impl_type.as_deref() == Some(q.as_str()))
                     .collect();
                 if scoped.is_empty() {
-                    all.clone()
+                    all
                 } else {
                     scoped
                 }
             }
-            None => all.clone(),
+            None => all,
         };
         if let Some(arity) = call.arity {
             let fits = |f: &FnNode| {
@@ -482,6 +561,76 @@ fn parse_file(fi: usize, file: &ScannedFile, out: &mut Vec<FnNode>) {
             out.push(node);
         }
     }
+}
+
+/// Every `use` item of `file` outside test code, expanded into
+/// `(first path segment, imported name)` pairs: the `as` alias when
+/// there is one, `*` for a glob. `use a::{b, c::d as e, f::*};` gives
+/// `(a, b)`, `(a, e)` and `(a, *)`.
+fn use_items(file: &ScannedFile) -> Vec<(String, String)> {
+    let mut out = Vec::new();
+    let mut l = 0usize;
+    while l < file.code.len() {
+        let code = file.code[l].trim_start();
+        let body = code
+            .strip_prefix("use ")
+            .or_else(|| code.strip_prefix("pub use "))
+            .or_else(|| code.strip_prefix("pub(crate) use "));
+        let Some(body) = body.filter(|_| !file.in_test[l]) else {
+            l += 1;
+            continue;
+        };
+        // The item runs to its `;`, possibly over several lines.
+        let mut item = body.to_owned();
+        while !item.contains(';') && l + 1 < file.code.len() {
+            l += 1;
+            item.push(' ');
+            item.push_str(&file.code[l]);
+        }
+        l += 1;
+        let tree = item.split(';').next().unwrap_or_default();
+        use_tree_leaves(tree.trim().trim_start_matches("::"), None, &mut out);
+    }
+    out
+}
+
+/// Expands one `use` tree (see [`use_items`]); `root` is the first
+/// path segment of the enclosing tree, if any.
+fn use_tree_leaves(tree: &str, root: Option<&str>, out: &mut Vec<(String, String)>) {
+    let tree = tree.trim();
+    if let Some(open) = tree.find('{') {
+        let path = tree[..open].trim().trim_end_matches("::");
+        let root = root.or_else(|| path.split("::").next().filter(|s| !s.is_empty()));
+        let close = tree.rfind('}').unwrap_or(tree.len());
+        let inner = &tree[open + 1..close.max(open + 1)];
+        let mut depth = 0i64;
+        let mut start = 0usize;
+        for (i, b) in inner.bytes().enumerate() {
+            match b {
+                b'{' => depth += 1,
+                b'}' => depth -= 1,
+                b',' if depth == 0 => {
+                    use_tree_leaves(&inner[start..i], root, out);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        use_tree_leaves(&inner[start..], root, out);
+        return;
+    }
+    let (path, alias) = match tree.split_once(" as ") {
+        Some((p, a)) => (p.trim(), Some(a.trim())),
+        None => (tree, None),
+    };
+    let first = path.split("::").next().unwrap_or_default().trim();
+    let leaf = alias
+        .or_else(|| path.rsplit("::").next())
+        .unwrap_or_default();
+    if leaf.is_empty() || leaf == "self" || leaf == "_" {
+        return;
+    }
+    out.push((root.unwrap_or(first).to_owned(), leaf.to_owned()));
 }
 
 struct Signature {
@@ -981,7 +1130,7 @@ mod tests {
         let resolved: Vec<&str> = a
             .calls
             .iter()
-            .flat_map(|c| idx.resolve(c))
+            .flat_map(|c| idx.resolve(0, c))
             .map(|i| idx.fns[i].name.as_str())
             .collect();
         assert!(resolved.contains(&"b") && resolved.contains(&"c"));
@@ -989,6 +1138,53 @@ mod tests {
             !resolved.contains(&"clone"),
             "`.clone()` must not resolve into the workspace"
         );
+    }
+
+    #[test]
+    fn use_items_expand_nested_trees_aliases_and_globs() {
+        let file = scan(
+            "x/src/lib.rs",
+            "qods-x",
+            Tree::Src,
+            concat!(
+                "use qods_obs::{instant, span::{Span as S, self}, metrics::*};\n",
+                "pub use crate::inner::helper;\n",
+                "use std::sync::{\n    Arc,\n    Mutex,\n};\n",
+                "#[cfg(test)]\n",
+                "mod tests {\n    use qods_core::record;\n}\n",
+            ),
+        );
+        let got: Vec<(String, String)> = use_items(&file);
+        let want = [
+            ("qods_obs", "instant"),
+            ("qods_obs", "S"),
+            ("qods_obs", "*"),
+            ("crate", "helper"),
+            ("std", "Arc"),
+            ("std", "Mutex"),
+        ];
+        let want: Vec<(String, String)> = want
+            .iter()
+            .map(|&(r, n)| (r.to_owned(), n.to_owned()))
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn a_method_call_lands_only_on_functions_taking_self() {
+        let (idx, _) = index_of(concat!(
+            "fn a(t: T) { t.record(1); }\n",
+            "fn record(x: usize) {}\n",
+            "impl T {\n",
+            "    fn record(&self, x: usize) {}\n",
+            "}\n",
+        ));
+        let resolved: Vec<usize> = idx.fns[0]
+            .calls
+            .iter()
+            .flat_map(|c| idx.resolve(0, c))
+            .collect();
+        assert_eq!(resolved, [2], "only `T::record` takes self");
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn reach_from_entries(index: &Index, files: &[ScannedFile]) -> BTreeMap<usize, u
             continue; // isolation barrier: don't follow its calls
         }
         for call in &node.calls {
-            for j in index.resolve(call) {
+            for j in index.resolve(i, call) {
                 if j != i && !parent.contains_key(&j) {
                     parent.insert(j, i);
                     queue.push_back(j);
@@ -204,7 +204,7 @@ fn lock_closure(
             set.insert(op.lock.clone());
         }
         for call in &index.fns[i].calls {
-            for j in index.resolve(call) {
+            for j in index.resolve(i, call) {
                 if j != i {
                     set.extend(lock_closure(index, files, memo, visiting, j));
                 }
@@ -245,7 +245,7 @@ pub fn build_lock_graph(index: &Index, files: &[ScannedFile]) -> LockGraph {
                 if call.line < a.line || call.line > a.held_to {
                     continue;
                 }
-                for j in index.resolve(call) {
+                for j in index.resolve(i, call) {
                     if j == i {
                         continue;
                     }
@@ -482,7 +482,7 @@ pub fn render_dot(index: &Index, files: &[ScannedFile], graph: &LockGraph) -> St
         let from = sanitize(&node.qualname(files));
         let mut seen = BTreeSet::new();
         for call in &node.calls {
-            for j in index.resolve(call) {
+            for j in index.resolve(i, call) {
                 if j != i && parent.contains_key(&j) && seen.insert(j) {
                     s.push_str(&format!(
                         "    f_{from} -> f_{};\n",

@@ -125,6 +125,37 @@ fn the_drift_workspace_fails_the_run() {
 }
 
 #[test]
+fn unqualified_calls_stay_in_the_callers_crate_and_its_imports() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/scoped_ws");
+    let files = qods_lint::scan_workspace(&root).expect("fixture ws scans");
+    let index = qods_lint::graph::Index::build(&files);
+    let callees = |caller: &str| -> Vec<String> {
+        let i = index
+            .fns
+            .iter()
+            .position(|f| f.qualname(&files) == caller)
+            .expect("caller is indexed");
+        let mut out: Vec<String> = index.fns[i]
+            .calls
+            .iter()
+            .flat_map(|c| index.resolve(i, c))
+            .map(|j| index.fns[j].qualname(&files))
+            .collect();
+        out.sort();
+        out
+    };
+    // Its own `record` and the imported `instant`; never qods-core's.
+    assert_eq!(
+        callees("qods-net::serve_line"),
+        ["qods-net::record", "qods-obs::instant"]
+    );
+    assert_eq!(callees("qods-core::tally"), ["qods-core::record"]);
+    // So qods-core's panicking `record` is off the serving path.
+    let report = qods_lint::lint_workspace(&root).expect("fixture ws lints");
+    assert!(report.clean(), "{}", to_ndjson(&report.findings));
+}
+
+#[test]
 fn the_dot_export_renders_both_graphs() {
     let text = include_str!("fixtures/l1_violation.rs");
     let files = [qods_lint::scan::scan(

@@ -28,9 +28,11 @@ pub enum ServiceError {
     /// the daemon.
     Kernel(KernelError),
     /// The resolved configuration holds an override no experiment can
-    /// run: a Fig 15 area grid with fewer than two points or an empty
-    /// range, or a synthesis budget above [`MAX_SYNTH_T`]. Rejected
-    /// before a context is built, like [`ServiceError::Kernel`].
+    /// run: a Fig 15 area grid with fewer than two points, more than
+    /// [`MAX_SWEEP_POINTS`] or an empty range, more than
+    /// [`MAX_PROFILE_SAMPLES`] Fig 7 samples, or a synthesis budget
+    /// above [`MAX_SYNTH_T`]. Rejected before a context is built, like
+    /// [`ServiceError::Kernel`].
     Config {
         /// The offending override field.
         field: &'static str,
@@ -87,15 +89,43 @@ impl From<KernelError> for ServiceError {
 /// at the paper's 12. Each step past 16 doubles it.
 pub const MAX_SYNTH_T: u32 = 16;
 
+/// The most Fig 15 area-grid points a job may ask for.
+///
+/// The grid is allocated up front and every point costs twelve
+/// architecture simulations (four architectures, three kernels) of
+/// ~1–4 ms each, so this bound caps one job at ~3k simulations —
+/// about 20x the paper's 13 points — and keeps a huge override from
+/// aborting the server on allocation.
+pub const MAX_SWEEP_POINTS: usize = 256;
+
+/// The most Fig 7 demand-profile samples a job may ask for.
+///
+/// Each sample is one 16-byte point per kernel, allocated up front,
+/// plus one reported row; 65,536 (256x the paper's 256) bounds a
+/// series at 1 MiB.
+pub const MAX_PROFILE_SAMPLES: usize = 1 << 16;
+
 /// Rejects the resolved overrides no experiment can run, before any
 /// context is built (see [`ServiceError::Config`]).
 fn validate_config(cfg: &StudyConfig) -> Result<(), ServiceError> {
     let reject = |field: &'static str, reason: String| Err(ServiceError::Config { field, reason });
     let range = &cfg.sweep_area_range;
-    if cfg.sweep_points < 2 {
+    if !(2..=MAX_SWEEP_POINTS).contains(&cfg.sweep_points) {
         return reject(
             "sweep_points",
-            format!("{} (the area grid needs at least 2)", cfg.sweep_points),
+            format!(
+                "{} (the area grid needs 2..={MAX_SWEEP_POINTS})",
+                cfg.sweep_points
+            ),
+        );
+    }
+    if cfg.profile_samples > MAX_PROFILE_SAMPLES {
+        return reject(
+            "profile_samples",
+            format!(
+                "{} (accepted: 0..={MAX_PROFILE_SAMPLES})",
+                cfg.profile_samples
+            ),
         );
     }
     if !(range.min_area.is_finite() && range.min_area > 0.0) {
@@ -720,9 +750,18 @@ mod tests {
     fn unrunnable_overrides_are_typed_errors_not_panics() {
         let sched = Scheduler::with_options(StudyConfig::smoke(), 2, true);
         type Edit = fn(&mut Overrides);
-        let cases: [(&str, Edit); 8] = [
+        // Huge sizes are only ever validated, never allocated.
+        let cases: [(&str, Edit); 12] = [
             ("sweep_points", |o| o.sweep_points = Some(1)),
             ("sweep_points", |o| o.sweep_points = Some(0)),
+            ("sweep_points", |o| {
+                o.sweep_points = Some(MAX_SWEEP_POINTS + 1)
+            }),
+            ("sweep_points", |o| o.sweep_points = Some(usize::MAX)),
+            ("profile_samples", |o| {
+                o.profile_samples = Some(MAX_PROFILE_SAMPLES + 1)
+            }),
+            ("profile_samples", |o| o.profile_samples = Some(usize::MAX)),
             ("sweep_min_area", |o| o.sweep_min_area = Some(0.0)),
             ("sweep_min_area", |o| o.sweep_min_area = Some(-5.0)),
             ("sweep_min_area", |o| o.sweep_min_area = Some(f64::INFINITY)),
@@ -755,9 +794,11 @@ mod tests {
     }
 
     #[test]
-    fn the_synthesis_budget_bound_is_inclusive() {
+    fn the_size_and_synthesis_bounds_are_inclusive() {
         let mut cfg = StudyConfig::smoke();
         cfg.synth_max_t = MAX_SYNTH_T;
+        cfg.sweep_points = MAX_SWEEP_POINTS;
+        cfg.profile_samples = MAX_PROFILE_SAMPLES;
         assert_eq!(validate_config(&cfg), Ok(()));
         assert_eq!(validate_config(&StudyConfig::default()), Ok(()));
     }
