@@ -132,13 +132,6 @@ impl TokenStream {
         }
     }
 
-    /// Tokens on hand after accruing up to time `t` (observation only
-    /// in tests; draws use [`TokenStream::draw`]).
-    pub fn level_at(&self, t: f64) -> f64 {
-        let dt = (t - self.last_t).max(0.0);
-        (self.tokens + self.rate_per_us * dt).min(self.buffer)
-    }
-
     /// Draws `amount` tokens at (or after) time `t`; returns when the
     /// draw completes. Production accrued since the last draw is
     /// credited first (capped at the buffer — output beyond a full
@@ -230,10 +223,9 @@ mod tests {
     #[test]
     fn stream_accrues_up_to_buffer_only() {
         let mut s = TokenStream::new(1.0, 3.0);
-        // Long idle: bucket holds only the buffer.
-        assert_eq!(s.level_at(100.0), 3.0);
-        // Draw beyond the buffer after the idle: waits exactly the
-        // shortfall at the rate — no tokens were created beyond it.
+        // Long idle: the bucket holds only the buffer, so a draw
+        // beyond it waits exactly the shortfall at the rate — no
+        // tokens were created beyond it.
         assert_eq!(s.draw(5.0, 100.0), 102.0);
     }
 

@@ -1,5 +1,5 @@
 //! Movement cost models: ballistic channels and the teleport-based
-//! interconnect (the paper's [16]).
+//! interconnect (the paper's \[16\]).
 //!
 //! Teleportation's EPR-pair generation and distribution run off the
 //! critical path (they are ancilla-like and pipelined); the on-path

@@ -3,12 +3,12 @@
 //! Event-driven dataflow simulation of a lowered benchmark circuit on
 //! four microarchitectures:
 //!
-//! * **QLA** (Metodi et al., the paper's [22]) — every encoded data
+//! * **QLA** (Metodi et al., the paper's \[22\]) — every encoded data
 //!   qubit owns a dedicated ancilla generator; data always returns to
 //!   its home cell for QEC; two-qubit gates teleport the operands
 //!   together and back. Sweeping total generator area generalizes QLA
 //!   to the paper's GQLA (replicated generators).
-//! * **CQLA** (Thaker et al., [15]) — a compute cache of data qubits
+//! * **CQLA** (Thaker et al., \[15\]) — a compute cache of data qubits
 //!   backed by memory; gates only execute in the cache; misses pay
 //!   teleport-in and writeback penalties (SimpleScalar-style cache
 //!   simulation).

@@ -49,18 +49,6 @@ impl Arch {
     pub fn default_qalypso() -> Arch {
         Arch::Qalypso { tile_qubits: 16 }
     }
-
-    /// The Fig 15 comparison panel for an `n`-qubit benchmark: all
-    /// four architectures at their default configurations, in the
-    /// paper's presentation order.
-    pub fn fig15_panel(n_qubits: usize) -> [Arch; 4] {
-        [
-            Arch::FullyMultiplexed,
-            Arch::Qla,
-            Arch::default_cqla(n_qubits),
-            Arch::default_qalypso(),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -79,16 +67,5 @@ mod tests {
     fn default_cqla_scales_with_width() {
         assert_eq!(Arch::default_cqla(8), Arch::Cqla { cache_slots: 4 });
         assert_eq!(Arch::default_cqla(128), Arch::Cqla { cache_slots: 16 });
-    }
-
-    #[test]
-    fn fig15_panel_covers_all_four_architectures() {
-        let panel = Arch::fig15_panel(64);
-        assert_eq!(panel[0], Arch::FullyMultiplexed);
-        assert_eq!(panel[1], Arch::Qla);
-        assert_eq!(panel[2], Arch::Cqla { cache_slots: 8 });
-        assert_eq!(panel[3], Arch::Qalypso { tile_qubits: 16 });
-        let names: Vec<_> = panel.iter().map(Arch::name).collect();
-        assert_eq!(names, ["Fully-Multiplexed", "QLA", "CQLA", "Qalypso"]);
     }
 }

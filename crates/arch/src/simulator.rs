@@ -2,11 +2,11 @@
 //! microarchitecture (§5.2's methodology).
 //!
 //! Gates execute in dataflow order on the discrete-event core of
-//! [`crate::engine`]: a gate becomes ready when its DAG predecessors
-//! finish, waits for its operands to be moved together (the
-//! architecture's movement policy), waits for its encoded ancillae
-//! (the architecture's supply pools), then executes for its data
-//! latency plus the trailing QEC interaction.
+//! [`crate::engine`]: a gate becomes ready when the previous gate on
+//! each of its qubits finishes, waits for its operands to be moved
+//! together (the architecture's movement policy), waits for its
+//! encoded ancillae (the architecture's supply pools), then executes
+//! for its data latency plus the trailing QEC interaction.
 //!
 //! ## The overlap rule
 //!
@@ -50,7 +50,7 @@
 //!
 //! ## Architecture-specific behavior
 //!
-//! Each microarchitecture is a [movement policy](MovePolicy), a pool
+//! Each microarchitecture is a movement policy (`MovePolicy`), a pool
 //! layout and a frontier (the order gates run in) over one generic
 //! event loop, chosen once per `simulate` call:
 //!
@@ -79,8 +79,8 @@
 //! qubits, so their gates pop from the event heap in ascending
 //! `(ready time, gate index)` order (see [`crate::engine::EventQueue`]).
 //! QLA shares nothing across qubits and walks gates in program order
-//! instead. That is exact: the DAG chains each qubit's gates, so each
-//! per-qubit pool sees the same draws at the same ready times in
+//! instead. That is exact: dependencies chain each qubit's gates, so
+//! each per-qubit pool sees the same draws at the same ready times in
 //! either order, and `makespan_us` (a max) and the integer counters
 //! come out bit-identical. Only QLA's `f64` diagnostic sums
 //! (`movement_us`, `supply_stall_us`) depend on the order, in the last
@@ -94,7 +94,6 @@ use crate::engine::{EventQueue, Pool, SerialResource};
 use crate::interconnect::Interconnect;
 use crate::machine::Arch;
 use qods_circuit::circuit::Circuit;
-use qods_circuit::dag::Dag;
 use qods_circuit::gate::Qubit;
 use qods_circuit::latency_model::CharacterizationModel;
 use qods_factory::supply::{FactoryFarm, ZeroFactoryKind};
@@ -107,6 +106,8 @@ const SITE_PI8_BUFFER: f64 = 1.0;
 const SHARED_ZERO_BUFFER: f64 = 32.0;
 /// pi/8 buffer of a shared farm.
 const SHARED_PI8_BUFFER: f64 = 8.0;
+/// A dependency link to no gate: the qubit has no later gate.
+const NO_GATE: u32 = u32::MAX;
 
 /// Result of one architectural simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -124,11 +125,11 @@ pub struct SimOutcome {
 }
 
 /// Everything about a circuit that every `simulate` call on it shares:
-/// the dependency DAG (as successor lists), per-gate operands and
-/// execution latencies, the ancilla-demand mix, and the speed-of-data
-/// makespan. A Fig 15 sweep runs ~50 simulations per benchmark; this
-/// is built once and borrowed by all of them (and by all sweep worker
-/// threads — it is immutable after construction).
+/// the dependency links, per-gate operands and execution latencies,
+/// the ancilla-demand mix, and the speed-of-data makespan. A Fig 15
+/// sweep runs ~50 simulations per benchmark; this is built once and
+/// borrowed by all of them (and by all sweep worker threads — it is
+/// immutable after construction).
 #[derive(Debug, Clone)]
 pub struct SimContext<'c> {
     circuit: &'c Circuit,
@@ -141,11 +142,12 @@ pub struct SimContext<'c> {
     exec_us: Vec<f64>,
     /// Per-gate pi/8-ancilla demand (0.0 or 1.0).
     pi8_demand: Vec<f64>,
-    /// Successor adjacency, flattened: gate `i`'s successors are
-    /// `succ_dat[succ_off[i]..succ_off[i + 1]]`.
-    succ_off: Vec<u32>,
-    succ_dat: Vec<u32>,
-    /// Predecessor counts (initial indegrees).
+    /// Per-operand dependency links: `next[i][j]` is the next gate on
+    /// gate `i`'s `j`-th operand qubit, or [`NO_GATE`]. A gate reached
+    /// through two qubits is linked (and counted) twice.
+    next: Vec<[u32; 3]>,
+    /// Initial indegrees: the operand slots with an earlier gate on
+    /// their qubit (one per `next` link pointing at the gate).
     indegree0: Vec<u32>,
     /// Total encoded-zero demand of the circuit (2 per operand touch).
     zeros_total: f64,
@@ -166,19 +168,26 @@ impl<'c> SimContext<'c> {
         let model = CharacterizationModel::ion_trap();
         let link = Interconnect::ion_trap();
         let gates = circuit.gates();
-        let dag = Dag::build(circuit);
 
         let mut operands = Vec::with_capacity(gates.len());
         let mut exec_us = Vec::with_capacity(gates.len());
         let mut pi8_demand = Vec::with_capacity(gates.len());
+        let mut next = vec![[NO_GATE; 3]; gates.len()];
+        let mut indegree0 = vec![0u32; gates.len()];
+        // The last gate on each qubit, and the operand slot it used.
+        let mut last: Vec<Option<(usize, usize)>> = vec![None; circuit.n_qubits()];
         let mut zeros_total = 0.0f64;
         let mut pi8_total = 0.0f64;
-        for g in gates {
+        for (i, g) in gates.iter().enumerate() {
             let qs = g.qubits();
             let mut ops = [0; 3];
-            for (slot, &q) in ops.iter_mut().zip(qs.iter()) {
+            for (j, (slot, &q)) in ops.iter_mut().zip(qs.iter()).enumerate() {
                 // Lossless: a circuit's qubits are below `MAX_QUBITS`.
                 *slot = q as Qubit;
+                if let Some((p, k)) = last[q].replace((i, j)) {
+                    next[p][k] = i as u32;
+                    indegree0[i] += 1;
+                }
             }
             operands.push((ops, qs.len() as u8));
             exec_us.push(model.data_latency(g) + model.qec_interact());
@@ -186,31 +195,6 @@ impl<'c> SimContext<'c> {
             pi8_demand.push(pi8);
             pi8_total += pi8;
             zeros_total += 2.0 * qs.len() as f64;
-        }
-
-        let mut indegree0 = vec![0u32; gates.len()];
-        let mut succ_count = vec![0u32; gates.len()];
-        for (i, slot) in indegree0.iter_mut().enumerate() {
-            let preds = dag.preds(i);
-            *slot = preds.len() as u32;
-            for &p in preds {
-                succ_count[p] += 1;
-            }
-        }
-        let mut succ_off = Vec::with_capacity(gates.len() + 1);
-        let mut acc = 0u32;
-        for &c in &succ_count {
-            succ_off.push(acc);
-            acc += c;
-        }
-        succ_off.push(acc);
-        let mut succ_dat = vec![0u32; acc as usize];
-        let mut cursor: Vec<u32> = succ_off[..gates.len()].to_vec();
-        for i in 0..gates.len() {
-            for &p in dag.preds(i) {
-                succ_dat[cursor[p] as usize] = i as u32;
-                cursor[p] += 1;
-            }
         }
 
         let sod_makespan_us = qods_circuit::schedule::SpeedOfData::of(circuit, &model).makespan_us;
@@ -222,8 +206,7 @@ impl<'c> SimContext<'c> {
             operands,
             exec_us,
             pi8_demand,
-            succ_off,
-            succ_dat,
+            next,
             indegree0,
             zeros_total,
             pi8_total,
@@ -418,10 +401,7 @@ impl<'c> SimContext<'c> {
             let start = transport_done.max(avail).max(ready);
             let e = start + self.exec_us[i];
             makespan = makespan.max(e);
-            frontier.finish(
-                &self.succ_dat[self.succ_off[i] as usize..self.succ_off[i + 1] as usize],
-                e,
-            );
+            frontier.finish(&self.next[i], e);
         }
 
         SimOutcome {
@@ -438,9 +418,9 @@ impl<'c> SimContext<'c> {
 trait Frontier {
     /// The next gate to execute, with its dataflow ready time.
     fn pop(&mut self) -> Option<(f64, usize)>;
-    /// The popped gate finished at `end`; `succs` are its DAG
-    /// successors.
-    fn finish(&mut self, succs: &[u32], end: f64);
+    /// The popped gate finished at `end`; `next` are its per-operand
+    /// links ([`NO_GATE`] where its qubit has no later gate).
+    fn finish(&mut self, next: &[u32; 3], end: f64);
 }
 
 /// Ready gates in ascending `(ready time, gate index)` order, through
@@ -473,8 +453,12 @@ impl Frontier for EventOrder {
         self.queue.pop()
     }
 
-    fn finish(&mut self, succs: &[u32], end: f64) {
-        for &s in succs {
+    fn finish(&mut self, next: &[u32; 3], end: f64) {
+        // A gate linked through two qubits is decremented twice and
+        // pushed once, at its final ready time: `ready_time` is a max
+        // and the key `(time, index)` is unique, so the pop order does
+        // not depend on the push order.
+        for &s in next.iter().filter(|&&s| s != NO_GATE) {
             let s = s as usize;
             self.ready_time[s] = self.ready_time[s].max(end);
             self.indegree[s] -= 1;
@@ -486,7 +470,7 @@ impl Frontier for EventOrder {
 }
 
 /// Gates in program order. Exact for QLA only: its pools are per qubit
-/// and its movement is stateless, and the DAG chains each qubit's
+/// and its movement is stateless, and dependencies chain each qubit's
 /// gates, so every pool sees the same draws at the same ready times as
 /// in event order (see the module docs).
 struct ProgramOrder {
@@ -512,8 +496,8 @@ impl Frontier for ProgramOrder {
         Some((ready, self.next - 1))
     }
 
-    fn finish(&mut self, succs: &[u32], end: f64) {
-        for &s in succs {
+    fn finish(&mut self, next: &[u32; 3], end: f64) {
+        for &s in next.iter().filter(|&&s| s != NO_GATE) {
             let s = s as usize;
             self.ready_time[s] = self.ready_time[s].max(end);
         }
@@ -894,17 +878,25 @@ mod tests {
     }
 
     /// Lowers a random circuit of 1-, 2- and 3-qubit gates (Toffolis
-    /// become their 7T + 6CX + 2H network).
+    /// become their 7T + 6CX + 2H network). Kinds 6 and 7 repeat the
+    /// previous CX's operand pair as it was and swapped, so one gate
+    /// is often the next gate on two of another's qubits.
     fn random_lowered(n: usize, picks: &[(u8, u8, u8, u8)]) -> Circuit {
         let mut c = Circuit::new(n);
+        let mut pair = (0, 1);
         for &(kind, a, b, t) in picks {
             let (a, b, t) = (a as usize % n, b as usize % n, t as usize % n);
-            match kind % 6 {
+            match kind {
                 0 => c.h(a),
                 1 => c.t(a),
                 2 => c.s(a),
-                3 | 4 if a != b => c.cx(a, b),
+                3 | 4 if a != b => {
+                    pair = (a, b);
+                    c.cx(a, b);
+                }
                 5 if a != b && b != t && a != t => c.toffoli(a, b, t),
+                6 => c.cx(pair.0, pair.1),
+                7 => c.cx(pair.1, pair.0),
                 _ => c.x(a),
             }
         }
@@ -931,6 +923,31 @@ mod tests {
             proptest::prop_assert_eq!(fast.makespan_us.to_bits(), events.makespan_us.to_bits());
             proptest::prop_assert_eq!(fast.teleports, events.teleports);
             proptest::prop_assert_eq!(fast.cache_misses, events.cache_misses);
+        }
+
+        /// The dependency links against their brute-force definition:
+        /// each `next` slot holds the first later gate on that
+        /// operand's qubit, and each gate's initial indegree is the
+        /// number of slots pointing at it.
+        #[test]
+        fn links_are_the_next_gate_on_each_operand(
+            n in 2usize..8,
+            picks in proptest::collection::vec((0u8..8, 0u8..255, 0u8..255, 0u8..255), 1..80),
+        ) {
+            let c = random_lowered(n, &picks);
+            let ctx = SimContext::new(&c);
+            let gates = c.gates();
+            for (i, g) in gates.iter().enumerate() {
+                let qs = g.qubits();
+                for (j, &link) in ctx.next[i].iter().enumerate() {
+                    let first_later = qs.get(j).and_then(|q| {
+                        (i + 1..gates.len()).find(|&k| gates[k].qubits().contains(q))
+                    });
+                    proptest::prop_assert_eq!(link, first_later.map_or(NO_GATE, |k| k as u32));
+                }
+                let pointing = ctx.next.iter().flatten().filter(|&&s| s as usize == i).count();
+                proptest::prop_assert_eq!(ctx.indegree0[i] as usize, pointing);
+            }
         }
     }
 

@@ -14,13 +14,12 @@
 //!
 //! Full runs print the paper-layout report on stdout and write
 //! `results/repro.json` plus per-figure CSVs under `results/`.
-//! Dispatch is entirely data-driven: every run is a
-//! [`RunRequest`](qods_service::RunRequest) submitted to a
-//! [`Scheduler`](qods_service::Scheduler), so adding an experiment to
-//! the registry makes it addressable here with no changes to this
-//! file, and `repro` exercises exactly the code path `qods-serve`
-//! serves. Speed is measured by the `perfbench` package at the
-//! repository root, not here.
+//! Dispatch is entirely data-driven: every run is a [`RunRequest`]
+//! submitted to a [`Scheduler`], so adding an experiment to the
+//! registry makes it addressable here with no changes to this file,
+//! and `repro` exercises exactly the code path `qods-serve` serves.
+//! Speed is measured by the `perfbench` package at the repository
+//! root, not here.
 
 use qods_bench::{write_json, write_record_csvs};
 use qods_core::compile::ArtifactStore;

@@ -14,6 +14,11 @@
 //! * **Figure 8** — execution time as a function of a steady ancilla
 //!   throughput.
 //!
+//! Each gate depends only on the previous gate on each of its qubits,
+//! so every analysis is one forward pass over per-qubit state
+//! ([`schedule`]); no dependency graph is built. The DAG walks that
+//! pass replaced are its test oracle, in `tests/frontier_oracle.rs`.
+//!
 //! It also provides two functional simulators used to *verify* the
 //! benchmark kernels: a permutation simulator for classical reversible
 //! networks (adders) and a dense statevector simulator for small
@@ -36,7 +41,6 @@
 
 pub mod characterize;
 pub mod circuit;
-pub mod dag;
 pub mod gate;
 pub mod latency_model;
 pub mod schedule;

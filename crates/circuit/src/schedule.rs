@@ -9,8 +9,9 @@
 //! Each gate waits only on the last gate on each of its qubits, so
 //! every speed-of-data quantity comes out of one forward pass over
 //! per-qubit frontier state (`frontier_pass`): no dependency graph
-//! is built. The pass is bit-identical to the [`crate::dag::Dag`]
-//! walks it replaced, which stay as its test oracle.
+//! is built. The pass is bit-identical to the dependency-DAG walks
+//! it replaced, which stay as its test oracle in
+//! `crates/circuit/tests/frontier_oracle.rs`.
 
 use crate::characterize::LatencyBreakdown;
 use crate::circuit::Circuit;

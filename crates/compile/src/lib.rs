@@ -31,7 +31,8 @@
 //! # Example
 //!
 //! ```
-//! use qods_compile::prelude::*;
+//! use qods_compile::{ArtifactStore, Compiler, SynthBudget};
+//! use qods_kernels::KernelSpec;
 //! use std::sync::Arc;
 //!
 //! let compiler = Compiler::new(
@@ -79,15 +80,6 @@ pub fn paper_specs(n_bits: usize) -> Vec<KernelSpec> {
             width: n_bits,
         })
         .collect()
-}
-
-/// One-stop imports for typical use.
-pub mod prelude {
-    pub use crate::pipeline::{
-        Characterization, CompiledKernel, Compiler, ScheduledCircuit, SynthBudget,
-    };
-    pub use crate::store::{ArtifactKey, ArtifactStore, StoreStats};
-    pub use qods_kernels::{KernelError, KernelFamily, KernelSpec};
 }
 
 #[cfg(test)]

@@ -16,15 +16,15 @@
 //! | artifact | experiment id | source |
 //! |---|---|---|
 //! | Table 1/4 | `table1`/`table4` | [`qods_phys::latency`] |
-//! | Table 2 | `table2` | [`qods_circuit::characterize`] |
-//! | Table 3 | `table3` | [`qods_circuit::characterize`] |
-//! | §3.3 | `sec33`/`nontransversal` | [`qods_circuit::characterize`] |
+//! | Table 2 | `table2` | [`qods_circuit::characterize`](mod@qods_circuit::characterize) |
+//! | Table 3 | `table3` | [`qods_circuit::characterize`](mod@qods_circuit::characterize) |
+//! | §3.3 | `sec33`/`nontransversal` | [`qods_circuit::characterize`](mod@qods_circuit::characterize) |
 //! | Table 5/6 | `table5`/`table6` | [`qods_factory::zero`] |
 //! | Table 7/8 | `table7`/`table8` | [`qods_factory::pi8`] |
 //! | Table 9 | `table9` | [`qods_arch::table9`] |
 //! | Fig 4 | `fig4` | [`qods_steane::eval`] |
 //! | Fig 6 | `fig6` | [`qods_synth::cascade`] |
-//! | Fig 7 | `fig7` | [`qods_circuit::characterize`] |
+//! | Fig 7 | `fig7` | [`qods_circuit::characterize`](mod@qods_circuit::characterize) |
 //! | Fig 8 | `fig8` | [`qods_circuit::throughput`] |
 //! | Fig 11 | `fig11` | [`qods_factory::simple`] |
 //! | Fig 15 | `fig15`/`headline` | [`qods_arch::sweep`] |

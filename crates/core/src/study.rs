@@ -248,6 +248,20 @@ mod tests {
     }
 
     #[test]
+    fn paper_panel_covers_all_four_architectures() {
+        let panel: Vec<Arch> = ArchChoice::paper_panel()
+            .into_iter()
+            .map(|c| c.to_arch(64))
+            .collect();
+        assert_eq!(panel[0], Arch::FullyMultiplexed);
+        assert_eq!(panel[1], Arch::Qla);
+        assert_eq!(panel[2], Arch::Cqla { cache_slots: 8 });
+        assert_eq!(panel[3], Arch::Qalypso { tile_qubits: 16 });
+        let names: Vec<_> = panel.iter().map(Arch::name).collect();
+        assert_eq!(names, ["Fully-Multiplexed", "QLA", "CQLA", "Qalypso"]);
+    }
+
+    #[test]
     fn benchmarks_have_expected_qubit_counts() {
         let ctx = StudyContext::new(StudyConfig {
             n_bits: 32,

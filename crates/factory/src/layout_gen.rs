@@ -1,7 +1,7 @@
 //! Concrete macroblock layouts for the factories, cross-checked
 //! against the published areas.
 //!
-//! The paper's layouts were produced by the authors' CAD tool ([8]);
+//! The paper's layouts were produced by the authors' CAD tool (\[8\]);
 //! we rebuild them from the figures' descriptions. The simple factory
 //! (Fig 11) is three rows of ten gate locations with communication
 //! rows between and around them: a 9 x 10 grid, 90 macroblocks.

@@ -28,16 +28,6 @@ impl SizedStage {
     pub fn total_area(&self) -> u32 {
         self.count * self.unit.area
     }
-
-    /// Aggregate input bandwidth (qubits/ms).
-    pub fn bw_in(&self, t: &LatencyTable) -> f64 {
-        f64::from(self.count) * self.unit.bw_in_per_ms(t)
-    }
-
-    /// Aggregate output bandwidth (qubits/ms).
-    pub fn bw_out(&self, t: &LatencyTable) -> f64 {
-        f64::from(self.count) * self.unit.bw_out_per_ms(t)
-    }
 }
 
 /// Crossbar widths between stages: the first crossbar of the zero

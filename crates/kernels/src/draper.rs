@@ -1,5 +1,5 @@
 //! Draper's QFT-based adder ("Addition on a Quantum Computer",
-//! quant-ph/0008033 — the paper's reference [18]).
+//! quant-ph/0008033 — the paper's reference \[18\]).
 //!
 //! Adds register `a` into register `b` in the Fourier basis: QFT on
 //! `b`, controlled phase rotations from `a`, inverse QFT. Uses no

@@ -185,16 +185,6 @@ impl KernelSpec {
         }
     }
 
-    /// Lowers the IR to the physical Clifford+T set; `synth` is only
-    /// consulted for rotation families ([`KernelFamily::uses_synthesis`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the spec is invalid (see [`KernelSpec::build_ir`]).
-    pub fn build_lowered(&self, synth: &SynthAdapter) -> Circuit {
-        self.lower(&self.build_ir(), synth)
-    }
-
     /// Lowers this spec's IR (as built by [`KernelSpec::build_ir`]):
     /// rotation families through [`SynthAdapter::lower`], one batched
     /// search for the rotations not cached yet; the others never
@@ -332,11 +322,11 @@ mod tests {
     }
 
     #[test]
-    fn build_lowered_is_physical_for_all_families() {
+    fn lowering_is_physical_for_all_families() {
         let synth = SynthAdapter::with_budget(6, 5e-2);
         for family in KernelFamily::ALL {
             let spec = KernelSpec::new(family, 4).expect("valid");
-            let lowered = spec.build_lowered(&synth);
+            let lowered = spec.lower(&spec.build_ir(), &synth);
             assert!(
                 lowered.gates().iter().all(|g| g.is_physical()),
                 "{family}:4 lowered to non-physical gates"

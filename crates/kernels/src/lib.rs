@@ -2,15 +2,15 @@
 //!
 //! Three kernels, all core subroutines of Shor-class algorithms:
 //!
-//! * [`qrca`] — the n-bit quantum ripple-carry adder (VBE form: two
+//! * [`qrca`](mod@qrca) — the n-bit quantum ripple-carry adder (VBE form: two
 //!   n-bit inputs plus n+1 carry ancillae, 3n+1 = 97 encoded qubits at
 //!   n = 32, matching the paper's 679-macroblock data region);
-//! * [`qcla`] — the Draper-Kutin-Rains-Svore out-of-place
+//! * [`qcla`](mod@qcla) — the Draper-Kutin-Rains-Svore out-of-place
 //!   carry-lookahead adder (123 encoded qubits at n = 32, log depth);
-//! * [`qft`] — the quantum Fourier transform, with controlled
+//! * [`qft`](mod@qft) — the quantum Fourier transform, with controlled
 //!   rotations decomposed per §2.5 and small-angle rotations
 //!   synthesized by `qods-synth`;
-//! * [`draper`] — Draper's ancilla-free QFT adder (the paper's [18]),
+//! * [`draper`] — Draper's ancilla-free QFT adder (the paper's \[18\]),
 //!   an extension kernel contrasting carry chains against rotation
 //!   depth.
 //!

@@ -1,5 +1,5 @@
 //! The n-bit Quantum Carry-Lookahead Adder (Draper, Kutin, Rains,
-//! Svore — the paper's [19]), out-of-place form.
+//! Svore — the paper's \[19\]), out-of-place form.
 //!
 //! Register layout:
 //!
@@ -168,7 +168,8 @@ pub fn qcla_lowered(n: usize) -> Circuit {
 mod tests {
     use super::*;
     use crate::verify_adder;
-    use qods_circuit::dag::Dag;
+    use qods_circuit::latency_model::CharacterizationModel;
+    use qods_circuit::schedule::SpeedOfData;
 
     #[test]
     fn qubit_budget_matches_paper() {
@@ -214,8 +215,9 @@ mod tests {
         let n = 32;
         let cla = qcla_lowered(n);
         let rca = crate::qrca::qrca_lowered(n);
-        let d_cla = Dag::build(&cla).depth();
-        let d_rca = Dag::build(&rca).depth();
+        let model = CharacterizationModel::ion_trap();
+        let d_cla = SpeedOfData::of(&cla, &model).depth;
+        let d_rca = SpeedOfData::of(&rca, &model).depth;
         assert!(
             d_cla * 4 < d_rca,
             "QCLA depth {d_cla} not <<< QRCA depth {d_rca}"

@@ -101,7 +101,8 @@ proptest! {
     fn every_family_lowers_physical_at_random_widths(width in 1usize..13, fi in 0usize..5) {
         let family = KernelFamily::ALL[fi];
         let synth = SynthAdapter::with_budget(6, 5e-2);
-        let lowered = spec(family, width).build_lowered(&synth);
+        let spec = spec(family, width);
+        let lowered = spec.lower(&spec.build_ir(), &synth);
         prop_assert!(lowered.gates().iter().all(|g| g.is_physical()), "{family}:{width}");
         prop_assert_eq!(lowered.n_qubits(), family.n_qubits(width));
     }

@@ -8,12 +8,12 @@
 //!   port structure and gate locations;
 //! * [`grid`] — rectangular layouts of macroblocks with connectivity
 //!   validation and area accounting;
-//! * [`route`] — a Dijkstra router that counts straight moves and
+//! * [`route`](mod@route) — a Dijkstra router that counts straight moves and
 //!   turns (the two movement primitives of Table 4) between layout
 //!   positions;
 //! * [`region`] — the data-qubit compute region of Fig 10 (a single
 //!   column of gate macroblocks per encoded qubit: data area is
-//!   `7 x n_qubits` for the [[7,1,3]] code, §4.2).
+//!   `7 x n_qubits` for the \[\[7,1,3\]\] code, §4.2).
 //!
 //! # Example
 //!

@@ -2,13 +2,13 @@
 //!
 //! Each encoded data qubit occupies a single column of seven
 //! straight-channel-gate macroblocks (one per physical qubit of the
-//! [[7,1,3]] code), with interconnect access on both ends. Data area is
+//! \[\[7,1,3\]\] code), with interconnect access on both ends. Data area is
 //! therefore `m x n_q` macroblocks with `m = 7`.
 
 use crate::grid::Grid;
 use crate::macroblock::{Macroblock, MacroblockKind};
 
-/// Physical qubits per encoded qubit in the [[7,1,3]] code.
+/// Physical qubits per encoded qubit in the \[\[7,1,3\]\] code.
 pub const BLOCK_SIZE: usize = 7;
 
 /// Total data area (macroblocks) for `n_qubits` encoded qubits,

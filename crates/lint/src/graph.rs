@@ -15,7 +15,11 @@
 //! A method call lands only on functions that take `self`, and an
 //! unqualified call `name(..)` only on free functions in scope: the
 //! caller's crate, plus the crates its `use` items import that name
-//! (or everything, by glob) from, following re-exports.
+//! (or everything, by glob) from, following re-exports. A path call
+//! `Q::name(..)` lands on `Q`'s own `name` when `Q` has one; otherwise
+//! on free functions (`Q` is a module) and trait-impl methods (`Q` is
+//! a trait or a generic parameter), never on another type's inherent
+//! method, so `Vec::new()` lands on no node.
 //!
 //! The resolution is deliberately conservative in the "more edges"
 //! direction everywhere except that skip list (the scope rules drop
@@ -76,6 +80,9 @@ pub struct FnNode {
     pub name: String,
     /// Enclosing `impl` type, when inside an impl block.
     pub impl_type: Option<String>,
+    /// Inside an `impl Trait for Type` block: reachable through the
+    /// trait or a generic parameter, not only through `Type`.
+    pub trait_impl: bool,
     /// Declared with a `pub` visibility token.
     pub is_pub: bool,
     /// Parameter count excluding `self`.
@@ -381,10 +388,18 @@ impl Index {
                     .copied()
                     .filter(|&i| self.fns[i].impl_type.as_deref() == Some(q.as_str()))
                     .collect();
-                if scoped.is_empty() {
+                if !scoped.is_empty() {
+                    scoped
+                } else if q == "Self" {
                     all
                 } else {
-                    scoped
+                    // A module path (`qods_fault::check`) reaches free
+                    // functions, and a trait or generic parameter
+                    // (`T::from_value`) trait impls; neither reaches
+                    // another type's inherent method (`Vec::new()`).
+                    all.into_iter()
+                        .filter(|&i| self.fns[i].impl_type.is_none() || self.fns[i].trait_impl)
+                        .collect()
                 }
             }
             None => all,
@@ -429,9 +444,10 @@ fn depth_profile(code: &[String]) -> Vec<i64> {
     depths
 }
 
-/// The `impl` context each line sits in: the impl'd type name.
-fn impl_profile(file: &ScannedFile, depths: &[i64]) -> Vec<Option<String>> {
-    let mut ctx: Vec<Option<String>> = vec![None; file.code.len()];
+/// The `impl` context each line sits in: the impl'd type name, and
+/// whether the impl is of a trait.
+fn impl_profile(file: &ScannedFile, depths: &[i64]) -> Vec<Option<(String, bool)>> {
+    let mut ctx: Vec<Option<(String, bool)>> = vec![None; file.code.len()];
     let mut l = 0usize;
     while l < file.code.len() {
         let code = &file.code[l];
@@ -443,7 +459,7 @@ fn impl_profile(file: &ScannedFile, depths: &[i64]) -> Vec<Option<String>> {
             l += 1;
             continue;
         }
-        let Some(ty) = impl_type_name(trimmed) else {
+        let Some(imp) = impl_type_name(trimmed) else {
             l += 1;
             continue;
         };
@@ -458,7 +474,7 @@ fn impl_profile(file: &ScannedFile, depths: &[i64]) -> Vec<Option<String>> {
             }
         }
         for slot in ctx.iter_mut().take(end + 1).skip(l) {
-            *slot = Some(ty.clone());
+            *slot = Some(imp.clone());
         }
         l = end + 1;
     }
@@ -466,8 +482,9 @@ fn impl_profile(file: &ScannedFile, depths: &[i64]) -> Vec<Option<String>> {
 }
 
 /// The implemented type's last path segment: `impl Foo {`,
-/// `impl Trait for Foo {`, `impl<T> Trait<T> for path::Foo<T> {`.
-fn impl_type_name(trimmed: &str) -> Option<String> {
+/// `impl Trait for Foo {`, `impl<T> Trait<T> for path::Foo<T> {`;
+/// and whether a trait is implemented (`for` is present).
+fn impl_type_name(trimmed: &str) -> Option<(String, bool)> {
     let rest = trimmed
         .strip_prefix("unsafe ")
         .unwrap_or(trimmed)
@@ -476,7 +493,8 @@ fn impl_type_name(trimmed: &str) -> Option<String> {
     let rest = skip_generics(rest);
     // `Trait for Type` — the type is after `for`; otherwise the first
     // type is it.
-    let ty_part = match find_token(rest, "for") {
+    let for_pos = find_token(rest, "for");
+    let ty_part = match for_pos {
         Some(pos) => &rest[pos + 3..],
         None => rest,
     };
@@ -487,7 +505,7 @@ fn impl_type_name(trimmed: &str) -> Option<String> {
         .collect();
     let last = name.rsplit("::").next().unwrap_or(&name).to_owned();
     (!last.is_empty() && last.chars().next().is_some_and(|c| c.is_ascii_alphabetic()))
-        .then_some(last)
+        .then_some((last, for_pos.is_some()))
 }
 
 fn skip_generics(s: &str) -> &str {
@@ -543,7 +561,8 @@ fn parse_file(fi: usize, file: &ScannedFile, out: &mut Vec<FnNode>) {
             let mut node = FnNode {
                 file: fi,
                 name,
-                impl_type: impls[l].clone(),
+                impl_type: impls[l].as_ref().map(|(ty, _)| ty.clone()),
+                trait_impl: impls[l].as_ref().is_some_and(|&(_, t)| t),
                 is_pub,
                 arity: sig.arity,
                 has_self: sig.has_self,

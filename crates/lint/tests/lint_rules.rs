@@ -124,35 +124,72 @@ fn the_drift_workspace_fails_the_run() {
     );
 }
 
+/// The sorted qualnames every call in `caller` resolves to, in the
+/// fixture workspace at `root`.
+fn callees(root: &Path, caller: &str) -> Vec<String> {
+    let files = qods_lint::scan_workspace(root).expect("fixture ws scans");
+    let index = qods_lint::graph::Index::build(&files);
+    let i = index
+        .fns
+        .iter()
+        .position(|f| f.qualname(&files) == caller)
+        .expect("caller is indexed");
+    let mut out: Vec<String> = index.fns[i]
+        .calls
+        .iter()
+        .flat_map(|c| index.resolve(i, c))
+        .map(|j| index.fns[j].qualname(&files))
+        .collect();
+    out.sort();
+    out
+}
+
 #[test]
 fn unqualified_calls_stay_in_the_callers_crate_and_its_imports() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/scoped_ws");
-    let files = qods_lint::scan_workspace(&root).expect("fixture ws scans");
-    let index = qods_lint::graph::Index::build(&files);
-    let callees = |caller: &str| -> Vec<String> {
-        let i = index
-            .fns
-            .iter()
-            .position(|f| f.qualname(&files) == caller)
-            .expect("caller is indexed");
-        let mut out: Vec<String> = index.fns[i]
-            .calls
-            .iter()
-            .flat_map(|c| index.resolve(i, c))
-            .map(|j| index.fns[j].qualname(&files))
-            .collect();
-        out.sort();
-        out
-    };
     // Its own `record` and the imported `instant`; never qods-core's.
     assert_eq!(
-        callees("qods-net::serve_line"),
+        callees(&root, "qods-net::serve_line"),
         ["qods-net::record", "qods-obs::instant"]
     );
-    assert_eq!(callees("qods-core::tally"), ["qods-core::record"]);
+    assert_eq!(callees(&root, "qods-core::tally"), ["qods-core::record"]);
     // So qods-core's panicking `record` is off the serving path.
     let report = qods_lint::lint_workspace(&root).expect("fixture ws lints");
     assert!(report.clean(), "{}", to_ndjson(&report.findings));
+}
+
+#[test]
+fn qualified_calls_reach_trait_impls_but_no_other_types_inherent_methods() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/qualified_ws");
+    // `Vec::new()` reaches no workspace `new`; `Tally::new`, the
+    // module-path call and the trait call still resolve.
+    assert_eq!(
+        callees(&root, "qods-net::serve_line"),
+        [
+            "qods-net::Request::from_value",
+            "qods-net::Tally::new",
+            "qods-obs::instant"
+        ]
+    );
+    // A generic parameter dispatches to the trait impls too.
+    assert_eq!(
+        callees(&root, "qods-net::decode"),
+        ["qods-net::Request::from_value"]
+    );
+    // So the trait impl's `unwrap` is on the serving path, and
+    // qods-core's panicking `Registry::new` is not.
+    let report = qods_lint::lint_workspace(&root).expect("fixture ws lints");
+    let found: Vec<(String, String, u32)> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule.clone(), f.file.clone(), f.line))
+        .collect();
+    assert_eq!(
+        found,
+        [("P1".to_owned(), "crates/net/src/lib.rs".to_owned(), 24)],
+        "{}",
+        to_ndjson(&report.findings)
+    );
 }
 
 #[test]

@@ -130,12 +130,6 @@ impl Registry {
             trace: crate::trace::tracer().stats(),
         }
     }
-
-    /// Reads one counter's current value (0 when never registered) —
-    /// for snapshot-shaping code that must not create the site.
-    pub fn counter_value(&self, site: Site) -> u64 {
-        plock(&self.counters).get(&site).map_or(0, |c| c.get())
-    }
 }
 
 /// The serde form of a [`Registry::snapshot`]: sorted site-name maps,

@@ -23,9 +23,9 @@
 //! A `dirty` flag short-circuits conjugation entirely while the frame is
 //! identically zero — at the paper's error rates most trials never leave
 //! that state, so an op costs one countdown decrement and nothing else.
-//! The boolean reference implementation this replaced is retained as
-//! [`crate::frame_ref::RefPauliFrame`] and a property suite asserts
-//! exact equivalence (same RNG stream, same states).
+//! The boolean reference implementation this replaced is the test
+//! oracle in `crates/phys/tests/frame_equivalence.rs`, whose property
+//! suite asserts exact equivalence (same RNG stream, same states).
 //!
 //! ## Fault sampling
 //!

@@ -17,9 +17,9 @@
 //!   bitmasks: errors are injected stochastically per operation
 //!   (geometric skip-sampling at low rates) and propagated through
 //!   Clifford conjugation, exactly the style of Monte-Carlo evaluation
-//!   the paper performs on its ancilla-preparation circuits.
-//! * [`frame_ref`] — the boolean reference frame the packed simulator
-//!   is differentially tested against.
+//!   the paper performs on its ancilla-preparation circuits. Its
+//!   executable specification, a boolean reference frame, lives with
+//!   the differential suite in `tests/frame_equivalence.rs`.
 //! * [`montecarlo`] — a harness for running many seeded trials
 //!   (allocation-free via [`montecarlo::TrialArena`], chunked
 //!   work-stealing in parallel) and aggregating acceptance/error
@@ -38,7 +38,6 @@
 
 pub mod error_model;
 pub mod frame;
-pub mod frame_ref;
 pub mod latency;
 pub mod montecarlo;
 pub mod ops;

@@ -188,18 +188,6 @@ impl PauliString {
         (self.x | self.z).count_ones()
     }
 
-    /// Weight of the X component alone (counts X and Y positions).
-    #[inline]
-    pub fn x_weight(&self) -> u32 {
-        self.x.count_ones()
-    }
-
-    /// Weight of the Z component alone (counts Z and Y positions).
-    #[inline]
-    pub fn z_weight(&self) -> u32 {
-        self.z.count_ones()
-    }
-
     /// True when the string is the identity.
     #[inline]
     pub fn is_identity(&self) -> bool {
@@ -267,8 +255,8 @@ mod tests {
         s.mul_assign_at(2, Pauli::Z); // X * Z = Y
         assert_eq!(s.to_string(), "IZYI");
         assert_eq!(s.weight(), 2);
-        assert_eq!(s.x_weight(), 1);
-        assert_eq!(s.z_weight(), 2);
+        assert_eq!(s.x.count_ones(), 1);
+        assert_eq!(s.z.count_ones(), 2);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Differential suite: the word-packed [`PauliFrame`] against the
-//! retained boolean reference implementation [`RefPauliFrame`], and the
+//! boolean reference implementation [`RefPauliFrame`] (the executable
+//! specification, kept here beside the tests that read it), and the
 //! batched frame ops against per-op application.
 //!
 //! The two frame implementations are *defined* to consume the RNG in
@@ -8,13 +9,212 @@
 //! op sequences, directed Pauli injections, and every sampling mode.
 
 use proptest::prelude::*;
-use qods_phys::error_model::{ErrorModel, FaultSampling};
+use qods_phys::error_model::{ErrorModel, FaultSampler, FaultSampling};
 use qods_phys::frame::PauliFrame;
-use qods_phys::frame_ref::RefPauliFrame;
-use qods_phys::ops::{Basis, Gate1, Gate2, PhysOp};
-use qods_phys::pauli::Pauli;
+use qods_phys::ops::{Basis, Gate1, Gate2, PhysOp, PhysOpKind};
+use qods_phys::pauli::{Pauli, PauliString};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// The boolean reference Pauli frame: one `bool` per X/Z component,
+/// straight-line conjugation rules transcribed from §2.2, no limb
+/// packing, no clean-frame short-circuit. It consumes the RNG in
+/// exactly the order the packed frame does (conjugation twirl draws,
+/// then the fault-location decision, then the fault Pauli choice).
+/// It is kept simple rather than fast.
+#[derive(Debug, Clone)]
+struct RefPauliFrame {
+    x: Vec<bool>,
+    z: Vec<bool>,
+    sampler: FaultSampler,
+    faults_injected: u64,
+}
+
+impl RefPauliFrame {
+    /// A clean frame over `n` qubits with the given error model.
+    fn new(n: usize, model: ErrorModel) -> Self {
+        RefPauliFrame {
+            x: vec![false; n],
+            z: vec![false; n],
+            sampler: FaultSampler::new(model),
+            faults_injected: 0,
+        }
+    }
+
+    /// Number of stochastic faults injected so far.
+    fn faults_injected(&self) -> u64 {
+        self.faults_injected
+    }
+
+    /// The current error on qubit `q`.
+    fn error_at(&self, q: usize) -> Pauli {
+        Pauli::from_bits(self.x[q], self.z[q])
+    }
+
+    /// Deterministically multiplies an error into qubit `q`.
+    fn inject(&mut self, q: usize, p: Pauli) {
+        let (px, pz) = p.bits();
+        self.x[q] ^= px;
+        self.z[q] ^= pz;
+    }
+
+    /// Extracts the error pattern restricted to `qubits`.
+    fn extract(&self, qubits: &[usize]) -> PauliString {
+        let mut s = PauliString::identity(qubits.len());
+        for (i, &q) in qubits.iter().enumerate() {
+            s.mul_assign_at(i, self.error_at(q));
+        }
+        s
+    }
+
+    /// Applies one physical operation (see [`PauliFrame::apply`] for
+    /// the contract).
+    fn apply<R: Rng + ?Sized>(&mut self, op: &PhysOp, rng: &mut R) -> Option<bool> {
+        match *op {
+            PhysOp::Gate1(g, q) => self.conjugate_gate1(g, q, rng),
+            PhysOp::Gate2(g, a, b) => self.conjugate_gate2(g, a, b, rng),
+            PhysOp::CondPauli(p, q) => self.inject(q, p),
+            PhysOp::Prep(q) => {
+                self.x[q] = false;
+                self.z[q] = false;
+            }
+            PhysOp::Measure(..) | PhysOp::Move(_) | PhysOp::TurnOp(_) => {}
+        }
+
+        match *op {
+            PhysOp::Measure(basis, q) => {
+                let mut flip = match basis {
+                    Basis::Z => self.x[q],
+                    Basis::X => self.z[q],
+                };
+                if self.sampler.fault_at(PhysOpKind::Measurement, rng) {
+                    flip = !flip;
+                    self.faults_injected += 1;
+                }
+                self.x[q] = false;
+                self.z[q] = false;
+                Some(flip)
+            }
+            PhysOp::Prep(q) => {
+                if self.sampler.fault_at(PhysOpKind::ZeroPrepare, rng) {
+                    self.x[q] = true;
+                    self.faults_injected += 1;
+                }
+                None
+            }
+            PhysOp::Gate1(_, q) | PhysOp::CondPauli(_, q) => {
+                if self.sampler.fault_at(PhysOpKind::OneQubitGate, rng) {
+                    self.inject_random_1q(q, rng);
+                }
+                None
+            }
+            PhysOp::Gate2(_, a, b) => {
+                if self.sampler.fault_at(PhysOpKind::TwoQubitGate, rng) {
+                    self.inject_random_2q(a, b, rng);
+                }
+                None
+            }
+            PhysOp::Move(q) => {
+                if self.sampler.fault_at(PhysOpKind::StraightMove, rng) {
+                    self.inject_random_1q(q, rng);
+                }
+                None
+            }
+            PhysOp::TurnOp(q) => {
+                if self.sampler.fault_at(PhysOpKind::Turn, rng) {
+                    self.inject_random_1q(q, rng);
+                }
+                None
+            }
+        }
+    }
+
+    /// Runs a straight-line circuit, writing measurement flips into
+    /// `flips` (cleared first).
+    fn run<R: Rng + ?Sized>(&mut self, ops: &[PhysOp], rng: &mut R, flips: &mut Vec<bool>) {
+        flips.clear();
+        for op in ops {
+            if let Some(f) = self.apply(op, rng) {
+                flips.push(f);
+            }
+        }
+    }
+
+    fn conjugate_gate1<R: Rng + ?Sized>(&mut self, g: Gate1, q: usize, rng: &mut R) {
+        match g {
+            Gate1::I | Gate1::X | Gate1::Y | Gate1::Z => {}
+            Gate1::H => std::mem::swap(&mut self.x[q], &mut self.z[q]),
+            Gate1::S | Gate1::Sdg => self.z[q] ^= self.x[q],
+            Gate1::T | Gate1::Tdg => {
+                if self.x[q] && rng.gen_bool(0.5) {
+                    self.z[q] = !self.z[q];
+                }
+            }
+        }
+    }
+
+    fn conjugate_gate2<R: Rng + ?Sized>(&mut self, g: Gate2, a: usize, b: usize, rng: &mut R) {
+        match g {
+            Gate2::Cx => {
+                self.x[b] ^= self.x[a];
+                self.z[a] ^= self.z[b];
+            }
+            Gate2::Cz => {
+                self.z[b] ^= self.x[a];
+                self.z[a] ^= self.x[b];
+            }
+            Gate2::Cs => {
+                self.z[b] ^= self.x[a];
+                self.z[a] ^= self.x[b];
+                if self.x[a] && rng.gen_bool(0.5) {
+                    self.z[a] = !self.z[a];
+                }
+                if self.x[b] && rng.gen_bool(0.5) {
+                    self.z[b] = !self.z[b];
+                }
+            }
+        }
+    }
+
+    fn inject_random_1q<R: Rng + ?Sized>(&mut self, q: usize, rng: &mut R) {
+        let p = Pauli::NON_IDENTITY[rng.gen_range(0..3)];
+        self.inject(q, p);
+        self.faults_injected += 1;
+    }
+
+    fn inject_random_2q<R: Rng + ?Sized>(&mut self, a: usize, b: usize, rng: &mut R) {
+        let k = rng.gen_range(1..16u8);
+        let pa = match k / 4 {
+            0 => Pauli::I,
+            1 => Pauli::X,
+            2 => Pauli::Y,
+            _ => Pauli::Z,
+        };
+        let pb = match k % 4 {
+            0 => Pauli::I,
+            1 => Pauli::X,
+            2 => Pauli::Y,
+            _ => Pauli::Z,
+        };
+        self.inject(a, pa);
+        self.inject(b, pb);
+        self.faults_injected += 1;
+    }
+}
+
+#[test]
+fn reference_frame_propagates_like_the_spec() {
+    let mut r = StdRng::seed_from_u64(1);
+    let mut f = RefPauliFrame::new(2, ErrorModel::noiseless());
+    f.inject(0, Pauli::X);
+    f.inject(1, Pauli::Z);
+    f.apply(&PhysOp::cx(0, 1), &mut r);
+    assert_eq!(f.error_at(0), Pauli::Y);
+    assert_eq!(f.error_at(1), Pauli::Y);
+    let flip = f.apply(&PhysOp::measure_z(1), &mut r).unwrap();
+    assert!(flip);
+    assert_eq!(f.error_at(1), Pauli::I);
+}
 
 const N: usize = 9;
 

@@ -6,7 +6,9 @@ use qods_obs::sites::POOL_WORKERS_SPAWNED;
 use qods_service::prelude::*;
 
 fn started() -> u64 {
-    qods_obs::Registry::global().counter_value(POOL_WORKERS_SPAWNED)
+    qods_obs::Registry::global()
+        .counter(POOL_WORKERS_SPAWNED)
+        .get()
 }
 
 #[test]

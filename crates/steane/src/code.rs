@@ -1,7 +1,7 @@
-//! The [[7,1,3]] Steane CSS code: stabilizers, syndromes, decoding, and
+//! The \[\[7,1,3\]\] Steane CSS code: stabilizers, syndromes, decoding, and
 //! logical-error classification.
 //!
-//! The code is built from the classical [7,4,3] Hamming code. With
+//! The code is built from the classical \[7,4,3\] Hamming code. With
 //! qubits indexed 0..6, the three parity checks (both the X-type and
 //! Z-type stabilizer generators share these supports, because the
 //! Hamming code contains its dual) are:
@@ -30,7 +30,7 @@ pub const LOGICAL_SUPPORT: u8 = 0b011_0100;
 /// qubits {2,3,6}.
 pub const VERIFY_SUPPORTS: [u8; 2] = [LOGICAL_SUPPORT, 0b100_1100];
 
-/// The [[7,1,3]] Steane code.
+/// The \[\[7,1,3\]\] Steane code.
 ///
 /// The struct is stateless; it exists so call sites read naturally and
 /// so alternative codes could slot in behind the same shape later.

@@ -15,7 +15,7 @@
 
 use qods_phys::error_model::ErrorModel;
 use qods_phys::frame::PauliFrame;
-use qods_phys::latency::{LatencyTable, SymbolicLatency};
+use qods_phys::latency::SymbolicLatency;
 use qods_phys::montecarlo::TrialArena;
 use qods_phys::ops::{Basis, Gate1, Gate2, PhysOp, PhysOpKind};
 use qods_phys::pauli::Pauli;
@@ -356,16 +356,12 @@ impl<'r, R: Rng> Executor<'r, R> {
     pub fn z_mask(&self, block: &[usize; 7]) -> u8 {
         self.frame.get().z_mask7(block)
     }
-
-    /// Serial latency of everything executed so far (diagnostics).
-    pub fn serial_latency_us(&self, table: &LatencyTable) -> f64 {
-        self.counts.serial_latency().eval(table)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qods_phys::latency::LatencyTable;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -435,6 +431,7 @@ mod tests {
         ex.prep(0); // 51
         ex.cx(0, 1); // 10
         let _ = ex.measure_z(1); // 50
-        assert_eq!(ex.serial_latency_us(&LatencyTable::ion_trap()), 111.0);
+        let latency = ex.counts().serial_latency();
+        assert_eq!(latency.eval(&LatencyTable::ion_trap()), 111.0);
     }
 }

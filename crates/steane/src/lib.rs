@@ -1,4 +1,4 @@
-//! # qods-steane — the [[7,1,3]] Steane code and ancilla preparation
+//! # qods-steane — the \[\[7,1,3\]\] Steane code and ancilla preparation
 //!
 //! This crate implements §2 of "Running a Quantum Circuit at the Speed
 //! of Data": the Steane CSS code, its encoding circuit (Fig 3b),
@@ -31,6 +31,11 @@
 //! verify-and-correct. "Correct only" (Fig 4b) applies corrections
 //! unconditionally, as the paper's weaker result for it suggests.
 //!
+//! The sign-free stabilizer tableau that checks the encoder's output
+//! group is a test oracle, not part of this crate: it lives in the
+//! workspace's `tests/tableau/` module beside the property suite that
+//! reads it.
+//!
 //! # Example
 //!
 //! ```
@@ -53,7 +58,6 @@ pub mod faults;
 pub mod pi8;
 pub mod prep;
 pub mod qec;
-pub mod tableau;
 pub mod threshold;
 pub mod verify;
 

@@ -3,7 +3,7 @@
 //!
 //! A fault-tolerant encoded pi/8 gate is performed by preparing an
 //! ancilla in the encoded pi/8 state and interacting it transversally
-//! with the data (Zhou-Leung-Chuang, the paper's [13]). Creating that
+//! with the data (Zhou-Leung-Chuang, the paper's \[13\]). Creating that
 //! ancilla (Fig 5b) takes an encoded zero, a 7-qubit cat state, and a
 //! series of transversal gates; the paper splits it into four pipeline
 //! stages:

@@ -7,7 +7,7 @@
 //! paths), while verify-and-correct degrades quadratically until its
 //! second-order floor crosses the first-order circuits — the
 //! pseudo-threshold structure familiar from Steane's overhead analyses
-//! (the paper's [4]).
+//! (the paper's \[4\]).
 
 use crate::eval::{evaluate_prep, PrepEvaluation};
 use crate::prep::PrepStrategy;

@@ -1,7 +1,7 @@
 //! # qods-synth — fault-tolerant rotation synthesis (§2.5, §4.4.2)
 //!
 //! The QFT needs controlled phase rotations by pi/2^k; below pi/2 no
-//! transversal implementation exists in the [[7,1,3]] code, so the
+//! transversal implementation exists in the \[\[7,1,3\]\] code, so the
 //! paper adopts Fowler's technique: exhaustively search H/T gate
 //! sequences for a minimum-length approximation of each small-angle
 //! rotation.

@@ -9,7 +9,7 @@ use std::f64::consts::PI;
 
 /// The physical single-qubit alphabet of synthesized sequences.
 ///
-/// `S` is transversal on the [[7,1,3]] code and `T` consumes a pi/8
+/// `S` is transversal on the \[\[7,1,3\]\] code and `T` consumes a pi/8
 /// ancilla, so sequence cost is dominated by the T-count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HtGate {

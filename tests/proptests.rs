@@ -1,8 +1,11 @@
 //! Property-based tests across the stack (proptest).
 
+mod tableau;
+
 use proptest::prelude::*;
 use qods_circuit::circuit::{Circuit, NoSynth};
-use qods_circuit::dag::Dag;
+use qods_circuit::latency_model::CharacterizationModel;
+use qods_circuit::schedule::Schedule;
 use qods_circuit::sim::statevector::State;
 use qods_layout::grid::Grid;
 use qods_layout::macroblock::{Macroblock, MacroblockKind};
@@ -12,13 +15,13 @@ use qods_phys::pauli::{Pauli, PauliString};
 use qods_steane::code::SteaneCode;
 use qods_steane::encoder::{encode_zero, EncoderMovement};
 use qods_steane::executor::Executor;
-use qods_steane::tableau::Tableau;
 use qods_synth::search::Synthesizer;
 use qods_synth::su2::U2;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use speed_of_data::kernels::verify_adder;
 use speed_of_data::prelude::*;
+use tableau::Tableau;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -106,8 +109,8 @@ proptest! {
         prop_assert!((actual - seq.distance).abs() < 1e-9);
     }
 
-    /// The DAG's ASAP schedule never starts a gate before a
-    /// predecessor finishes, for random circuits.
+    /// The speed-of-data schedule never starts a gate before the
+    /// previous gate on any of its qubits ends, for random circuits.
     #[test]
     fn asap_respects_dependencies(ops in proptest::collection::vec((0usize..4, 0usize..4), 1..40)) {
         let mut c = Circuit::new(4);
@@ -118,13 +121,17 @@ proptest! {
                 c.cx(a, b);
             }
         }
-        let dag = Dag::build(&c);
-        let (start, makespan) = dag.asap(|_| 1.0);
-        for i in 0..c.len() {
-            for &p in dag.preds(i) {
-                prop_assert!(start[i] >= start[p] + 1.0 - 1e-12);
+        let sched = Schedule::speed_of_data(&c, &CharacterizationModel::ion_trap());
+        let mut qubit_free = [0.0f64; 4];
+        for (i, g) in c.gates().iter().enumerate() {
+            let end = sched.start[i] + sched.duration[i];
+            for &q in g.qubits().iter() {
+                prop_assert!(sched.start[i] >= qubit_free[q]);
             }
-            prop_assert!(start[i] + 1.0 <= makespan + 1e-12);
+            for &q in g.qubits().iter() {
+                qubit_free[q] = end;
+            }
+            prop_assert!(end <= sched.makespan_us);
         }
     }
 

@@ -5,11 +5,13 @@
 //!
 //! Rows are [`PauliString`]s conjugated through Clifford gates with the
 //! same rules as the error frame. Signs are not tracked: span equality
-//! up to signs is sufficient for the structural checks we perform (the
-//! Monte-Carlo machinery never uses this module; it is a test aid and a
-//! documentation artifact).
+//! up to signs is sufficient for the structural checks we perform. The
+//! Monte-Carlo machinery never uses it: it is a test oracle, shared by
+//! the property suite through `mod tableau;`.
 
 use qods_phys::pauli::PauliString;
+use qods_steane::code::CHECKS;
+use qods_steane::encoder::{CONTROLS, CX_ROUNDS};
 
 /// A set of stabilizer generators over `n` qubits.
 #[derive(Debug, Clone)]
@@ -78,16 +80,6 @@ impl Tableau {
         }
     }
 
-    /// Conjugates through CZ(a, b).
-    pub fn cz(&mut self, a: usize, b: usize) {
-        for r in &mut self.rows {
-            let xa = (r.x >> a) & 1;
-            let xb = (r.x >> b) & 1;
-            r.z ^= xa << b;
-            r.z ^= xb << a;
-        }
-    }
-
     /// True when the F2 span of this tableau's rows (as 2n-bit
     /// symplectic vectors) equals the span of `other`'s.
     pub fn same_span(&self, other: &Tableau) -> bool {
@@ -135,72 +127,65 @@ fn reduced(t: &Tableau) -> Vec<u128> {
     basis
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::code::CHECKS;
-    use crate::encoder::{CONTROLS, CX_ROUNDS};
-
-    #[test]
-    fn encoder_produces_steane_stabilizers_plus_logical_z() {
-        // Start from |0>^7, apply the Fig 3b circuit to the tableau.
-        let mut t = Tableau::zeros(7);
-        for &c in &CONTROLS {
-            t.h(c);
-        }
-        for round in &CX_ROUNDS {
-            for &(c, tgt) in round {
-                t.cx(c, tgt);
-            }
-        }
-        // Expected group: three X-checks, three Z-checks, logical Z.
-        let mut expect = Tableau::empty(7);
-        for &chk in &CHECKS {
-            expect.push(PauliString::from_masks(7, u64::from(chk), 0));
-        }
-        for &chk in &CHECKS {
-            expect.push(PauliString::from_masks(7, 0, u64::from(chk)));
-        }
-        expect.push(PauliString::from_masks(7, 0, 0b111_1111));
-        assert!(t.same_span(&expect), "encoder output group mismatch");
+#[test]
+fn encoder_produces_steane_stabilizers_plus_logical_z() {
+    // Start from |0>^7, apply the Fig 3b circuit to the tableau.
+    let mut t = Tableau::zeros(7);
+    for &c in &CONTROLS {
+        t.h(c);
     }
-
-    #[test]
-    fn ghz_stabilizers() {
-        let mut t = Tableau::zeros(3);
-        t.h(0);
-        t.cx(0, 1);
-        t.cx(1, 2);
-        let mut expect = Tableau::empty(3);
-        expect.push(PauliString::from_masks(3, 0b111, 0)); // XXX
-        expect.push(PauliString::from_masks(3, 0, 0b011)); // Z0 Z1
-        expect.push(PauliString::from_masks(3, 0, 0b110)); // Z1 Z2
-        assert!(t.same_span(&expect));
+    for round in &CX_ROUNDS {
+        for &(c, tgt) in round {
+            t.cx(c, tgt);
+        }
     }
-
-    #[test]
-    fn span_equality_is_basis_independent() {
-        let mut a = Tableau::empty(2);
-        a.push(PauliString::from_masks(2, 0b01, 0));
-        a.push(PauliString::from_masks(2, 0b10, 0));
-        let mut b = Tableau::empty(2);
-        b.push(PauliString::from_masks(2, 0b11, 0));
-        b.push(PauliString::from_masks(2, 0b01, 0));
-        assert!(a.same_span(&b));
-        let mut c = Tableau::empty(2);
-        c.push(PauliString::from_masks(2, 0b11, 0));
-        assert!(!a.same_span(&c));
+    // Expected group: three X-checks, three Z-checks, logical Z.
+    let mut expect = Tableau::empty(7);
+    for &chk in &CHECKS {
+        expect.push(PauliString::from_masks(7, u64::from(chk), 0));
     }
-
-    #[test]
-    fn rotation_rules_are_consistent_with_frame() {
-        // H then CX on a Z generator mirrors frame behavior.
-        let mut t = Tableau::zeros(2);
-        t.h(0); // Z0 -> X0
-        t.cx(0, 1); // X0 -> X0 X1
-        let mut expect = Tableau::empty(2);
-        expect.push(PauliString::from_masks(2, 0b11, 0));
-        expect.push(PauliString::from_masks(2, 0, 0b11)); // Z1 -> Z0 Z1
-        assert!(t.same_span(&expect));
+    for &chk in &CHECKS {
+        expect.push(PauliString::from_masks(7, 0, u64::from(chk)));
     }
+    expect.push(PauliString::from_masks(7, 0, 0b111_1111));
+    assert!(t.same_span(&expect), "encoder output group mismatch");
+}
+
+#[test]
+fn ghz_stabilizers() {
+    let mut t = Tableau::zeros(3);
+    t.h(0);
+    t.cx(0, 1);
+    t.cx(1, 2);
+    let mut expect = Tableau::empty(3);
+    expect.push(PauliString::from_masks(3, 0b111, 0)); // XXX
+    expect.push(PauliString::from_masks(3, 0, 0b011)); // Z0 Z1
+    expect.push(PauliString::from_masks(3, 0, 0b110)); // Z1 Z2
+    assert!(t.same_span(&expect));
+}
+
+#[test]
+fn span_equality_is_basis_independent() {
+    let mut a = Tableau::empty(2);
+    a.push(PauliString::from_masks(2, 0b01, 0));
+    a.push(PauliString::from_masks(2, 0b10, 0));
+    let mut b = Tableau::empty(2);
+    b.push(PauliString::from_masks(2, 0b11, 0));
+    b.push(PauliString::from_masks(2, 0b01, 0));
+    assert!(a.same_span(&b));
+    let mut c = Tableau::empty(2);
+    c.push(PauliString::from_masks(2, 0b11, 0));
+    assert!(!a.same_span(&c));
+}
+
+#[test]
+fn rotation_rules_are_consistent_with_frame() {
+    // H then CX on a Z generator mirrors frame behavior.
+    let mut t = Tableau::zeros(2);
+    t.h(0); // Z0 -> X0
+    t.cx(0, 1); // X0 -> X0 X1
+    let mut expect = Tableau::empty(2);
+    expect.push(PauliString::from_masks(2, 0b11, 0));
+    expect.push(PauliString::from_masks(2, 0, 0b11)); // Z1 -> Z0 Z1
+    assert!(t.same_span(&expect));
 }
