@@ -214,8 +214,8 @@ fn run_study(quick: bool, json: bool, ids: &[String], store: &ArtifactStore) -> 
         );
         let st = store.stats();
         eprintln!(
-            "compile stages: {} computed, {} mem hits, {} disk hits, {} corrupt",
-            st.computed, st.mem_hits, st.disk_hits, st.corrupt_reads
+            "compile stages: {} computed, {} mem hits, {} disk hits, {} corrupt, {} evicted",
+            st.computed, st.mem_hits, st.disk_hits, st.corrupt_reads, st.evictions
         );
         return ExitCode::SUCCESS;
     }
@@ -313,10 +313,11 @@ fn run_compile_kernels(specs: &[String], quick: bool) -> ExitCode {
     }
     let st = compiler.store().stats();
     eprintln!(
-        "compile stages: {} computed, {} mem hits, {} disk hits ({})",
+        "compile stages: {} computed, {} mem hits, {} disk hits, {} evicted ({})",
         st.computed,
         st.mem_hits,
         st.disk_hits,
+        st.evictions,
         compiler
             .store()
             .dir()

@@ -109,14 +109,18 @@ impl Circuit {
     ///
     /// # Panics
     ///
-    /// Panics if the gate references a qubit outside the circuit.
+    /// Panics if the gate references a qubit outside the circuit, or
+    /// names one qubit twice (`cx 0 0`: no such gate exists, and the
+    /// dependency chains would link it to itself).
     pub fn push(&mut self, g: Gate) {
-        for &q in g.qubits().iter() {
+        let qs = g.qubits();
+        for (i, &q) in qs.iter().enumerate() {
             assert!(
                 q < self.n_qubits,
                 "gate {g:?} references qubit {q} >= {}",
                 self.n_qubits
             );
+            assert!(!qs[..i].contains(&q), "gate {g:?} repeats qubit {q}");
         }
         self.gates.push(g);
     }
@@ -281,11 +285,15 @@ impl Deserialize for Circuit {
             gates.reserve_exact(program.bytes().filter(|&b| b == b';').count() + 1);
             for token in program.split(';') {
                 let g = Gate::decode_compact(token)?;
-                for &q in g.qubits().iter() {
+                let qs = g.qubits();
+                for (i, &q) in qs.iter().enumerate() {
                     if q >= n_qubits {
                         return Err(Error::custom(format!(
                             "gate {g:?} references qubit {q} >= {n_qubits}"
                         )));
+                    }
+                    if qs[..i].contains(&q) {
+                        return Err(Error::custom(format!("gate {g:?} repeats qubit {q}")));
                     }
                 }
                 gates.push(g);
@@ -490,6 +498,37 @@ mod tests {
         assert!(err.to_string().contains("a gate can address"), "{err}");
         let err = decode(usize::MAX, "").unwrap_err();
         assert!(err.to_string().contains("a gate can address"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats qubit 0")]
+    fn a_cx_on_one_qubit_is_refused() {
+        Circuit::new(2).cx(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "repeats qubit 1")]
+    fn a_toffoli_repeating_a_control_is_refused() {
+        Circuit::new(3).toffoli(1, 1, 2);
+    }
+
+    #[test]
+    fn decoding_refuses_a_gate_that_repeats_a_qubit() {
+        let decode = |program: &str| {
+            Circuit::from_value(&Value::Object(vec![
+                ("n_qubits".to_string(), 4usize.to_value()),
+                ("name".to_string(), Value::Str("x".to_string())),
+                ("gates".to_string(), Value::Str(program.to_string())),
+            ]))
+        };
+        assert_eq!(decode("cx 3 2;ccx 0 1 3").unwrap().len(), 2);
+        for program in ["h 0;cx 3 3", "ccx 0 2 0", "ccx 1 2 2", "cpr 1 1 3 +"] {
+            let err = decode(program).unwrap_err();
+            assert!(
+                err.to_string().contains("repeats qubit"),
+                "{program}: {err}"
+            );
+        }
     }
 
     #[test]

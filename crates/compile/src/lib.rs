@@ -64,8 +64,8 @@ pub use inflight::{Begin, InflightTable};
 pub use lru::Lru;
 pub use pipeline::{Characterization, CompiledKernel, Compiler, ScheduledCircuit, SynthBudget};
 pub use store::{
-    ArtifactKey, ArtifactStore, StoreStats, ARTIFACT_DIR_ENV, ARTIFACT_SCHEMA,
-    DEFAULT_ARTIFACT_DIR, MEM_TIER_ENTRIES,
+    ArtifactKey, ArtifactStore, HeapBytes, StoreStats, ARTIFACT_DIR_ENV, ARTIFACT_SCHEMA,
+    DEFAULT_ARTIFACT_DIR, MEM_TIER_BYTES,
 };
 
 use qods_kernels::{KernelFamily, KernelSpec};

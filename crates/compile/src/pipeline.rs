@@ -26,7 +26,7 @@
 //! is bit-identical at any thread count and any cache state.
 
 use crate::hash::{hash_hex, hash_value};
-use crate::store::{ArtifactKey, ArtifactStore, ARTIFACT_SCHEMA};
+use crate::store::{ArtifactKey, ArtifactStore, HeapBytes, ARTIFACT_SCHEMA};
 use qods_circuit::characterize::{characterize_with, CircuitReport};
 use qods_circuit::circuit::Circuit;
 use qods_circuit::latency_model::CharacterizationModel;
@@ -76,6 +76,25 @@ pub struct Characterization {
     pub makespan_us: f64,
     /// Tables 2/3-shaped report.
     pub report: CircuitReport,
+}
+
+impl HeapBytes for ScheduledCircuit {
+    fn heap_bytes(&self) -> usize {
+        self.circuit.heap_bytes()
+    }
+}
+
+impl HeapBytes for Characterization {
+    fn heap_bytes(&self) -> usize {
+        self.report.name.capacity()
+    }
+}
+
+impl HeapBytes for Compiler {
+    /// The synthesis adapter this compiler owns, with its cache.
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<SynthAdapter>() + self.adapter.heap_bytes()
+    }
 }
 
 /// All three artifacts of one fully compiled kernel.

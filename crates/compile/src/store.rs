@@ -2,10 +2,13 @@
 //!
 //! Tier 1 is an in-process map of `Arc`-shared artifacts (warm-process
 //! hits: any number of study contexts in one process share each
-//! compiled artifact), bounded to [`MEM_TIER_ENTRIES`] with
-//! least-recently-used eviction. Tier 2 is an optional on-disk store of
-//! versioned JSON files (cold-process hits: a fresh process reuses
-//! what an earlier one compiled).
+//! compiled artifact), bounded to [`MEM_TIER_BYTES`] with
+//! least-recently-used eviction. Each artifact is charged its own size
+//! plus the heap it owns ([`HeapBytes`]) when it is inserted, so a
+//! QFT-48 lowering weighs 147 KB and a two-gate IR under 100 bytes.
+//! Tier 2 is an optional on-disk store of versioned JSON files
+//! (cold-process hits: a fresh process reuses what an earlier one
+//! compiled).
 //!
 //! ## Disk format and versioning
 //!
@@ -68,7 +71,8 @@
 use crate::hash::hash_hex;
 use crate::inflight::{Begin, InflightTable};
 use crate::lru::Lru;
-use qods_obs::{sites, Counter, Registry, Site};
+use qods_circuit::circuit::Circuit;
+use qods_obs::{sites, Counter, Gauge, Registry, Site};
 use serde::{Deserialize, Serialize, Value};
 use std::any::Any;
 use std::path::{Path, PathBuf};
@@ -89,12 +93,54 @@ pub const ARTIFACT_DIR_ENV: &str = "QODS_ARTIFACT_DIR";
 /// would silently break their shared cold-process cache).
 pub const DEFAULT_ARTIFACT_DIR: &str = "results/.artifacts";
 
-/// Bound on the artifacts the memory tier retains. One paper job looks
-/// up 102 artifacts (75 distinct), so a `repro` run never evicts; a
-/// service streaming new synthesis budgets adds a few per budget, and
-/// past the bound the least-recently-used ones go (a later request
-/// recompiles them, or reads them back from the disk tier).
-pub const MEM_TIER_ENTRIES: usize = 1024;
+/// Bound on the bytes the memory tier retains, summed over the
+/// artifacts' charges ([`HeapBytes`]). One paper-config job computes 75
+/// distinct artifacts charged 1.47 MB in all (107 KB of kernel IR,
+/// 1,358 KB of lowered circuits, 4 KB of characterizations), so a
+/// `repro` run never evicts, with 30% of the budget to spare. A service
+/// streaming new synthesis budgets adds one QFT lowering per budget,
+/// and past the bound the least-recently-used artifacts go (a later
+/// request recompiles them, or reads them back from the disk tier).
+pub const MEM_TIER_BYTES: usize = 2 << 20;
+
+/// The heap bytes a value owns, counted at capacity — what the memory
+/// tier charges an artifact on top of its own `size_of`. For a value
+/// stored at exact length (a lowered or disk-decoded circuit, a clone)
+/// it equals the bytes `clone()` allocates.
+pub trait HeapBytes {
+    /// Bytes of heap this value owns.
+    fn heap_bytes(&self) -> usize;
+}
+
+impl HeapBytes for Circuit {
+    fn heap_bytes(&self) -> usize {
+        Circuit::heap_bytes(self)
+    }
+}
+
+impl HeapBytes for String {
+    fn heap_bytes(&self) -> usize {
+        self.capacity()
+    }
+}
+
+impl<T: HeapBytes> HeapBytes for Vec<T> {
+    fn heap_bytes(&self) -> usize {
+        self.capacity() * std::mem::size_of::<T>() + self.iter().map(T::heap_bytes).sum::<usize>()
+    }
+}
+
+impl HeapBytes for u64 {
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
+impl HeapBytes for usize {
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
 
 /// The address of one artifact: a pipeline stage name plus the
 /// content hash of everything the artifact depends on.
@@ -137,6 +183,9 @@ pub struct StoreStats {
     pub corrupt_reads: u64,
     /// Disk writes that failed (artifact stays memory-only).
     pub write_errors: u64,
+    /// Artifacts the memory tier dropped to stay within
+    /// [`MEM_TIER_BYTES`].
+    pub evictions: u64,
 }
 
 /// A type-erased shared artifact.
@@ -150,7 +199,7 @@ type MapKey = (&'static str, u64);
 #[derive(Debug)]
 pub struct ArtifactStore {
     dir: Option<PathBuf>,
-    /// The memory tier: at most [`MEM_TIER_ENTRIES`] artifacts.
+    /// The memory tier: at most [`MEM_TIER_BYTES`] of artifacts.
     mem: Mutex<Lru<MapKey, Shared>>,
     /// The keys some caller is computing (or reading from disk) now.
     inflight: InflightTable<MapKey, Shared>,
@@ -163,6 +212,10 @@ pub struct ArtifactStore {
     disk_hits: Arc<Counter>,
     corrupt_reads: Arc<Counter>,
     write_errors: Arc<Counter>,
+    evictions: Arc<Counter>,
+    /// The memory tier's charged bytes, set after every insert: at
+    /// most [`MEM_TIER_BYTES`] unless one artifact alone is larger.
+    mem_bytes: Arc<Gauge>,
     /// Monotonic temp-file sequence: `fetch_add` guarantees two
     /// threads writing the same key concurrently get distinct temp
     /// names (a stats counter could be observed at the same value by
@@ -214,9 +267,11 @@ impl ArtifactStore {
         let disk_hits = metrics.counter(sites::STORE_DISK_HITS);
         let corrupt_reads = metrics.counter(sites::STORE_CORRUPT_READS);
         let write_errors = metrics.counter(sites::STORE_WRITE_ERRORS);
+        let evictions = metrics.counter(sites::STORE_EVICTIONS);
+        let mem_bytes = metrics.gauge(sites::STORE_MEM_BYTES);
         ArtifactStore {
             dir,
-            mem: Mutex::new(Lru::new(MEM_TIER_ENTRIES)),
+            mem: Mutex::new(Lru::new(MEM_TIER_BYTES)),
             inflight: InflightTable::new(),
             metrics,
             computed,
@@ -224,6 +279,8 @@ impl ArtifactStore {
             disk_hits,
             corrupt_reads,
             write_errors,
+            evictions,
+            mem_bytes,
             tmp_seq: AtomicU64::new(0),
         }
     }
@@ -261,6 +318,7 @@ impl ArtifactStore {
             disk_hits: self.disk_hits.get(),
             corrupt_reads: self.corrupt_reads.get(),
             write_errors: self.write_errors.get(),
+            evictions: self.evictions.get(),
         }
     }
 
@@ -311,7 +369,7 @@ impl ArtifactStore {
     /// re-raises a panic of `compute` (its followers then retry).
     pub fn get_or_compute<T, F>(&self, key: ArtifactKey, compute: F) -> Arc<T>
     where
-        T: Serialize + Deserialize + Send + Sync + 'static,
+        T: HeapBytes + Serialize + Deserialize + Send + Sync + 'static,
         F: FnOnce() -> T,
     {
         // One span per stage lookup, named for the stage itself; the
@@ -364,9 +422,10 @@ impl ArtifactStore {
                     (artifact, false)
                 }
             };
+            let charge = std::mem::size_of::<T>() + artifact.heap_bytes();
             let artifact = Arc::new(artifact);
             let shared: Shared = artifact.clone();
-            qods_pool::plock(&self.mem).get_or_insert_with(map_key, || Arc::clone(&shared));
+            self.mem_insert(map_key, Arc::clone(&shared), charge);
             leader.complete(shared);
             if !from_disk {
                 self.write_disk(key, artifact.as_ref());
@@ -378,6 +437,14 @@ impl ArtifactStore {
     /// The memory-tier entry at `key`, marked most recently used.
     fn mem_get(&self, key: &MapKey) -> Option<Shared> {
         qods_pool::plock(&self.mem).get(key).cloned()
+    }
+
+    /// Retains an artifact charged `charge` bytes, evicting down to
+    /// [`MEM_TIER_BYTES`].
+    fn mem_insert(&self, key: MapKey, artifact: Shared, charge: usize) {
+        let mut mem = qods_pool::plock(&self.mem);
+        self.evictions.add(mem.insert(key, artifact, charge) as u64);
+        self.mem_bytes.set(mem.bytes() as i64);
     }
 
     /// Reads and validates the disk file for `key`; any defect is a

@@ -157,3 +157,32 @@ fn scattered_store_faults_heal_to_a_correct_store() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_stored_gate_that_repeats_a_qubit_is_a_corrupt_read_that_heals() {
+    use qods_circuit::circuit::Circuit;
+    let _x = exclusive();
+    qods_fault::disarm();
+    let dir = temp_dir("repeat");
+    let mut good = Circuit::named(4, "pair");
+    good.h(3);
+    good.cx(3, 2);
+    let seed_store = ArtifactStore::persistent(&dir);
+    let _: Arc<Circuit> = seed_store.get_or_compute(KEY, || good.clone());
+    // Edit the stored program so its CX acts on qubit 3 twice.
+    let path = dir.join(KEY.file_name());
+    let text = std::fs::read_to_string(&path).expect("artifact written");
+    assert!(text.contains("cx 3 2"), "{text}");
+    std::fs::write(&path, text.replace("cx 3 2", "cx 3 3")).expect("rewrite");
+
+    let store = ArtifactStore::persistent(&dir);
+    let healed: Arc<Circuit> = store.get_or_compute(KEY, || good.clone());
+    assert_eq!(*healed, good);
+    let stats = store.stats();
+    assert_eq!((stats.corrupt_reads, stats.computed), (1, 1));
+    // The recompute rewrote a valid file.
+    let warm = ArtifactStore::persistent(&dir);
+    let again: Arc<Circuit> = warm.get_or_compute(KEY, || panic!("healed file must hit"));
+    assert_eq!(*again, good);
+    let _ = std::fs::remove_dir_all(&dir);
+}

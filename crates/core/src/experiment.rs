@@ -20,7 +20,8 @@ use crate::output::{
 };
 use crate::study::StudyConfig;
 use qods_compile::{
-    paper_specs, ArtifactStore, Characterization, Compiler, ScheduledCircuit, SynthBudget,
+    paper_specs, ArtifactStore, Characterization, Compiler, HeapBytes, ScheduledCircuit,
+    SynthBudget,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -103,6 +104,15 @@ impl StudyContext {
             // Documented caller contract: the service layer rejects bad n_bits before a context exists.
             .map(|spec| self.compiler.characterization(spec).expect("valid n_bits"))
             .collect()
+    }
+}
+
+impl HeapBytes for StudyContext {
+    /// The configuration's lists plus the compiler's synthesis cache.
+    fn heap_bytes(&self) -> usize {
+        self.config.arch_panel.capacity() * std::mem::size_of::<crate::study::ArchChoice>()
+            + self.config.width_sweep.heap_bytes()
+            + self.compiler.heap_bytes()
     }
 }
 
@@ -207,6 +217,24 @@ pub enum ExperimentOutput {
     Cascade(CascadeOut),
     /// The kernel width sweep (extension; `widthsweep`).
     WidthSweep(WidthSweepOut),
+}
+
+impl HeapBytes for ExperimentOutput {
+    fn heap_bytes(&self) -> usize {
+        match self {
+            ExperimentOutput::Latency(_) | ExperimentOutput::SimpleFactory(_) => 0,
+            ExperimentOutput::Fig4(o) => o.heap_bytes(),
+            ExperimentOutput::Table2(o) => o.heap_bytes(),
+            ExperimentOutput::Table3(o) => o.heap_bytes(),
+            ExperimentOutput::NonTransversal(o) => o.heap_bytes(),
+            ExperimentOutput::ZeroFactory(o) | ExperimentOutput::Pi8Factory(o) => o.heap_bytes(),
+            ExperimentOutput::Table9(o) => o.heap_bytes(),
+            ExperimentOutput::Fig7(o) | ExperimentOutput::Fig8(o) => o.heap_bytes(),
+            ExperimentOutput::Fig15(o) => o.heap_bytes(),
+            ExperimentOutput::Cascade(o) => o.heap_bytes(),
+            ExperimentOutput::WidthSweep(o) => o.heap_bytes(),
+        }
+    }
 }
 
 impl ExperimentOutput {

@@ -6,6 +6,7 @@
 //! now has a name in the JSON output, and every type round-trips
 //! through serde so downstream tooling can reload archived results.
 
+use qods_compile::HeapBytes;
 use serde::{Deserialize, Serialize};
 
 /// Maps a label to a filesystem-safe file stem (non-alphanumeric
@@ -346,4 +347,42 @@ impl WidthSweepOut {
     pub fn zero_bandwidth_series(&self) -> Vec<Series> {
         self.series_of(|p| p.zero_per_ms)
     }
+}
+
+/// Implements [`HeapBytes`] as the sum over the listed fields, which
+/// name every field of the type that owns heap (an allocation-counting
+/// test checks each paper output against what its `clone()` allocates).
+macro_rules! heap_bytes_of {
+    ($($ty:ident { $($field:ident),* })*) => {
+        $(impl HeapBytes for $ty {
+            fn heap_bytes(&self) -> usize {
+                0 $(+ self.$field.heap_bytes())*
+            }
+        })*
+    };
+}
+
+heap_bytes_of! {
+    Point {}
+    Series { label, points }
+    Fig4Row { strategy }
+    Fig4Out { rows }
+    Table2Row { name }
+    Table2Out { rows }
+    Table3Row { name }
+    Table3Out { rows }
+    NonTransversalRow { name }
+    NonTransversalOut { rows }
+    UnitCount { unit }
+    PipelinedFactoryOut { unit_counts }
+    Table9Entry { name }
+    Table9Out { rows }
+    SeriesOut { series }
+    Fig15Panel { name, curves }
+    Fig15Out { panels }
+    CascadeRow {}
+    CascadeOut { rows }
+    WidthPoint {}
+    WidthCurve { family, points }
+    WidthSweepOut { widths, curves }
 }

@@ -133,6 +133,10 @@ pub const CACHE_CONTEXT_MISSES: Site = Site("cache.context_misses");
 pub const CACHE_OUTPUT_HITS: Site = Site("cache.output_hits");
 /// Finished-output misses (experiment executed).
 pub const CACHE_OUTPUT_MISSES: Site = Site("cache.output_misses");
+/// Contexts the pool dropped to stay within its byte budget.
+pub const CACHE_CONTEXT_EVICTIONS: Site = Site("cache.context_evictions");
+/// Bytes the pool's retained contexts are charged (gauge).
+pub const CACHE_CONTEXT_BYTES: Site = Site("cache.context_bytes");
 
 /// Artifact-store stage computations (both tiers missed).
 pub const STORE_COMPUTED: Site = Site("store.computed");
@@ -144,6 +148,10 @@ pub const STORE_DISK_HITS: Site = Site("store.disk_hits");
 pub const STORE_CORRUPT_READS: Site = Site("store.corrupt_reads");
 /// Disk write failures (artifact served from memory anyway).
 pub const STORE_WRITE_ERRORS: Site = Site("store.write_errors");
+/// Artifacts the memory tier dropped to stay within its byte budget.
+pub const STORE_EVICTIONS: Site = Site("store.evictions");
+/// Bytes the memory tier's artifacts are charged (gauge).
+pub const STORE_MEM_BYTES: Site = Site("store.mem_bytes");
 
 /// OS threads the process-wide pool has started (its background
 /// helpers; a warm process starts none per job).
@@ -153,7 +161,9 @@ pub const POOL_WORKERS_SPAWNED: Site = Site("pool.workers_spawned");
 pub const FAULT_FIRED_TOTAL: Site = Site("fault.fired_total");
 
 /// Every site, sorted by name.
-pub const ALL: [Site; 42] = [
+pub const ALL: [Site; 46] = [
+    CACHE_CONTEXT_BYTES,
+    CACHE_CONTEXT_EVICTIONS,
     CACHE_CONTEXT_HITS,
     CACHE_CONTEXT_MISSES,
     CACHE_OUTPUT_HITS,
@@ -186,6 +196,8 @@ pub const ALL: [Site; 42] = [
     STORE_COMPUTED,
     STORE_CORRUPT_READS,
     STORE_DISK_HITS,
+    STORE_EVICTIONS,
+    STORE_MEM_BYTES,
     STORE_MEM_HITS,
     STORE_WRITE_ERRORS,
     SVC_COALESCE,

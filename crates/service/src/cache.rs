@@ -7,27 +7,35 @@
 //! share one context. Finished [`ExperimentOutput`]s are cached on the
 //! same entry keyed by experiment id, so a repeated
 //! `(config, experiment)` pair is served without recomputing anything.
+//! The pool is bounded by bytes, not entries: each entry is charged
+//! its context's heap plus its cached outputs' heap ([`HeapBytes`]),
+//! recharged whenever an output lands, and least-recently-used
+//! entries go once the total passes [`CONTEXT_POOL_BYTES`].
 //! The lowered kernels themselves live in the [`ArtifactStore`]
 //! underneath, which compiles each one once for every context that
 //! shares the store (test-asserted through its `computed` counter).
 
 use crate::request::Overrides;
-use qods_core::compile::{ArtifactStore, Lru};
+use qods_core::compile::{ArtifactStore, HeapBytes, Lru};
 use qods_core::experiment::{ExperimentOutput, StudyContext};
 use qods_core::study::StudyConfig;
-use qods_obs::{sites, Counter, Registry};
+use qods_obs::{sites, Counter, Gauge, Registry};
 use qods_pool::plock;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Default bound on retained configurations (see
-/// [`ContextPool::with_caching`]). Generous for real traffic — a
-/// retained entry is one configuration's finished outputs — but
-/// finite, so a long-running daemon cannot be grown without bound by
-/// a client streaming never-repeating overrides. (The artifact store
-/// underneath is bounded the same way, by
-/// [`qods_core::compile::MEM_TIER_ENTRIES`].)
-pub const DEFAULT_CACHE_ENTRIES: usize = 256;
+/// Bound on the bytes the pool retains, summed over its entries'
+/// charges (see [`ContextPool::with_caching`]). A context that has
+/// answered every experiment at the paper configuration is charged
+/// 25.9 KB (20.7 KB of outputs, over half of it the Fig 7 demand
+/// profiles, plus 3.9 KB of context and synthesis cache), so the pool
+/// holds 40 such full paper-config jobs; one that answered a few
+/// experiments at a narrow width weighs a few KB, and it holds
+/// hundreds of those. Finite, so a long-running daemon cannot be grown
+/// without bound by a client streaming never-repeating overrides. (The
+/// artifact store underneath is bounded the same way, by
+/// [`qods_core::compile::MEM_TIER_BYTES`].)
+pub const CONTEXT_POOL_BYTES: usize = 1 << 20;
 
 /// One cached configuration: the shared context plus every finished
 /// experiment output computed under it.
@@ -67,10 +75,17 @@ impl PoolEntry {
         plock(&self.outputs).get(experiment_id).cloned()
     }
 
-    /// Stores a finished output (last write wins; outputs for a fixed
-    /// configuration are deterministic, so overwrites are identical).
-    pub fn store_output(&self, experiment_id: &str, output: ExperimentOutput) {
-        plock(&self.outputs).insert(experiment_id.to_string(), output);
+    /// The bytes the pool charges this entry: the entry itself, its
+    /// context's heap, and its output table with every id and output.
+    fn charge(&self) -> usize {
+        let outputs = plock(&self.outputs);
+        std::mem::size_of::<PoolEntry>()
+            + self.ctx.heap_bytes()
+            + outputs.capacity() * std::mem::size_of::<(String, ExperimentOutput)>()
+            + outputs
+                .iter()
+                .map(|(id, output)| id.capacity() + output.heap_bytes())
+                .sum::<usize>()
     }
 }
 
@@ -97,9 +112,10 @@ pub struct ContextPool {
     /// evicted configuration re-runs experiments but never re-lowers
     /// circuits another configuration already compiled.
     store: Arc<ArtifactStore>,
-    /// The retained entries by config hash. A checkout hit counts as a
-    /// use, so a hot configuration survives any amount of one-off
-    /// traffic.
+    /// The retained entries by config hash, at most
+    /// [`CONTEXT_POOL_BYTES`] of them by charge. A checkout hit or a
+    /// stored output counts as a use, so a hot configuration survives
+    /// any amount of one-off traffic.
     entries: Mutex<Lru<u64, Arc<PoolEntry>>>,
     /// The serving stack's metrics registry. The pool creates it (it
     /// is the bottom of the serving-side object graph) and the
@@ -110,13 +126,17 @@ pub struct ContextPool {
     context_misses: Arc<Counter>,
     output_hits: Arc<Counter>,
     output_misses: Arc<Counter>,
+    context_evictions: Arc<Counter>,
+    /// The retained entries' charged bytes, set after every change: at
+    /// most the budget unless one entry alone is larger.
+    context_bytes: Arc<Gauge>,
 }
 
 impl ContextPool {
     /// A pool with caching switched on or off, retaining at most
-    /// [`DEFAULT_CACHE_ENTRIES`] distinct configurations; inserting
-    /// past the bound evicts the least-recently-used entry (jobs still
-    /// holding the evicted `Arc` finish normally — the cache is
+    /// [`CONTEXT_POOL_BYTES`] of configurations; growing past the
+    /// bound evicts least-recently-used entries (jobs still
+    /// holding an evicted `Arc` finish normally — the cache is
     /// semantically transparent, eviction only costs a recompute on
     /// the next request for that configuration). With caching off
     /// every checkout builds a fresh context and nothing is retained —
@@ -134,16 +154,16 @@ impl ContextPool {
         } else {
             Arc::new(ArtifactStore::in_memory())
         };
-        ContextPool::with_store(base, caching, DEFAULT_CACHE_ENTRIES, store)
+        ContextPool::with_store(base, caching, CONTEXT_POOL_BYTES, store)
     }
 
-    /// A pool retaining at most `capacity` configurations and
+    /// A pool retaining at most `budget` bytes of configurations and
     /// compiling into an explicit artifact store (tests use this to
     /// control cache scope and size).
     pub fn with_store(
         base: StudyConfig,
         caching: bool,
-        capacity: usize,
+        budget: usize,
         store: Arc<ArtifactStore>,
     ) -> Self {
         let metrics = Arc::new(Registry::new());
@@ -151,16 +171,20 @@ impl ContextPool {
         let context_misses = metrics.counter(sites::CACHE_CONTEXT_MISSES);
         let output_hits = metrics.counter(sites::CACHE_OUTPUT_HITS);
         let output_misses = metrics.counter(sites::CACHE_OUTPUT_MISSES);
+        let context_evictions = metrics.counter(sites::CACHE_CONTEXT_EVICTIONS);
+        let context_bytes = metrics.gauge(sites::CACHE_CONTEXT_BYTES);
         ContextPool {
             base,
             caching,
             store,
-            entries: Mutex::new(Lru::new(capacity)),
+            entries: Mutex::new(Lru::new(budget)),
             metrics,
             context_hits,
             context_misses,
             output_hits,
             output_misses,
+            context_evictions,
+            context_bytes,
         }
     }
 
@@ -213,10 +237,39 @@ impl ContextPool {
         }
         self.context_misses.inc();
         span.note_cache("miss");
-        let entry = retained.get_or_insert_with(hash, || {
-            Arc::new(PoolEntry::new(hash, config, Arc::clone(&self.store)))
-        });
-        (Arc::clone(entry), false)
+        let entry = Arc::new(PoolEntry::new(hash, config, Arc::clone(&self.store)));
+        let evicted = retained.insert(hash, Arc::clone(&entry), entry.charge());
+        self.record_retention(&retained, evicted);
+        (entry, false)
+    }
+
+    /// Caches a finished output on `entry` (last write wins; outputs
+    /// for a fixed configuration are deterministic, so overwrites are
+    /// identical) and, if the pool still holds that entry, recharges
+    /// it — which may evict other entries.
+    pub fn store_output(
+        &self,
+        entry: &Arc<PoolEntry>,
+        experiment_id: &str,
+        output: ExperimentOutput,
+    ) {
+        plock(&entry.outputs).insert(experiment_id.to_string(), output);
+        let mut retained = plock(&self.entries);
+        // An entry evicted while its job ran is charged nowhere; a
+        // rebuilt entry under the same hash is not this one.
+        if retained
+            .get(&entry.hash)
+            .is_some_and(|held| Arc::ptr_eq(held, entry))
+        {
+            let evicted = retained.recharge(&entry.hash, entry.charge());
+            self.record_retention(&retained, evicted);
+        }
+    }
+
+    /// Publishes the retained bytes and any evictions to the registry.
+    fn record_retention(&self, retained: &Lru<u64, Arc<PoolEntry>>, evicted: usize) {
+        self.context_evictions.add(evicted as u64);
+        self.context_bytes.set(retained.bytes() as i64);
     }
 
     /// Records the outcome of output lookups (called by the
@@ -241,12 +294,6 @@ impl ContextPool {
         plock(&self.entries).len()
     }
 
-    /// The retention bound (entries past it evict least recently used
-    /// first).
-    pub fn capacity(&self) -> usize {
-        plock(&self.entries).capacity()
-    }
-
     /// Whether the pool holds no contexts yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
@@ -258,15 +305,22 @@ impl ContextPool {
 mod tests {
     use super::*;
 
-    /// A caching smoke pool of `capacity` entries over its own store.
-    fn private_pool(capacity: usize) -> ContextPool {
+    /// A caching smoke pool of `budget` bytes over its own store.
+    fn private_pool(budget: usize) -> ContextPool {
         let store = Arc::new(ArtifactStore::in_memory());
-        ContextPool::with_store(StudyConfig::smoke(), true, capacity, store)
+        ContextPool::with_store(StudyConfig::smoke(), true, budget, store)
+    }
+
+    /// The charge of a smoke entry that has cached no output yet (a
+    /// seed override changes no charge).
+    fn fresh_charge() -> usize {
+        let store = Arc::new(ArtifactStore::in_memory());
+        PoolEntry::new(0, StudyConfig::smoke(), store).charge()
     }
 
     #[test]
     fn checkout_is_content_addressed() {
-        let pool = private_pool(DEFAULT_CACHE_ENTRIES);
+        let pool = private_pool(CONTEXT_POOL_BYTES);
         let (a, hit_a) = pool.checkout(&Overrides::default());
         let (b, hit_b) = pool.checkout(&Overrides::default());
         assert!(!hit_a && hit_b);
@@ -292,7 +346,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
-        let pool = private_pool(2);
+        let pool = private_pool(2 * fresh_charge());
         let ov = |n: usize| Overrides {
             seed: Some(n as u64),
             ..Overrides::default()
@@ -317,14 +371,14 @@ mod tests {
         assert!(!hit3);
         // The still-held Arc from before eviction stays usable.
         assert_eq!(first.context().config().seed, 1);
-        assert_eq!(pool.capacity(), 2);
+        assert_eq!(plock(&pool.entries).bytes(), 2 * fresh_charge());
     }
 
     #[test]
     fn repeated_hits_pin_a_hot_entry_through_churn() {
         // The satellite contract: under a stream of one-off configs,
         // an entry that keeps getting hit is never evicted.
-        let pool = private_pool(3);
+        let pool = private_pool(3 * fresh_charge());
         let ov = |n: u64| Overrides {
             seed: Some(n),
             ..Overrides::default()
@@ -351,18 +405,18 @@ mod tests {
 
     #[test]
     fn artifact_memory_tier_stays_bounded_and_recompiles_evicted_configs() {
-        use qods_core::compile::MEM_TIER_ENTRIES;
+        use qods_core::compile::MEM_TIER_BYTES;
         use qods_core::registry::Registry;
         // A narrow kernel and a loose synthesis budget keep each QFT
         // compile cheap; every distinct target is a new QFT artifact.
         let base = StudyConfig {
-            n_bits: 4,
+            n_bits: 8,
             synth_max_t: 4,
             synth_target: 0.3,
             ..StudyConfig::smoke()
         };
         let store = Arc::new(ArtifactStore::in_memory());
-        let pool = ContextPool::with_store(base, true, DEFAULT_CACHE_ENTRIES, Arc::clone(&store));
+        let pool = ContextPool::with_store(base, true, CONTEXT_POOL_BYTES, Arc::clone(&store));
         let registry = Registry::paper();
         let table2 = |i: u64| {
             let overrides = Overrides {
@@ -372,12 +426,23 @@ mod tests {
             let (entry, _) = pool.checkout(&overrides);
             registry.get("table2").expect("table2").run(entry.context())
         };
+        let held = || store.metrics().gauge(sites::STORE_MEM_BYTES).get() as usize;
         let first = table2(0);
-        for i in 1..=MEM_TIER_ENTRIES as u64 {
-            table2(i);
-            assert!(store.len() <= MEM_TIER_ENTRIES, "config {i}");
+        let mut filled = 0;
+        while store.stats().evictions == 0 {
+            filled += 1;
+            assert!(filled < 100_000, "the tier never filled");
+            table2(filled);
+            assert!(held() <= MEM_TIER_BYTES, "config {filled}");
         }
-        assert_eq!(store.len(), MEM_TIER_ENTRIES);
+        // Full: each artifact here is well under 1% of the budget, so
+        // a tier that has started to evict holds over 99% of it.
+        assert!(held() > MEM_TIER_BYTES / 100 * 99);
+        // As many configurations again turn the whole tier over.
+        for i in filled + 1..=2 * filled {
+            table2(i);
+            assert!(held() <= MEM_TIER_BYTES, "config {i}");
+        }
         // Config 0's context and QFT artifacts are long evicted: asking
         // again recompiles them, into identical records.
         let computed = store.stats().computed;
@@ -390,12 +455,12 @@ mod tests {
 
     #[test]
     fn outputs_cache_per_experiment_id() {
-        let pool = private_pool(DEFAULT_CACHE_ENTRIES);
+        let pool = private_pool(CONTEXT_POOL_BYTES);
         let (entry, _) = pool.checkout(&Overrides::default());
         assert!(entry.cached_output("table1").is_none());
         let registry = qods_core::registry::Registry::paper();
         let out = registry.get("table1").expect("table1").run(entry.context());
-        entry.store_output("table1", out.clone());
+        pool.store_output(&entry, "table1", out.clone());
         assert_eq!(entry.cached_output("table1"), Some(out));
         assert!(entry.cached_output("table2").is_none());
     }

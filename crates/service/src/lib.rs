@@ -53,7 +53,7 @@ pub mod cache;
 pub mod request;
 pub mod scheduler;
 
-pub use cache::{CacheStats, ContextPool, PoolEntry};
+pub use cache::{CacheStats, ContextPool, PoolEntry, CONTEXT_POOL_BYTES};
 pub use request::{canonical_config_json, config_hash, Overrides, RunRequest};
 pub use scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};
 

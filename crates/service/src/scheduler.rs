@@ -2,7 +2,7 @@
 //! pool, serving repeated work from the content-addressed cache and
 //! streaming per-job progress events.
 
-use crate::cache::{ContextPool, PoolEntry, DEFAULT_CACHE_ENTRIES};
+use crate::cache::{ContextPool, PoolEntry, CONTEXT_POOL_BYTES};
 use crate::request::RunRequest;
 use qods_core::compile::{ArtifactStore, Begin, InflightTable};
 use qods_core::experiment::{Experiment, ExperimentRecord};
@@ -265,7 +265,7 @@ impl Scheduler {
     /// (tests use this to count compiles with no other traffic).
     pub fn with_store(base: StudyConfig, threads: usize, store: Arc<ArtifactStore>) -> Self {
         Scheduler::over(base, threads, |base| {
-            ContextPool::with_store(base, true, DEFAULT_CACHE_ENTRIES, store)
+            ContextPool::with_store(base, true, CONTEXT_POOL_BYTES, store)
         })
     }
 
@@ -563,7 +563,8 @@ impl Scheduler {
             // A cold pool drops the entry when the job ends; don't
             // pay an output clone for a cache nobody will read.
             if self.pool.caching() {
-                entry.store_output(&record.id, record.output.clone());
+                self.pool
+                    .store_output(&entry, &record.id, record.output.clone());
             }
             slots[i] = Some(record);
         }

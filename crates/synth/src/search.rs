@@ -6,6 +6,7 @@ use crate::clifford::CliffordGroup;
 use crate::ma::{enumerate_cores, Core};
 use crate::su2::U2;
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 /// The physical single-qubit alphabet of synthesized sequences.
 ///
@@ -76,7 +77,15 @@ impl Sequence {
 pub struct Synthesizer {
     max_t: u32,
     target_distance: f64,
-    cliffords: CliffordGroup,
+    /// The process's one copy of the group ([`clifford_group`]).
+    cliffords: &'static CliffordGroup,
+}
+
+/// The single-qubit Clifford group, generated once per process: every
+/// synthesizer searches the same 24 elements, so none keeps a copy.
+fn clifford_group() -> &'static CliffordGroup {
+    static GROUP: OnceLock<CliffordGroup> = OnceLock::new();
+    GROUP.get_or_init(CliffordGroup::generate)
 }
 
 impl Synthesizer {
@@ -92,7 +101,7 @@ impl Synthesizer {
         Synthesizer {
             max_t,
             target_distance,
-            cliffords: CliffordGroup::generate(),
+            cliffords: clifford_group(),
         }
     }
 
