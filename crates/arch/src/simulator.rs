@@ -29,11 +29,6 @@
 //! backlog twice, and a supply stall is never added on top of a
 //! movement wait it overlapped with.
 //!
-//! Diagnostics follow the same split: `movement_us` accumulates
-//! `max(moved_at, delivered_at) - ready` (transport, including port
-//! queueing) and `supply_stall_us` accumulates `avail - ready`
-//! (production shortfall).
-//!
 //! ## Ancilla pools are token buckets, not reservoirs
 //!
 //! Encoded ancillae cannot be stockpiled indefinitely: an idle ancilla
@@ -82,9 +77,7 @@
 //! instead. That is exact: dependencies chain each qubit's gates, so
 //! each per-qubit pool sees the same draws at the same ready times in
 //! either order, and `makespan_us` (a max) and the integer counters
-//! come out bit-identical. Only QLA's `f64` diagnostic sums
-//! (`movement_us`, `supply_stall_us`) depend on the order, in the last
-//! bits. Every resource is a deterministic function of its call
+//! come out bit-identical. Every resource is a deterministic function of its call
 //! sequence, and nothing depends on thread timing, so [`SimOutcome`]
 //! is a pure function of `(circuit, arch, factory_area)` —
 //! bit-identical across repeated runs and across parallel sweeps at
@@ -118,10 +111,6 @@ pub struct SimOutcome {
     pub teleports: u64,
     /// CQLA cache misses (0 for other architectures).
     pub cache_misses: u64,
-    /// Total movement latency charged across gates (diagnostics).
-    pub movement_us: f64,
-    /// Total ancilla-supply stall across gates (diagnostics).
-    pub supply_stall_us: f64,
 }
 
 /// Everything about a circuit that every `simulate` call on it shares:
@@ -364,8 +353,6 @@ impl<'c> SimContext<'c> {
         let mut makespan = 0.0f64;
         let mut teleports = 0u64;
         let mut cache_misses = 0u64;
-        let mut movement_us = 0.0f64;
-        let mut supply_stall_us = 0.0f64;
         let zeros_per_qec = self.model.zeros_per_qec() as f64;
 
         while let Some((ready, i)) = frontier.pop() {
@@ -393,12 +380,8 @@ impl<'c> SimContext<'c> {
                 avail = avail.max(a);
             }
 
-            let transport_done = mv.moved_at.max(mv.delivered_at);
-            movement_us += (transport_done - ready).max(0.0);
-            supply_stall_us += (avail - ready).max(0.0);
-
             // All waits overlap; execution is serial after the last.
-            let start = transport_done.max(avail).max(ready);
+            let start = mv.moved_at.max(mv.delivered_at).max(avail).max(ready);
             let e = start + self.exec_us[i];
             makespan = makespan.max(e);
             frontier.finish(&self.next[i], e);
@@ -408,8 +391,6 @@ impl<'c> SimContext<'c> {
             makespan_us: makespan,
             teleports,
             cache_misses,
-            movement_us,
-            supply_stall_us,
         }
     }
 }
@@ -953,22 +934,30 @@ mod tests {
 
     #[test]
     fn waits_overlap_instead_of_adding() {
-        // One CX on a warm CQLA cache: movement (2 intra-cache
-        // teleports, plus any remote delivery) and the supply stall
-        // both start at t=0 and overlap; the gate runs for its
-        // 10 + 122 us the moment the slower wait ends. The old
-        // accounting serialized supply behind movement.
-        let mut c = Circuit::new(2);
-        c.cx(0, 1);
-        let out = simulate(&c, Arch::Cqla { cache_slots: 2 }, 200.0);
-        assert!(out.movement_us > 0.0 && out.supply_stall_us > 0.0);
-        let expected = out.movement_us.max(out.supply_stall_us) + 132.0;
-        assert!(
-            (out.makespan_us - expected).abs() < 1e-6,
-            "makespan {} != max(movement {}, stall {}) + exec",
-            out.makespan_us,
-            out.movement_us,
-            out.supply_stall_us
-        );
+        // One CX on Fully-Multiplexed: idle qubits lengthen only the
+        // ballistic hop (the mean separation grows with the region),
+        // never the supply wait, which both operands draw from one
+        // shared pool at t=0. The gate runs for its 10 + 122 us the
+        // moment the slower wait ends, so while the hop is shorter
+        // than the stall the makespan does not move, and past it the
+        // makespan is hop + exec. Serializing supply behind movement
+        // would add every hop on top of the stall.
+        let link = Interconnect::ion_trap();
+        let cx_makespan = |n: usize| {
+            let mut c = Circuit::new(n);
+            c.cx(0, 1);
+            simulate(&c, Arch::FullyMultiplexed, 200.0).makespan_us
+        };
+        let stall = cx_makespan(2) - 132.0;
+        for n in [2usize, 64, 256, 1024, 4096] {
+            let hop = link.avg_ballistic_us(n);
+            let makespan = cx_makespan(n);
+            assert!(
+                (makespan - (hop.max(stall) + 132.0)).abs() < 1e-6,
+                "{n} qubits: makespan {makespan} != max(hop {hop}, stall {stall}) + exec"
+            );
+        }
+        // Both sides of the max were taken.
+        assert!(link.avg_ballistic_us(1024) < stall && stall < link.avg_ballistic_us(4096));
     }
 }

@@ -105,6 +105,13 @@ impl Circuit {
         self.gates.capacity() * std::mem::size_of::<Gate>() + self.name.capacity()
     }
 
+    /// Drops growth slack: the circuit is then stored at its exact
+    /// length, and [`Circuit::heap_bytes`] is what a clone allocates.
+    pub fn shrink_to_fit(&mut self) {
+        self.gates.shrink_to_fit();
+        self.name.shrink_to_fit();
+    }
+
     /// Appends a gate.
     ///
     /// # Panics
@@ -233,7 +240,7 @@ impl Circuit {
         for g in &self.gates {
             lower_gate(*g, synth, &mut out);
         }
-        out.gates.shrink_to_fit();
+        out.shrink_to_fit();
         out
     }
 }

@@ -167,7 +167,7 @@ impl KernelSpec {
     }
 
     /// Builds the kernel-level IR circuit (Toffolis, controlled
-    /// rotations).
+    /// rotations), stored at its exact length like a lowered circuit.
     ///
     /// # Panics
     ///
@@ -176,13 +176,15 @@ impl KernelSpec {
     pub fn build_ir(&self) -> Circuit {
         // Documented caller contract: specs come from the validating constructors.
         self.validate().expect("spec validated at construction");
-        match self.family {
+        let mut ir = match self.family {
             KernelFamily::Qrca => qrca(self.width),
             KernelFamily::Qcla => qcla(self.width),
             KernelFamily::Qft => qft(self.width),
             KernelFamily::Draper => draper_adder(self.width),
             KernelFamily::CtrlAdd => controlled_adder(self.width),
-        }
+        };
+        ir.shrink_to_fit();
+        ir
     }
 
     /// Lowers this spec's IR (as built by [`KernelSpec::build_ir`]):

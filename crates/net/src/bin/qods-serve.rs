@@ -1,7 +1,7 @@
 //! `qods-serve` — the speed-of-data job service daemon.
 //!
 //! Speaks newline-delimited JSON: each input line is one
-//! [`RunRequest`] —
+//! [`RunRequest`](qods_service::RunRequest) —
 //!
 //! ```text
 //! {"id":"j1","experiments":["table9","fig7"],"overrides":{"n_bits":8}}
@@ -46,8 +46,9 @@
 // `unwrap()`/`expect()`; the CI clippy gate denies them.
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
+use qods_core::study::StudyConfig;
 use qods_net::server::{serve_stdio, NetServer, ServeCore, ServeOptions};
-use qods_service::prelude::*;
+use qods_service::Scheduler;
 use std::process::ExitCode;
 use std::sync::Arc;
 

@@ -18,7 +18,7 @@
 
 use qods_core::compile::hash::hash_hex;
 use qods_obs::MetricsSnapshot;
-use qods_service::prelude::*;
+use qods_service::{JobEvent, JobResult, RunRequest, ServiceError};
 use serde::{Deserialize, Serialize, Value};
 
 /// One experiment's result in a `result` line (no timing: the line

@@ -23,7 +23,7 @@ use qods_obs::{
     sites, Counter, Gauge, LatencyHistogram, LatencySummary, MetricsSnapshot, Registry, Site,
 };
 use qods_pool::plock;
-use qods_service::prelude::*;
+use qods_service::{JobEvent, RunRequest, Scheduler};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -880,6 +880,7 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool, loca
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use qods_core::study::StudyConfig;
 
     /// Runs `input` through a [`CappedLineReader`] with `cap` and
     /// collects every outcome until EOF.

@@ -11,11 +11,12 @@
 //! `gate.active` reports it, so the assertions race a window of
 //! seconds, not microseconds, however fast the engine gets.
 
+use qods_core::study::StudyConfig;
 use qods_fault::{site, FaultAction, FaultPlan};
 use qods_net::protocol::ErrorKind;
 use qods_net::{Client, NetServer, ServeCore, ServeOptions};
 use qods_obs::{sites, MetricsSnapshot, Site};
-use qods_service::prelude::*;
+use qods_service::Scheduler;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};

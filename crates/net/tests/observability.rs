@@ -8,9 +8,10 @@
 //! The tracer is process-global; tests in this binary serialize on
 //! one lock so a parallel test's spans never leak into a drain.
 
+use qods_core::study::StudyConfig;
 use qods_net::{Client, NetServer, ServeCore, ServeOptions};
 use qods_obs::trace::Phase;
-use qods_service::prelude::*;
+use qods_service::Scheduler;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};

@@ -15,7 +15,6 @@
 //! underneath, which compiles each one once for every context that
 //! shares the store (test-asserted through its `computed` counter).
 
-use crate::request::Overrides;
 use qods_core::compile::{ArtifactStore, HeapBytes, Lru};
 use qods_core::experiment::{ExperimentOutput, StudyContext};
 use qods_core::study::StudyConfig;
@@ -210,12 +209,13 @@ impl ContextPool {
         self.caching
     }
 
-    /// Checks out the entry for `overrides` (building it on first
-    /// sight) and reports whether it was a cache hit.
-    pub fn checkout(&self, overrides: &Overrides) -> (Arc<PoolEntry>, bool) {
+    /// Checks out the entry for a resolved configuration and its
+    /// [`crate::request::config_hash`] (building it on first sight) and
+    /// reports whether it was a cache hit. The caller resolves and
+    /// hashes once per job; the pool only looks the hash up.
+    pub fn checkout(&self, config: StudyConfig, hash: u64) -> (Arc<PoolEntry>, bool) {
+        debug_assert_eq!(hash, crate::request::config_hash(&config));
         let mut span = qods_obs::span!(sites::SVC_CONTEXT);
-        let config = overrides.resolve(&self.base);
-        let hash = crate::request::config_hash(&config);
         span.note_config_hash(hash);
         if !self.caching {
             self.context_misses.inc();
@@ -304,6 +304,15 @@ impl ContextPool {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::request::{config_hash, Overrides};
+
+    /// Checks `overrides` out of `pool`, resolved and hashed once as
+    /// the scheduler does.
+    fn checkout(pool: &ContextPool, overrides: &Overrides) -> (Arc<PoolEntry>, bool) {
+        let config = overrides.resolve(pool.base());
+        let hash = config_hash(&config);
+        pool.checkout(config, hash)
+    }
 
     /// A caching smoke pool of `budget` bytes over its own store.
     fn private_pool(budget: usize) -> ContextPool {
@@ -321,8 +330,8 @@ mod tests {
     #[test]
     fn checkout_is_content_addressed() {
         let pool = private_pool(CONTEXT_POOL_BYTES);
-        let (a, hit_a) = pool.checkout(&Overrides::default());
-        let (b, hit_b) = pool.checkout(&Overrides::default());
+        let (a, hit_a) = checkout(&pool, &Overrides::default());
+        let (b, hit_b) = checkout(&pool, &Overrides::default());
         assert!(!hit_a && hit_b);
         assert!(Arc::ptr_eq(&a, &b), "same config must share one entry");
         // Explicitly writing the base value is the same content.
@@ -330,14 +339,14 @@ mod tests {
             n_bits: Some(pool.base().n_bits),
             ..Overrides::default()
         };
-        let (c, hit_c) = pool.checkout(&explicit);
+        let (c, hit_c) = checkout(&pool, &explicit);
         assert!(hit_c && Arc::ptr_eq(&a, &c));
         // A changed knob is different content.
         let changed = Overrides {
             n_bits: Some(pool.base().n_bits + 1),
             ..Overrides::default()
         };
-        let (d, hit_d) = pool.checkout(&changed);
+        let (d, hit_d) = checkout(&pool, &changed);
         assert!(!hit_d && !Arc::ptr_eq(&a, &d));
         assert_eq!(pool.len(), 2);
         assert_eq!(pool.stats().context_hits, 2);
@@ -351,23 +360,23 @@ mod tests {
             seed: Some(n as u64),
             ..Overrides::default()
         };
-        let (first, _) = pool.checkout(&ov(1));
-        pool.checkout(&ov(2));
+        let (first, _) = checkout(&pool, &ov(1));
+        checkout(&pool, &ov(2));
         assert_eq!(pool.len(), 2);
         // Re-hitting config 1 makes config 2 the LRU entry...
-        let (_, hit) = pool.checkout(&ov(1));
+        let (_, hit) = checkout(&pool, &ov(1));
         assert!(hit);
         // ...so a third distinct config evicts 2, not 1 (under FIFO
         // it would be 1, the oldest-inserted).
-        pool.checkout(&ov(3));
+        checkout(&pool, &ov(3));
         assert_eq!(pool.len(), 2);
-        let (still_one, hit1) = pool.checkout(&ov(1));
+        let (still_one, hit1) = checkout(&pool, &ov(1));
         assert!(hit1, "recently-used entry must survive eviction");
         assert!(Arc::ptr_eq(&first, &still_one));
-        let (_, hit2) = pool.checkout(&ov(2));
+        let (_, hit2) = checkout(&pool, &ov(2));
         assert!(!hit2, "LRU entry must have been evicted");
         // That rebuild of 2 evicted 3 (LRU after the 1-hits above).
-        let (_, hit3) = pool.checkout(&ov(3));
+        let (_, hit3) = checkout(&pool, &ov(3));
         assert!(!hit3);
         // The still-held Arc from before eviction stays usable.
         assert_eq!(first.context().config().seed, 1);
@@ -383,10 +392,10 @@ mod tests {
             seed: Some(n),
             ..Overrides::default()
         };
-        let (hot, _) = pool.checkout(&ov(0));
+        let (hot, _) = checkout(&pool, &ov(0));
         for n in 1..=20 {
-            pool.checkout(&ov(n)); // churn
-            let (again, hit) = pool.checkout(&ov(0)); // keep 0 hot
+            checkout(&pool, &ov(n)); // churn
+            let (again, hit) = checkout(&pool, &ov(0)); // keep 0 hot
             assert!(hit, "hot entry evicted after churn config {n}");
             assert!(Arc::ptr_eq(&hot, &again));
         }
@@ -396,8 +405,8 @@ mod tests {
     #[test]
     fn disabled_caching_always_builds_fresh() {
         let pool = ContextPool::with_caching(StudyConfig::smoke(), false);
-        let (a, hit_a) = pool.checkout(&Overrides::default());
-        let (b, hit_b) = pool.checkout(&Overrides::default());
+        let (a, hit_a) = checkout(&pool, &Overrides::default());
+        let (b, hit_b) = checkout(&pool, &Overrides::default());
         assert!(!hit_a && !hit_b);
         assert!(!Arc::ptr_eq(&a, &b));
         assert!(pool.is_empty(), "cold pool retains nothing");
@@ -423,7 +432,7 @@ mod tests {
                 synth_target: Some(0.3 * (1.0 + i as f64 * 1e-7)),
                 ..Overrides::default()
             };
-            let (entry, _) = pool.checkout(&overrides);
+            let (entry, _) = checkout(&pool, &overrides);
             registry.get("table2").expect("table2").run(entry.context())
         };
         let held = || store.metrics().gauge(sites::STORE_MEM_BYTES).get() as usize;
@@ -456,7 +465,7 @@ mod tests {
     #[test]
     fn outputs_cache_per_experiment_id() {
         let pool = private_pool(CONTEXT_POOL_BYTES);
-        let (entry, _) = pool.checkout(&Overrides::default());
+        let (entry, _) = checkout(&pool, &Overrides::default());
         assert!(entry.cached_output("table1").is_none());
         let registry = qods_core::registry::Registry::paper();
         let out = registry.get("table1").expect("table1").run(entry.context());

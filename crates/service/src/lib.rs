@@ -29,7 +29,8 @@
 //! ## Quickstart
 //!
 //! ```
-//! use qods_service::prelude::*;
+//! use qods_core::study::StudyConfig;
+//! use qods_service::{Overrides, RunRequest, Scheduler};
 //!
 //! let scheduler = Scheduler::with_options(StudyConfig::smoke(), 2, true);
 //! let request = RunRequest::of(["table9", "fig7"]).with_overrides(Overrides {
@@ -56,11 +57,3 @@ pub mod scheduler;
 pub use cache::{CacheStats, ContextPool, PoolEntry, CONTEXT_POOL_BYTES};
 pub use request::{canonical_config_json, config_hash, Overrides, RunRequest};
 pub use scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};
-
-/// One-stop imports for service callers.
-pub mod prelude {
-    pub use crate::cache::{CacheStats, ContextPool, PoolEntry};
-    pub use crate::request::{config_hash, Overrides, RunRequest};
-    pub use crate::scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};
-    pub use qods_core::study::{ArchChoice, StudyConfig};
-}

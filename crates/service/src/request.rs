@@ -30,74 +30,141 @@ use qods_core::compile::hash::canonical_json;
 use qods_core::study::{ArchChoice, StudyConfig, SweepRange};
 use serde::{Deserialize, Error, Serialize, Value};
 
-/// Sparse, serializable overrides over the study knobs that are
-/// otherwise hard-wired in [`StudyConfig`] and the experiment
-/// implementations: benchmark kernel width, Monte-Carlo trial count
-/// and error-rate scale, the Fig 15 area-sweep grid and architecture
-/// panel, synthesis budgets, and profile sampling.
+/// Generates everything the knob table below names: the
+/// [`Overrides`] struct, [`OVERRIDE_FIELDS`], the sparse serde,
+/// [`Overrides::resolve`] and [`canonical_config_json`].
 ///
-/// `None` means "keep the base configuration's value".
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Overrides {
-    /// Benchmark operand width (kernel width; paper: 32).
-    pub n_bits: Option<usize>,
-    /// Monte-Carlo trials per preparation circuit (Fig 4).
-    pub mc_trials: Option<u64>,
-    /// Error-rate scale (1.0 = the paper's rates; 10.0 = one decade
-    /// hotter).
-    pub noise_scale: Option<f64>,
-    /// RNG seed.
-    pub seed: Option<u64>,
-    /// Synthesis budget: maximum T-count for pi/2^k sequences.
-    pub synth_max_t: Option<u32>,
-    /// Synthesis early-stop distance.
-    pub synth_target: Option<f64>,
-    /// Fig 15 sweep: number of area points.
-    pub sweep_points: Option<usize>,
-    /// Fig 15 sweep: smallest area (macroblocks).
-    pub sweep_min_area: Option<f64>,
-    /// Fig 15 sweep: largest area (macroblocks).
-    pub sweep_max_area: Option<f64>,
-    /// Fig 7/8 sample counts.
-    pub profile_samples: Option<usize>,
-    /// Fig 15 architecture panel selection.
-    pub arch_panel: Option<Vec<ArchChoice>>,
-    /// Width-sweep operand widths (`widthsweep` experiment).
-    pub width_sweep: Option<Vec<usize>>,
+/// Each row is a knob's wire name (also its `Overrides` field) and
+/// type. The `places` block is the one exhaustive `StudyConfig`
+/// destructure: it binds every knob's place in the configuration to
+/// the knob's name. Both generated functions that touch a config go
+/// through it, so a row with no place fails to resolve, and a bound
+/// place with no row is an unused variable, which is denied.
+macro_rules! knob_table {
+    (
+        knobs {
+            $(
+                $(#[$doc:meta])*
+                $name:ident: $ty:ty,
+            )*
+        }
+        places { $($places:tt)* }
+    ) => {
+        /// Sparse, serializable overrides over the study knobs that are
+        /// otherwise hard-wired in [`StudyConfig`] and the experiment
+        /// implementations: benchmark kernel width, Monte-Carlo trial
+        /// count and error-rate scale, the Fig 15 area-sweep grid and
+        /// architecture panel, synthesis budgets, and profile sampling.
+        ///
+        /// `None` means "keep the base configuration's value".
+        #[derive(Debug, Clone, PartialEq, Default)]
+        pub struct Overrides {
+            $($(#[$doc])* pub $name: Option<$ty>,)*
+        }
+
+        /// The override field names, in table order: the wire field
+        /// order of serialization and of the canonical encoding, and
+        /// the valid knobs the unknown-override error names.
+        pub const OVERRIDE_FIELDS: [&str; [$(stringify!($name)),*].len()] =
+            [$(stringify!($name)),*];
+
+        impl Overrides {
+            /// Applies the overrides to a base configuration. `threads`
+            /// is never overridden here — pool size is service policy
+            /// (see the module docs).
+            #[deny(unused_variables)]
+            pub fn resolve(&self, base: &StudyConfig) -> StudyConfig {
+                let mut cfg = base.clone();
+                let $($places)* = &mut cfg;
+                $(if let Some(v) = &self.$name {
+                    *$name = v.clone();
+                })*
+                cfg
+            }
+        }
+
+        // Hand-written (not derived): the shim derive requires every
+        // field to be present on deserialization, but overrides are
+        // sparse by design — absent and `null` both mean "keep the base
+        // value" — and unknown knob names must be a loud error, not
+        // silently ignored work.
+        impl Serialize for Overrides {
+            fn to_value(&self) -> Value {
+                let mut fields = Vec::new();
+                $(if let Some(v) = &self.$name {
+                    fields.push((stringify!($name).to_string(), v.to_value()));
+                })*
+                Value::Object(fields)
+            }
+        }
+
+        impl Deserialize for Overrides {
+            fn from_value(v: &Value) -> Result<Self, Error> {
+                let fields = v
+                    .as_object()
+                    .ok_or_else(|| Error::custom("overrides must be a JSON object"))?;
+                let mut ov = Overrides::default();
+                for (key, value) in fields {
+                    match key.as_str() {
+                        $(stringify!($name) => ov.$name = Deserialize::from_value(value)?,)*
+                        other => {
+                            return Err(Error::custom(format!(
+                                "unknown override `{other}` (knobs: {})",
+                                OVERRIDE_FIELDS.join(", ")
+                            )))
+                        }
+                    }
+                }
+                Ok(ov)
+            }
+        }
+
+        /// The canonical JSON encoding of a configuration: every knob,
+        /// in table order, `threads` excluded (see module docs). This
+        /// string is what [`config_hash`] hashes.
+        #[deny(unused_variables)]
+        pub fn canonical_config_json(cfg: &StudyConfig) -> String {
+            let $($places)* = cfg;
+            canonical_json(&Value::Object(vec![
+                $((stringify!($name).to_string(), $name.to_value()),)*
+            ]))
+        }
+    };
 }
 
-/// The override field names, in canonical (declaration) order. One
-/// table fixes the wire field order of serialization and names the
-/// valid knobs in the unknown-override error, so the two can never
-/// drift apart.
-pub const OVERRIDE_FIELDS: [&str; 12] = [
-    "n_bits",
-    "mc_trials",
-    "noise_scale",
-    "seed",
-    "synth_max_t",
-    "synth_target",
-    "sweep_points",
-    "sweep_min_area",
-    "sweep_max_area",
-    "profile_samples",
-    "arch_panel",
-    "width_sweep",
-];
-
-impl Overrides {
-    /// True when every field is `None` (the request changes nothing).
-    pub fn is_empty(&self) -> bool {
-        *self == Overrides::default()
+knob_table! {
+    knobs {
+        /// Benchmark operand width (kernel width; paper: 32).
+        n_bits: usize,
+        /// Monte-Carlo trials per preparation circuit (Fig 4).
+        mc_trials: u64,
+        /// Error-rate scale (1.0 = the paper's rates; 10.0 = one decade
+        /// hotter).
+        noise_scale: f64,
+        /// RNG seed.
+        seed: u64,
+        /// Synthesis budget: maximum T-count for pi/2^k sequences.
+        synth_max_t: u32,
+        /// Synthesis early-stop distance.
+        synth_target: f64,
+        /// Fig 15 sweep: number of area points.
+        sweep_points: usize,
+        /// Fig 15 sweep: smallest area (macroblocks).
+        sweep_min_area: f64,
+        /// Fig 15 sweep: largest area (macroblocks).
+        sweep_max_area: f64,
+        /// Fig 7/8 sample counts.
+        profile_samples: usize,
+        /// Fig 15 architecture panel selection.
+        arch_panel: Vec<ArchChoice>,
+        /// Width-sweep operand widths (`widthsweep` experiment).
+        width_sweep: Vec<usize>,
     }
 
-    /// Applies the overrides to a base configuration. `threads` is
-    /// never overridden here — pool size is service policy (see the
-    /// module docs).
-    pub fn resolve(&self, base: &StudyConfig) -> StudyConfig {
-        // No `..`: a new override field fails the build here until it
-        // is resolved onto the configuration.
-        let Overrides {
+    // No `..`: a new `StudyConfig` or `SweepRange` field fails the
+    // build here until it is a row above or bound to `_` as policy.
+    places {
+        StudyConfig {
             n_bits,
             mc_trials,
             noise_scale,
@@ -105,126 +172,22 @@ impl Overrides {
             synth_max_t,
             synth_target,
             sweep_points,
-            sweep_min_area,
-            sweep_max_area,
+            sweep_area_range: SweepRange {
+                min_area: sweep_min_area,
+                max_area: sweep_max_area,
+            },
             profile_samples,
             arch_panel,
             width_sweep,
-        } = self;
-        let mut cfg = base.clone();
-        if let Some(v) = *n_bits {
-            cfg.n_bits = v;
+            threads: _,
         }
-        if let Some(v) = *mc_trials {
-            cfg.mc_trials = v;
-        }
-        if let Some(v) = *noise_scale {
-            cfg.noise_scale = v;
-        }
-        if let Some(v) = *seed {
-            cfg.seed = v;
-        }
-        if let Some(v) = *synth_max_t {
-            cfg.synth_max_t = v;
-        }
-        if let Some(v) = *synth_target {
-            cfg.synth_target = v;
-        }
-        if let Some(v) = *sweep_points {
-            cfg.sweep_points = v;
-        }
-        if let Some(v) = *sweep_min_area {
-            cfg.sweep_area_range.min_area = v;
-        }
-        if let Some(v) = *sweep_max_area {
-            cfg.sweep_area_range.max_area = v;
-        }
-        if let Some(v) = *profile_samples {
-            cfg.profile_samples = v;
-        }
-        if let Some(v) = arch_panel {
-            cfg.arch_panel = v.clone();
-        }
-        if let Some(v) = width_sweep {
-            cfg.width_sweep = v.clone();
-        }
-        cfg
-    }
-
-    /// The content hash of these overrides against `base`:
-    /// [`config_hash`] of the resolved configuration.
-    pub fn content_hash(&self, base: &StudyConfig) -> u64 {
-        config_hash(&self.resolve(base))
-    }
-
-    fn field_value(&self, name: &str) -> Value {
-        match name {
-            "n_bits" => self.n_bits.to_value(),
-            "mc_trials" => self.mc_trials.to_value(),
-            "noise_scale" => self.noise_scale.to_value(),
-            "seed" => self.seed.to_value(),
-            "synth_max_t" => self.synth_max_t.to_value(),
-            "synth_target" => self.synth_target.to_value(),
-            "sweep_points" => self.sweep_points.to_value(),
-            "sweep_min_area" => self.sweep_min_area.to_value(),
-            "sweep_max_area" => self.sweep_max_area.to_value(),
-            "profile_samples" => self.profile_samples.to_value(),
-            "arch_panel" => self.arch_panel.to_value(),
-            "width_sweep" => self.width_sweep.to_value(),
-            other => unreachable!("unknown override field `{other}`"),
-        }
-    }
-
-    fn set_field(&mut self, name: &str, v: &Value) -> Result<(), Error> {
-        match name {
-            "n_bits" => self.n_bits = Deserialize::from_value(v)?,
-            "mc_trials" => self.mc_trials = Deserialize::from_value(v)?,
-            "noise_scale" => self.noise_scale = Deserialize::from_value(v)?,
-            "seed" => self.seed = Deserialize::from_value(v)?,
-            "synth_max_t" => self.synth_max_t = Deserialize::from_value(v)?,
-            "synth_target" => self.synth_target = Deserialize::from_value(v)?,
-            "sweep_points" => self.sweep_points = Deserialize::from_value(v)?,
-            "sweep_min_area" => self.sweep_min_area = Deserialize::from_value(v)?,
-            "sweep_max_area" => self.sweep_max_area = Deserialize::from_value(v)?,
-            "profile_samples" => self.profile_samples = Deserialize::from_value(v)?,
-            "arch_panel" => self.arch_panel = Deserialize::from_value(v)?,
-            "width_sweep" => self.width_sweep = Deserialize::from_value(v)?,
-            other => {
-                return Err(Error::custom(format!(
-                    "unknown override `{other}` (knobs: {})",
-                    OVERRIDE_FIELDS.join(", ")
-                )))
-            }
-        }
-        Ok(())
     }
 }
 
-// Hand-written (not derived): the shim derive requires every field to
-// be present on deserialization, but overrides are sparse by design —
-// absent and `null` both mean "keep the base value" — and unknown
-// knob names must be a loud error, not silently ignored work.
-impl Serialize for Overrides {
-    fn to_value(&self) -> Value {
-        let fields = OVERRIDE_FIELDS
-            .iter()
-            .map(|f| (f.to_string(), self.field_value(f)))
-            .filter(|(_, v)| !matches!(v, Value::Null))
-            .collect();
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for Overrides {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| Error::custom("overrides must be a JSON object"))?;
-        let mut ov = Overrides::default();
-        for (key, value) in fields {
-            ov.set_field(key, value)?;
-        }
-        Ok(ov)
+impl Overrides {
+    /// True when every field is `None` (the request changes nothing).
+    pub fn is_empty(&self) -> bool {
+        *self == Overrides::default()
     }
 }
 
@@ -323,42 +286,6 @@ impl Deserialize for RunRequest {
     }
 }
 
-/// The canonical JSON encoding of a configuration: fixed field order,
-/// every semantic knob present, `threads` excluded (see module docs).
-/// This string is what [`config_hash`] hashes.
-pub fn canonical_config_json(cfg: &StudyConfig) -> String {
-    // No `..`: a new `StudyConfig` or `SweepRange` field fails the
-    // build here until it is encoded or bound to `_` as policy.
-    let StudyConfig {
-        n_bits,
-        mc_trials,
-        noise_scale,
-        seed,
-        synth_max_t,
-        synth_target,
-        sweep_points,
-        sweep_area_range: SweepRange { min_area, max_area },
-        profile_samples,
-        arch_panel,
-        width_sweep,
-        threads: _,
-    } = cfg;
-    canonical_json(&Value::Object(vec![
-        ("n_bits".to_string(), n_bits.to_value()),
-        ("mc_trials".to_string(), mc_trials.to_value()),
-        ("noise_scale".to_string(), noise_scale.to_value()),
-        ("seed".to_string(), seed.to_value()),
-        ("synth_max_t".to_string(), synth_max_t.to_value()),
-        ("synth_target".to_string(), synth_target.to_value()),
-        ("sweep_points".to_string(), sweep_points.to_value()),
-        ("sweep_min_area".to_string(), min_area.to_value()),
-        ("sweep_max_area".to_string(), max_area.to_value()),
-        ("profile_samples".to_string(), profile_samples.to_value()),
-        ("arch_panel".to_string(), arch_panel.to_value()),
-        ("width_sweep".to_string(), width_sweep.to_value()),
-    ]))
-}
-
 /// The stable content hash cache entries are addressed by: FNV-1a
 /// (64-bit) over [`canonical_config_json`] — the same hashing
 /// primitive the `qods-compile` artifact store uses
@@ -391,7 +318,7 @@ mod tests {
         let ov = Overrides::default();
         assert!(ov.is_empty());
         assert_eq!(ov.resolve(&base), base);
-        assert_eq!(ov.content_hash(&base), config_hash(&base));
+        assert_eq!(config_hash(&ov.resolve(&base)), config_hash(&base));
     }
 
     #[test]
@@ -440,8 +367,8 @@ mod tests {
         // identically.
         let base = StudyConfig::smoke();
         assert_eq!(
-            req.overrides.content_hash(&base),
-            RunRequest::of(["table9"]).overrides.content_hash(&base)
+            config_hash(&req.overrides.resolve(&base)),
+            config_hash(&RunRequest::of(["table9"]).overrides.resolve(&base))
         );
         assert!(!canonical_config_json(&base).contains("deadline"));
     }

@@ -4,6 +4,7 @@
 
 use crate::cache::{ContextPool, PoolEntry, CONTEXT_POOL_BYTES};
 use crate::request::RunRequest;
+use qods_core::compile::hash::fnv1a;
 use qods_core::compile::{ArtifactStore, Begin, InflightTable};
 use qods_core::experiment::{Experiment, ExperimentRecord};
 use qods_core::kernels::KernelError;
@@ -30,8 +31,9 @@ pub enum ServiceError {
     /// The resolved configuration holds an override no experiment can
     /// run: a Fig 15 area grid with fewer than two points, more than
     /// [`MAX_SWEEP_POINTS`] or an empty range, more than
-    /// [`MAX_PROFILE_SAMPLES`] Fig 7 samples, or a synthesis budget
-    /// above [`MAX_SYNTH_T`]. Rejected before a context is built, like
+    /// [`MAX_PROFILE_SAMPLES`] Fig 7 samples, a synthesis budget
+    /// above [`MAX_SYNTH_T`], or a float knob that is not finite.
+    /// Rejected before a context is built, like
     /// [`ServiceError::Kernel`].
     Config {
         /// The offending override field.
@@ -128,17 +130,18 @@ fn validate_config(cfg: &StudyConfig) -> Result<(), ServiceError> {
             ),
         );
     }
-    if !(range.min_area.is_finite() && range.min_area > 0.0) {
+    // Both bounds are finite here: `reject_non_finite` ran first.
+    if range.min_area <= 0.0 {
         return reject(
             "sweep_min_area",
-            format!("{} (must be finite and positive)", range.min_area),
+            format!("{} (must be positive)", range.min_area),
         );
     }
-    if !(range.max_area.is_finite() && range.max_area > range.min_area) {
+    if range.max_area <= range.min_area {
         return reject(
             "sweep_max_area",
             format!(
-                "{} (must be finite and above sweep_min_area {})",
+                "{} (must be above sweep_min_area {})",
                 range.max_area, range.min_area
             ),
         );
@@ -150,6 +153,26 @@ fn validate_config(cfg: &StudyConfig) -> Result<(), ServiceError> {
         );
     }
     Ok(())
+}
+
+/// Rejects a float knob with no JSON form (infinite or NaN) before
+/// the canonical encoding is taken: the job key and the config hash
+/// exist only for finite configurations, and a request naming
+/// `1e400` must be a typed rejection on every path, coalesced or not.
+fn reject_non_finite(cfg: &StudyConfig) -> Result<(), ServiceError> {
+    let floats = [
+        ("noise_scale", cfg.noise_scale),
+        ("synth_target", cfg.synth_target),
+        ("sweep_min_area", cfg.sweep_area_range.min_area),
+        ("sweep_max_area", cfg.sweep_area_range.max_area),
+    ];
+    match floats.into_iter().find(|(_, v)| !v.is_finite()) {
+        Some((field, v)) => Err(ServiceError::Config {
+            field,
+            reason: format!("{v} (must be finite)"),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// A streamed progress event for one job. Delivery order within one
@@ -250,6 +273,19 @@ pub struct SchedulerStats {
     pub deadlines_exceeded: u64,
 }
 
+/// A request resolved once ([`Scheduler::resolve`]): everything the
+/// job key, validation and the context checkout read.
+struct Job<'r> {
+    /// The selected experiments, in request order.
+    selected: Vec<&'r dyn Experiment>,
+    /// The overrides applied to the scheduler's base.
+    config: StudyConfig,
+    /// [`crate::request::config_hash`] of `config`.
+    config_hash: u64,
+    /// The coalescing key ([`Scheduler::job_key`]).
+    key: u64,
+}
+
 impl Scheduler {
     /// A scheduler with an explicit worker count and cache switch.
     /// The worker count is pinned end-to-end: it sizes this
@@ -345,8 +381,16 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Registry`] when the selection does not resolve.
+    /// [`ServiceError::Registry`] when the selection does not resolve,
+    /// [`ServiceError::Config`] when a float knob is not finite.
     pub fn job_key(&self, request: &RunRequest) -> Result<u64, ServiceError> {
+        self.resolve(request).map(|job| job.key)
+    }
+
+    /// Resolves a request once: its selection, its configuration, and
+    /// from one canonical encoding both the config hash and the job
+    /// key.
+    fn resolve(&self, request: &RunRequest) -> Result<Job<'_>, ServiceError> {
         // No `..`: a new request field fails the build here until it
         // is keyed or bound to `_` as policy. The correlation id and
         // the deadline budget are policy, not work identity.
@@ -357,13 +401,20 @@ impl Scheduler {
             deadline_ms: _,
         } = request;
         let selected = self.select(experiments)?;
-        let resolved = overrides.resolve(self.pool.base());
-        let mut identity = crate::request::canonical_config_json(&resolved);
+        let config = overrides.resolve(self.pool.base());
+        reject_non_finite(&config)?;
+        let mut identity = crate::request::canonical_config_json(&config);
+        let config_hash = fnv1a(identity.as_bytes());
         for exp in &selected {
             identity.push('|');
             identity.push_str(exp.id());
         }
-        Ok(qods_core::compile::hash::fnv1a(identity.as_bytes()))
+        Ok(Job {
+            selected,
+            config,
+            config_hash,
+            key: fnv1a(identity.as_bytes()),
+        })
     }
 
     /// The experiments a selection names, in request order; an empty
@@ -412,7 +463,8 @@ impl Scheduler {
         request: &RunRequest,
         emit: &mut (dyn FnMut(JobEvent) + Send),
     ) -> Result<(Arc<JobResult>, bool), ServiceError> {
-        let key = self.job_key(request)?;
+        let job = self.resolve(request)?;
+        let key = job.key;
         loop {
             match self.inflight.begin(key) {
                 Begin::Leader(leader) => {
@@ -421,7 +473,7 @@ impl Scheduler {
                         config_hash: key
                     });
                     self.jobs_led.inc();
-                    let outcome = self.run_with_events(request, emit).map(Arc::new);
+                    let outcome = self.run_guarded(request, job, emit).map(Arc::new);
                     leader.complete(outcome.clone());
                     return outcome.map(|r| (r, false));
                 }
@@ -465,7 +517,8 @@ impl Scheduler {
     /// panicking experiment or an expired deadline is a typed
     /// [`ServiceError`] — the scheduler, its caches, and every other
     /// job keep working. Every public entry point
-    /// (`run`, `run_coalesced*`) funnels through here.
+    /// (`run`, `run_coalesced*`) funnels through its guarded half,
+    /// after resolving the request once.
     ///
     /// # Errors
     ///
@@ -477,12 +530,24 @@ impl Scheduler {
         request: &RunRequest,
         emit: &mut (dyn FnMut(JobEvent) + Send),
     ) -> Result<JobResult, ServiceError> {
+        let job = self.resolve(request)?;
+        self.run_guarded(request, job, emit)
+    }
+
+    /// The guarded half of [`Scheduler::run_with_events`], for a
+    /// request already resolved into `job`.
+    fn run_guarded(
+        &self,
+        request: &RunRequest,
+        job: Job<'_>,
+        emit: &mut (dyn FnMut(JobEvent) + Send),
+    ) -> Result<JobResult, ServiceError> {
         let budget = request.deadline_ms.or(self.default_deadline_ms());
         // qods-lint: allow(D1) -- deadline arming; cancellation is
         // all-or-nothing, so the clock never shapes a result
         let deadline = budget.map(|ms| Instant::now() + Duration::from_millis(ms));
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            qods_pool::with_deadline(deadline, || self.run_job(request, emit))
+            qods_pool::with_deadline(deadline, || self.run_job(request, job, emit))
         }));
         match outcome {
             Ok(result) => result,
@@ -504,27 +569,32 @@ impl Scheduler {
     }
 
     /// The unguarded job body — only ever called from inside
-    /// [`Scheduler::run_with_events`]'s catch/deadline guard.
+    /// [`Scheduler::run_guarded`]'s catch/deadline guard.
     fn run_job(
         &self,
         request: &RunRequest,
+        job: Job<'_>,
         emit: &mut (dyn FnMut(JobEvent) + Send),
     ) -> Result<JobResult, ServiceError> {
-        let selected = self.select(&request.experiments)?;
+        let Job {
+            selected,
+            config,
+            config_hash,
+            key: _,
+        } = job;
 
         // Validate the benchmark width and the sweep and synthesis
         // overrides before building anything: a bad value must be a
         // typed rejection, not a panic inside compilation or a sweep.
-        let resolved = request.overrides.resolve(self.pool.base());
-        for spec in qods_core::compile::paper_specs(resolved.n_bits) {
+        for spec in qods_core::compile::paper_specs(config.n_bits) {
             spec.validate()?;
         }
-        validate_config(&resolved)?;
+        validate_config(&config)?;
 
         // qods-lint: allow(D1) -- job wall-time telemetry; reported in
         // events/stats, excluded from hashed result lines
         let t0 = Instant::now();
-        let (entry, context_hit) = self.pool.checkout(&request.overrides);
+        let (entry, context_hit) = self.pool.checkout(config, config_hash);
         let _span = qods_obs::span!(sites::SVC_SCHEDULE, {
             config_hash: entry.hash(),
             cache: if context_hit { "hit" } else { "miss" }
@@ -752,7 +822,7 @@ mod tests {
         let sched = Scheduler::with_options(StudyConfig::smoke(), 2, true);
         type Edit = fn(&mut Overrides);
         // Huge sizes are only ever validated, never allocated.
-        let cases: [(&str, Edit); 12] = [
+        let cases: [(&str, Edit); 15] = [
             ("sweep_points", |o| o.sweep_points = Some(1)),
             ("sweep_points", |o| o.sweep_points = Some(0)),
             ("sweep_points", |o| {
@@ -775,6 +845,10 @@ mod tests {
                 o.sweep_max_area = Some(1e3);
             }),
             ("synth_max_t", |o| o.synth_max_t = Some(MAX_SYNTH_T + 1)),
+            // No JSON form, so no job key either.
+            ("noise_scale", |o| o.noise_scale = Some(f64::INFINITY)),
+            ("synth_target", |o| o.synth_target = Some(f64::NAN)),
+            ("sweep_max_area", |o| o.sweep_max_area = Some(f64::INFINITY)),
         ];
         for (field, set) in cases {
             let mut overrides = Overrides {
@@ -789,6 +863,8 @@ mod tests {
                 "{field}: {err}"
             );
             assert!(err.to_string().contains(field), "{err}");
+            let coalesced = sched.run_coalesced(&req).expect_err("must be rejected");
+            assert_eq!(coalesced, err, "{field}: the coalesced path agrees");
         }
         assert!(sched.pool().is_empty(), "rejected jobs build no context");
         assert_eq!(sched.stats().panics_caught, 0);

@@ -6,7 +6,8 @@
 //! identical outputs.
 
 use qods_core::compile::ArtifactStore;
-use qods_service::prelude::*;
+use qods_core::study::StudyConfig;
+use qods_service::{Overrides, RunRequest, Scheduler, ServiceError};
 use std::sync::{Arc, Barrier};
 use std::thread;
 

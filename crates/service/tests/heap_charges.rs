@@ -7,7 +7,7 @@
 
 use qods_core::circuit::circuit::Circuit;
 use qods_core::compile::{ArtifactStore, Compiler, HeapBytes, SynthBudget, MEM_TIER_BYTES};
-use qods_core::kernels::KernelSpec;
+use qods_core::kernels::{KernelFamily, KernelSpec};
 use qods_core::study::StudyConfig;
 use qods_obs::{sites, Registry};
 use qods_service::{JobResult, RunRequest, Scheduler, CONTEXT_POOL_BYTES};
@@ -88,6 +88,16 @@ fn lowered_decoded_and_characterized_kernels_are_charged_what_clone_allocates() 
     assert_charged_as_cloned("disk-decoded QFT-32 IR", &*decoded);
     assert_charged_as_cloned("disk-decoded lowered QFT-32", &decoded_lowered.circuit);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn freshly_built_ir_holds_no_growth_slack() {
+    for family in KernelFamily::ALL {
+        for width in [32, 48] {
+            let spec = KernelSpec::new(family, width).expect("valid spec");
+            assert_charged_as_cloned(&format!("{spec} IR"), &spec.build_ir());
+        }
+    }
 }
 
 /// One paper-config job over its own store, run once for the tests

@@ -1,13 +1,18 @@
 //! Property tests for override canonicalization: the content hash
 //! must be insensitive to everything that doesn't change the work
 //! (request field order, default-vs-explicit values) and sensitive to
-//! every knob that does.
+//! every knob that does. The scheduler's job key and the hash a job
+//! reports come from the same one resolution, so each property is
+//! also checked through [`Scheduler::job_key`] and a real `table1`
+//! job.
 
 use proptest::prelude::*;
 use qods_core::compile::hash::hash_hex;
+use qods_core::compile::ArtifactStore;
 use qods_core::study::{ArchChoice, StudyConfig};
-use qods_service::{canonical_config_json, config_hash, Overrides};
+use qods_service::{canonical_config_json, config_hash, Overrides, RunRequest, Scheduler};
 use serde::{Serialize, Value};
+use std::sync::{Arc, OnceLock};
 
 /// Builds an `Overrides` whose populated fields are selected by
 /// `mask` bits, with values derived deterministically from `salt`
@@ -92,6 +97,38 @@ fn perturb(ov: &mut Overrides, i: usize, base: &StudyConfig) {
     }
 }
 
+/// One caching paper-config scheduler over a private in-memory store,
+/// shared by every case.
+fn scheduler() -> &'static Scheduler {
+    static SCHEDULER: OnceLock<Scheduler> = OnceLock::new();
+    SCHEDULER.get_or_init(|| {
+        let store = Arc::new(ArtifactStore::in_memory());
+        Scheduler::with_store(StudyConfig::default(), 1, store)
+    })
+}
+
+/// A `table1` request carrying `ov`.
+fn table1(ov: &Overrides) -> RunRequest {
+    RunRequest::of(["table1"]).with_overrides(ov.clone())
+}
+
+/// The scheduler's coalescing key for a `table1` request carrying `ov`.
+fn job_key(ov: &Overrides) -> Result<u64, TestCaseError> {
+    scheduler()
+        .job_key(&table1(ov))
+        .map_err(|e| TestCaseError::fail(e.to_string()))
+}
+
+/// Runs a `table1` job carrying `ov` and checks that the config hash
+/// it reports is `ov` resolved against `base` and hashed.
+fn assert_job_hashes_as_resolved(ov: &Overrides, base: &StudyConfig) -> Result<(), TestCaseError> {
+    let result = scheduler()
+        .run(&table1(ov))
+        .map_err(|e| TestCaseError::fail(e.to_string()))?;
+    prop_assert_eq!(result.config_hash, config_hash(&ov.resolve(base)));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -103,7 +140,7 @@ proptest! {
                                           extra in 0u32..4096) {
         let base = StudyConfig::default();
         let ov = overrides_from(mask, salt);
-        let hash = ov.content_hash(&base);
+        let hash = config_hash(&ov.resolve(&base));
         // Fill every field selected by `extra` (and not already set)
         // with the value it resolves to today.
         let resolved = ov.resolve(&base);
@@ -113,7 +150,9 @@ proptest! {
                 set_explicit_default(&mut explicit, i, &resolved);
             }
         }
-        prop_assert_eq!(explicit.content_hash(&base), hash);
+        prop_assert_eq!(config_hash(&explicit.resolve(&base)), hash);
+        prop_assert_eq!(job_key(&explicit)?, job_key(&ov)?);
+        assert_job_hashes_as_resolved(&explicit, &base)?;
     }
 
     /// The hash survives a serde round-trip and arbitrary request
@@ -135,7 +174,9 @@ proptest! {
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         let back: Overrides =
             serde_json::from_str(&json).map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(back.content_hash(&base), ov.content_hash(&base));
+        prop_assert_eq!(config_hash(&back.resolve(&base)), config_hash(&ov.resolve(&base)));
+        prop_assert_eq!(job_key(&back)?, job_key(&ov)?);
+        assert_job_hashes_as_resolved(&back, &base)?;
     }
 
     /// Changing any single knob changes the hash — no two distinct
@@ -145,13 +186,18 @@ proptest! {
                                          field in 0usize..12) {
         let base = StudyConfig::default();
         let ov = overrides_from(mask, salt);
-        let hash = ov.content_hash(&base);
+        let hash = config_hash(&ov.resolve(&base));
         let mut changed = ov.clone();
         perturb(&mut changed, field, &base);
         prop_assert!(
-            changed.content_hash(&base) != hash,
+            config_hash(&changed.resolve(&base)) != hash,
             "perturbing field {} left the hash unchanged", field
         );
+        prop_assert!(
+            job_key(&changed)? != job_key(&ov)?,
+            "perturbing field {} left the job key unchanged", field
+        );
+        assert_job_hashes_as_resolved(&changed, &base)?;
     }
 }
 
@@ -187,7 +233,10 @@ fn hash_is_stable_across_processes_and_time() {
     for (cfg, json, hex) in pins {
         assert_eq!(canonical_config_json(&cfg), json);
         assert_eq!(hash_hex(config_hash(&cfg)), hex);
-        assert_eq!(Overrides::default().content_hash(&cfg), config_hash(&cfg));
+        assert_eq!(
+            config_hash(&Overrides::default().resolve(&cfg)),
+            config_hash(&cfg)
+        );
     }
     let ov = Overrides {
         n_bits: Some(8),
@@ -195,7 +244,7 @@ fn hash_is_stable_across_processes_and_time() {
         ..Overrides::default()
     };
     assert_eq!(
-        hash_hex(ov.content_hash(&StudyConfig::default())),
+        hash_hex(config_hash(&ov.resolve(&StudyConfig::default()))),
         "80ba9f8099cf8f66"
     );
 }

@@ -2,8 +2,9 @@
 //! jobs run on the threads already there. Its own test binary, because
 //! the thread pin and the started-thread counter are process-global.
 
+use qods_core::study::StudyConfig;
 use qods_obs::sites::POOL_WORKERS_SPAWNED;
-use qods_service::prelude::*;
+use qods_service::{Overrides, RunRequest, Scheduler};
 
 fn started() -> u64 {
     qods_obs::Registry::global()

@@ -4,8 +4,9 @@
 //! wrong answer afterwards. Lives in its own integration binary
 //! because the fault injector is process-global.
 
+use qods_core::study::StudyConfig;
 use qods_fault::{site, FaultAction, FaultPlan};
-use qods_service::prelude::*;
+use qods_service::{JobResult, Overrides, RunRequest, Scheduler, ServiceError};
 use std::sync::Mutex;
 use std::sync::PoisonError;
 
