@@ -1,15 +1,14 @@
 //! A map bounded by bytes with least-recently-used eviction — the one
 //! recency policy behind the artifact store's memory tier and the
-//! service's context pool.
+//! service's output cache.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
 /// A map whose entries each carry a charge in bytes, holding at most
-/// `budget` bytes in all. An insert or a recharge that takes the total
-/// past the budget evicts least-recently-used entries, never the one
-/// just inserted or recharged, until the total fits or that entry is
-/// alone — so one entry larger than the whole budget is still kept,
+/// `budget` bytes in all. An insert that takes the total past the
+/// budget evicts least-recently-used entries, never the one just
+/// inserted, until the total fits or that entry is alone — so one entry larger than the whole budget is still kept,
 /// by itself. A lookup hit counts as a use, so a hot key survives any
 /// amount of one-off traffic.
 ///
@@ -104,19 +103,6 @@ impl<K: Copy + Eq + Hash, V> Lru<K, V> {
         self.evict_for(&key)
     }
 
-    /// Sets the charge of the entry at `key` (its value grew or shrank
-    /// in place) without marking it used, then evicts other entries
-    /// down to the budget. Returns how many entries it evicted; a key
-    /// not held changes nothing.
-    pub fn recharge(&mut self, key: &K, charge: usize) -> usize {
-        let Some(slot) = self.map.get_mut(key) else {
-            return 0;
-        };
-        self.bytes = self.bytes - slot.charge + charge;
-        slot.charge = charge;
-        self.evict_for(key)
-    }
-
     /// Evicts least-recently-used entries other than `keep` until the
     /// total fits the budget or `keep` is alone.
     fn evict_for(&mut self, keep: &K) -> usize {
@@ -197,7 +183,7 @@ mod tests {
                 // Now and then one entry larger than the whole budget.
                 let scale = if next(10) == 0 { 400 } else { 60 };
                 let charge = next(scale) as usize;
-                let evicted = match next(3) {
+                let evicted = match next(2) {
                     0 => {
                         // A hit refreshes recency; a miss changes nothing.
                         let hit = lru.get(&key).copied();
@@ -205,23 +191,11 @@ mod tests {
                         assert!(hit.is_none_or(|v| v == usize::from(key)));
                         0
                     }
-                    1 => {
+                    _ => {
                         model.0.retain(|&(k, _)| k != key);
                         model.0.push((key, charge));
                         let n = lru.insert(key, usize::from(key), charge);
                         assert_eq!(n, model.evict_for(key, budget), "seed {seed} step {step}");
-                        n
-                    }
-                    _ => {
-                        let n = lru.recharge(&key, charge);
-                        let expected = match model.0.iter_mut().find(|(k, _)| *k == key) {
-                            Some(entry) => {
-                                entry.1 = charge;
-                                model.evict_for(key, budget)
-                            }
-                            None => 0,
-                        };
-                        assert_eq!(n, expected, "seed {seed} step {step}");
                         n
                     }
                 };
@@ -241,23 +215,5 @@ mod tests {
             }
         }
         assert!(evictions > 1000, "the traffic evicts: {evictions}");
-    }
-
-    #[test]
-    fn a_recharge_evicts_other_entries_before_its_own() {
-        let mut lru = Lru::new(100);
-        lru.insert('a', (), 30);
-        lru.insert('b', (), 30);
-        lru.insert('c', (), 30);
-        // `a` is the LRU entry, yet its growth evicts `b` and `c`.
-        assert_eq!(lru.recharge(&'a', 90), 2);
-        assert!(lru.get(&'a').is_some());
-        assert_eq!((lru.len(), lru.bytes()), (1, 90));
-        // Grown past the budget, it stays, alone.
-        assert_eq!(lru.recharge(&'a', 500), 0);
-        assert_eq!(lru.bytes(), 500);
-        assert_eq!(lru.insert('d', (), 1), 1, "the oversized entry goes first");
-        assert_eq!(lru.recharge(&'z', 7), 0, "an absent key changes nothing");
-        assert_eq!((lru.len(), lru.bytes()), (1, 1));
     }
 }

@@ -90,13 +90,6 @@ impl HeapBytes for Characterization {
     }
 }
 
-impl HeapBytes for Compiler {
-    /// The synthesis adapter this compiler owns, with its cache.
-    fn heap_bytes(&self) -> usize {
-        std::mem::size_of::<SynthAdapter>() + self.adapter.heap_bytes()
-    }
-}
-
 /// All three artifacts of one fully compiled kernel.
 #[derive(Debug, Clone)]
 pub struct CompiledKernel {

@@ -107,15 +107,6 @@ impl StudyContext {
     }
 }
 
-impl HeapBytes for StudyContext {
-    /// The configuration's lists plus the compiler's synthesis cache.
-    fn heap_bytes(&self) -> usize {
-        self.config.arch_panel.capacity() * std::mem::size_of::<crate::study::ArchChoice>()
-            + self.config.width_sweep.heap_bytes()
-            + self.compiler.heap_bytes()
-    }
-}
-
 /// One independently runnable paper artifact.
 ///
 /// Implementations are stateless values: everything expensive lives in

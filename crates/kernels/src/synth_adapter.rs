@@ -38,14 +38,6 @@ impl SynthAdapter {
         }
     }
 
-    /// Heap bytes of the sequence cache: its table plus every cached
-    /// sequence.
-    pub fn heap_bytes(&self) -> usize {
-        let cache = qods_pool::plock(&self.cache);
-        cache.capacity() * std::mem::size_of::<((u8, bool), Vec<HtGate>)>()
-            + cache.values().map(Vec::capacity).sum::<usize>() * std::mem::size_of::<HtGate>()
-    }
-
     /// Lowers `circuit` (see [`Circuit::lower`]) with one batched
     /// search for the rotations it needs that are not cached yet.
     pub fn lower(&self, circuit: &Circuit) -> Circuit {

@@ -12,7 +12,6 @@
 //! repeat the answer.
 
 use crate::protocol::MetricsLine;
-use serde::Serialize;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -137,18 +136,6 @@ impl Client {
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
         self.writer.flush()
-    }
-
-    /// Sends one serializable request (e.g. a `RunRequest`).
-    ///
-    /// # Errors
-    ///
-    /// The write error, or `InvalidData` if the request does not
-    /// serialize (a non-finite float in an override, for instance).
-    pub fn send<T: Serialize>(&mut self, request: &T) -> std::io::Result<()> {
-        let line = serde_json::to_string(request)
-            .map_err(|e| invalid(&format!("request did not serialize: {e}")))?;
-        self.send_line(&line)
     }
 
     /// Reads the next response line; `None` on server EOF.

@@ -43,7 +43,8 @@ pub struct ResultLine {
     pub id: Option<String>,
     /// Content hash of the resolved configuration, hex.
     pub config: String,
-    /// Whether the study context came from the cache.
+    /// Whether at least one output came from the cache
+    /// (`output_hits > 0`).
     pub context_hit: bool,
     /// Experiments served from the output cache.
     pub output_hits: usize,

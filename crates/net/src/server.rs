@@ -253,7 +253,6 @@ pub struct ServeCore {
     /// one source of truth.
     metrics: Arc<Registry>,
     latency: Arc<LatencyHistogram>,
-    draining: AtomicBool,
     requests: Arc<Counter>,
     results: Arc<Counter>,
     errors: Arc<Counter>,
@@ -274,7 +273,6 @@ impl ServeCore {
             gate,
             options,
             latency: metrics.histogram(sites::NET_LATENCY),
-            draining: AtomicBool::new(false),
             requests: metrics.counter(sites::NET_REQUESTS),
             results: metrics.counter(sites::NET_RESULTS),
             errors: metrics.counter(sites::NET_ERRORS),
@@ -445,13 +443,7 @@ impl ServeCore {
     /// Stops admitting jobs (they answer `shutting_down` errors);
     /// already-admitted jobs keep running.
     pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
         self.gate.drain();
-    }
-
-    /// True once [`ServeCore::begin_drain`] has run.
-    pub fn draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
     }
 
     /// Blocks until every admitted job has finished.
@@ -540,9 +532,11 @@ pub struct StatsLine {
     pub in_flight: u64,
     /// Jobs waiting for an admission slot right now: `gate.waiting`.
     pub queue_depth: u64,
-    /// Context-cache hits (shared lowering): `cache.context_hits`.
+    /// Jobs that found at least one output cached:
+    /// `cache.context_hits`.
     pub context_hits: u64,
-    /// Context-cache misses (fresh lowering): `cache.context_misses`.
+    /// Jobs that found none of their outputs cached:
+    /// `cache.context_misses`.
     pub context_misses: u64,
     /// Output-cache hits (experiment served without compute):
     /// `cache.output_hits`.

@@ -67,7 +67,7 @@ pub const NET_REQUEST: Site = Site("net.request");
 pub const SVC_COALESCE: Site = Site("svc.coalesce");
 /// One scheduled job execution (the leader's run).
 pub const SVC_SCHEDULE: Site = Site("svc.schedule");
-/// Context checkout from the content-addressed pool.
+/// A job's output lookups in the content-addressed pool.
 pub const SVC_CONTEXT: Site = Site("svc.context");
 
 /// Compile stage 1: spec -> IR.
@@ -125,17 +125,17 @@ pub const SVC_PANICS_CAUGHT: Site = Site("svc.panics_caught");
 /// Jobs cancelled at a deadline boundary.
 pub const SVC_DEADLINE_EXCEEDED: Site = Site("svc.deadline_exceeded");
 
-/// Context-pool hits (same config hash, context reused).
+/// Jobs that found at least one output cached.
 pub const CACHE_CONTEXT_HITS: Site = Site("cache.context_hits");
-/// Context-pool misses (context built fresh).
+/// Jobs that found none of their outputs cached.
 pub const CACHE_CONTEXT_MISSES: Site = Site("cache.context_misses");
 /// Finished-output hits (experiment served without recompute).
 pub const CACHE_OUTPUT_HITS: Site = Site("cache.output_hits");
 /// Finished-output misses (experiment executed).
 pub const CACHE_OUTPUT_MISSES: Site = Site("cache.output_misses");
-/// Contexts the pool dropped to stay within its byte budget.
+/// Outputs the pool dropped to stay within its byte budget.
 pub const CACHE_CONTEXT_EVICTIONS: Site = Site("cache.context_evictions");
-/// Bytes the pool's retained contexts are charged (gauge).
+/// Bytes the pool's retained outputs are charged (gauge).
 pub const CACHE_CONTEXT_BYTES: Site = Site("cache.context_bytes");
 
 /// Artifact-store stage computations (both tiers missed).

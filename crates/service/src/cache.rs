@@ -1,99 +1,48 @@
-//! The content-addressed context and result cache.
+//! The content-addressed output cache.
 //!
-//! A [`ContextPool`] replaces ad-hoc `StudyContext::new` call sites:
-//! contexts are checked out by the content hash of the request's
-//! resolved configuration ([`crate::request::config_hash`]), so two
-//! requests that differ only in *which* experiments they ask for
-//! share one context. Finished [`ExperimentOutput`]s are cached on the
-//! same entry keyed by experiment id, so a repeated
-//! `(config, experiment)` pair is served without recomputing anything.
-//! The pool is bounded by bytes, not entries: each entry is charged
-//! its context's heap plus its cached outputs' heap ([`HeapBytes`]),
-//! recharged whenever an output lands, and least-recently-used
-//! entries go once the total passes [`CONTEXT_POOL_BYTES`].
-//! The lowered kernels themselves live in the [`ArtifactStore`]
-//! underneath, which compiles each one once for every context that
-//! shares the store (test-asserted through its `computed` counter).
+//! A [`ContextPool`] caches finished [`ExperimentOutput`]s under one
+//! key, `(config hash, experiment id)`, where the hash is
+//! [`crate::request::config_hash`] of the request's resolved
+//! configuration: a repeated `(config, experiment)` pair is served
+//! without recomputing anything, whichever other experiments the two
+//! requests select. The cache is one least-recently-used map bounded
+//! by bytes, not entries: each output is charged its size plus its
+//! heap ([`HeapBytes`]) when it is stored, and least-recently-used
+//! outputs go once the total passes [`CONTEXT_POOL_BYTES`].
+//!
+//! Study contexts are not cached: a [`StudyContext`] is cheap to build
+//! and holds no artifact itself, so each job builds its own
+//! ([`ContextPool::context`]). The lowered kernels live in the
+//! [`ArtifactStore`] underneath, which compiles each one once for
+//! every job that shares the store (test-asserted through its
+//! `computed` counter).
 
 use qods_core::compile::{ArtifactStore, HeapBytes, Lru};
 use qods_core::experiment::{ExperimentOutput, StudyContext};
 use qods_core::study::StudyConfig;
 use qods_obs::{sites, Counter, Gauge, Registry};
 use qods_pool::plock;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// Bound on the bytes the pool retains, summed over its entries'
-/// charges (see [`ContextPool::with_caching`]). A context that has
-/// answered every experiment at the paper configuration is charged
-/// 25.9 KB (20.7 KB of outputs, over half of it the Fig 7 demand
-/// profiles, plus 3.9 KB of context and synthesis cache), so the pool
-/// holds 40 such full paper-config jobs; one that answered a few
-/// experiments at a narrow width weighs a few KB, and it holds
+/// Bound on the bytes the pool retains, summed over its outputs'
+/// charges (see [`ContextPool::store_output`]). The 14 outputs of one
+/// paper-configuration job are charged 21.3 KB in all, over half of it
+/// the Fig 7 demand profiles, so the pool holds 49 such full jobs; a
+/// few experiments at a narrow width weigh a few KB, and it holds
 /// hundreds of those. Finite, so a long-running daemon cannot be grown
 /// without bound by a client streaming never-repeating overrides. (The
 /// artifact store underneath is bounded the same way, by
 /// [`qods_core::compile::MEM_TIER_BYTES`].)
 pub const CONTEXT_POOL_BYTES: usize = 1 << 20;
 
-/// One cached configuration: the shared context plus every finished
-/// experiment output computed under it.
-#[derive(Debug)]
-pub struct PoolEntry {
-    hash: u64,
-    ctx: StudyContext,
-    outputs: Mutex<HashMap<String, ExperimentOutput>>,
-}
-
-impl PoolEntry {
-    fn new(hash: u64, config: StudyConfig, store: Arc<ArtifactStore>) -> Self {
-        PoolEntry {
-            hash,
-            ctx: StudyContext::with_store(config, store),
-            outputs: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The content hash this entry is addressed by.
-    pub fn hash(&self) -> u64 {
-        self.hash
-    }
-
-    /// The shared memoized context for this configuration.
-    pub fn context(&self) -> &StudyContext {
-        &self.ctx
-    }
-
-    /// The cached output of an experiment, if one finished here.
-    ///
-    /// Lock poisoning is deliberately ignored here and below: every
-    /// write to the map is a single insert of an already-computed
-    /// value, so a panicking holder can never leave it half-updated,
-    /// and the serving path must survive a caught job panic.
-    pub fn cached_output(&self, experiment_id: &str) -> Option<ExperimentOutput> {
-        plock(&self.outputs).get(experiment_id).cloned()
-    }
-
-    /// The bytes the pool charges this entry: the entry itself, its
-    /// context's heap, and its output table with every id and output.
-    fn charge(&self) -> usize {
-        let outputs = plock(&self.outputs);
-        std::mem::size_of::<PoolEntry>()
-            + self.ctx.heap_bytes()
-            + outputs.capacity() * std::mem::size_of::<(String, ExperimentOutput)>()
-            + outputs
-                .iter()
-                .map(|(id, output)| id.capacity() + output.heap_bytes())
-                .sum::<usize>()
-    }
-}
-
-/// Cache traffic counters (monotonic since pool creation).
+/// Cache traffic counters (monotonic since pool creation). A job
+/// counts as a context hit when at least one of its outputs was
+/// cached, and as a context miss otherwise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Checkouts served by an existing context.
+    /// Jobs served at least one output from the cache.
     pub context_hits: u64,
-    /// Checkouts that had to build a context.
+    /// Jobs that found none of their outputs cached.
     pub context_misses: u64,
     /// Experiment results served from a cached output.
     pub output_hits: u64,
@@ -101,21 +50,24 @@ pub struct CacheStats {
     pub output_misses: u64,
 }
 
-/// The content-addressed pool of study contexts.
+/// The content-addressed cache of experiment outputs, and the
+/// artifact store jobs compile into.
 #[derive(Debug)]
 pub struct ContextPool {
     base: StudyConfig,
     caching: bool,
-    /// The artifact store every retained context compiles into —
-    /// kernel artifacts outlive context eviction, so re-admitting an
-    /// evicted configuration re-runs experiments but never re-lowers
-    /// circuits another configuration already compiled.
+    /// The artifact store a caching pool's jobs compile into — kernel
+    /// artifacts outlive output eviction, so re-running an evicted
+    /// configuration re-runs experiments but never re-lowers circuits
+    /// another configuration already compiled.
     store: Arc<ArtifactStore>,
-    /// The retained entries by config hash, at most
-    /// [`CONTEXT_POOL_BYTES`] of them by charge. A checkout hit or a
-    /// stored output counts as a use, so a hot configuration survives
-    /// any amount of one-off traffic.
-    entries: Mutex<Lru<u64, Arc<PoolEntry>>>,
+    /// The retained outputs by `(config hash, experiment id)`, at most
+    /// [`CONTEXT_POOL_BYTES`] of them by charge. A lookup hit counts
+    /// as a use, so a hot output survives any amount of one-off
+    /// traffic. Lock poisoning is ignored: every write is one insert
+    /// of an already-computed value, and `Lru` keeps its own invariant
+    /// even if a holder unwound.
+    outputs: Mutex<Lru<(u64, &'static str), ExperimentOutput>>,
     /// The serving stack's metrics registry. The pool creates it (it
     /// is the bottom of the serving-side object graph) and the
     /// scheduler and server above register their own counters into
@@ -126,26 +78,24 @@ pub struct ContextPool {
     output_hits: Arc<Counter>,
     output_misses: Arc<Counter>,
     context_evictions: Arc<Counter>,
-    /// The retained entries' charged bytes, set after every change: at
-    /// most the budget unless one entry alone is larger.
+    /// The retained outputs' charged bytes, set after every insert: at
+    /// most the budget unless one output alone is larger.
     context_bytes: Arc<Gauge>,
 }
 
 impl ContextPool {
     /// A pool with caching switched on or off, retaining at most
-    /// [`CONTEXT_POOL_BYTES`] of configurations; growing past the
-    /// bound evicts least-recently-used entries (jobs still
-    /// holding an evicted `Arc` finish normally — the cache is
-    /// semantically transparent, eviction only costs a recompute on
-    /// the next request for that configuration). With caching off
-    /// every checkout builds a fresh context and nothing is retained —
-    /// the "cold service" baseline the load generator measures
+    /// [`CONTEXT_POOL_BYTES`] of outputs; growing past the bound
+    /// evicts least-recently-used outputs (the cache is semantically
+    /// transparent: eviction only costs a recompute on the next
+    /// request for that output). With caching off nothing is retained
+    /// — the "cold service" baseline the load generator measures
     /// against.
     ///
     /// A caching pool compiles into the process-wide shared
     /// [`ArtifactStore`] (warm-process and — when a disk tier is
     /// configured — cold-process kernel reuse); a non-caching pool
-    /// hands every checkout a throwaway in-memory store so the "cold
+    /// hands every job a throwaway in-memory store so the "cold
     /// service" baseline really recompiles everything.
     pub fn with_caching(base: StudyConfig, caching: bool) -> Self {
         let store = if caching {
@@ -156,7 +106,7 @@ impl ContextPool {
         ContextPool::with_store(base, caching, CONTEXT_POOL_BYTES, store)
     }
 
-    /// A pool retaining at most `budget` bytes of configurations and
+    /// A pool retaining at most `budget` bytes of outputs and
     /// compiling into an explicit artifact store (tests use this to
     /// control cache scope and size).
     pub fn with_store(
@@ -176,7 +126,7 @@ impl ContextPool {
             base,
             caching,
             store,
-            entries: Mutex::new(Lru::new(budget)),
+            outputs: Mutex::new(Lru::new(budget)),
             metrics,
             context_hits,
             context_misses,
@@ -194,7 +144,7 @@ impl ContextPool {
         &self.metrics
     }
 
-    /// The artifact store retained contexts compile into.
+    /// The artifact store a caching pool's jobs compile into.
     pub fn store(&self) -> &Arc<ArtifactStore> {
         &self.store
     }
@@ -204,79 +154,52 @@ impl ContextPool {
         &self.base
     }
 
-    /// Whether this pool retains contexts and outputs.
+    /// Whether this pool retains outputs.
     pub fn caching(&self) -> bool {
         self.caching
     }
 
-    /// Checks out the entry for a resolved configuration and its
-    /// [`crate::request::config_hash`] (building it on first sight) and
-    /// reports whether it was a cache hit. The caller resolves and
-    /// hashes once per job; the pool only looks the hash up.
-    pub fn checkout(&self, config: StudyConfig, hash: u64) -> (Arc<PoolEntry>, bool) {
-        debug_assert_eq!(hash, crate::request::config_hash(&config));
-        let mut span = qods_obs::span!(sites::SVC_CONTEXT);
-        span.note_config_hash(hash);
-        if !self.caching {
-            self.context_misses.inc();
-            span.note_cache("miss");
-            // Fresh throwaway store per checkout: the cold baseline
-            // recompiles everything, every time, by construction.
-            let store = Arc::new(ArtifactStore::in_memory());
-            return (Arc::new(PoolEntry::new(hash, config, store)), false);
-        }
-        // Poison-tolerant like the entry locks above: `Lru` recovers
-        // its own invariant even if a previous holder unwound
-        // mid-checkout.
-        let mut retained = plock(&self.entries);
-        if let Some(entry) = retained.get(&hash) {
-            let entry = Arc::clone(entry);
-            self.context_hits.inc();
-            span.note_cache("hit");
-            return (entry, true);
-        }
-        self.context_misses.inc();
-        span.note_cache("miss");
-        let entry = Arc::new(PoolEntry::new(hash, config, Arc::clone(&self.store)));
-        let evicted = retained.insert(hash, Arc::clone(&entry), entry.charge());
-        self.record_retention(&retained, evicted);
-        (entry, false)
+    /// The study context a job runs under: over the pool's store when
+    /// caching, and over a fresh in-memory store when not, so the cold
+    /// baseline recompiles everything, every time, by construction.
+    pub fn context(&self, config: StudyConfig) -> StudyContext {
+        let store = if self.caching {
+            Arc::clone(&self.store)
+        } else {
+            Arc::new(ArtifactStore::in_memory())
+        };
+        StudyContext::with_store(config, store)
     }
 
-    /// Caches a finished output on `entry` (last write wins; outputs
-    /// for a fixed configuration are deterministic, so overwrites are
-    /// identical) and, if the pool still holds that entry, recharges
-    /// it — which may evict other entries.
-    pub fn store_output(
-        &self,
-        entry: &Arc<PoolEntry>,
-        experiment_id: &str,
-        output: ExperimentOutput,
-    ) {
-        plock(&entry.outputs).insert(experiment_id.to_string(), output);
-        let mut retained = plock(&self.entries);
-        // An entry evicted while its job ran is charged nowhere; a
-        // rebuilt entry under the same hash is not this one.
-        if retained
-            .get(&entry.hash)
-            .is_some_and(|held| Arc::ptr_eq(held, entry))
-        {
-            let evicted = retained.recharge(&entry.hash, entry.charge());
-            self.record_retention(&retained, evicted);
-        }
+    /// The cached output of experiment `id` under the configuration
+    /// hashed `hash`, marked most recently used.
+    pub fn cached(&self, hash: u64, id: &'static str) -> Option<ExperimentOutput> {
+        plock(&self.outputs).get(&(hash, id)).cloned()
     }
 
-    /// Publishes the retained bytes and any evictions to the registry.
-    fn record_retention(&self, retained: &Lru<u64, Arc<PoolEntry>>, evicted: usize) {
+    /// Caches a finished output (last write wins; outputs for a fixed
+    /// configuration are deterministic, so overwrites are identical),
+    /// charged its size plus its heap. The insert may evict other
+    /// outputs, least recently used first.
+    pub fn store_output(&self, hash: u64, id: &'static str, output: ExperimentOutput) {
+        let charge = std::mem::size_of::<ExperimentOutput>() + output.heap_bytes();
+        let mut outputs = plock(&self.outputs);
+        let evicted = outputs.insert((hash, id), output, charge);
         self.context_evictions.add(evicted as u64);
-        self.context_bytes.set(retained.bytes() as i64);
+        self.context_bytes.set(outputs.bytes() as i64);
     }
 
-    /// Records the outcome of output lookups (called by the
-    /// scheduler so the counters cover every job path).
+    /// Records one job's output lookups (called by the scheduler so
+    /// the counters cover every job path): the job is a context hit
+    /// when any output was cached.
     pub fn record_output_lookups(&self, hits: u64, misses: u64) {
         self.output_hits.add(hits);
         self.output_misses.add(misses);
+        if hits > 0 {
+            self.context_hits.inc();
+        } else {
+            self.context_misses.inc();
+        }
     }
 
     /// Cache traffic so far.
@@ -289,12 +212,12 @@ impl ContextPool {
         }
     }
 
-    /// How many distinct configurations the pool holds.
+    /// How many outputs the pool holds.
     pub fn len(&self) -> usize {
-        plock(&self.entries).len()
+        plock(&self.outputs).len()
     }
 
-    /// Whether the pool holds no contexts yet.
+    /// Whether the pool holds no outputs yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -305,14 +228,7 @@ impl ContextPool {
 mod tests {
     use super::*;
     use crate::request::{config_hash, Overrides};
-
-    /// Checks `overrides` out of `pool`, resolved and hashed once as
-    /// the scheduler does.
-    fn checkout(pool: &ContextPool, overrides: &Overrides) -> (Arc<PoolEntry>, bool) {
-        let config = overrides.resolve(pool.base());
-        let hash = config_hash(&config);
-        pool.checkout(config, hash)
-    }
+    use qods_core::registry::Registry;
 
     /// A caching smoke pool of `budget` bytes over its own store.
     fn private_pool(budget: usize) -> ContextPool {
@@ -320,102 +236,121 @@ mod tests {
         ContextPool::with_store(StudyConfig::smoke(), true, budget, store)
     }
 
-    /// The charge of a smoke entry that has cached no output yet (a
-    /// seed override changes no charge).
-    fn fresh_charge() -> usize {
-        let store = Arc::new(ArtifactStore::in_memory());
-        PoolEntry::new(0, StudyConfig::smoke(), store).charge()
+    /// The hash `overrides` resolve to in `pool`, as the scheduler
+    /// derives it.
+    fn hash_of(pool: &ContextPool, overrides: &Overrides) -> u64 {
+        config_hash(&overrides.resolve(pool.base()))
+    }
+
+    /// Runs experiment `id` on a context of `pool`'s base
+    /// configuration.
+    fn run(pool: &ContextPool, id: &str) -> ExperimentOutput {
+        let registry = Registry::paper();
+        let ctx = pool.context(pool.base().clone());
+        registry.get(id).expect("registered").run(&ctx)
+    }
+
+    /// What the pool charges `output`.
+    fn charge(output: &ExperimentOutput) -> usize {
+        std::mem::size_of::<ExperimentOutput>() + output.heap_bytes()
     }
 
     #[test]
-    fn checkout_is_content_addressed() {
+    fn outputs_are_content_addressed() {
         let pool = private_pool(CONTEXT_POOL_BYTES);
-        let (a, hit_a) = checkout(&pool, &Overrides::default());
-        let (b, hit_b) = checkout(&pool, &Overrides::default());
-        assert!(!hit_a && hit_b);
-        assert!(Arc::ptr_eq(&a, &b), "same config must share one entry");
+        let base = hash_of(&pool, &Overrides::default());
+        assert!(pool.cached(base, "table1").is_none());
+        let out = run(&pool, "table1");
+        pool.store_output(base, "table1", out.clone());
+        assert_eq!(pool.cached(base, "table1"), Some(out.clone()));
         // Explicitly writing the base value is the same content.
         let explicit = Overrides {
             n_bits: Some(pool.base().n_bits),
             ..Overrides::default()
         };
-        let (c, hit_c) = checkout(&pool, &explicit);
-        assert!(hit_c && Arc::ptr_eq(&a, &c));
+        assert_eq!(hash_of(&pool, &explicit), base);
         // A changed knob is different content.
         let changed = Overrides {
             n_bits: Some(pool.base().n_bits + 1),
             ..Overrides::default()
         };
-        let (d, hit_d) = checkout(&pool, &changed);
-        assert!(!hit_d && !Arc::ptr_eq(&a, &d));
+        let other = hash_of(&pool, &changed);
+        assert_ne!(other, base);
+        assert!(pool.cached(other, "table1").is_none());
+        pool.store_output(other, "table1", out);
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.stats().context_hits, 2);
-        assert_eq!(pool.stats().context_misses, 2);
     }
 
     #[test]
     fn capacity_bound_evicts_least_recently_used() {
-        let pool = private_pool(2 * fresh_charge());
-        let ov = |n: usize| Overrides {
-            seed: Some(n as u64),
-            ..Overrides::default()
-        };
-        let (first, _) = checkout(&pool, &ov(1));
-        checkout(&pool, &ov(2));
+        let out = run(&private_pool(0), "table1");
+        let pool = private_pool(2 * charge(&out));
+        pool.store_output(1, "table1", out.clone());
+        pool.store_output(2, "table1", out.clone());
         assert_eq!(pool.len(), 2);
-        // Re-hitting config 1 makes config 2 the LRU entry...
-        let (_, hit) = checkout(&pool, &ov(1));
-        assert!(hit);
-        // ...so a third distinct config evicts 2, not 1 (under FIFO
-        // it would be 1, the oldest-inserted).
-        checkout(&pool, &ov(3));
+        // Re-hitting output 1 makes output 2 the LRU one...
+        assert!(pool.cached(1, "table1").is_some());
+        // ...so a third output evicts 2, not 1 (under FIFO it would be
+        // 1, the oldest-inserted).
+        pool.store_output(3, "table1", out.clone());
         assert_eq!(pool.len(), 2);
-        let (still_one, hit1) = checkout(&pool, &ov(1));
-        assert!(hit1, "recently-used entry must survive eviction");
-        assert!(Arc::ptr_eq(&first, &still_one));
-        let (_, hit2) = checkout(&pool, &ov(2));
-        assert!(!hit2, "LRU entry must have been evicted");
-        // That rebuild of 2 evicted 3 (LRU after the 1-hits above).
-        let (_, hit3) = checkout(&pool, &ov(3));
-        assert!(!hit3);
-        // The still-held Arc from before eviction stays usable.
-        assert_eq!(first.context().config().seed, 1);
-        assert_eq!(plock(&pool.entries).bytes(), 2 * fresh_charge());
+        assert!(
+            pool.cached(1, "table1").is_some(),
+            "recently-used output must survive eviction"
+        );
+        assert!(
+            pool.cached(2, "table1").is_none(),
+            "LRU output must have been evicted"
+        );
+        // Storing 2 again evicts 3 (LRU after the 1-hits above).
+        pool.store_output(2, "table1", out.clone());
+        assert!(pool.cached(3, "table1").is_none());
+        let metrics = pool.metrics();
+        assert_eq!(metrics.counter(sites::CACHE_CONTEXT_EVICTIONS).get(), 2);
+        let bytes = metrics.gauge(sites::CACHE_CONTEXT_BYTES).get() as usize;
+        assert_eq!(bytes, 2 * charge(&out));
     }
 
     #[test]
     fn repeated_hits_pin_a_hot_entry_through_churn() {
-        // The satellite contract: under a stream of one-off configs,
-        // an entry that keeps getting hit is never evicted.
-        let pool = private_pool(3 * fresh_charge());
-        let ov = |n: u64| Overrides {
-            seed: Some(n),
-            ..Overrides::default()
-        };
-        let (hot, _) = checkout(&pool, &ov(0));
+        // Under a stream of one-off outputs, an output that keeps
+        // getting hit is never evicted.
+        let out = run(&private_pool(0), "table1");
+        let pool = private_pool(3 * charge(&out));
+        pool.store_output(0, "table1", out.clone());
         for n in 1..=20 {
-            checkout(&pool, &ov(n)); // churn
-            let (again, hit) = checkout(&pool, &ov(0)); // keep 0 hot
-            assert!(hit, "hot entry evicted after churn config {n}");
-            assert!(Arc::ptr_eq(&hot, &again));
+            pool.store_output(n, "table1", out.clone()); // churn
+            let again = pool.cached(0, "table1"); // keep 0 hot
+            assert!(again.is_some(), "hot output evicted after churn {n}");
         }
         assert_eq!(pool.len(), 3);
     }
 
     #[test]
-    fn disabled_caching_always_builds_fresh() {
-        let pool = ContextPool::with_caching(StudyConfig::smoke(), false);
-        let (a, hit_a) = checkout(&pool, &Overrides::default());
-        let (b, hit_b) = checkout(&pool, &Overrides::default());
-        assert!(!hit_a && !hit_b);
-        assert!(!Arc::ptr_eq(&a, &b));
+    fn a_cold_pool_retains_nothing() {
+        let sched = crate::Scheduler::with_options(StudyConfig::smoke(), 1, false);
+        let req = crate::RunRequest::of(["table1", "table5"]);
+        for _ in 0..2 {
+            let result = sched.run(&req).expect("cold run");
+            assert!(!result.context_hit);
+            assert_eq!((result.output_hits, result.computed), (0, 2));
+        }
+        let pool = sched.pool();
         assert!(pool.is_empty(), "cold pool retains nothing");
+        // Every cold context compiles into its own throwaway store.
+        let a = pool.context(pool.base().clone());
+        let b = pool.context(pool.base().clone());
+        assert!(!Arc::ptr_eq(a.compiler().store(), b.compiler().store()));
+        assert!(!Arc::ptr_eq(a.compiler().store(), pool.store()));
+        // A caching pool's contexts share its store.
+        let warm = private_pool(CONTEXT_POOL_BYTES);
+        let c = warm.context(warm.base().clone());
+        assert!(Arc::ptr_eq(c.compiler().store(), warm.store()));
     }
 
     #[test]
     fn artifact_memory_tier_stays_bounded_and_recompiles_evicted_configs() {
         use qods_core::compile::MEM_TIER_BYTES;
-        use qods_core::registry::Registry;
         // A narrow kernel and a loose synthesis budget keep each QFT
         // compile cheap; every distinct target is a new QFT artifact.
         let base = StudyConfig {
@@ -432,8 +367,8 @@ mod tests {
                 synth_target: Some(0.3 * (1.0 + i as f64 * 1e-7)),
                 ..Overrides::default()
             };
-            let (entry, _) = checkout(&pool, &overrides);
-            registry.get("table2").expect("table2").run(entry.context())
+            let ctx = pool.context(overrides.resolve(pool.base()));
+            registry.get("table2").expect("table2").run(&ctx)
         };
         let held = || store.metrics().gauge(sites::STORE_MEM_BYTES).get() as usize;
         let first = table2(0);
@@ -452,8 +387,8 @@ mod tests {
             table2(i);
             assert!(held() <= MEM_TIER_BYTES, "config {i}");
         }
-        // Config 0's context and QFT artifacts are long evicted: asking
-        // again recompiles them, into identical records.
+        // Config 0's QFT artifacts are long evicted: asking again
+        // recompiles them, into identical records.
         let computed = store.stats().computed;
         assert_eq!(table2(0), first);
         assert!(
@@ -465,12 +400,10 @@ mod tests {
     #[test]
     fn outputs_cache_per_experiment_id() {
         let pool = private_pool(CONTEXT_POOL_BYTES);
-        let (entry, _) = checkout(&pool, &Overrides::default());
-        assert!(entry.cached_output("table1").is_none());
-        let registry = qods_core::registry::Registry::paper();
-        let out = registry.get("table1").expect("table1").run(entry.context());
-        pool.store_output(&entry, "table1", out.clone());
-        assert_eq!(entry.cached_output("table1"), Some(out));
-        assert!(entry.cached_output("table2").is_none());
+        let hash = hash_of(&pool, &Overrides::default());
+        let out = run(&pool, "table1");
+        pool.store_output(hash, "table1", out.clone());
+        assert_eq!(pool.cached(hash, "table1"), Some(out));
+        assert!(pool.cached(hash, "table2").is_none());
     }
 }

@@ -9,10 +9,10 @@
 //!
 //! * resolves the overrides to a canonical configuration with a
 //!   stable content hash ([`request::config_hash`]);
-//! * checks contexts and finished outputs out of a content-addressed
-//!   [`cache::ContextPool`], so repeated work (same hash) is served
-//!   without re-lowering, re-characterizing, or re-simulating
-//!   anything;
+//! * looks finished outputs up in a content-addressed
+//!   [`cache::ContextPool`] by `(config hash, experiment id)`, so
+//!   repeated work is served without re-lowering,
+//!   re-characterizing, or re-simulating anything;
 //! * fans cache misses out over the workspace's one shared worker
 //!   pool (`qods_pool`), streaming per-job [`scheduler::JobEvent`]s
 //!   as experiments finish.
@@ -54,6 +54,6 @@ pub mod cache;
 pub mod request;
 pub mod scheduler;
 
-pub use cache::{CacheStats, ContextPool, PoolEntry, CONTEXT_POOL_BYTES};
+pub use cache::{CacheStats, ContextPool, CONTEXT_POOL_BYTES};
 pub use request::{canonical_config_json, config_hash, Overrides, RunRequest};
 pub use scheduler::{JobEvent, JobResult, Scheduler, SchedulerStats, ServiceError};

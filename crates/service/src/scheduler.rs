@@ -2,11 +2,11 @@
 //! pool, serving repeated work from the content-addressed cache and
 //! streaming per-job progress events.
 
-use crate::cache::{ContextPool, PoolEntry, CONTEXT_POOL_BYTES};
+use crate::cache::{ContextPool, CONTEXT_POOL_BYTES};
 use crate::request::RunRequest;
 use qods_core::compile::hash::fnv1a;
 use qods_core::compile::{ArtifactStore, Begin, InflightTable};
-use qods_core::experiment::{Experiment, ExperimentRecord};
+use qods_core::experiment::{Experiment, ExperimentRecord, StudyContext};
 use qods_core::kernels::KernelError;
 use qods_core::registry::{run_planned, Registry, RegistryError};
 use qods_core::study::StudyConfig;
@@ -181,7 +181,7 @@ fn reject_non_finite(cfg: &StudyConfig) -> Result<(), ServiceError> {
 /// interleaved across workers).
 #[derive(Debug, Clone)]
 pub enum JobEvent {
-    /// The job was admitted and its context checked out.
+    /// The job was admitted and its outputs looked up in the cache.
     Started {
         /// The request's correlation id.
         request_id: Option<String>,
@@ -189,7 +189,7 @@ pub enum JobEvent {
         config_hash: u64,
         /// How many experiments the job selects.
         experiments: usize,
-        /// Whether the context came from the cache.
+        /// Whether at least one output came from the cache.
         context_hit: bool,
     },
     /// One experiment of the job finished (from cache or computed).
@@ -214,7 +214,8 @@ pub struct JobResult {
     pub config_hash: u64,
     /// The fully resolved configuration the job ran under.
     pub config: StudyConfig,
-    /// Whether the study context came from the cache.
+    /// Whether at least one output came from the cache
+    /// (`output_hits > 0`).
     pub context_hit: bool,
     /// Experiments served from the output cache.
     pub output_hits: usize,
@@ -274,7 +275,7 @@ pub struct SchedulerStats {
 }
 
 /// A request resolved once ([`Scheduler::resolve`]): everything the
-/// job key, validation and the context checkout read.
+/// job key, validation and the output lookups read.
 struct Job<'r> {
     /// The selected experiments, in request order.
     selected: Vec<&'r dyn Experiment>,
@@ -292,7 +293,7 @@ impl Scheduler {
     /// scheduler's experiment fan-out *and* the configuration's inner
     /// Monte-Carlo pools.
     pub fn with_options(base: StudyConfig, threads: usize, caching: bool) -> Self {
-        Scheduler::over(base, threads, |base| {
+        Scheduler::with_pool(base, threads, |base| {
             ContextPool::with_caching(base, caching)
         })
     }
@@ -300,14 +301,15 @@ impl Scheduler {
     /// A caching scheduler compiling into an explicit artifact store
     /// (tests use this to count compiles with no other traffic).
     pub fn with_store(base: StudyConfig, threads: usize, store: Arc<ArtifactStore>) -> Self {
-        Scheduler::over(base, threads, |base| {
+        Scheduler::with_pool(base, threads, |base| {
             ContextPool::with_store(base, true, CONTEXT_POOL_BYTES, store)
         })
     }
 
     /// A scheduler over the pool `make_pool` builds from `base` with
-    /// the worker count pinned in.
-    fn over(
+    /// the worker count pinned in (tests use this to give the pool a
+    /// small byte budget through [`ContextPool::with_store`]).
+    pub fn with_pool(
         mut base: StudyConfig,
         threads: usize,
         make_pool: impl FnOnce(StudyConfig) -> ContextPool,
@@ -594,47 +596,52 @@ impl Scheduler {
         // qods-lint: allow(D1) -- job wall-time telemetry; reported in
         // events/stats, excluded from hashed result lines
         let t0 = Instant::now();
-        let (entry, context_hit) = self.pool.checkout(config, config_hash);
-        let _span = qods_obs::span!(sites::SVC_SCHEDULE, {
-            config_hash: entry.hash(),
-            cache: if context_hit { "hit" } else { "miss" }
-        });
-        emit(JobEvent::Started {
-            request_id: request.id.clone(),
-            config_hash: entry.hash(),
-            experiments: selected.len(),
-            context_hit,
-        });
-
         let mut slots: Vec<Option<ExperimentRecord>> = vec![None; selected.len()];
         let mut misses: Vec<(usize, &dyn Experiment)> = Vec::new();
+        let mut lookup = qods_obs::span!(sites::SVC_CONTEXT);
+        lookup.note_config_hash(config_hash);
         for (i, exp) in selected.iter().enumerate() {
-            match entry.cached_output(exp.id()) {
+            match self.pool.cached(config_hash, exp.id()) {
                 Some(output) => {
-                    emit(JobEvent::ExperimentDone {
-                        request_id: request.id.clone(),
-                        experiment: exp.id().to_string(),
-                        cache_hit: true,
-                        seconds: 0.0,
-                    });
                     slots[i] = Some(ExperimentRecord {
                         id: exp.id().to_string(),
                         title: exp.title().to_string(),
                         seconds: 0.0,
                         output,
-                    });
+                    })
                 }
                 None => misses.push((i, *exp)),
             }
         }
         let output_hits = selected.len() - misses.len();
-        let computed = self.compute_misses(request, &entry, &misses, emit);
-        for (i, record) in computed {
-            // A cold pool drops the entry when the job ends; don't
-            // pay an output clone for a cache nobody will read.
+        let context_hit = output_hits > 0;
+        let cache = if context_hit { "hit" } else { "miss" };
+        lookup.note_cache(cache);
+        drop(lookup);
+        let _span =
+            qods_obs::span!(sites::SVC_SCHEDULE, { config_hash: config_hash, cache: cache });
+        emit(JobEvent::Started {
+            request_id: request.id.clone(),
+            config_hash,
+            experiments: selected.len(),
+            context_hit,
+        });
+        for record in slots.iter().flatten() {
+            emit(JobEvent::ExperimentDone {
+                request_id: request.id.clone(),
+                experiment: record.id.clone(),
+                cache_hit: true,
+                seconds: 0.0,
+            });
+        }
+
+        let ctx = self.pool.context(config);
+        for (i, record) in self.compute_misses(request, &ctx, &misses, emit) {
+            // A cold pool retains nothing; don't pay an output clone
+            // for a cache nobody will read.
             if self.pool.caching() {
                 self.pool
-                    .store_output(&entry, &record.id, record.output.clone());
+                    .store_output(config_hash, selected[i].id(), record.output.clone());
             }
             slots[i] = Some(record);
         }
@@ -643,8 +650,8 @@ impl Scheduler {
 
         Ok(JobResult {
             request_id: request.id.clone(),
-            config_hash: entry.hash(),
-            config: entry.context().config().clone(),
+            config_hash,
+            config: ctx.config().clone(),
             context_hit,
             output_hits,
             computed: misses.len(),
@@ -664,7 +671,7 @@ impl Scheduler {
     fn compute_misses(
         &self,
         request: &RunRequest,
-        entry: &Arc<PoolEntry>,
+        ctx: &StudyContext,
         misses: &[(usize, &dyn Experiment)],
         emit: &mut (dyn FnMut(JobEvent) + Send),
     ) -> Vec<(usize, ExperimentRecord)> {
@@ -672,7 +679,7 @@ impl Scheduler {
         let emit = Mutex::new(emit);
         let selection: Vec<&dyn Experiment> = misses.iter().map(|&(_, exp)| exp).collect();
         let threads = self.threads.min(misses.len().max(1));
-        run_planned(&selection, entry.context(), threads, |k, exp| {
+        run_planned(&selection, ctx, threads, |k, exp| {
             // Experiment boundaries are cancellation points even for
             // engines with no inner chunk loop.
             qods_pool::check_deadline();
@@ -681,7 +688,7 @@ impl Scheduler {
             let _span = qods_obs::span!(sites::JOB_EXPERIMENT, { detail: exp.id() });
             // qods-lint: allow(D1) -- per-experiment wall-time telemetry
             let t = Instant::now();
-            let output = exp.run(entry.context());
+            let output = exp.run(ctx);
             let seconds = t.elapsed().as_secs_f64();
             (plock(&emit))(JobEvent::ExperimentDone {
                 request_id: request_id.clone(),
@@ -757,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn requests_differing_only_in_experiments_share_the_context() {
+    fn requests_differing_only_in_experiments_share_compiled_kernels() {
         let sched = private_scheduler();
         sched
             .run(&smoke_request(&["table2", "sec33"]))
@@ -765,9 +772,19 @@ mod tests {
         let second = sched
             .run(&smoke_request(&["table3", "table9"]))
             .expect("second");
-        assert!(second.context_hit, "same overrides must share the context");
+        // No output in common, so no hit; the kernels compiled once.
+        assert!(!second.context_hit);
+        assert_eq!((second.output_hits, second.computed), (0, 2));
         assert_eq!(compiled(&sched), 9);
-        assert_eq!(sched.pool().len(), 1);
+        assert_eq!(sched.pool().len(), 4);
+        // One output in common is a hit.
+        let third = sched
+            .run(&smoke_request(&["table9", "fig7"]))
+            .expect("third");
+        assert!(third.context_hit);
+        assert_eq!((third.output_hits, third.computed), (1, 1));
+        let stats = sched.pool().stats();
+        assert_eq!((stats.context_hits, stats.context_misses), (1, 2));
     }
 
     #[test]
@@ -814,7 +831,7 @@ mod tests {
             assert!(matches!(err, ServiceError::Kernel(_)), "{err}");
             assert!(err.to_string().contains("invalid width"), "{err}");
         }
-        assert!(sched.pool().is_empty(), "rejected jobs build no context");
+        assert!(sched.pool().is_empty(), "rejected jobs cache nothing");
     }
 
     #[test]
@@ -866,7 +883,7 @@ mod tests {
             let coalesced = sched.run_coalesced(&req).expect_err("must be rejected");
             assert_eq!(coalesced, err, "{field}: the coalesced path agrees");
         }
-        assert!(sched.pool().is_empty(), "rejected jobs build no context");
+        assert!(sched.pool().is_empty(), "rejected jobs cache nothing");
         assert_eq!(sched.stats().panics_caught, 0);
     }
 

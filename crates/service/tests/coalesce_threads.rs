@@ -50,11 +50,12 @@ fn concurrent_identical_requests_execute_exactly_once() {
         .map(|t| t.join().expect("no panics"))
         .collect();
 
-    // Exactly one compute, however the threads interleaved: one
-    // context build, the three kernels' ir, sched and char artifacts
-    // compiled once each, and each of the two experiments computed
-    // once (a late thread that missed the in-flight window is served
-    // by the output cache instead — still zero recompute).
+    // Exactly one compute, however the threads interleaved: one job
+    // that found no output cached, the three kernels' ir, sched and
+    // char artifacts compiled once each, and each of the two
+    // experiments computed once (a late thread that missed the
+    // in-flight window is served by the output cache instead — still
+    // zero recompute).
     assert_eq!(store.stats().computed, 9);
     let cache = scheduler.pool().stats();
     assert_eq!(cache.context_misses, 1);
@@ -103,8 +104,8 @@ fn distinct_requests_do_not_coalesce() {
         let (_, coalesced) = t.join().expect("no panics");
         assert!(!coalesced, "different selections must not share a run");
     }
-    // Same overrides: the two jobs shared one context but computed
-    // their own experiments.
+    // Same overrides: the two jobs shared the compiled kernels but
+    // computed their own experiments.
     assert_eq!(scheduler.pool().stats().output_misses, 2);
     assert_eq!(scheduler.stats().jobs_coalesced, 0);
 }
@@ -167,8 +168,5 @@ fn leaders_share_errors_with_their_followers() {
         assert_eq!(e, &errors[0], "all callers observe the same rejection");
         assert!(matches!(e, ServiceError::Kernel(_)), "{e}");
     }
-    assert!(
-        scheduler.pool().is_empty(),
-        "rejected jobs build no context"
-    );
+    assert!(scheduler.pool().is_empty(), "rejected jobs cache nothing");
 }

@@ -1,4 +1,4 @@
-//! The byte charges the artifact store and the context pool bound
+//! The byte charges the artifact store and the output cache bound
 //! themselves by, pinned against a counting allocator: for every
 //! charged type, `heap_bytes()` equals the bytes `clone()` allocates.
 //! Lives in its own integration binary because the allocator is
@@ -133,10 +133,14 @@ fn a_paper_job_never_evicts_under_the_default_budget() {
     assert_eq!((stats.computed, stats.evictions), (75, 0));
     let gauge = |registry: &Registry, site| registry.gauge(site).get() as usize;
     assert!(gauge(store.metrics(), sites::STORE_MEM_BYTES) <= MEM_TIER_BYTES);
-    // The pool's one entry has answered every experiment: the
-    // documented 40 such entries fit its budget.
+    // The pool retains all 14 outputs of the job, and the documented
+    // 40 such jobs fit its budget.
     let pool = scheduler.pool();
-    assert_eq!(pool.len(), 1);
-    let entry = gauge(pool.metrics(), sites::CACHE_CONTEXT_BYTES);
-    assert!(40 * entry <= CONTEXT_POOL_BYTES, "{entry} B");
+    assert_eq!(pool.len(), 14);
+    assert_eq!(
+        pool.metrics().counter(sites::CACHE_CONTEXT_EVICTIONS).get(),
+        0
+    );
+    let job = gauge(pool.metrics(), sites::CACHE_CONTEXT_BYTES);
+    assert!(40 * job <= CONTEXT_POOL_BYTES, "{job} B");
 }
