@@ -58,8 +58,14 @@ impl EventQueue {
     /// Panics (debug) if `t` is negative or NaN.
     pub fn push(&mut self, t: f64, id: usize) {
         debug_assert!(t >= 0.0 && !t.is_nan(), "event time must be non-negative");
-        self.heap
-            .push(Reverse(u128::from(t.to_bits()) << 64 | id as u128));
+        self.heap.push(Reverse(EventQueue::key(t, id)));
+    }
+
+    /// The key event `id` at time `t` is ordered by: time bits high, id
+    /// low. Keys of distinct events are distinct, and ascending keys are
+    /// ascending `(time, id)` pairs.
+    pub fn key(t: f64, id: usize) -> u128 {
+        u128::from(t.to_bits()) << 64 | id as u128
     }
 
     /// Removes and returns the earliest event; equal-time events come

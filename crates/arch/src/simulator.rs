@@ -45,9 +45,9 @@
 //!
 //! ## Architecture-specific behavior
 //!
-//! Each microarchitecture is a movement policy (`MovePolicy`), a pool
-//! layout and a frontier (the order gates run in) over one generic
-//! event loop, chosen once per `simulate` call:
+//! Each microarchitecture is a movement policy and a pool layout over
+//! one per-gate step. Nothing the policy decides depends on the factory
+//! area, so one policy serves every area of a sweep:
 //!
 //! * **QLA**: per-qubit pools (simple factories), tiny buffers; every
 //!   two-qubit gate teleports the operands together and back home.
@@ -71,17 +71,57 @@
 //! ## Determinism
 //!
 //! FM, CQLA and Qalypso share pools, the port or the cache across
-//! qubits, so their gates pop from the event heap in ascending
+//! qubits, so the order gates run in is part of their result: a lone
+//! simulation pops them from the event heap in ascending
 //! `(ready time, gate index)` order (see [`crate::engine::EventQueue`]).
-//! QLA shares nothing across qubits and walks gates in program order
-//! instead. That is exact: dependencies chain each qubit's gates, so
-//! each per-qubit pool sees the same draws at the same ready times in
-//! either order, and `makespan_us` (a max) and the integer counters
-//! come out bit-identical. Every resource is a deterministic function of its call
-//! sequence, and nothing depends on thread timing, so [`SimOutcome`]
-//! is a pure function of `(circuit, arch, factory_area)` —
-//! bit-identical across repeated runs and across parallel sweeps at
-//! any thread count.
+//! Every resource is a deterministic function of its call sequence, and
+//! nothing depends on thread timing, so [`SimOutcome`] is a pure
+//! function of `(circuit, arch, factory_area)` — bit-identical across
+//! repeated runs and across parallel sweeps at any thread count.
+//!
+//! A sweep runs several areas of one `(circuit, arch)` as *lanes* of
+//! one pass over a shared gate order. Each lane keeps its own pools,
+//! port and per-qubit end times, and does exactly the float operations,
+//! in the same order, that a lone simulation of its area does: the
+//! per-gate step is one function for both. What makes a lane exact is
+//! its order:
+//!
+//! * **Ready times in any topological order.** A gate's ready time is
+//!   the `max` of its operand qubits' last end times. In any
+//!   topological order the last gate seen on a qubit is the gate's own
+//!   predecessor on it, so this is the heap's ready time; `f64::max` is
+//!   order-insensitive on these non-NaN times, and every qubit starts
+//!   at 0.0, as the heap's ready times do.
+//! * **QLA lanes run in program order, unchecked.** QLA shares nothing
+//!   across qubits and its movement is stateless. Dependencies chain
+//!   each qubit's gates, so each per-qubit pool sees the same draws at
+//!   the same ready times in any topological order, and `makespan_us`
+//!   (a max) and the integer counters come out bit-identical. Movement,
+//!   the zero demand and teleports depend only on the gate, so a pass
+//!   computes them once per gate for all its lanes.
+//! * **Event-ordered lanes replay a recorded order, checked.** One heap
+//!   simulation (the *seed*, the largest area) records its pop order.
+//!   Another area replays along that order π, keying each step the way
+//!   the heap keys events, `(ready.to_bits() << 64) | index`. *Rule:* if
+//!   the key rises strictly at every step, π is exactly the order the
+//!   heap would pop for that area. *Proof:* take the first step where
+//!   the heap would pop `y` but π has `x`. The prefix before it is
+//!   shared, so the lane's state equals the heap's there. `y` was
+//!   ready, because all its predecessors sit in the prefix: its key is
+//!   final, and it is the smallest in the queue, which also holds `x`
+//!   (π is topological), so `key(y) < key(x)`. `y` comes later in π
+//!   with that same key, computed from the same prefix. So the keys
+//!   fall somewhere after `x`, and the check catches it. Conversely the
+//!   heap's own pops rise strictly (a successor is ready no earlier
+//!   than its predecessor and has a larger index), so a lane on its own
+//!   order always passes. A lane that fails is dropped at that step and
+//!   its area re-runs on the heap.
+//! * **The cache-outcome script.** CQLA's LRU cache sees only the order
+//!   of gates, never their times. The seed records each gate's
+//!   per-operand miss and eviction bits (one byte per gate); every lane
+//!   that follows the order reads its outcomes from that script and
+//!   runs no cache of its own. It keeps its own hierarchy port and
+//!   pool, and the teleport and miss counts are shared.
 
 use crate::engine::{EventQueue, Pool, SerialResource};
 use crate::interconnect::Interconnect;
@@ -101,6 +141,10 @@ const SHARED_ZERO_BUFFER: f64 = 32.0;
 const SHARED_PI8_BUFFER: f64 = 8.0;
 /// A dependency link to no gate: the qubit has no later gate.
 const NO_GATE: u32 = u32::MAX;
+/// The most areas one lane pass carries: independent lanes overlap
+/// each other's loop-carried ready-time chains, and each lane's state
+/// for one qubit stays within a few cache lines.
+pub(crate) const LANES: usize = 8;
 
 /// Result of one architectural simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,6 +199,20 @@ impl<'c> SimContext<'c> {
     /// gates).
     pub fn new(circuit: &'c Circuit) -> Self {
         let model = CharacterizationModel::ion_trap();
+        let sod = qods_circuit::schedule::SpeedOfData::of(circuit, &model);
+        SimContext::with_sod_makespan(circuit, sod.makespan_us)
+    }
+
+    /// [`Self::new`] for a circuit whose speed-of-data makespan under
+    /// the ion-trap model is already known, as the compile pipeline's
+    /// `sched` stage stores it: the frontier pass that computes it does
+    /// not run again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the circuit is not lowered.
+    pub fn with_sod_makespan(circuit: &'c Circuit, sod_makespan_us: f64) -> Self {
+        let model = CharacterizationModel::ion_trap();
         let link = Interconnect::ion_trap();
         let gates = circuit.gates();
 
@@ -185,8 +243,6 @@ impl<'c> SimContext<'c> {
             pi8_total += pi8;
             zeros_total += 2.0 * qs.len() as f64;
         }
-
-        let sod_makespan_us = qods_circuit::schedule::SpeedOfData::of(circuit, &model).makespan_us;
 
         SimContext {
             circuit,
@@ -226,9 +282,236 @@ impl<'c> SimContext<'c> {
     /// Panics if `factory_area <= 0`.
     pub fn simulate(&self, arch: Arch, factory_area: f64) -> SimOutcome {
         assert!(factory_area > 0.0, "factory area must be positive");
+        if arch == Arch::Qla {
+            // Program order is exact for QLA: a lane pass of one area,
+            // which runs no check and so never falls back.
+            if let Some(Some(out)) = self.replay(arch, &[factory_area], None).pop() {
+                return out;
+            }
+        }
+        self.heap(arch, factory_area, None)
+    }
+
+    /// Simulates `arch` at `factory_area` on the event heap and records
+    /// its pop order, for other areas to replay along.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factory_area <= 0`.
+    pub(crate) fn seed(&self, arch: Arch, factory_area: f64) -> Seed {
+        let mut order = Vec::with_capacity(self.operands.len());
+        let mut script = Vec::new();
+        let outcome = self.heap(arch, factory_area, Some((&mut order, &mut script)));
+        Seed {
+            outcome,
+            order,
+            script,
+        }
+    }
+
+    /// Simulates `arch` at each of `areas` as lanes of one pass: in
+    /// program order when `along` is `None`, else along the seed's
+    /// recorded order and cache outcomes. Every architecture but QLA
+    /// checks each lane's keys as it goes (see the module docs); a lane
+    /// that fails comes back `None`, and its area must run on the heap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an area is `<= 0`.
+    pub(crate) fn replay(
+        &self,
+        arch: Arch,
+        areas: &[f64],
+        along: Option<&Seed>,
+    ) -> Vec<Option<SimOutcome>> {
+        let policy = self.policy(arch);
+        areas
+            .chunks(LANES)
+            .flat_map(|group| match &policy {
+                Policy::Qla(m) => self.replay_with(m, arch, group, along),
+                Policy::Ballistic(m) => self.replay_with(m, arch, group, along),
+                Policy::Qalypso(m) => self.replay_with(m, arch, group, along),
+                Policy::Cqla(m) => self.replay_with(m, arch, group, along),
+            })
+            .collect()
+    }
+
+    /// [`Self::replay`] of at most [`LANES`] areas, monomorphized per
+    /// movement policy.
+    fn replay_with<M: MovePolicy>(
+        &self,
+        policy: &M,
+        arch: Arch,
+        areas: &[f64],
+        along: Option<&Seed>,
+    ) -> Vec<Option<SimOutcome>> {
+        let mut lanes = Lanes::<LANES>::new(self, arch, areas);
+        let (mut teleports, mut cache_misses) = (0u64, 0u64);
+        // The lanes still on the order; a lane that leaves it is swapped
+        // out, and the pass stops once none is left.
+        let mut running: [usize; LANES] = std::array::from_fn(|l| l);
+        let mut n_running = lanes.width;
+        let n_gates = self.operands.len();
+        for step in 0..along.map_or(n_gates, |s| s.order.len()) {
+            if n_running == 0 {
+                break;
+            }
+            let (i, outcome) = match along {
+                Some(s) if M::CACHED => (s.order[step] as usize, s.script[step]),
+                Some(s) => (s.order[step] as usize, 0),
+                None => (step, 0),
+            };
+            let (ops, n_ops) = self.operands[i];
+            let ops = &ops[..usize::from(n_ops)];
+            let gate = self.gate(policy, i, ops, outcome);
+            teleports += gate.teleports;
+            cache_misses += gate.cache_misses;
+            let mut k = 0;
+            while k < n_running {
+                let l = running[k];
+                let ready = lanes.ready(l, ops);
+                if M::ORDERED {
+                    let key = EventQueue::key(ready, i);
+                    if key < lanes.min_key[l] {
+                        n_running -= 1;
+                        running[k] = running[n_running];
+                        continue;
+                    }
+                    lanes.min_key[l] = key + 1;
+                }
+                lanes.step(policy, l, ready, ops, &gate);
+                k += 1;
+            }
+        }
+        let running = &running[..n_running];
+        (0..lanes.width)
+            .map(|l| {
+                running.contains(&l).then(|| SimOutcome {
+                    makespan_us: lanes.makespan[l],
+                    teleports,
+                    cache_misses,
+                })
+            })
+            .collect()
+    }
+
+    /// One area on the event heap, recording its pop order and cache
+    /// outcomes into `record` when given.
+    fn heap(
+        &self,
+        arch: Arch,
+        factory_area: f64,
+        record: Option<(&mut Vec<u32>, &mut Vec<CacheOutcome>)>,
+    ) -> SimOutcome {
+        match &self.policy(arch) {
+            Policy::Qla(m) => self.heap_with(m, arch, factory_area, record),
+            Policy::Ballistic(m) => self.heap_with(m, arch, factory_area, record),
+            Policy::Qalypso(m) => self.heap_with(m, arch, factory_area, record),
+            Policy::Cqla(m) => self.heap_with(m, arch, factory_area, record),
+        }
+    }
+
+    /// [`Self::heap`], monomorphized per movement policy.
+    fn heap_with<M: MovePolicy>(
+        &self,
+        policy: &M,
+        arch: Arch,
+        factory_area: f64,
+        mut record: Option<(&mut Vec<u32>, &mut Vec<CacheOutcome>)>,
+    ) -> SimOutcome {
+        let mut lanes = Lanes::<1>::new(self, arch, &[factory_area]);
+        let mut cache = policy.cache(self.circuit.n_qubits());
+        let mut indegree = self.indegree0.clone();
+        let mut queue = EventQueue::new();
+        for (i, &deg) in indegree.iter().enumerate() {
+            if deg == 0 {
+                queue.push(0.0, i);
+            }
+        }
+        let (mut teleports, mut cache_misses) = (0u64, 0u64);
+        while let Some((ready, i)) = queue.pop() {
+            let (ops, n_ops) = self.operands[i];
+            let ops = &ops[..usize::from(n_ops)];
+            let outcome = cache.as_mut().map_or(0, |c| c.access(ops));
+            let gate = self.gate(policy, i, ops, outcome);
+            teleports += gate.teleports;
+            cache_misses += gate.cache_misses;
+            lanes.step(policy, 0, ready, ops, &gate);
+            if let Some((order, script)) = record.as_mut() {
+                order.push(i as u32);
+                if M::CACHED {
+                    script.push(outcome);
+                }
+            }
+            // A gate linked through two qubits is decremented twice and
+            // pushed once, when its last predecessor has ended: its
+            // operands' end times are then final, and the key
+            // `(time, index)` is unique, so the pop order does not
+            // depend on the push order.
+            for &s in self.next[i].iter().filter(|&&s| s != NO_GATE) {
+                let s = s as usize;
+                indegree[s] -= 1;
+                if indegree[s] == 0 {
+                    let (succ, n_succ) = self.operands[s];
+                    queue.push(lanes.ready(0, &succ[..usize::from(n_succ)]), s);
+                }
+            }
+        }
+        SimOutcome {
+            makespan_us: lanes.makespan[0],
+            teleports,
+            cache_misses,
+        }
+    }
+
+    /// Gate `i` on `ops` under `policy`, given its cache outcome.
+    #[inline]
+    fn gate<M: MovePolicy>(
+        &self,
+        policy: &M,
+        i: usize,
+        ops: &[Qubit],
+        outcome: CacheOutcome,
+    ) -> GateMove {
+        GateMove {
+            pi8: self.pi8_demand[i],
+            exec_us: self.exec_us[i],
+            ..policy.gate(ops, outcome)
+        }
+    }
+
+    /// `arch`'s movement rules on this circuit's interconnect.
+    fn policy(&self, arch: Arch) -> Policy {
+        let n = self.circuit.n_qubits();
+        let teleport_us = self.link.teleport_us();
+        match arch {
+            Arch::Qla => Policy::Qla(QlaMove { teleport_us }),
+            Arch::Cqla { cache_slots } => Policy::Cqla(CqlaMove {
+                cache_slots,
+                teleport_us,
+            }),
+            Arch::FullyMultiplexed => Policy::Ballistic(BallisticMove {
+                hop_us: self.link.avg_ballistic_us(n),
+            }),
+            Arch::Qalypso { tile_qubits } => Policy::Qalypso(QalypsoMove {
+                tile_qubits,
+                intra_tile_us: self.link.avg_ballistic_us(tile_qubits.min(n)),
+                teleport_us,
+            }),
+        }
+    }
+
+    /// One area's starting state under `arch`: its pool count, the pool
+    /// every one of them starts as, and the remote share of its zeros
+    /// (CQLA; 0 elsewhere).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `factory_area <= 0`.
+    fn area_state(&self, arch: Arch, factory_area: f64) -> (usize, Pool, f64) {
+        assert!(factory_area > 0.0, "factory area must be positive");
         let n = self.circuit.n_qubits();
         let ratio = self.demand_ratio();
-        let teleport_us = self.link.teleport_us();
         let shared_pool = |farm: FactoryFarm| {
             Pool::new(
                 farm.zero_bandwidth,
@@ -238,7 +521,18 @@ impl<'c> SimContext<'c> {
             )
         };
         match arch {
-            Arch::Qla => self.qla(factory_area, ProgramOrder::new(self)),
+            Arch::Qla => {
+                let per_site = factory_area / n as f64;
+                let farm =
+                    FactoryFarm::bandwidth_for_area(per_site, ratio, ZeroFactoryKind::Simple);
+                let pool = Pool::new(
+                    farm.zero_bandwidth,
+                    farm.pi8_bandwidth,
+                    SITE_ZERO_BUFFER,
+                    SITE_PI8_BUFFER,
+                );
+                (n, pool, 0.0)
+            }
             Arch::Cqla { cache_slots } => {
                 // Compute cells carry one simple factory's worth of local
                 // generation each (Fig 14a cells); everything else lives
@@ -274,13 +568,7 @@ impl<'c> SimContext<'c> {
                 } else {
                     0.0
                 };
-                let policy = CqlaMove {
-                    cache: LruCache::new(cache_slots, 0..n),
-                    port: SerialResource::new(),
-                    teleport_us,
-                    remote_fraction,
-                };
-                self.run(policy, vec![pool], |_| 0, EventOrder::new(self))
+                (1, pool, remote_fraction)
             }
             Arch::FullyMultiplexed => {
                 let farm = FactoryFarm::bandwidth_for_area(
@@ -288,15 +576,7 @@ impl<'c> SimContext<'c> {
                     ratio,
                     ZeroFactoryKind::Pipelined,
                 );
-                let policy = BallisticMove {
-                    hop_us: self.link.avg_ballistic_us(n),
-                };
-                self.run(
-                    policy,
-                    vec![shared_pool(farm)],
-                    |_| 0,
-                    EventOrder::new(self),
-                )
+                (1, shared_pool(farm), 0.0)
             }
             Arch::Qalypso { tile_qubits } => {
                 let tiles = n.div_ceil(tile_qubits).max(1);
@@ -305,254 +585,142 @@ impl<'c> SimContext<'c> {
                     ratio,
                     ZeroFactoryKind::Pipelined,
                 );
-                let policy = QalypsoMove {
-                    tile_qubits,
-                    intra_tile_us: self.link.avg_ballistic_us(tile_qubits.min(n)),
-                    teleport_us,
-                };
-                self.run(
-                    policy,
-                    vec![shared_pool(farm); tiles],
-                    |q| q / tile_qubits,
-                    EventOrder::new(self),
-                )
-            }
-        }
-    }
-
-    /// QLA through `frontier` (program order in [`Self::simulate`]; the
-    /// tests also run it in event order).
-    fn qla(&self, factory_area: f64, frontier: impl Frontier) -> SimOutcome {
-        let n = self.circuit.n_qubits();
-        let per_site = factory_area / n as f64;
-        let farm =
-            FactoryFarm::bandwidth_for_area(per_site, self.demand_ratio(), ZeroFactoryKind::Simple);
-        let pool = Pool::new(
-            farm.zero_bandwidth,
-            farm.pi8_bandwidth,
-            SITE_ZERO_BUFFER,
-            SITE_PI8_BUFFER,
-        );
-        let policy = QlaMove {
-            teleport_us: self.link.teleport_us(),
-        };
-        self.run(policy, vec![pool; n], |q| q, frontier)
-    }
-
-    /// The event loop, monomorphized per architecture: `policy` moves
-    /// each gate's operands, `pool_of` maps a qubit to its pool in
-    /// `pools`, and `frontier` hands out gates with their dataflow
-    /// ready times.
-    fn run<M: MovePolicy>(
-        &self,
-        mut policy: M,
-        mut pools: Vec<Pool>,
-        pool_of: impl Fn(usize) -> usize,
-        mut frontier: impl Frontier,
-    ) -> SimOutcome {
-        let mut makespan = 0.0f64;
-        let mut teleports = 0u64;
-        let mut cache_misses = 0u64;
-        let zeros_per_qec = self.model.zeros_per_qec() as f64;
-
-        while let Some((ready, i)) = frontier.pop() {
-            let (ops, n_ops) = self.operands[i];
-            let ops = &ops[..n_ops as usize];
-
-            // Movement: bring the operands together (and, on CQLA,
-            // deliver the remote ancilla share through the port).
-            let mv = policy.movement(ready, ops);
-            teleports += mv.teleports;
-            cache_misses += mv.cache_misses;
-
-            // Supply: draw this gate's encoded ancillae at `ready`
-            // (production keeps accruing while operands move).
-            // Teleports burn EPR pairs of encoded blocks on top of the
-            // QEC zeros, spread over the operands' pools; the remote
-            // share of CQLA zeros doubles (QEC during teleportation).
-            let zeros_per_qubit = zeros_per_qec * mv.zero_multiplier
-                + 2.0 * mv.teleports as f64 / ops.len().max(1) as f64;
-            let pi8 = self.pi8_demand[i];
-            let mut avail = ready;
-            for (j, &q) in ops.iter().enumerate() {
-                let pi8_here = if j == 0 { pi8 } else { 0.0 };
-                let a = pools[pool_of(usize::from(q))].consume(zeros_per_qubit, pi8_here, ready);
-                avail = avail.max(a);
-            }
-
-            // All waits overlap; execution is serial after the last.
-            let start = mv.moved_at.max(mv.delivered_at).max(avail).max(ready);
-            let e = start + self.exec_us[i];
-            makespan = makespan.max(e);
-            frontier.finish(&self.next[i], e);
-        }
-
-        SimOutcome {
-            makespan_us: makespan,
-            teleports,
-            cache_misses,
-        }
-    }
-}
-
-/// The order [`SimContext::run`] executes gates in.
-trait Frontier {
-    /// The next gate to execute, with its dataflow ready time.
-    fn pop(&mut self) -> Option<(f64, usize)>;
-    /// The popped gate finished at `end`; `next` are its per-operand
-    /// links ([`NO_GATE`] where its qubit has no later gate).
-    fn finish(&mut self, next: &[u32; 3], end: f64);
-}
-
-/// Ready gates in ascending `(ready time, gate index)` order, through
-/// the event heap: the order any architecture whose qubits share state
-/// (a pool or the hierarchy port) needs.
-struct EventOrder {
-    indegree: Vec<u32>,
-    ready_time: Vec<f64>,
-    queue: EventQueue,
-}
-
-impl EventOrder {
-    fn new(ctx: &SimContext<'_>) -> Self {
-        let mut queue = EventQueue::new();
-        for (i, &deg) in ctx.indegree0.iter().enumerate() {
-            if deg == 0 {
-                queue.push(0.0, i);
-            }
-        }
-        EventOrder {
-            indegree: ctx.indegree0.clone(),
-            ready_time: vec![0.0; ctx.indegree0.len()],
-            queue,
-        }
-    }
-}
-
-impl Frontier for EventOrder {
-    fn pop(&mut self) -> Option<(f64, usize)> {
-        self.queue.pop()
-    }
-
-    fn finish(&mut self, next: &[u32; 3], end: f64) {
-        // A gate linked through two qubits is decremented twice and
-        // pushed once, at its final ready time: `ready_time` is a max
-        // and the key `(time, index)` is unique, so the pop order does
-        // not depend on the push order.
-        for &s in next.iter().filter(|&&s| s != NO_GATE) {
-            let s = s as usize;
-            self.ready_time[s] = self.ready_time[s].max(end);
-            self.indegree[s] -= 1;
-            if self.indegree[s] == 0 {
-                self.queue.push(self.ready_time[s], s);
+                (tiles, shared_pool(farm), 0.0)
             }
         }
     }
 }
 
-/// Gates in program order. Exact for QLA only: its pools are per qubit
-/// and its movement is stateless, and dependencies chain each qubit's
-/// gates, so every pool sees the same draws at the same ready times as
-/// in event order (see the module docs).
-struct ProgramOrder {
-    ready_time: Vec<f64>,
-    next: usize,
+/// A heap simulation's gate order, kept so other areas can replay
+/// along it: the gates in the order they popped and, on CQLA, the
+/// cache outcome of each step.
+#[derive(Debug, Clone)]
+pub(crate) struct Seed {
+    /// The seed area's own result.
+    pub(crate) outcome: SimOutcome,
+    order: Vec<u32>,
+    script: Vec<CacheOutcome>,
 }
 
-impl ProgramOrder {
-    fn new(ctx: &SimContext<'_>) -> Self {
-        ProgramOrder {
-            ready_time: vec![0.0; ctx.indegree0.len()],
-            next: 0,
-        }
+/// The CQLA compute cache's verdict on one gate: bit `j` is set when
+/// operand `j` missed, and bit `3 + j` when inserting it evicted
+/// (wrote back) another qubit.
+type CacheOutcome = u8;
+
+/// An architecture's movement policy, as the concrete type its
+/// simulation loops are monomorphized for.
+#[derive(Debug, Clone)]
+enum Policy {
+    Qla(QlaMove),
+    Ballistic(BallisticMove),
+    Qalypso(QalypsoMove),
+    Cqla(CqlaMove),
+}
+
+/// An architecture's movement rules: everything about moving a gate's
+/// operands that does not depend on the factory area.
+trait MovePolicy {
+    /// Whether the order gates run in is part of the result: true for
+    /// every architecture whose qubits share a pool, the port or the
+    /// cache.
+    const ORDERED: bool = true;
+    /// Whether gates go through the CQLA compute cache and its
+    /// hierarchy port.
+    const CACHED: bool = false;
+
+    /// How the gate on `ops` moves, given its cache outcome.
+    fn gate(&self, ops: &[Qubit], outcome: CacheOutcome) -> GateMove;
+
+    /// The pool qubit `q` draws from.
+    fn pool(&self, _q: Qubit) -> usize {
+        0
+    }
+
+    /// The compute cache a heap run starts with (CQLA only).
+    fn cache(&self, _n_qubits: usize) -> Option<LruCache> {
+        None
     }
 }
 
-impl Frontier for ProgramOrder {
-    fn pop(&mut self) -> Option<(f64, usize)> {
-        // Predecessors precede their successors in program order, so
-        // gate `next`'s ready time is final here.
-        let ready = *self.ready_time.get(self.next)?;
-        self.next += 1;
-        Some((ready, self.next - 1))
-    }
-
-    fn finish(&mut self, next: &[u32; 3], end: f64) {
-        for &s in next.iter().filter(|&&s| s != NO_GATE) {
-            let s = s as usize;
-            self.ready_time[s] = self.ready_time[s].max(end);
-        }
-    }
-}
-
-/// How one gate's movement resolved (absolute times).
-struct Movement {
-    /// When the operands are together (>= ready).
-    moved_at: f64,
-    /// When remotely-generated ancillae have arrived (>= ready;
-    /// `ready` itself when the architecture delivers locally).
-    delivered_at: f64,
-    /// Teleports this gate performed (each burns one EPR pair = 2
+/// How one gate moves, for every area that runs it with the same cache
+/// outcome.
+#[derive(Debug, Clone, Copy, Default)]
+struct GateMove {
+    /// Added to when the operands are in place: the teleports or hops
+    /// that bring them together (0.0 for a one-qubit gate).
+    shift: f64,
+    /// Port transfers of the gate's cache misses, in operand order
+    /// (CQLA only): a teleport in, plus a writeback on eviction.
+    transfers: [f64; 3],
+    n_transfers: usize,
+    /// Teleports the gate performed (each burns one EPR pair = 2
     /// encoded zeros, charged to the operands' pools).
     teleports: u64,
-    /// Cache misses this gate incurred (CQLA only).
+    /// Cache misses the gate incurred (CQLA only).
     cache_misses: u64,
-    /// Multiplier on the gate's QEC-zero demand (CQLA charges the
-    /// remote share twice; everyone else 1.0).
-    zero_multiplier: f64,
+    /// Those EPR zeros per operand: `2 * teleports / operands`.
+    epr_zeros: f64,
+    /// The gate's pi/8-ancilla demand (0.0 or 1.0).
+    pi8: f64,
+    /// Its execution time: data latency + trailing QEC interact.
+    exec_us: f64,
 }
 
-impl Movement {
-    fn local(moved_at: f64, teleports: u64) -> Movement {
-        Movement {
-            moved_at,
-            delivered_at: moved_at,
+impl GateMove {
+    /// A gate on `ops` operands that meet `shift` after they are in
+    /// place, with `teleports` teleports.
+    #[inline]
+    fn new(ops: usize, shift: f64, teleports: u64) -> GateMove {
+        GateMove {
+            shift,
             teleports,
-            cache_misses: 0,
-            zero_multiplier: 1.0,
+            epr_zeros: 2.0 * teleports as f64 / ops.max(1) as f64,
+            ..GateMove::default()
         }
     }
-}
-
-/// An architecture's movement discipline over the event engine. One
-/// instance lives per `simulate` call and is invoked once per gate, in
-/// the frontier's order.
-trait MovePolicy {
-    fn movement(&mut self, ready: f64, ops: &[Qubit]) -> Movement;
 }
 
 /// QLA / GQLA: every two-qubit gate teleports the operands together
 /// and back home for QEC.
+#[derive(Debug, Clone, Copy)]
 struct QlaMove {
     teleport_us: f64,
 }
 
 impl MovePolicy for QlaMove {
-    fn movement(&mut self, ready: f64, ops: &[Qubit]) -> Movement {
+    const ORDERED: bool = false;
+
+    #[inline]
+    fn pool(&self, q: Qubit) -> usize {
+        usize::from(q)
+    }
+
+    #[inline]
+    fn gate(&self, ops: &[Qubit], _: CacheOutcome) -> GateMove {
         if ops.len() >= 2 {
-            Movement::local(ready + 2.0 * self.teleport_us, 2)
+            GateMove::new(ops.len(), 2.0 * self.teleport_us, 2)
         } else {
-            Movement::local(ready, 0)
+            GateMove::new(ops.len(), 0.0, 0)
         }
     }
 }
 
 /// Fully-Multiplexed: ballistic movement across the data region.
+#[derive(Debug, Clone, Copy)]
 struct BallisticMove {
     hop_us: f64,
 }
 
 impl MovePolicy for BallisticMove {
-    fn movement(&mut self, ready: f64, ops: &[Qubit]) -> Movement {
-        if ops.len() >= 2 {
-            Movement::local(ready + self.hop_us, 0)
-        } else {
-            Movement::local(ready, 0)
-        }
+    #[inline]
+    fn gate(&self, ops: &[Qubit], _: CacheOutcome) -> GateMove {
+        let shift = if ops.len() >= 2 { self.hop_us } else { 0.0 };
+        GateMove::new(ops.len(), shift, 0)
     }
 }
 
 /// Qalypso: ballistic within a tile, teleport between tiles.
+#[derive(Debug, Clone)]
 struct QalypsoMove {
     tile_qubits: usize,
     intra_tile_us: f64,
@@ -560,86 +728,193 @@ struct QalypsoMove {
 }
 
 impl MovePolicy for QalypsoMove {
-    fn movement(&mut self, ready: f64, ops: &[Qubit]) -> Movement {
+    #[inline]
+    fn pool(&self, q: Qubit) -> usize {
+        usize::from(q) / self.tile_qubits
+    }
+
+    #[inline]
+    fn gate(&self, ops: &[Qubit], _: CacheOutcome) -> GateMove {
         if ops.len() < 2 {
-            return Movement::local(ready, 0);
+            return GateMove::new(ops.len(), 0.0, 0);
         }
-        let tile0 = usize::from(ops[0]) / self.tile_qubits;
-        let same_tile = ops
-            .iter()
-            .all(|&q| usize::from(q) / self.tile_qubits == tile0);
-        if same_tile {
-            Movement::local(ready + self.intra_tile_us, 0)
+        let tile0 = self.pool(ops[0]);
+        if ops.iter().all(|&q| self.pool(q) == tile0) {
+            GateMove::new(ops.len(), self.intra_tile_us, 0)
         } else {
-            Movement::local(ready + self.teleport_us, 1)
+            GateMove::new(ops.len(), self.teleport_us, 1)
         }
     }
 }
 
 /// CQLA: an LRU compute cache over a serialized hierarchy port, plus
 /// remote-ancilla delivery through the same port.
+#[derive(Debug, Clone, Copy)]
 struct CqlaMove {
-    cache: LruCache,
-    port: SerialResource,
+    cache_slots: usize,
     teleport_us: f64,
-    /// Fraction of consumed zeros generated memory-side (must cross
-    /// the port by teleportation).
-    remote_fraction: f64,
 }
 
 impl MovePolicy for CqlaMove {
-    fn movement(&mut self, ready: f64, ops: &[Qubit]) -> Movement {
-        let mut teleports = 0u64;
-        let mut cache_misses = 0u64;
-        // Operand misses: teleport in (plus writeback on eviction),
-        // serialized on the hierarchy port in gate-event order. The
-        // gate waits for *its own* transfers to land; the port
-        // calendar makes them queue behind earlier gates' backlog
-        // exactly once.
-        let mut operands_at = ready;
-        for &q in ops {
-            let q = usize::from(q);
-            if !self.cache.touch(q) {
+    const CACHED: bool = true;
+
+    #[inline]
+    fn gate(&self, ops: &[Qubit], outcome: CacheOutcome) -> GateMove {
+        // Intra-cache movement uses teleportation: data in the compute
+        // region sits interleaved with generators (§5.3); operands meet
+        // and return, serial after their arrival.
+        let two_qubit = ops.len() >= 2;
+        let mut teleports = if two_qubit { 2 } else { 0 };
+        let (mut transfers, mut n_transfers, mut cache_misses) = ([0.0; 3], 0, 0);
+        // Operand misses teleport in (plus a writeback on eviction),
+        // serialized on the hierarchy port.
+        for j in 0..ops.len() {
+            if outcome & (1 << j) != 0 {
                 cache_misses += 1;
                 teleports += 1;
                 let mut transfer = self.teleport_us;
-                if self.cache.insert(q, ops) {
-                    // Writeback of the evicted qubit.
+                if outcome & (1 << (3 + j)) != 0 {
                     transfer += self.teleport_us;
                     teleports += 1;
                 }
-                operands_at = self.port.acquire(ready, transfer);
+                transfers[n_transfers] = transfer;
+                n_transfers += 1;
             }
         }
-        // Intra-cache movement uses teleportation: data in the compute
-        // region sits interleaved with generators (§5.3); operands
-        // meet and return. Serial after their arrival.
-        let moved_at = if ops.len() >= 2 {
-            teleports += 2;
-            operands_at + 2.0 * self.teleport_us
+        let shift = if two_qubit {
+            2.0 * self.teleport_us
         } else {
-            operands_at
+            0.0
         };
-        // Remote ancilla delivery: the memory-side share of this
-        // gate's encoded zeros crosses the hierarchy port (one
-        // teleport per block pair), queued behind this gate's own miss
-        // transfers; it overlaps the intra-cache movement.
-        let remote_zeros = self.remote_fraction * 2.0 * ops.len() as f64;
-        let delivered_at = if remote_zeros > 0.0 {
-            self.port
-                .acquire(ready, remote_zeros / 2.0 * self.teleport_us)
-        } else {
-            ready
-        };
-        Movement {
-            moved_at,
-            delivered_at,
-            teleports,
+        GateMove {
+            transfers,
+            n_transfers,
             cache_misses,
-            // The remote share is consumed during teleportation, which
-            // "requires twice as many encoded ancillae" (§5.3).
-            zero_multiplier: 1.0 + self.remote_fraction,
+            ..GateMove::new(ops.len(), shift, teleports)
         }
+    }
+
+    fn cache(&self, n_qubits: usize) -> Option<LruCache> {
+        Some(LruCache::new(self.cache_slots, 0..n_qubits))
+    }
+}
+
+/// The state of up to `W` areas of one `(circuit, arch)` run side by
+/// side along one gate order: per qubit and per pool, one entry a lane.
+/// Nothing is sized by gates.
+#[derive(Debug)]
+struct Lanes<const W: usize> {
+    /// Lanes in use, from lane 0.
+    width: usize,
+    /// When each lane's last gate on each qubit ended (0.0 before any).
+    last_end: Vec<[f64; W]>,
+    /// Each lane's ancilla pools.
+    pools: Vec<[Pool; W]>,
+    /// Each lane's hierarchy port (used by CQLA only).
+    port: [SerialResource; W],
+    /// Each lane's share of zeros generated memory-side (CQLA only).
+    remote_fraction: [f64; W],
+    /// Each lane's QEC zeros per operand: `zeros_per_qec` times
+    /// `1 + remote_fraction`, since the remote share is consumed during
+    /// teleportation, which "requires twice as many encoded ancillae"
+    /// (§5.3).
+    qec_zeros: [f64; W],
+    makespan: [f64; W],
+    /// The smallest event key each lane's next step may have.
+    min_key: [u128; W],
+    teleport_us: f64,
+}
+
+impl<const W: usize> Lanes<W> {
+    /// Lanes starting `areas` (at most `W`) of `arch` on `ctx`'s circuit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an area is `<= 0`.
+    fn new(ctx: &SimContext<'_>, arch: Arch, areas: &[f64]) -> Lanes<W> {
+        debug_assert!(areas.len() <= W, "more areas than lanes");
+        let zeros_per_qec = ctx.model.zeros_per_qec() as f64;
+        // Lanes past `areas` keep a dry pool and never run.
+        let mut start = [(0, Pool::new(0.0, 0.0, 0.0, 0.0), 0.0); W];
+        for (slot, &area) in start.iter_mut().zip(areas) {
+            *slot = ctx.area_state(arch, area);
+        }
+        Lanes {
+            width: areas.len().min(W),
+            last_end: vec![[0.0; W]; ctx.circuit.n_qubits()],
+            pools: vec![start.map(|(_, pool, _)| pool); start[0].0],
+            port: [SerialResource::new(); W],
+            remote_fraction: start.map(|(_, _, remote)| remote),
+            qec_zeros: start.map(|(_, _, remote)| zeros_per_qec * (1.0 + remote)),
+            makespan: [0.0; W],
+            min_key: [0; W],
+            teleport_us: ctx.link.teleport_us(),
+        }
+    }
+
+    /// Lane `l`'s ready time for a gate on `ops`: the latest end of its
+    /// predecessors, exact in any topological order.
+    #[inline]
+    fn ready(&self, l: usize, ops: &[Qubit]) -> f64 {
+        ops.iter()
+            .fold(0.0f64, |r, &q| r.max(self.last_end[usize::from(q)][l]))
+    }
+
+    /// Runs one gate on lane `l`, dataflow-ready at `ready`, and
+    /// returns when it ends. The one per-gate step of every simulation.
+    #[inline]
+    fn step<M: MovePolicy>(
+        &mut self,
+        policy: &M,
+        l: usize,
+        ready: f64,
+        ops: &[Qubit],
+        gate: &GateMove,
+    ) -> f64 {
+        // Movement: the gate's own miss transfers queue on the port
+        // behind earlier gates' backlog exactly once, then the operands
+        // meet.
+        let (moved_at, delivered_at) = if M::CACHED {
+            let port = &mut self.port[l];
+            let mut operands_at = ready;
+            for &transfer in &gate.transfers[..gate.n_transfers] {
+                operands_at = port.acquire(ready, transfer);
+            }
+            // Remote ancilla delivery: the memory-side share of this
+            // gate's encoded zeros crosses the hierarchy port (one
+            // teleport per block pair), queued behind this gate's own
+            // miss transfers; it overlaps the intra-cache movement.
+            let remote_zeros = self.remote_fraction[l] * 2.0 * ops.len() as f64;
+            let delivered_at = if remote_zeros > 0.0 {
+                port.acquire(ready, remote_zeros / 2.0 * self.teleport_us)
+            } else {
+                ready
+            };
+            (operands_at + gate.shift, delivered_at)
+        } else {
+            (ready + gate.shift, ready)
+        };
+
+        // Supply: draw this gate's encoded ancillae at `ready`
+        // (production keeps accruing while operands move). Teleports
+        // burn EPR pairs of encoded blocks on top of the QEC zeros,
+        // spread over the operands' pools.
+        let zeros_per_qubit = self.qec_zeros[l] + gate.epr_zeros;
+        let mut avail = ready;
+        for (j, &q) in ops.iter().enumerate() {
+            let pi8_here = if j == 0 { gate.pi8 } else { 0.0 };
+            let a = self.pools[policy.pool(q)][l].consume(zeros_per_qubit, pi8_here, ready);
+            avail = avail.max(a);
+        }
+
+        // All waits overlap; execution is serial after the last.
+        let start = moved_at.max(delivered_at).max(avail).max(ready);
+        let end = start + gate.exec_us;
+        self.makespan[l] = self.makespan[l].max(end);
+        for &q in ops {
+            self.last_end[usize::from(q)][l] = end;
+        }
+        end
     }
 }
 
@@ -656,6 +931,22 @@ impl LruCache {
         let mut order: Vec<usize> = initial.take(slots).collect();
         order.reverse(); // first qubits become least recent
         LruCache { slots, order }
+    }
+
+    /// Runs one gate on `ops` through the cache and returns its outcome:
+    /// each operand is touched, and a missing one inserted, in order.
+    fn access(&mut self, ops: &[Qubit]) -> CacheOutcome {
+        let mut outcome = 0;
+        for (j, &q) in ops.iter().enumerate() {
+            let q = usize::from(q);
+            if !self.touch(q) {
+                outcome |= 1 << j;
+                if self.insert(q, ops) {
+                    outcome |= 1 << (3 + j);
+                }
+            }
+        }
+        outcome
     }
 
     /// Marks `q` most recently used; returns false (changing nothing)
@@ -887,23 +1178,66 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
 
-        /// QLA's program-order frontier is exact: `makespan_us` is a
-        /// max and the counters are integer sums, so they match the
-        /// event-order run of the same loop bit for bit.
+        /// QLA's program-order lanes are exact: `makespan_us` is a max
+        /// and the counters are integer sums, so every lane of one
+        /// unchecked pass matches the event-heap run of its area bit
+        /// for bit.
         #[test]
         fn qla_program_order_matches_event_order(
             n in 3usize..10,
             picks in proptest::collection::vec((0u8..6, 0u8..255, 0u8..255, 0u8..255), 1..80),
-            area_exp_x8 in 8u32..56,
+            area_exps_x8 in proptest::collection::vec(8u32..56, 1..12),
         ) {
             let c = random_lowered(n, &picks);
             let ctx = SimContext::new(&c);
-            let area = 10f64.powf(f64::from(area_exp_x8) / 8.0);
-            let fast = ctx.simulate(Arch::Qla, area);
-            let events = ctx.qla(area, EventOrder::new(&ctx));
-            proptest::prop_assert_eq!(fast.makespan_us.to_bits(), events.makespan_us.to_bits());
-            proptest::prop_assert_eq!(fast.teleports, events.teleports);
-            proptest::prop_assert_eq!(fast.cache_misses, events.cache_misses);
+            let areas: Vec<f64> =
+                area_exps_x8.iter().map(|&e| 10f64.powf(f64::from(e) / 8.0)).collect();
+            let lanes = ctx.replay(Arch::Qla, &areas, None);
+            proptest::prop_assert_eq!(lanes.len(), areas.len());
+            for (lane, &area) in lanes.into_iter().zip(&areas) {
+                let events = ctx.heap(Arch::Qla, area, None);
+                let lane = lane.expect("unchecked lanes never fall back");
+                proptest::prop_assert_eq!(lane.makespan_us.to_bits(), events.makespan_us.to_bits());
+                proptest::prop_assert_eq!(lane.teleports, events.teleports);
+                proptest::prop_assert_eq!(lane.cache_misses, events.cache_misses);
+            }
+        }
+
+        /// The sweep's lanes are exact: on random lowered circuits and
+        /// random area grids (1 to 20 points, so some grids do not fill
+        /// whole lane groups), every architecture's sweep outcome, CQLA
+        /// with small caches included, equals a lone simulation of each
+        /// area bit for bit, whether its lane kept to the seed's order or
+        /// fell back to the heap.
+        #[test]
+        fn sweep_lanes_match_lone_simulations(
+            n in 3usize..10,
+            picks in proptest::collection::vec((0u8..8, 0u8..255, 0u8..255, 0u8..255), 1..80),
+            area_exps_x8 in proptest::collection::vec(8u32..56, 1..21),
+            cache_slots in 2usize..6,
+            tile_qubits in 2usize..5,
+            threads in 1usize..3,
+        ) {
+            let c = random_lowered(n, &picks);
+            let ctx = SimContext::new(&c);
+            let areas: Vec<f64> =
+                area_exps_x8.iter().map(|&e| 10f64.powf(f64::from(e) / 8.0)).collect();
+            let archs = [
+                Arch::FullyMultiplexed,
+                Arch::Qla,
+                Arch::Cqla { cache_slots },
+                Arch::Qalypso { tile_qubits },
+            ];
+            let swept = crate::sweep::sweep_outcomes(&ctx, &archs, &areas, threads);
+            for (&arch, outcomes) in archs.iter().zip(swept) {
+                proptest::prop_assert_eq!(outcomes.len(), areas.len());
+                for (out, &area) in outcomes.iter().zip(&areas) {
+                    let lone = ctx.simulate(arch, area);
+                    proptest::prop_assert_eq!(out.makespan_us.to_bits(), lone.makespan_us.to_bits());
+                    proptest::prop_assert_eq!(out.teleports, lone.teleports);
+                    proptest::prop_assert_eq!(out.cache_misses, lone.cache_misses);
+                }
+            }
         }
 
         /// The dependency links against their brute-force definition:
@@ -930,6 +1264,30 @@ mod tests {
                 proptest::prop_assert_eq!(ctx.indegree0[i] as usize, pointing);
             }
         }
+    }
+
+    #[test]
+    fn the_check_rejects_another_areas_order() {
+        // A starved FM area pops in a different order than a generous
+        // one: replayed along the generous area's order, its keys fall,
+        // the lane is dropped, and the sweep re-runs it on the heap.
+        let c = toy(8, 6);
+        let ctx = SimContext::new(&c);
+        let (starved, generous) = (300.0, 1e7);
+        let seed = ctx.seed(Arch::FullyMultiplexed, generous);
+        let own = ctx.seed(Arch::FullyMultiplexed, starved);
+        assert_ne!(own.order, seed.order, "the two areas must pop differently");
+        let lanes = ctx.replay(Arch::FullyMultiplexed, &[starved, generous], Some(&seed));
+        assert_eq!(lanes[0], None, "the starved lane must fail the check");
+        assert_eq!(
+            lanes[1],
+            Some(seed.outcome),
+            "the seed's own area keeps to it"
+        );
+        let swept =
+            crate::sweep::sweep_outcomes(&ctx, &[Arch::FullyMultiplexed], &[starved, generous], 1);
+        assert_eq!(swept[0][0], ctx.simulate(Arch::FullyMultiplexed, starved));
+        assert_eq!(swept[0][0], own.outcome);
     }
 
     #[test]

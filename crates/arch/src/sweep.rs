@@ -2,16 +2,58 @@
 //! area for each microarchitecture, plus the paper's headline speedup
 //! summary.
 //!
-//! A sweep characterizes the circuit once ([`SimContext`]) and then
-//! runs every `(arch, area)` point through the workspace's shared
-//! worker pool ([`qods_pool`] — the same pool the Monte-Carlo runner
-//! and the service scheduler use). Each point is a pure function of
-//! `(context, arch, area)`, so the sweep is bit-identical at any
-//! thread count, including fully sequential.
+//! A sweep characterizes the circuit once ([`SimContext`]) and runs
+//! each architecture's areas as *lanes*: several areas of one
+//! `(circuit, arch)` simulated in one pass over a shared gate order
+//! (see the `simulator` module docs for why each lane is exact).
+//!
+//! ## Task shape
+//!
+//! Work fans out over the workspace's shared worker pool ([`qods_pool`]
+//! — the same pool the Monte-Carlo runner and the service scheduler
+//! use) as tasks of `(arch, lane group)`, in two rounds:
+//!
+//! 1. QLA's areas, in groups of up to `LANES` (8), each one pass in
+//!    program order. Beside them, one *seed* task per event-ordered
+//!    architecture (FM, CQLA, Qalypso): its largest area on the heap,
+//!    recording the pop order, then two probes replayed along that
+//!    order as the lanes of one pass: the next-largest area and the
+//!    smallest. The areas that share the seed's order are the largest
+//!    ones (the least supply-bound; so it is on every paper-config
+//!    curve), so when both ends of the remaining range keep to the
+//!    order, the areas between tend to.
+//! 2. If both probes kept to the order, the remaining areas replay
+//!    along it in lane groups, and a lane that leaves the order re-runs
+//!    on the heap inside its task. If either probe left it, speculation
+//!    is off for that architecture and every remaining area runs on the
+//!    heap as a task of its own, so a failed speculation costs at most
+//!    two partial replays. The choice follows what the replay observed,
+//!    never the architecture's name.
+//!
+//! Every task is a pure function of `(context, arch, areas)`, results
+//! are assembled by area index, and the order a lane follows never
+//! changes its result, so the sweep is bit-identical at any thread
+//! count, including fully sequential.
+//!
+//! ## Cancellation
+//!
+//! `qods_pool::check_deadline` runs before every heap simulation and
+//! every lane pass, and nowhere inside one; the sweep holds no lock. A
+//! deadline hit unwinds the whole sweep, so a cancelled sweep exposes
+//! no partial curve.
+//!
+//! ## Telemetry
+//!
+//! Each task opens one `arch.sweep` span, its role `seed`, `lanes` or
+//! `heap` and its detail the architecture. Every sweep adds its checked
+//! lanes to two process-wide counters, `arch.lanes_replayed` (kept to
+//! the order) and `arch.lanes_fallback` (left it and re-ran on the
+//! heap): the share of speculation that paid.
 
 use crate::machine::Arch;
-use crate::simulator::SimContext;
+use crate::simulator::{Seed, SimContext, SimOutcome, LANES};
 use qods_circuit::circuit::Circuit;
+use qods_obs::{sites, Registry};
 
 /// One point of an architecture's area/latency curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,55 +100,240 @@ pub fn log_areas(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     (0..n).map(|i| lo * step.powi(i as i32)).collect()
 }
 
-/// Worker count for a sweep of `points` independent simulations: one
-/// per core (or the process-wide `qods_pool` pin), never more than
-/// the points available.
-fn default_threads(points: usize) -> usize {
-    qods_pool::pool_threads(points)
-}
-
 /// Runs the Fig 15 sweep for the given architectures, parallel across
-/// `(arch, area)` points with one worker per core.
+/// sweep tasks with one worker per core.
 pub fn area_sweep(circuit: &Circuit, archs: &[Arch], areas: &[f64]) -> Vec<ArchCurve> {
     let ctx = SimContext::new(circuit);
-    area_sweep_in(
-        &ctx,
-        archs,
-        areas,
-        default_threads(archs.len() * areas.len()),
-    )
+    area_sweep_in(&ctx, archs, areas, qods_pool::host_threads())
 }
 
 /// [`area_sweep`] over an existing context with an explicit worker
 /// count (1 = sequential). Results are bit-identical for any
-/// `threads`: every point is an independent pure function, workers
-/// write disjoint result slots, and the assembly order is fixed.
+/// `threads`: every task is an independent pure function and the
+/// assembly is by index.
 pub fn area_sweep_in(
     ctx: &SimContext<'_>,
     archs: &[Arch],
     areas: &[f64],
     threads: usize,
 ) -> Vec<ArchCurve> {
-    let n_points = archs.len() * areas.len();
-    let flat = qods_pool::run_indexed(n_points, threads, |i| {
-        // Point boundaries are the sweep's cancellation points: a
-        // deadline hit unwinds between points, never inside one, so a
-        // cancelled sweep exposes no partial curve.
-        qods_pool::check_deadline();
-        let (ai, pi) = (i / areas.len(), i % areas.len());
-        SweepPoint {
-            area: areas[pi],
-            exec_us: ctx.simulate(archs[ai], areas[pi]).makespan_us,
-        }
-    });
-
     archs
         .iter()
-        .enumerate()
-        .map(|(ai, &arch)| ArchCurve {
+        .zip(sweep_outcomes(ctx, archs, areas, threads))
+        .map(|(&arch, outcomes)| ArchCurve {
             arch: arch.name(),
-            points: flat[ai * areas.len()..(ai + 1) * areas.len()].to_vec(),
+            points: areas
+                .iter()
+                .zip(outcomes)
+                .map(|(&area, out)| SweepPoint {
+                    area,
+                    exec_us: out.makespan_us,
+                })
+                .collect(),
         })
+        .collect()
+}
+
+/// One unit of sweep work on architecture `arch`, an index into the
+/// sweep's architectures.
+struct Task<'s> {
+    arch: usize,
+    work: Work<'s>,
+}
+
+/// A task's work; areas are indices into the sweep's areas.
+enum Work<'s> {
+    /// Areas as lanes of one pass: in program order (QLA), or along a
+    /// seed's order, re-running any lane that leaves it on the heap.
+    Lanes {
+        areas: &'s [usize],
+        along: Option<&'s Seed>,
+    },
+    /// The seed area on the heap, recording its order, then the probe
+    /// areas replayed along it as lanes of one pass.
+    Seed { seed: usize, probes: &'s [usize] },
+    /// One area on the heap.
+    Heap(usize),
+}
+
+/// What a task produced.
+#[derive(Default)]
+struct Done {
+    arch: usize,
+    /// `(area index, outcome)` for each area the task finished.
+    points: Vec<(usize, SimOutcome)>,
+    /// A seed task's recorded order, and whether its probes kept to it.
+    seed: Option<(Seed, bool)>,
+    /// Checked lanes that kept to their order.
+    replayed: u64,
+    /// Checked lanes that left it and re-ran on the heap.
+    fell_back: u64,
+}
+
+impl Done {
+    /// Replays `areas` of `arch` along `along` (program order if
+    /// `None`), re-running on the heap any lane that leaves the order.
+    fn lanes(
+        &mut self,
+        ctx: &SimContext<'_>,
+        arch: Arch,
+        areas: &[f64],
+        ix: &[usize],
+        along: Option<&Seed>,
+    ) {
+        qods_pool::check_deadline();
+        let picked: Vec<f64> = ix.iter().map(|&a| areas[a]).collect();
+        let checked = arch != Arch::Qla;
+        for (&a, lane) in ix.iter().zip(ctx.replay(arch, &picked, along)) {
+            let out = match lane {
+                Some(out) => {
+                    self.replayed += u64::from(checked);
+                    out
+                }
+                None => {
+                    self.fell_back += 1;
+                    qods_pool::check_deadline();
+                    ctx.simulate(arch, areas[a])
+                }
+            };
+            self.points.push((a, out));
+        }
+    }
+}
+
+/// Splits `ix` into the fewest lane groups of at most `LANES`, their
+/// sizes differing by at most one.
+fn lane_groups(ix: &[usize]) -> Vec<&[usize]> {
+    let mut rest = ix;
+    (1..=ix.len().div_ceil(LANES))
+        .rev()
+        .map(|left| {
+            let (group, tail) = rest.split_at(rest.len().div_ceil(left));
+            rest = tail;
+            group
+        })
+        .collect()
+}
+
+/// Runs one task.
+fn run_task(ctx: &SimContext<'_>, archs: &[Arch], areas: &[f64], task: &Task<'_>) -> Done {
+    let arch = archs[task.arch];
+    let role = match task.work {
+        Work::Lanes { .. } => "lanes",
+        Work::Seed { .. } => "seed",
+        Work::Heap(_) => "heap",
+    };
+    let _span = qods_obs::span!(sites::ARCH_SWEEP, { role: role, detail: arch.name() });
+    let mut done = Done {
+        arch: task.arch,
+        ..Done::default()
+    };
+    match task.work {
+        Work::Lanes { areas: ix, along } => done.lanes(ctx, arch, areas, ix, along),
+        Work::Seed { seed, probes } => {
+            qods_pool::check_deadline();
+            let recorded = ctx.seed(arch, areas[seed]);
+            done.points.push((seed, recorded.outcome));
+            done.lanes(ctx, arch, areas, probes, Some(&recorded));
+            let kept = done.fell_back == 0;
+            done.seed = Some((recorded, kept));
+        }
+        Work::Heap(area) => {
+            qods_pool::check_deadline();
+            done.points.push((area, ctx.simulate(arch, areas[area])));
+        }
+    }
+    done
+}
+
+/// The sweep's outcomes, per architecture in area order (see the
+/// module docs for the task shape).
+pub(crate) fn sweep_outcomes(
+    ctx: &SimContext<'_>,
+    archs: &[Arch],
+    areas: &[f64],
+    threads: usize,
+) -> Vec<Vec<SimOutcome>> {
+    // Areas from largest to smallest: the largest seeds; the next and
+    // the smallest probe, since the areas between two that keep to the
+    // seed's order tend to keep to it too; the rest replay.
+    let mut by_area: Vec<usize> = (0..areas.len()).collect();
+    by_area.sort_by(|&a, &b| areas[b].total_cmp(&areas[a]));
+    let (seed, probes, rest): (_, Vec<usize>, &[usize]) = match by_area[..] {
+        [] => (None, Vec::new(), &[]),
+        [seed, ref others @ ..] => match *others {
+            [next, ref rest @ .., smallest] => (Some(seed), vec![next, smallest], rest),
+            _ => (Some(seed), others.to_vec(), &[]),
+        },
+    };
+
+    let mut first = Vec::new();
+    for (ai, &arch) in archs.iter().enumerate() {
+        if arch == Arch::Qla {
+            first.extend(lane_groups(&by_area).into_iter().map(|ix| Task {
+                arch: ai,
+                work: Work::Lanes {
+                    areas: ix,
+                    along: None,
+                },
+            }));
+        } else if let Some(seed) = seed {
+            first.push(Task {
+                arch: ai,
+                work: Work::Seed {
+                    seed,
+                    probes: &probes,
+                },
+            });
+        }
+    }
+    let mut done = qods_pool::run_indexed(first.len(), threads, |t| {
+        run_task(ctx, archs, areas, &first[t])
+    });
+
+    // A seed whose probes left its order is dropped here: its
+    // architecture's remaining areas run on the heap.
+    let mut seeds = Vec::new();
+    let mut second = Vec::new();
+    for d in &mut done {
+        match d.seed.take() {
+            Some((recorded, true)) => seeds.push((d.arch, recorded)),
+            Some((_, false)) => second.extend(rest.iter().map(|&area| Task {
+                arch: d.arch,
+                work: Work::Heap(area),
+            })),
+            None => {}
+        }
+    }
+    for (arch, recorded) in &seeds {
+        second.extend(lane_groups(rest).into_iter().map(|ix| Task {
+            arch: *arch,
+            work: Work::Lanes {
+                areas: ix,
+                along: Some(recorded),
+            },
+        }));
+    }
+    done.extend(qods_pool::run_indexed(second.len(), threads, |t| {
+        run_task(ctx, archs, areas, &second[t])
+    }));
+
+    let (replayed, fell_back) = done
+        .iter()
+        .fold((0, 0), |(r, f), d| (r + d.replayed, f + d.fell_back));
+    let global = Registry::global();
+    global.counter(sites::ARCH_LANES_REPLAYED).add(replayed);
+    global.counter(sites::ARCH_LANES_FALLBACK).add(fell_back);
+
+    let mut outcomes: Vec<Vec<Option<SimOutcome>>> = vec![vec![None; areas.len()]; archs.len()];
+    for d in done {
+        for (area, out) in d.points {
+            outcomes[d.arch][area] = Some(out);
+        }
+    }
+    outcomes
+        .into_iter()
+        .map(|curve| curve.into_iter().flatten().collect())
         .collect()
 }
 
@@ -138,12 +365,7 @@ pub fn speedup_summary(circuit: &Circuit, areas: &[f64]) -> SpeedupSummary {
         Arch::Qla,
         Arch::default_cqla(circuit.n_qubits()),
     ];
-    let curves = area_sweep_in(
-        &ctx,
-        &archs,
-        areas,
-        default_threads(archs.len() * areas.len()),
-    );
+    let curves = area_sweep_in(&ctx, &archs, areas, qods_pool::host_threads());
     speedup_summary_from_curves(&curves)
 }
 

@@ -353,6 +353,15 @@ fn flush_trace(path: &str) -> Result<(), ExitCode> {
             agg.max_ns as f64 / 1e6,
         );
     }
+    // What the Fig 15 sweep's order speculation paid: checked lanes
+    // that kept to their seed's order against those that re-ran.
+    let global = qods_obs::Registry::global();
+    let counter = |site| global.counter(site).get();
+    eprintln!(
+        "arch.sweep lanes: {} replayed, {} fell back to the heap",
+        counter(qods_obs::sites::ARCH_LANES_REPLAYED),
+        counter(qods_obs::sites::ARCH_LANES_FALLBACK),
+    );
     match std::fs::write(path, export::to_chrome(&events)) {
         Ok(()) => {
             eprintln!("wrote Chrome trace to {path} (load it at ui.perfetto.dev)");

@@ -14,7 +14,7 @@
 
 use crate::circuit::Circuit;
 use crate::latency_model::CharacterizationModel;
-use crate::schedule::{frontier_pass, Schedule};
+use crate::schedule::{Schedule, SpeedOfData};
 use serde::{Deserialize, Serialize};
 
 /// Table 2 row: the latency split of a no-overlap execution.
@@ -94,21 +94,33 @@ pub fn characterize(circuit: &Circuit) -> CircuitReport {
     characterize_with(circuit, &CharacterizationModel::ion_trap())
 }
 
-/// Characterizes a lowered circuit under a custom latency model, in
-/// one frontier pass: the critical-path split, the speed-of-data
-/// runtime and the ancilla totals all come out of the same walk.
+/// Characterizes a lowered circuit under a custom latency model: one
+/// frontier pass for the critical-path split and the speed-of-data
+/// runtime, then [`characterize_scheduled`].
 pub fn characterize_with(circuit: &Circuit, model: &CharacterizationModel) -> CircuitReport {
+    characterize_scheduled(circuit, model, &SpeedOfData::of(circuit, model))
+}
+
+/// Characterizes a lowered circuit whose frontier pass has already run:
+/// `summary` is [`SpeedOfData::of`] the circuit under `model`, as the
+/// compile pipeline's `sched` stage keeps it. Only the ancilla and gate
+/// counts are computed here, in one linear loop.
+pub fn characterize_scheduled(
+    circuit: &Circuit,
+    model: &CharacterizationModel,
+    summary: &SpeedOfData,
+) -> CircuitReport {
     let mut total_zeros = 0u64;
     let mut total_pi8 = 0u64;
     let mut non_transversal = 0usize;
-    let summary = frontier_pass(circuit, model, |g, _, _| {
+    for g in circuit.gates() {
         total_zeros += model.zeros_per_qec() * g.qubits().len() as u64;
         if g.needs_pi8_ancilla() {
             total_pi8 += 1;
             total_zeros += model.zeros_per_pi8();
         }
         non_transversal += usize::from(!g.is_transversal());
-    });
+    }
     let runtime_ms = summary.makespan_us / 1000.0;
     let bandwidth = BandwidthReport {
         zero_per_ms: if runtime_ms > 0.0 {

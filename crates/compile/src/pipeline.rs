@@ -27,7 +27,7 @@
 
 use crate::hash::{hash_hex, hash_value};
 use crate::store::{ArtifactKey, ArtifactStore, HeapBytes, ARTIFACT_SCHEMA};
-use qods_circuit::characterize::{characterize_with, CircuitReport};
+use qods_circuit::characterize::{characterize_scheduled, CircuitReport, LatencyBreakdown};
 use qods_circuit::circuit::Circuit;
 use qods_circuit::latency_model::CharacterizationModel;
 use qods_circuit::schedule::SpeedOfData;
@@ -65,6 +65,20 @@ pub struct ScheduledCircuit {
     pub makespan_us: f64,
     /// Dependency depth of the lowered circuit.
     pub depth: usize,
+    /// The Table 2 latency split along the critical path, from the same
+    /// frontier pass.
+    pub breakdown: LatencyBreakdown,
+}
+
+impl ScheduledCircuit {
+    /// The speed-of-data summary the schedule stage computed.
+    pub fn speed_of_data(&self) -> SpeedOfData {
+        SpeedOfData {
+            makespan_us: self.makespan_us,
+            depth: self.depth,
+            breakdown: self.breakdown,
+        }
+    }
 }
 
 /// Stage-3 artifact: the full characterization of one kernel.
@@ -222,6 +236,7 @@ impl Compiler {
             ScheduledCircuit {
                 makespan_us: summary.makespan_us,
                 depth: summary.depth,
+                breakdown: summary.breakdown,
                 circuit: lowered,
             }
         }))
@@ -243,9 +258,10 @@ impl Compiler {
                 Characterization {
                     spec,
                     makespan_us: scheduled.makespan_us,
-                    report: characterize_with(
+                    report: characterize_scheduled(
                         &scheduled.circuit,
                         &CharacterizationModel::ion_trap(),
+                        &scheduled.speed_of_data(),
                     ),
                 }
             }))

@@ -82,7 +82,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Version of the on-disk artifact encoding. Part of every content
 /// hash *and* checked in the envelope, so a schema change invalidates
 /// old files both ways.
-pub const ARTIFACT_SCHEMA: u32 = 1;
+pub const ARTIFACT_SCHEMA: u32 = 2;
 
 /// Environment variable that overrides the disk-store location (empty
 /// value = disable the disk tier).
@@ -724,8 +724,10 @@ mod tests {
         assert_eq!(*b, 42);
 
         // Stale schema: valid JSON, wrong version.
-        let stale =
-            ArtifactStore::encode_artifact(KEY, &7u64).replace("\"schema\":1", "\"schema\":0");
+        let stale = ArtifactStore::encode_artifact(KEY, &7u64).replace(
+            &format!("\"schema\":{ARTIFACT_SCHEMA}"),
+            &format!("\"schema\":{}", ARTIFACT_SCHEMA - 1),
+        );
         std::fs::write(&path, stale).expect("write");
         let store = ArtifactStore::persistent(&dir);
         let c: Arc<u64> = store.get_or_compute(KEY, || 42);
@@ -778,7 +780,7 @@ mod tests {
         let x = ArtifactStore::encode_artifact(KEY, &"payload".to_string());
         let y = ArtifactStore::encode_artifact(KEY, &"payload".to_string());
         assert_eq!(x, y);
-        assert!(x.contains("\"schema\":1"));
+        assert!(x.contains(&format!("\"schema\":{ARTIFACT_SCHEMA}")));
         assert!(x.contains("\"stage\":\"ir\""));
     }
 

@@ -13,7 +13,8 @@ use crate::output::{
 };
 use crate::study::ArchChoice;
 use qods_arch::machine::Arch;
-use qods_arch::sweep::{area_sweep, log_areas, speedup_summary_from_curves};
+use qods_arch::simulator::SimContext;
+use qods_arch::sweep::{area_sweep_in, log_areas, speedup_summary_from_curves};
 use qods_arch::table9::table9_row;
 use qods_circuit::characterize::demand_profile;
 use qods_circuit::latency_model::CharacterizationModel;
@@ -371,51 +372,53 @@ impl Experiment for Fig15Experiment {
     fn run(&self, ctx: &StudyContext) -> ExperimentOutput {
         let range = &ctx.config().sweep_area_range;
         let areas = log_areas(range.min_area, range.max_area, ctx.config().sweep_points);
-        let panels = ctx
-            .benchmarks()
-            .iter()
-            .map(|s| &s.circuit)
-            .map(|c| {
-                let panel = &ctx.config().arch_panel;
-                let archs: Vec<Arch> = panel.iter().map(|a| a.to_arch(c.n_qubits())).collect();
-                let curves = area_sweep(c, &archs, &areas);
-                // The §5.2 headline summary needs the FM, QLA, and
-                // CQLA curves; a panel override that drops one of
-                // them reports zeros instead (JSON has no NaN). The
-                // check is on the panel selection itself, not curve
-                // display names, so it cannot drift from the sweep.
-                let has = |choice: ArchChoice| panel.contains(&choice);
-                let (max_speedup, qla_area_penalty, cqla_plateau_ratio) =
-                    if has(ArchChoice::FullyMultiplexed)
-                        && has(ArchChoice::Qla)
-                        && has(ArchChoice::Cqla)
-                    {
-                        let s = speedup_summary_from_curves(&curves);
-                        (
-                            s.max_speedup,
-                            s.qla_area_penalty,
-                            s.cqla_plateau_us / s.fm_plateau_us,
+        let benchmarks = ctx.benchmarks();
+        let threads = qods_pool::host_threads();
+        let panels = qods_pool::run_indexed(benchmarks.len(), threads, |k| {
+            let s = &benchmarks[k];
+            let c = &s.circuit;
+            let panel = &ctx.config().arch_panel;
+            let archs: Vec<Arch> = panel.iter().map(|a| a.to_arch(c.n_qubits())).collect();
+            // The `sched` stage already ran the speed-of-data pass
+            // the simulator's demand rate needs.
+            let sim = SimContext::with_sod_makespan(c, s.makespan_us);
+            let curves = area_sweep_in(&sim, &archs, &areas, threads);
+            // The §5.2 headline summary needs the FM, QLA, and
+            // CQLA curves; a panel override that drops one of
+            // them reports zeros instead (JSON has no NaN). The
+            // check is on the panel selection itself, not curve
+            // display names, so it cannot drift from the sweep.
+            let has = |choice: ArchChoice| panel.contains(&choice);
+            let (max_speedup, qla_area_penalty, cqla_plateau_ratio) =
+                if has(ArchChoice::FullyMultiplexed)
+                    && has(ArchChoice::Qla)
+                    && has(ArchChoice::Cqla)
+                {
+                    let s = speedup_summary_from_curves(&curves);
+                    (
+                        s.max_speedup,
+                        s.qla_area_penalty,
+                        s.cqla_plateau_us / s.fm_plateau_us,
+                    )
+                } else {
+                    (0.0, 0.0, 0.0)
+                };
+            Fig15Panel {
+                name: c.name.clone(),
+                curves: curves
+                    .into_iter()
+                    .map(|cv| {
+                        Series::from_pairs(
+                            cv.arch.to_string(),
+                            cv.points.iter().map(|p| (p.area, p.exec_us)),
                         )
-                    } else {
-                        (0.0, 0.0, 0.0)
-                    };
-                Fig15Panel {
-                    name: c.name.clone(),
-                    curves: curves
-                        .into_iter()
-                        .map(|cv| {
-                            Series::from_pairs(
-                                cv.arch.to_string(),
-                                cv.points.iter().map(|p| (p.area, p.exec_us)),
-                            )
-                        })
-                        .collect(),
-                    max_speedup,
-                    qla_area_penalty,
-                    cqla_plateau_ratio,
-                }
-            })
-            .collect();
+                    })
+                    .collect(),
+                max_speedup,
+                qla_area_penalty,
+                cqla_plateau_ratio,
+            }
+        });
         ExperimentOutput::Fig15(Fig15Out { panels })
     }
 }

@@ -474,7 +474,8 @@ impl ServeCore {
     }
 
     /// The `metrics` verb's answer: the serving stack's registry
-    /// merged with the artifact store's and the process-global one
+    /// merged with the artifact store's (a caching pool's only) and the
+    /// process-global one
     /// (their site-name prefixes are disjoint, so a map-extend merge
     /// is lossless). The mutex-guarded levels — gate permits, queue
     /// depth, in-flight jobs — are published into gauges here, at
@@ -491,10 +492,14 @@ impl ServeCore {
             .gauge(sites::SVC_IN_FLIGHT)
             .set(self.scheduler.stats().in_flight as i64);
         let mut snap = self.metrics.snapshot();
-        for other in [
-            self.scheduler.pool().store().metrics().snapshot(),
-            Registry::global().snapshot(),
-        ] {
+        // A cold pool's jobs each compile into a throwaway store, so it
+        // has no `store.*` counters to report.
+        let store = self
+            .scheduler
+            .pool()
+            .store()
+            .map(|s| s.metrics().snapshot());
+        for other in store.into_iter().chain([Registry::global().snapshot()]) {
             snap.counters.extend(other.counters);
             snap.gauges.extend(other.gauges);
             snap.latency.extend(other.latency);

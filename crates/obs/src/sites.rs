@@ -8,9 +8,9 @@
 //! Naming is `<layer>.<thing>`: `net.*` for the wire/connection
 //! layer, `gate.*` for admission, `svc.*` for the scheduler,
 //! `cache.*` for the context pool, `store.*` for the artifact store,
-//! `compile.*` for the pipeline stages, `pool.*` for the worker pool,
-//! `job.*` for per-request execution, and `fault.*`/`trace.*` for the
-//! observability plumbing itself.
+//! `compile.*` for the pipeline stages, `arch.*` for the Fig 15 sweep,
+//! `pool.*` for the worker pool, `job.*` for per-request execution, and
+//! `fault.*`/`trace.*` for the observability plumbing itself.
 
 /// One instrumentation site: a span or metric name from this table.
 /// [`Site::name`] is the string the trace, the stage table and the
@@ -81,6 +81,9 @@ pub const COMPILE_STORE: Site = Site("compile.store");
 
 /// One worker's whole chunk-execution loop inside the shared pool.
 pub const POOL_WORKER: Site = Site("pool.worker");
+
+/// One Fig 15 sweep task (role: `seed`, `lanes` or `heap`).
+pub const ARCH_SWEEP: Site = Site("arch.sweep");
 
 /// One experiment run (the phys/arch engines) inside a job.
 pub const JOB_EXPERIMENT: Site = Site("job.experiment");
@@ -157,11 +160,19 @@ pub const STORE_MEM_BYTES: Site = Site("store.mem_bytes");
 /// helpers; a warm process starts none per job).
 pub const POOL_WORKERS_SPAWNED: Site = Site("pool.workers_spawned");
 
+/// Checked sweep lanes that kept to their seed's gate order.
+pub const ARCH_LANES_REPLAYED: Site = Site("arch.lanes_replayed");
+/// Checked sweep lanes that left it and re-ran on the heap.
+pub const ARCH_LANES_FALLBACK: Site = Site("arch.lanes_fallback");
+
 /// Faults fired by the armed plan.
 pub const FAULT_FIRED_TOTAL: Site = Site("fault.fired_total");
 
 /// Every site, sorted by name.
-pub const ALL: [Site; 46] = [
+pub const ALL: [Site; 49] = [
+    ARCH_LANES_FALLBACK,
+    ARCH_LANES_REPLAYED,
+    ARCH_SWEEP,
     CACHE_CONTEXT_BYTES,
     CACHE_CONTEXT_EVICTIONS,
     CACHE_CONTEXT_HITS,

@@ -55,12 +55,12 @@ pub struct CacheStats {
 #[derive(Debug)]
 pub struct ContextPool {
     base: StudyConfig,
-    caching: bool,
     /// The artifact store a caching pool's jobs compile into — kernel
     /// artifacts outlive output eviction, so re-running an evicted
     /// configuration re-runs experiments but never re-lowers circuits
-    /// another configuration already compiled.
-    store: Arc<ArtifactStore>,
+    /// another configuration already compiled. A cold pool has none:
+    /// each of its jobs compiles into a throwaway store of its own.
+    store: Option<Arc<ArtifactStore>>,
     /// The retained outputs by `(config hash, experiment id)`, at most
     /// [`CONTEXT_POOL_BYTES`] of them by charge. A lookup hit counts
     /// as a use, so a hot output survives any amount of one-off
@@ -98,23 +98,19 @@ impl ContextPool {
     /// hands every job a throwaway in-memory store so the "cold
     /// service" baseline really recompiles everything.
     pub fn with_caching(base: StudyConfig, caching: bool) -> Self {
-        let store = if caching {
-            ArtifactStore::process()
-        } else {
-            Arc::new(ArtifactStore::in_memory())
-        };
-        ContextPool::with_store(base, caching, CONTEXT_POOL_BYTES, store)
+        let store = caching.then(ArtifactStore::process);
+        ContextPool::new(base, CONTEXT_POOL_BYTES, store)
     }
 
-    /// A pool retaining at most `budget` bytes of outputs and
+    /// A caching pool retaining at most `budget` bytes of outputs and
     /// compiling into an explicit artifact store (tests use this to
     /// control cache scope and size).
-    pub fn with_store(
-        base: StudyConfig,
-        caching: bool,
-        budget: usize,
-        store: Arc<ArtifactStore>,
-    ) -> Self {
+    pub fn with_store(base: StudyConfig, budget: usize, store: Arc<ArtifactStore>) -> Self {
+        ContextPool::new(base, budget, Some(store))
+    }
+
+    /// A pool over `store`, caching when it has one.
+    fn new(base: StudyConfig, budget: usize, store: Option<Arc<ArtifactStore>>) -> Self {
         let metrics = Arc::new(Registry::new());
         let context_hits = metrics.counter(sites::CACHE_CONTEXT_HITS);
         let context_misses = metrics.counter(sites::CACHE_CONTEXT_MISSES);
@@ -124,7 +120,6 @@ impl ContextPool {
         let context_bytes = metrics.gauge(sites::CACHE_CONTEXT_BYTES);
         ContextPool {
             base,
-            caching,
             store,
             outputs: Mutex::new(Lru::new(budget)),
             metrics,
@@ -144,9 +139,10 @@ impl ContextPool {
         &self.metrics
     }
 
-    /// The artifact store a caching pool's jobs compile into.
-    pub fn store(&self) -> &Arc<ArtifactStore> {
-        &self.store
+    /// The artifact store a caching pool's jobs compile into; `None`
+    /// for a cold pool, whose jobs share none.
+    pub fn store(&self) -> Option<&Arc<ArtifactStore>> {
+        self.store.as_ref()
     }
 
     /// The base configuration overrides resolve against.
@@ -156,17 +152,16 @@ impl ContextPool {
 
     /// Whether this pool retains outputs.
     pub fn caching(&self) -> bool {
-        self.caching
+        self.store.is_some()
     }
 
     /// The study context a job runs under: over the pool's store when
     /// caching, and over a fresh in-memory store when not, so the cold
     /// baseline recompiles everything, every time, by construction.
     pub fn context(&self, config: StudyConfig) -> StudyContext {
-        let store = if self.caching {
-            Arc::clone(&self.store)
-        } else {
-            Arc::new(ArtifactStore::in_memory())
+        let store = match &self.store {
+            Some(store) => Arc::clone(store),
+            None => Arc::new(ArtifactStore::in_memory()),
         };
         StudyContext::with_store(config, store)
     }
@@ -233,7 +228,7 @@ mod tests {
     /// A caching smoke pool of `budget` bytes over its own store.
     fn private_pool(budget: usize) -> ContextPool {
         let store = Arc::new(ArtifactStore::in_memory());
-        ContextPool::with_store(StudyConfig::smoke(), true, budget, store)
+        ContextPool::with_store(StudyConfig::smoke(), budget, store)
     }
 
     /// The hash `overrides` resolve to in `pool`, as the scheduler
@@ -337,15 +332,19 @@ mod tests {
         }
         let pool = sched.pool();
         assert!(pool.is_empty(), "cold pool retains nothing");
-        // Every cold context compiles into its own throwaway store.
+        // A cold pool holds no store, and every cold context compiles
+        // into its own throwaway one.
+        assert!(pool.store().is_none());
         let a = pool.context(pool.base().clone());
         let b = pool.context(pool.base().clone());
         assert!(!Arc::ptr_eq(a.compiler().store(), b.compiler().store()));
-        assert!(!Arc::ptr_eq(a.compiler().store(), pool.store()));
         // A caching pool's contexts share its store.
         let warm = private_pool(CONTEXT_POOL_BYTES);
         let c = warm.context(warm.base().clone());
-        assert!(Arc::ptr_eq(c.compiler().store(), warm.store()));
+        assert!(Arc::ptr_eq(
+            c.compiler().store(),
+            warm.store().expect("a caching pool's store")
+        ));
     }
 
     #[test]
@@ -360,7 +359,7 @@ mod tests {
             ..StudyConfig::smoke()
         };
         let store = Arc::new(ArtifactStore::in_memory());
-        let pool = ContextPool::with_store(base, true, CONTEXT_POOL_BYTES, Arc::clone(&store));
+        let pool = ContextPool::with_store(base, CONTEXT_POOL_BYTES, Arc::clone(&store));
         let registry = Registry::paper();
         let table2 = |i: u64| {
             let overrides = Overrides {

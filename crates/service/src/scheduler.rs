@@ -302,7 +302,7 @@ impl Scheduler {
     /// (tests use this to count compiles with no other traffic).
     pub fn with_store(base: StudyConfig, threads: usize, store: Arc<ArtifactStore>) -> Self {
         Scheduler::with_pool(base, threads, |base| {
-            ContextPool::with_store(base, true, CONTEXT_POOL_BYTES, store)
+            ContextPool::with_store(base, CONTEXT_POOL_BYTES, store)
         })
     }
 
@@ -739,7 +739,8 @@ mod tests {
 
     /// Kernel artifacts `sched`'s store has compiled.
     fn compiled(sched: &Scheduler) -> u64 {
-        sched.pool().store().stats().computed
+        let store = sched.pool().store().expect("a caching scheduler's store");
+        store.stats().computed
     }
 
     #[test]

@@ -96,7 +96,7 @@ proptest! {
         let cold = Scheduler::with_options(StudyConfig::smoke(), 1, false);
         let budget = small_budget(&cold);
         let warm = Scheduler::with_pool(StudyConfig::smoke(), 2, |base| {
-            ContextPool::with_store(base, true, budget, Arc::new(ArtifactStore::in_memory()))
+            ContextPool::with_store(base, budget, Arc::new(ArtifactStore::in_memory()))
         });
         let bytes = warm.pool().metrics().gauge(sites::CACHE_CONTEXT_BYTES);
         for (n, &(config, mask, reversed)) in jobs.iter().enumerate() {

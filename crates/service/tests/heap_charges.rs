@@ -128,7 +128,10 @@ fn every_paper_output_is_charged_what_clone_allocates() {
 #[test]
 fn a_paper_job_never_evicts_under_the_default_budget() {
     let (scheduler, _) = paper_job();
-    let store = scheduler.pool().store();
+    let store = scheduler
+        .pool()
+        .store()
+        .expect("a caching scheduler's store");
     let stats = store.stats();
     assert_eq!((stats.computed, stats.evictions), (75, 0));
     let gauge = |registry: &Registry, site| registry.gauge(site).get() as usize;
