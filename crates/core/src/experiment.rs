@@ -23,6 +23,7 @@ use qods_compile::{
     paper_specs, ArtifactStore, Characterization, Compiler, HeapBytes, ScheduledCircuit,
     SynthBudget,
 };
+use qods_kernels::KernelSpec;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -152,23 +153,29 @@ pub enum Substrate {
 }
 
 impl Substrate {
-    /// Materializes this substrate in `ctx`'s artifact store (a
-    /// no-op once it is), compiling the three kernels on parallel
-    /// pool workers — the one place the substrate fans out.
-    pub(crate) fn materialize(self, ctx: &StudyContext) {
-        let specs = paper_specs(ctx.config.n_bits);
-        let threads = qods_pool::pool_threads(specs.len());
+    /// The kernels whose artifacts this substrate holds: none, or the
+    /// three of [`paper_specs`].
+    pub(crate) fn kernels(self, ctx: &StudyContext) -> Vec<KernelSpec> {
+        match self {
+            Substrate::None => Vec::new(),
+            Substrate::Benchmarks | Substrate::Characterizations => paper_specs(ctx.config.n_bits),
+        }
+    }
+
+    /// Materializes this substrate's artifacts of one of its
+    /// [`Substrate::kernels`] in `ctx`'s artifact store (a no-op once
+    /// they are). Each kernel is its own task of the job's plan
+    /// ([`crate::registry::run_planned`]), so this never fans out.
+    pub(crate) fn materialize(self, ctx: &StudyContext, spec: KernelSpec) {
+        // Documented caller contract: the service layer rejects bad
+        // n_bits before a context exists.
         match self {
             Substrate::None => {}
             Substrate::Benchmarks => {
-                qods_pool::run_indexed(specs.len(), threads, |i| {
-                    ctx.compiler.scheduled(specs[i]).expect("valid n_bits")
-                });
+                ctx.compiler.scheduled(spec).expect("valid n_bits");
             }
             Substrate::Characterizations => {
-                ctx.compiler
-                    .characterize_many(&specs, threads)
-                    .expect("valid n_bits");
+                ctx.compiler.characterization(spec).expect("valid n_bits");
             }
         }
     }

@@ -193,13 +193,14 @@ impl Registry {
 /// order.
 ///
 /// The job is planned so that no experiment waits idle on the shared
-/// substrate. The first task materializes the largest
-/// [`Substrate`] any selected experiment declares, the substrate-free
-/// experiments come next, and the experiments that read the substrate
-/// come last, each group in selection order. Participants claim tasks
-/// in that order, so the substrate starts at once while the
-/// substrate-free work fills the other workers. Results are assembled
-/// by index, so they are identical at any `threads`.
+/// substrate. The first tasks materialize the largest [`Substrate`]
+/// any selected experiment declares, one task per kernel; the
+/// substrate-free experiments come next, and the experiments that
+/// read the substrate come last, each group in selection order.
+/// Participants claim tasks in that order from this one fan-out, so
+/// the kernels start at once and substrate-free work fills whichever
+/// participant has no kernel left to claim. Results are assembled by
+/// index, so they are identical at any `threads`.
 pub fn run_planned<T, F>(
     selection: &[&dyn Experiment],
     ctx: &StudyContext,
@@ -215,15 +216,16 @@ where
         .map(|e| e.substrate())
         .max()
         .unwrap_or(Substrate::None);
-    let lead = usize::from(substrate != Substrate::None);
+    let kernels = substrate.kernels(ctx);
+    let lead = kernels.len();
     let (free, dependent): (Vec<usize>, Vec<usize>) =
         (0..selection.len()).partition(|&k| selection[k].substrate() == Substrate::None);
     let order: Vec<usize> = free.into_iter().chain(dependent).collect();
     let mut done: Vec<(usize, T)> = qods_pool::run_indexed(lead + order.len(), threads, |j| {
         if j < lead {
-            // The substrate task is an experiment boundary too.
+            // A substrate task is an experiment boundary too.
             qods_pool::check_deadline();
-            substrate.materialize(ctx);
+            substrate.materialize(ctx, kernels[j]);
             return None;
         }
         let k = order[j - lead];

@@ -3,6 +3,7 @@
 
 use qods_circuit::circuit::{Circuit, RotationSynthesizer};
 use qods_circuit::gate::{Gate, Qubit};
+use qods_obs::sites;
 use qods_synth::search::{HtGate, Synthesizer};
 use qods_synth::simplify::simplify;
 use std::cell::RefCell;
@@ -52,6 +53,9 @@ impl SynthAdapter {
                 .filter(|key| !cache.contains_key(key))
                 .collect();
             if !missing.is_empty() {
+                let _span = qods_obs::span!(sites::SYNTH_BATCH, {
+                    detail: &missing.len().to_string(),
+                });
                 let solved = self.synth.rz_pi_over_2k_batch(&missing);
                 for (key, seq) in missing.into_iter().zip(solved) {
                     cache.insert(key, simplify(&seq.gates));

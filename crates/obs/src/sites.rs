@@ -8,9 +8,10 @@
 //! Naming is `<layer>.<thing>`: `net.*` for the wire/connection
 //! layer, `gate.*` for admission, `svc.*` for the scheduler,
 //! `cache.*` for the context pool, `store.*` for the artifact store,
-//! `compile.*` for the pipeline stages, `arch.*` for the Fig 15 sweep,
-//! `pool.*` for the worker pool, `job.*` for per-request execution, and
-//! `fault.*`/`trace.*` for the observability plumbing itself.
+//! `compile.*` for the pipeline stages, `synth.*` for rotation
+//! synthesis, `arch.*` for the Fig 15 sweep, `pool.*` for the worker
+//! pool, `job.*` for per-request execution, and `fault.*`/`trace.*`
+//! for the observability plumbing itself.
 
 /// One instrumentation site: a span or metric name from this table.
 /// [`Site::name`] is the string the trace, the stage table and the
@@ -78,6 +79,10 @@ pub const COMPILE_SCHED: Site = Site("compile.sched");
 pub const COMPILE_CHAR: Site = Site("compile.char");
 /// Compile stage 4: the persistence tier (disk read/heal/write).
 pub const COMPILE_STORE: Site = Site("compile.store");
+
+/// One batched rotation search inside a lowering (detail: the number
+/// of targets).
+pub const SYNTH_BATCH: Site = Site("synth.batch");
 
 /// One worker's whole chunk-execution loop inside the shared pool.
 pub const POOL_WORKER: Site = Site("pool.worker");
@@ -169,7 +174,7 @@ pub const ARCH_LANES_FALLBACK: Site = Site("arch.lanes_fallback");
 pub const FAULT_FIRED_TOTAL: Site = Site("fault.fired_total");
 
 /// Every site, sorted by name.
-pub const ALL: [Site; 49] = [
+pub const ALL: [Site; 50] = [
     ARCH_LANES_FALLBACK,
     ARCH_LANES_REPLAYED,
     ARCH_SWEEP,
@@ -219,6 +224,7 @@ pub const ALL: [Site; 49] = [
     SVC_IN_FLIGHT,
     SVC_PANICS_CAUGHT,
     SVC_SCHEDULE,
+    SYNTH_BATCH,
 ];
 
 #[cfg(test)]

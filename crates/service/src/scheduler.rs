@@ -678,8 +678,7 @@ impl Scheduler {
         let request_id = request.id.clone();
         let emit = Mutex::new(emit);
         let selection: Vec<&dyn Experiment> = misses.iter().map(|&(_, exp)| exp).collect();
-        let threads = self.threads.min(misses.len().max(1));
-        run_planned(&selection, ctx, threads, |k, exp| {
+        run_planned(&selection, ctx, self.threads, |k, exp| {
             // Experiment boundaries are cancellation points even for
             // engines with no inner chunk loop.
             qods_pool::check_deadline();

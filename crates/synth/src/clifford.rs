@@ -55,6 +55,31 @@ impl CliffordGroup {
         &self.elements
     }
 
+    /// The cosets `C {I, S, Z, S^dag}` of the diagonal Cliffords, each
+    /// as a mask of its elements' indices (bit `i` for element `i`),
+    /// in order of their first element, the coset's leader. An
+    /// element's coset is the elements whose first column equals its
+    /// own up to a unit phase, and right-multiplying by a diagonal gate
+    /// scales the first column of any product `M C` by a phase, so
+    /// `|(M C)_00|` is one value per coset. The 24 elements fall into 6
+    /// cosets of 4, one per Pauli eigenstate `C |0>`.
+    pub(crate) fn diagonal_cosets(&self) -> Vec<u64> {
+        let mut cosets: Vec<u64> = Vec::new();
+        for (i, e) in self.elements.iter().enumerate() {
+            // Unit columns are parallel iff `|<x, y>| = 1`.
+            let parallel = |coset: u64| {
+                let l = &self.elements[coset.trailing_zeros() as usize].matrix;
+                let dot = l.a.conj() * e.matrix.a + l.c.conj() * e.matrix.c;
+                (dot.abs() - 1.0).abs() < 1e-9
+            };
+            match cosets.iter_mut().find(|coset| parallel(**coset)) {
+                Some(coset) => *coset |= 1 << i,
+                None => cosets.push(1 << i),
+            }
+        }
+        cosets
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.elements.len()
@@ -113,6 +138,23 @@ mod tests {
                     .any(|e| e.matrix.distance(&target) < 1e-9),
                 "missing a Pauli"
             );
+        }
+    }
+
+    #[test]
+    fn diagonal_cosets_are_six_of_four() {
+        let g = CliffordGroup::generate();
+        let cosets = g.diagonal_cosets();
+        assert_eq!(cosets.len(), 6);
+        assert_eq!(cosets.iter().fold(0, |all, c| all | c), (1 << 24) - 1);
+        for coset in cosets {
+            assert_eq!(coset.count_ones(), 4);
+            let leader = &g.elements()[coset.trailing_zeros() as usize].matrix;
+            for i in (0..24).filter(|i| coset >> i & 1 == 1) {
+                // Element i is the leader times a diagonal, up to phase.
+                let d = leader.dagger().mul(&g.elements()[i].matrix);
+                assert!(d.b.abs() < 1e-12 && d.c.abs() < 1e-12, "element {i}");
+            }
         }
     }
 

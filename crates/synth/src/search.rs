@@ -1,5 +1,15 @@
 //! Fowler-style exhaustive search for minimum-length H/S/T sequences
 //! approximating small-angle phase rotations (§2.5).
+//!
+//! Up to 64 targets share one walk of the Matsumoto-Amano tree
+//! ([`Synthesizer::approximate_batch`]); each candidate `core * C` is
+//! formed once per walk and offered to the targets that visit its
+//! core. For phase targets the candidate is its diagonal, and it is
+//! formed only when a bound shared by every phase target (a
+//! `PhaseKernel`, computed once per core from `u_00` and the core's
+//! distance from unitarity) shows it can still reach the lowest skip
+//! threshold among those targets. Every sequence equals the lone
+//! search's bit for bit.
 
 use crate::c64::C64;
 use crate::clifford::CliffordGroup;
@@ -77,15 +87,27 @@ impl Sequence {
 pub struct Synthesizer {
     max_t: u32,
     target_distance: f64,
-    /// The process's one copy of the group ([`clifford_group`]).
-    cliffords: &'static CliffordGroup,
+    /// The process's one copy of the group ([`cliffords`]).
+    cliffords: &'static Cliffords,
 }
 
-/// The single-qubit Clifford group, generated once per process: every
-/// synthesizer searches the same 24 elements, so none keeps a copy.
-fn clifford_group() -> &'static CliffordGroup {
-    static GROUP: OnceLock<CliffordGroup> = OnceLock::new();
-    GROUP.get_or_init(CliffordGroup::generate)
+/// The single-qubit Clifford group and its diagonal cosets.
+#[derive(Debug)]
+struct Cliffords {
+    group: CliffordGroup,
+    /// Its diagonal cosets ([`CliffordGroup::diagonal_cosets`]).
+    cosets: Vec<u64>,
+}
+
+/// The Clifford group, generated once per process: every synthesizer
+/// searches the same 24 elements, so none keeps a copy.
+fn cliffords() -> &'static Cliffords {
+    static GROUP: OnceLock<Cliffords> = OnceLock::new();
+    GROUP.get_or_init(|| {
+        let group = CliffordGroup::generate();
+        let cosets = group.diagonal_cosets();
+        Cliffords { group, cosets }
+    })
 }
 
 impl Synthesizer {
@@ -101,7 +123,7 @@ impl Synthesizer {
         Synthesizer {
             max_t,
             target_distance,
-            cliffords: clifford_group(),
+            cliffords: cliffords(),
         }
     }
 
@@ -132,7 +154,11 @@ impl Synthesizer {
     /// two diagonal entries of `core * C` and scores
     /// `conj(u_00) + conj(u_11) * V_11`: the trace terms it drops are
     /// products with an exact 0 or 1, which can only flip the sign of
-    /// a zero, and `|tr|^2` squares that away.
+    /// a zero, and `|tr|^2` squares that away. It forms even those
+    /// only for a candidate whose `u_00` shows it can reach the
+    /// smallest skip threshold among the targets that visit the core:
+    /// each of those targets would pass over any other candidate
+    /// unscored.
     pub fn approximate_batch(&self, targets: &[U2]) -> Vec<Sequence> {
         targets
             .chunks(64)
@@ -158,47 +184,37 @@ impl Synthesizer {
     /// rotation.
     fn search(&self, targets: &[U2]) -> Vec<Sequence> {
         if targets.iter().all(is_phase) {
-            self.search_with(
-                targets,
-                |m, c| Diagonal {
-                    a: m.a * c.a + m.b * c.c,
-                    d: m.c * c.b + m.d * c.d,
-                },
-                |u, v| (u.a.conj() + u.d.conj() * v.d).abs2(),
-            )
+            self.search_with::<PhaseKernel>(targets)
         } else {
-            self.search_with(
-                targets,
-                |m, c| m.mul(c),
-                |u, v| u.trace_dagger_mul(v).abs2(),
-            )
+            self.search_with::<GeneralKernel>(targets)
         }
     }
 
-    /// The shared enumeration: `form(core, C)` builds the candidate
-    /// for one (core, Clifford) pair and `score(u, V)` is its
-    /// `|tr(u^dag V)|^2` against one target.
-    fn search_with<K>(
-        &self,
-        targets: &[U2],
-        form: impl Fn(&U2, &U2) -> K,
-        score: impl Fn(&K, &U2) -> f64,
-    ) -> Vec<Sequence> {
+    /// The shared enumeration, forming and scoring candidates with
+    /// the kernel `K`.
+    fn search_with<K: Kernel>(&self, targets: &[U2]) -> Vec<Sequence> {
         debug_assert!(targets.len() <= 64);
-        let cliffs = self.cliffords.elements();
+        let cliffs = self.cliffords.group.elements();
         let eps = self.target_distance;
         let mut slots: Vec<Slot> = targets.iter().map(|&t| Slot::new(t)).collect();
         let all = u64::MAX >> (64 - targets.len());
-        // `core * C` for each Clifford `C`, formed once per core.
-        let mut candidates: Vec<K> = Vec::with_capacity(cliffs.len());
+        // `(ci, core * C_ci)` for each Clifford the kernel forms, once
+        // per core.
+        let mut candidates: Vec<(usize, K::Candidate)> = Vec::with_capacity(cliffs.len());
         enumerate_cores(self.max_t, all, |core, reach| {
+            // A slot's `skip` only rises while the core is offered, so
+            // a candidate scoring below this floor against every
+            // target is one that each offer below would pass over.
+            let floor = bits(reach).fold(f64::INFINITY, |f, j| f.min(slots[j].skip));
+            let kernel = K::new(&core.matrix, floor, self.cliffords);
             candidates.clear();
-            candidates.extend(cliffs.iter().map(|c| form(&core.matrix, &c.matrix)));
+            candidates
+                .extend(bits(kernel.admitted()).map(|ci| (ci, kernel.form(&cliffs[ci].matrix))));
             for j in bits(reach) {
                 let slot = &mut slots[j];
-                for (ci, u) in candidates.iter().enumerate() {
-                    let tr_abs2 = score(u, &slot.target);
-                    slot.offer(tr_abs2, core, ci, eps);
+                for (ci, u) in &candidates {
+                    let tr_abs2 = K::score(u, &slot.target);
+                    slot.offer(tr_abs2, core, *ci, eps);
                 }
             }
             // A lone search descends while the child T-count is below
@@ -212,7 +228,7 @@ impl Synthesizer {
             .into_iter()
             .map(|slot| {
                 let b = slot.best.unwrap_or_else(|| {
-                    // Proven invariant: enumerate_cores visits the identity core with every target's bit set, and a target's first offer always becomes its best.
+                    // Proven invariant: enumerate_cores visits the identity core with every target's bit set, every skip is 0 there so each kernel forms every candidate, and a target's first offer always becomes its best.
                     unreachable!("the identity core is offered to every target")
                 });
                 // Circuit order: core gates first, then the Clifford
@@ -229,6 +245,140 @@ impl Synthesizer {
             })
             .collect()
     }
+}
+
+/// How a shared enumeration forms and scores the candidates
+/// `core * C` of one core.
+trait Kernel {
+    /// What a target's score reads of one candidate.
+    type Candidate;
+    /// Prepares one core's visit. `floor` is the smallest
+    /// [`Slot::skip`] among the targets that reach the core.
+    fn new(core: &U2, floor: f64, cliffs: &Cliffords) -> Self;
+    /// The Cliffords `C_ci` (bit `ci`) whose candidate may reach the
+    /// floor against some target the kernel takes; the candidate of
+    /// every other one provably scores below it against all of them.
+    fn admitted(&self) -> u64;
+    /// The candidate `core * c`.
+    fn form(&self, c: &U2) -> Self::Candidate;
+    /// The candidate's `|tr(u^dag V)|^2` against the target `v`.
+    fn score(u: &Self::Candidate, v: &U2) -> f64;
+}
+
+/// Any target: every candidate, as the full product, scored in
+/// [`U2::distance`]'s association.
+struct GeneralKernel {
+    core: U2,
+    every: u64,
+}
+
+impl Kernel for GeneralKernel {
+    type Candidate = U2;
+
+    fn new(core: &U2, _floor: f64, cliffs: &Cliffords) -> Self {
+        GeneralKernel {
+            core: *core,
+            every: u64::MAX >> (64 - cliffs.group.len()),
+        }
+    }
+
+    fn admitted(&self) -> u64 {
+        self.every
+    }
+
+    fn form(&self, c: &U2) -> U2 {
+        self.core.mul(c)
+    }
+
+    fn score(u: &U2, v: &U2) -> f64 {
+        u.trace_dagger_mul(v).abs2()
+    }
+}
+
+/// Phase targets `diag(1, v)`: the candidate's diagonal, formed only
+/// when its `u_00` shows it can reach the floor.
+///
+/// The bound, for a Clifford `C`, any core matrix `M` and `|v| = 1`:
+/// the candidate `u = M C` scores
+/// `|conj(u_00) + conj(u_11) v|^2 <= (|u_00| + |u_11|)^2`. `C` is
+/// unitary, so its second column is `e^{i psi} (-conj(c_10),
+/// conj(c_00))`, and `|u_11| = |y . c|` for the unit vector
+/// `c = (c_00, c_10)` and the row `y = (conj(m_11), -conj(m_10))`.
+/// With `x = (m_00, m_01)`, so that `u_00 = x . c`, and
+/// `w = conj(det M)`: `|y . c| <= |w| |x . c| + |y - w x| =
+/// |det M| |u_00| + g`, where `g` is the [`unitarity_gap`]. So every
+/// phase target scores at most `((1 + |det M|) |u_00| + g)^2`, and a
+/// candidate reaches the floor only if
+/// `(1 + |det M|)^2 |u_00|^2 >= (sqrt(floor) - g)^2`, less
+/// [`BOUND_MARGIN`] for rounding. For a unitary `M`, `|det M| = 1`
+/// and `g = 0`: the bound is `4 |u_00|^2`. `|u_00|` is the same for
+/// the four Cliffords of a diagonal coset, so the kernel computes it
+/// once per coset, for its leader.
+struct PhaseKernel {
+    core: U2,
+    /// Bit `ci` is set when `core * C_ci` can reach the floor.
+    admitted: u64,
+}
+
+impl Kernel for PhaseKernel {
+    type Candidate = Diagonal;
+
+    fn new(core: &U2, floor: f64, cliffs: &Cliffords) -> Self {
+        let det = core.a * core.d - core.b * core.c;
+        // What `(1 + |det|) |u_00|` must reach, squared.
+        let reach = (floor.sqrt() - unitarity_gap(core, det) - BOUND_MARGIN).max(0.0);
+        let cut = reach * reach;
+        let scale = (1.0 + det.abs()) * (1.0 + det.abs());
+        let elements = cliffs.group.elements();
+        let mut admitted = 0;
+        for &members in &cliffs.cosets {
+            let c = &elements[members.trailing_zeros() as usize].matrix;
+            if (core.a * c.a + core.b * c.c).abs2() * scale >= cut {
+                admitted |= members;
+            }
+        }
+        PhaseKernel {
+            core: *core,
+            admitted,
+        }
+    }
+
+    fn admitted(&self) -> u64 {
+        self.admitted
+    }
+
+    fn form(&self, c: &U2) -> Diagonal {
+        let m = &self.core;
+        Diagonal {
+            a: m.a * c.a + m.b * c.c,
+            d: m.c * c.b + m.d * c.d,
+        }
+    }
+
+    fn score(u: &Diagonal, v: &U2) -> f64 {
+        (u.a.conj() + u.d.conj() * v.d).abs2()
+    }
+}
+
+/// Margin, in units of `|tr|`, by which [`PhaseKernel`]'s cut stays
+/// under the bound it proves. It covers the rounding between the
+/// computed `u_00`, determinant, gap and score and their exact
+/// values, and the last-ulp departures of the Cliffords from
+/// unitarity and from their coset leader times a diagonal gate, and
+/// of `V_11` from the unit circle: a few dozen ulps of quantities no
+/// larger than 2, so `1e-12` is wide by orders of magnitude and still
+/// forms next to no extra candidate.
+const BOUND_MARGIN: f64 = 1e-12;
+
+/// `|y - w x|` for the rows `x = (m_00, m_01)` and
+/// `y = (conj(m_11), -conj(m_10))` of `m`, with `w = conj(det)`: a
+/// unitary has `y = w x` exactly, so this is a few ulps for an
+/// enumerated core.
+fn unitarity_gap(m: &U2, det: C64) -> f64 {
+    let w = det.conj();
+    let e0 = m.d.conj() - w * m.a;
+    let e1 = -m.c.conj() - w * m.b;
+    (e0.abs2() + e1.abs2()).sqrt()
 }
 
 /// True when `u` is exactly `diag(1, e^{i t})`: the phase kernel's
@@ -419,6 +569,103 @@ mod tests {
                 "best {best:e}: skipped |tr|^2 {edge:e} has d {d:e}"
             );
         }
+    }
+
+    /// A seeded stream of floats uniform in `[0, 1)`.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn next(&mut self) -> f64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() * n as f64) as usize
+        }
+    }
+
+    /// A core built as [`enumerate_cores`] builds it, down a seeded
+    /// path of `t` T gates.
+    fn random_core(rng: &mut Lcg, t: u32) -> U2 {
+        let ht = U2::h().mul(&U2::t());
+        let sht = U2::s().mul(&ht);
+        let mut m = [U2::t(), ht, sht][rng.below(3)];
+        for _ in 1..t {
+            m = m.mul(if rng.below(2) == 0 { &ht } else { &sht });
+        }
+        m
+    }
+
+    /// `m` with each entry scaled by `1 + scale * z`, `z` a seeded
+    /// complex number in the unit square: no longer unitary.
+    fn perturbed(rng: &mut Lcg, m: &U2, scale: f64) -> U2 {
+        let mut jitter = |x: C64| {
+            let z = C64::new(rng.next() - 0.5, rng.next() - 0.5).scale(2.0 * scale);
+            x * (C64::ONE + z)
+        };
+        U2 {
+            a: jitter(m.a),
+            b: jitter(m.b),
+            c: jitter(m.c),
+            d: jitter(m.d),
+        }
+    }
+
+    #[test]
+    fn the_phase_bound_never_falls_below_a_score() {
+        // Enumerated cores (every one to T-count 6, then seeded paths
+        // to 64 T gates), and the same with their unitarity broken by
+        // up to 1e-3: the bound holds for any core and leaves only
+        // rounding to the margin. Targets: seeded angles, multiples of
+        // pi/4 (the candidates' own phases), pi/2^k rotations, and the
+        // phase that lines `conj(u_11) v` up with `conj(u_00)`, where
+        // the bound is tight. A candidate whose score equals the floor
+        // must be admitted.
+        let cliffs = cliffords();
+        let mut rng = Lcg(0x5eed_b0d5);
+        let mut cores = Vec::new();
+        enumerate_cores(6, 1, |c, all| {
+            cores.push(c.matrix);
+            all
+        });
+        for _ in 0..2_000 {
+            let t = 1 + rng.below(64) as u32;
+            cores.push(random_core(&mut rng, t));
+        }
+        let exact = cores.len();
+        for i in 0..exact {
+            let scale = [1e-11, 1e-8, 1e-5, 1e-3][i % 4];
+            let m = perturbed(&mut rng, &cores[i], scale);
+            cores.push(m);
+        }
+        let mut checked = 0u32;
+        for (i, m) in cores.iter().enumerate() {
+            for (ci, c) in cliffs.group.elements().iter().enumerate() {
+                let u = PhaseKernel::new(m, 0.0, cliffs).form(&c.matrix);
+                let aligned = u.d.im.atan2(u.d.re) - u.a.im.atan2(u.a.re);
+                let k = 3 + rng.below(46) as u8;
+                for target in [
+                    U2::phase(aligned),
+                    U2::phase((rng.next() - 0.5) * 2.0 * PI),
+                    U2::phase(rng.below(8) as f64 * PI / 4.0),
+                    rz_target(k, rng.below(2) == 1),
+                ] {
+                    let floor = PhaseKernel::score(&u, &target);
+                    let kernel = PhaseKernel::new(m, floor, cliffs);
+                    assert!(
+                        kernel.admitted() >> ci & 1 == 1,
+                        "core {i} ({}) Clifford {ci}: score {floor:e} cut off",
+                        if i < exact { "enumerated" } else { "perturbed" }
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 300_000);
     }
 
     #[test]
