@@ -130,12 +130,6 @@ impl<T: HeapBytes> HeapBytes for Vec<T> {
     }
 }
 
-impl HeapBytes for u64 {
-    fn heap_bytes(&self) -> usize {
-        0
-    }
-}
-
 impl HeapBytes for usize {
     fn heap_bytes(&self) -> usize {
         0
@@ -585,6 +579,27 @@ fn decode_envelope<T: Deserialize>(text: &str, key: ArtifactKey) -> Option<T> {
 mod tests {
     use super::*;
 
+    /// A heap-free test artifact, encoded as the bare number it holds.
+    struct Num(u64);
+
+    impl HeapBytes for Num {
+        fn heap_bytes(&self) -> usize {
+            0
+        }
+    }
+
+    impl Serialize for Num {
+        fn to_value(&self) -> Value {
+            self.0.to_value()
+        }
+    }
+
+    impl Deserialize for Num {
+        fn from_value(v: &Value) -> Result<Self, serde::Error> {
+            u64::from_value(v).map(Num)
+        }
+    }
+
     fn temp_store_dir(tag: &str) -> PathBuf {
         let dir =
             std::env::temp_dir().join(format!("qods_store_test_{tag}_{}", std::process::id()));
@@ -644,7 +659,7 @@ mod tests {
         let leading = std::sync::Barrier::new(FOLLOWERS + 1);
         std::thread::scope(|s| {
             let doomed = s.spawn(|| {
-                store.get_or_compute::<u64, _>(KEY, || {
+                store.get_or_compute::<Num, _>(KEY, || {
                     leading.wait();
                     // Followers pile up on the key while it is in flight.
                     std::thread::sleep(std::time::Duration::from_millis(50));
@@ -657,14 +672,14 @@ mod tests {
                         leading.wait();
                         store.get_or_compute(KEY, || {
                             computes.fetch_add(1, Ordering::SeqCst);
-                            7u64
+                            Num(7)
                         })
                     })
                 })
                 .collect();
             assert!(doomed.join().is_err(), "the leader's compute panicked");
             for f in followers {
-                assert_eq!(*f.join().unwrap(), 7);
+                assert_eq!(f.join().unwrap().0, 7);
             }
         });
         assert_eq!(computes.load(Ordering::SeqCst), 1, "the retry ran once");
@@ -672,16 +687,16 @@ mod tests {
         assert_eq!((s.computed, s.mem_hits), (1, FOLLOWERS as u64 - 1));
         // The store keeps serving: the key is cached, nothing in flight.
         assert!(store.inflight.is_empty());
-        let again: Arc<u64> = store.get_or_compute(KEY, || panic!("must be cached"));
-        assert_eq!(*again, 7);
+        let again: Arc<Num> = store.get_or_compute(KEY, || panic!("must be cached"));
+        assert_eq!(again.0, 7);
     }
 
     #[test]
     fn a_lookup_after_completion_is_a_plain_memory_hit() {
         let store = ArtifactStore::in_memory();
-        let a: Arc<u64> = store.get_or_compute(KEY, || 3);
+        let a: Arc<Num> = store.get_or_compute(KEY, || Num(3));
         assert!(store.inflight.is_empty(), "completion leaves the table");
-        let b: Arc<u64> = store.get_or_compute(KEY, || panic!("must be cached"));
+        let b: Arc<Num> = store.get_or_compute(KEY, || panic!("must be cached"));
         assert!(Arc::ptr_eq(&a, &b));
         let s = store.stats();
         assert_eq!((s.computed, s.mem_hits, s.disk_hits), (1, 1, 0));
@@ -714,14 +729,14 @@ mod tests {
         // Garbage bytes.
         std::fs::write(&path, b"{not json").expect("write");
         let store = ArtifactStore::persistent(&dir);
-        let a: Arc<u64> = store.get_or_compute(KEY, || 42);
-        assert_eq!(*a, 42);
+        let a: Arc<Num> = store.get_or_compute(KEY, || Num(42));
+        assert_eq!(a.0, 42);
         assert_eq!(store.stats().corrupt_reads, 1);
         assert_eq!(store.stats().computed, 1);
         // The recompute rewrote a valid file.
         let fixed = ArtifactStore::persistent(&dir);
-        let b: Arc<u64> = fixed.get_or_compute(KEY, || panic!("rewritten file must hit"));
-        assert_eq!(*b, 42);
+        let b: Arc<Num> = fixed.get_or_compute(KEY, || panic!("rewritten file must hit"));
+        assert_eq!(b.0, 42);
 
         // Stale schema: valid JSON, wrong version.
         let stale = ArtifactStore::encode_artifact(KEY, &7u64).replace(
@@ -730,8 +745,8 @@ mod tests {
         );
         std::fs::write(&path, stale).expect("write");
         let store = ArtifactStore::persistent(&dir);
-        let c: Arc<u64> = store.get_or_compute(KEY, || 42);
-        assert_eq!(*c, 42);
+        let c: Arc<Num> = store.get_or_compute(KEY, || Num(42));
+        assert_eq!(c.0, 42);
         assert_eq!(store.stats().corrupt_reads, 1);
 
         // Wrong payload type for the key.
@@ -741,8 +756,8 @@ mod tests {
         )
         .expect("write");
         let store = ArtifactStore::persistent(&dir);
-        let d: Arc<u64> = store.get_or_compute(KEY, || 42);
-        assert_eq!(*d, 42);
+        let d: Arc<Num> = store.get_or_compute(KEY, || Num(42));
+        assert_eq!(d.0, 42);
         assert_eq!(store.stats().corrupt_reads, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -788,7 +803,7 @@ mod tests {
     fn missing_file_is_a_plain_miss() {
         let dir = temp_store_dir("miss");
         let store = ArtifactStore::persistent(&dir);
-        let _: Arc<u64> = store.get_or_compute(KEY, || 1);
+        let _: Arc<Num> = store.get_or_compute(KEY, || Num(1));
         assert_eq!(store.stats().corrupt_reads, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -4,7 +4,7 @@
 //! artifact. Lives in its own integration binary because the injector
 //! is process-global.
 
-use qods_compile::store::{ArtifactKey, ArtifactStore};
+use qods_compile::store::{ArtifactKey, ArtifactStore, HeapBytes};
 use qods_fault::{site, FaultAction, FaultPlan};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -25,6 +25,27 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A heap-free test artifact, encoded as the bare number it holds.
+struct Num(u64);
+
+impl HeapBytes for Num {
+    fn heap_bytes(&self) -> usize {
+        0
+    }
+}
+
+impl serde::Serialize for Num {
+    fn to_value(&self) -> serde::Value {
+        self.0.to_value()
+    }
+}
+
+impl serde::Deserialize for Num {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        u64::from_value(v).map(Num)
+    }
+}
+
 const KEY: ArtifactKey = ArtifactKey {
     stage: "ir",
     hash: 0x0123_4567_89ab_cdef,
@@ -36,22 +57,22 @@ fn failed_writes_leave_the_store_memory_only_for_that_artifact() {
     let dir = temp_dir("enospc");
     qods_fault::arm(FaultPlan::new().once(site::STORE_WRITE, 1, FaultAction::IoError));
     let store = ArtifactStore::persistent(&dir);
-    let a: Arc<u64> = store.get_or_compute(KEY, || 42);
-    assert_eq!(*a, 42, "the artifact itself is unaffected");
+    let a: Arc<Num> = store.get_or_compute(KEY, || Num(42));
+    assert_eq!(a.0, 42, "the artifact itself is unaffected");
     assert_eq!(store.stats().write_errors, 1);
     assert!(
         !dir.join(KEY.file_name()).exists(),
         "ENOSPC-style failure writes nothing"
     );
     // The memory tier still serves it.
-    let b: Arc<u64> = store.get_or_compute(KEY, || panic!("memory tier must hit"));
-    assert_eq!(*b, 42);
+    let b: Arc<Num> = store.get_or_compute(KEY, || panic!("memory tier must hit"));
+    assert_eq!(b.0, 42);
     qods_fault::disarm();
     // A later cold store recomputes (the disk file never landed) and
     // heals the disk tier.
     let cold = ArtifactStore::persistent(&dir);
-    let c: Arc<u64> = cold.get_or_compute(KEY, || 42);
-    assert_eq!(*c, 42);
+    let c: Arc<Num> = cold.get_or_compute(KEY, || Num(42));
+    assert_eq!(c.0, 42);
     assert!(dir.join(KEY.file_name()).is_file(), "healed after disarm");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -62,8 +83,8 @@ fn torn_writes_are_healed_by_the_corruption_tolerant_read() {
     let dir = temp_dir("torn");
     qods_fault::arm(FaultPlan::new().once(site::STORE_WRITE, 1, FaultAction::TornWrite));
     let store = ArtifactStore::persistent(&dir);
-    let a: Arc<u64> = store.get_or_compute(KEY, || 7);
-    assert_eq!(*a, 7);
+    let a: Arc<Num> = store.get_or_compute(KEY, || Num(7));
+    assert_eq!(a.0, 7);
     assert_eq!(store.stats().write_errors, 1);
     let torn = std::fs::read_to_string(dir.join(KEY.file_name())).expect("torn file exists");
     assert!(
@@ -74,8 +95,8 @@ fn torn_writes_are_healed_by_the_corruption_tolerant_read() {
     // A cold store over the torn file: corrupt read, recompute, and
     // the rewrite repairs the file.
     let cold = ArtifactStore::persistent(&dir);
-    let b: Arc<u64> = cold.get_or_compute(KEY, || 7);
-    assert_eq!(*b, 7);
+    let b: Arc<Num> = cold.get_or_compute(KEY, || Num(7));
+    assert_eq!(b.0, 7);
     let stats = cold.stats();
     assert_eq!(
         (stats.corrupt_reads, stats.computed),
@@ -83,8 +104,8 @@ fn torn_writes_are_healed_by_the_corruption_tolerant_read() {
         "torn file is a tolerated corrupt read"
     );
     let healed = ArtifactStore::persistent(&dir);
-    let c: Arc<u64> = healed.get_or_compute(KEY, || panic!("repaired file must hit"));
-    assert_eq!(*c, 7);
+    let c: Arc<Num> = healed.get_or_compute(KEY, || panic!("repaired file must hit"));
+    assert_eq!(c.0, 7);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -95,7 +116,7 @@ fn injected_read_faults_cost_a_recompute_never_a_wrong_answer() {
     // Seed a valid artifact with no faults armed.
     qods_fault::disarm();
     let seed_store = ArtifactStore::persistent(&dir);
-    let _: Arc<u64> = seed_store.get_or_compute(KEY, || 99);
+    let _: Arc<Num> = seed_store.get_or_compute(KEY, || Num(99));
 
     // Fault read 1 with an I/O error and read 2 with corruption;
     // read 3 is clean.
@@ -106,8 +127,8 @@ fn injected_read_faults_cost_a_recompute_never_a_wrong_answer() {
     );
     for expected_corrupt in [1, 1, 0] {
         let store = ArtifactStore::persistent(&dir);
-        let v: Arc<u64> = store.get_or_compute(KEY, || 99);
-        assert_eq!(*v, 99, "faulted reads never surface a wrong artifact");
+        let v: Arc<Num> = store.get_or_compute(KEY, || Num(99));
+        assert_eq!(v.0, 99, "faulted reads never surface a wrong artifact");
         assert_eq!(store.stats().corrupt_reads, expected_corrupt);
     }
     assert_eq!(qods_fault::fired_at(site::STORE_READ), 2);
@@ -135,12 +156,12 @@ fn scattered_store_faults_heal_to_a_correct_store() {
                 stage: "ir",
                 hash: i,
             };
-            let v: Arc<u64> = if round == 0 {
-                store.get_or_compute(key, || i * i)
+            let v: Arc<Num> = if round == 0 {
+                store.get_or_compute(key, || Num(i * i))
             } else {
-                probe.get_or_compute(key, || i * i)
+                probe.get_or_compute(key, || Num(i * i))
             };
-            assert_eq!(*v, i * i, "round {round}, artifact {i}");
+            assert_eq!(v.0, i * i, "round {round}, artifact {i}");
         }
     }
     assert!(qods_fault::fired_total() >= 1, "the scatter plan fired");
@@ -152,8 +173,8 @@ fn scattered_store_faults_heal_to_a_correct_store() {
             stage: "ir",
             hash: i,
         };
-        let v: Arc<u64> = final_store.get_or_compute(key, || i * i);
-        assert_eq!(*v, i * i);
+        let v: Arc<Num> = final_store.get_or_compute(key, || Num(i * i));
+        assert_eq!(v.0, i * i);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -719,6 +719,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test times an injected delay"
+    )]
     fn check_sleeping_absorbs_delays_and_passes_the_rest() {
         let _x = exclusive();
         arm(FaultPlan::new()

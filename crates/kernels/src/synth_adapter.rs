@@ -128,6 +128,7 @@ mod tests {
     use super::*;
     use crate::qft::qft;
 
+    #[expect(clippy::disallowed_methods, reason = "collected into an ordered set")]
     fn solved(a: &SynthAdapter) -> BTreeSet<(u8, bool)> {
         qods_pool::plock(&a.cache).keys().copied().collect()
     }

@@ -1,6 +1,6 @@
-//! Intra-procedural value flow: the D2-style binding tracker,
-//! generalized so any rule can ask "does the value bound on this line
-//! reach a sink line before the function ends?".
+//! Intra-procedural value flow: a binding tracker that lets a rule
+//! ask "does the value bound on this line reach a sink line before
+//! the function ends?".
 //!
 //! The tracking is deliberately shallow — one binding, one function
 //! body, token-level uses — because that is the precision the masked
@@ -12,7 +12,7 @@
 //! the binding name counts as a use — conservative in the direction
 //! of more findings, which the allow mechanism absorbs.
 
-use crate::scan::{token_positions, ScannedFile};
+use crate::scan::{let_binding_name, token_positions, ScannedFile};
 
 /// Sinks that turn a value into result/artifact bytes: serialization,
 /// hashing, and the render paths. A `Relaxed` atomic load flowing
@@ -64,7 +64,7 @@ pub fn binding_reaches_sink(
         }
         // A reassignment of the binding name ends the tracked value's
         // life; stop rather than misattribute the new value.
-        if crate::rules::let_binding_name(&file.code[l]).as_deref() == Some(binding) {
+        if let_binding_name(&file.code[l]).as_deref() == Some(binding) {
             return None;
         }
     }

@@ -1,7 +1,6 @@
 //! Pass 1 of the workspace analyzer: a per-crate symbol index and a
-//! conservative call graph, built from the same masked-code view the
-//! line rules match against (so strings and comments can never fake a
-//! call or a panic).
+//! conservative call graph, built from the lexer's masked-code view
+//! (so strings and comments can never fake a call or a panic).
 //!
 //! Every `fn` item in a `src/` tree becomes a [`FnNode`] annotated
 //! with the sites the graph rules care about: panic sites (P1), lock
@@ -879,7 +878,7 @@ fn annotate_body(file: &ScannedFile, depths: &[i64], node: &mut FnNode, body_sta
                     line: l + 1,
                     what: ".load(Ordering::Relaxed)".to_owned(),
                 },
-                crate::rules::let_binding_name(code),
+                crate::scan::let_binding_name(code),
             ));
         }
 
@@ -1003,7 +1002,7 @@ fn hold_range_end(
         last + 1
     };
 
-    if let Some(name) = crate::rules::let_binding_name(code) {
+    if let Some(name) = crate::scan::let_binding_name(code) {
         let end = block_end(l);
         // An explicit `drop(guard)` ends the hold early.
         let needle = format!("drop({name})");

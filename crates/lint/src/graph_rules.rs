@@ -57,7 +57,7 @@ fn finding(files: &[ScannedFile], file: usize, line: usize, rule: &str, note: St
 }
 
 /// Runs all three graph rules and returns the raw findings
-/// (suppression is the engine's job, as for the line rules).
+/// (suppression is the engine's job).
 pub fn run_graph_rules(index: &Index, files: &[ScannedFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     rule_p1(index, files, &mut out);

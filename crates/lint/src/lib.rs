@@ -3,16 +3,17 @@
 //! The repo's determinism contract (bit-identical result lines at any
 //! thread count, cache state, and fault plan) and its robustness
 //! contract (no panics on the serving path) are written down in
-//! DESIGN.md; this crate makes them machine-checkable. A hand-rolled
-//! lexer ([`scan`]) masks comments and string interiors out of each
-//! source file, a line-level rule engine ([`rules`]) raises
-//! findings for rules **D1/D2**, and a second, workspace-wide
-//! pass builds a symbol index and conservative call graph ([`graph`])
-//! to run the flow rules **P1** (panic reachability from serving
-//! entries), **L1** (lock-order cycles and locks held across
-//! checkpoints/blocking I/O), and **A1** (Relaxed atomic loads
-//! flowing into result sinks, via [`flow`]) in [`graph_rules`].
-//! Config-hash coverage needs no rule: the canonical encoder and the
+//! DESIGN.md; this crate checks the parts of them that need a
+//! cross-crate call graph. A hand-rolled lexer ([`scan`]) masks
+//! comments and string interiors out of each source file, a
+//! workspace-wide pass builds a symbol index and conservative call
+//! graph ([`graph`]), and [`graph_rules`] runs the flow rules **P1**
+//! (panic reachability from serving entries), **L1** (lock-order
+//! cycles and locks held across checkpoints/blocking I/O), and **A1**
+//! (Relaxed atomic loads flowing into result sinks, via [`flow`]).
+//! Clock reads and hash iteration order need no rule here: clippy
+//! resolves them by path, from the root `clippy.toml`. Config-hash
+//! coverage needs no rule either: the canonical encoder and the
 //! job key destructure their structs exhaustively, so a new field is
 //! a compile error until it is encoded or declared policy; nor do
 //! site names, which are the `qods_obs::Site` and `qods_fault::Site`
@@ -28,18 +29,23 @@
 pub mod flow;
 pub mod graph;
 pub mod graph_rules;
-pub mod rules;
 pub mod scan;
 
 use scan::{ScannedFile, Tree};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
+/// The rule identifiers an `allow(...)` annotation may name: the
+/// graph rules of [`graph_rules`]. Direct `unwrap`/`expect` sites on
+/// the serving path, clock reads and hash iteration are clippy's, not
+/// rules here.
+pub const RULE_IDS: &[&str] = &["P1", "L1", "A1"];
+
 /// One lint finding, as emitted on the NDJSON stream.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Finding {
-    /// Rule identifier (`D1`, `D2`, `P1`, `L1`, `A1`, or `L0`
-    /// for a malformed annotation).
+    /// Rule identifier (`P1`, `L1`, `A1`, or `L0` for a malformed
+    /// annotation).
     pub rule: String,
     /// Workspace-relative path with forward slashes.
     pub file: String,
@@ -74,8 +80,8 @@ pub struct FileOutcome {
 }
 
 /// Lints one source text. `path` is only used for reporting;
-/// `crate_name`/`tree` select which rules apply. Graph rules see a
-/// one-file workspace, so fixtures can exercise them too.
+/// `crate_name`/`tree` select which rules apply. The graph rules see
+/// a one-file workspace, so a fixture file can exercise them.
 pub fn lint_source(path: &str, crate_name: &str, tree: Tree, text: &str) -> FileOutcome {
     let files = [scan::scan(path, crate_name, tree, text)];
     lint_scanned(&files)
@@ -83,26 +89,23 @@ pub fn lint_source(path: &str, crate_name: &str, tree: Tree, text: &str) -> File
         .unwrap_or_else(|| unreachable!("one file in, one outcome out"))
 }
 
-/// The two-pass engine over an already-scanned file set: per-file
-/// line rules, then the workspace graph rules (P1/L1/A1) over the
-/// call graph built from *all* the files, with graph findings routed
-/// back to the file they anchor on so allow annotations apply
-/// uniformly. One outcome per input file, findings sorted by
-/// (line, rule).
+/// The engine over an already-scanned file set: the graph rules
+/// (P1/L1/A1) over the call graph built from *all* the files, with
+/// each finding routed back to the file it anchors on so allow
+/// annotations apply per file. One outcome per input file, findings
+/// sorted by (line, rule).
 pub fn lint_scanned(files: &[ScannedFile]) -> Vec<FileOutcome> {
     let index = graph::Index::build(files);
-    let mut graph_findings: Vec<Vec<Finding>> = vec![Vec::new(); files.len()];
+    let mut raw: Vec<Vec<Finding>> = vec![Vec::new(); files.len()];
     for f in graph_rules::run_graph_rules(&index, files) {
         if let Some(i) = files.iter().position(|sf| sf.path == f.file) {
-            graph_findings[i].push(f);
+            raw[i].push(f);
         }
     }
     files
         .iter()
-        .zip(graph_findings)
-        .map(|(sf, mut from_graph)| {
-            let mut raw = rules::run_rules(sf);
-            raw.append(&mut from_graph);
+        .zip(raw)
+        .map(|(sf, raw)| {
             let mut out = apply_allows(sf, raw);
             let key = |f: &Finding| (f.line, f.rule.clone());
             out.findings.sort_by_key(key);
@@ -150,7 +153,7 @@ fn apply_allows(file: &ScannedFile, raw: Vec<Finding>) -> FileOutcome {
     }
     for a in &file.allows {
         for r in &a.rules {
-            if !rules::RULE_IDS.contains(&r.as_str()) {
+            if !RULE_IDS.contains(&r.as_str()) {
                 findings.push(Finding {
                     rule: "L0".to_owned(),
                     file: file.path.clone(),
@@ -162,7 +165,7 @@ fn apply_allows(file: &ScannedFile, raw: Vec<Finding>) -> FileOutcome {
                         .unwrap_or_default(),
                     note: format!(
                         "annotation names unknown rule `{r}`; known rules: {}",
-                        rules::RULE_IDS.join(", ")
+                        RULE_IDS.join(", ")
                     ),
                 });
             }
@@ -173,12 +176,7 @@ fn apply_allows(file: &ScannedFile, raw: Vec<Finding>) -> FileOutcome {
         .allows
         .iter()
         .zip(&used)
-        .filter(|(a, u)| {
-            !**u && a
-                .rules
-                .iter()
-                .all(|r| rules::RULE_IDS.contains(&r.as_str()))
-        })
+        .filter(|(a, u)| !**u && a.rules.iter().all(|r| RULE_IDS.contains(&r.as_str())))
         .map(|(a, _)| UnusedAllow {
             file: file.path.clone(),
             line: a.line as u32,
@@ -275,7 +273,7 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<ScannedFile>, String> {
     Ok(scanned)
 }
 
-/// Scans the workspace at `root` and runs both passes over it.
+/// Scans the workspace at `root` and runs the graph rules over it.
 ///
 /// # Errors
 ///

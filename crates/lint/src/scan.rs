@@ -322,7 +322,7 @@ fn mark_test_regions(code: &[String]) -> Vec<bool> {
     in_test
 }
 
-/// Parses `// qods-lint: allow(P1, D2) -- reason` annotations out of
+/// Parses `// qods-lint: allow(P1, L1) -- reason` annotations out of
 /// the line comments. Anything mentioning `qods-lint:` that does not
 /// match the grammar becomes a [`BadAllow`].
 fn parse_allows(
@@ -407,13 +407,9 @@ fn parse_allows(
     (allows, bad)
 }
 
-/// True when `tok` occurs in `line` with non-identifier bytes (or the
-/// line edge) on both sides. `tok` may contain `::`.
-pub fn has_token(line: &str, tok: &str) -> bool {
-    !token_positions(line, tok).is_empty()
-}
-
-/// All byte positions where `tok` occurs token-wise in `line`.
+/// All byte positions where `tok` occurs token-wise in `line`: with
+/// non-identifier bytes (or the line edge) on both sides. `tok` may
+/// contain `::`.
 pub fn token_positions(line: &str, tok: &str) -> Vec<usize> {
     let mut out = Vec::new();
     let lb = line.as_bytes();
@@ -429,6 +425,19 @@ pub fn token_positions(line: &str, tok: &str) -> Vec<usize> {
         from = at + tok.len().max(1);
     }
     out
+}
+
+/// The name a `let [mut] name` on this masked line binds.
+pub(crate) fn let_binding_name(code: &str) -> Option<String> {
+    let pos = *token_positions(code, "let").first()?;
+    let mut rest = code[pos + 3..].trim_start();
+    rest = rest.strip_prefix("mut ").unwrap_or(rest).trim_start();
+    let name: String = rest
+        .bytes()
+        .take_while(|b| is_ident_byte(*b))
+        .map(char::from)
+        .collect();
+    (!name.is_empty()).then_some(name)
 }
 
 #[cfg(test)]
@@ -481,7 +490,7 @@ mod tests {
     fn allow_annotations_parse_with_targets_and_bad_ones_are_reported() {
         let text = concat!(
             "let a = 1; // qods-lint: allow(P1) -- trailing case\n",
-            "// qods-lint: allow(D1, D2) -- next-line case\n",
+            "// qods-lint: allow(L1, A1) -- next-line case\n",
             "let b = 2;\n",
             "// qods-lint: allow(P1)\n",
         );
@@ -490,15 +499,15 @@ mod tests {
         assert_eq!(f.allows[0].target, 1);
         assert_eq!(f.allows[0].rules, vec!["P1".to_owned()]);
         assert_eq!(f.allows[1].target, 3);
-        assert_eq!(f.allows[1].rules, vec!["D1".to_owned(), "D2".to_owned()]);
+        assert_eq!(f.allows[1].rules, vec!["L1".to_owned(), "A1".to_owned()]);
         assert_eq!(f.bad_allows.len(), 1, "missing reason must be loud");
     }
 
     #[test]
     fn token_search_respects_identifier_boundaries() {
-        assert!(has_token("x.unwrap()", "unwrap"));
-        assert!(!has_token("x.unwrap_or_else(f)", "unwrap"));
-        assert!(has_token("Instant::now()", "Instant::now"));
-        assert!(!has_token("MyInstant::nowish()", "Instant::now"));
+        assert_eq!(token_positions("x.unwrap()", "unwrap"), vec![2]);
+        assert!(token_positions("x.unwrap_or_else(f)", "unwrap").is_empty());
+        assert_eq!(token_positions("Instant::now()", "Instant::now"), vec![0]);
+        assert!(token_positions("MyInstant::nowish()", "Instant::now").is_empty());
     }
 }

@@ -358,8 +358,10 @@ impl ServeCore {
         }
         conn.jobs_submitted += 1;
 
-        // qods-lint: allow(D1) -- queue-latency telemetry for the
-        // metrics verb; excluded from result lines
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "queue-latency telemetry for the metrics verb; excluded from result lines"
+        )]
         let t0 = Instant::now();
         let admitted = {
             let _span = qods_obs::span!(sites::NET_ADMISSION);
@@ -764,6 +766,11 @@ impl NetServer {
             // connection threads fall out of their read loop after the
             // line they are serving; the scope joins them.
             core.begin_drain();
+            #[expect(
+                clippy::disallowed_methods,
+                clippy::iter_over_hash_type,
+                reason = "half-closing every reader is order-insensitive and feeds no sink"
+            )]
             for reader in plock(&live).values() {
                 let _ = reader.shutdown(Shutdown::Read);
             }
@@ -810,8 +817,10 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool, loca
     };
     let mut reader = CappedLineReader::new(reader, core.options().max_line_len);
     let mut conn = ConnState::default();
-    // qods-lint: allow(D1) -- idle-timeout bookkeeping on the transport;
-    // results are produced upstream of this clock
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "idle-timeout bookkeeping on the transport; results are produced upstream of this clock"
+    )]
     let mut last_line_done = Instant::now();
     loop {
         // Speculative: a read that ends in an idle tick cancels its
@@ -824,6 +833,7 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool, loca
             drop(read_span);
         }
         match next {
+            #[expect(clippy::disallowed_methods, reason = "idle-timeout bookkeeping")]
             ReadLine::Line(line) => {
                 if let Some(qods_fault::FaultAction::Disconnect) =
                     qods_fault::check_sleeping(qods_fault::site::NET_CONN)
@@ -841,11 +851,10 @@ fn serve_connection(core: &ServeCore, stream: TcpStream, stop: &AtomicBool, loca
                     let _ = TcpStream::connect(local);
                     break;
                 }
-                // qods-lint: allow(D1) -- idle-timeout bookkeeping
                 last_line_done = Instant::now();
             }
+            #[expect(clippy::disallowed_methods, reason = "idle-timeout bookkeeping")]
             ReadLine::TooLong { discarded } => {
-                // qods-lint: allow(D1) -- idle-timeout bookkeeping
                 last_line_done = Instant::now();
                 core.reject_line(&sink, discarded);
             }

@@ -85,6 +85,7 @@ fn active(m: &MetricsSnapshot) -> i64 {
 
 /// Polls the `metrics` verb on a dedicated connection until `pred`
 /// holds (or panics after `secs` seconds).
+#[expect(clippy::disallowed_methods, reason = "a test's polling deadline")]
 fn await_metrics(
     addr: SocketAddr,
     secs: u64,

@@ -28,6 +28,10 @@
 //! change what the system computes — only what it reports.
 
 #![warn(clippy::unwrap_used, clippy::expect_used)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "telemetry by construction: span timestamps never reach result bytes (DESIGN.md §13)"
+)]
 
 pub mod export;
 pub mod hist;

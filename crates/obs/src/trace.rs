@@ -148,8 +148,8 @@ impl Tracer {
             next_id: AtomicU64::new(1),
             dropped: AtomicU64::new(0),
             // The tracer epoch. Span timestamps are telemetry-only by
-            // the §13 contract (qods-obs is D1-exempt as a crate: no
-            // result bytes ever derive from them).
+            // the §13 contract (so the crate is exempt from clippy's
+            // clock ban: no result bytes ever derive from them).
             epoch: Instant::now(),
             shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             shard_cap,

@@ -475,6 +475,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test arms far and past deadlines"
+    )]
     fn deadlines_cancel_cleanly_and_leave_determinism_intact() {
         let trial = |rng: &mut StdRng, _: &mut TrialArena| TrialOutcome::Accepted {
             logical_error: rng.gen_bool(0.01),

@@ -152,9 +152,12 @@ pub fn current_deadline() -> Option<Instant> {
 
 /// Whether this thread's deadline has passed (false when none is
 /// set).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "deadline checks cancel whole runs; they never alter a completed result \
+              (all-or-nothing contract above)"
+)]
 pub fn deadline_exceeded() -> bool {
-    // qods-lint: allow(D1) -- deadline checks cancel whole runs; they
-    // never alter a completed result (all-or-nothing contract above)
     current_deadline().is_some_and(|t| Instant::now() >= t)
 }
 
@@ -608,6 +611,10 @@ where
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests arm far and past deadlines"
+)]
 mod tests {
     use super::*;
     use std::collections::HashSet;

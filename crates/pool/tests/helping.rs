@@ -113,6 +113,10 @@ fn a_fan_out_inside_a_lazy_cannot_deadlock_on_its_siblings() {
 /// run under B's deadline (none), not the expired one of the thread
 /// running it, and A's panic must stay A's.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test arms an expired deadline"
+)]
 fn a_helping_caller_carries_neither_its_deadline_nor_its_panic() {
     let _serial = one_helper();
     let (a_outcome, b_outcome) = watchdog("two jobs".to_string(), || {

@@ -545,8 +545,10 @@ impl Scheduler {
         emit: &mut (dyn FnMut(JobEvent) + Send),
     ) -> Result<JobResult, ServiceError> {
         let budget = request.deadline_ms.or(self.default_deadline_ms());
-        // qods-lint: allow(D1) -- deadline arming; cancellation is
-        // all-or-nothing, so the clock never shapes a result
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadline arming; cancellation is all-or-nothing, so the clock never shapes a result"
+        )]
         let deadline = budget.map(|ms| Instant::now() + Duration::from_millis(ms));
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             qods_pool::with_deadline(deadline, || self.run_job(request, job, emit))
@@ -593,8 +595,10 @@ impl Scheduler {
         }
         validate_config(&config)?;
 
-        // qods-lint: allow(D1) -- job wall-time telemetry; reported in
-        // events/stats, excluded from hashed result lines
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "job wall-time telemetry; reported in events/stats, excluded from hashed result lines"
+        )]
         let t0 = Instant::now();
         let mut slots: Vec<Option<ExperimentRecord>> = vec![None; selected.len()];
         let mut misses: Vec<(usize, &dyn Experiment)> = Vec::new();
@@ -685,7 +689,10 @@ impl Scheduler {
             // Parents to the pool.worker span the pool opened on this
             // thread (or the caller's span on the inline path).
             let _span = qods_obs::span!(sites::JOB_EXPERIMENT, { detail: exp.id() });
-            // qods-lint: allow(D1) -- per-experiment wall-time telemetry
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-experiment wall-time telemetry"
+            )]
             let t = Instant::now();
             let output = exp.run(ctx);
             let seconds = t.elapsed().as_secs_f64();

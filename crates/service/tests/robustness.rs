@@ -59,15 +59,16 @@ fn a_panicking_job_is_a_typed_error_and_the_scheduler_keeps_serving() {
 fn coalesced_followers_receive_the_leaders_typed_error() {
     let _x = exclusive();
     let sched = Scheduler::with_options(StudyConfig::smoke(), 2, true);
-    let req = smoke_request(&["table3"]);
+    let req = smoke_request(&["fig4"]);
 
-    // The leader's first pool op stalls long enough for the follower
-    // to join, then its second op (an inner Monte-Carlo worker)
-    // panics.
+    // The leader's first Monte-Carlo chunk stalls long enough for the
+    // follower to join, then its second chunk panics. fig4's chunk
+    // count is fixed by the config, not by how the job fans out over
+    // the pool.
     qods_fault::arm(
         FaultPlan::new()
-            .once(site::POOL_WORKER, 1, FaultAction::Delay(500))
-            .once(site::POOL_WORKER, 2, FaultAction::Panic),
+            .once(site::MC_CHUNK, 1, FaultAction::Delay(500))
+            .once(site::MC_CHUNK, 2, FaultAction::Panic),
     );
     let (leader_out, follower_out) = std::thread::scope(|s| {
         let leader = s.spawn(|| sched.run_coalesced(&req));

@@ -299,8 +299,8 @@ impl<T: Deserialize> Deserialize for Option<T> {
 impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
     fn to_value(&self) -> Value {
         // BTreeMap iterates in key order, so the serialized object is
-        // deterministic (the property lint rule D2 wants from maps
-        // feeding serialization).
+        // deterministic (the property clippy.toml's hash-iteration ban
+        // protects for maps feeding serialization).
         Value::Object(
             self.iter()
                 .map(|(k, v)| (k.clone(), v.to_value()))
