@@ -17,6 +17,15 @@
 //! budget from their keys — their lowering never synthesizes, so two
 //! budgets share one artifact.
 //!
+//! ## What is kept
+//!
+//! A stage stores only what was asked for. The `char` stage does not
+//! pull `sched` through the store: it characterizes the stored circuit
+//! when the memory tier already holds one, and otherwise lowers the
+//! kernel transiently and keeps just the report. So a caller that only
+//! wants reports (the width sweep) parks no circuits, and a caller
+//! that wants both asks for `sched` first.
+//!
 //! ## Fan-out
 //!
 //! [`Compiler::compile_many`] runs whole per-item chains on the
@@ -32,6 +41,7 @@ use qods_circuit::circuit::Circuit;
 use qods_circuit::latency_model::CharacterizationModel;
 use qods_circuit::schedule::SpeedOfData;
 use qods_kernels::{KernelError, KernelSpec, SynthAdapter};
+use qods_obs::sites;
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
@@ -231,18 +241,18 @@ impl Compiler {
             let ir = self
                 .ir(spec)
                 .unwrap_or_else(|e| unreachable!("spec validated above: {e}"));
-            let lowered = spec.lower(&ir, &self.adapter);
-            let summary = SpeedOfData::of(&lowered, &CharacterizationModel::ion_trap());
-            ScheduledCircuit {
-                makespan_us: summary.makespan_us,
-                depth: summary.depth,
-                breakdown: summary.breakdown,
-                circuit: lowered,
-            }
+            self.lower(spec, &ir)
         }))
     }
 
-    /// Stage 3: the characterization. Pulls stage 2 through the store.
+    /// Stage 3: the characterization. Only the report is stored: it
+    /// reads the `sched` artifact when the memory tier already holds
+    /// one, and otherwise lowers the kernel transiently (its span
+    /// notes `cache: "transient"`), characterizes that circuit and
+    /// drops it, touching no `ir` or `sched` key. Both routes run the
+    /// same lowering over the same gates, so the result is
+    /// bit-identical either way; a caller that wants the circuit kept
+    /// asks for [`Compiler::scheduled`] first.
     ///
     /// # Errors
     ///
@@ -252,19 +262,32 @@ impl Compiler {
         Ok(self
             .store
             .get_or_compute(self.characterization_key(spec), || {
-                let scheduled = self
-                    .scheduled(spec)
-                    .unwrap_or_else(|e| unreachable!("spec validated above: {e}"));
-                Characterization {
-                    spec,
-                    makespan_us: scheduled.makespan_us,
-                    report: characterize_scheduled(
-                        &scheduled.circuit,
-                        &CharacterizationModel::ion_trap(),
-                        &scheduled.speed_of_data(),
-                    ),
+                let key = self.scheduled_key(spec);
+                if let Some(scheduled) = self.store.peek::<ScheduledCircuit>(key) {
+                    return characterize(spec, &scheduled);
                 }
+                let transient = {
+                    let _span = qods_obs::span!(sites::COMPILE_SCHED, {
+                        config_hash: key.hash,
+                        cache: "transient",
+                    });
+                    self.lower(spec, &spec.build_ir())
+                };
+                characterize(spec, &transient)
             }))
+    }
+
+    /// Lowers `ir` and schedules it: the one computation behind both
+    /// a stored `sched` artifact and a transient one.
+    fn lower(&self, spec: KernelSpec, ir: &Circuit) -> ScheduledCircuit {
+        let lowered = spec.lower(ir, &self.adapter);
+        let summary = SpeedOfData::of(&lowered, &CharacterizationModel::ion_trap());
+        ScheduledCircuit {
+            makespan_us: summary.makespan_us,
+            depth: summary.depth,
+            breakdown: summary.breakdown,
+            circuit: lowered,
+        }
     }
 
     /// Runs the full chain for one spec.
@@ -305,8 +328,10 @@ impl Compiler {
     }
 
     /// Like [`Compiler::compile_many`] but materializing only the
-    /// characterization stage of each item (the IR and scheduled
-    /// artifacts are still produced — and cached — on the way).
+    /// characterization stage of each item: a kernel whose `sched`
+    /// artifact is not already in the memory tier is lowered
+    /// transiently, and only its report is stored (see
+    /// [`Compiler::characterization`]).
     ///
     /// # Errors
     ///
@@ -323,6 +348,19 @@ impl Compiler {
             self.characterization(specs[i])
                 .unwrap_or_else(|e| unreachable!("specs validated above: {e}"))
         }))
+    }
+}
+
+/// The `char` stage's transform of one scheduled circuit.
+fn characterize(spec: KernelSpec, scheduled: &ScheduledCircuit) -> Characterization {
+    Characterization {
+        spec,
+        makespan_us: scheduled.makespan_us,
+        report: characterize_scheduled(
+            &scheduled.circuit,
+            &CharacterizationModel::ion_trap(),
+            &scheduled.speed_of_data(),
+        ),
     }
 }
 
@@ -344,17 +382,42 @@ mod tests {
 
     #[test]
     fn stages_chain_and_memoize() {
-        let c = compiler();
         let spec = KernelSpec::new(KernelFamily::Qrca, 4).expect("valid");
+        // A lone characterization lowers transiently: it stores the
+        // report and no `ir` or `sched` artifact.
+        let c = compiler();
         let ch = c.characterization(spec).expect("compiles");
         assert_eq!(ch.report.n_qubits, 13);
         assert!(ch.makespan_us > 0.0);
-        // char pulled sched pulled ir: 3 computes, no hits yet beyond
-        // the chain's own store round-trips.
-        assert_eq!(c.store().stats().computed, 3);
+        let stats = c.store().stats();
+        assert_eq!((stats.computed, stats.mem_hits, c.store().len()), (1, 0, 1));
+        assert!(c.store().peek::<Circuit>(c.ir_key(spec)).is_none());
+        assert!(c
+            .store()
+            .peek::<ScheduledCircuit>(c.scheduled_key(spec))
+            .is_none());
         let again = c.characterization(spec).expect("cached");
         assert!(Arc::ptr_eq(&ch, &again));
-        assert_eq!(c.store().stats().computed, 3);
+        assert_eq!(c.store().stats().computed, 1);
+
+        // `scheduled` first: sched pulled ir, and char is made from
+        // the stored circuit without a counted lookup.
+        let c = compiler();
+        let scheduled = c.scheduled(spec).expect("compiles");
+        assert_eq!(c.store().stats().computed, 2);
+        let stored = c.characterization(spec).expect("compiles");
+        let stats = c.store().stats();
+        assert_eq!((stats.computed, stats.mem_hits, c.store().len()), (3, 0, 3));
+        assert_eq!(*stored, *ch, "both routes characterize the same gates");
+
+        // The stored route reads whatever the tier holds at the `sched`
+        // key.
+        let c = compiler();
+        let mut doctored = (*scheduled).clone();
+        doctored.makespan_us = 1.0;
+        c.store()
+            .get_or_compute(c.scheduled_key(spec), move || doctored);
+        assert_eq!(c.characterization(spec).expect("compiles").makespan_us, 1.0);
     }
 
     #[test]

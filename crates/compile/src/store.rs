@@ -46,8 +46,9 @@
 //! that waited on a fan-out would help run other tasks on its own
 //! thread, and a task that looked up the key it leads would follow
 //! itself forever. Compute closures may look up other keys (the
-//! `sched` stage pulls `ir`, `char` pulls `sched`); stage keys chain
-//! one way, so those nested waits always end.
+//! `sched` stage pulls `ir`; `char` only peeks at `sched`, without
+//! waiting); stage keys chain one way, so those nested waits always
+//! end.
 //!
 //! ## Invalidation
 //!
@@ -94,10 +95,11 @@ pub const ARTIFACT_DIR_ENV: &str = "QODS_ARTIFACT_DIR";
 pub const DEFAULT_ARTIFACT_DIR: &str = "results/.artifacts";
 
 /// Bound on the bytes the memory tier retains, summed over the
-/// artifacts' charges ([`HeapBytes`]). One paper-config job computes 75
-/// distinct artifacts charged 1.47 MB in all (107 KB of kernel IR,
-/// 1,358 KB of lowered circuits, 4 KB of characterizations), so a
-/// `repro` run never evicts, with 30% of the budget to spare. A service
+/// artifacts' charges ([`HeapBytes`]). One paper-config job computes 31
+/// distinct artifacts charged 137 KB in all (9 KB of kernel IR and
+/// 125 KB of lowered circuits for the three paper kernels, 4 KB for the
+/// 25 characterizations: the width sweep's other kernels keep no
+/// circuit), so a `repro` run never evicts. A service
 /// streaming new synthesis budgets adds one QFT lowering per budget,
 /// and past the bound the least-recently-used artifacts go (a later
 /// request recompiles them, or reads them back from the disk tier).
@@ -426,6 +428,19 @@ impl ArtifactStore {
             }
             return artifact;
         }
+    }
+
+    /// The memory-tier artifact at `key`, if the tier holds it now:
+    /// no disk read, no compute, no wait on a caller computing it, and
+    /// no hit counted, so whether it finds one never shows in
+    /// [`ArtifactStore::stats`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` holds an artifact of another type (a programming
+    /// error in key derivation).
+    pub fn peek<T: Send + Sync + 'static>(&self, key: ArtifactKey) -> Option<Arc<T>> {
+        self.mem_get(&(key.stage, key.hash)).map(downcast)
     }
 
     /// The memory-tier entry at `key`, marked most recently used.

@@ -92,6 +92,39 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The `char` stage's two routes agree to the bit: a lone
+    /// characterization (lowered transiently, only the report kept)
+    /// and one made from a stored `sched` artifact encode to the same
+    /// bytes, for every family, widths 4-48 and two synthesis budgets.
+    #[test]
+    fn transient_and_stored_characterizations_are_bit_identical(
+        width in 4usize..49,
+        fi in 0usize..5,
+        bi in 0usize..2,
+    ) {
+        let spec = KernelSpec::new(KernelFamily::ALL[fi], width).expect("valid");
+        let synth = [budget(), SynthBudget::default()][bi];
+
+        let transient = Compiler::new(Arc::new(ArtifactStore::in_memory()), synth);
+        let lone = transient.characterization(spec).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(transient.store().len(), 1, "only the report is kept");
+
+        let stored = Compiler::new(Arc::new(ArtifactStore::in_memory()), synth);
+        stored.scheduled(spec).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        let from_sched = stored.characterization(spec).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(stored.store().len(), 3);
+
+        let key = stored.characterization_key(spec);
+        prop_assert_eq!(
+            ArtifactStore::encode_artifact(key, lone.as_ref()),
+            ArtifactStore::encode_artifact(key, from_sched.as_ref())
+        );
+    }
+}
+
 /// A cold-process, warm-disk study context materializes its
 /// benchmarks with zero stage recomputes — the end-to-end shape the
 /// CI cache-persistence job asserts through `repro`.

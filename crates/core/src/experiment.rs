@@ -94,7 +94,11 @@ impl StudyContext {
     }
 
     /// Characterizations of [`Self::benchmarks`], looked up the same
-    /// way (Tables 2, 3, 9 and §3.3 all consume these).
+    /// way (Tables 2, 3, 9 and §3.3 all consume these). Each kernel's
+    /// lowered circuit is looked up first, so the report is made from
+    /// the stored circuit and the circuit stays in the store for the
+    /// experiments that read it (a lone characterization would lower
+    /// transiently and keep only the report).
     ///
     /// # Panics
     ///
@@ -102,8 +106,11 @@ impl StudyContext {
     pub fn characterizations(&self) -> Vec<Arc<Characterization>> {
         paper_specs(self.config.n_bits)
             .into_iter()
-            // Documented caller contract: the service layer rejects bad n_bits before a context exists.
-            .map(|spec| self.compiler.characterization(spec).expect("valid n_bits"))
+            .map(|spec| {
+                // Documented caller contract: the service layer rejects bad n_bits before a context exists.
+                self.compiler.scheduled(spec).expect("valid n_bits");
+                self.compiler.characterization(spec).expect("valid n_bits")
+            })
             .collect()
     }
 }
@@ -139,8 +146,10 @@ pub trait Experiment: Send + Sync {
 }
 
 /// The shared, store-memoized part of a [`StudyContext`] an
-/// experiment reads. Ordered by inclusion: the characterizations are
-/// built from the benchmarks.
+/// experiment reads. Ordered by inclusion: materializing the
+/// characterizations also materializes the benchmarks, asking for the
+/// lowered circuit before its report, so the report is made from the
+/// stored circuit and both artifacts are kept.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Substrate {
     /// Nothing shared.
@@ -175,6 +184,7 @@ impl Substrate {
                 ctx.compiler.scheduled(spec).expect("valid n_bits");
             }
             Substrate::Characterizations => {
+                ctx.compiler.scheduled(spec).expect("valid n_bits");
                 ctx.compiler.characterization(spec).expect("valid n_bits");
             }
         }
@@ -287,9 +297,11 @@ mod tests {
         let ctx = private_context();
         let store = ctx.compiler().store();
         assert_eq!(store.stats().computed, 0);
+        // Reports first: they keep the circuits the benchmarks read.
+        let reports = ctx.characterizations().len();
+        assert_eq!(store.stats().computed, 9);
         let a = ctx.benchmarks();
         let b = ctx.benchmarks();
-        let reports = ctx.characterizations().len();
         assert_eq!((a.len(), b.len(), reports), (3, 3, 3));
         assert!(a.iter().zip(&b).all(|(x, y)| Arc::ptr_eq(x, y)));
         // ir + sched + char for each of the three kernels.

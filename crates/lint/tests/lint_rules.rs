@@ -197,21 +197,25 @@ fn malformed_and_unknown_rule_annotations_are_l0_findings() {
 
 #[test]
 fn ndjson_round_trips_exactly() {
-    let text = include_str!("fixtures/l1_violation.rs");
-    let out = lint_source("fix/l1.rs", "qods-service", Tree::Src, text);
-    let stream = to_ndjson(&out.findings);
-    assert_eq!(stream.lines().count(), out.findings.len());
-    let back = from_ndjson(&stream).expect("the stream we just wrote parses");
-    assert_eq!(back, out.findings);
-}
-
-#[test]
-fn graph_rule_findings_round_trip_through_ndjson_too() {
-    let text = include_str!("fixtures/p1_violation.rs");
-    let out = lint_source("fix/p1.rs", "qods-net", Tree::Src, text);
-    assert!(!out.findings.is_empty(), "the fixture raises a P1 finding");
-    let back = from_ndjson(&to_ndjson(&out.findings)).expect("parses");
-    assert_eq!(back, out.findings);
+    for (path, crate_name, text) in [
+        (
+            "fix/l1.rs",
+            "qods-service",
+            include_str!("fixtures/l1_violation.rs"),
+        ),
+        (
+            "fix/p1.rs",
+            "qods-net",
+            include_str!("fixtures/p1_violation.rs"),
+        ),
+    ] {
+        let out = lint_source(path, crate_name, Tree::Src, text);
+        assert!(!out.findings.is_empty(), "{path} raises a finding");
+        let stream = to_ndjson(&out.findings);
+        assert_eq!(stream.lines().count(), out.findings.len(), "{path}");
+        let back = from_ndjson(&stream).expect("the stream we just wrote parses");
+        assert_eq!(back, out.findings, "{path}");
+    }
 }
 
 #[test]

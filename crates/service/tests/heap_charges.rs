@@ -6,7 +6,7 @@
 //! tests running in parallel do not disturb each other's counts.
 
 use qods_core::circuit::circuit::Circuit;
-use qods_core::compile::{ArtifactStore, Compiler, HeapBytes, SynthBudget, MEM_TIER_BYTES};
+use qods_core::compile::{ArtifactStore, Compiler, HeapBytes, SynthBudget};
 use qods_core::kernels::{KernelFamily, KernelSpec};
 use qods_core::study::StudyConfig;
 use qods_obs::{sites, Registry};
@@ -133,9 +133,15 @@ fn a_paper_job_never_evicts_under_the_default_budget() {
         .store()
         .expect("a caching scheduler's store");
     let stats = store.stats();
-    assert_eq!((stats.computed, stats.evictions), (75, 0));
+    // The three paper kernels' ir, sched and char, and a report for
+    // each of the other 22 width-sweep kernels, which lower
+    // transiently and keep no circuit.
+    assert_eq!((stats.computed, stats.evictions), (31, 0));
     let gauge = |registry: &Registry, site| registry.gauge(site).get() as usize;
-    assert!(gauge(store.metrics(), sites::STORE_MEM_BYTES) <= MEM_TIER_BYTES);
+    // Measured 137,225 B. Keeping one more lowered kernel (Draper-48
+    // alone is 440 KB) would break the bound.
+    let mem_bytes = gauge(store.metrics(), sites::STORE_MEM_BYTES);
+    assert!(mem_bytes <= 150_000, "{mem_bytes} B");
     // The pool retains all 14 outputs of the job, and the documented
     // 40 such jobs fit its budget.
     let pool = scheduler.pool();
