@@ -11,10 +11,22 @@
 //! * [`demand_profile`] (Fig 7): the number of encoded zeros that must
 //!   be in flight (being prepared or queued) at each instant for the
 //!   circuit to never wait on an ancilla.
+//!
+//! All three are folds over the gates in program order
+//! ([`Frontier`], see `schedule.rs`), with no per-gate buffer. The
+//! Tables 2/3 report keeps O(qubits) state: the fold's fronts plus a
+//! gate count per kind (one-qubit Clifford, pi/8 gate, CX), the one
+//! counting rule the fold and [`characterize_scheduled`] share; every
+//! count in the report is a sum over kinds. The demand profile keeps
+//! O(samples) state: each gate's zeros are added to the contiguous
+//! range of samples `t` with `t <= e < t + window` (`e` the gate's
+//! end, `window` the zero-preparation latency) in a per-sample
+//! difference array, and one prefix sum turns that into the profile.
 
 use crate::circuit::Circuit;
-use crate::latency_model::CharacterizationModel;
-use crate::schedule::{Schedule, SpeedOfData};
+use crate::gate::Gate;
+use crate::latency_model::{CharacterizationModel, GateKind};
+use crate::schedule::{Frontier, SpeedOfData};
 use serde::{Deserialize, Serialize};
 
 /// Table 2 row: the latency split of a no-overlap execution.
@@ -95,61 +107,108 @@ pub fn characterize(circuit: &Circuit) -> CircuitReport {
 }
 
 /// Characterizes a lowered circuit under a custom latency model: one
-/// frontier pass for the critical-path split and the speed-of-data
-/// runtime, then [`characterize_scheduled`].
+/// speed-of-data fold over its gates for the critical-path split, the
+/// runtime and the counts.
 pub fn characterize_with(circuit: &Circuit, model: &CharacterizationModel) -> CircuitReport {
-    characterize_scheduled(circuit, model, &SpeedOfData::of(circuit, model))
+    Frontier::over(circuit, model).report(circuit.name.clone())
 }
 
 /// Characterizes a lowered circuit whose frontier pass has already run:
 /// `summary` is [`SpeedOfData::of`] the circuit under `model`, as the
 /// compile pipeline's `sched` stage keeps it. Only the ancilla and gate
 /// counts are computed here, in one linear loop.
+///
+/// # Panics
+///
+/// Panics if the circuit contains non-physical gates.
 pub fn characterize_scheduled(
     circuit: &Circuit,
     model: &CharacterizationModel,
     summary: &SpeedOfData,
 ) -> CircuitReport {
-    let mut total_zeros = 0u64;
-    let mut total_pi8 = 0u64;
-    let mut non_transversal = 0usize;
+    let mut counts = Counts::default();
     for g in circuit.gates() {
-        total_zeros += model.zeros_per_qec() * g.qubits().len() as u64;
-        if g.needs_pi8_ancilla() {
-            total_pi8 += 1;
-            total_zeros += model.zeros_per_pi8();
-        }
-        non_transversal += usize::from(!g.is_transversal());
+        counts.add_kind(GateKind::decode(g).0);
     }
-    let runtime_ms = summary.makespan_us / 1000.0;
-    let bandwidth = BandwidthReport {
-        zero_per_ms: if runtime_ms > 0.0 {
-            total_zeros as f64 / runtime_ms
-        } else {
-            0.0
-        },
-        pi8_per_ms: if runtime_ms > 0.0 {
-            total_pi8 as f64 / runtime_ms
-        } else {
-            0.0
-        },
-        total_zeros,
-        total_pi8,
-        runtime_ms,
-    };
+    report(
+        circuit.name.clone(),
+        circuit.n_qubits(),
+        &counts,
+        summary,
+        model,
+    )
+}
 
+/// Encoded zeros one gate consumes: its QEC step on every qubit, plus
+/// the one that feeds its pi/8 ancilla if it needs one.
+fn gate_zeros(g: &Gate, model: &CharacterizationModel) -> u64 {
+    let mut zeros = model.zeros_per_qec() * g.qubits().len() as u64;
+    if g.needs_pi8_ancilla() {
+        zeros += model.zeros_per_pi8();
+    }
+    zeros
+}
+
+/// The gates counted so far, per [`GateKind`]: every Tables 2/3 count
+/// is a sum over kinds.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Counts([u64; 3]);
+
+impl Counts {
+    /// Counts one more gate of `kind`.
+    #[inline]
+    pub(crate) fn add_kind(&mut self, kind: GateKind) {
+        self.0[kind as usize] += 1;
+    }
+
+    /// The sum over kinds of `per_gate` of each kind's example gate.
+    fn sum(&self, per_gate: impl Fn(&Gate) -> u64) -> u64 {
+        GateKind::ALL
+            .iter()
+            .map(|&kind| self.0[kind as usize] * per_gate(&kind.example()))
+            .sum()
+    }
+}
+
+/// The report of the `counts` gates on `n_qubits` qubits whose
+/// speed-of-data summary under `model` is `summary`.
+pub(crate) fn report(
+    name: String,
+    n_qubits: usize,
+    counts: &Counts,
+    summary: &SpeedOfData,
+    model: &CharacterizationModel,
+) -> CircuitReport {
+    let gates = counts.sum(|_| 1);
+    let non_transversal = counts.sum(|g| u64::from(!g.is_transversal()));
+    let zeros = counts.sum(|g| gate_zeros(g, model));
+    let pi8 = counts.sum(|g| u64::from(g.needs_pi8_ancilla()));
+    let runtime_ms = summary.makespan_us / 1000.0;
+    let per_ms = |n: u64| {
+        if runtime_ms > 0.0 {
+            n as f64 / runtime_ms
+        } else {
+            0.0
+        }
+    };
     CircuitReport {
-        name: circuit.name.clone(),
-        n_qubits: circuit.n_qubits(),
-        gate_count: circuit.len(),
+        name,
+        n_qubits,
+        gate_count: gates as usize,
         // As `Circuit::non_transversal_fraction`, from the same count.
-        non_transversal_fraction: if circuit.is_empty() {
+        non_transversal_fraction: if gates == 0 {
             0.0
         } else {
-            non_transversal as f64 / circuit.len() as f64
+            non_transversal as f64 / gates as f64
         },
         breakdown: summary.breakdown,
-        bandwidth,
+        bandwidth: BandwidthReport {
+            zero_per_ms: per_ms(zeros),
+            pi8_per_ms: per_ms(pi8),
+            total_zeros: zeros,
+            total_pi8: pi8,
+            runtime_ms,
+        },
     }
 }
 
@@ -163,56 +222,79 @@ pub struct DemandPoint {
 }
 
 /// Computes the Fig 7 series: for the circuit to run at the speed of
-/// data, every QEC consumption at time `t` must have its ancillae in
-/// preparation during `[t - zero_prep, t]`; the profile counts the
-/// overlapping preparation windows at `samples` evenly spaced times.
+/// data, every QEC consumption at time `e` must have its ancillae in
+/// preparation during `(e - window, e]` (`window` the zero-preparation
+/// latency); the profile counts the overlapping preparation windows at
+/// `samples` evenly spaced times `t` over the makespan, so a gate's
+/// zeros count at `t` exactly when `t <= e < t + window`.
+///
+/// `makespan_us` is the circuit's speed-of-data makespan under `model`
+/// ([`SpeedOfData::makespan_us`], which the compile pipeline's `sched`
+/// stage keeps): the sample times depend on it, so one fold over the
+/// gates adds each gate's zeros to its range of samples as its end
+/// time is known, with no per-gate buffer.
+///
+/// # Panics
+///
+/// Panics if the circuit contains non-physical gates.
 pub fn demand_profile(
     circuit: &Circuit,
     model: &CharacterizationModel,
+    makespan_us: f64,
     samples: usize,
 ) -> Vec<DemandPoint> {
-    let sched = Schedule::speed_of_data(circuit, model);
-    let gates = circuit.gates();
-    // Each gate consumes its QEC zeros at its end time.
-    let mut events: Vec<(f64, u64)> = sched
-        .ends()
-        .into_iter()
-        .zip(gates)
-        .map(|(end, g)| {
-            let mut zeros = model.zeros_per_qec() * g.qubits().len() as u64;
-            if g.needs_pi8_ancilla() {
-                zeros += model.zeros_per_pi8();
-            }
-            (end, zeros)
-        })
-        .collect();
-    events.sort_by(|a, b| a.0.total_cmp(&b.0));
-
     let window = model.zero_prep();
-    let horizon = sched.makespan_us.max(1.0);
-    // A consumption at time e keeps its zeros in flight during the
-    // preparation interval (e - window, e]; at time t we count events
-    // with e in [t, t + window).
-    let mut points = Vec::with_capacity(samples);
-    let mut lo = 0usize; // first event with e >= t
-    let mut hi = 0usize; // first event with e >= t + window
-    let mut in_window = 0u64;
-    for s in 0..samples {
-        let t = horizon * (s as f64 + 0.5) / samples as f64;
-        while hi < events.len() && events[hi].0 < t + window {
-            in_window += events[hi].1;
-            hi += 1;
-        }
-        while lo < events.len() && events[lo].0 < t {
-            in_window -= events[lo].1;
-            lo += 1;
-        }
-        points.push(DemandPoint {
-            t_us: t,
-            zeros_in_flight: in_window as f64,
+    let horizon = makespan_us.max(1.0);
+    let per_us = samples as f64 / horizon;
+    let times: Vec<f64> = (0..samples)
+        .map(|s| horizon * (s as f64 + 0.5) / samples as f64)
+        .collect();
+    let zeros = GateKind::ALL.map(|kind| gate_zeros(&kind.example(), model) as i64);
+    // `delta[s]` is the change in zeros in flight from sample s - 1 to s.
+    let mut delta = vec![0i64; samples + 1];
+    let mut frontier = Frontier::new(circuit.n_qubits(), model);
+    for g in circuit.gates() {
+        let (start, duration, kind) = frontier.step(g);
+        let e = start + duration;
+        // Both bounds rise with the sample, so the samples that count
+        // `e` are `first..past`: those after every `t + window <= e`,
+        // before the first `t > e`.
+        let first = leading(samples, (e - window) * per_us + 0.5, |s| {
+            times[s] + window <= e
         });
+        let past = leading(samples, e * per_us + 0.5, |s| times[s] <= e);
+        if first < past {
+            delta[first] += zeros[kind as usize];
+            delta[past] -= zeros[kind as usize];
+        }
     }
-    points
+    let mut in_flight = 0i64;
+    times
+        .iter()
+        .zip(&delta)
+        .map(|(&t_us, &d)| {
+            in_flight += d;
+            DemandPoint {
+                t_us,
+                zeros_in_flight: in_flight as f64,
+            }
+        })
+        .collect()
+}
+
+/// The length of the prefix of `0..n` on which `holds` is true, for a
+/// `holds` that is true on a prefix and false after it: searched from
+/// `guess` (any value; a close one makes this O(1)).
+fn leading(n: usize, guess: f64, holds: impl Fn(usize) -> bool) -> usize {
+    // A float-to-int `as` saturates, and takes NaN to 0.
+    let mut len = (guess as usize).min(n);
+    while len > 0 && !holds(len - 1) {
+        len -= 1;
+    }
+    while len < n && holds(len) {
+        len += 1;
+    }
+    len
 }
 
 #[cfg(test)]
@@ -261,7 +343,7 @@ mod tests {
     fn demand_profile_integrates_to_total_window_mass() {
         let c = toy();
         let model = CharacterizationModel::ion_trap();
-        let profile = demand_profile(&c, &model, 4000);
+        let profile = demand_profile(&c, &model, SpeedOfData::of(&c, &model).makespan_us, 4000);
         assert_eq!(profile.len(), 4000);
         // Each consumption at time e contributes in-flight mass equal
         // to |(e - window, e] intersect [0, horizon)|. Compare the

@@ -1,6 +1,11 @@
 //! Logical circuits: a builder over [`Gate`] plus the lowering passes
 //! that turn kernel-level IR (Toffoli, controlled rotations) into the
 //! physical gate set {transversal Cliffords, T}.
+//!
+//! Lowering has one rule set ([`Circuit::lower_into`]) and emits each
+//! physical gate into a [`GateSink`] as it is produced. A [`Circuit`]
+//! is the sink that stores them; the speed-of-data fold
+//! ([`crate::schedule::Frontier`]) is the sink that consumes them.
 
 use crate::gate::{Gate, Qubit, MAX_QUBITS};
 use serde::{Deserialize, Error, Serialize, Value};
@@ -28,15 +33,39 @@ pub struct Circuit {
     pub name: String,
 }
 
+/// Where lowering puts the physical gates it produces, in program
+/// order.
+pub trait GateSink {
+    /// Takes the next gate.
+    fn push(&mut self, g: Gate);
+
+    /// Takes a run of one-qubit gates, all on qubit `q`, in order: a
+    /// synthesized rotation arrives as one run, so a sink can keep
+    /// that qubit's state at hand for the whole sequence.
+    fn run(&mut self, q: Qubit, gates: impl IntoIterator<Item = Gate>) {
+        let _ = q;
+        for g in gates {
+            self.push(g);
+        }
+    }
+}
+
+impl GateSink for Circuit {
+    fn push(&mut self, g: Gate) {
+        Circuit::push(self, g);
+    }
+}
+
 /// How `lower` turns a `PhaseRot{k>=3}` into physical gates.
 ///
 /// The real implementation lives in `qods-synth` (Fowler-style search
 /// over H/T sequences); the trait keeps this crate independent of it.
 pub trait RotationSynthesizer {
-    /// Appends to `out` a physical gate sequence approximating
-    /// `diag(1, e^{±i pi/2^k})` on qubit `q`. Implementations must only
-    /// emit physical gates.
-    fn synthesize(&self, q: Qubit, k: u8, dagger: bool, out: &mut Circuit);
+    /// Emits into `out` a physical gate sequence approximating
+    /// `diag(1, e^{±i pi/2^k})` on qubit `q`, preferably as one
+    /// [`GateSink::run`]. Implementations must only emit physical
+    /// gates.
+    fn synthesize(&self, q: Qubit, k: u8, dagger: bool, out: &mut impl GateSink);
 }
 
 /// A synthesizer for circuits that contain no deep rotations; it
@@ -45,7 +74,7 @@ pub trait RotationSynthesizer {
 pub struct NoSynth;
 
 impl RotationSynthesizer for NoSynth {
-    fn synthesize(&self, _q: Qubit, k: u8, _dagger: bool, _out: &mut Circuit) {
+    fn synthesize(&self, _q: Qubit, k: u8, _dagger: bool, _out: &mut impl GateSink) {
         // The panic IS this type's documented contract: NoSynth asserts a rotation-free circuit.
         panic!("circuit contains a pi/2^{k} rotation but no synthesizer was provided")
     }
@@ -237,11 +266,21 @@ impl Circuit {
     /// every cache that keeps a lowered circuit wants it.
     pub fn lower(&self, synth: &impl RotationSynthesizer) -> Circuit {
         let mut out = Circuit::named(self.n_qubits, self.name.clone());
-        for g in &self.gates {
-            lower_gate(*g, synth, &mut out);
-        }
+        self.lower_into(synth, &mut out);
         out.shrink_to_fit();
         out
+    }
+
+    /// Lowers the circuit as [`Circuit::lower`] does, emitting each
+    /// physical gate into `sink` as it is produced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the synthesizer emits a non-physical gate.
+    pub fn lower_into(&self, synth: &impl RotationSynthesizer, sink: &mut impl GateSink) {
+        for g in &self.gates {
+            lower_gate(*g, synth, sink);
+        }
     }
 }
 
@@ -314,7 +353,7 @@ impl Deserialize for Circuit {
     }
 }
 
-fn lower_gate(g: Gate, synth: &impl RotationSynthesizer, out: &mut Circuit) {
+fn lower_gate(g: Gate, synth: &impl RotationSynthesizer, out: &mut impl GateSink) {
     match g {
         Gate::Toffoli(a, b, t) => {
             // Standard Clifford+T Toffoli (Nielsen & Chuang Fig 4.9).
@@ -377,21 +416,33 @@ fn lower_gate(g: Gate, synth: &impl RotationSynthesizer, out: &mut Circuit) {
         Gate::PhaseRot { q, k: 2, dagger } => {
             out.push(if dagger { Gate::Tdg(q) } else { Gate::T(q) })
         }
-        Gate::PhaseRot { q, k, dagger } => {
-            // The synthesizer appends through `push`, which checks
-            // qubit bounds; the gate set is checked here.
-            let from = out.len();
-            synth.synthesize(q, k, dagger, out);
-            for s in &out.gates[from..] {
-                assert!(s.is_physical(), "synthesizer emitted non-physical {s:?}");
-            }
-        }
+        Gate::PhaseRot { q, k, dagger } => synth.synthesize(q, k, dagger, &mut Synthesized(out)),
         other => out.push(other),
     }
 }
 
+/// The sink a synthesizer emits into: it checks the gate set before
+/// passing each gate on. (A [`Circuit`] sink checks qubit bounds in
+/// `push`, and the fold that a run stays on its qubit.)
+struct Synthesized<'a, S>(&'a mut S);
+
+fn physical(g: Gate) -> Gate {
+    assert!(g.is_physical(), "synthesizer emitted non-physical {g:?}");
+    g
+}
+
+impl<S: GateSink> GateSink for Synthesized<'_, S> {
+    fn push(&mut self, g: Gate) {
+        self.0.push(physical(g));
+    }
+
+    fn run(&mut self, q: Qubit, gates: impl IntoIterator<Item = Gate>) {
+        self.0.run(q, gates.into_iter().map(physical));
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -430,9 +481,30 @@ mod tests {
     struct Emits(Gate);
 
     impl RotationSynthesizer for Emits {
-        fn synthesize(&self, _q: Qubit, _k: u8, _dagger: bool, out: &mut Circuit) {
+        fn synthesize(&self, _q: Qubit, _k: u8, _dagger: bool, out: &mut impl GateSink) {
             out.push(self.0);
         }
+    }
+
+    /// Emits `gate` for every rotation as a one-gate run.
+    pub(crate) struct EmitsRun(pub(crate) Gate);
+
+    impl RotationSynthesizer for EmitsRun {
+        fn synthesize(&self, q: Qubit, _k: u8, _dagger: bool, out: &mut impl GateSink) {
+            out.run(q, [self.0]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "synthesizer emitted non-physical")]
+    fn a_non_physical_synthesized_run_panics() {
+        let mut c = Circuit::new(1);
+        c.phase_rot(0, 5, false);
+        let _ = c.lower(&EmitsRun(Gate::PhaseRot {
+            q: 0,
+            k: 4,
+            dagger: false,
+        }));
     }
 
     #[test]

@@ -116,6 +116,61 @@ impl CharacterizationModel {
     }
 }
 
+/// The three kinds of physical gate the speed-of-data analyses price
+/// apart: one-qubit Cliffords, pi/8 gates and CX. Every per-gate
+/// quantity they read ([`CharacterizationModel::data_latency`],
+/// [`Gate::needs_pi8_ancilla`], [`Gate::is_transversal`] and the qubit
+/// count) is a function of the kind, which a test pins for every
+/// physical gate, so a fold prices each kind once, through those rules
+/// applied to [`GateKind::example`], and then only decodes gates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GateKind {
+    /// X, Y, Z, H, S, Sdg (and `PhaseRot{k <= 1}`).
+    Clifford,
+    /// T and Tdg (and `PhaseRot{k: 2}`).
+    Pi8,
+    /// CX.
+    Cx,
+}
+
+impl GateKind {
+    /// Every kind, in index order.
+    pub(crate) const ALL: [GateKind; 3] = [GateKind::Clifford, GateKind::Pi8, GateKind::Cx];
+
+    /// A gate of this kind.
+    pub(crate) fn example(self) -> Gate {
+        match self {
+            GateKind::Clifford => Gate::H(0),
+            GateKind::Pi8 => Gate::T(0),
+            GateKind::Cx => Gate::Cx(0, 1),
+        }
+    }
+
+    /// A physical gate's kind and qubits (the second only for a CX).
+    ///
+    /// # Panics
+    ///
+    /// Panics on non-physical gates, as
+    /// [`CharacterizationModel::data_latency`] does.
+    #[inline]
+    pub(crate) fn decode(g: &Gate) -> (GateKind, usize, Option<usize>) {
+        match *g {
+            Gate::X(q)
+            | Gate::Y(q)
+            | Gate::Z(q)
+            | Gate::H(q)
+            | Gate::S(q)
+            | Gate::Sdg(q)
+            | Gate::PhaseRot { q, k: 0 | 1, .. } => (GateKind::Clifford, usize::from(q), None),
+            Gate::T(q) | Gate::Tdg(q) | Gate::PhaseRot { q, k: 2, .. } => {
+                (GateKind::Pi8, usize::from(q), None)
+            }
+            Gate::Cx(c, t) => (GateKind::Cx, usize::from(c), Some(usize::from(t))),
+            _ => panic!("characterize a lowered circuit: {g:?}"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,5 +198,50 @@ mod tests {
     fn non_physical_gate_panics() {
         let m = CharacterizationModel::ion_trap();
         let _ = m.data_latency(&Gate::Toffoli(0, 1, 2));
+    }
+
+    #[test]
+    fn a_gate_is_priced_as_its_kind() {
+        let m = CharacterizationModel::ion_trap();
+        let mut physical = Vec::new();
+        for q in [0, 3] {
+            physical.extend([
+                Gate::X(q),
+                Gate::Y(q),
+                Gate::Z(q),
+                Gate::H(q),
+                Gate::S(q),
+                Gate::Sdg(q),
+                Gate::T(q),
+                Gate::Tdg(q),
+                Gate::Cx(q, 1),
+                Gate::Cx(2, q),
+            ]);
+            for k in 0..=2 {
+                for dagger in [false, true] {
+                    physical.push(Gate::PhaseRot { q, k, dagger });
+                }
+            }
+        }
+        for g in physical {
+            assert!(g.is_physical());
+            let (kind, a, b) = GateKind::decode(&g);
+            let e = kind.example();
+            assert_eq!(m.data_latency(&g), m.data_latency(&e), "{g:?}");
+            assert_eq!(g.needs_pi8_ancilla(), e.needs_pi8_ancilla(), "{g:?}");
+            assert_eq!(g.is_transversal(), e.is_transversal(), "{g:?}");
+            let qubits: Vec<usize> = [a].into_iter().chain(b).collect();
+            assert_eq!(*g.qubits(), qubits, "{g:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "lowered circuit")]
+    fn a_non_physical_gate_has_no_kind() {
+        let _ = GateKind::decode(&Gate::PhaseRot {
+            q: 0,
+            k: 3,
+            dagger: false,
+        });
     }
 }

@@ -5,10 +5,12 @@
 //! old way, from [`Dag::asap`] and [`Dag::critical_path`], and must
 //! match the frontier pass bit for bit on seeded random circuits.
 //! The DAG lives here, beside the tests that read it, with its own
-//! tests.
+//! tests. So does the Fig 7 demand profile's old sort-and-sweep
+//! ([`sorted_demand_profile`]), the oracle of its one-fold form.
 
 use qods_circuit::characterize::{
-    characterize_with, BandwidthReport, CircuitReport, LatencyBreakdown,
+    characterize_with, demand_profile, BandwidthReport, CircuitReport, DemandPoint,
+    LatencyBreakdown,
 };
 use qods_circuit::circuit::{Circuit, NoSynth};
 use qods_circuit::latency_model::CharacterizationModel;
@@ -424,4 +426,108 @@ fn repeated_operand_pairs_share_one_predecessor() {
     assert_eq!(summary.depth, 3);
     assert_eq!(summary.makespan_us, 3.0 * (10.0 + 122.0));
     assert_eq!(summary.breakdown.data_op_us, 30.0);
+}
+
+/// The Fig 7 demand profile as the sort-and-sweep computed it: every
+/// gate's end time and zeros collected and sorted, then two pointers
+/// over the samples (events with `e` in `[t, t + window)` count at
+/// `t`).
+fn sorted_demand_profile(
+    circuit: &Circuit,
+    model: &CharacterizationModel,
+    samples: usize,
+) -> Vec<DemandPoint> {
+    let sched = Schedule::speed_of_data(circuit, model);
+    let gates = circuit.gates();
+    // Each gate consumes its QEC zeros at its end time.
+    let mut events: Vec<(f64, u64)> = sched
+        .ends()
+        .into_iter()
+        .zip(gates)
+        .map(|(end, g)| {
+            let mut zeros = model.zeros_per_qec() * g.qubits().len() as u64;
+            if g.needs_pi8_ancilla() {
+                zeros += model.zeros_per_pi8();
+            }
+            (end, zeros)
+        })
+        .collect();
+    events.sort_by(|a, b| a.0.total_cmp(&b.0));
+
+    let window = model.zero_prep();
+    let horizon = sched.makespan_us.max(1.0);
+    // A consumption at time e keeps its zeros in flight during the
+    // preparation interval (e - window, e]; at time t we count events
+    // with e in [t, t + window).
+    let mut points = Vec::with_capacity(samples);
+    let mut lo = 0usize; // first event with e >= t
+    let mut hi = 0usize; // first event with e >= t + window
+    let mut in_window = 0u64;
+    for s in 0..samples {
+        let t = horizon * (s as f64 + 0.5) / samples as f64;
+        while hi < events.len() && events[hi].0 < t + window {
+            in_window += events[hi].1;
+            hi += 1;
+        }
+        while lo < events.len() && events[lo].0 < t {
+            in_window -= events[lo].1;
+            lo += 1;
+        }
+        points.push(DemandPoint {
+            t_us: t,
+            zeros_in_flight: in_window as f64,
+        });
+    }
+    points
+}
+
+/// The one-fold demand profile equals the sort-and-sweep bit for bit
+/// on seeded random circuits (the empty one included), under a model
+/// whose gates often end at the same time, at sample counts from one
+/// to more than the circuit has gates. Half the sample counts put the
+/// sample times on the tie-heavy model's integer end times, so both
+/// window bounds are hit exactly.
+#[test]
+fn demand_profile_matches_the_sort_and_sweep() {
+    let mut rng = StdRng::seed_from_u64(0xf167_d3aa);
+    let mut hit_bounds = 0;
+    for case in 0..300 {
+        let len = if case == 0 { 0 } else { rng.gen_range(1..80) };
+        let c = random_circuit(&mut rng, len);
+        for (name, model) in [
+            ("ion trap", CharacterizationModel::ion_trap()),
+            ("tie-heavy", tie_heavy()),
+        ] {
+            let makespan = SpeedOfData::of(&c, &model).makespan_us;
+            // With an even integer makespan M, M / 2 samples sit at
+            // t = 1, 3, 5, ...: odd integers.
+            let aligned = (makespan / 2.0) as usize;
+            let past_gates = [c.len() + 1, 3 * c.len() + 5];
+            for samples in [1, 2, 7, 64, 256, 4096, aligned]
+                .into_iter()
+                .chain(past_gates)
+            {
+                let got = demand_profile(&c, &model, makespan, samples);
+                let want = sorted_demand_profile(&c, &model, samples);
+                let bits = |p: &[DemandPoint]| -> Vec<(u64, u64)> {
+                    p.iter()
+                        .map(|p| (p.t_us.to_bits(), p.zeros_in_flight.to_bits()))
+                        .collect()
+                };
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "case {case}, {name}, {samples} samples: {:?}",
+                    c.gates()
+                );
+                let ends = Schedule::speed_of_data(&c, &model).ends();
+                let window = model.zero_prep();
+                hit_bounds += want
+                    .iter()
+                    .filter(|p| ends.iter().any(|&e| e == p.t_us || e == p.t_us + window))
+                    .count();
+            }
+        }
+    }
+    assert!(hit_bounds > 1_000, "only {hit_bounds} samples on a bound");
 }

@@ -22,9 +22,10 @@
 //! A stage stores only what was asked for. The `char` stage does not
 //! pull `sched` through the store: it characterizes the stored circuit
 //! when the memory tier already holds one, and otherwise lowers the
-//! kernel transiently and keeps just the report. So a caller that only
-//! wants reports (the width sweep) parks no circuits, and a caller
-//! that wants both asks for `sched` first.
+//! kernel straight into the speed-of-data fold and keeps just the
+//! report. So a caller that only wants reports (the width sweep)
+//! builds and parks no circuits, and a caller that wants both asks
+//! for `sched` first.
 //!
 //! ## Fan-out
 //!
@@ -39,7 +40,7 @@ use crate::store::{ArtifactKey, ArtifactStore, HeapBytes, ARTIFACT_SCHEMA};
 use qods_circuit::characterize::{characterize_scheduled, CircuitReport, LatencyBreakdown};
 use qods_circuit::circuit::Circuit;
 use qods_circuit::latency_model::CharacterizationModel;
-use qods_circuit::schedule::SpeedOfData;
+use qods_circuit::schedule::{Frontier, SpeedOfData};
 use qods_kernels::{KernelError, KernelSpec, SynthAdapter};
 use qods_obs::sites;
 use serde::{Deserialize, Serialize, Value};
@@ -248,9 +249,10 @@ impl Compiler {
     /// Stage 3: the characterization. Only the report is stored: it
     /// reads the `sched` artifact when the memory tier already holds
     /// one, and otherwise lowers the kernel transiently (its span
-    /// notes `cache: "transient"`), characterizes that circuit and
-    /// drops it, touching no `ir` or `sched` key. Both routes run the
-    /// same lowering over the same gates, so the result is
+    /// notes `cache: "transient"`) straight into the speed-of-data
+    /// fold ([`Frontier`]), building no lowered circuit and touching
+    /// no `ir` or `sched` key. Both routes fold the same gates in the
+    /// same order with the same float operations, so the result is
     /// bit-identical either way; a caller that wants the circuit kept
     /// asks for [`Compiler::scheduled`] first.
     ///
@@ -266,19 +268,27 @@ impl Compiler {
                 if let Some(scheduled) = self.store.peek::<ScheduledCircuit>(key) {
                     return characterize(spec, &scheduled);
                 }
-                let transient = {
+                let (name, fold) = {
                     let _span = qods_obs::span!(sites::COMPILE_SCHED, {
                         config_hash: key.hash,
                         cache: "transient",
                     });
-                    self.lower(spec, &spec.build_ir())
+                    let ir = spec.build_ir();
+                    let mut fold = Frontier::new(ir.n_qubits(), &CharacterizationModel::ion_trap());
+                    spec.lower_into(&ir, &self.adapter, &mut fold);
+                    (ir.name, fold)
                 };
-                characterize(spec, &transient)
+                Characterization {
+                    spec,
+                    makespan_us: fold.summary().makespan_us,
+                    report: fold.report(name),
+                }
             }))
     }
 
-    /// Lowers `ir` and schedules it: the one computation behind both
-    /// a stored `sched` artifact and a transient one.
+    /// Lowers `ir` and schedules it: the `sched` stage's transform.
+    /// The `char` stage's transient route folds the same lowering
+    /// without storing it.
     fn lower(&self, spec: KernelSpec, ir: &Circuit) -> ScheduledCircuit {
         let lowered = spec.lower(ir, &self.adapter);
         let summary = SpeedOfData::of(&lowered, &CharacterizationModel::ion_trap());

@@ -305,13 +305,17 @@ impl Experiment for Fig7Experiment {
         let series = ctx
             .benchmarks()
             .iter()
-            .map(|s| &s.circuit)
-            .map(|c| {
+            .map(|s| {
                 Series::from_pairs(
-                    c.name.clone(),
-                    demand_profile(c, &model, ctx.config().profile_samples)
-                        .into_iter()
-                        .map(|p| (p.t_us, p.zeros_in_flight)),
+                    s.circuit.name.clone(),
+                    demand_profile(
+                        &s.circuit,
+                        &model,
+                        s.makespan_us,
+                        ctx.config().profile_samples,
+                    )
+                    .into_iter()
+                    .map(|p| (p.t_us, p.zeros_in_flight)),
                 )
             })
             .collect();

@@ -83,6 +83,7 @@ pub mod prelude {
     pub use qods_circuit::characterize::{characterize, demand_profile};
     pub use qods_circuit::circuit::Circuit;
     pub use qods_circuit::latency_model::CharacterizationModel;
+    pub use qods_circuit::schedule::SpeedOfData;
     pub use qods_circuit::throughput::{execution_time_us, throughput_sweep};
     pub use qods_compile::{ArtifactStore, Compiler, SynthBudget};
     pub use qods_factory::pi8::Pi8Factory;

@@ -11,7 +11,7 @@
 
 use crate::synth_adapter::SynthAdapter;
 use crate::{controlled_adder, draper_adder, qcla, qft, qrca};
-use qods_circuit::circuit::{Circuit, NoSynth};
+use qods_circuit::circuit::{Circuit, GateSink, NoSynth};
 use serde::{Deserialize, Serialize};
 
 /// Largest accepted operand width. Every family builds correctly at
@@ -196,6 +196,16 @@ impl KernelSpec {
             synth.lower(ir)
         } else {
             ir.lower(&NoSynth)
+        }
+    }
+
+    /// Lowers this spec's IR as [`KernelSpec::lower`] does, emitting
+    /// each physical gate into `sink` (see [`Circuit::lower_into`]).
+    pub fn lower_into(&self, ir: &Circuit, synth: &SynthAdapter, sink: &mut impl GateSink) {
+        if self.family.uses_synthesis() {
+            synth.lower_into(ir, sink);
+        } else {
+            ir.lower_into(&NoSynth, sink);
         }
     }
 }

@@ -1,28 +1,29 @@
 //! Bridges `qods-synth` sequences into the circuit IR's
 //! [`RotationSynthesizer`] hook, with a per-(k, dagger) cache.
 
-use qods_circuit::circuit::{Circuit, RotationSynthesizer};
+use qods_circuit::circuit::{Circuit, GateSink, RotationSynthesizer};
 use qods_circuit::gate::{Gate, Qubit};
 use qods_obs::sites;
 use qods_synth::search::{HtGate, Synthesizer};
 use qods_synth::simplify::simplify;
-use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::cell::Cell;
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 /// A caching adapter from the Fowler-style search to circuit lowering.
 ///
-/// [`SynthAdapter::lower`] solves every rotation a lowering needs in
-/// one shared search ([`Synthesizer::rz_pi_over_2k_batch`]): a first
-/// pass through the lowering rules records the `(k, dagger)` pairs
-/// they request, and the uncached ones are solved as one batch. The
-/// requested sequences are then copied out of the cache into a local
-/// table, and the second pass lowers from that table without the lock,
-/// appending each sequence in place. Each pair is solved at most once
-/// per adapter and reused for every qubit and every later lowering,
-/// and no pair is solved that no lowering asked for. Lowering through
-/// the [`RotationSynthesizer`] impl directly solves each cache miss as
-/// a batch of one, with identical results.
+/// [`SynthAdapter::lower_into`] solves every rotation a lowering needs
+/// in one shared search ([`Synthesizer::rz_pi_over_2k_batch`]): a
+/// first pass through the lowering rules, into a sink that keeps no
+/// gates, records the `(k, dagger)` pairs they request, and the
+/// uncached ones are solved as one batch. The requested sequences are
+/// then copied out of the cache into a local table, and the second
+/// pass lowers from that table without the lock, emitting each
+/// sequence as one run. Each pair is solved at most once per adapter
+/// and reused for every qubit and every later lowering, and no pair is
+/// solved that no lowering asked for. Lowering through the
+/// [`RotationSynthesizer`] impl directly solves each cache miss as a
+/// batch of one, with identical results.
 #[derive(Debug)]
 pub struct SynthAdapter {
     synth: Synthesizer,
@@ -42,9 +43,18 @@ impl SynthAdapter {
     /// Lowers `circuit` (see [`Circuit::lower`]) with one batched
     /// search for the rotations it needs that are not cached yet.
     pub fn lower(&self, circuit: &Circuit) -> Circuit {
+        let mut out = Circuit::named(circuit.n_qubits(), circuit.name.clone());
+        self.lower_into(circuit, &mut out);
+        out.shrink_to_fit();
+        out
+    }
+
+    /// Lowers `circuit` as [`SynthAdapter::lower`] does, emitting each
+    /// physical gate into `sink` (see [`Circuit::lower_into`]).
+    pub fn lower_into(&self, circuit: &Circuit, sink: &mut impl GateSink) {
         let wanted = Recorder::default();
-        circuit.lower(&wanted);
-        let wanted = wanted.0.into_inner();
+        circuit.lower_into(&wanted, &mut Discard);
+        let wanted = wanted.requested();
         let table = {
             let mut cache = qods_pool::plock(&self.cache);
             let missing: Vec<(u8, bool)> = wanted
@@ -63,29 +73,53 @@ impl SynthAdapter {
             }
             Table::copy(&cache, &wanted)
         };
-        circuit.lower(&table)
+        circuit.lower_into(&table, sink);
     }
 }
 
-/// Appends `seq` on qubit `q`.
-fn emit(seq: &[HtGate], q: Qubit, out: &mut Circuit) {
-    for g in seq {
-        out.push(match g {
+/// Emits `seq` on qubit `q` as one run.
+fn emit(seq: &[HtGate], q: Qubit, out: &mut impl GateSink) {
+    out.run(
+        q,
+        seq.iter().map(|g| match g {
             HtGate::H => Gate::H(q),
             HtGate::S => Gate::S(q),
             HtGate::T => Gate::T(q),
-        });
+        }),
+    );
+}
+
+/// Records the rotations a lowering requests and emits nothing: bit
+/// `2k + dagger` is set once `(k, dagger)` is requested.
+#[derive(Default)]
+struct Recorder([Cell<u64>; 8]);
+
+impl Recorder {
+    /// The requested pairs, in `(k, dagger)` order.
+    fn requested(&self) -> Vec<(u8, bool)> {
+        (0..=u8::MAX)
+            .flat_map(|k| [(k, false), (k, true)])
+            .filter(|&(k, dagger)| {
+                let i = Table::index(k, dagger);
+                self.0[i / 64].get() >> (i % 64) & 1 == 1
+            })
+            .collect()
     }
 }
 
-/// Records the rotations a lowering requests and emits nothing.
-#[derive(Default)]
-struct Recorder(RefCell<BTreeSet<(u8, bool)>>);
-
 impl RotationSynthesizer for Recorder {
-    fn synthesize(&self, _q: Qubit, k: u8, dagger: bool, _out: &mut Circuit) {
-        self.0.borrow_mut().insert((k, dagger));
+    fn synthesize(&self, _q: Qubit, k: u8, dagger: bool, _out: &mut impl GateSink) {
+        let i = Table::index(k, dagger);
+        let word = &self.0[i / 64];
+        word.set(word.get() | 1 << (i % 64));
     }
+}
+
+/// The request pass's sink: it keeps no gates.
+struct Discard;
+
+impl GateSink for Discard {
+    fn push(&mut self, _g: Gate) {}
 }
 
 /// The sequences one lowering requests, copied out of the shared
@@ -97,7 +131,7 @@ impl Table {
         2 * usize::from(k) + usize::from(dagger)
     }
 
-    fn copy(cache: &HashMap<(u8, bool), Vec<HtGate>>, wanted: &BTreeSet<(u8, bool)>) -> Self {
+    fn copy(cache: &HashMap<(u8, bool), Vec<HtGate>>, wanted: &[(u8, bool)]) -> Self {
         let len = wanted.last().map_or(0, |&(k, d)| Self::index(k, d) + 1);
         let mut seqs = vec![Vec::new(); len];
         for &(k, dagger) in wanted {
@@ -108,13 +142,13 @@ impl Table {
 }
 
 impl RotationSynthesizer for Table {
-    fn synthesize(&self, q: Qubit, k: u8, dagger: bool, out: &mut Circuit) {
+    fn synthesize(&self, q: Qubit, k: u8, dagger: bool, out: &mut impl GateSink) {
         emit(&self.0[Self::index(k, dagger)], q, out);
     }
 }
 
 impl RotationSynthesizer for SynthAdapter {
-    fn synthesize(&self, q: Qubit, k: u8, dagger: bool, out: &mut Circuit) {
+    fn synthesize(&self, q: Qubit, k: u8, dagger: bool, out: &mut impl GateSink) {
         let mut cache = qods_pool::plock(&self.cache);
         let seq = cache
             .entry((k, dagger))
@@ -127,6 +161,7 @@ impl RotationSynthesizer for SynthAdapter {
 mod tests {
     use super::*;
     use crate::qft::qft;
+    use std::collections::BTreeSet;
 
     #[expect(clippy::disallowed_methods, reason = "collected into an ordered set")]
     fn solved(a: &SynthAdapter) -> BTreeSet<(u8, bool)> {

@@ -1,12 +1,15 @@
 //! Exactness of the compile stages and the speed-of-data analyses:
 //! every kernel family's lowered circuit, schedule summary and Tables
-//! 2/3 report at the paper budget, and the smoke config's Fig 7 and
-//! Fig 8 series, are pinned bit for bit. A change to lowering,
-//! scheduling or characterization that moves any value fails here,
-//! not only in a `results/` diff.
+//! 2/3 report at the paper budget, the smoke config's Fig 7 and Fig 8
+//! series, and the paper config's Fig 7 and width-sweep outputs, are
+//! pinned bit for bit. A change to lowering, scheduling or
+//! characterization that moves any value fails here, not only in a
+//! `results/` diff.
 
 use speed_of_data::circuit::circuit::Circuit;
-use speed_of_data::compile::{ArtifactStore, CompiledKernel, Compiler, SynthBudget};
+use speed_of_data::compile::{
+    ArtifactStore, Characterization, CompiledKernel, Compiler, SynthBudget,
+};
 use speed_of_data::kernels::{KernelFamily, KernelSpec};
 use speed_of_data::{ExperimentOutput, Registry, StudyConfig, StudyContext};
 use std::sync::Arc;
@@ -102,11 +105,15 @@ const PINS: [(KernelFamily, [(u64, u64); 5]); 5] = [
 ];
 fn analysis_words(compiled: &CompiledKernel) -> Vec<u64> {
     let s = &compiled.scheduled;
-    let ch = &compiled.characterization;
+    let mut words = vec![s.makespan_us.to_bits(), s.depth as u64];
+    words.extend(characterization_words(&compiled.characterization));
+    words
+}
+
+/// Every float bit pattern and count of a characterization.
+fn characterization_words(ch: &Characterization) -> Vec<u64> {
     let r = &ch.report;
     vec![
-        s.makespan_us.to_bits(),
-        s.depth as u64,
         ch.makespan_us.to_bits(),
         r.n_qubits as u64,
         r.gate_count as u64,
@@ -187,4 +194,90 @@ fn smoke_fig7_and_fig8_series_are_pinned() {
         <[u64; 3]>::try_from(digests).expect("three series")
     });
     assert_eq!(got, [FIG7, FIG8], "digests {got:#018x?}");
+}
+
+/// The `char` stage's two routes agree at the paper budget for every
+/// family and pinned width: a lone characterization (lowered
+/// transiently, with no circuit built) equals the report made from
+/// the stored `sched` artifact, bit for bit.
+#[test]
+fn transient_and_stored_characterizations_agree_at_the_paper_budget() {
+    let transient = Compiler::new(Arc::new(ArtifactStore::in_memory()), SynthBudget::default());
+    let stored = Compiler::new(Arc::new(ArtifactStore::in_memory()), SynthBudget::default());
+    for family in KernelFamily::ALL {
+        for width in WIDTHS {
+            let spec = KernelSpec::new(family, width).expect("valid spec");
+            let lone = transient.characterization(spec).expect("compiles");
+            stored.scheduled(spec).expect("compiles");
+            let from_sched = stored.characterization(spec).expect("compiles");
+            assert_eq!(*lone, *from_sched, "{spec}");
+            assert_eq!(
+                characterization_words(&lone),
+                characterization_words(&from_sched),
+                "{spec}"
+            );
+        }
+    }
+    assert_eq!(transient.store().len(), 25, "only the reports are kept");
+}
+
+/// The paper configuration's Fig 7 series (one digest per series over
+/// its `(x, y)` bits, in benchmark order) and its width sweep (one
+/// digest per family curve over every point's counts and float bits).
+#[test]
+fn paper_fig7_and_widthsweep_outputs_are_pinned() {
+    const FIG7: [u64; 3] = [
+        0x70d7_8c30_4edf_be74,
+        0xac12_e90d_d39a_83ef,
+        0x90b3_3598_96df_91a8,
+    ];
+    const WIDTHSWEEP: [u64; 5] = [
+        0xdf24_e9bb_bc5a_687d,
+        0x7250_f410_56b6_518e,
+        0xac87_2972_be33_9e9c,
+        0xfa1a_db06_4620_e9fa,
+        0x8375_41e3_3d02_a9ee,
+    ];
+    let ctx = StudyContext::new(StudyConfig::default());
+    let registry = Registry::paper();
+    let fig7 = match registry.get("fig7").expect("registered").run(&ctx) {
+        ExperimentOutput::Fig7(s) => s.series,
+        other => panic!("fig7 produced {other:?}"),
+    };
+    let labels: Vec<&str> = fig7.iter().map(|s| s.label.as_str()).collect();
+    assert_eq!(labels, ["QRCA-32", "QCLA-32", "QFT-32"]);
+    let fig7: Vec<u64> = fig7
+        .iter()
+        .map(|s| {
+            assert_eq!(s.points.len(), 256, "{}", s.label);
+            word_digest(s.points.iter().flat_map(|p| [p.x.to_bits(), p.y.to_bits()]))
+        })
+        .collect();
+    let sweep = match registry.get("widthsweep").expect("registered").run(&ctx) {
+        ExperimentOutput::WidthSweep(o) => o,
+        other => panic!("widthsweep produced {other:?}"),
+    };
+    assert_eq!(sweep.widths, WIDTHS);
+    let sweep: Vec<u64> = sweep
+        .curves
+        .iter()
+        .map(|c| {
+            word_digest(c.points.iter().flat_map(|p| {
+                [
+                    p.width as u64,
+                    p.n_qubits as u64,
+                    p.gates as u64,
+                    p.non_transversal_fraction.to_bits(),
+                    p.speed_of_data_us.to_bits(),
+                    p.zero_per_ms.to_bits(),
+                    p.pi8_per_ms.to_bits(),
+                ]
+            }))
+        })
+        .collect();
+    assert_eq!(
+        (fig7.as_slice(), sweep.as_slice()),
+        (FIG7.as_slice(), WIDTHSWEEP.as_slice()),
+        "digests {fig7:#018x?} {sweep:#018x?}"
+    );
 }

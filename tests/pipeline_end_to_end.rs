@@ -64,7 +64,7 @@ fn table3_bandwidth_ratios_hold() {
 fn fig7_demand_profiles_are_positive_and_bounded() {
     let model = CharacterizationModel::ion_trap();
     let c = qrca_lowered(16);
-    let profile = demand_profile(&c, &model, 200);
+    let profile = demand_profile(&c, &model, SpeedOfData::of(&c, &model).makespan_us, 200);
     assert_eq!(profile.len(), 200);
     let peak = profile
         .iter()
